@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import fixtures
-from .core import WorkbenchError, check_axioms
+from .core import FixtureError, WorkbenchError, check_axioms
 from .geometry import embed, export_graph, valuation_from_dict
 from .homology import (adjunction_check, ext1, homological_semisimplicity,
                        tor1)
@@ -347,6 +347,14 @@ def cmd_gelfand(args, out):
     return (1 if findings else 0), payload
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FixtureError(f"parse error: {path}: {exc}") from None
+
+
 def cmd_embed(args, out):
     findings = []
     payload = []
@@ -357,13 +365,15 @@ def cmd_embed(args, out):
         spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
         valuation = None
         if args.valuation:
-            with open(args.valuation, encoding="utf-8") as fh:
-                valuation = valuation_from_dict(S, json.load(fh))
+            valuation = valuation_from_dict(S, _read_json(args.valuation))
         weight_table = None
         if args.weights and args.weights != "default":
-            with open(args.weights, encoding="utf-8") as fh:
-                data = json.load(fh)
-            weight_table = tuple(data["weights"])
+            data = _read_json(args.weights)
+            weights = data.get("weights") if isinstance(data, dict) else None
+            if not isinstance(weights, list) or not all(
+                    isinstance(w, (int, float)) for w in weights):
+                raise FixtureError("shape error: weights must be a list of numbers")
+            weight_table = tuple(weights)
         graph = embed(S, spc, k=args.k, valuation=valuation,
                       weight_table=weight_table)
         text = export_graph(graph, args.format)

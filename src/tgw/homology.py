@@ -8,7 +8,8 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three backends realize the quotient:
 
 * idempotent - both carrier additions idempotent; the free object is a finite
   join-semilattice and the congruence is computed by saturation over subset
-  bitmasks.
+  bitmasks, closing each distinct mask once; later class lookups fold the
+  generator classes through the class join table.
 * group - both carrier additions are abelian groups; relation differences
   span an integer lattice and the quotient comes from a diagonalized relation
   matrix.
@@ -387,13 +388,15 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, descriptions)
             mask |= 1 << gidx[g]
         return mask
 
-    rel_masks = []
-    for lhs, rhs in rels:
-        a, b = mask_of(lhs), mask_of(rhs)
-        if a != b:
-            rel_masks.append((a, b))
+    # Horn rules are symmetric, so each relation is kept once as a sorted pair.
+    pairs = {tuple(sorted((mask_of(lhs), mask_of(rhs)))) for lhs, rhs in rels}
+    rel_masks = sorted((a, b) for a, b in pairs if a != b)
+    closed = {}
 
     def saturate(mask):
+        if mask in closed:
+            return closed[mask]
+        start = mask
         changed = True
         while changed:
             changed = False
@@ -404,7 +407,11 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, descriptions)
                 if b & mask == b and mask | a != mask:
                     mask |= a
                     changed = True
+        closed[start] = mask
         return mask
+
+    def bits(mask):
+        return [g for g in gens if mask >> gidx[g] & 1]
 
     sat_gen = {g: saturate(1 << gidx[g]) for g in gens}
     masks = set(sat_gen.values())
@@ -422,61 +429,54 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, descriptions)
     index = {m: k for k, m in enumerate(ordered)}
     add_rows = [[index[saturate(a | b)] for b in ordered] for a in ordered]
     zero_class = index[sat_gen[(M.zero, N.zero)]]
+    members = [bits(mask) for mask in ordered]
 
     reps = []
-    for mask in ordered:
-        direct = [g for g in gens if sat_gen[g] == mask]
-        if direct:
-            reps.append(_gen_label(M, N, direct[0]))
-        else:
-            bits = [g for g in gens if mask >> gidx[g] & 1]
-            reps.append("+".join(_gen_label(M, N, g) for g in bits[:3]))
+    for mask, gs in zip(ordered, members):
+        direct = [g for g in gs if sat_gen[g] == mask]
+        reps.append(_gen_label(M, N, direct[0]) if direct
+                    else "+".join(_gen_label(M, N, g) for g in gs[:3]))
     labels = [f"c{k}" for k in range(len(ordered))]
     pres = make_presentation(name, labels, reps, add_rows, zero_class,
                              relations=descriptions)
     gen_class = {g: index[sat_gen[g]] for g in gens}
 
+    def join(gs):
+        # saturate is a closure operator, so the class of a sum of generators
+        # is the fold of their classes through the join table.
+        gs = iter(gs)
+        c = gen_class[next(gs)]
+        for g in gs:
+            c = add_rows[c][gen_class[g]]
+        return c
+
     def eval_sum(multiset):
-        if not multiset:
-            return None
-        return index[saturate(mask_of(multiset))]
+        return join(multiset) if multiset else None
 
     def rep_sum(ci):
-        mask = ordered[ci]
-        return tuple((g, 1) for g in gens if mask >> gidx[g] & 1)
+        return tuple((g, 1) for g in members[ci])
 
     notes = []
     action_ok = True
     S = M.base
 
-    def class_action(a, x, y, b, ci):
-        mask = ordered[ci]
-        img = 0
-        for g in gens:
-            if mask >> gidx[g] & 1:
-                img |= 1 << gidx[(M.act[a][x][g[0]][y][b], g[1])]
-        return index[saturate(img)]
+    def class_action(a, x, y, b, gs):
+        return join((M.act[a][x][g[0]][y][b], g[1]) for g in gs)
 
     if len(gens) <= 8:
-        for lhs, rhs in rels:
-            for a in range(S.n):
-                for x in range(S.g):
-                    for y in range(S.g):
-                        for b in range(S.n):
-                            la = saturate(mask_of({(M.act[a][x][g[0]][y][b], g[1]): 1
-                                                   for g in lhs}))
-                            rb = saturate(mask_of({(M.act[a][x][g[0]][y][b], g[1]): 1
-                                                   for g in rhs}))
-                            if la != rb and action_ok:
-                                action_ok = False
-                                notes.append("induced action is not well-defined "
-                                             "on a relation pair")
+        rel_gens = [(bits(lhs), bits(rhs)) for lhs, rhs in rel_masks]
+        params = itertools.product(range(S.n), range(S.g), range(S.g), range(S.n))
+        if any(class_action(*p, lhs) != class_action(*p, rhs)
+               for p in params for lhs, rhs in rel_gens):
+            action_ok = False
+            notes.append("induced action is not well-defined "
+                         "on a relation pair")
     else:
         notes.append("induced action verified via module axiom check only")
 
-    act = tuple(tuple(tuple(tuple(tuple(class_action(a, x, y, b, ci)
+    act = tuple(tuple(tuple(tuple(tuple(class_action(a, x, y, b, gs)
                                         for b in range(S.n)) for y in range(S.g))
-                            for ci in range(len(ordered))) for x in range(S.g))
+                            for gs in members) for x in range(S.g))
                 for a in range(S.n))
     module = GammaModule(name=name, base=S, carrier=tuple(labels),
                          zero=zero_class,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from tgw.cli import main
@@ -119,16 +120,60 @@ def test_report_contents_and_exit(capsys):
     assert "warning: Z3" in out
 
 
+GOLDEN_SHA256 = {
+    ("report",):
+        "c090c3f5d6f9afee59b8f841ddd62fb35e72e21eb5b0e8040176f0694659a629",
+    ("report", "--format", "json"):
+        "61c848ec9a9bd576d6a04c8ef5940029db72efe4029a51b59af15902dd1ed9b4",
+    ("tor", "B2", "--format", "json"):
+        "d0c66c5b3779f5d0aca049afe9a41365f4ef68cc3d8fbfe0c11022750bbac102",
+    ("tor", "B2xB2", "--format", "json"):
+        "c6c880dd201a52063e9787cc3adabddfd268b5ee30e88e670dd2e3c77afe8a27",
+    ("tor", "B2", "--module", "B2-T2", "--format", "json"):
+        "f10ee9b278e584e9367b48ae7f7db4e0df5f801044c0b2fc00f9094022805561",
+    ("ext", "B2", "--format", "json"):
+        "817be98c31f07314d429e20fe2d7b334ff22c210b603ff219eec86d39c552649",
+    ("ext", "B2xB2", "--format", "json"):
+        "19e0bcd109d2cb5944566f1f2501754a09166945ba1a92f156436a986ab53434",
+    ("ext", "B2", "--module", "B2-T2", "--format", "json"):
+        "7cc4a6c059d39801b26972fab7283e85b4ce45baa67617cc1101957a0467830b",
+    ("adjunction", "B2", "--format", "json"):
+        "142e4495f6e6df6ea805970112f027b3dda0c0c2127281127a48901d4c35222d",
+    ("adjunction", "B2xB2", "--format", "json"):
+        "9d482adde0c97bc7768987121e7afded8a6d51d870b299d7953d15503b99a604",
+    ("adjunction", "B2", "--module", "B2-T2", "--format", "json"):
+        "3b786c9080036e455575315ff210e9c380019bcc517baa912a809faa24c7c3ee",
+}
+
+
 def test_report_deterministic(capsys):
     _, first = run(capsys, "report")
     _, second = run(capsys, "report")
     assert first == second
+    # Golden stdout of every tensor-backed command: any byte change fails.
+    for argv, digest in GOLDEN_SHA256.items():
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
-def test_exit_2_on_bad_inputs(capsys):
+def test_exit_2_on_bad_inputs(capsys, tmp_path):
     assert main(["check", "/nonexistent/path.json"]) == 2
     assert main(["nosuchcommand", "B2"]) == 2
     assert main(["embed"]) == 2  # missing fixture argument
+    capsys.readouterr()
+    # Malformed embed side files: one error line, no traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    shape = tmp_path / "weights.json"
+    shape.write_text(json.dumps({"weights": "x"}), encoding="utf-8")
+    for flag, path, kind in (("--valuation", bad, "parse error"),
+                             ("--weights", bad, "parse error"),
+                             ("--weights", shape, "shape error")):
+        assert main(["embed", "B2", flag, str(path)]) == 2, flag
+        err = capsys.readouterr().err
+        assert kind in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_exit_2_on_budget(capsys, monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from tgw import fixtures
@@ -11,8 +13,10 @@ from tgw.homology import (_smith_diagonal, adjunction_check, ext1,
                           free_resolution, homological_semisimplicity,
                           internal_hom_ternary, make_presentation, tensor,
                           tensor_induced_map, tor1)
-from tgw.modules import (cyclic_module_catalog, find_isomorphism,
-                         regular_module)
+from tgw.modules import (check_module_axioms, cyclic_module_catalog,
+                         find_isomorphism, regular_module)
+
+from conftest import brute_force_tensor_idempotent, chain
 
 
 def test_free_module_rank1_is_regular(b2, b2_reg):
@@ -132,6 +136,59 @@ def test_tensor_backend_gates(b2_reg, z3_reg):
         tensor(b2_reg, b2_reg, backend="group")  # OR is not a group addition
     with pytest.raises(PreconditionError):
         tensor(z3_reg, z3_reg, backend="idempotent", lenient=True)
+
+
+def _perturbed_t2(b2_t2):
+    """B2-T2 with act(1,x,(1,1),x,1) sent to (0,1): a module-law violation."""
+    act = [[[[list(r) for r in l3] for l3 in l2] for l2 in l1] for l1 in b2_t2.act]
+    act[1][0][3][0][1] = 1
+    frozen = tuple(tuple(tuple(tuple(tuple(r) for r in l3) for l3 in l2)
+                         for l2 in l1) for l1 in act)
+    return dataclasses.replace(b2_t2, name="B2-T2-perturbed", act=frozen)
+
+
+def _zero_not_identity_t2(b2_t2):
+    """B2-T2 with (0,0)+(0,1) = (0,0): still idempotent, but the zero is no
+    longer the additive identity, so class sums must not start from it."""
+    madd = [list(r) for r in b2_t2.madd]
+    madd[0][1] = madd[1][0] = 0
+    return dataclasses.replace(b2_t2, name="B2-T2-zero-not-identity",
+                               madd=tuple(map(tuple, madd)))
+
+
+@pytest.mark.parametrize("case", ["C3", "C4", "C5", "T2xT2", "regxT2",
+                                  "perturbed", "regxperturbed",
+                                  "zero-not-identity"])
+def test_idempotent_tensor_matches_oracle(case, b2_reg, b2_t2):
+    perturbed = _perturbed_t2(b2_t2)
+    odd_zero = _zero_not_identity_t2(b2_t2)
+    assert check_module_axioms(perturbed).violations
+    assert check_module_axioms(odd_zero).violations
+    if case.startswith("C"):
+        M = N = regular_module(chain(int(case[1:])))
+    else:
+        M, N = {"T2xT2": (b2_t2, b2_t2), "regxT2": (b2_reg, b2_t2),
+                "perturbed": (perturbed, perturbed),
+                "regxperturbed": (b2_reg, perturbed),
+                "zero-not-identity": (odd_zero, odd_zero)}[case]
+    lenient = case in ("perturbed", "regxperturbed", "zero-not-identity")
+    new = tensor(M, N, backend="idempotent", lenient=lenient)
+    old = brute_force_tensor_idempotent(M, N)
+    assert new.presentation.to_dict() == old.presentation.to_dict()
+    assert new.gen_class == old.gen_class
+    assert new.module.act == old.module.act
+    assert new.module_action_ok == old.module_action_ok
+    assert new.notes == old.notes
+    gated = len(new.gen_class) <= 8
+    assert gated == (case in ("regxT2", "regxperturbed"))
+    assert ("induced action verified via module axiom check only"
+            in new.notes) != gated
+    for lhs, rhs in new.rel_pairs:
+        assert new.eval_sum(lhs) == old.eval_sum(lhs)
+        assert new.eval_sum(rhs) == old.eval_sum(rhs)
+    for ci in range(new.size):
+        assert new.rep_sum(ci) == old.rep_sum(ci)
+        assert new.eval_sum(dict(new.rep_sum(ci))) == ci
 
 
 def test_tensor_induced_map_identity(b2_reg):
