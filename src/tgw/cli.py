@@ -61,10 +61,11 @@ def _anchor_for(S, args):
     return S.zero
 
 
-def _structure_gate(S, args, out, findings) -> bool:
+def _structure_gate(S, args, out) -> bool:
     """Shared axiom preamble: prints violations, applies the lenient policy.
 
-    Returns True when this fixture is blocked (violations without --lenient).
+    Returns True when this fixture is blocked (violations without --lenient),
+    which is a finding.
     """
     report = check_axioms(S)
     if not report.violations:
@@ -76,275 +77,209 @@ def _structure_gate(S, args, out, findings) -> bool:
         return False
     out.append(f"{S.name}: {len(report.violations)} axiom violation(s)")
     out.extend(_violation_lines(report.violations, S))
-    findings.append(f"{S.name}:axiom-violations")
     return True
 
 
-def cmd_check(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        report = check_axioms(S)
-        payload.append({"structure": S.name, **report.to_dict(),
-                        "lenient": args.lenient})
-        if report.passed:
-            out.append(f"{S.name}: all axioms hold "
-                       f"(|T|={S.n}, |Gamma|={S.g})")
-        elif args.lenient:
-            out.append(f"{S.name}: {len(report.violations)} axiom violation(s) "
-                       f"downgraded to warnings (lenient)")
-            out.extend(_violation_lines(report.violations, S, kind="warning"))
-        else:
-            out.append(f"{S.name}: {len(report.violations)} axiom violation(s)")
+def _per_structure(body, gate=True):
+    """Command running `body(S, args, out, payload) -> finding` on each fixture.
+
+    Each fixture argument is resolved and, unless `gate` is False, passed
+    through the axiom gate first (a blocked fixture is a finding and is
+    skipped).  The command exits 1 when any fixture produced a finding.
+    """
+    def run(args, out):
+        payload = []
+        found = False
+        for arg in args.fixtures:
+            S = fixtures.resolve_structure(arg)
+            if gate and _structure_gate(S, args, out):
+                found = True
+            elif body(S, args, out, payload):
+                found = True
+        return (1 if found else 0), payload
+    return run
+
+
+def cmd_check(S, args, out, payload):
+    report = check_axioms(S)
+    payload.append({"structure": S.name, **report.to_dict(),
+                    "lenient": args.lenient})
+    if report.passed:
+        out.append(f"{S.name}: all axioms hold "
+                   f"(|T|={S.n}, |Gamma|={S.g})")
+    elif args.lenient:
+        out.append(f"{S.name}: {len(report.violations)} axiom violation(s) "
+                   f"downgraded to warnings (lenient)")
+        out.extend(_violation_lines(report.violations, S, kind="warning"))
+    else:
+        return _structure_gate(S, args, out)
+
+
+def cmd_ideals(S, args, out, payload):
+    ideals = enumerate_ideals(S, bound=_budget(12), lenient=args.lenient)
+    out.append(f"{S.name}: {len(ideals)} ideal(s)")
+    for ideal in ideals:
+        out.append("  {" + ",".join(ideal.labels(S)) + "}")
+    payload.append({"structure": S.name, "lenient": args.lenient,
+                    "ideals": [i.to_dict(S) for i in ideals]})
+
+
+def cmd_spec(S, args, out, payload):
+    spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
+    zar = zariski_report(S, spc)
+    out.append(f"{S.name}: {len(spc.points)} prime point(s)")
+    for label in spc.point_labels(S):
+        out.append(f"  {label}")
+    out.append(f"  closed-set identity V(I)∩V(J)=V(I+J): "
+               f"{'holds' if zar.intersection_ok else 'FAILS'}")
+    out.append(f"  T0 separation: {'holds' if zar.t0_ok else 'FAILS'}")
+    payload.append({"structure": S.name, "spectrum": spc.to_dict(S),
+                    "zariski": zar.to_dict()})
+    return not zar.passed
+
+
+def cmd_modules(S, args, out, payload):
+    mods = fixtures.modules_for(S.name) if S.name in fixtures.STRUCTURE_NAMES else []
+    for spec_arg in args.module or []:
+        mods.append(fixtures.resolve_module(spec_arg, S))
+    found = False
+    for M in mods or [regular_module(S)]:
+        report = check_module_axioms(M)
+        status = "passes" if report.passed else (
+            f"fails {len(report.violations)} law instance(s)")
+        out.append(f"{M.name} over {S.name}: {status}; "
+                   f"base warnings: {len(report.warnings)}")
+        if not report.passed:
             out.extend(_violation_lines(report.violations, S))
-            findings.append(name)
-    return (1 if findings else 0), payload
+            found = found or not args.lenient
+        payload.append({"module": M.name, "structure": S.name,
+                        **report.to_dict()})
+    return found
 
 
-def cmd_ideals(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        if _structure_gate(S, args, out, findings):
-            continue
-        ideals = enumerate_ideals(S, bound=_budget(12), lenient=args.lenient)
-        out.append(f"{S.name}: {len(ideals)} ideal(s)")
-        for ideal in ideals:
-            out.append("  {" + ",".join(ideal.labels(S)) + "}")
-        payload.append({"structure": S.name, "lenient": args.lenient,
-                        "ideals": [i.to_dict(S) for i in ideals]})
-    return (1 if findings else 0), payload
+def cmd_simples(S, args, out, payload):
+    catalog = cyclic_module_catalog(S, lenient=args.lenient)
+    simple_count = sum(1 for e in catalog if e.simple)
+    out.append(f"{S.name}: catalog of {len(catalog)} cyclic module(s), "
+               f"{simple_count} simple")
+    for entry in catalog:
+        flag = "simple" if entry.simple else "not simple"
+        out.append(f"  {entry.module.name} (|M|={entry.module.size}): {flag}"
+                   f" (congruence-simple: {entry.congruence_simple})")
+    payload.append({"structure": S.name,
+                    "catalog": [{"module": e.module.name,
+                                 "size": e.module.size,
+                                 "simple": e.simple,
+                                 "congruence_simple": e.congruence_simple}
+                                for e in catalog]})
 
 
-def cmd_spec(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        if _structure_gate(S, args, out, findings):
-            continue
-        spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
-        zar = zariski_report(S, spc)
-        out.append(f"{S.name}: {len(spc.points)} prime point(s)")
-        for label in spc.point_labels(S):
-            out.append(f"  {label}")
-        out.append(f"  closed-set identity V(I)∩V(J)=V(I+J): "
-                   f"{'holds' if zar.intersection_ok else 'FAILS'}")
-        out.append(f"  T0 separation: {'holds' if zar.t0_ok else 'FAILS'}")
-        if not zar.passed:
-            findings.append(name)
-        payload.append({"structure": S.name, "spectrum": spc.to_dict(S),
-                        "zariski": zar.to_dict()})
-    return (1 if findings else 0), payload
+def cmd_density(S, args, out, payload):
+    anchor = _anchor_for(S, args)
+    if args.module:
+        targets = [fixtures.resolve_module(m, S) for m in args.module]
+    else:
+        targets = [e.module for e in cyclic_module_catalog(S, lenient=args.lenient)
+                   if e.simple]
+    found = False
+    for M in targets:
+        rep = density_check(M, anchor=anchor, rank2=args.rank2,
+                            lenient=args.lenient)
+        verdict = "Yes" if rep.ok else "No"
+        out.append(f"{M.name}: density {verdict} "
+                   f"(anchor {S.elements[anchor]}, "
+                   f"{len(rep.witnesses)} witnessed pair(s))")
+        if not rep.ok:
+            found = True
+            for mm, nn in rep.unsolvable[:5]:
+                out.append(f"  unsolvable pair: m={M.carrier[mm]}, "
+                           f"n={M.carrier[nn]}")
+        payload.append(rep.to_dict())
+    return found
 
 
-def cmd_modules(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        mods = fixtures.modules_for(S.name) if S.name in fixtures.STRUCTURE_NAMES else []
-        for spec_arg in args.module or []:
-            mods.append(fixtures.resolve_module(spec_arg, S))
-        if not mods:
-            mods = [regular_module(S)]
-        for M in mods:
-            report = check_module_axioms(M)
-            status = "passes" if report.passed else (
-                f"fails {len(report.violations)} law instance(s)")
-            out.append(f"{M.name} over {S.name}: {status}; "
-                       f"base warnings: {len(report.warnings)}")
-            if not report.passed:
-                out.extend(_violation_lines(report.violations, S))
-                if not args.lenient:
-                    findings.append(M.name)
-            payload.append({"module": M.name, "structure": S.name,
-                            **report.to_dict()})
-    return (1 if findings else 0), payload
-
-
-def cmd_simples(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        if _structure_gate(S, args, out, findings):
-            continue
-        catalog = cyclic_module_catalog(S, lenient=args.lenient)
-        simple_count = sum(1 for e in catalog if e.simple)
-        out.append(f"{S.name}: catalog of {len(catalog)} cyclic module(s), "
-                   f"{simple_count} simple")
-        for entry in catalog:
-            flag = "simple" if entry.simple else "not simple"
-            out.append(f"  {entry.module.name} (|M|={entry.module.size}): {flag}"
-                       f" (congruence-simple: {entry.congruence_simple})")
-        payload.append({"structure": S.name,
-                        "catalog": [{"module": e.module.name,
-                                     "size": e.module.size,
-                                     "simple": e.simple,
-                                     "congruence_simple": e.congruence_simple}
-                                    for e in catalog]})
-    return (1 if findings else 0), payload
-
-
-def cmd_density(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        if _structure_gate(S, args, out, findings):
-            continue
-        anchor = _anchor_for(S, args)
-        if args.module:
-            targets = [fixtures.resolve_module(m, S) for m in args.module]
-        else:
-            targets = [e.module for e in cyclic_module_catalog(S, lenient=args.lenient)
-                       if e.simple]
-        for M in targets:
-            rep = density_check(M, anchor=anchor, rank2=args.rank2,
-                                lenient=args.lenient)
-            verdict = "Yes" if rep.ok else "No"
-            out.append(f"{M.name}: density {verdict} "
-                       f"(anchor {S.elements[anchor]}, "
-                       f"{len(rep.witnesses)} witnessed pair(s))")
-            if not rep.ok:
-                findings.append(M.name)
-                for mm, nn in rep.unsolvable[:5]:
-                    out.append(f"  unsolvable pair: m={M.carrier[mm]}, "
-                               f"n={M.carrier[nn]}")
-            payload.append(rep.to_dict())
-    return (1 if findings else 0), payload
-
-
-def _pick_pair(args, S):
+def _pick_modules(args, S, count):
     mods = [fixtures.resolve_module(m, S) for m in (args.module or [])]
-    while len(mods) < 2:
+    while len(mods) < count:
         mods.append(regular_module(S))
-    return mods[0], mods[1]
+    return mods[:count]
 
 
-def cmd_ext(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        if _structure_gate(S, args, out, findings):
-            continue
-        M, N = _pick_pair(args, S)
-        result = ext1(S, M, N, budget=_budget(50000), lenient=args.lenient)
-        out.append(f"Ext1({M.name},{N.name}) = {result.ext1.structure_tag} "
-                   f"({result.ext1.size} class(es)); "
-                   f"Ext0 size {result.ext0_size} vs |Hom| {result.hom_size}")
-        if not result.ext0_matches_hom:
-            findings.append(name)
-            out.append("  finding: Ext0 does not match the hom count")
-        payload.append({"structure": S.name, "ext1": result.ext1.to_dict(),
-                        "ext0_size": result.ext0_size,
-                        "hom_size": result.hom_size,
-                        "ext0_matches_hom": result.ext0_matches_hom,
-                        "notes": list(result.notes)})
-    return (1 if findings else 0), payload
+def cmd_ext(S, args, out, payload):
+    M, N = _pick_modules(args, S, 2)
+    result = ext1(S, M, N, budget=_budget(50000), lenient=args.lenient)
+    out.append(f"Ext1({M.name},{N.name}) = {result.ext1.structure_tag} "
+               f"({result.ext1.size} class(es)); "
+               f"Ext0 size {result.ext0_size} vs |Hom| {result.hom_size}")
+    if not result.ext0_matches_hom:
+        out.append("  finding: Ext0 does not match the hom count")
+    payload.append({"structure": S.name, "ext1": result.ext1.to_dict(),
+                    "ext0_size": result.ext0_size,
+                    "hom_size": result.hom_size,
+                    "ext0_matches_hom": result.ext0_matches_hom,
+                    "notes": list(result.notes)})
+    return not result.ext0_matches_hom
 
 
-def cmd_tor(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        if _structure_gate(S, args, out, findings):
-            continue
-        M, N = _pick_pair(args, S)
-        result = tor1(S, M, N, lenient=args.lenient)
-        out.append(f"Tor1({M.name},{N.name}) = {result.tor1.structure_tag} "
-                   f"({result.tor1.size} class(es)); Tor0 matches tensor: "
-                   f"{result.tor0_matches_tensor}")
-        if not result.tor0_matches_tensor:
-            findings.append(name)
-        payload.append({"structure": S.name, "tor1": result.tor1.to_dict(),
-                        "tor0": result.tor0.to_dict(),
-                        "tor0_matches_tensor": result.tor0_matches_tensor,
-                        "notes": list(result.notes)})
-    return (1 if findings else 0), payload
+def cmd_tor(S, args, out, payload):
+    M, N = _pick_modules(args, S, 2)
+    result = tor1(S, M, N, lenient=args.lenient)
+    out.append(f"Tor1({M.name},{N.name}) = {result.tor1.structure_tag} "
+               f"({result.tor1.size} class(es)); Tor0 matches tensor: "
+               f"{result.tor0_matches_tensor}")
+    payload.append({"structure": S.name, "tor1": result.tor1.to_dict(),
+                    "tor0": result.tor0.to_dict(),
+                    "tor0_matches_tensor": result.tor0_matches_tensor,
+                    "notes": list(result.notes)})
+    return not result.tor0_matches_tensor
 
 
-def cmd_adjunction(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        if _structure_gate(S, args, out, findings):
-            continue
-        mods = [fixtures.resolve_module(m, S) for m in (args.module or [])]
-        while len(mods) < 3:
-            mods.append(regular_module(S))
-        M, N, P = mods[0], mods[1], mods[2]
-        rep = adjunction_check(M, N, P, budget=_budget(50000),
-                               lenient=args.lenient)
-        out.append(f"|Hom({M.name}(x){N.name},{P.name})| = {rep.lhs_size}, "
-                   f"|Hom({M.name},Hom({N.name},{P.name}))| = {rep.rhs_size}, "
-                   f"bijection: {'Yes' if rep.holds else 'No'}")
-        if not rep.holds:
-            findings.append(name)
-        payload.append({"structure": S.name, **rep.to_dict()})
-    return (1 if findings else 0), payload
+def cmd_adjunction(S, args, out, payload):
+    M, N, P = _pick_modules(args, S, 3)
+    rep = adjunction_check(M, N, P, budget=_budget(50000),
+                           lenient=args.lenient)
+    out.append(f"|Hom({M.name}(x){N.name},{P.name})| = {rep.lhs_size}, "
+               f"|Hom({M.name},Hom({N.name},{P.name}))| = {rep.rhs_size}, "
+               f"bijection: {'Yes' if rep.holds else 'No'}")
+    payload.append({"structure": S.name, **rep.to_dict()})
+    return not rep.holds
 
 
-def cmd_radical(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        if _structure_gate(S, args, out, findings):
-            continue
-        rep = jacobson_radical(S, lenient=args.lenient)
-        out.append(f"J({S.name}) = {{{','.join(rep.ideal.labels(S))}}} "
-                   f"[{rep.note}, from {len(rep.simples_used)} simple(s)]")
-        payload.append({"structure": S.name, **rep.to_dict(S)})
-    return (1 if findings else 0), payload
+def cmd_radical(S, args, out, payload):
+    rep = jacobson_radical(S, lenient=args.lenient)
+    out.append(f"J({S.name}) = {{{','.join(rep.ideal.labels(S))}}} "
+               f"[{rep.note}, from {len(rep.simples_used)} simple(s)]")
+    payload.append({"structure": S.name, **rep.to_dict(S)})
 
 
-def cmd_localize(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        if _structure_gate(S, args, out, findings):
-            continue
-        spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
-        for P in spc.points:
-            loc = localize(S, P, lenient=args.lenient)
-            out.append(f"{S.name} at {{{','.join(P.labels(S))}}}: "
-                       f"{len(loc.classes)} class(es), well-defined: "
-                       f"{loc.well_defined}, maximal ideal classes: "
-                       f"{sorted(loc.maximal_ideal)}")
-            if not loc.well_defined:
-                findings.append(name)
-                for f in loc.failures[:5]:
-                    out.append(f"  failure: {f}")
-            payload.append(loc.to_dict(S))
-    return (1 if findings else 0), payload
+def cmd_localize(S, args, out, payload):
+    spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
+    found = False
+    for P in spc.points:
+        loc = localize(S, P, lenient=args.lenient)
+        out.append(f"{S.name} at {{{','.join(P.labels(S))}}}: "
+                   f"{len(loc.classes)} class(es), well-defined: "
+                   f"{loc.well_defined}, maximal ideal classes: "
+                   f"{sorted(loc.maximal_ideal)}")
+        if not loc.well_defined:
+            found = True
+            for f in loc.failures[:5]:
+                out.append(f"  failure: {f}")
+        payload.append(loc.to_dict(S))
+    return found
 
 
-def cmd_gelfand(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        if _structure_gate(S, args, out, findings):
-            continue
-        spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
-        rep = gelfand_injectivity(S, spc, lenient=args.lenient)
-        out.append(f"{S.name}: evaluation map injective: {rep.injective}"
-                   + (" (vacuous)" if rep.vacuous else ""))
-        if not rep.injective:
-            findings.append(name)
-            a, b = rep.witness
-            out.append(f"  witness: {S.elements[a]} and {S.elements[b]} "
-                       f"are not separated")
-        payload.append({"structure": S.name, **rep.to_dict()})
-    return (1 if findings else 0), payload
+def cmd_gelfand(S, args, out, payload):
+    spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
+    rep = gelfand_injectivity(S, spc, lenient=args.lenient)
+    out.append(f"{S.name}: evaluation map injective: {rep.injective}"
+               + (" (vacuous)" if rep.vacuous else ""))
+    if not rep.injective:
+        a, b = rep.witness
+        out.append(f"  witness: {S.elements[a]} and {S.elements[b]} "
+                   f"are not separated")
+    payload.append({"structure": S.name, **rep.to_dict()})
+    return not rep.injective
 
 
 def _read_json(path):
@@ -355,36 +290,29 @@ def _read_json(path):
             raise FixtureError(f"parse error: {path}: {exc}") from None
 
 
-def cmd_embed(args, out):
-    findings = []
-    payload = []
-    for name in args.fixtures:
-        S = fixtures.resolve_structure(name)
-        if _structure_gate(S, args, out, findings):
-            continue
-        spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
-        valuation = None
-        if args.valuation:
-            valuation = valuation_from_dict(S, _read_json(args.valuation))
-        weight_table = None
-        if args.weights and args.weights != "default":
-            data = _read_json(args.weights)
-            weights = data.get("weights") if isinstance(data, dict) else None
-            if not isinstance(weights, list) or not all(
-                    isinstance(w, (int, float)) for w in weights):
-                raise FixtureError("shape error: weights must be a list of numbers")
-            weight_table = tuple(weights)
-        graph = embed(S, spc, k=args.k, valuation=valuation,
-                      weight_table=weight_table)
-        text = export_graph(graph, args.format)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            out.append(f"{S.name}: wrote {args.format} graph to {args.out}")
-        else:
-            out.append(text.rstrip("\n"))
-        payload.append(graph.to_dict())
-    return (1 if findings else 0), payload
+def cmd_embed(S, args, out, payload):
+    spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
+    valuation = None
+    if args.valuation:
+        valuation = valuation_from_dict(S, _read_json(args.valuation))
+    weight_table = None
+    if args.weights and args.weights != "default":
+        data = _read_json(args.weights)
+        weights = data.get("weights") if isinstance(data, dict) else None
+        if not isinstance(weights, list) or not all(
+                isinstance(w, (int, float)) for w in weights):
+            raise FixtureError("shape error: weights must be a list of numbers")
+        weight_table = tuple(weights)
+    graph = embed(S, spc, k=args.k, valuation=valuation,
+                  weight_table=weight_table)
+    text = export_graph(graph, args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out.append(f"{S.name}: wrote {args.format} graph to {args.out}")
+    else:
+        out.append(text.rstrip("\n"))
+    payload.append(graph.to_dict())
 
 
 def _report_battery():
@@ -482,19 +410,19 @@ def cmd_report(args, out):
 
 
 _COMMANDS = {
-    "check": cmd_check,
-    "ideals": cmd_ideals,
-    "spec": cmd_spec,
-    "modules": cmd_modules,
-    "simples": cmd_simples,
-    "density": cmd_density,
-    "ext": cmd_ext,
-    "tor": cmd_tor,
-    "adjunction": cmd_adjunction,
-    "radical": cmd_radical,
-    "localize": cmd_localize,
-    "gelfand": cmd_gelfand,
-    "embed": cmd_embed,
+    "check": _per_structure(cmd_check, gate=False),
+    "ideals": _per_structure(cmd_ideals),
+    "spec": _per_structure(cmd_spec),
+    "modules": _per_structure(cmd_modules, gate=False),
+    "simples": _per_structure(cmd_simples),
+    "density": _per_structure(cmd_density),
+    "ext": _per_structure(cmd_ext),
+    "tor": _per_structure(cmd_tor),
+    "adjunction": _per_structure(cmd_adjunction),
+    "radical": _per_structure(cmd_radical),
+    "localize": _per_structure(cmd_localize),
+    "gelfand": _per_structure(cmd_gelfand),
+    "embed": _per_structure(cmd_embed),
     "report": cmd_report,
 }
 

@@ -61,15 +61,6 @@ class FiniteTernaryGammaSemiring:
     def g(self) -> int:
         return len(self.gamma)
 
-    def add_eval(self, i: int, j: int) -> int:
-        return self.add[i][j]
-
-    def sum_of(self, items) -> int:
-        total = self.zero
-        for i in items:
-            total = self.add[total][i]
-        return total
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -314,14 +305,114 @@ def require_axioms(S: FiniteTernaryGammaSemiring, lenient: bool, op: str) -> Axi
     return report
 
 
+@dataclass
+class IdealSet:
+    """Subset of element indices with cached ideal/prime/maximal flags."""
+
+    members: frozenset[int]
+    is_ideal: bool | None = None
+    is_prime: bool | None = None
+    is_maximal: bool | None = None
+
+    def key(self) -> tuple[int, ...]:
+        return tuple(sorted(self.members))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IdealSet) and self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash(self.members)
+
+    def labels(self, S: FiniteTernaryGammaSemiring) -> tuple[str, ...]:
+        return tuple(S.elements[i] for i in self.key())
+
+    def to_dict(self, S: FiniteTernaryGammaSemiring) -> dict:
+        return {
+            "members": list(self.labels(S)),
+            "is_ideal": self.is_ideal,
+            "is_prime": self.is_prime,
+            "is_maximal": self.is_maximal,
+        }
+
+
+# ---------------------------------------------------------------------------
+# Partitions
+
+class UnionFind:
+    """Disjoint sets over range(size); each set's root is its least member."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def classes(self) -> list[list[int]]:
+        """The sets, each sorted, ordered by least member."""
+        groups: dict[int, list[int]] = {}
+        for i in range(len(self.parent)):
+            # Roots are least members, so a set's key is inserted at its root.
+            groups.setdefault(self.find(i), []).append(i)
+        return list(groups.values())
+
+
+def bourne_classes(size: int, add, sub) -> list[list[int]]:
+    """Classes of the Bourne congruence of the submonoid `sub` on the finite
+    commutative monoid range(size) with addition `add(i, j)`: i and j share a
+    class when i + h = j + h' for some h, h' in `sub` (transitively closed).
+    Each class is sorted; classes are ordered by least member."""
+    uf = UnionFind(size)
+    first_with_sum: dict[int, int] = {}
+    for i in range(size):
+        for h in sub:
+            uf.union(i, first_with_sum.setdefault(add(i, h), i))
+    return uf.classes()
+
+
 # ---------------------------------------------------------------------------
 # Fixture text <-> structure
 
-def _label_index(labels: tuple[str, ...], label, where: str) -> int:
-    try:
-        return labels.index(label)
-    except ValueError:
-        raise FixtureError(f"reference error: label {label!r} in {where} is not declared") from None
+def read_labels(data: dict, key: str) -> dict[str, int]:
+    """The label list `data[key]` as a label -> index map, in list order."""
+    raw = data[key]
+    if not (isinstance(raw, list) and raw and all(isinstance(v, str) for v in raw)
+            and len(set(raw)) == len(raw)):
+        raise FixtureError(f"shape error: {key} must be a nonempty list of distinct labels")
+    return {label: k for k, label in enumerate(raw)}
+
+
+def label_array(data: dict, key: str, shape: tuple[int, ...], index: dict[str, int],
+                missing: str = "is not declared"):
+    """`data[key]`, an array of labels of the given shape (() for one label),
+    as nested tuples of indices.  The whole shape is checked, level by level,
+    before any label is looked up."""
+    level = [data[key]]
+    for size in shape:
+        for t in level:
+            if not isinstance(t, list):
+                raise FixtureError(f"shape error: {key} table is not a nested array")
+            if len(t) != size:
+                raise FixtureError(f"shape error: {key} table must be "
+                                   + "x".join(map(str, shape)))
+        level = [v for t in level for v in t]
+
+    def read(t, depth):
+        if depth:
+            return tuple(read(v, depth - 1) for v in t)
+        try:
+            return index[t]
+        except (KeyError, TypeError):
+            raise FixtureError(f"reference error: label {t!r} in {key} {missing}") from None
+    return read(data[key], len(shape))
 
 
 def structure_from_dict(data: dict) -> FiniteTernaryGammaSemiring:
@@ -330,41 +421,18 @@ def structure_from_dict(data: dict) -> FiniteTernaryGammaSemiring:
     for key in ("name", "elements", "zero", "gamma", "add", "tri"):
         if key not in data:
             raise FixtureError(f"parse error: missing field {key!r}")
-    elements = tuple(data["elements"])
-    gamma = tuple(data["gamma"])
-    if not elements or len(set(elements)) != len(elements):
-        raise FixtureError("shape error: elements must be a nonempty list of distinct labels")
-    if not gamma or len(set(gamma)) != len(gamma):
-        raise FixtureError("shape error: gamma must be a nonempty list of distinct labels")
+    elements = read_labels(data, "elements")
+    gamma = read_labels(data, "gamma")
     n, g = len(elements), len(gamma)
 
-    zero = _label_index(elements, data["zero"], "zero")
-    unit_label = data.get("unit")
-    unit = None if unit_label is None else _label_index(elements, unit_label, "unit")
-
-    add_rows = data["add"]
-    if len(add_rows) != n or any(len(r) != n for r in add_rows):
-        raise FixtureError(f"shape error: add table must be {n}x{n}")
-    add = tuple(tuple(_label_index(elements, v, "add") for v in row) for row in add_rows)
-
-    tri_raw = data["tri"]
-    def _shape_ok(t):
-        return (len(t) == n
-                and all(len(t1) == g for t1 in t)
-                and all(len(t2) == n for t1 in t for t2 in t1)
-                and all(len(t3) == g for t1 in t for t2 in t1 for t3 in t2)
-                and all(len(t4) == n for t1 in t for t2 in t1 for t3 in t2 for t4 in t3))
-    try:
-        if not _shape_ok(tri_raw):
-            raise FixtureError(f"shape error: tri table must be {n}x{g}x{n}x{g}x{n}")
-    except TypeError:
-        raise FixtureError("shape error: tri table is not a nested array") from None
-    tri = tuple(tuple(tuple(tuple(tuple(_label_index(elements, v, "tri") for v in t4)
-                                  for t4 in t3) for t3 in t2) for t2 in t1) for t1 in tri_raw)
-
+    zero = label_array(data, "zero", (), elements)
+    unit = None if data.get("unit") is None else label_array(data, "unit", (), elements)
+    add = label_array(data, "add", (n, n), elements)
+    tri = label_array(data, "tri", (n, g, n, g, n), elements)
     return FiniteTernaryGammaSemiring(
-        name=str(data["name"]), elements=elements, zero=zero, unit=unit,
-        gamma=gamma, add=add, tri=tri, commutative=bool(data.get("commutative", True)))
+        name=str(data["name"]), elements=tuple(elements), zero=zero, unit=unit,
+        gamma=tuple(gamma), add=add, tri=tri,
+        commutative=bool(data.get("commutative", True)))
 
 
 def load_structure(text: str) -> FiniteTernaryGammaSemiring:

@@ -39,11 +39,16 @@ def index_valuation(S: FiniteTernaryGammaSemiring) -> ValuationTable:
 
 
 def valuation_from_dict(S: FiniteTernaryGammaSemiring, data: dict) -> ValuationTable:
+    if not isinstance(data, dict):
+        raise FixtureError("shape error: valuation must map parameter labels to rows")
     rows = []
     for label in S.gamma:
         if label not in data:
             raise FixtureError(f"reference error: valuation missing parameter {label!r}")
         row = data[label]
+        if not isinstance(row, list) or not all(isinstance(v, (int, float)) for v in row):
+            raise FixtureError(f"shape error: valuation row for {label!r} must be a "
+                               f"list of numbers")
         if len(row) != S.n:
             raise FixtureError(f"shape error: valuation row for {label!r} must have "
                                f"{S.n} entries")

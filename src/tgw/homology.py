@@ -25,7 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import (FiniteTernaryGammaSemiring, BudgetError, PreconditionError)
+from .core import (FiniteTernaryGammaSemiring, BudgetError, PreconditionError,
+                   UnionFind, bourne_classes)
 from .modules import (GammaModule, ModuleHom, check_module_axioms,
                       generating_set, hom_set, hom_violation,
                       require_module_axioms, regular_module, sub_module,
@@ -116,29 +117,8 @@ def bourne_quotient_presentation(name, size, add_fn, zero_idx, sub_indices,
                                  reps, relations=()) -> MonoidPresentation:
     """Quotient of a finite commutative monoid by the Bourne congruence of a
     submonoid: i ~ j when i + h = j + h' for some h, h' in the submonoid."""
-    sub = sorted(sub_indices)
-    parent = list(range(size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(size):
-        for j in range(i + 1, size):
-            if any(add_fn(i, h) == add_fn(j, h2) for h in sub for h2 in sub):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(size):
-        groups.setdefault(find(i), []).append(i)
-    classes = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-    class_of = {}
-    for ci, cls in enumerate(classes):
-        for i in cls:
-            class_of[i] = ci
+    classes = bourne_classes(size, add_fn, sub_indices)
+    class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
     add_rows = []
     for ci, cls_i in enumerate(classes):
         row = []
@@ -190,18 +170,6 @@ def free_module(S: FiniteTernaryGammaSemiring, r: int,
                        madd=madd, act=act, m2_profile="none")
 
 
-def basis_vectors(S: FiniteTernaryGammaSemiring, r: int) -> list[int]:
-    """Carrier indices of the unit-coordinate basis vectors e_i in T^r."""
-    tuples = free_carrier_tuples(S, r)
-    idx = {t: k for k, t in enumerate(tuples)}
-    out = []
-    for i in range(r):
-        vec = [S.zero] * r
-        vec[i] = S.unit
-        out.append(idx[tuple(vec)])
-    return out
-
-
 @dataclass
 class FreeResolution:
     module: GammaModule
@@ -220,13 +188,6 @@ class FreeResolution:
     notes: tuple[str, ...]
 
 
-def _sum_in(M: GammaModule, values) -> int:
-    total = M.zero
-    for v in values:
-        total = M.madd[total][v]
-    return total
-
-
 def _covering_map(S, target: GammaModule, gens, params, budget):
     """Free module on `gens` with the evaluation map sending (a_i) to
     sum_i act(a_i, x0, gens_i, y0, unit) inside `target`."""
@@ -235,8 +196,8 @@ def _covering_map(S, target: GammaModule, gens, params, budget):
     tuples = free_carrier_tuples(S, len(gens))
     mapping = []
     for tup in tuples:
-        mapping.append(_sum_in(target, (target.act[a][x0][g][y0][S.unit]
-                                        for a, g in zip(tup, gens))))
+        mapping.append(target.sum_of(target.act[a][x0][g][y0][S.unit]
+                                     for a, g in zip(tup, gens)))
     return p, tuple(mapping)
 
 
@@ -662,37 +623,18 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, descriptions,
         if a != b and max(a) <= cap and max(b) <= cap:
             rel_vecs.append((a, b))
 
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    uf = UnionFind(total)
     for z in states:
         for a, b in rel_vecs:
             ua = tuple(z[i] + a[i] for i in range(G))
             ub = tuple(z[i] + b[i] for i in range(G))
             if max(ua, default=0) <= cap and max(ub, default=0) <= cap:
-                union(sindex[ua], sindex[ub])
+                uf.union(sindex[ua], sindex[ub])
 
-    zero_vec = tuple(0 for _ in range(G))
-    groups: dict[int, list[int]] = {}
-    for k, s in enumerate(states):
-        if s == zero_vec:
-            continue
-        groups.setdefault(find(k), []).append(k)
-    classes = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-    class_of = {}
-    for ci, cls in enumerate(classes):
-        for k in cls:
-            class_of[k] = ci
+    # Every relation side is a nonzero vector, so the zero state (index 0)
+    # is a class of its own; it is left out.
+    classes = uf.classes()[1:]
+    class_of = {k: ci for ci, cls in enumerate(classes) for k in cls}
 
     approximate = False
     notes = []

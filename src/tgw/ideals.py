@@ -1,124 +1,41 @@
 """Ideal lattice, prime spectrum, Zariski-style closed sets, and localization.
 
-An ideal is an additive submonoid of the carrier that absorbs the ternary
-product in every slot; in the commutative case one notion covers left,
-lateral, and right ideals.  All enumerations are deterministic: subsets are
-ordered by cardinality then lexicographically by sorted member indices.
+An ideal is a submodule of the regular module, in which the structure acts on
+itself through tri: an additive submonoid that absorbs the ternary product in
+the middle slot.  Under tri-commutativity that is absorption in every slot,
+so one notion covers left, lateral, and right ideals.  All enumerations are
+deterministic: subsets are ordered by cardinality then lexicographically by
+sorted member indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FiniteTernaryGammaSemiring, BudgetError, PreconditionError,
-                   require_axioms)
-
-DEFAULT_ENUM_BOUND = 12
-
-
-@dataclass
-class IdealSet:
-    """Subset of element indices with cached ideal/prime/maximal flags."""
-
-    members: frozenset[int]
-    is_ideal: bool | None = None
-    is_prime: bool | None = None
-    is_maximal: bool | None = None
-
-    def key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IdealSet) and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
-
-    def labels(self, S: FiniteTernaryGammaSemiring) -> tuple[str, ...]:
-        return tuple(S.elements[i] for i in self.key())
-
-    def to_dict(self, S: FiniteTernaryGammaSemiring) -> dict:
-        return {
-            "members": list(self.labels(S)),
-            "is_ideal": self.is_ideal,
-            "is_prime": self.is_prime,
-            "is_maximal": self.is_maximal,
-        }
-
-
-def ideal_violation(S: FiniteTernaryGammaSemiring, members: frozenset[int]):
-    """First reason a subset fails the ideal laws, or None if it is an ideal."""
-    if S.zero not in members:
-        return ("missing-zero", (S.zero,))
-    for i in members:
-        for j in members:
-            if S.add[i][j] not in members:
-                return ("not-add-closed", (i, j))
-    rng = range(S.n)
-    for c in members:
-        for a in rng:
-            for b in rng:
-                for x in range(S.g):
-                    for y in range(S.g):
-                        # Commutative case: absorption in one slot covers all.
-                        if S.tri[a][x][b][y][c] not in members:
-                            return ("not-absorbing", (a, x, b, y, c))
-    return None
+from .core import (FiniteTernaryGammaSemiring, BudgetError, IdealSet,
+                   PreconditionError, UnionFind, require_axioms)
+from .modules import (DEFAULT_ENUM_BOUND, enumerate_submodules, is_submodule,
+                      regular_module, submodule_closure)
 
 
 def is_ideal_subset(S: FiniteTernaryGammaSemiring, members: frozenset[int]) -> bool:
-    return ideal_violation(S, members) is None
+    return is_submodule(regular_module(S), members)
 
 
 def ideal_closure(S: FiniteTernaryGammaSemiring, seed) -> IdealSet:
-    """Least ideal containing the seed: fixpoint of add- and tri-closure."""
-    current = set(seed)
-    current.add(S.zero)
-    rng = range(S.n)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(current)
-        for i in snapshot:
-            for j in snapshot:
-                v = S.add[i][j]
-                if v not in current:
-                    current.add(v)
-                    changed = True
-        for c in snapshot:
-            for a in rng:
-                for b in rng:
-                    for x in range(S.g):
-                        for y in range(S.g):
-                            v = S.tri[a][x][b][y][c]
-                            if v not in current:
-                                current.add(v)
-                                changed = True
-    return IdealSet(frozenset(current), is_ideal=True)
+    """Least ideal containing the seed."""
+    return IdealSet(submodule_closure(regular_module(S), seed), is_ideal=True)
 
 
 def enumerate_ideals(S: FiniteTernaryGammaSemiring, bound: int = DEFAULT_ENUM_BOUND,
                      lenient: bool = False) -> list[IdealSet]:
-    """All ideals, found by closing extensions of the least ideal.
-
-    Ideals form an intersection-closed family, so breadth-first extension of
-    closures reaches every one of them; tests cross-check against the
-    all-subsets filter on small carriers.
-    """
+    """All ideals, ordered by size then members; tests cross-check against the
+    all-subsets filter."""
     if S.n > bound:
         raise BudgetError(f"enumerate_ideals: |T| = {S.n} exceeds bound {bound}")
     require_axioms(S, lenient, "enumerate_ideals")
-    found: dict[frozenset[int], IdealSet] = {}
-    queue = [ideal_closure(S, ())]
-    while queue:
-        ideal = queue.pop()
-        if ideal.members in found:
-            continue
-        found[ideal.members] = ideal
-        for x in range(S.n):
-            if x not in ideal.members:
-                queue.append(ideal_closure(S, ideal.members | {x}))
-    return sorted(found.values(), key=lambda i: (len(i.members), i.key()))
+    return [IdealSet(members, is_ideal=True)
+            for members in enumerate_submodules(regular_module(S), bound)]
 
 
 def is_prime(S: FiniteTernaryGammaSemiring, I: IdealSet) -> bool:
@@ -266,27 +183,6 @@ class LocalizedSemiring:
         }
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-
 def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
              lenient: bool = False) -> LocalizedSemiring:
     """Fractions a/s with s outside P, under the witnessed equivalence.
@@ -303,8 +199,7 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
 
     denoms = [s for s in range(S.n) if s not in P.members]
     fractions = [(a, s) for a in range(S.n) for s in denoms]
-    findex = {f: k for k, f in enumerate(fractions)}
-    uf = _UnionFind(len(fractions))
+    uf = UnionFind(len(fractions))
     params = [(x, y) for x in range(S.g) for y in range(S.g)]
     for i, (a, s) in enumerate(fractions):
         for j in range(i + 1, len(fractions)):
@@ -313,10 +208,8 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
                    for u in denoms for x, y in params):
                 uf.union(i, j)
 
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for k, f in enumerate(fractions):
-        groups.setdefault(uf.find(k), []).append(f)
-    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: min(g)))
+    # Fractions are listed in sorted order, so index order is fraction order.
+    classes = tuple(tuple(fractions[k] for k in cls) for cls in uf.classes())
     class_of = {f: ci for ci, cls in enumerate(classes) for f in cls}
     nclasses = len(classes)
     failures: list[str] = []

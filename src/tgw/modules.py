@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
-                   BudgetError, PreconditionError, Violation, check_axioms)
-from .ideals import IdealSet, is_ideal_subset
+                   BudgetError, IdealSet, PreconditionError, Violation,
+                   bourne_classes, check_axioms, label_array, read_labels)
 
 DEFAULT_ENUM_BOUND = 12
 DEFAULT_HOM_BUDGET = 50000
@@ -466,9 +466,7 @@ def annihilator(M: GammaModule, lenient: bool = False) -> IdealSet:
     members = frozenset(range(S.n))
     for mm in range(M.size):
         members &= annihilator_of_element(M, mm)
-    out = IdealSet(members)
-    out.is_ideal = is_ideal_subset(S, members)
-    return out
+    return IdealSet(members, is_ideal=is_submodule(regular_module(S), members))
 
 
 def is_faithful(M: GammaModule, lenient: bool = False) -> tuple[bool, int | None]:
@@ -636,17 +634,15 @@ class ModuleCongruence:
         return len(self.classes)
 
 
-def _partition_to_congruence(M: GammaModule, class_of: list[int]) -> ModuleCongruence:
-    groups: dict[int, list[int]] = {}
-    for elem, cls in enumerate(class_of):
-        groups.setdefault(cls, []).append(elem)
-    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-    canonical = [0] * M.size
+def _partition_to_congruence(M: GammaModule, classes) -> ModuleCongruence:
+    """Congruence record of a partition whose classes are ordered by least member."""
+    class_of = [0] * M.size
     for ci, cls in enumerate(classes):
         for elem in cls:
-            canonical[elem] = ci
-    compatible, witness = _congruence_compatible(M, canonical)
-    return ModuleCongruence(classes=classes, class_of=tuple(canonical),
+            class_of[elem] = ci
+    compatible, witness = _congruence_compatible(M, class_of)
+    return ModuleCongruence(classes=tuple(map(tuple, classes)),
+                            class_of=tuple(class_of),
                             compatible=compatible, witness=witness)
 
 
@@ -691,23 +687,9 @@ def bourne_quotient(M: GammaModule, members: frozenset[int],
     """Quotient by a submodule: identify m ~ m' when m + k = m' + k' for k, k' in N."""
     if not is_submodule(M, members):
         raise PreconditionError("bourne_quotient: subset is not a submodule")
-    parent = list(range(M.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     sub = sorted(members)
-    for m1 in range(M.size):
-        for m2 in range(m1 + 1, M.size):
-            if any(M.madd[m1][k] == M.madd[m2][k2] for k in sub for k2 in sub):
-                r1, r2 = find(m1), find(m2)
-                if r1 != r2:
-                    parent[max(r1, r2)] = min(r1, r2)
-    class_of = [find(i) for i in range(M.size)]
-    cong = _partition_to_congruence(M, class_of)
+    cong = _partition_to_congruence(
+        M, bourne_classes(M.size, lambda i, j: M.madd[i][j], sub))
     if name is None:
         name = f"{M.name}/{{{','.join(M.carrier[i] for i in sub)}}}"
     return quotient_by_congruence(M, cong, name=name), cong
@@ -734,7 +716,11 @@ def enumerate_module_congruences(M: GammaModule,
 
     def grow(prefix: list[int], used: int):
         if len(prefix) == M.size:
-            cong = _partition_to_congruence(M, prefix)
+            # A restricted-growth string numbers classes by least member.
+            classes = [[] for _ in range(used)]
+            for elem, cls in enumerate(prefix):
+                classes[cls].append(elem)
+            cong = _partition_to_congruence(M, classes)
             if cong.compatible:
                 results.append(cong)
             return
@@ -906,8 +892,7 @@ def jacobson_radical(S: FiniteTernaryGammaSemiring, catalog=None,
     members = frozenset(range(S.n))
     for entry in simples:
         members &= annihilator(entry.module, lenient=lenient).members
-    ideal = IdealSet(members)
-    ideal.is_ideal = is_ideal_subset(S, members)
+    ideal = IdealSet(members, is_ideal=is_submodule(regular_module(S), members))
     return RadicalReport(ideal=ideal,
                          simples_used=tuple(e.module.name for e in simples))
 
@@ -981,43 +966,25 @@ def zero_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> Gamma
 
 
 def module_from_dict(data: dict, base: FiniteTernaryGammaSemiring) -> GammaModule:
+    if not isinstance(data, dict):
+        raise FixtureError("parse error: top level is not an object")
     for key in ("base", "carrier", "zero", "madd", "act"):
         if key not in data:
             raise FixtureError(f"parse error: missing module field {key!r}")
     if data["base"] != base.name:
         raise FixtureError(f"reference error: module declares base {data['base']!r}, "
                            f"got structure {base.name!r}")
-    carrier = tuple(data["carrier"])
-    if not carrier or len(set(carrier)) != len(carrier):
-        raise FixtureError("shape error: carrier must be a nonempty list of distinct labels")
+    carrier = read_labels(data, "carrier")
     m, n, g = len(carrier), base.n, base.g
-
-    def cidx(label, where):
-        try:
-            return carrier.index(label)
-        except ValueError:
-            raise FixtureError(f"reference error: label {label!r} in {where} "
-                               f"is not in the carrier") from None
-
-    zero = cidx(data["zero"], "zero")
-    madd_rows = data["madd"]
-    if len(madd_rows) != m or any(len(r) != m for r in madd_rows):
-        raise FixtureError(f"shape error: madd table must be {m}x{m}")
-    madd = tuple(tuple(cidx(v, "madd") for v in row) for row in madd_rows)
-    act_raw = data["act"]
-    ok = (len(act_raw) == n and all(len(t1) == g for t1 in act_raw)
-          and all(len(t2) == m for t1 in act_raw for t2 in t1)
-          and all(len(t3) == g for t1 in act_raw for t2 in t1 for t3 in t2)
-          and all(len(t4) == n for t1 in act_raw for t2 in t1 for t3 in t2 for t4 in t3))
-    if not ok:
-        raise FixtureError(f"shape error: act table must be {n}x{g}x{m}x{g}x{n}")
-    act = tuple(tuple(tuple(tuple(tuple(cidx(v, "act") for v in t4) for t4 in t3)
-                            for t3 in t2) for t2 in t1) for t1 in act_raw)
+    missing = "is not in the carrier"
+    zero = label_array(data, "zero", (), carrier, missing)
+    madd = label_array(data, "madd", (m, m), carrier, missing)
+    act = label_array(data, "act", (n, g, m, g, n), carrier, missing)
     profile = data.get("m2_profile", "none")
     if profile not in ("none", "nested"):
         raise FixtureError(f"parse error: unknown m2_profile {profile!r}")
     return GammaModule(name=str(data.get("name", f"{base.name}-module")), base=base,
-                       carrier=carrier, zero=zero, madd=madd, act=act,
+                       carrier=tuple(carrier), zero=zero, madd=madd, act=act,
                        m2_profile=profile)
 
 

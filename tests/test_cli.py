@@ -5,7 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 
+from tgw import fixtures
 from tgw.cli import main
+from tgw.core import structure_to_dict
+from tgw.modules import module_to_dict
 
 
 def run(capsys, *argv):
@@ -476,17 +479,37 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path):
     assert main(["nosuchcommand", "B2"]) == 2
     assert main(["embed"]) == 2  # missing fixture argument
     capsys.readouterr()
-    # Malformed embed side files: one error line, no traceback.
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    shape = tmp_path / "weights.json"
-    shape.write_text(json.dumps({"weights": "x"}), encoding="utf-8")
-    for flag, path, kind in (("--valuation", bad, "parse error"),
-                             ("--weights", bad, "parse error"),
-                             ("--weights", shape, "shape error")):
-        assert main(["embed", "B2", flag, str(path)]) == 2, flag
+    # Malformed fixture, module and embed side files: one error line, no
+    # traceback.
+    b2 = structure_to_dict(fixtures.bundled_structure("B2"))
+    t2 = module_to_dict(fixtures.bundled_module("B2-T2"))
+    check = ["check"]
+    module = ["modules", "B2", "--module"]
+    valuation = ["embed", "B2", "--valuation"]
+    weights = ["embed", "B2", "--weights"]
+    cases = [
+        (valuation, "{not json", "parse error"),
+        (weights, "{not json", "parse error"),
+        (weights, {"weights": "x"}, "shape error"),
+        (check, {**b2, "elements": [["0"], ["1"]]}, "shape error"),
+        (check, {**b2, "elements": "01"}, "shape error"),
+        (check, {**b2, "gamma": 5}, "shape error"),
+        (check, {**b2, "add": 5}, "shape error"),
+        (check, {**b2, "add": ["01", "11"]}, "shape error"),
+        (module, 5, "parse error"),
+        (module, {**t2, "carrier": [["a"], ["b"], ["c"], ["d"]]}, "shape error"),
+        (module, {**t2, "madd": 5}, "shape error"),
+        (module, {**t2, "act": 5}, "shape error"),
+        (valuation, 5, "shape error"),
+        (valuation, {"g0": 3}, "shape error"),
+    ]
+    for k, (argv, content, kind) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        text = content if isinstance(content, str) else json.dumps(content)
+        path.write_text(text, encoding="utf-8")
+        assert main([*argv, str(path)]) == 2, (argv, content)
         err = capsys.readouterr().err
-        assert kind in err and "Traceback" not in err
+        assert kind in err and "Traceback" not in err, (argv, content)
         assert len(err.strip().splitlines()) == 1
 
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_ideals
+from conftest import brute_force_ideals, chain
 from tgw import fixtures
-from tgw.core import PreconditionError, check_axioms
+from tgw.core import PreconditionError, check_axioms, product_structure
 from tgw.ideals import (IdealSet, enumerate_ideals, gelfand_injectivity,
                         ideal_closure, is_ideal_subset, is_prime, localize,
                         spectrum, zariski_report)
@@ -47,8 +47,10 @@ def test_closure_is_closure_operator(b2xb2):
 
 
 def test_enumerate_matches_brute_force(b2, z3, b2xb2, one_element):
+    b2_cubed = product_structure(product_structure(b2, b2, "B2^2"), b2, "B2^3")
     for S, lenient in ((b2, False), (z3, True), (b2xb2, False),
-                       (one_element, False)):
+                       (one_element, False), (chain(5), False),
+                       (chain(6), False), (b2_cubed, False)):
         assert keys(enumerate_ideals(S, lenient=lenient)) == brute_force_ideals(S)
 
 
