@@ -3,16 +3,24 @@
 A structure is a finite commutative monoid (T, +, 0) together with a
 five-slot ternary product tri(a, x, b, y, c): three elements a, b, c and two
 parameters x, y drawn from a finite parameter list.  Everything is
-table-driven: loading resolves labels to integer indices once, and the axiom
-checker evaluates every law exhaustively, returning witnesses for each
-violation instead of raising.
+table-driven: loading resolves labels to integer indices once.  Each law is
+declared once, in `STRUCTURE_LAWS`, as both of its sides written as index
+expressions over the tables; the axiom checker evaluates them on NumPy index
+grids covering every instance and returns witnesses for each violation
+instead of raising, and `reevaluate_violation` evaluates the same
+expressions on one witness.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
+
+# numpy is imported inside the functions that use it, so that `import tgw`
+# still loads it last (through geometry): loaded before the other tgw
+# modules, it leaves the process about 1.7 MB larger.
 
 
 class WorkbenchError(Exception):
@@ -29,10 +37,6 @@ class BudgetError(WorkbenchError):
 
 class PreconditionError(WorkbenchError):
     """An operation was invoked outside its contract."""
-
-
-# Non-identity permutations of the three element slots, in a fixed order.
-_PERMS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
 @dataclass(frozen=True)
@@ -107,191 +111,172 @@ def tri_eval(S: FiniteTernaryGammaSemiring, a: int, x: int, b: int, y: int, c: i
     return S.tri[a][x][b][y][c]
 
 
+# ---------------------------------------------------------------------------
+# Laws
+
+class _Table:
+    """An operation table in the smallest integer dtype that holds its entries
+    and its range size.  Called with one index per dimension (ints, or integer
+    arrays that broadcast) it returns the entries; trailing indices that are
+    the trailing axes of `grid` are gathered as whole rows."""
+
+    def __init__(self, rows, size: int, grid: list):
+        import numpy as np
+        a = np.array(rows)
+        dtype = np.promote_types(np.min_scalar_type(min(a.min(), 0)),
+                                 np.min_scalar_type(max(a.max(), size)))
+        self.a, self.grid = a.astype(dtype), grid
+
+    def __call__(self, *index):
+        a, grid = self.a, self.grid
+        # The first grid axis holds one value of a chunk, so it is never gathered.
+        k, top = 0, min(len(index), len(grid) - 1)
+        while k < top and index[-1 - k] is grid[-1 - k]:
+            k += 1
+        if k:
+            rows = a[index[:-k]]
+            lead = rows.shape[:-k]
+            if not lead or lead[-k:] == (1,) * k:
+                return rows.reshape(lead[:-k] + rows.shape[-k:])
+        return a[index]
+
+
+@dataclass(frozen=True)
+class Law:
+    """A law, declared once: `left` equals `right` wherever `guard` holds (a
+    closure law: 0 <= left < right).  Both are expressions over the tables
+    and the names in `witness`, one per slot; a name's first letter gives its
+    range (x, y, z, w a parameter, u a carrier element, others an element).
+    The checker evaluates them on broadcast index grids, one grid axis per
+    distinct name and one value of the first at a time; the re-evaluator
+    evaluates them on the ints of one witness.  `when` says if a law applies."""
+
+    name: str
+    witness: str
+    left: str
+    right: str
+    guard: str | None = None
+    closure: bool = False
+    when: str | None = None
+
+    def __post_init__(self):
+        for expression in (self.left, self.right, self.guard, self.when):
+            _code(expression)
+
+
+_RANGE = {"x": "g", "y": "g", "z": "g", "w": "g", "u": "m"}
+
+
+@lru_cache(maxsize=None)
+def _code(expression: str | None):
+    """`expression` compiled once, when the law tables are built."""
+    return expression and compile(expression, expression, "eval")
+
+
+@lru_cache(maxsize=None)
+def _axes(sizes: tuple[int, ...]) -> tuple:
+    """One arange per axis of a grid of the given sizes, shaped to broadcast."""
+    import numpy as np
+    return tuple(np.arange(s).reshape((1,) * k + (s,) + (1,) * (len(sizes) - 1 - k))
+                 for k, s in enumerate(sizes))
+
+
+def _law_violations(law: Law, tables: dict) -> list[Violation]:
+    """Every violation of `law`.  `tables` maps the names its expressions use
+    to tables and constants; its list "grid" holds the current chunk's axes."""
+    import numpy as np
+    axes = list(dict.fromkeys(law.witness.split()))
+    slots = [axes.index(name) for name in law.witness.split()]
+    sizes = tuple(tables[_RANGE.get(name[0], "n")] for name in axes)
+    shape, grid, out = (1, *sizes[1:]), tables["grid"], []
+    grid[:] = _axes(sizes)
+    ns, first_axis = {**tables, **dict(zip(axes, grid))}, grid[0]
+    for first in range(sizes[0]):
+        grid[0] = ns[axes[0]] = first_axis[first:first + 1]
+        left, right = eval(_code(law.left), ns), eval(_code(law.right), ns)
+        bad = (left < 0) | (left >= right) if law.closure else left != right
+        if law.guard:
+            bad = bad & eval(_code(law.guard), ns)
+        # Every axis occurs in a side, so `bad` spans the whole chunk.
+        if np.count_nonzero(bad):
+            hits = np.nonzero(bad)
+            coords = [[first] * len(hits[0])] + [h.tolist() for h in hits[1:]]
+            out += map(Violation, itertools.repeat(law.name), zip(*(coords[s] for s in slots)),
+                       np.broadcast_to(left, shape)[hits].tolist(),
+                       np.broadcast_to(right, shape)[hits].tolist())
+    return out
+
+
+def _check_laws(stages, tables: dict) -> tuple[Violation, ...]:
+    """Every violation, sorted by law then witness.  No stage runs after one
+    with violations, which may be entries out of range."""
+    out: list[Violation] = []
+    for stage in stages:
+        for law in stage:
+            if law.when is None or eval(_code(law.when), dict(tables)):
+                out += _law_violations(law, tables)
+        if out:
+            break
+    return tuple(sorted(out, key=lambda v: (v.law, v.witness)))
+
+
+def _reevaluate(stages, tables: dict, v: Violation) -> tuple[int, int]:
+    for law in (law for stage in stages for law in stage if law.name == v.law):
+        ns = dict(tables)
+        # A law that names one axis twice fits only witnesses that repeat it.
+        if all(ns.setdefault(name, k) == k for name, k in zip(law.witness.split(), v.witness)):
+            return int(eval(_code(law.left), ns)), int(eval(_code(law.right), ns))
+    raise ValueError(f"no law {v.law!r} fits witness {v.witness}")
+
+
+def _structure_tables(S: FiniteTernaryGammaSemiring) -> dict:
+    grid: list = []
+    return {"grid": grid, "n": S.n, "g": S.g, "zero": S.zero, "unit": S.unit,
+            "commutative": S.commutative,
+            "add": _Table(S.add, S.n, grid), "tri": _Table(S.tri, S.n, grid)}
+
+
+STRUCTURE_LAWS = (
+    (Law("add-closure", "i j", "add(i, j)", "n", closure=True),),
+    (Law("tri-closure", "a x b y c", "tri(a, x, b, y, c)", "n", closure=True),),
+    (Law("add-identity", "i", "add(zero, i)", "i"),
+     Law("add-commutativity", "i j", "add(i, j)", "add(j, i)"),
+     Law("add-associativity", "i j k", "add(add(i, j), k)", "add(i, add(j, k))"),
+     Law("zero-absorption", "a x b y c", "tri(a, x, b, y, c)", "zero",
+         guard="(a == zero) | (b == zero) | (c == zero)"),
+     # Distributivity over + in each element slot, all parameter pairs.
+     Law("tri-distributivity-slot1", "a a2 x b y c", "tri(add(a, a2), x, b, y, c)",
+         "add(tri(a, x, b, y, c), tri(a2, x, b, y, c))"),
+     Law("tri-distributivity-slot2", "a x b b2 y c", "tri(a, x, add(b, b2), y, c)",
+         "add(tri(a, x, b, y, c), tri(a, x, b2, y, c))"),
+     Law("tri-distributivity-slot3", "a x b y c c2", "tri(a, x, b, y, add(c, c2))",
+         "add(tri(a, x, b, y, c), tri(a, x, b, y, c2))"),
+     # Ternary associativity: left-nesting agrees with middle- and right-nesting.
+     Law("tri-associativity-ab", "a x b y c z d w e", "tri(tri(a, x, b, y, c), z, d, w, e)",
+         "tri(a, x, tri(b, y, c, z, d), w, e)"),
+     Law("tri-associativity-ac", "a x b y c z d w e", "tri(tri(a, x, b, y, c), z, d, w, e)",
+         "tri(a, x, b, y, tri(c, z, d, w, e))"),
+     # One entry per non-identity permutation p of (a, b, c); the witness
+     # appends the permuted slots.
+     *(Law("tri-commutativity", "a x b y c " + " ".join(p), "tri(a, x, b, y, c)",
+           "tri({}, x, {}, y, {})".format(*p), when="commutative")
+       for p in itertools.permutations("abc") if p != ("a", "b", "c")),
+     Law("unit-law", "x y a", "tri(unit, x, unit, y, a)", "a", when="unit is not None")),
+)
+
+
 @lru_cache(maxsize=None)
 def check_axioms(S: FiniteTernaryGammaSemiring) -> AxiomReport:
-    """Exhaustively test every structural law; collect all violations.
-
-    Violation ordering is deterministic: lexicographic by law identifier,
-    then by witness tuple.  Witness layouts are the ones consumed by
-    `reevaluate_violation`.
-    """
-    out: list[Violation] = []
-    n, g = S.n, S.g
-    rng, grng = range(n), range(g)
-    add, tri, zero = S.add, S.tri, S.zero
-
-    if len(add) != n or any(len(row) != n for row in add):
+    """Test every instance of every law in `STRUCTURE_LAWS`; collect all
+    violations, ordered by law identifier, then by witness tuple."""
+    if len(S.add) != S.n or any(len(row) != S.n for row in S.add):
         raise PreconditionError(f"add table of {S.name} has wrong shape")
-
-    for i in rng:
-        for j in rng:
-            v = add[i][j]
-            if not 0 <= v < n:
-                out.append(Violation("add-closure", (i, j), v, n))
-    if any(v.law == "add-closure" for v in out):
-        # Remaining laws would raise IndexError; report closure alone.
-        return AxiomReport(tuple(sorted(out, key=lambda v: (v.law, v.witness))))
-
-    for a in rng:
-        for x in grng:
-            for b in rng:
-                for y in grng:
-                    for c in rng:
-                        v = tri[a][x][b][y][c]
-                        if not 0 <= v < n:
-                            out.append(Violation("tri-closure", (a, x, b, y, c), v, n))
-    if any(v.law == "tri-closure" for v in out):
-        return AxiomReport(tuple(sorted(out, key=lambda v: (v.law, v.witness))))
-
-    for i in rng:
-        v = add[zero][i]
-        if v != i:
-            out.append(Violation("add-identity", (i,), v, i))
-    for i in rng:
-        for j in rng:
-            if add[i][j] != add[j][i]:
-                out.append(Violation("add-commutativity", (i, j), add[i][j], add[j][i]))
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                left = add[add[i][j]][k]
-                right = add[i][add[j][k]]
-                if left != right:
-                    out.append(Violation("add-associativity", (i, j, k), left, right))
-
-    for a in rng:
-        for x in grng:
-            for b in rng:
-                for y in grng:
-                    for c in rng:
-                        if a == zero or b == zero or c == zero:
-                            v = tri[a][x][b][y][c]
-                            if v != zero:
-                                out.append(Violation("zero-absorption", (a, x, b, y, c), v, zero))
-
-    # Distributivity over + in each element slot, all parameter pairs.
-    for a in rng:
-        for a2 in rng:
-            for x in grng:
-                for b in rng:
-                    for y in grng:
-                        for c in rng:
-                            left = tri[add[a][a2]][x][b][y][c]
-                            right = add[tri[a][x][b][y][c]][tri[a2][x][b][y][c]]
-                            if left != right:
-                                out.append(Violation("tri-distributivity-slot1",
-                                                     (a, a2, x, b, y, c), left, right))
-    for a in rng:
-        for x in grng:
-            for b in rng:
-                for b2 in rng:
-                    for y in grng:
-                        for c in rng:
-                            left = tri[a][x][add[b][b2]][y][c]
-                            right = add[tri[a][x][b][y][c]][tri[a][x][b2][y][c]]
-                            if left != right:
-                                out.append(Violation("tri-distributivity-slot2",
-                                                     (a, x, b, b2, y, c), left, right))
-    for a in rng:
-        for x in grng:
-            for b in rng:
-                for y in grng:
-                    for c in rng:
-                        for c2 in rng:
-                            left = tri[a][x][b][y][add[c][c2]]
-                            right = add[tri[a][x][b][y][c]][tri[a][x][b][y][c2]]
-                            if left != right:
-                                out.append(Violation("tri-distributivity-slot3",
-                                                     (a, x, b, y, c, c2), left, right))
-
-    # Ternary associativity: left-nesting agrees with middle- and right-nesting.
-    for a in rng:
-        for x in grng:
-            for b in rng:
-                for y in grng:
-                    for c in rng:
-                        for z in grng:
-                            for d in rng:
-                                for w in grng:
-                                    for e in rng:
-                                        l1 = tri[tri[a][x][b][y][c]][z][d][w][e]
-                                        l2 = tri[a][x][tri[b][y][c][z][d]][w][e]
-                                        l3 = tri[a][x][b][y][tri[c][z][d][w][e]]
-                                        if l1 != l2:
-                                            out.append(Violation("tri-associativity-ab",
-                                                                 (a, x, b, y, c, z, d, w, e), l1, l2))
-                                        if l1 != l3:
-                                            out.append(Violation("tri-associativity-ac",
-                                                                 (a, x, b, y, c, z, d, w, e), l1, l3))
-
-    if S.commutative:
-        for a in rng:
-            for x in grng:
-                for b in rng:
-                    for y in grng:
-                        for c in rng:
-                            base = tri[a][x][b][y][c]
-                            abc = (a, b, c)
-                            for perm in _PERMS:
-                                a2, b2, c2 = abc[perm[0]], abc[perm[1]], abc[perm[2]]
-                                other = tri[a2][x][b2][y][c2]
-                                if base != other:
-                                    out.append(Violation("tri-commutativity",
-                                                         (a, x, b, y, c, a2, b2, c2), base, other))
-
-    if S.unit is not None:
-        u = S.unit
-        for x in grng:
-            for y in grng:
-                for a in rng:
-                    v = tri[u][x][u][y][a]
-                    if v != a:
-                        out.append(Violation("unit-law", (x, y, a), v, a))
-
-    out.sort(key=lambda v: (v.law, v.witness))
-    return AxiomReport(tuple(out))
+    return AxiomReport(_check_laws(STRUCTURE_LAWS, _structure_tables(S)))
 
 
 def reevaluate_violation(S: FiniteTernaryGammaSemiring, v: Violation) -> tuple[int, int]:
     """Recompute both sides of a reported violation from its witness."""
-    add, tri = S.add, S.tri
-    w = v.witness
-    if v.law == "add-closure":
-        return add[w[0]][w[1]], S.n
-    if v.law == "tri-closure":
-        return tri[w[0]][w[1]][w[2]][w[3]][w[4]], S.n
-    if v.law == "add-identity":
-        return add[S.zero][w[0]], w[0]
-    if v.law == "add-commutativity":
-        return add[w[0]][w[1]], add[w[1]][w[0]]
-    if v.law == "add-associativity":
-        i, j, k = w
-        return add[add[i][j]][k], add[i][add[j][k]]
-    if v.law == "zero-absorption":
-        a, x, b, y, c = w
-        return tri[a][x][b][y][c], S.zero
-    if v.law == "tri-distributivity-slot1":
-        a, a2, x, b, y, c = w
-        return tri[add[a][a2]][x][b][y][c], add[tri[a][x][b][y][c]][tri[a2][x][b][y][c]]
-    if v.law == "tri-distributivity-slot2":
-        a, x, b, b2, y, c = w
-        return tri[a][x][add[b][b2]][y][c], add[tri[a][x][b][y][c]][tri[a][x][b2][y][c]]
-    if v.law == "tri-distributivity-slot3":
-        a, x, b, y, c, c2 = w
-        return tri[a][x][b][y][add[c][c2]], add[tri[a][x][b][y][c]][tri[a][x][b][y][c2]]
-    if v.law == "tri-associativity-ab":
-        a, x, b, y, c, z, d, w2, e = w
-        return tri[tri[a][x][b][y][c]][z][d][w2][e], tri[a][x][tri[b][y][c][z][d]][w2][e]
-    if v.law == "tri-associativity-ac":
-        a, x, b, y, c, z, d, w2, e = w
-        return tri[tri[a][x][b][y][c]][z][d][w2][e], tri[a][x][b][y][tri[c][z][d][w2][e]]
-    if v.law == "tri-commutativity":
-        a, x, b, y, c, a2, b2, c2 = w
-        return tri[a][x][b][y][c], tri[a2][x][b2][y][c2]
-    if v.law == "unit-law":
-        x, y, a = w
-        return tri[S.unit][x][S.unit][y][a], a
-    raise ValueError(f"unknown law {v.law!r}")
+    return _reevaluate(STRUCTURE_LAWS, _structure_tables(S), v)
 
 
 def require_axioms(S: FiniteTernaryGammaSemiring, lenient: bool, op: str) -> AxiomReport:
@@ -429,10 +414,12 @@ def structure_from_dict(data: dict) -> FiniteTernaryGammaSemiring:
     unit = None if data.get("unit") is None else label_array(data, "unit", (), elements)
     add = label_array(data, "add", (n, n), elements)
     tri = label_array(data, "tri", (n, g, n, g, n), elements)
+    commutative = data.get("commutative", True)
+    if not isinstance(commutative, bool):
+        raise FixtureError("shape error: commutative must be true or false")
     return FiniteTernaryGammaSemiring(
         name=str(data["name"]), elements=tuple(elements), zero=zero, unit=unit,
-        gamma=tuple(gamma), add=add, tri=tri,
-        commutative=bool(data.get("commutative", True)))
+        gamma=tuple(gamma), add=add, tri=tri, commutative=commutative)
 
 
 def load_structure(text: str) -> FiniteTernaryGammaSemiring:

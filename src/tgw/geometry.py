@@ -11,6 +11,7 @@ exports are byte-stable across runs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,9 @@ def valuation_from_dict(S: FiniteTernaryGammaSemiring, data: dict) -> ValuationT
         if label not in data:
             raise FixtureError(f"reference error: valuation missing parameter {label!r}")
         row = data[label]
-        if not isinstance(row, list) or not all(isinstance(v, (int, float)) for v in row):
+        # Finite numbers only; JSON true and false are not numbers here.
+        if not isinstance(row, list) or not all(
+                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in row):
             raise FixtureError(f"shape error: valuation row for {label!r} must be a "
                                f"list of numbers")
         if len(row) != S.n:

@@ -2,6 +2,9 @@
 congruences and quotients, homomorphism enumeration, simplicity and density
 analysis, annihilators, module catalogs, and the Jacobson radical.
 
+The module laws are declared once, in `MODULE_LAWS`, and checked on index
+grids by the same evaluator as the structure laws in `core`.
+
 The quotient construction is subtraction-free throughout: two carrier
 elements are identified when they become equal after adding elements of the
 designated submodule (the Bourne relation), and the induced tables are
@@ -16,8 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
-                   BudgetError, IdealSet, PreconditionError, Violation,
-                   bourne_classes, check_axioms, label_array, read_labels)
+                   BudgetError, IdealSet, Law, PreconditionError, Violation, _Table,
+                   _check_laws, _reevaluate, _structure_tables, bourne_classes,
+                   check_axioms, label_array, read_labels)
 
 DEFAULT_ENUM_BOUND = 12
 DEFAULT_HOM_BUDGET = 50000
@@ -51,166 +55,48 @@ class GammaModule:
         return total
 
 
+def _module_tables(M: GammaModule) -> dict:
+    t = _structure_tables(M.base)
+    return {**t, "m": M.size, "zm": M.zero, "nested": M.m2_profile == "nested",
+            "madd": _Table(M.madd, M.size, t["grid"]), "act": _Table(M.act, M.size, t["grid"])}
+
+
+# `u` names a carrier element, `zm` is the carrier's zero.
+MODULE_LAWS = (
+    (Law("madd-closure", "u1 u2", "madd(u1, u2)", "m", closure=True),
+     Law("act-closure", "a x u y b", "act(a, x, u, y, b)", "m", closure=True)),
+    (Law("madd-identity", "u", "madd(zm, u)", "u"),
+     Law("madd-commutativity", "u1 u2", "madd(u1, u2)", "madd(u2, u1)"),
+     Law("madd-associativity", "u1 u2 u3", "madd(madd(u1, u2), u3)", "madd(u1, madd(u2, u3))"),
+     Law("act-additivity-slot-a", "a a2 x u y b", "act(add(a, a2), x, u, y, b)",
+         "madd(act(a, x, u, y, b), act(a2, x, u, y, b))"),
+     Law("act-additivity-slot-m", "a x u1 u2 y b", "act(a, x, madd(u1, u2), y, b)",
+         "madd(act(a, x, u1, y, b), act(a, x, u2, y, b))"),
+     Law("act-additivity-slot-b", "a x u y b b2", "act(a, x, u, y, add(b, b2))",
+         "madd(act(a, x, u, y, b), act(a, x, u, y, b2))"),
+     Law("act-zero-module", "a x y b", "act(a, x, zm, y, b)", "zm"),
+     Law("act-absorb-a", "x u y b", "act(zero, x, u, y, b)", "zm"),
+     Law("act-absorb-b", "a x u y", "act(a, x, u, y, zero)", "zm"),
+     # Nesting law mirroring ternary associativity with the carrier element
+     # in the middle slot.
+     Law("m2-nested", "a x b y c z u w e", "act(tri(a, x, b, y, c), z, u, w, e)",
+         "act(a, x, act(b, y, u, z, c), w, e)", when="nested")),
+)
+
+
 @lru_cache(maxsize=None)
 def check_module_axioms(M: GammaModule) -> AxiomReport:
-    """Exhaustive module-law check; base-structure failures become warnings."""
-    out: list[Violation] = []
-    S = M.base
-    n, g, m = S.n, S.g, M.size
-    rng, grng, mrng = range(n), range(g), range(m)
-    madd, act, zm = M.madd, M.act, M.zero
-
-    for i in mrng:
-        for j in mrng:
-            v = madd[i][j]
-            if not 0 <= v < m:
-                out.append(Violation("madd-closure", (i, j), v, m))
-    for a in rng:
-        for x in grng:
-            for mm in mrng:
-                for y in grng:
-                    for b in rng:
-                        v = act[a][x][mm][y][b]
-                        if not 0 <= v < m:
-                            out.append(Violation("act-closure", (a, x, mm, y, b), v, m))
-    if out:
-        return AxiomReport(tuple(sorted(out, key=lambda v: (v.law, v.witness))),
-                           warnings=check_axioms(S).violations)
-
-    for i in mrng:
-        if madd[zm][i] != i:
-            out.append(Violation("madd-identity", (i,), madd[zm][i], i))
-    for i in mrng:
-        for j in mrng:
-            if madd[i][j] != madd[j][i]:
-                out.append(Violation("madd-commutativity", (i, j), madd[i][j], madd[j][i]))
-            for k in mrng:
-                left, right = madd[madd[i][j]][k], madd[i][madd[j][k]]
-                if left != right:
-                    out.append(Violation("madd-associativity", (i, j, k), left, right))
-
-    for a in rng:
-        for a2 in rng:
-            for x in grng:
-                for mm in mrng:
-                    for y in grng:
-                        for b in rng:
-                            left = act[S.add[a][a2]][x][mm][y][b]
-                            right = madd[act[a][x][mm][y][b]][act[a2][x][mm][y][b]]
-                            if left != right:
-                                out.append(Violation("act-additivity-slot-a",
-                                                     (a, a2, x, mm, y, b), left, right))
-    for a in rng:
-        for x in grng:
-            for m1 in mrng:
-                for m2 in mrng:
-                    for y in grng:
-                        for b in rng:
-                            left = act[a][x][madd[m1][m2]][y][b]
-                            right = madd[act[a][x][m1][y][b]][act[a][x][m2][y][b]]
-                            if left != right:
-                                out.append(Violation("act-additivity-slot-m",
-                                                     (a, x, m1, m2, y, b), left, right))
-    for a in rng:
-        for x in grng:
-            for mm in mrng:
-                for y in grng:
-                    for b in rng:
-                        for b2 in rng:
-                            left = act[a][x][mm][y][S.add[b][b2]]
-                            right = madd[act[a][x][mm][y][b]][act[a][x][mm][y][b2]]
-                            if left != right:
-                                out.append(Violation("act-additivity-slot-b",
-                                                     (a, x, mm, y, b, b2), left, right))
-
-    for a in rng:
-        for x in grng:
-            for y in grng:
-                for b in rng:
-                    v = act[a][x][zm][y][b]
-                    if v != zm:
-                        out.append(Violation("act-zero-module", (a, x, y, b), v, zm))
-    for x in grng:
-        for mm in mrng:
-            for y in grng:
-                for b in rng:
-                    v = act[S.zero][x][mm][y][b]
-                    if v != zm:
-                        out.append(Violation("act-absorb-a", (x, mm, y, b), v, zm))
-    for a in rng:
-        for x in grng:
-            for mm in mrng:
-                for y in grng:
-                    v = act[a][x][mm][y][S.zero]
-                    if v != zm:
-                        out.append(Violation("act-absorb-b", (a, x, mm, y), v, zm))
-
-    if M.m2_profile == "nested":
-        # Nesting law mirroring ternary associativity with the carrier element
-        # in the middle slot: act(tri(a,x,b,y,c), z, m, w, e) must equal
-        # act(a, x, act(b, y, m, z, c), w, e).
-        for a in rng:
-            for x in grng:
-                for b in rng:
-                    for y in grng:
-                        for c in rng:
-                            for z in grng:
-                                for mm in mrng:
-                                    for w in grng:
-                                        for e in rng:
-                                            left = act[S.tri[a][x][b][y][c]][z][mm][w][e]
-                                            right = act[a][x][act[b][y][mm][z][c]][w][e]
-                                            if left != right:
-                                                out.append(Violation(
-                                                    "m2-nested",
-                                                    (a, x, b, y, c, z, mm, w, e),
-                                                    left, right))
-    elif M.m2_profile != "none":
+    """Test every instance of every law in `MODULE_LAWS`; base-structure
+    failures become warnings."""
+    if M.m2_profile not in ("none", "nested"):
         raise PreconditionError(f"unknown m2_profile {M.m2_profile!r}")
-
-    out.sort(key=lambda v: (v.law, v.witness))
-    return AxiomReport(tuple(out), warnings=check_axioms(S).violations)
+    return AxiomReport(_check_laws(MODULE_LAWS, _module_tables(M)),
+                       warnings=check_axioms(M.base).violations)
 
 
 def reevaluate_module_violation(M: GammaModule, v: Violation) -> tuple[int, int]:
     """Recompute both sides of a reported module-law violation."""
-    S = M.base
-    madd, act, zm = M.madd, M.act, M.zero
-    w = v.witness
-    if v.law == "madd-closure":
-        return madd[w[0]][w[1]], M.size
-    if v.law == "act-closure":
-        a, x, mm, y, b = w
-        return act[a][x][mm][y][b], M.size
-    if v.law == "madd-identity":
-        return madd[zm][w[0]], w[0]
-    if v.law == "madd-commutativity":
-        return madd[w[0]][w[1]], madd[w[1]][w[0]]
-    if v.law == "madd-associativity":
-        i, j, k = w
-        return madd[madd[i][j]][k], madd[i][madd[j][k]]
-    if v.law == "act-additivity-slot-a":
-        a, a2, x, mm, y, b = w
-        return act[S.add[a][a2]][x][mm][y][b], madd[act[a][x][mm][y][b]][act[a2][x][mm][y][b]]
-    if v.law == "act-additivity-slot-m":
-        a, x, m1, m2, y, b = w
-        return act[a][x][madd[m1][m2]][y][b], madd[act[a][x][m1][y][b]][act[a][x][m2][y][b]]
-    if v.law == "act-additivity-slot-b":
-        a, x, mm, y, b, b2 = w
-        return act[a][x][mm][y][S.add[b][b2]], madd[act[a][x][mm][y][b]][act[a][x][mm][y][b2]]
-    if v.law == "act-zero-module":
-        a, x, y, b = w
-        return act[a][x][zm][y][b], zm
-    if v.law == "act-absorb-a":
-        x, mm, y, b = w
-        return act[S.zero][x][mm][y][b], zm
-    if v.law == "act-absorb-b":
-        a, x, mm, y = w
-        return act[a][x][mm][y][S.zero], zm
-    if v.law == "m2-nested":
-        a, x, b, y, c, z, mm, w2, e = w
-        return act[S.tri[a][x][b][y][c]][z][mm][w2][e], act[a][x][act[b][y][mm][z][c]][w2][e]
-    raise ValueError(f"unknown module law {v.law!r}")
+    return _reevaluate(MODULE_LAWS, _module_tables(M), v)
 
 
 def require_module_axioms(M: GammaModule, lenient: bool, op: str) -> AxiomReport:

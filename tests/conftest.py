@@ -2,7 +2,8 @@
 
 The oracles deliberately ignore the library's enumeration strategies: ideals
 and submodules come from filtering every subset, hom sets from filtering
-every total map.  Differential tests compare the fast paths against these.
+every total map, axiom reports from nested loops over every law instance.
+Differential tests compare the fast paths against these.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import itertools
 import pytest
 
 from tgw import fixtures
-from tgw.core import structure_from_dict
+from tgw.core import (AxiomReport, PreconditionError, Violation,
+                      structure_from_dict)
 from tgw.homology import (TensorResult, _gen_label, _tensor_generators,
                           _tensor_relations, make_presentation)
 from tgw.ideals import is_ideal_subset
@@ -118,6 +120,272 @@ def chain(n):
         "name": f"C{n}", "elements": labels, "zero": "0", "unit": labels[-1],
         "gamma": ["g0"], "add": add, "tri": tri,
     })
+
+
+# Non-identity permutations of the three element slots, in a fixed order.
+_PERMS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def brute_force_check_axioms(S):
+    """The structure-law check as nested loops over every instance: the
+    oracle for the law table of `tgw.core.check_axioms`."""
+    out: list[Violation] = []
+    n, g = S.n, S.g
+    rng, grng = range(n), range(g)
+    add, tri, zero = S.add, S.tri, S.zero
+
+    if len(add) != n or any(len(row) != n for row in add):
+        raise PreconditionError(f"add table of {S.name} has wrong shape")
+
+    for i in rng:
+        for j in rng:
+            v = add[i][j]
+            if not 0 <= v < n:
+                out.append(Violation("add-closure", (i, j), v, n))
+    if any(v.law == "add-closure" for v in out):
+        # Remaining laws would raise IndexError; report closure alone.
+        return AxiomReport(tuple(sorted(out, key=lambda v: (v.law, v.witness))))
+
+    for a in rng:
+        for x in grng:
+            for b in rng:
+                for y in grng:
+                    for c in rng:
+                        v = tri[a][x][b][y][c]
+                        if not 0 <= v < n:
+                            out.append(Violation("tri-closure", (a, x, b, y, c), v, n))
+    if any(v.law == "tri-closure" for v in out):
+        return AxiomReport(tuple(sorted(out, key=lambda v: (v.law, v.witness))))
+
+    for i in rng:
+        v = add[zero][i]
+        if v != i:
+            out.append(Violation("add-identity", (i,), v, i))
+    for i in rng:
+        for j in rng:
+            if add[i][j] != add[j][i]:
+                out.append(Violation("add-commutativity", (i, j), add[i][j], add[j][i]))
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                left = add[add[i][j]][k]
+                right = add[i][add[j][k]]
+                if left != right:
+                    out.append(Violation("add-associativity", (i, j, k), left, right))
+
+    for a in rng:
+        for x in grng:
+            for b in rng:
+                for y in grng:
+                    for c in rng:
+                        if a == zero or b == zero or c == zero:
+                            v = tri[a][x][b][y][c]
+                            if v != zero:
+                                out.append(Violation("zero-absorption", (a, x, b, y, c), v, zero))
+
+    # Distributivity over + in each element slot, all parameter pairs.
+    for a in rng:
+        for a2 in rng:
+            for x in grng:
+                for b in rng:
+                    for y in grng:
+                        for c in rng:
+                            left = tri[add[a][a2]][x][b][y][c]
+                            right = add[tri[a][x][b][y][c]][tri[a2][x][b][y][c]]
+                            if left != right:
+                                out.append(Violation("tri-distributivity-slot1",
+                                                     (a, a2, x, b, y, c), left, right))
+    for a in rng:
+        for x in grng:
+            for b in rng:
+                for b2 in rng:
+                    for y in grng:
+                        for c in rng:
+                            left = tri[a][x][add[b][b2]][y][c]
+                            right = add[tri[a][x][b][y][c]][tri[a][x][b2][y][c]]
+                            if left != right:
+                                out.append(Violation("tri-distributivity-slot2",
+                                                     (a, x, b, b2, y, c), left, right))
+    for a in rng:
+        for x in grng:
+            for b in rng:
+                for y in grng:
+                    for c in rng:
+                        for c2 in rng:
+                            left = tri[a][x][b][y][add[c][c2]]
+                            right = add[tri[a][x][b][y][c]][tri[a][x][b][y][c2]]
+                            if left != right:
+                                out.append(Violation("tri-distributivity-slot3",
+                                                     (a, x, b, y, c, c2), left, right))
+
+    # Ternary associativity: left-nesting agrees with middle- and right-nesting.
+    for a in rng:
+        for x in grng:
+            for b in rng:
+                for y in grng:
+                    for c in rng:
+                        for z in grng:
+                            for d in rng:
+                                for w in grng:
+                                    for e in rng:
+                                        l1 = tri[tri[a][x][b][y][c]][z][d][w][e]
+                                        l2 = tri[a][x][tri[b][y][c][z][d]][w][e]
+                                        l3 = tri[a][x][b][y][tri[c][z][d][w][e]]
+                                        if l1 != l2:
+                                            out.append(Violation("tri-associativity-ab",
+                                                                 (a, x, b, y, c, z, d, w, e), l1, l2))
+                                        if l1 != l3:
+                                            out.append(Violation("tri-associativity-ac",
+                                                                 (a, x, b, y, c, z, d, w, e), l1, l3))
+
+    if S.commutative:
+        for a in rng:
+            for x in grng:
+                for b in rng:
+                    for y in grng:
+                        for c in rng:
+                            base = tri[a][x][b][y][c]
+                            abc = (a, b, c)
+                            for perm in _PERMS:
+                                a2, b2, c2 = abc[perm[0]], abc[perm[1]], abc[perm[2]]
+                                other = tri[a2][x][b2][y][c2]
+                                if base != other:
+                                    out.append(Violation("tri-commutativity",
+                                                         (a, x, b, y, c, a2, b2, c2), base, other))
+
+    if S.unit is not None:
+        u = S.unit
+        for x in grng:
+            for y in grng:
+                for a in rng:
+                    v = tri[u][x][u][y][a]
+                    if v != a:
+                        out.append(Violation("unit-law", (x, y, a), v, a))
+
+    out.sort(key=lambda v: (v.law, v.witness))
+    return AxiomReport(tuple(out))
+
+
+def brute_force_check_module_axioms(M):
+    """The module-law check as nested loops over every instance: the oracle
+    for `tgw.modules.check_module_axioms`.  Base-structure failures become
+    warnings."""
+    out: list[Violation] = []
+    S = M.base
+    n, g, m = S.n, S.g, M.size
+    rng, grng, mrng = range(n), range(g), range(m)
+    madd, act, zm = M.madd, M.act, M.zero
+
+    for i in mrng:
+        for j in mrng:
+            v = madd[i][j]
+            if not 0 <= v < m:
+                out.append(Violation("madd-closure", (i, j), v, m))
+    for a in rng:
+        for x in grng:
+            for mm in mrng:
+                for y in grng:
+                    for b in rng:
+                        v = act[a][x][mm][y][b]
+                        if not 0 <= v < m:
+                            out.append(Violation("act-closure", (a, x, mm, y, b), v, m))
+    if out:
+        return AxiomReport(tuple(sorted(out, key=lambda v: (v.law, v.witness))),
+                           warnings=brute_force_check_axioms(S).violations)
+
+    for i in mrng:
+        if madd[zm][i] != i:
+            out.append(Violation("madd-identity", (i,), madd[zm][i], i))
+    for i in mrng:
+        for j in mrng:
+            if madd[i][j] != madd[j][i]:
+                out.append(Violation("madd-commutativity", (i, j), madd[i][j], madd[j][i]))
+            for k in mrng:
+                left, right = madd[madd[i][j]][k], madd[i][madd[j][k]]
+                if left != right:
+                    out.append(Violation("madd-associativity", (i, j, k), left, right))
+
+    for a in rng:
+        for a2 in rng:
+            for x in grng:
+                for mm in mrng:
+                    for y in grng:
+                        for b in rng:
+                            left = act[S.add[a][a2]][x][mm][y][b]
+                            right = madd[act[a][x][mm][y][b]][act[a2][x][mm][y][b]]
+                            if left != right:
+                                out.append(Violation("act-additivity-slot-a",
+                                                     (a, a2, x, mm, y, b), left, right))
+    for a in rng:
+        for x in grng:
+            for m1 in mrng:
+                for m2 in mrng:
+                    for y in grng:
+                        for b in rng:
+                            left = act[a][x][madd[m1][m2]][y][b]
+                            right = madd[act[a][x][m1][y][b]][act[a][x][m2][y][b]]
+                            if left != right:
+                                out.append(Violation("act-additivity-slot-m",
+                                                     (a, x, m1, m2, y, b), left, right))
+    for a in rng:
+        for x in grng:
+            for mm in mrng:
+                for y in grng:
+                    for b in rng:
+                        for b2 in rng:
+                            left = act[a][x][mm][y][S.add[b][b2]]
+                            right = madd[act[a][x][mm][y][b]][act[a][x][mm][y][b2]]
+                            if left != right:
+                                out.append(Violation("act-additivity-slot-b",
+                                                     (a, x, mm, y, b, b2), left, right))
+
+    for a in rng:
+        for x in grng:
+            for y in grng:
+                for b in rng:
+                    v = act[a][x][zm][y][b]
+                    if v != zm:
+                        out.append(Violation("act-zero-module", (a, x, y, b), v, zm))
+    for x in grng:
+        for mm in mrng:
+            for y in grng:
+                for b in rng:
+                    v = act[S.zero][x][mm][y][b]
+                    if v != zm:
+                        out.append(Violation("act-absorb-a", (x, mm, y, b), v, zm))
+    for a in rng:
+        for x in grng:
+            for mm in mrng:
+                for y in grng:
+                    v = act[a][x][mm][y][S.zero]
+                    if v != zm:
+                        out.append(Violation("act-absorb-b", (a, x, mm, y), v, zm))
+
+    if M.m2_profile == "nested":
+        # Nesting law mirroring ternary associativity with the carrier element
+        # in the middle slot: act(tri(a,x,b,y,c), z, m, w, e) must equal
+        # act(a, x, act(b, y, m, z, c), w, e).
+        for a in rng:
+            for x in grng:
+                for b in rng:
+                    for y in grng:
+                        for c in rng:
+                            for z in grng:
+                                for mm in mrng:
+                                    for w in grng:
+                                        for e in rng:
+                                            left = act[S.tri[a][x][b][y][c]][z][mm][w][e]
+                                            right = act[a][x][act[b][y][mm][z][c]][w][e]
+                                            if left != right:
+                                                out.append(Violation(
+                                                    "m2-nested",
+                                                    (a, x, b, y, c, z, mm, w, e),
+                                                    left, right))
+    elif M.m2_profile != "none":
+        raise PreconditionError(f"unknown m2_profile {M.m2_profile!r}")
+
+    out.sort(key=lambda v: (v.law, v.witness))
+    return AxiomReport(tuple(out), warnings=brute_force_check_axioms(S).violations)
 
 
 def brute_force_ideals(S):

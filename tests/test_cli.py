@@ -496,12 +496,17 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path):
         (check, {**b2, "gamma": 5}, "shape error"),
         (check, {**b2, "add": 5}, "shape error"),
         (check, {**b2, "add": ["01", "11"]}, "shape error"),
+        (check, {**b2, "commutative": "false"}, "shape error"),
+        (check, {**b2, "commutative": 0}, "shape error"),
         (module, 5, "parse error"),
         (module, {**t2, "carrier": [["a"], ["b"], ["c"], ["d"]]}, "shape error"),
         (module, {**t2, "madd": 5}, "shape error"),
         (module, {**t2, "act": 5}, "shape error"),
         (valuation, 5, "shape error"),
         (valuation, {"g0": 3}, "shape error"),
+        (valuation, '{"g0": [NaN, 1], "g1": [0, 1]}', "shape error"),
+        (valuation, '{"g0": [0, 1], "g1": [0, -Infinity]}', "shape error"),
+        (valuation, {"g0": [True, 1], "g1": [0, 1]}, "shape error"),
     ]
     for k, (argv, content, kind) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
