@@ -299,8 +299,9 @@ def cmd_embed(S, args, out, payload):
     if args.weights and args.weights != "default":
         data = _read_json(args.weights)
         weights = data.get("weights") if isinstance(data, dict) else None
+        # JSON true and false are not numbers here.
         if not isinstance(weights, list) or not all(
-                isinstance(w, (int, float)) for w in weights):
+                type(w) in (int, float) for w in weights):
             raise FixtureError("shape error: weights must be a list of numbers")
         weight_table = tuple(weights)
     graph = embed(S, spc, k=args.k, valuation=valuation,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .core import (FiniteTernaryGammaSemiring, BudgetError, PreconditionError,
                    UnionFind, bourne_classes)
-from .modules import (GammaModule, ModuleHom, check_module_axioms,
+from .modules import (GammaModule, ModuleHom, act_from_images, check_module_axioms,
                       generating_set, hom_set, hom_violation,
                       require_module_axioms, regular_module, sub_module,
                       is_submodule, cyclic_module_catalog,
@@ -161,10 +161,9 @@ def free_module(S: FiniteTernaryGammaSemiring, r: int,
         labels = tuple("(" + ",".join(S.elements[i] for i in t) + ")" for t in tuples)
     madd = tuple(tuple(idx[tuple(S.add[a[i]][b[i]] for i in range(r))] for b in tuples)
                  for a in tuples)
-    act = tuple(tuple(tuple(tuple(tuple(
-        idx[tuple(S.tri[a][x][t[i]][y][b] for i in range(r))]
-        for b in range(S.n)) for y in range(S.g)) for t in tuples)
-        for x in range(S.g)) for a in range(S.n))
+    reg = regular_module(S).images
+    act = act_from_images(S, (tuple(idx[tuple(reg[e][k] for e in t)]
+                                    for k in range(len(S.quads))) for t in tuples))
     return GammaModule(name=f"{S.name}^{r}", base=S, carrier=labels,
                        zero=idx[tuple(S.zero for _ in range(r))],
                        madd=madd, act=act, m2_profile="none")
@@ -193,12 +192,10 @@ def _covering_map(S, target: GammaModule, gens, params, budget):
     sum_i act(a_i, x0, gens_i, y0, unit) inside `target`."""
     x0, y0 = params
     p = free_module(S, len(gens), budget)
-    tuples = free_carrier_tuples(S, len(gens))
-    mapping = []
-    for tup in tuples:
-        mapping.append(target.sum_of(target.act[a][x0][g][y0][S.unit]
-                                     for a, g in zip(tup, gens)))
-    return p, tuple(mapping)
+    col = {q[0]: k for k, q in enumerate(S.quads) if q[1:] == (x0, y0, S.unit)}
+    mapping = tuple(target.sum_of(target.images[g][col[a]] for a, g in zip(tup, gens))
+                    for tup in free_carrier_tuples(S, len(gens)))
+    return p, mapping
 
 
 def _submodule_generators(M: GammaModule, members: frozenset[int]) -> tuple[int, ...]:
@@ -289,6 +286,8 @@ def _tensor_relations(M: GammaModule, N: GammaModule):
                     rhs[g] = rhs.get(g, 0) + 1
                 if lhs != rhs:
                     rels.append((lhs, rhs))
+    # The balance relations keep this nesting order rather than the order of
+    # `images`: the group backend's diagonalization follows the relation order.
     balance = 0
     for a in range(S.n):
         for x in range(S.g):
@@ -419,29 +418,23 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, descriptions)
 
     notes = []
     action_ok = True
-    S = M.base
 
-    def class_action(a, x, y, b, gs):
-        return join((M.act[a][x][g[0]][y][b], g[1]) for g in gs)
+    def class_images(gs):
+        # The class of act(a, x, sum gs, y, b), for each (a, x, y, b) in quads.
+        ns = [n for _, n in gs]
+        return tuple(join(zip(ms, ns)) for ms in zip(*(M.images[m] for m, _ in gs)))
 
     if len(gens) <= 8:
-        rel_gens = [(bits(lhs), bits(rhs)) for lhs, rhs in rel_masks]
-        params = itertools.product(range(S.n), range(S.g), range(S.g), range(S.n))
-        if any(class_action(*p, lhs) != class_action(*p, rhs)
-               for p in params for lhs, rhs in rel_gens):
+        if any(class_images(bits(lhs)) != class_images(bits(rhs)) for lhs, rhs in rel_masks):
             action_ok = False
             notes.append("induced action is not well-defined "
                          "on a relation pair")
     else:
         notes.append("induced action verified via module axiom check only")
 
-    act = tuple(tuple(tuple(tuple(tuple(class_action(a, x, y, b, gs)
-                                        for b in range(S.n)) for y in range(S.g))
-                            for gs in members) for x in range(S.g))
-                for a in range(S.n))
-    module = GammaModule(name=name, base=S, carrier=tuple(labels),
-                         zero=zero_class,
-                         madd=tuple(tuple(r) for r in add_rows), act=act)
+    module = GammaModule(name=name, base=M.base, carrier=tuple(labels),
+                         zero=zero_class, madd=tuple(tuple(r) for r in add_rows),
+                         act=act_from_images(M.base, map(class_images, members)))
     if check_module_axioms(module).violations:
         action_ok = False
         notes.append("induced module fails the module axioms")
@@ -928,43 +921,21 @@ def hom_module(N: GammaModule, P: GammaModule,
     if zero_map not in index:
         raise PreconditionError("hom_module: the zero map is not a homomorphism "
                                 "here, so Hom carries no module structure")
-    madd_rows = []
-    for f in homs:
-        row = []
-        for g in homs:
-            summed = tuple(P.madd[f.map[i]][g.map[i]] for i in range(N.size))
-            k = index.get(summed)
-            if k is None:
-                raise PreconditionError("hom_module: hom set is not closed under "
-                                        "pointwise addition")
-            row.append(k)
-        madd_rows.append(tuple(row))
-    act_rows = []
-    for a in range(S.n):
-        ax = []
-        for x in range(S.g):
-            am = []
-            for f in homs:
-                ay = []
-                for y in range(S.g):
-                    ab = []
-                    for b in range(S.n):
-                        image = tuple(P.act[a][x][f.map[i]][y][b]
-                                      for i in range(N.size))
-                        k = index.get(image)
-                        if k is None:
-                            raise PreconditionError(
-                                "hom_module: hom set is not closed under the "
+    madd_rows = [tuple(index.get(tuple(P.madd[u][v] for u, v in zip(f.map, g.map)))
+                       for g in homs) for f in homs]
+    if any(None in row for row in madd_rows):
+        raise PreconditionError("hom_module: hom set is not closed under "
+                                "pointwise addition")
+    # Row of hom f over quads: the hom m -> act(a, x, f(m), y, b), by index.
+    act_rows = [tuple(index.get(image) for image in zip(*(P.images[v] for v in f.map)))
+                for f in homs]
+    if any(None in row for row in act_rows):
+        raise PreconditionError("hom_module: hom set is not closed under the "
                                 "induced action")
-                        ab.append(k)
-                    ay.append(tuple(ab))
-                am.append(tuple(ay))
-            ax.append(tuple(am))
-        act_rows.append(tuple(ax))
     module = GammaModule(name=f"Hom({N.name},{P.name})", base=S,
                          carrier=tuple(f"h{k}" for k in range(len(homs))),
                          zero=index[zero_map],
-                         madd=tuple(madd_rows), act=tuple(act_rows))
+                         madd=tuple(madd_rows), act=act_from_images(S, act_rows))
     return module, homs
 
 

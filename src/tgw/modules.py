@@ -5,6 +5,12 @@ analysis, annihilators, module catalogs, and the Jacobson radical.
 The module laws are declared once, in `MODULE_LAWS`, and checked on index
 grids by the same evaluator as the structure laws in `core`.
 
+Everything else reads the action through one flat view: `S.quads` lists the
+parameters (a, x, y, b) in C order, and `GammaModule.images[m]` is the row of
+act(a, x, m, y, b) over them.  Submodules, homomorphisms, congruences,
+annihilators and density read these rows; every derived module builds its
+nested `act` table from rows with `act_from_images`.
+
 The quotient construction is subtraction-free throughout: two carrier
 elements are identified when they become equal after adding elements of the
 designated submodule (the Bourne relation), and the induced tables are
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
@@ -33,7 +39,9 @@ class GammaModule:
     """A finite commutative monoid carrying a five-slot action of the base.
 
     `act[a][x][m][y][b]` gives the carrier index of the action of base
-    elements a, b at parameters x, y on carrier element m.
+    elements a, b at parameters x, y on carrier element m.  The same values
+    for one m, flat, are `images[m]`: `images[m][k]` is act(a, x, m, y, b) for
+    (a, x, y, b) = base.quads[k].
     """
 
     name: str
@@ -43,6 +51,14 @@ class GammaModule:
     madd: tuple[tuple[int, ...], ...]
     act: tuple
     m2_profile: str = "none"
+    images: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Set at construction for the same reason as `base.quads`.
+        act = self.act
+        object.__setattr__(self, "images", tuple(
+            tuple(act[a][x][m][y][b] for a, x, y, b in self.base.quads)
+            for m in range(len(self.carrier))))
 
     @property
     def size(self) -> int:
@@ -53,6 +69,20 @@ class GammaModule:
         for i in items:
             total = self.madd[total][i]
         return total
+
+
+def act_from_images(S: FiniteTernaryGammaSemiring, images) -> tuple:
+    """The nested table act[a][x][m][y][b] whose row over `S.quads` is
+    `images[m]`: the inverse of `GammaModule.images`."""
+    n, g = S.n, S.g
+    rows = [tuple(row) for row in images]
+
+    def block(row, a, x):
+        start = (a * g + x) * g * n
+        return tuple(row[start + y * n:start + (y + 1) * n] for y in range(g))
+
+    return tuple(tuple(tuple(block(row, a, x) for row in rows) for x in range(g))
+                 for a in range(n))
 
 
 def _module_tables(M: GammaModule) -> dict:
@@ -113,28 +143,19 @@ def require_module_axioms(M: GammaModule, lenient: bool, op: str) -> AxiomReport
 # Submodules
 
 def submodule_closure(M: GammaModule, seed) -> frozenset[int]:
-    current = set(seed)
-    current.add(M.zero)
-    S = M.base
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(current)
-        for i in snapshot:
-            for j in snapshot:
-                v = M.madd[i][j]
-                if v not in current:
-                    current.add(v)
-                    changed = True
-        for mm in snapshot:
-            for a in range(S.n):
-                for b in range(S.n):
-                    for x in range(S.g):
-                        for y in range(S.g):
-                            v = M.act[a][x][mm][y][b]
-                            if v not in current:
-                                current.add(v)
-                                changed = True
+    """Least submodule containing the seed.  Each element is expanded once,
+    against every element present by then; an element added later expands
+    against it in turn."""
+    madd = M.madd
+    current = {M.zero, *seed}
+    todo = list(current)
+    while todo:
+        i = todo.pop()
+        found = {madd[i][j] for j in current}
+        found.update([madd[j][i] for j in current], M.images[i])
+        found -= current
+        current |= found
+        todo.extend(found)
     return frozenset(current)
 
 
@@ -143,10 +164,7 @@ def is_submodule(M: GammaModule, members: frozenset[int]) -> bool:
         return False
     if any(M.madd[i][j] not in members for i in members for j in members):
         return False
-    S = M.base
-    return all(M.act[a][x][mm][y][b] in members
-               for mm in members for a in range(S.n) for b in range(S.n)
-               for x in range(S.g) for y in range(S.g))
+    return all(members.issuperset(M.images[m]) for m in members)
 
 
 def enumerate_submodules(M: GammaModule, bound: int = DEFAULT_ENUM_BOUND) -> list[frozenset[int]]:
@@ -184,15 +202,11 @@ def sub_module(M: GammaModule, members: frozenset[int], name: str | None = None)
         raise PreconditionError("sub_module: subset is not a submodule")
     order = sorted(members)
     new_index = {orig: k for k, orig in enumerate(order)}
-    S = M.base
-    g = S.g
     madd = tuple(tuple(new_index[M.madd[i][j]] for j in order) for i in order)
-    act = tuple(tuple(tuple(tuple(tuple(new_index[M.act[a][x][mm][y][b]]
-                                        for b in range(S.n)) for y in range(g))
-                            for mm in order) for x in range(g)) for a in range(S.n))
+    act = act_from_images(M.base, (tuple(new_index[v] for v in M.images[m]) for m in order))
     return GammaModule(
         name=name or f"{M.name}|{{{','.join(M.carrier[i] for i in order)}}}",
-        base=S, carrier=tuple(M.carrier[i] for i in order),
+        base=M.base, carrier=tuple(M.carrier[i] for i in order),
         zero=new_index[M.zero], madd=madd, act=act, m2_profile=M.m2_profile)
 
 
@@ -227,19 +241,15 @@ def hom_violation(source: GammaModule, target: GammaModule, mapping: tuple[int, 
     """First broken homomorphism law for a total carrier mapping, or None."""
     if mapping[source.zero] != target.zero:
         return ("zero", (source.zero,))
-    for i in range(source.size):
-        for j in range(source.size):
+    carrier = range(source.size)
+    for i in carrier:
+        for j in carrier:
             if mapping[source.madd[i][j]] != target.madd[mapping[i]][mapping[j]]:
                 return ("additive", (i, j))
-    S = source.base
-    for a in range(S.n):
-        for x in range(S.g):
-            for mm in range(source.size):
-                for y in range(S.g):
-                    for b in range(S.n):
-                        if mapping[source.act[a][x][mm][y][b]] != \
-                                target.act[a][x][mapping[mm]][y][b]:
-                            return ("equivariance", (a, x, mm, y, b))
+    for m, row in enumerate(source.images):
+        for (a, x, y, b), s, t in zip(source.base.quads, row, target.images[mapping[m]]):
+            if mapping[s] != t:
+                return ("equivariance", (a, x, m, y, b))
     return None
 
 
@@ -267,31 +277,15 @@ def _propagate(M: GammaModule, N: GammaModule, gens, images):
         if known.get(g_elem, img) != img:
             return None
         known[g_elem] = img
-    S = M.base
-    changed = True
-    while changed:
-        changed = False
+    size = 0
+    while len(known) != size:
+        size = len(known)
         items = sorted(known.items())
-        for m1, v1 in items:
-            for m2, v2 in items:
-                s, v = M.madd[m1][m2], N.madd[v1][v2]
-                if known.get(s, v) != v:
-                    return None
-                if s not in known:
-                    known[s] = v
-                    changed = True
-        for mm, vm in items:
-            for a in range(S.n):
-                for x in range(S.g):
-                    for y in range(S.g):
-                        for b in range(S.n):
-                            s = M.act[a][x][mm][y][b]
-                            v = N.act[a][x][vm][y][b]
-                            if known.get(s, v) != v:
-                                return None
-                            if s not in known:
-                                known[s] = v
-                                changed = True
+        pairs = itertools.chain(
+            ((M.madd[m1][m2], N.madd[v1][v2]) for m1, v1 in items for m2, v2 in items),
+            *(zip(M.images[m], N.images[v]) for m, v in items))
+        if any(known.setdefault(s, v) != v for s, v in pairs):
+            return None
     if len(known) != M.size:
         return None
     return tuple(known[i] for i in range(M.size))
@@ -337,12 +331,9 @@ def find_isomorphism(A: GammaModule, B: GammaModule) -> ModuleHom | None:
 
 def annihilator_of_element(M: GammaModule, mm: int) -> frozenset[int]:
     S = M.base
-    ann = {a for a in range(S.n)
-           if all(M.act[a][x][mm][y][b] == M.zero
-                  for x in range(S.g) for y in range(S.g) for b in range(S.n))}
+    acting = {q[0] for q, v in zip(S.quads, M.images[mm]) if v != M.zero}
     # 0_T belongs by the ideal type invariant even when absorption fails.
-    ann.add(S.zero)
-    return frozenset(ann)
+    return frozenset(range(S.n)).difference(acting) | {S.zero}
 
 
 def annihilator(M: GammaModule, lenient: bool = False) -> IdealSet:
@@ -398,17 +389,9 @@ def end_semiring(M: GammaModule, lenient: bool = False,
     require_module_axioms(M, lenient, "end_semiring")
     homs = hom_set(M, M, budget=budget)
     index = {f.map: k for k, f in enumerate(homs)}
-    add_closed = True
-    add_rows = []
-    for f in homs:
-        row = []
-        for g_h in homs:
-            summed = tuple(M.madd[f.map[i]][g_h.map[i]] for i in range(M.size))
-            entry = index.get(summed)
-            if entry is None:
-                add_closed = False
-            row.append(entry)
-        add_rows.append(tuple(row))
+    add_rows = tuple(tuple(index.get(tuple(M.madd[u][v] for u, v in zip(f.map, g_h.map)))
+                           for g_h in homs) for f in homs)
+    add_closed = all(None not in row for row in add_rows)
     comp_rows = tuple(tuple(index[f.after(g_h).map] for g_h in homs) for f in homs)
 
     simple = is_simple(M)
@@ -430,7 +413,7 @@ def end_semiring(M: GammaModule, lenient: bool = False,
                     locality_failures.append(k)
             else:
                 locality_failures.append(k)
-    return EndReport(module=M, homs=homs, add_table=tuple(add_rows),
+    return EndReport(module=M, homs=homs, add_table=add_rows,
                      comp_table=comp_rows, add_closed=add_closed, simple=simple,
                      schur_checked=simple, schur_failures=tuple(schur_failures),
                      locality_failures=tuple(locality_failures))
@@ -470,36 +453,29 @@ def density_check(M: GammaModule, anchor: int | None = None, rank2: bool = False
         anchor = M.base.unit
     if anchor is None:
         raise PreconditionError("density_check: no anchor available (no unit declared)")
-    S = M.base
+    # The anchored columns of `images`, keeping the (a, x, y) order of quads.
+    cols = [k for k, q in enumerate(M.base.quads) if q[3] == anchor]
+    combos = [M.base.quads[k][:3] for k in cols]
+    nonzero = [mm for mm in range(M.size) if mm != M.zero]
+    rows = {mm: [M.images[mm][k] for k in cols] for mm in nonzero}
     witnesses = []
     unsolvable = []
-    combos = [(a, x, y) for a in range(S.n) for x in range(S.g) for y in range(S.g)]
-    for mm in range(M.size):
-        if mm == M.zero:
-            continue
+    for mm in nonzero:
+        first: dict[int, int] = {}
+        for k, v in enumerate(rows[mm]):
+            first.setdefault(v, k)
         for n in range(M.size):
-            hit = next(((a, x, y) for a, x, y in combos
-                        if M.act[a][x][mm][y][anchor] == n), None)
-            if hit is None:
-                unsolvable.append((mm, n))
+            if n in first:
+                witnesses.append((mm, n, *combos[first[n]]))
             else:
-                witnesses.append((mm, n, *hit))
+                unsolvable.append((mm, n))
     rank2_data = None
     if rank2:
-        solvable = unsolvable_pairs = eligible = 0
-        nonzero = [mm for mm in range(M.size) if mm != M.zero]
-        for m1, m2 in itertools.combinations(nonzero, 2):
-            for n1 in range(M.size):
-                for n2 in range(M.size):
-                    eligible += 1
-                    if any(M.act[a][x][m1][y][anchor] == n1
-                           and M.act[a][x][m2][y][anchor] == n2
-                           for a, x, y in combos):
-                        solvable += 1
-                    else:
-                        unsolvable_pairs += 1
+        eligible = M.size ** 2 * (len(nonzero) * (len(nonzero) - 1) // 2)
+        solvable = sum(len(set(zip(rows[m1], rows[m2])))
+                       for m1, m2 in itertools.combinations(nonzero, 2))
         rank2_data = {"eligible": eligible, "solvable": solvable,
-                      "unsolvable": unsolvable_pairs}
+                      "unsolvable": eligible - solvable}
     return DensityReport(module=M, anchor=anchor, ok=not unsolvable,
                          witnesses=tuple(witnesses), unsolvable=tuple(unsolvable),
                          rank2=rank2_data)
@@ -533,22 +509,18 @@ def _partition_to_congruence(M: GammaModule, classes) -> ModuleCongruence:
 
 
 def _congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | None]:
-    S = M.base
-    for m1 in range(M.size):
-        for m2 in range(M.size):
+    carrier = range(M.size)
+    for m1 in carrier:
+        for m2 in carrier:
             if class_of[m1] != class_of[m2]:
                 continue
-            for x in range(M.size):
-                if class_of[M.madd[m1][x]] != class_of[M.madd[m2][x]]:
-                    return False, f"madd: [{m1}]=[{m2}] but [{m1}+{x}]!=[{m2}+{x}]"
-            for a in range(S.n):
-                for ga in range(S.g):
-                    for gb in range(S.g):
-                        for b in range(S.n):
-                            if class_of[M.act[a][ga][m1][gb][b]] != \
-                                    class_of[M.act[a][ga][m2][gb][b]]:
-                                return False, (f"act: [{m1}]=[{m2}] but images differ "
-                                               f"at (a={a},x={ga},y={gb},b={b})")
+            for u in carrier:
+                if class_of[M.madd[m1][u]] != class_of[M.madd[m2][u]]:
+                    return False, f"madd: [{m1}]=[{m2}] but [{m1}+{u}]!=[{m2}+{u}]"
+            for (a, x, y, b), v1, v2 in zip(M.base.quads, M.images[m1], M.images[m2]):
+                if class_of[v1] != class_of[v2]:
+                    return False, (f"act: [{m1}]=[{m2}] but images differ "
+                                   f"at (a={a},x={x},y={y},b={b})")
     return True, None
 
 
@@ -557,14 +529,11 @@ def quotient_by_congruence(M: GammaModule, cong: ModuleCongruence,
     """Quotient module on congruence classes, built from class representatives."""
     reps = [cls[0] for cls in cong.classes]
     class_of = cong.class_of
-    S = M.base
     madd = tuple(tuple(class_of[M.madd[r1][r2]] for r2 in reps) for r1 in reps)
-    act = tuple(tuple(tuple(tuple(tuple(class_of[M.act[a][x][r][y][b]]
-                                        for b in range(S.n)) for y in range(S.g))
-                            for r in reps) for x in range(S.g)) for a in range(S.n))
+    act = act_from_images(M.base, (tuple(class_of[v] for v in M.images[r]) for r in reps))
     labels = tuple(f"[{M.carrier[r]}]" for r in reps)
     return GammaModule(name=name or f"{M.name}/~{len(cong.classes)}",
-                       base=S, carrier=labels, zero=class_of[M.zero],
+                       base=M.base, carrier=labels, zero=class_of[M.zero],
                        madd=madd, act=act, m2_profile=M.m2_profile)
 
 
@@ -824,10 +793,8 @@ def direct_sum(M1: GammaModule, M2: GammaModule, name: str | None = None) -> Gam
     labels = tuple(f"({M1.carrier[i]},{M2.carrier[j]})" for i, j in pairs)
     madd = tuple(tuple(idx[(M1.madd[a1][b1], M2.madd[a2][b2])] for b1, b2 in pairs)
                  for a1, a2 in pairs)
-    act = tuple(tuple(tuple(tuple(tuple(
-        idx[(M1.act[a][x][m1][y][b], M2.act[a][x][m2][y][b])]
-        for b in range(S.n)) for y in range(S.g)) for m1, m2 in pairs)
-        for x in range(S.g)) for a in range(S.n))
+    act = act_from_images(S, (tuple(idx[p] for p in zip(M1.images[i], M2.images[j]))
+                              for i, j in pairs))
     profile = M1.m2_profile if M1.m2_profile == M2.m2_profile else "none"
     return GammaModule(name=name or f"{M1.name}(+){M2.name}", base=S,
                        carrier=labels, zero=idx[(M1.zero, M2.zero)],
@@ -844,11 +811,9 @@ def regular_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> Ga
 
 
 def zero_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:
-    g = S.g
-    act = tuple(tuple(tuple(tuple(tuple(0 for _ in range(S.n)) for _ in range(g))
-                            for _ in range(1)) for _ in range(g)) for _ in range(S.n))
     return GammaModule(name=name or f"{S.name}-zero", base=S, carrier=("0",),
-                       zero=0, madd=((0,),), act=act, m2_profile="none")
+                       zero=0, madd=((0,),), act=act_from_images(S, [(0,) * len(S.quads)]),
+                       m2_profile="none")
 
 
 def module_from_dict(data: dict, base: FiniteTernaryGammaSemiring) -> GammaModule:

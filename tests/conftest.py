@@ -511,3 +511,129 @@ def brute_force_tensor_idempotent(M, N):
                         gen_class={g: index[sat_gen[g]] for g in gens},
                         module_action_ok=action_ok, notes=tuple(notes),
                         rel_pairs=rels, eval_sum=eval_sum, rep_sum=rep_sum)
+
+
+# The nested action loops that `GammaModule.images` replaced, kept verbatim
+# (renamed) as references for the differential tests in test_action.py.
+
+def loop_submodule_closure(M: GammaModule, seed) -> frozenset[int]:
+    current = set(seed)
+    current.add(M.zero)
+    S = M.base
+    changed = True
+    while changed:
+        changed = False
+        snapshot = sorted(current)
+        for i in snapshot:
+            for j in snapshot:
+                v = M.madd[i][j]
+                if v not in current:
+                    current.add(v)
+                    changed = True
+        for mm in snapshot:
+            for a in range(S.n):
+                for b in range(S.n):
+                    for x in range(S.g):
+                        for y in range(S.g):
+                            v = M.act[a][x][mm][y][b]
+                            if v not in current:
+                                current.add(v)
+                                changed = True
+    return frozenset(current)
+
+
+def loop_is_submodule(M: GammaModule, members: frozenset[int]) -> bool:
+    if M.zero not in members:
+        return False
+    if any(M.madd[i][j] not in members for i in members for j in members):
+        return False
+    S = M.base
+    return all(M.act[a][x][mm][y][b] in members
+               for mm in members for a in range(S.n) for b in range(S.n)
+               for x in range(S.g) for y in range(S.g))
+
+
+def loop_hom_violation(source: GammaModule, target: GammaModule, mapping: tuple[int, ...]):
+    """First broken homomorphism law for a total carrier mapping, or None."""
+    if mapping[source.zero] != target.zero:
+        return ("zero", (source.zero,))
+    for i in range(source.size):
+        for j in range(source.size):
+            if mapping[source.madd[i][j]] != target.madd[mapping[i]][mapping[j]]:
+                return ("additive", (i, j))
+    S = source.base
+    for a in range(S.n):
+        for x in range(S.g):
+            for mm in range(source.size):
+                for y in range(S.g):
+                    for b in range(S.n):
+                        if mapping[source.act[a][x][mm][y][b]] != \
+                                target.act[a][x][mapping[mm]][y][b]:
+                            return ("equivariance", (a, x, mm, y, b))
+    return None
+
+
+def loop_annihilator_of_element(M: GammaModule, mm: int) -> frozenset[int]:
+    S = M.base
+    ann = {a for a in range(S.n)
+           if all(M.act[a][x][mm][y][b] == M.zero
+                  for x in range(S.g) for y in range(S.g) for b in range(S.n))}
+    # 0_T belongs by the ideal type invariant even when absorption fails.
+    ann.add(S.zero)
+    return frozenset(ann)
+
+
+def loop_density_witnesses(M: GammaModule, anchor: int, rank2: bool):
+    """The witness search of `density_check`, without its simplicity and
+    axiom gates: (witnesses, unsolvable, rank2 counts)."""
+    S = M.base
+    witnesses = []
+    unsolvable = []
+    combos = [(a, x, y) for a in range(S.n) for x in range(S.g) for y in range(S.g)]
+    for mm in range(M.size):
+        if mm == M.zero:
+            continue
+        for n in range(M.size):
+            hit = next(((a, x, y) for a, x, y in combos
+                        if M.act[a][x][mm][y][anchor] == n), None)
+            if hit is None:
+                unsolvable.append((mm, n))
+            else:
+                witnesses.append((mm, n, *hit))
+    rank2_data = None
+    if rank2:
+        solvable = unsolvable_pairs = eligible = 0
+        nonzero = [mm for mm in range(M.size) if mm != M.zero]
+        for m1, m2 in itertools.combinations(nonzero, 2):
+            for n1 in range(M.size):
+                for n2 in range(M.size):
+                    eligible += 1
+                    if any(M.act[a][x][m1][y][anchor] == n1
+                           and M.act[a][x][m2][y][anchor] == n2
+                           for a, x, y in combos):
+                        solvable += 1
+                    else:
+                        unsolvable_pairs += 1
+        rank2_data = {"eligible": eligible, "solvable": solvable,
+                      "unsolvable": unsolvable_pairs}
+    return tuple(witnesses), tuple(unsolvable), rank2_data
+
+
+def loop_congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | None]:
+    S = M.base
+    for m1 in range(M.size):
+        for m2 in range(M.size):
+            if class_of[m1] != class_of[m2]:
+                continue
+            for x in range(M.size):
+                if class_of[M.madd[m1][x]] != class_of[M.madd[m2][x]]:
+                    return False, f"madd: [{m1}]=[{m2}] but [{m1}+{x}]!=[{m2}+{x}]"
+            for a in range(S.n):
+                for ga in range(S.g):
+                    for gb in range(S.g):
+                        for b in range(S.n):
+                            if class_of[M.act[a][ga][m1][gb][b]] != \
+                                    class_of[M.act[a][ga][m2][gb][b]]:
+                                return False, (f"act: [{m1}]=[{m2}] but images differ "
+                                               f"at (a={a},x={ga},y={gb},b={b})")
+    return True, None

@@ -1,17 +1,31 @@
-"""The module action: every module the package builds, pinned by digest."""
+"""The flat view of the module action.
+
+Every module the package builds is pinned by digest, and each reader of
+`GammaModule.images` is compared with the nested loop it replaced (kept in
+conftest.py as `loop_*`).
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
-from conftest import chain
-from tgw import fixtures
+from conftest import (all_bundled_modules, chain, loop_annihilator_of_element,
+                      loop_congruence_compatible, loop_density_witnesses,
+                      loop_hom_violation, loop_is_submodule,
+                      loop_submodule_closure)
+from tgw import fixtures, modules
+from tgw.core import product_structure
 from tgw.homology import free_module, hom_module, tensor
-from tgw.modules import (bourne_quotient, direct_sum, enumerate_module_congruences,
-                         enumerate_submodules, quotient_by_congruence,
-                         regular_module, serialize_module, sub_module,
+from tgw.modules import (_congruence_compatible, act_from_images,
+                         annihilator_of_element, bourne_quotient, density_check,
+                         direct_sum, enumerate_module_congruences,
+                         enumerate_submodules, hom_violation, is_submodule,
+                         quotient_by_congruence, regular_module,
+                         serialize_module, sub_module, submodule_closure,
                          zero_module)
 
 
@@ -103,3 +117,108 @@ def test_built_modules_pinned(structure):
     S = chain(4) if structure == "C4" else fixtures.bundled_structure(structure)
     got = {name: _sha(M) for name, M in built_modules(S).items()}
     assert got == BUILT_SHA256[structure]
+
+
+def test_act_from_images_inverts_images():
+    S = chain(4)
+    for M in [*all_bundled_modules(), *built_modules(S).values()]:
+        assert M.base.quads == tuple(itertools.product(
+            range(M.base.n), range(M.base.g), range(M.base.g), range(M.base.n)))
+        assert act_from_images(M.base, M.images) == M.act, M.name
+
+
+def _skewed_t2():
+    """B2-T2 with three act entries changed, so that the first parameter
+    (0,0,0,0) moves (2,0) and slot a no longer mirrors slot b on (1,1)."""
+    t2 = fixtures.bundled_module("B2-T2")
+    act = [[[[list(r) for r in l3] for l3 in l2] for l2 in l1] for l1 in t2.act]
+    act[0][0][2][0][0] = 1
+    act[0][0][3][0][1] = 3
+    for x, y in itertools.product(range(t2.base.g), repeat=2):
+        act[1][x][3][y][1] = 0
+    frozen = tuple(tuple(tuple(tuple(tuple(r) for r in l3) for l3 in l2)
+                         for l2 in l1) for l1 in act)
+    return dataclasses.replace(t2, name="B2-T2-skewed", act=frozen)
+
+
+def _differential_modules():
+    """The bundled modules and a lawless variant of B2-T2, the regular modules
+    of C5, C6 and B2^3, a Bourne quotient of B2^3's and a direct sum of C5's
+    with one of its quotients."""
+    b2 = fixtures.bundled_structure("B2")
+    b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
+    c5, c6, r8 = (regular_module(S) for S in (chain(5), chain(6), b2p3))
+    c5_low = bourne_quotient(c5, frozenset({0, 1, 2}))[0]
+    return [*all_bundled_modules(), _skewed_t2(), c5, c6, r8,
+            bourne_quotient(r8, frozenset({0, 1}))[0], direct_sum(c5, c5_low)]
+
+
+DIFF_MODULES = _differential_modules()
+DIFF_IDS = [M.name for M in DIFF_MODULES]
+
+
+@pytest.mark.parametrize("M", DIFF_MODULES, ids=DIFF_IDS)
+def test_submodules_match_loops(M):
+    carrier = range(M.size)
+    for r in range(M.size + 1):
+        for subset in itertools.combinations(carrier, r):
+            members = frozenset(subset)
+            assert is_submodule(M, members) == loop_is_submodule(M, members), subset
+    for r in range(3):
+        for seed in itertools.combinations(carrier, r):
+            assert submodule_closure(M, seed) == loop_submodule_closure(M, seed), seed
+
+
+@pytest.mark.parametrize("M", DIFF_MODULES, ids=DIFF_IDS)
+def test_hom_violation_matches_loops(M):
+    """Same verdict on every map into a module over the same base; the
+    equivariance witness may be another one, so it is re-checked instead."""
+    for N in DIFF_MODULES:
+        if N.base != M.base or N.size ** M.size > 5000:
+            continue
+        for mapping in itertools.product(range(N.size), repeat=M.size):
+            got, ref = hom_violation(M, N, mapping), loop_hom_violation(M, N, mapping)
+            assert (got is None) == (ref is None), mapping
+            if got is None:
+                continue
+            assert got[0] == ref[0], mapping
+            if got[0] != "equivariance":
+                assert got == ref, mapping
+                continue
+            a, x, m, y, b = got[1]
+            assert mapping[M.act[a][x][m][y][b]] != N.act[a][x][mapping[m]][y][b]
+
+
+def _partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        yield [[first], *part]
+        for k in range(len(part)):
+            yield [*part[:k], [first, *part[k]], *part[k + 1:]]
+
+
+@pytest.mark.parametrize("M", [M for M in DIFF_MODULES if M.size <= 6],
+                         ids=[M.name for M in DIFF_MODULES if M.size <= 6])
+def test_congruence_compatible_matches_loops(M):
+    for part in _partitions(list(range(M.size))):
+        class_of = [0] * M.size
+        for ci, cls in enumerate(part):
+            for elem in cls:
+                class_of[elem] = ci
+        assert _congruence_compatible(M, class_of) == \
+            loop_congruence_compatible(M, class_of), part
+
+
+@pytest.mark.parametrize("M", DIFF_MODULES, ids=DIFF_IDS)
+def test_annihilators_and_density_match_loops(M, monkeypatch):
+    for mm in range(M.size):
+        assert annihilator_of_element(M, mm) == loop_annihilator_of_element(M, mm)
+    # The witness search runs on every module, simple or not.
+    monkeypatch.setattr(modules, "is_simple", lambda M, bound=None: True)
+    for anchor in range(M.base.n):
+        report = density_check(M, anchor=anchor, rank2=True, lenient=True)
+        assert (report.witnesses, report.unsolvable, report.rank2) == \
+            loop_density_witnesses(M, anchor, rank2=True)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 from tgw import fixtures
 from tgw.cli import main
 from tgw.core import structure_to_dict
+from tgw.ideals import spectrum
 from tgw.modules import module_to_dict
 
 
@@ -491,6 +494,7 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path):
         (valuation, "{not json", "parse error"),
         (weights, "{not json", "parse error"),
         (weights, {"weights": "x"}, "shape error"),
+        (weights, {"weights": [True]}, "shape error"),
         (check, {**b2, "elements": [["0"], ["1"]]}, "shape error"),
         (check, {**b2, "elements": "01"}, "shape error"),
         (check, {**b2, "gamma": 5}, "shape error"),
@@ -534,3 +538,26 @@ def test_json_mode_all_commands(capsys):
         out = capsys.readouterr().out
         payload = json.loads(out)
         assert payload["exit_code"] == code == 0, argv
+
+
+def test_run_battery_script(capsys, tmp_path):
+    """scripts/run_battery.py returns the exit code of `tgw report` and
+    writes every export of each bundled spectrum that has points."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_battery.py"
+    spec = importlib.util.spec_from_file_location("run_battery", path)
+    battery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(battery)
+    expected = main(["report"])
+    capsys.readouterr()
+    assert battery.run(tmp_path / "out") == expected
+    out = capsys.readouterr().out
+    written = set()
+    for name in fixtures.STRUCTURE_NAMES:
+        if not spectrum(fixtures.bundled_structure(name), lenient=True).points:
+            assert f"{name}: empty spectrum" in out
+            continue
+        for fmt in ("json", "dot", "csv"):
+            export = tmp_path / "out" / f"{name.lower()}_spectrum.{fmt}"
+            assert export.read_text(encoding="utf-8").strip(), export
+            written.add(export.name)
+    assert written and {p.name for p in (tmp_path / "out").iterdir()} == written
