@@ -232,8 +232,10 @@ def embed(S: FiniteTernaryGammaSemiring, spec: SpectrumSpace, k: int = 2,
     if k > npoints:
         notes.append(f"k={k} clamped to the number of points ({npoints})")
         k = npoints
-    if k < 1:
-        k = min(1, npoints)
+    floor = min(1, npoints)
+    if k < floor:
+        notes.append(f"k={k} clamped to {floor}")
+        k = floor
     coordinates = vectors[:, :k].copy()
     return SpectrumGraph(structure_name=S.name,
                          point_labels=spec.point_labels(S),

@@ -13,8 +13,10 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three backends realize the quotient:
 * group - both carrier additions are abelian groups; relation differences
   span an integer lattice and the quotient comes from a diagonalized relation
   matrix.
-* saturation - bounded multiplicity vectors with a coordinate cap; the result
-  carries `approximate=True` whenever the cap visibly constrained it.
+* saturation - every other pair, exactly: left-linearity folds a sum of
+  generators into a function from one carrier to the other (with an empty
+  value adjoined), and the quotient of these functions is the equivalence
+  closure of the translates of the remaining relations.
 
 Every presentation records the relation schemas that were imposed, so results
 are auditable.
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .core import (FiniteTernaryGammaSemiring, BudgetError, PreconditionError,
                    UnionFind, bourne_classes)
@@ -35,7 +39,6 @@ from .modules import (GammaModule, ModuleHom, act_from_images, check_module_axio
 
 DEFAULT_CARRIER_BUDGET = 4096
 DEFAULT_STATE_BUDGET = 200000
-DEFAULT_CAP = 4
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +54,6 @@ class MonoidPresentation:
     add: tuple[tuple[int, ...], ...]
     zero: int
     structure_tag: str
-    approximate: bool = False
     relations: tuple[str, ...] = ()
 
     @property
@@ -70,7 +72,7 @@ class MonoidPresentation:
             "add": [list(r) for r in self.add],
             "zero": self.zero,
             "structure_tag": self.structure_tag,
-            "approximate": self.approximate,
+            "approximate": False,
             "relations": list(self.relations),
         }
 
@@ -90,13 +92,13 @@ def _structure_tag(add, zero) -> str:
     return f"monoid-{k}"
 
 
-def make_presentation(name, labels, reps, add_rows, zero, relations=(),
-                      approximate=False) -> MonoidPresentation:
+def make_presentation(name, labels, reps, add_rows, zero,
+                      relations=()) -> MonoidPresentation:
     add = tuple(tuple(row) for row in add_rows)
     return MonoidPresentation(name=name, classes=tuple(labels), reps=tuple(reps),
                               add=add, zero=zero,
                               structure_tag=_structure_tag(add, zero),
-                              approximate=approximate, relations=tuple(relations))
+                              relations=tuple(relations))
 
 
 def find_presentation_isomorphism(A: MonoidPresentation, B: MonoidPresentation):
@@ -339,6 +341,21 @@ def _gen_label(M, N, g) -> str:
     return f"{M.carrier[g[0]]}⊗{N.carrier[g[1]]}"
 
 
+def _with_induced_module(M: GammaModule, pres: MonoidPresentation, images,
+                         action_ok: bool, notes: list, **fields) -> TensorResult:
+    """The tensor result whose module is the classes of `pres` under its
+    addition, with `images[c]` the classes of act(a, x, c, y, b) over the
+    base's quads; a module that fails the module axioms clears `action_ok`."""
+    module = GammaModule(name=pres.name, base=M.base, carrier=pres.classes,
+                         zero=pres.zero, madd=pres.add,
+                         act=act_from_images(M.base, images))
+    if check_module_axioms(module).violations:
+        action_ok = False
+        notes = [*notes, "induced module fails the module axioms"]
+    return TensorResult(presentation=pres, module=module, module_action_ok=action_ok,
+                        notes=tuple(notes), **fields)
+
+
 def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, descriptions):
     gens, gidx = _tensor_generators(M, N)
 
@@ -432,16 +449,9 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, descriptions)
     else:
         notes.append("induced action verified via module axiom check only")
 
-    module = GammaModule(name=name, base=M.base, carrier=tuple(labels),
-                         zero=zero_class, madd=tuple(tuple(r) for r in add_rows),
-                         act=act_from_images(M.base, map(class_images, members)))
-    if check_module_axioms(module).violations:
-        action_ok = False
-        notes.append("induced module fails the module axioms")
-    return TensorResult(presentation=pres, module=module, backend="idempotent",
-                        gen_class=gen_class, module_action_ok=action_ok,
-                        notes=tuple(notes), rel_pairs=rels,
-                        eval_sum=eval_sum, rep_sum=rep_sum)
+    return _with_induced_module(M, pres, map(class_images, members), action_ok,
+                                notes, backend="idempotent", gen_class=gen_class,
+                                rel_pairs=rels, eval_sum=eval_sum, rep_sum=rep_sum)
 
 
 def _smith_diagonal(rows, n):
@@ -593,126 +603,109 @@ def _tensor_group(M: GammaModule, N: GammaModule, name, rels, descriptions,
                         eval_sum=eval_sum, rep_sum=rep_sum)
 
 
-def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, descriptions,
-                       cap=DEFAULT_CAP, state_budget=DEFAULT_STATE_BUDGET):
-    gens, gidx = _tensor_generators(M, N)
-    G = len(gens)
-    total = (cap + 1) ** G
-    if total > state_budget:
-        raise BudgetError(f"{name}: saturation space of {total} states exceeds "
-                          f"budget {state_budget}")
-    states = list(itertools.product(range(cap + 1), repeat=G))
-    sindex = {s: k for k, s in enumerate(states)}
+def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, descriptions):
+    """Exact tensor of any pair of modules over one base.
 
-    def vec_of(d):
-        v = [0] * G
-        for g, c in d.items():
-            v[gidx[g]] += c
-        return tuple(v)
+    Left-linearity folds each column of a sum of generators a⊗n into one
+    element of A, so a sum is a state: a function from the carrier of B (the
+    columns) to A with an identity E adjoined (an empty column).  The states
+    form the commutative monoid (A + E)^B under pointwise addition, and the
+    tensor is its quotient by the congruence the remaining relations
+    generate, minus the all-E state.  On a commutative monoid that congruence
+    is the equivalence closure of the translates z+a ~ z+b of the relation
+    pairs (a, b).  (A, B) is (M, N) or (N, M), whichever has fewer states.
+    """
+    flip = (N.size + 1) ** M.size < (M.size + 1) ** N.size
+    A, B = (N, M) if flip else (M, N)
+    E, cols = A.size, B.size
+    total = (E + 1) ** cols
+    if total > DEFAULT_STATE_BUDGET:
+        raise BudgetError(f"{name}: tensor state space of {total} states exceeds "
+                          f"budget {DEFAULT_STATE_BUDGET}")
+    plus = np.empty((E + 1, E + 1), dtype=np.int64)
+    plus[:E, :E] = A.madd
+    plus[E, :] = plus[:, E] = np.arange(E + 1)
+    # State k has the column values digits[k], and digits[k] @ place == k;
+    # the all-E state is the last one.
+    digits = np.indices((E + 1,) * cols).reshape(cols, total).T
+    place = (E + 1) ** np.arange(cols - 1, -1, -1)
 
-    rel_vecs = []
-    for lhs, rhs in rels:
-        a, b = vec_of(lhs), vec_of(rhs)
-        if a != b and max(a) <= cap and max(b) <= cap:
-            rel_vecs.append((a, b))
+    def key(g):
+        # A generator m⊗n as (element of A, column), and back.
+        return g[::-1] if flip else g
+
+    def fold(multiset):
+        s = [E] * cols
+        for g, c in multiset.items():
+            u, col = key(g)
+            for _ in range(c):
+                s[col] = plus[s[col], u]
+        return tuple(s)
 
     uf = UnionFind(total)
-    for z in states:
-        for a, b in rel_vecs:
-            ua = tuple(z[i] + a[i] for i in range(G))
-            ub = tuple(z[i] + b[i] for i in range(G))
-            if max(ua, default=0) <= cap and max(ub, default=0) <= cap:
-                uf.union(sindex[ua], sindex[ub])
-
-    # Every relation side is a nonzero vector, so the zero state (index 0)
-    # is a class of its own; it is left out.
-    classes = uf.classes()[1:]
-    class_of = {k: ci for ci, cls in enumerate(classes) for k in cls}
-
-    approximate = False
-    notes = []
-    # A class living only at the cap boundary is a cap artifact.
-    for cls in classes:
-        if all(max(states[k]) >= cap for k in cls):
-            approximate = True
-            notes.append("a class exists only at the coordinate cap")
-            break
-
-    min_rep = [states[cls[0]] for cls in classes]
-    add_rows = []
-    for ci in range(len(classes)):
-        row = []
-        for cj in range(len(classes)):
-            value = None
-            tested = 0
-            consistent = True
-            for ka in classes[ci]:
-                if tested >= 25:
-                    break
-                for kb in classes[cj]:
-                    if tested >= 25:
-                        break
-                    s = tuple(states[ka][i] + states[kb][i] for i in range(G))
-                    if max(s) > cap:
-                        continue
-                    tested += 1
-                    got = class_of[sindex[s]]
-                    if value is None:
-                        value = got
-                    elif got != value:
-                        consistent = False
-            if value is None:
-                approximate = True
-                s = tuple(min(cap, min_rep[ci][i] + min_rep[cj][i]) for i in range(G))
-                value = class_of[sindex[s]]
-            if not consistent:
-                approximate = True
-            row.append(value)
-        add_rows.append(row)
-    if approximate and "a class exists only at the coordinate cap" not in notes:
-        notes.append("class addition required capped representatives")
-
-    gen_class = {}
-    for g in gens:
-        vec = [0] * G
-        vec[gidx[g]] = 1
-        gen_class[g] = class_of[sindex[tuple(vec)]]
-    zero_class = gen_class[(M.zero, N.zero)]
-    reps = []
-    for ci in range(len(classes)):
-        direct = [g for g in gens if gen_class[g] == ci]
-        if direct:
-            reps.append(_gen_label(M, N, direct[0]))
-        else:
-            rep = min_rep[ci]
-            terms = [f"{rep[gidx[g]]}*{_gen_label(M, N, g)}" for g in gens
-                     if rep[gidx[g]]]
-            reps.append("+".join(terms[:3]))
-    labels = [f"c{k}" for k in range(len(classes))]
-    pres = make_presentation(name, labels, reps, add_rows, zero_class,
-                             relations=descriptions, approximate=approximate)
+    for a, b in sorted({tuple(sorted((fold(lhs), fold(rhs)))) for lhs, rhs in rels}):
+        za, zb = plus[digits, a] @ place, plus[digits, b] @ place
+        moved = za != zb
+        for x, y in zip(za[moved].tolist(), zb[moved].tolist()):
+            uf.union(x, y)
+    # A relation side is never all-E, so the all-E state is a class of its
+    # own, and the last one; it is left out.
+    classes = uf.classes()[:-1]
+    class_of = np.full(total, -1)
+    for ci, cls in enumerate(classes):
+        class_of[cls] = ci
+    reps = [cls[0] for cls in classes]
 
     def eval_sum(multiset):
-        vec = vec_of(multiset)
-        if max(vec, default=0) > cap:
-            return None
-        return class_of[sindex[vec]]
+        return int(class_of[np.dot(fold(multiset), place)])
 
     def rep_sum(ci):
-        rep = min_rep[ci]
-        return tuple((g, rep[gidx[g]]) for g in gens if rep[gidx[g]])
+        return tuple((key((u, col)), 1)
+                     for col, u in enumerate(digits[reps[ci]].tolist()) if u != E)
 
-    return TensorResult(presentation=pres, module=None, backend="saturation",
-                        gen_class=gen_class, module_action_ok=True,
-                        notes=tuple(notes), rel_pairs=rels,
-                        eval_sum=eval_sum, rep_sum=rep_sum)
+    gens, _ = _tensor_generators(M, N)
+    gen_class = {g: eval_sum({g: 1}) for g in gens}
+    first = {}
+    for g in gens:
+        first.setdefault(gen_class[g], g)
+    labels = [f"c{k}" for k in range(len(classes))]
+    rep_labels = [_gen_label(M, N, first[ci]) if ci in first
+                  else "+".join(_gen_label(M, N, g) for g, _ in rep_sum(ci)[:3])
+                  for ci in range(len(classes))]
+    rep_digits = digits[reps]
+    add_rows = [class_of[plus[r, rep_digits] @ place].tolist() for r in rep_digits]
+    pres = make_presentation(name, labels, rep_labels, add_rows,
+                             gen_class[(M.zero, N.zero)], relations=descriptions)
+
+    # The action works column by column and fixes E.  It is well defined when
+    # every state of a class lands in the class its representative lands in.
+    images = np.full((E + 1, len(M.base.quads)), E)
+    images[:E] = A.images
+    live = class_of >= 0
+    class_images = []
+    well_defined = True
+    for column in images.T:
+        acted = class_of[column[digits] @ place]
+        class_images.append(acted[reps])
+        if not np.array_equal(acted[live], acted[reps][class_of[live]]):
+            well_defined = False
+    notes = [] if well_defined else ["induced action is not well-defined on a class"]
+    return _with_induced_module(M, pres, np.array(class_images).T.tolist(),
+                                well_defined, notes, backend="saturation",
+                                gen_class=gen_class, rel_pairs=rels,
+                                eval_sum=eval_sum, rep_sum=rep_sum)
 
 
 def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
-           cap: int = DEFAULT_CAP, state_budget: int = DEFAULT_STATE_BUDGET,
            lenient: bool = False) -> TensorResult:
     """Tensor product presentation over the common base, plus the induced
-    module when the backend can construct one."""
+    module when the backend can construct one.
+
+    `auto` picks the idempotent backend when both additions are idempotent,
+    the group backend when both are groups, and otherwise the exact
+    `saturation` backend, which takes every pair and charges its state count
+    to `DEFAULT_STATE_BUDGET`.  Only the group backend leaves out the induced
+    module, unless its quotient is trivial."""
     if M.base != N.base:
         raise PreconditionError("tensor: modules live over different bases")
     require_module_axioms(M, lenient, "tensor")
@@ -734,8 +727,7 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
                                     "on both carriers")
         return _tensor_group(M, N, name, rels, descriptions)
     if backend == "saturation":
-        return _tensor_saturation(M, N, name, rels, descriptions, cap=cap,
-                                  state_budget=state_budget)
+        return _tensor_saturation(M, N, name, rels, descriptions)
     raise PreconditionError(f"tensor: unknown backend {backend!r}")
 
 
@@ -754,7 +746,7 @@ def tensor_induced_map(src: TensorResult, dst: TensorResult, gen_map) -> Induced
     for lhs, rhs in src.rel_pairs:
         la = dst.eval_sum({gen_map(g): c for g, c in lhs.items()})
         rb = dst.eval_sum({gen_map(g): c for g, c in rhs.items()})
-        if la is None or rb is None or la != rb:
+        if la != rb:
             well = False
             notes.append("a relation pair maps to distinct target classes")
             break
@@ -768,11 +760,7 @@ def tensor_induced_map(src: TensorResult, dst: TensorResult, gen_map) -> Induced
         for g, c in rep:
             g2 = gen_map(g)
             img[g2] = img.get(g2, 0) + c
-        value = dst.eval_sum(img)
-        if value is None:
-            raise PreconditionError("tensor_induced_map: image leaves the "
-                                    "tracked state window")
-        classes.append(value)
+        classes.append(dst.eval_sum(img))
     additive = all(
         classes[src.presentation.add[i][j]] ==
         dst.presentation.add[classes[i]][classes[j]]

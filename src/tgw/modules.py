@@ -496,12 +496,12 @@ class ModuleCongruence:
         return len(self.classes)
 
 
-def _partition_to_congruence(M: GammaModule, classes) -> ModuleCongruence:
-    """Congruence record of a partition whose classes are ordered by least member."""
-    class_of = [0] * M.size
-    for ci, cls in enumerate(classes):
-        for elem in cls:
-            class_of[elem] = ci
+def _partition_to_congruence(M: GammaModule, class_of) -> ModuleCongruence:
+    """Congruence record of a partition, given as the class of each carrier
+    element with classes numbered by least member."""
+    classes = [[] for _ in range(max(class_of) + 1)]
+    for elem, ci in enumerate(class_of):
+        classes[ci].append(elem)
     compatible, witness = _congruence_compatible(M, class_of)
     return ModuleCongruence(classes=tuple(map(tuple, classes)),
                             class_of=tuple(class_of),
@@ -509,7 +509,7 @@ def _partition_to_congruence(M: GammaModule, classes) -> ModuleCongruence:
 
 
 def _congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | None]:
-    carrier = range(M.size)
+    carrier = range(len(class_of))
     for m1 in carrier:
         for m2 in carrier:
             if class_of[m1] != class_of[m2]:
@@ -543,8 +543,11 @@ def bourne_quotient(M: GammaModule, members: frozenset[int],
     if not is_submodule(M, members):
         raise PreconditionError("bourne_quotient: subset is not a submodule")
     sub = sorted(members)
-    cong = _partition_to_congruence(
-        M, bourne_classes(M.size, lambda i, j: M.madd[i][j], sub))
+    class_of = [0] * M.size
+    for ci, cls in enumerate(bourne_classes(M.size, lambda i, j: M.madd[i][j], sub)):
+        for elem in cls:
+            class_of[elem] = ci
+    cong = _partition_to_congruence(M, class_of)
     if name is None:
         name = f"{M.name}/{{{','.join(M.carrier[i] for i in sub)}}}"
     return quotient_by_congruence(M, cong, name=name), cong
@@ -568,14 +571,12 @@ def enumerate_module_congruences(M: GammaModule,
     if M.size > bound:
         raise BudgetError(f"enumerate_module_congruences: |M| = {M.size} exceeds {bound}")
     results = []
+    size = M.size
 
     def grow(prefix: list[int], used: int):
-        if len(prefix) == M.size:
+        if len(prefix) == size:
             # A restricted-growth string numbers classes by least member.
-            classes = [[] for _ in range(used)]
-            for elem, cls in enumerate(prefix):
-                classes[cls].append(elem)
-            cong = _partition_to_congruence(M, classes)
+            cong = _partition_to_congruence(M, prefix)
             if cong.compatible:
                 results.append(cong)
             return

@@ -98,13 +98,18 @@ def z4():
     Lawful, unit-bearing, and *not* semiprimitive: 2 annihilates the only
     simple cyclic module, so the radical is {0,2} and self-extensions exist.
     """
-    n = 4
+    return integers_mod(4)
+
+
+def integers_mod(n):
+    """Z/n with addition mod n and tri(a,x,b,y,c) = a*b*c mod n: an abelian
+    group under addition, so its tensors take the group backend."""
     labels = [str(i) for i in range(n)]
     add = [[labels[(i + j) % n] for j in range(n)] for i in range(n)]
     tri = [[[[[labels[(a * b * c) % n] for c in range(n)]] for b in range(n)]]
            for a in range(n)]
     return structure_from_dict({
-        "name": "Z4", "elements": labels, "zero": "0", "unit": "1",
+        "name": f"Z{n}", "elements": labels, "zero": "0", "unit": "1",
         "gamma": ["g0"], "add": add, "tri": tri,
     })
 
@@ -118,6 +123,20 @@ def chain(n):
            for a in range(n)]
     return structure_from_dict({
         "name": f"C{n}", "elements": labels, "zero": "0", "unit": labels[-1],
+        "gamma": ["g0"], "add": add, "tri": tri,
+    })
+
+
+def truncated_naturals(k):
+    """N_k = ({0..k}, min(a+b, k), min(abc, k)) with one parameter: lawful,
+    with unit 1, and for k >= 2 neither idempotent nor a group, so its
+    tensors take the exact backend."""
+    labels = [str(i) for i in range(k + 1)]
+    add = [[labels[min(a + b, k)] for b in range(k + 1)] for a in range(k + 1)]
+    tri = [[[[[labels[min(a * b * c, k)] for c in range(k + 1)]] for b in range(k + 1)]]
+           for a in range(k + 1)]
+    return structure_from_dict({
+        "name": f"N{k}", "elements": labels, "zero": "0", "unit": "1",
         "gamma": ["g0"], "add": add, "tri": tri,
     })
 

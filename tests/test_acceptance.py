@@ -145,7 +145,7 @@ def test_criterion_7_invariant_suites(b2, z3, b2xb2):
     b2reg = fixtures.bundled_module("B2-regular")
     a = tensor(b2reg, b2reg, backend="idempotent").presentation
     b = tensor(b2reg, b2reg, backend="saturation").presentation
-    assert not b.approximate
+    assert b.to_dict()["approximate"] is False
     assert find_presentation_isomorphism(a, b) is not None
     _ok(7, "witness re-evaluation, exactness, Schur census, closed-set "
            "identities, quotient well-definedness, backend agreement")

@@ -16,7 +16,7 @@ import pytest
 from conftest import (all_bundled_modules, chain, loop_annihilator_of_element,
                       loop_congruence_compatible, loop_density_witnesses,
                       loop_hom_violation, loop_is_submodule,
-                      loop_submodule_closure)
+                      loop_submodule_closure, truncated_naturals)
 from tgw import fixtures, modules
 from tgw.core import product_structure
 from tgw.homology import free_module, hom_module, tensor
@@ -121,7 +121,9 @@ def test_built_modules_pinned(structure):
 
 def test_act_from_images_inverts_images():
     S = chain(4)
-    for M in [*all_bundled_modules(), *built_modules(S).values()]:
+    n2 = regular_module(truncated_naturals(2))
+    exact = tensor(n2, n2, backend="saturation").module
+    for M in [*all_bundled_modules(), *built_modules(S).values(), exact]:
         assert M.base.quads == tuple(itertools.product(
             range(M.base.n), range(M.base.g), range(M.base.g), range(M.base.n)))
         assert act_from_images(M.base, M.images) == M.act, M.name

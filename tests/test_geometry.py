@@ -112,6 +112,9 @@ def test_embed_clamps_k(b2xb2):
     g = embed(b2xb2, spectrum(b2xb2), k=5)
     assert g.k == 2
     assert any("clamped" in note for note in g.notes)
+    g = embed(b2xb2, spectrum(b2xb2), k=-3)
+    assert g.k == 1
+    assert any("clamped" in note for note in g.notes)
 
 
 def test_embed_deterministic(b2xb2):

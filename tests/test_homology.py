@@ -7,16 +7,19 @@ import dataclasses
 import pytest
 
 from tgw import fixtures
-from tgw.core import BudgetError, PreconditionError
+from tgw.cli import main
+from tgw.core import BudgetError, PreconditionError, serialize_structure
 from tgw.homology import (_smith_diagonal, adjunction_check, ext1,
                           find_presentation_isomorphism, free_module,
                           free_resolution, homological_semisimplicity,
                           internal_hom_ternary, make_presentation, tensor,
                           tensor_induced_map, tor1)
-from tgw.modules import (check_module_axioms, cyclic_module_catalog,
-                         find_isomorphism, regular_module)
+from tgw.modules import (GammaModule, act_from_images, check_module_axioms,
+                         cyclic_module_catalog, find_isomorphism, hom_violation,
+                         regular_module)
 
-from conftest import brute_force_tensor_idempotent, chain
+from conftest import (all_bundled_modules, brute_force_tensor_idempotent, chain,
+                      integers_mod, truncated_naturals)
 
 
 def test_free_module_rank1_is_regular(b2, b2_reg):
@@ -84,7 +87,7 @@ def test_tensor_b2_regular_pair(b2_reg):
     assert t.backend == "idempotent"
     assert t.presentation.size == 2
     assert t.presentation.structure_tag == "cyclic-2"
-    assert not t.presentation.approximate
+    assert t.presentation.to_dict()["approximate"] is False
     assert t.module_action_ok
     assert find_isomorphism(t.module, b2_reg) is not None
     assert len(t.presentation.relations) == 3
@@ -100,7 +103,7 @@ def test_tensor_with_zero_module(b2_reg, b2_zero):
 def test_tensor_backend_agreement_boolean(b2_reg):
     a = tensor(b2_reg, b2_reg, backend="idempotent")
     b = tensor(b2_reg, b2_reg, backend="saturation")
-    assert not b.presentation.approximate
+    assert b.presentation.to_dict()["approximate"] is False
     assert find_presentation_isomorphism(a.presentation, b.presentation) is not None
 
 
@@ -108,7 +111,7 @@ def test_tensor_backend_agreement_one_element(one_element):
     reg = regular_module(one_element)
     results = [tensor(reg, reg, backend=be).presentation
                for be in ("idempotent", "group", "saturation")]
-    assert all(p.size == 1 and not p.approximate for p in results)
+    assert all(p.size == 1 and p.to_dict()["approximate"] is False for p in results)
 
 
 def test_tensor_backend_agreement_two_element_field(f2):
@@ -119,7 +122,7 @@ def test_tensor_backend_agreement_two_element_field(f2):
     s = tensor(reg, reg, backend="saturation")
     assert g.presentation.size == 2
     assert g.presentation.structure_tag == "cyclic-2"
-    assert not s.presentation.approximate
+    assert s.presentation.to_dict()["approximate"] is False
     assert find_presentation_isomorphism(g.presentation, s.presentation) is not None
 
 
@@ -189,6 +192,92 @@ def test_idempotent_tensor_matches_oracle(case, b2_reg, b2_t2):
     for ci in range(new.size):
         assert new.rep_sum(ci) == old.rep_sum(ci)
         assert new.eval_sum(dict(new.rep_sum(ci))) == ci
+
+
+def _backend_pairs():
+    bundled = all_bundled_modules()
+    pairs = [(M, N) for M in bundled for N in bundled if M.base == N.base]
+    for S in (chain(3), *map(integers_mod, range(2, 6))):
+        pairs.append((regular_module(S),) * 2)
+    return pairs
+
+
+BACKEND_PAIRS = _backend_pairs()
+
+
+@pytest.mark.parametrize("M,N", BACKEND_PAIRS,
+                         ids=[f"{M.name}-{N.name}" for M, N in BACKEND_PAIRS])
+def test_exact_tensor_matches_other_backends(M, N):
+    """The exact backend against the idempotent or group backend: the identity
+    on generators induces a bijective monoid map between the two quotients."""
+    exact = tensor(M, N, backend="saturation", lenient=True)
+    other = tensor(M, N, lenient=True)
+    assert other.backend in ("idempotent", "group")
+    assert exact.module_action_ok and exact.notes == ()
+    for lhs, rhs in exact.rel_pairs:
+        assert exact.eval_sum(lhs) == exact.eval_sum(rhs)
+    ind = tensor_induced_map(exact, other, lambda g: g)
+    assert ind.well_defined and ind.additive, ind.notes
+    assert sorted(ind.classes) == list(range(other.size))
+    assert all(ind.classes[c] == other.gen_class[g] for g, c in exact.gen_class.items())
+    assert ind.classes[exact.presentation.zero] == other.presentation.zero
+    if other.module is not None:
+        assert hom_violation(exact.module, other.module, ind.classes) is None
+
+
+@pytest.mark.parametrize("k,size", [(2, 3), (3, 4)])
+def test_exact_tensor_truncated_naturals(k, size, capsys, tmp_path):
+    reg = regular_module(truncated_naturals(k))
+    t = tensor(reg, reg)
+    assert t.backend == "saturation"
+    assert t.size == size and t.module_action_ok
+    assert check_module_axioms(t.module).passed
+    assert adjunction_check(reg, reg, reg).holds
+    path = tmp_path / f"N{k}.json"
+    path.write_text(serialize_structure(reg.base), encoding="utf-8")
+    for command in ("tor", "ext", "adjunction"):
+        assert main([command, str(path)]) == 0, command
+    assert "bijection: Yes" in capsys.readouterr().out
+
+
+def test_exact_tensor_folds_along_the_smaller_state_space():
+    # Folding along the 9-element module would need 4^9 states.
+    S = truncated_naturals(2)
+    reg, free = regular_module(S), free_module(S, 2)
+    for M, N in ((reg, free), (free, reg)):
+        t = tensor(M, N)
+        assert t.size == 9 and t.module_action_ok
+        assert set(t.gen_class) == {(m, n) for m in range(M.size) for n in range(N.size)}
+        for g, c in t.gen_class.items():
+            assert t.eval_sum(dict(t.rep_sum(c))) == c == t.eval_sum({g: 1})
+    assert adjunction_check(reg, free, reg).holds
+
+
+def _swapping_module(b2):
+    """Over B2: the flat semilattice 0 < 1, 2, 3 < 4 on which act(1,x,m,y,1)
+    permutes the atoms, by (1 2) at (x,y) = (0,1), by (2 3) at (1,0) and
+    trivially otherwise.  It is lawful, but the two swaps do not commute."""
+    top = 4
+    swaps = {(0, 1): (0, 2, 1, 3, 4), (1, 0): (0, 1, 3, 2, 4)}
+    madd = tuple(tuple(i if i == j or j == 0 else j if i == 0 else top
+                       for j in range(5)) for i in range(5))
+    rows = [tuple(swaps.get((x, y), range(5))[m] if a and b else 0
+                  for a, x, y, b in b2.quads) for m in range(5)]
+    return GammaModule(name="B2-swaps", base=b2, carrier=tuple("0123t"), zero=0,
+                       madd=madd, act=act_from_images(b2, rows))
+
+
+def test_exact_tensor_flags_an_ill_defined_action(b2):
+    # Balance identifies (m, n) with (s m, s n) for each swap s, so the classes
+    # of generators between atoms are the diagonal and the off-diagonal pairs;
+    # (1 2) on the left sends the off-diagonal 1⊗2 to the diagonal 2⊗2 but
+    # 1⊗3 to the off-diagonal 2⊗3.
+    M = _swapping_module(b2)
+    assert check_module_axioms(M).passed
+    t = tensor(M, M, backend="saturation")
+    assert not t.module_action_ok
+    assert "induced action is not well-defined on a class" in t.notes
+    assert t.gen_class[(1, 2)] == t.gen_class[(1, 3)] != t.gen_class[(2, 2)]
 
 
 def test_tensor_induced_map_identity(b2_reg):
