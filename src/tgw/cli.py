@@ -10,6 +10,7 @@ byte-identical text.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,7 +52,7 @@ def _violation_lines(violations, S, kind="violation"):
 
 
 def _anchor_for(S, args):
-    if getattr(args, "anchor", None) is not None:
+    if args.anchor is not None:
         label = args.anchor
         if label not in S.elements:
             raise WorkbenchError(f"anchor {label!r} is not an element of {S.name}")
@@ -428,6 +429,27 @@ _COMMANDS = {
 }
 
 
+# The commands that read each option besides --format.  Every command accepts
+# every option; one it ignores has no default, so it is in the parsed
+# namespace only when given, and `main` notes it on stderr.
+_READERS = {
+    "module": ("modules", "density", "ext", "tor", "adjunction"),
+    "lenient": tuple(name for name in _COMMANDS if name != "report"),
+    "anchor": ("density",),
+    "rank2": ("density",),
+    "k": ("embed",),
+    "valuation": ("embed",),
+    "weights": ("embed",),
+    "out": ("embed",),
+}
+
+
+def _add_option(parser, command: str, flag: str, **kwargs) -> None:
+    if command not in _READERS[flag]:
+        kwargs["default"] = argparse.SUPPRESS
+    parser.add_argument(f"--{flag}", **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tgw",
@@ -436,29 +458,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        option = functools.partial(_add_option, p, name)
         if name != "report":
             p.add_argument("fixtures", nargs="+",
                            help="bundled fixture names or fixture file paths")
-        p.add_argument("--module", action="append",
-                       help="bundled module name or module fixture path "
-                            "(repeatable)")
-        p.add_argument("--lenient", action="store_true",
-                       help="downgrade base-axiom failures to warnings")
+        option("module", action="append",
+               help="bundled module name or module fixture path (repeatable)")
+        option("lenient", action="store_true",
+               help="downgrade base-axiom failures to warnings")
         if name == "embed":
             p.add_argument("--format", choices=("json", "dot", "csv"),
                            default="json", help="graph export format")
         else:
             p.add_argument("--format", choices=("table", "json"),
                            default="table")
-        p.add_argument("--anchor", help="anchor element label for density")
-        p.add_argument("--rank2", action="store_true",
-                       help="also report the simultaneous two-pair density census")
-        p.add_argument("--k", type=int, default=2,
-                       help="embedding dimension (embed)")
-        p.add_argument("--valuation", help="valuation table JSON file (embed)")
-        p.add_argument("--weights", default="default",
-                       help="'default' or a weight table JSON file (embed)")
-        p.add_argument("--out", help="output file path (embed)")
+        option("anchor", help="anchor element label for density")
+        option("rank2", action="store_true",
+               help="also report the simultaneous two-pair density census")
+        option("k", type=int, default=2, help="embedding dimension (embed)")
+        option("valuation", help="valuation table JSON file (embed)")
+        option("weights", default="default",
+               help="'default' or a weight table JSON file (embed)")
+        option("out", help="output file path (embed)")
     return parser
 
 
@@ -468,6 +489,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    for flag, readers in _READERS.items():
+        if args.command not in readers and hasattr(args, flag):
+            print(f"note: --{flag} is ignored by {args.command}", file=sys.stderr)
     out: list[str] = []
     try:
         code, payload = _COMMANDS[args.command](args, out)

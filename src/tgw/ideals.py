@@ -44,17 +44,12 @@ def is_prime(S: FiniteTernaryGammaSemiring, I: IdealSet) -> bool:
         raise PreconditionError("is_prime: input subset is not an ideal")
     if len(I.members) == S.n:
         raise PreconditionError("is_prime: ideal must be proper")
-    members = I.members
-    rng = range(S.n)
-    params = [(x, y) for x in range(S.g) for y in range(S.g)]
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if a in members or b in members or c in members:
-                    continue
-                if all(S.tri[a][x][b][y][c] in members for x, y in params):
-                    return False
-    return True
+    import numpy as np
+    outside = np.ones(S.n, dtype=bool)
+    outside[list(I.members)] = False
+    # forced[a, b, c]: tri(a, x, b, y, c) lies in I at every parameter pair.
+    forced = ~outside[np.array(S.tri)].any(axis=(1, 3))
+    return not (forced & outside[:, None, None] & outside[:, None] & outside).any()
 
 
 @dataclass
@@ -183,6 +178,72 @@ class LocalizedSemiring:
         }
 
 
+def _span(values, starts, axes):
+    """The least and greatest class in each block that `starts` cuts `values`
+    into along `axes`, ignoring -1 (no admissible denominator): the unsigned
+    view puts -1 above every class, so a block of -1 alone spans from the
+    unsigned maximum down to -1."""
+    import numpy as np
+    lo, hi = values.view(f"u{values.itemsize}"), values
+    for axis in axes:
+        lo = np.minimum.reduceat(lo, starts, axis=axis)
+        hi = np.maximum.reduceat(hi, starts, axis=axis)
+    return lo, hi
+
+
+def _fraction_classes(tri, denoms, nums, dens) -> list[list[int]]:
+    """Classes of the fractions nums[f]/dens[f]: f ~ h iff
+    tri(u,x,nums[f],y,dens[h]) = tri(u,x,nums[h],y,dens[f]) for some u in
+    `denoms` and parameters x, y, closed transitively."""
+    import numpy as np
+    n = len(tri)
+    # w[a, t] lists tri(u, x, a, y, t) over (u, x, y).
+    w = tri[denoms].transpose(2, 4, 0, 1, 3).reshape(n, n, -1)
+    pair = w[nums[:, None], dens]
+    linked = np.triu((pair == pair.transpose(1, 0, 2)).any(axis=2), 1)
+    uf = UnionFind(len(nums))
+    for i, j in zip(*(k.tolist() for k in np.nonzero(linked))):
+        uf.union(i, j)
+    return uf.classes()
+
+
+def _sum_classes(tri, add, cid, outside, nums, dens):
+    """cid of the sum of fractions i and j, nums[i]/dens[i] + nums[j]/dens[j],
+    over the first admissible common denominator tri(s,x,t,y,u) in (u, x, y)
+    order.  Commutativity makes it symmetric."""
+    import numpy as np
+    n, g = len(tri), tri.shape[1]
+    denoms = np.flatnonzero(outside)
+    common = tri[:, :, :, :, denoms].transpose(0, 2, 4, 1, 3).reshape(n, n, -1)
+    # P is prime, so tri(s,x,t,y,s) lies outside P for some x, y: every pair
+    # of fractions has an admissible common denominator.
+    si, sj = dens[:, None], dens
+    first = outside[common].argmax(axis=2)[si, sj]
+    u, x, y = denoms[first // (g * g)], first // g % g, first % g
+    return cid[add[tri[nums[:, None], x, sj, y, u], tri[nums, x, si, y, u]],
+               tri[si, x, sj, y, u]]
+
+
+def _product_span(tri, cid, nums, dens, bounds):
+    """`_span` of the class of the product tri(i, x, j, y, k) of fractions
+    nums/dens over every block triple, with blocks cut at `bounds`.  The
+    products are gathered one first fraction i at a time, as the flat cid
+    index num * n + den."""
+    import numpy as np
+    n, g, count = len(tri), tri.shape[1], len(bounds) - 1
+    num = tri[:, :, nums][:, :, :, :, nums] * n
+    den = tri[:, :, dens][:, :, :, :, dens]
+    flat = cid.ravel()
+    hi = np.full((count, g, count, g, count), -1, dtype=cid.dtype)
+    lo = hi.view(f"u{hi.itemsize}").copy()
+    for block in range(count):
+        for i in range(bounds[block], bounds[block + 1]):
+            i_lo, i_hi = _span(flat[num[nums[i]] + den[dens[i]]], bounds[:-1], (1, 3))
+            np.minimum(lo[block], i_lo, out=lo[block])
+            np.maximum(hi[block], i_hi, out=hi[block])
+    return lo, hi
+
+
 def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
              lenient: bool = False) -> LocalizedSemiring:
     """Fractions a/s with s outside P, under the witnessed equivalence.
@@ -191,25 +252,35 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
     tri(u,x,a,y,t) = tri(u,x,b,y,s); the transitive closure is taken and the
     induced add/tri tables are checked for representative independence
     exhaustively.
+
+    The work runs on NumPy index grids.  The equivalence compares both sides
+    for every fraction pair at once.  The fractions are then ordered class by
+    class, and `cid[num, den]` maps a fraction to its class, or to -1 when
+    den lies in P.  Every sum of two representatives and every product of
+    three is mapped through `cid`, and each grid of results is reduced over
+    the class blocks to its least and greatest class: a class combination is
+    well defined iff the two agree.  Products are gathered one first
+    fraction at a time, so no grid holds all fraction triples.
     """
+    import numpy as np
     report = require_axioms(S, lenient, "localize")
     if not is_prime(S, P):
         raise PreconditionError("localize: ideal is not prime")
     lenient_tag = bool(report.violations)
 
-    denoms = [s for s in range(S.n) if s not in P.members]
-    fractions = [(a, s) for a in range(S.n) for s in denoms]
-    uf = UnionFind(len(fractions))
-    params = [(x, y) for x in range(S.g) for y in range(S.g)]
-    for i, (a, s) in enumerate(fractions):
-        for j in range(i + 1, len(fractions)):
-            b, t = fractions[j]
-            if any(S.tri[u][x][a][y][t] == S.tri[u][x][b][y][s]
-                   for u in denoms for x, y in params):
-                uf.union(i, j)
+    n = S.n
+    # Holds -1, every class index and every flat index num * n + den.
+    itype = np.min_scalar_type(-n * n)
+    tri, add = np.array(S.tri, dtype=itype), np.array(S.add, dtype=itype)
+    outside = np.ones(n, dtype=bool)
+    outside[list(P.members)] = False
+    denoms = np.flatnonzero(outside)
+    nums, dens = np.repeat(np.arange(n), len(denoms)), np.tile(denoms, n)
+    fractions = list(zip(nums.tolist(), dens.tolist()))
+    groups = _fraction_classes(tri, denoms, nums, dens)
 
     # Fractions are listed in sorted order, so index order is fraction order.
-    classes = tuple(tuple(fractions[k] for k in cls) for cls in uf.classes())
+    classes = tuple(tuple(fractions[k] for k in cls) for cls in groups)
     class_of = {f: ci for ci, cls in enumerate(classes) for f in cls}
     nclasses = len(classes)
     failures: list[str] = []
@@ -217,71 +288,43 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
     def frac_label(f):
         return f"{S.elements[f[0]]}/{S.elements[f[1]]}"
 
-    def add_result(a, s, b, t):
-        # Common denominator tri(s,x,t,y,u); commutativity makes it symmetric.
-        for u in denoms:
-            for x, y in params:
-                den = S.tri[s][x][t][y][u]
-                if den in P.members:
-                    continue
-                num = S.add[S.tri[a][x][t][y][u]][S.tri[b][x][s][y][u]]
-                return class_of[(num, den)]
-        return None
+    # From here on the fractions are taken class by class: class ci is
+    # cnum[blocks[ci]]/cden[blocks[ci]].
+    order = np.concatenate(groups)
+    cnum, cden = nums[order], dens[order]
+    bounds = np.cumsum([0] + [len(cls) for cls in groups]).tolist()
+    blocks = [slice(b, e) for b, e in zip(bounds, bounds[1:])]
+    cid = np.full((n, n), -1, dtype=itype)
+    cid[cnum, cden] = np.repeat(np.arange(nclasses), np.diff(bounds))
 
-    add_table = [[0] * nclasses for _ in range(nclasses)]
-    well_defined = True
-    for ci, cls_i in enumerate(classes):
-        for cj, cls_j in enumerate(classes):
-            results = {add_result(a, s, b, t) for a, s in cls_i for b, t in cls_j}
-            if None in results:
-                well_defined = False
-                failures.append(f"add: no admissible denominator for {ci}+{cj}")
-                results.discard(None)
-            if len(results) > 1:
-                well_defined = False
-                failures.append(
-                    f"add: class {ci} + class {cj} depends on representatives "
-                    f"({sorted(results)})")
-            add_table[ci][cj] = min(results) if results else 0
+    def found(values) -> list[int]:
+        return np.unique(values[values >= 0]).tolist()
 
-    def tri_result(fa, x, fb, y, fc):
-        a, s = fa
-        b, t = fb
-        c, u = fc
-        den = S.tri[s][x][t][y][u]
-        if den in P.members:
-            return None
-        return class_of[(S.tri[a][x][b][y][c], den)]
+    sums = _sum_classes(tri, add, cid, outside, cnum, cden)
+    lo, hi = _span(sums, bounds[:-1], (0, 1))
+    add_table = lo.tolist()
+    for ci, cj in zip(*(k.tolist() for k in np.nonzero(hi > lo))):
+        failures.append(
+            f"add: class {ci} + class {cj} depends on representatives "
+            f"({found(sums[blocks[ci], blocks[cj]])})")
 
-    tri_table = [[[[[0] * nclasses for _ in range(S.g)] for _ in range(nclasses)]
-                  for _ in range(S.g)] for _ in range(nclasses)]
-    for ci, cls_i in enumerate(classes):
-        for x in range(S.g):
-            for cj, cls_j in enumerate(classes):
-                for y in range(S.g):
-                    for ck, cls_k in enumerate(classes):
-                        results = {tri_result(fa, x, fb, y, fc)
-                                   for fa in cls_i for fb in cls_j for fc in cls_k}
-                        had_none = None in results
-                        results.discard(None)
-                        if not results:
-                            well_defined = False
-                            failures.append(
-                                f"tri: no admissible denominator for ({ci},{cj},{ck}) "
-                                f"at parameters ({x},{y})")
-                            results = {0}
-                        elif len(results) > 1:
-                            well_defined = False
-                            failures.append(
-                                f"tri: ({ci},{cj},{ck}) at ({x},{y}) depends on "
-                                f"representatives ({sorted(results)})")
-                        elif had_none:
-                            # Some representatives lacked a valid denominator but
-                            # all valid ones agreed; keep the common value.
-                            pass
-                        tri_table[ci][x][cj][y][ck] = min(results)
+    lo, hi = _product_span(tri, cid, cnum, cden, bounds)
+    tri_table = np.where(hi >= 0, lo, 0).tolist()
+    for ci, x, cj, y, ck in zip(*(k.tolist() for k in np.nonzero((hi < 0) | (hi > lo)))):
+        if hi[ci, x, cj, y, ck] < 0:
+            failures.append(
+                f"tri: no admissible denominator for ({ci},{cj},{ck}) "
+                f"at parameters ({x},{y})")
+            continue
+        (a, s), (b, t), (c, u) = ((cnum[blocks[q]], cden[blocks[q]]) for q in (ci, cj, ck))
+        products = cid[tri[a[:, None, None], x, b[:, None], y, c],
+                       tri[s[:, None, None], x, t[:, None], y, u]]
+        failures.append(
+            f"tri: ({ci},{cj},{ck}) at ({x},{y}) depends on "
+            f"representatives ({found(products)})")
+    well_defined = not failures
 
-    zero_class = class_of[(S.zero, denoms[0])]
+    zero_class = class_of[(S.zero, int(denoms[0]))]
     unit_class = None
     if S.unit is not None:
         if S.unit in P.members:

@@ -13,11 +13,12 @@ import itertools
 import pytest
 
 from tgw import fixtures
-from tgw.core import (AxiomReport, PreconditionError, Violation,
+from tgw.core import (AxiomReport, FiniteTernaryGammaSemiring, IdealSet,
+                      PreconditionError, UnionFind, Violation, require_axioms,
                       structure_from_dict)
 from tgw.homology import (TensorResult, _gen_label, _tensor_generators,
                           _tensor_relations, make_presentation)
-from tgw.ideals import is_ideal_subset
+from tgw.ideals import LocalizedSemiring, is_ideal_subset, is_prime
 from tgw.modules import (GammaModule, check_module_axioms, hom_violation,
                          is_submodule)
 
@@ -656,3 +657,167 @@ def loop_congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | No
                                 return False, (f"act: [{m1}]=[{m2}] but images differ "
                                                f"at (a={a},x={ga},y={gb},b={b})")
     return True, None
+
+
+# The loops that `ideals.is_prime` and `ideals.localize` replaced with
+# index grids, kept verbatim (renamed) as references for the differential
+# tests in test_ideals.py.
+
+def loop_is_prime(S: FiniteTernaryGammaSemiring, I: IdealSet) -> bool:
+    """Prime test: tri(a,x,b,y,c) in I for every parameter pair forces a factor in I."""
+    if not is_ideal_subset(S, I.members):
+        raise PreconditionError("is_prime: input subset is not an ideal")
+    if len(I.members) == S.n:
+        raise PreconditionError("is_prime: ideal must be proper")
+    members = I.members
+    rng = range(S.n)
+    params = [(x, y) for x in range(S.g) for y in range(S.g)]
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if a in members or b in members or c in members:
+                    continue
+                if all(S.tri[a][x][b][y][c] in members for x, y in params):
+                    return False
+    return True
+
+
+def loop_localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
+                  lenient: bool = False) -> LocalizedSemiring:
+    """Fractions a/s with s outside P, under the witnessed equivalence.
+
+    (a,s) ~ (b,t) iff some u outside P and parameters x, y satisfy
+    tri(u,x,a,y,t) = tri(u,x,b,y,s); the transitive closure is taken and the
+    induced add/tri tables are checked for representative independence
+    exhaustively.
+    """
+    report = require_axioms(S, lenient, "localize")
+    if not is_prime(S, P):
+        raise PreconditionError("localize: ideal is not prime")
+    lenient_tag = bool(report.violations)
+
+    denoms = [s for s in range(S.n) if s not in P.members]
+    fractions = [(a, s) for a in range(S.n) for s in denoms]
+    uf = UnionFind(len(fractions))
+    params = [(x, y) for x in range(S.g) for y in range(S.g)]
+    for i, (a, s) in enumerate(fractions):
+        for j in range(i + 1, len(fractions)):
+            b, t = fractions[j]
+            if any(S.tri[u][x][a][y][t] == S.tri[u][x][b][y][s]
+                   for u in denoms for x, y in params):
+                uf.union(i, j)
+
+    # Fractions are listed in sorted order, so index order is fraction order.
+    classes = tuple(tuple(fractions[k] for k in cls) for cls in uf.classes())
+    class_of = {f: ci for ci, cls in enumerate(classes) for f in cls}
+    nclasses = len(classes)
+    failures: list[str] = []
+
+    def frac_label(f):
+        return f"{S.elements[f[0]]}/{S.elements[f[1]]}"
+
+    def add_result(a, s, b, t):
+        # Common denominator tri(s,x,t,y,u); commutativity makes it symmetric.
+        for u in denoms:
+            for x, y in params:
+                den = S.tri[s][x][t][y][u]
+                if den in P.members:
+                    continue
+                num = S.add[S.tri[a][x][t][y][u]][S.tri[b][x][s][y][u]]
+                return class_of[(num, den)]
+        return None
+
+    add_table = [[0] * nclasses for _ in range(nclasses)]
+    well_defined = True
+    for ci, cls_i in enumerate(classes):
+        for cj, cls_j in enumerate(classes):
+            results = {add_result(a, s, b, t) for a, s in cls_i for b, t in cls_j}
+            if None in results:
+                well_defined = False
+                failures.append(f"add: no admissible denominator for {ci}+{cj}")
+                results.discard(None)
+            if len(results) > 1:
+                well_defined = False
+                failures.append(
+                    f"add: class {ci} + class {cj} depends on representatives "
+                    f"({sorted(results)})")
+            add_table[ci][cj] = min(results) if results else 0
+
+    def tri_result(fa, x, fb, y, fc):
+        a, s = fa
+        b, t = fb
+        c, u = fc
+        den = S.tri[s][x][t][y][u]
+        if den in P.members:
+            return None
+        return class_of[(S.tri[a][x][b][y][c], den)]
+
+    tri_table = [[[[[0] * nclasses for _ in range(S.g)] for _ in range(nclasses)]
+                  for _ in range(S.g)] for _ in range(nclasses)]
+    for ci, cls_i in enumerate(classes):
+        for x in range(S.g):
+            for cj, cls_j in enumerate(classes):
+                for y in range(S.g):
+                    for ck, cls_k in enumerate(classes):
+                        results = {tri_result(fa, x, fb, y, fc)
+                                   for fa in cls_i for fb in cls_j for fc in cls_k}
+                        had_none = None in results
+                        results.discard(None)
+                        if not results:
+                            well_defined = False
+                            failures.append(
+                                f"tri: no admissible denominator for ({ci},{cj},{ck}) "
+                                f"at parameters ({x},{y})")
+                            results = {0}
+                        elif len(results) > 1:
+                            well_defined = False
+                            failures.append(
+                                f"tri: ({ci},{cj},{ck}) at ({x},{y}) depends on "
+                                f"representatives ({sorted(results)})")
+                        elif had_none:
+                            # Some representatives lacked a valid denominator but
+                            # all valid ones agreed; keep the common value.
+                            pass
+                        tri_table[ci][x][cj][y][ck] = min(results)
+
+    zero_class = class_of[(S.zero, denoms[0])]
+    unit_class = None
+    if S.unit is not None:
+        if S.unit in P.members:
+            failures.append("unit lies in the prime; localization has no unit class")
+        else:
+            unit_class = class_of[(S.unit, S.unit)]
+
+    labels = tuple(frac_label(cls[0]) for cls in classes)
+    local = FiniteTernaryGammaSemiring(
+        name=f"{S.name}_at_{{{','.join(P.labels(S))}}}",
+        elements=labels, zero=zero_class, unit=unit_class, gamma=S.gamma,
+        add=tuple(tuple(row) for row in add_table),
+        tri=tuple(tuple(tuple(tuple(tuple(t4) for t4 in t3) for t3 in t2) for t2 in t1)
+                  for t1 in tri_table),
+        commutative=S.commutative)
+
+    maximal = frozenset(ci for ci, cls in enumerate(classes)
+                        if any(a in P.members for a, _ in cls))
+    mixed = [ci for ci, cls in enumerate(classes)
+             if any(a in P.members for a, _ in cls)
+             and any(a not in P.members for a, _ in cls)]
+    if mixed:
+        failures.append(f"classes {mixed} mix numerators inside and outside the prime")
+
+    if unit_class is not None:
+        invertible = set()
+        for ci in range(nclasses):
+            if any(tri_table[ci][x][cj][y][unit_class] == unit_class
+                   for cj in range(nclasses) for x in range(S.g) for y in range(S.g)):
+                invertible.add(ci)
+        non_invertible = frozenset(range(nclasses)) - invertible
+        if non_invertible != maximal:
+            failures.append(
+                f"locality: non-invertible classes {sorted(non_invertible)} differ "
+                f"from maximal ideal {sorted(maximal)}")
+
+    return LocalizedSemiring(
+        prime=P, structure=local, classes=classes, class_of=class_of,
+        maximal_ideal=maximal, well_defined=well_defined,
+        failures=tuple(failures), lenient=lenient_tag)

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgw import fixtures
 from tgw.cli import main
@@ -89,6 +96,33 @@ def test_modules_command(capsys):
     assert code == 0
     assert "B2-regular over B2: passes" in out
     assert "B2-T2 over B2: passes" in out
+
+
+def test_ignored_options_are_noted(capsys):
+    """An option the command does not read leaves stdout and the exit code
+    as they are and adds one note per option on stderr."""
+    cases = [
+        (["ideals", "B2"], ["--module", "B2-regular", "--k", "2", "--lenient"],
+         ["module", "k"]),
+        (["report"], ["--lenient"], ["lenient"]),
+        (["embed", "B2"], ["--anchor", "1", "--rank2"], ["anchor", "rank2"]),
+        (["density", "B2"], ["--module", "B2-regular", "--anchor", "1", "--rank2",
+                             "--out", "x"], ["out"]),
+        (["localize", "B2"], ["--valuation", "v.json", "--weights", "default"],
+         ["valuation", "weights"]),
+    ]
+    for argv, options, ignored in cases:
+        code = main(argv)
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert main(argv + options) == code
+        noted = capsys.readouterr()
+        assert noted.out == plain.out, argv
+        assert noted.err.splitlines() == [f"note: --{flag} is ignored by {argv[0]}"
+                                          for flag in ignored], argv
+    # Options the command reads are not noted.
+    assert main(["tor", "B2", "--module", "B2-T2", "--lenient"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_embed_stdout_and_file(capsys, tmp_path):
@@ -520,6 +554,67 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path):
         err = capsys.readouterr().err
         assert kind in err and "Traceback" not in err, (argv, content)
         assert len(err.strip().splitlines()) == 1
+
+
+def _nodes(tree, path=()):
+    """(path, node) for every node of a parsed JSON document, root first."""
+    yield path, tree
+    children = tree.items() if isinstance(tree, dict) else (
+        enumerate(tree) if isinstance(tree, list) else ())
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def _mutate(tree, path, how):
+    """`tree` with the node at `path` dropped, shortened or replaced."""
+    tree = json.loads(json.dumps(tree))
+    *parent_path, key = path
+    parent = tree
+    for k in parent_path:
+        parent = parent[k]
+    if how == "drop":
+        del parent[key]
+    elif how == "shorten":
+        parent[key] = parent[key][:-1]
+    else:
+        parent[key] = how
+    return tree
+
+
+# Leaf replacements besides the declared element labels: null, booleans,
+# NaN, a negative and an out-of-range index, an unknown label and an empty
+# list.
+_LEAVES = (None, True, False, math.nan, -1, 99, "no-such-label", [])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(("b2.json", "b2xb2.json")), st.data())
+def test_malformed_structures_exit_cleanly(filename, data):
+    """Mutated structure files exit 0, 1 or 2, and exit 2 with exactly one
+    error line and no traceback.  A leaf replaced by another element label
+    leaves a well-formed file whose laws may fail, which the lenient
+    commands analyse to the end."""
+    tree = json.loads(fixtures._data_text(filename))
+    nodes = [(path, node) for path, node in _nodes(tree) if path]
+    path, node = data.draw(st.sampled_from(nodes))
+    kinds = ["shorten"] if isinstance(node, list) and node else []
+    if len(path) == 1:
+        kinds.append("drop")
+    if not isinstance(node, (dict, list)):
+        kinds.extend([*_LEAVES, *tree["elements"]])
+    mutated = _mutate(tree, path, data.draw(st.sampled_from(kinds)))
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = Path(tmp) / "mutated.json"
+        fixture.write_text(json.dumps(mutated), encoding="utf-8")
+        for argv in (["check"], ["spec", "--lenient"], ["localize", "--lenient"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([argv[0], str(fixture), *argv[1:]])
+            assert code in (0, 1, 2), (argv, mutated)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+                assert "Traceback" not in err.getvalue()
 
 
 def test_exit_2_on_budget(capsys, monkeypatch):
