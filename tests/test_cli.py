@@ -11,12 +11,14 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import chain
 from tgw import fixtures
 from tgw.cli import main
-from tgw.core import structure_to_dict
+from tgw.core import product_structure, structure_to_dict
 from tgw.ideals import spectrum
 from tgw.modules import module_to_dict
 
@@ -509,6 +511,53 @@ def test_report_deterministic(capsys):
         code, out = run(capsys, *argv.split())
         assert code == exit_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# Exit code and stdout sha256 of the catalog commands on C8 and B2^3, whose
+# regular modules have 128 and 8 congruences.  The `<name>-cyclic-q<k>` names
+# number the congruences in restricted-growth order, so every byte depends on
+# the order in which `enumerate_module_congruences` returns them.
+CATALOG_SHA256 = {
+    "B2^3": {
+        "simples":
+            (0, "ef7404f056d1033c03c38fd0b51c78708a490a2e2e30e815a5b18d5cbfe32aa4"),
+        "simples --format json":
+            (0, "fe05ed80838bb9d355651c19dac89a675447513496fceb32b168c81a812e3539"),
+        "density":
+            (0, "a2ef762fa31d265a622f2ee2c3758729f36954a3285d3e85c91acd64d91c617b"),
+        "density --format json":
+            (0, "7659c899ed13bc8d52e4242dcb570dd54fca268ed40e3f7bf597f49874347001"),
+    },
+    "C8": {
+        "simples":
+            (0, "42a129e11eca51af6c70a3203a2abe89be786bcadb1efc15769d7ebe29391fb3"),
+        "simples --format json":
+            (0, "cb4fe5f0e58ad5eb454372635ad8778dadcdd6562662ad47c0bb0cd141fe0345"),
+        "density":
+            (0, "42bb638b8017bdcc88aa1037ac5c014d6776904b581e5523b478220389d9eadd"),
+        "density --format json":
+            (0, "7d6d5bdf793707c9f2c3af78e58b126784764cc9b20d359300434e6412a70f7d"),
+    },
+}
+
+
+def _catalog_structure(name):
+    if name == "C8":
+        return chain(8)
+    b2 = fixtures.bundled_structure("B2")
+    return product_structure(fixtures.bundled_structure("B2xB2"), b2, name)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SHA256))
+def test_catalog_commands_pinned(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(structure_to_dict(_catalog_structure(name))))
+    got = {}
+    for argv in CATALOG_SHA256[name]:
+        command, *options = argv.split()
+        code, out = run(capsys, command, str(path), *options)
+        got[argv] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == CATALOG_SHA256[name]
 
 
 def test_exit_2_on_bad_inputs(capsys, tmp_path):
