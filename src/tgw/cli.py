@@ -450,6 +450,7 @@ def _add_option(parser, command: str, flag: str, **kwargs) -> None:
     parser.add_argument(f"--{flag}", **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tgw",

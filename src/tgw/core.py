@@ -347,10 +347,12 @@ class UnionFind:
             x = p[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; True when they were distinct."""
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
+        return ra != rb
 
     def classes(self) -> list[list[int]]:
         """The sets, each sorted, ordered by least member."""

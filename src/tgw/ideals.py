@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FiniteTernaryGammaSemiring, BudgetError, IdealSet,
-                   PreconditionError, UnionFind, require_axioms)
+                   PreconditionError, require_axioms)
 from .modules import (DEFAULT_ENUM_BOUND, enumerate_submodules, is_submodule,
                       regular_module, submodule_closure)
 
@@ -200,11 +200,13 @@ def _fraction_classes(tri, denoms, nums, dens) -> list[list[int]]:
     # w[a, t] lists tri(u, x, a, y, t) over (u, x, y).
     w = tri[denoms].transpose(2, 4, 0, 1, 3).reshape(n, n, -1)
     pair = w[nums[:, None], dens]
-    linked = np.triu((pair == pair.transpose(1, 0, 2)).any(axis=2), 1)
-    uf = UnionFind(len(nums))
-    for i, j in zip(*(k.tolist() for k in np.nonzero(linked))):
-        uf.union(i, j)
-    return uf.classes()
+    # Links are symmetric and reflexive; labels fall to the least linked one.
+    linked = (pair == pair.transpose(1, 0, 2)).any(axis=2)
+    labels = np.arange(len(nums))
+    while ((least := np.where(linked, labels, len(nums)).min(axis=1)) < labels).any():
+        labels = least
+    roots = np.flatnonzero(labels == np.arange(len(nums)))
+    return [np.flatnonzero(labels == root).tolist() for root in roots]
 
 
 def _sum_classes(tri, add, cid, outside, nums, dens):

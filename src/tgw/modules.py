@@ -14,7 +14,7 @@ nested `act` table from rows with `act_from_images`.
 The quotient construction is subtraction-free throughout: two carrier
 elements are identified when they become equal after adding elements of the
 designated submodule (the Bourne relation), and the induced tables are
-verified rather than assumed.
+verified rather than assumed.  Congruences are built as joins of principal ones.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from functools import lru_cache
 
 from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
                    BudgetError, IdealSet, Law, PreconditionError, Violation, _Table,
-                   _check_laws, _reevaluate, _structure_tables, bourne_classes,
-                   check_axioms, label_array, read_labels)
+                   UnionFind, _check_laws, _reevaluate, _structure_tables,
+                   bourne_classes, check_axioms, label_array, read_labels)
 
 DEFAULT_ENUM_BOUND = 12
 DEFAULT_HOM_BUDGET = 50000
@@ -553,39 +553,49 @@ def bourne_quotient(M: GammaModule, members: frozenset[int],
     return quotient_by_congruence(M, cong, name=name), cong
 
 
-def is_congruence_simple(M: GammaModule,
-                         bound: int = DEFAULT_PARTITION_BOUND) -> bool:
-    """Supplementary notion: only the discrete and total congruences exist.
+def _joins(M: GammaModule):
+    """join(class_of, a, b): least congruence above the congruence `class_of`
+    holding (a, b), as a restricted-growth string.  Congruences respect each
+    m ↦ madd[m][u] and m ↦ images[m][k]; merging x, y pushes (f(x), f(y))."""
+    maps = {*zip(*M.madd), *zip(*M.images)}
 
-    Distinct from submodule-simplicity; quotients arise from congruences, so
-    this is what controls them.
-    """
-    if M.size <= 1:
-        return False
-    return len(enumerate_module_congruences(M, bound=bound)) == 2
+    def join(class_of, a: int, b: int) -> tuple[int, ...]:
+        uf = UnionFind(M.size)
+        for m, ci in enumerate(class_of):
+            uf.union(class_of.index(ci), m)
+        todo = [(a, b)]
+        while todo:
+            x, y = todo.pop()
+            if uf.union(x, y):
+                todo.extend((f[x], f[y]) for f in maps)
+        roots: dict[int, int] = {}
+        return tuple(roots.setdefault(uf.find(m), len(roots)) for m in range(M.size))
+    return join
+
+
+def is_congruence_simple(M: GammaModule) -> bool:
+    """Supplementary to submodule-simplicity, and what controls quotients: the
+    only congruences are the discrete and total ones, that is |M| ≥ 2 and
+    every principal congruence Cg(a, b) with a ≠ b is total."""
+    join, discrete = _joins(M), tuple(range(M.size))
+    return M.size > 1 and all(max(join(discrete, a, b)) == 0
+                              for a, b in itertools.combinations(discrete, 2))
 
 
 def enumerate_module_congruences(M: GammaModule,
                                  bound: int = DEFAULT_PARTITION_BOUND) -> list[ModuleCongruence]:
-    """All compatible congruences, via restricted-growth partition strings."""
+    """All congruences, in lexicographic order of `class_of`.  Each is a join of
+    principal ones (Freese, Algebra Universalis 59, 2008); after each pair
+    (a, b), `lattice` holds every join of the Cg(a, b) taken so far."""
     if M.size > bound:
         raise BudgetError(f"enumerate_module_congruences: |M| = {M.size} exceeds {bound}")
-    results = []
-    size = M.size
-
-    def grow(prefix: list[int], used: int):
-        if len(prefix) == size:
-            # A restricted-growth string numbers classes by least member.
-            cong = _partition_to_congruence(M, prefix)
-            if cong.compatible:
-                results.append(cong)
-            return
-        for cls in range(used + 1):
-            prefix.append(cls)
-            grow(prefix, max(used, cls + 1) if cls == used else used)
-            prefix.pop()
-
-    grow([], 0)
+    join, discrete = _joins(M), tuple(range(M.size))
+    lattice = {discrete}
+    for a, b in itertools.combinations(discrete, 2):
+        lattice |= {join(theta, a, b) for theta in lattice if theta[a] != theta[b]}
+    results = [_partition_to_congruence(M, class_of) for class_of in sorted(lattice)]
+    if bad := [cong for cong in results if not cong.compatible]:
+        raise RuntimeError(f"enumerate_module_congruences: {bad[0].class_of}: {bad[0].witness}")
     return results
 
 
@@ -703,9 +713,18 @@ class CatalogEntry:
     congruence_simple: bool = False
 
 
+def _iso_invariant(M: GammaModule) -> tuple:
+    """What isomorphisms over one base keep: size, sorted fibre sizes of each
+    action column, multiset of (is zero, #{u: m + u = m}, columns fixing m)."""
+    return (M.size, tuple(tuple(sorted(map(col.count, set(col)))) for col in zip(*M.images)),
+            tuple(sorted((m == M.zero, row.count(m), tuple(v == m for v in M.images[m]))
+                         for m, row in enumerate(M.madd))))
+
+
 def cyclic_module_catalog(S: FiniteTernaryGammaSemiring, lenient: bool = False,
                           partition_bound: int = DEFAULT_PARTITION_BOUND) -> list[CatalogEntry]:
-    """Regular module plus its quotients by compatible congruences, deduplicated."""
+    """Regular module plus its quotients by its congruences, deduplicated by
+    `find_isomorphism` among quotients whose `_iso_invariant` hashes agree."""
     reg = regular_module(S)
     require_module_axioms(reg, lenient, "cyclic_module_catalog")
     quotients: list[GammaModule] = []
@@ -716,14 +735,15 @@ def cyclic_module_catalog(S: FiniteTernaryGammaSemiring, lenient: bool = False,
             quotients.append(quotient_by_congruence(reg, cong,
                                                     name=f"{S.name}-cyclic-q{k}"))
     quotients.sort(key=lambda q: (q.size, q.name))
-    kept: list[GammaModule] = []
+    kept: list[tuple[int, GammaModule]] = []
     for q in quotients:
-        if not any(q.size == other.size and find_isomorphism(q, other) is not None
-                   for other in kept):
-            kept.append(q)
+        key = hash(_iso_invariant(q))
+        if not any(key == other_key and find_isomorphism(q, other) is not None
+                   for other_key, other in kept):
+            kept.append((key, q))
     return [CatalogEntry(module=q, simple=is_simple(q), origin="regular-quotient",
                          congruence_simple=is_congruence_simple(q))
-            for q in kept]
+            for _, q in kept]
 
 
 @dataclass

@@ -13,14 +13,15 @@ import itertools
 import pytest
 
 from tgw import fixtures
-from tgw.core import (AxiomReport, FiniteTernaryGammaSemiring, IdealSet,
-                      PreconditionError, UnionFind, Violation, require_axioms,
-                      structure_from_dict)
+from tgw.core import (AxiomReport, BudgetError, FiniteTernaryGammaSemiring,
+                      IdealSet, PreconditionError, UnionFind, Violation,
+                      require_axioms, structure_from_dict)
 from tgw.homology import (TensorResult, _gen_label, _tensor_generators,
                           _tensor_relations, make_presentation)
 from tgw.ideals import LocalizedSemiring, is_ideal_subset, is_prime
-from tgw.modules import (GammaModule, check_module_axioms, hom_violation,
-                         is_submodule)
+from tgw.modules import (DEFAULT_PARTITION_BOUND, GammaModule, ModuleCongruence,
+                         _partition_to_congruence, check_module_axioms,
+                         hom_violation, is_submodule)
 
 
 @pytest.fixture(scope="session")
@@ -140,6 +141,19 @@ def truncated_naturals(k):
         "name": f"N{k}", "elements": labels, "zero": "0", "unit": "1",
         "gamma": ["g0"], "add": add, "tri": tri,
     })
+
+
+def zsum(n: int) -> FiniteTernaryGammaSemiring:
+    """Z/n with tri(a,x,b,y,c) = a+b+c+x+y mod n and two parameters: it breaks
+    zero absorption and distributivity, so its report is witness-heavy."""
+    g = 2
+    add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    tri = tuple(tuple(tuple(tuple(tuple((a + b + c + x + y) % n for c in range(n))
+                                  for y in range(g)) for b in range(n))
+                      for x in range(g)) for a in range(n))
+    return FiniteTernaryGammaSemiring(
+        name=f"Zsum{n}", elements=tuple(str(i) for i in range(n)), zero=0,
+        unit=None, gamma=("g0", "g1"), add=add, tri=tri)
 
 
 # Non-identity permutations of the three element slots, in a fixed order.
@@ -657,6 +671,47 @@ def loop_congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | No
                                 return False, (f"act: [{m1}]=[{m2}] but images differ "
                                                f"at (a={a},x={ga},y={gb},b={b})")
     return True, None
+
+
+# The restricted-growth partition sweep that `enumerate_module_congruences`
+# and `is_congruence_simple` replaced with principal congruences, kept
+# verbatim (renamed) as references for the differential tests in
+# test_action.py.
+
+def loop_is_congruence_simple(M: GammaModule,
+                              bound: int = DEFAULT_PARTITION_BOUND) -> bool:
+    """Supplementary notion: only the discrete and total congruences exist.
+
+    Distinct from submodule-simplicity; quotients arise from congruences, so
+    this is what controls them.
+    """
+    if M.size <= 1:
+        return False
+    return len(loop_enumerate_module_congruences(M, bound=bound)) == 2
+
+
+def loop_enumerate_module_congruences(
+        M: GammaModule, bound: int = DEFAULT_PARTITION_BOUND) -> list[ModuleCongruence]:
+    """All compatible congruences, via restricted-growth partition strings."""
+    if M.size > bound:
+        raise BudgetError(f"enumerate_module_congruences: |M| = {M.size} exceeds {bound}")
+    results = []
+    size = M.size
+
+    def grow(prefix: list[int], used: int):
+        if len(prefix) == size:
+            # A restricted-growth string numbers classes by least member.
+            cong = _partition_to_congruence(M, prefix)
+            if cong.compatible:
+                results.append(cong)
+            return
+        for cls in range(used + 1):
+            prefix.append(cls)
+            grow(prefix, max(used, cls + 1) if cls == used else used)
+            prefix.pop()
+
+    grow([], 0)
+    return results
 
 
 # The loops that `ideals.is_prime` and `ideals.localize` replaced with

@@ -2,28 +2,34 @@
 
 Every module the package builds is pinned by digest, and each reader of
 `GammaModule.images` is compared with the nested loop it replaced (kept in
-conftest.py as `loop_*`).
+conftest.py as `loop_*`).  The congruence lattice, built from principal
+congruences, is compared with the partition sweep it replaced.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
+import operator
 
 import pytest
 
 from conftest import (all_bundled_modules, chain, loop_annihilator_of_element,
                       loop_congruence_compatible, loop_density_witnesses,
-                      loop_hom_violation, loop_is_submodule,
-                      loop_submodule_closure, truncated_naturals)
+                      loop_enumerate_module_congruences, loop_hom_violation,
+                      loop_is_congruence_simple, loop_is_submodule,
+                      loop_submodule_closure, truncated_naturals, zsum)
 from tgw import fixtures, modules
-from tgw.core import product_structure
+from tgw.core import BudgetError, product_structure
 from tgw.homology import free_module, hom_module, tensor
-from tgw.modules import (_congruence_compatible, act_from_images,
-                         annihilator_of_element, bourne_quotient, density_check,
-                         direct_sum, enumerate_module_congruences,
-                         enumerate_submodules, hom_violation, is_submodule,
+from tgw.modules import (DEFAULT_PARTITION_BOUND, _congruence_compatible,
+                         act_from_images, annihilator_of_element, bourne_quotient,
+                         density_check, direct_sum, enumerate_module_congruences,
+                         enumerate_submodules, hom_violation, is_congruence_simple,
+                         is_submodule, module_from_dict, module_to_dict,
                          quotient_by_congruence, regular_module,
                          serialize_module, sub_module, submodule_closure,
                          zero_module)
@@ -224,3 +230,63 @@ def test_annihilators_and_density_match_loops(M, monkeypatch):
         report = density_check(M, anchor=anchor, rank2=True, lenient=True)
         assert (report.witnesses, report.unsolvable, report.rank2) == \
             loop_density_witnesses(M, anchor, rank2=True)
+
+
+def _congruence_modules():
+    """Every module above, the built modules over B2, B2xB2 and C4, and the
+    regular modules of C5, C6, C8, B2^3 and Zsum5."""
+    b2 = fixtures.bundled_structure("B2")
+    b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
+    built = {f"{S.name}-{kind}": M
+             for S in (b2, fixtures.bundled_structure("B2xB2"), chain(4))
+             for kind, M in built_modules(S).items()}
+    bases = (chain(5), chain(6), chain(8), b2p3, zsum(5))
+    regular = {M.name: M for M in map(regular_module, bases)}
+    return {**{M.name: M for M in DIFF_MODULES}, **built, **regular}
+
+
+CONGRUENCE_MODULES = _congruence_modules()
+
+
+def assert_same_congruences(M):
+    assert enumerate_module_congruences(M) == loop_enumerate_module_congruences(M)
+    assert is_congruence_simple(M) == loop_is_congruence_simple(M)
+
+
+@pytest.mark.parametrize("name", CONGRUENCE_MODULES)
+def test_congruences_match_sweep(name):
+    """Same congruences, in the same order, and the same simplicity verdict;
+    above the partition bound both enumerations refuse."""
+    M = CONGRUENCE_MODULES[name]
+    if M.size <= DEFAULT_PARTITION_BOUND:
+        assert_same_congruences(M)
+        return
+    for enumerate_congruences in (enumerate_module_congruences,
+                                  loop_enumerate_module_congruences):
+        with pytest.raises(BudgetError):
+            enumerate_congruences(M)
+
+
+def entry_perturbations(M):
+    """M with one madd or act entry replaced by each other carrier element,
+    entry by entry."""
+    S = M.base
+    shapes = {"madd": (M.size, M.size), "act": (S.n, S.g, M.size, S.g, S.n)}
+    for key, shape in shapes.items():
+        for *path, last in itertools.product(*map(range, shape)):
+            for label in M.carrier:
+                data = module_to_dict(M)
+                row = functools.reduce(operator.getitem, path, data[key])
+                if row[last] != label:
+                    row[last] = label
+                    yield module_from_dict(data, S)
+
+
+def test_congruences_match_sweep_on_perturbed_c4():
+    """All 240 single-entry perturbations of the regular module of C4; most
+    break its laws, and 214 change its lattice of 8 congruences."""
+    sizes = collections.Counter()
+    for M in entry_perturbations(regular_module(chain(4))):
+        assert_same_congruences(M)
+        sizes[len(enumerate_module_congruences(M))] += 1
+    assert sizes == {3: 16, 4: 40, 5: 56, 6: 102, 8: 26}

@@ -15,24 +15,10 @@ from dataclasses import replace
 import pytest
 
 from conftest import (brute_force_check_axioms, brute_force_check_module_axioms,
-                      chain)
+                      chain, zsum)
 from tgw import fixtures
-from tgw.core import (FiniteTernaryGammaSemiring, check_axioms, product_structure,
-                      reevaluate_violation)
+from tgw.core import check_axioms, product_structure, reevaluate_violation
 from tgw.modules import check_module_axioms, reevaluate_module_violation
-
-
-def zsum(n: int) -> FiniteTernaryGammaSemiring:
-    """Z/n with tri(a,x,b,y,c) = a+b+c+x+y mod n and two parameters: it breaks
-    zero absorption and distributivity, so its report is witness-heavy."""
-    g = 2
-    add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    tri = tuple(tuple(tuple(tuple(tuple((a + b + c + x + y) % n for c in range(n))
-                                  for y in range(g)) for b in range(n))
-                      for x in range(g)) for a in range(n))
-    return FiniteTernaryGammaSemiring(
-        name=f"Zsum{n}", elements=tuple(str(i) for i in range(n)), zero=0,
-        unit=None, gamma=("g0", "g1"), add=add, tri=tri)
 
 
 def _set(table, index, value):

@@ -3,23 +3,24 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_bundled_modules, brute_force_homs, brute_force_submodules
+from conftest import (all_bundled_modules, brute_force_homs, brute_force_submodules,
+                      chain)
 from tgw import fixtures
-from tgw.core import PreconditionError
-from tgw.modules import (GammaModule, ModuleHom, annihilator,
-                         annihilator_of_element, bourne_quotient,
-                         check_module_axioms, cyclic_module_catalog,
-                         density_check, direct_sum, end_semiring,
-                         enumerate_submodules, find_isomorphism, hom_set,
-                         hom_violation, is_faithful, is_semisimple, is_simple,
-                         iso_theorem_suite, jacobson_radical, load_module,
-                         regular_module, reevaluate_module_violation,
-                         serialize_module)
+from tgw.core import PreconditionError, product_structure
+from tgw.modules import (GammaModule, ModuleHom, _iso_invariant, act_from_images,
+                         annihilator, annihilator_of_element, bourne_quotient,
+                         check_module_axioms, cyclic_module_catalog, density_check,
+                         direct_sum, end_semiring, enumerate_module_congruences,
+                         enumerate_submodules, find_isomorphism, hom_set, hom_violation,
+                         is_faithful, is_semisimple, is_simple, iso_theorem_suite,
+                         jacobson_radical, load_module, quotient_by_congruence,
+                         regular_module, reevaluate_module_violation, serialize_module)
 
 
 def test_lawful_modules_pass(b2_reg, b2_t2, b2_zero, b2xb2_reg, b2xb2_zero,
@@ -239,6 +240,39 @@ def test_catalog_dedup_no_bijective_homs(b2, b2xb2):
             bijections = [h for h in hom_set(a.module, b.module)
                           if h.is_bijective()]
             assert not bijections, (a.module.name, b.module.name)
+
+
+def relabelled(M: GammaModule, rng: random.Random) -> tuple[GammaModule, tuple[int, ...]]:
+    """M with its carrier permuted at random, and the permutation, which is
+    an isomorphism onto the result."""
+    perm = list(range(M.size))
+    rng.shuffle(perm)
+    old = sorted(range(M.size), key=perm.__getitem__)
+    N = GammaModule(
+        name=f"{M.name}-relabelled", base=M.base,
+        carrier=tuple(M.carrier[i] for i in old), zero=perm[M.zero],
+        madd=tuple(tuple(perm[M.madd[i][j]] for j in old) for i in old),
+        act=act_from_images(M.base, (tuple(perm[v] for v in M.images[i]) for i in old)),
+        m2_profile=M.m2_profile)
+    return N, tuple(perm)
+
+
+@pytest.mark.parametrize("name", ["C8", "B2^3", "B2xB2"])
+def test_iso_invariant_survives_relabelling(name):
+    """The catalog compares `_iso_invariant` hashes before it searches for an
+    isomorphism, so isomorphic quotients must agree on the invariant."""
+    b2xb2 = fixtures.bundled_structure("B2xB2")
+    S = {"C8": chain(8), "B2xB2": b2xb2,
+         "B2^3": product_structure(b2xb2, fixtures.bundled_structure("B2"), "B2^3")}[name]
+    rng = random.Random(f"relabel-{name}")
+    reg = regular_module(S)
+    for cong in enumerate_module_congruences(reg):
+        M = quotient_by_congruence(reg, cong)
+        N, perm = relabelled(M, rng)
+        assert hom_violation(M, N, perm) is None
+        assert _iso_invariant(N) == _iso_invariant(M), M.name
+        iso = find_isomorphism(M, N)
+        assert iso is not None and iso.is_bijective(), M.name
 
 
 def test_catalog_z3_lenient(z3):
