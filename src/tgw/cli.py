@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import fixtures
-from .core import FixtureError, WorkbenchError, check_axioms
+from .core import BUDGETS, FixtureError, WorkbenchError, check_axioms
 from .geometry import embed, export_graph, valuation_from_dict
 from .homology import (adjunction_check, ext1, homological_semisimplicity,
                        tor1)
@@ -26,16 +26,6 @@ from .modules import (check_module_axioms, cyclic_module_catalog,
                       density_check, jacobson_radical, regular_module)
 
 MAX_PRINTED_VIOLATIONS = 10
-
-
-def _budget(default: int) -> int:
-    raw = os.environ.get("TGW_BUDGET")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise WorkbenchError(f"TGW_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _violation_lines(violations, S, kind="violation"):
@@ -117,7 +107,7 @@ def cmd_check(S, args, out, payload):
 
 
 def cmd_ideals(S, args, out, payload):
-    ideals = enumerate_ideals(S, bound=_budget(12), lenient=args.lenient)
+    ideals = enumerate_ideals(S, lenient=args.lenient)
     out.append(f"{S.name}: {len(ideals)} ideal(s)")
     for ideal in ideals:
         out.append("  {" + ",".join(ideal.labels(S)) + "}")
@@ -126,7 +116,7 @@ def cmd_ideals(S, args, out, payload):
 
 
 def cmd_spec(S, args, out, payload):
-    spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
+    spc = spectrum(S, lenient=args.lenient)
     zar = zariski_report(S, spc)
     out.append(f"{S.name}: {len(spc.points)} prime point(s)")
     for label in spc.point_labels(S):
@@ -208,7 +198,7 @@ def _pick_modules(args, S, count):
 
 def cmd_ext(S, args, out, payload):
     M, N = _pick_modules(args, S, 2)
-    result = ext1(S, M, N, budget=_budget(50000), lenient=args.lenient)
+    result = ext1(S, M, N, lenient=args.lenient)
     out.append(f"Ext1({M.name},{N.name}) = {result.ext1.structure_tag} "
                f"({result.ext1.size} class(es)); "
                f"Ext0 size {result.ext0_size} vs |Hom| {result.hom_size}")
@@ -237,8 +227,7 @@ def cmd_tor(S, args, out, payload):
 
 def cmd_adjunction(S, args, out, payload):
     M, N, P = _pick_modules(args, S, 3)
-    rep = adjunction_check(M, N, P, budget=_budget(50000),
-                           lenient=args.lenient)
+    rep = adjunction_check(M, N, P, lenient=args.lenient)
     out.append(f"|Hom({M.name}(x){N.name},{P.name})| = {rep.lhs_size}, "
                f"|Hom({M.name},Hom({N.name},{P.name}))| = {rep.rhs_size}, "
                f"bijection: {'Yes' if rep.holds else 'No'}")
@@ -254,7 +243,7 @@ def cmd_radical(S, args, out, payload):
 
 
 def cmd_localize(S, args, out, payload):
-    spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
+    spc = spectrum(S, lenient=args.lenient)
     found = False
     for P in spc.points:
         loc = localize(S, P, lenient=args.lenient)
@@ -271,7 +260,7 @@ def cmd_localize(S, args, out, payload):
 
 
 def cmd_gelfand(S, args, out, payload):
-    spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
+    spc = spectrum(S, lenient=args.lenient)
     rep = gelfand_injectivity(S, spc, lenient=args.lenient)
     out.append(f"{S.name}: evaluation map injective: {rep.injective}"
                + (" (vacuous)" if rep.vacuous else ""))
@@ -292,7 +281,7 @@ def _read_json(path):
 
 
 def cmd_embed(S, args, out, payload):
-    spc = spectrum(S, bound=_budget(12), lenient=args.lenient)
+    spc = spectrum(S, lenient=args.lenient)
     valuation = None
     if args.valuation:
         valuation = valuation_from_dict(S, _read_json(args.valuation))
@@ -494,14 +483,21 @@ def main(argv=None) -> int:
         if args.command not in readers and hasattr(args, flag):
             print(f"note: --{flag} is ignored by {args.command}", file=sys.stderr)
     out: list[str] = []
+    saved = dict(BUDGETS)
     try:
+        raw = os.environ.get("TGW_BUDGET")
+        if raw is not None:
+            try:
+                BUDGETS["enum"] = BUDGETS["hom"] = int(raw)
+            except ValueError:
+                raise WorkbenchError(f"TGW_BUDGET must be an integer, "
+                                     f"got {raw!r}") from None
         code, payload = _COMMANDS[args.command](args, out)
-    except WorkbenchError as exc:
+    except (WorkbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        BUDGETS.update(saved)
     if args.command != "embed" and args.format == "json":
         print(json.dumps({"command": args.command, "exit_code": code,
                           "result": payload}, indent=2))

@@ -32,7 +32,20 @@ class FixtureError(WorkbenchError):
 
 
 class BudgetError(WorkbenchError):
-    """An enumeration exceeded its configured bound."""
+    """A search exceeded its limit in `BUDGETS`."""
+
+
+# The limit of every exponential search, by knob: submodule and ideal lattices
+# (|M|), hom-set and isomorphism candidates, congruence lattices (|M|),
+# free-module carriers and group quotients, and tensor state spaces.
+# `cli.main` sets "enum" and "hom" from TGW_BUDGET for one command.
+BUDGETS = {"enum": 12, "hom": 50000, "partition": 8, "carrier": 4096, "state": 200000}
+
+
+def _charge(knob: str, size: int, what: str) -> None:
+    """Raise BudgetError naming `knob` when `size` exceeds its limit."""
+    if size > BUDGETS[knob]:
+        raise BudgetError(f"{what} = {size} exceeds the {knob} limit {BUDGETS[knob]}")
 
 
 class PreconditionError(WorkbenchError):

@@ -19,26 +19,26 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three backends realize the quotient:
   closure of the translates of the remaining relations.
 
 Every presentation records the relation schemas that were imposed, so results
-are auditable.
+are auditable.  Each search charges a limit of `core.BUDGETS`: free-module
+carriers and group quotients "carrier", saturation state spaces "state", and
+hom sets and presentation isomorphisms "hom".
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FiniteTernaryGammaSemiring, BudgetError, PreconditionError,
-                   UnionFind, bourne_classes)
+from .core import (FiniteTernaryGammaSemiring, PreconditionError, UnionFind,
+                   _charge, bourne_classes)
 from .modules import (GammaModule, ModuleHom, act_from_images, check_module_axioms,
                       generating_set, hom_set, hom_violation,
                       require_module_axioms, regular_module, sub_module,
                       is_submodule, cyclic_module_catalog,
-                      jacobson_radical, DEFAULT_HOM_BUDGET)
-
-DEFAULT_CARRIER_BUDGET = 4096
-DEFAULT_STATE_BUDGET = 200000
+                      jacobson_radical)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +106,7 @@ def find_presentation_isomorphism(A: MonoidPresentation, B: MonoidPresentation):
     if A.size != B.size:
         return None
     n = A.size
+    _charge("hom", math.factorial(n - 1), "find_presentation_isomorphism: candidates")
     for perm in itertools.permutations(range(n)):
         if perm[A.zero] != B.zero:
             continue
@@ -145,14 +146,11 @@ def free_carrier_tuples(S: FiniteTernaryGammaSemiring, r: int) -> list[tuple[int
     return list(itertools.product(range(S.n), repeat=r))
 
 
-def free_module(S: FiniteTernaryGammaSemiring, r: int,
-                budget: int = DEFAULT_CARRIER_BUDGET) -> GammaModule:
+def free_module(S: FiniteTernaryGammaSemiring, r: int) -> GammaModule:
     """Rank-r free module: carrier T^r with componentwise tables."""
     if S.unit is None:
         raise PreconditionError("free_module: structure has no unit for basis vectors")
-    size = S.n ** r
-    if size > budget:
-        raise BudgetError(f"free_module: carrier size {size} exceeds budget {budget}")
+    _charge("carrier", S.n ** r, "free_module: carrier size")
     tuples = free_carrier_tuples(S, r)
     idx = {t: k for k, t in enumerate(tuples)}
     if r == 0:
@@ -189,11 +187,11 @@ class FreeResolution:
     notes: tuple[str, ...]
 
 
-def _covering_map(S, target: GammaModule, gens, params, budget):
+def _covering_map(S, target: GammaModule, gens, params):
     """Free module on `gens` with the evaluation map sending (a_i) to
     sum_i act(a_i, x0, gens_i, y0, unit) inside `target`."""
     x0, y0 = params
-    p = free_module(S, len(gens), budget)
+    p = free_module(S, len(gens))
     col = {q[0]: k for k, q in enumerate(S.quads) if q[1:] == (x0, y0, S.unit)}
     mapping = tuple(target.sum_of(target.images[g][col[a]] for a, g in zip(tup, gens))
                     for tup in free_carrier_tuples(S, len(gens)))
@@ -208,7 +206,6 @@ def _submodule_generators(M: GammaModule, members: frozenset[int]) -> tuple[int,
 
 def free_resolution(S: FiniteTernaryGammaSemiring, M: GammaModule,
                     params: tuple[int, int] = (0, 0),
-                    budget: int = DEFAULT_CARRIER_BUDGET,
                     lenient: bool = False) -> FreeResolution:
     """Two-step free resolution P2 -> P1 -> P0 -> M with exactness checks."""
     if S.unit is None:
@@ -216,7 +213,7 @@ def free_resolution(S: FiniteTernaryGammaSemiring, M: GammaModule,
     require_module_axioms(M, lenient, "free_resolution")
     notes = []
     gens = generating_set(M)
-    p0, aug_map = _covering_map(S, M, gens, params, budget)
+    p0, aug_map = _covering_map(S, M, gens, params)
     aug_ok = hom_violation(p0, M, aug_map) is None
     if not aug_ok:
         notes.append("augmentation fails the homomorphism laws")
@@ -229,7 +226,7 @@ def free_resolution(S: FiniteTernaryGammaSemiring, M: GammaModule,
         raise PreconditionError("free_resolution: kernel of the augmentation "
                                 "is not a submodule")
     k_gens = _submodule_generators(p0, ker0)
-    p1, d1_map = _covering_map(S, p0, k_gens, params, budget)
+    p1, d1_map = _covering_map(S, p0, k_gens, params)
     if hom_violation(p1, p0, d1_map) is not None:
         notes.append("d1 fails the homomorphism laws")
     exact0 = frozenset(d1_map) == ker0
@@ -240,7 +237,7 @@ def free_resolution(S: FiniteTernaryGammaSemiring, M: GammaModule,
     if not is_submodule(p1, ker1):
         raise PreconditionError("free_resolution: kernel of d1 is not a submodule")
     k1_gens = _submodule_generators(p1, ker1)
-    p2, d2_map = _covering_map(S, p1, k1_gens, params, budget)
+    p2, d2_map = _covering_map(S, p1, k1_gens, params)
     if hom_violation(p2, p1, d2_map) is not None:
         notes.append("d2 fails the homomorphism laws")
     exact1 = frozenset(d2_map) == ker1
@@ -516,8 +513,7 @@ def _smith_diagonal(rows, n):
     return diag[:n], V
 
 
-def _tensor_group(M: GammaModule, N: GammaModule, name, rels, descriptions,
-                  budget=DEFAULT_CARRIER_BUDGET):
+def _tensor_group(M: GammaModule, N: GammaModule, name, rels, descriptions):
     gens, gidx = _tensor_generators(M, N)
     G = len(gens)
     rows = []
@@ -555,8 +551,7 @@ def _tensor_group(M: GammaModule, N: GammaModule, name, rels, descriptions,
     size = 1
     for j in live:
         size *= diag[j]
-    if size > budget:
-        raise BudgetError(f"{name}: group quotient of order {size} exceeds budget")
+    _charge("carrier", size, f"{name}: group quotient order")
     classes = list(itertools.product(*[range(diag[j]) for j in live]))
     index = {c: k for k, c in enumerate(classes)}
     add_rows = [[index[tuple((a[t] + b[t]) % diag[j] for t, j in enumerate(live))]
@@ -619,9 +614,7 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, descriptions)
     A, B = (N, M) if flip else (M, N)
     E, cols = A.size, B.size
     total = (E + 1) ** cols
-    if total > DEFAULT_STATE_BUDGET:
-        raise BudgetError(f"{name}: tensor state space of {total} states exceeds "
-                          f"budget {DEFAULT_STATE_BUDGET}")
+    _charge("state", total, f"{name}: tensor states")
     plus = np.empty((E + 1, E + 1), dtype=np.int64)
     plus[:E, :E] = A.madd
     plus[E, :] = plus[:, E] = np.arange(E + 1)
@@ -704,8 +697,8 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
     `auto` picks the idempotent backend when both additions are idempotent,
     the group backend when both are groups, and otherwise the exact
     `saturation` backend, which takes every pair and charges its state count
-    to `DEFAULT_STATE_BUDGET`.  Only the group backend leaves out the induced
-    module, unless its quotient is trivial."""
+    to the "state" limit of `core.BUDGETS`.  Only the group backend leaves
+    out the induced module, unless its quotient is trivial."""
     if M.base != N.base:
         raise PreconditionError("tensor: modules live over different bases")
     require_module_axioms(M, lenient, "tensor")
@@ -787,12 +780,11 @@ class ExtResult:
 
 
 def ext1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
-         params: tuple[int, int] = (0, 0), budget: int = DEFAULT_HOM_BUDGET,
-         lenient: bool = False) -> ExtResult:
+         params: tuple[int, int] = (0, 0), lenient: bool = False) -> ExtResult:
     """Cycles modulo boundaries of the dualized two-step resolution."""
     res = free_resolution(S, M, params=params, lenient=lenient)
-    homs0 = hom_set(res.p0, N, budget=budget)
-    homs1 = hom_set(res.p1, N, budget=budget)
+    homs0 = hom_set(res.p0, N)
+    homs1 = hom_set(res.p1, N)
     idx1 = {f.map: k for k, f in enumerate(homs1)}
     notes = list(res.notes)
 
@@ -830,7 +822,7 @@ def ext1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
                    "quotient: Bourne congruence of the boundary submonoid"))
 
     ext0 = [f for f in homs0 if f.after(res.d1).is_zero]
-    hom_mn = hom_set(M, N, budget=budget)
+    hom_mn = hom_set(M, N)
     return ExtResult(ext1=pres, ext0_size=len(ext0), hom_size=len(hom_mn),
                      ext0_matches_hom=len(ext0) == len(hom_mn), resolution=res,
                      cycle_count=len(cycles), boundary_count=len(sub),
@@ -899,10 +891,9 @@ def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
 # ---------------------------------------------------------------------------
 # Hom modules, adjunction, internal ternary hom
 
-def hom_module(N: GammaModule, P: GammaModule,
-               budget: int = DEFAULT_HOM_BUDGET) -> tuple[GammaModule, tuple[ModuleHom, ...]]:
+def hom_module(N: GammaModule, P: GammaModule) -> tuple[GammaModule, tuple[ModuleHom, ...]]:
     """Hom(N, P) as a module: pointwise addition, action through the target."""
-    homs = hom_set(N, P, budget=budget)
+    homs = hom_set(N, P)
     index = {f.map: k for k, f in enumerate(homs)}
     S = N.base
     zero_map = tuple(P.zero for _ in range(N.size))
@@ -949,7 +940,6 @@ class AdjunctionReport:
 
 
 def adjunction_check(M: GammaModule, N: GammaModule, P: GammaModule,
-                     budget: int = DEFAULT_HOM_BUDGET,
                      lenient: bool = False) -> AdjunctionReport:
     """Explicit currying bijection between Hom(M⊗N, P) and Hom(M, Hom(N, P))."""
     t = tensor(M, N, lenient=lenient)
@@ -957,9 +947,9 @@ def adjunction_check(M: GammaModule, N: GammaModule, P: GammaModule,
     if t.module is None:
         raise PreconditionError("adjunction_check: tensor backend produced no "
                                 "induced module")
-    lhs = hom_set(t.module, P, budget=budget)
-    hmod, nphoms = hom_module(N, P, budget=budget)
-    rhs = hom_set(M, hmod, budget=budget)
+    lhs = hom_set(t.module, P)
+    hmod, nphoms = hom_module(N, P)
+    rhs = hom_set(M, hmod)
     np_index = {h.map: k for k, h in enumerate(nphoms)}
     rhs_index = {h.map: k for k, h in enumerate(rhs)}
     lhs_index = {h.map: k for k, h in enumerate(lhs)}
@@ -1036,12 +1026,11 @@ class InternalHomReport:
                 "failures": [list(f) for f in self.failures]}
 
 
-def internal_hom_ternary(N: GammaModule,
-                         budget: int = DEFAULT_HOM_BUDGET) -> InternalHomReport:
+def internal_hom_ternary(N: GammaModule) -> InternalHomReport:
     """Pointwise ternary product {f,g,h} on hom maps into the regular module."""
     S = N.base
     reg = regular_module(S)
-    homs = hom_set(N, reg, budget=budget)
+    homs = hom_set(N, reg)
     index = {f.map: k for k, f in enumerate(homs)}
     table = {}
     failures = []

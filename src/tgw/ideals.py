@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FiniteTernaryGammaSemiring, BudgetError, IdealSet,
-                   PreconditionError, require_axioms)
-from .modules import (DEFAULT_ENUM_BOUND, enumerate_submodules, is_submodule,
-                      regular_module, submodule_closure)
+from .core import (FiniteTernaryGammaSemiring, IdealSet, PreconditionError,
+                   _charge, require_axioms)
+from .modules import (enumerate_submodules, is_submodule, regular_module,
+                      submodule_closure)
 
 
 def is_ideal_subset(S: FiniteTernaryGammaSemiring, members: frozenset[int]) -> bool:
@@ -27,15 +27,14 @@ def ideal_closure(S: FiniteTernaryGammaSemiring, seed) -> IdealSet:
     return IdealSet(submodule_closure(regular_module(S), seed), is_ideal=True)
 
 
-def enumerate_ideals(S: FiniteTernaryGammaSemiring, bound: int = DEFAULT_ENUM_BOUND,
+def enumerate_ideals(S: FiniteTernaryGammaSemiring,
                      lenient: bool = False) -> list[IdealSet]:
     """All ideals, ordered by size then members; tests cross-check against the
     all-subsets filter."""
-    if S.n > bound:
-        raise BudgetError(f"enumerate_ideals: |T| = {S.n} exceeds bound {bound}")
+    _charge("enum", S.n, "enumerate_ideals: |T|")
     require_axioms(S, lenient, "enumerate_ideals")
     return [IdealSet(members, is_ideal=True)
-            for members in enumerate_submodules(regular_module(S), bound)]
+            for members in enumerate_submodules(regular_module(S))]
 
 
 def is_prime(S: FiniteTernaryGammaSemiring, I: IdealSet) -> bool:
@@ -72,9 +71,8 @@ class SpectrumSpace:
         }
 
 
-def spectrum(S: FiniteTernaryGammaSemiring, bound: int = DEFAULT_ENUM_BOUND,
-             lenient: bool = False) -> SpectrumSpace:
-    ideals = enumerate_ideals(S, bound=bound, lenient=lenient)
+def spectrum(S: FiniteTernaryGammaSemiring, lenient: bool = False) -> SpectrumSpace:
+    ideals = enumerate_ideals(S, lenient=lenient)
     proper = [i for i in ideals if len(i.members) < S.n]
     for ideal in ideals:
         ideal.is_ideal = True

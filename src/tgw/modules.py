@@ -25,14 +25,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
-                   BudgetError, IdealSet, Law, PreconditionError, Violation, _Table,
-                   UnionFind, _check_laws, _reevaluate, _structure_tables,
+                   IdealSet, Law, PreconditionError, Violation, _Table,
+                   UnionFind, _charge, _check_laws, _reevaluate, _structure_tables,
                    bourne_classes, check_axioms, label_array, read_labels)
-
-DEFAULT_ENUM_BOUND = 12
-DEFAULT_HOM_BUDGET = 50000
-DEFAULT_PARTITION_BOUND = 8
-
 
 @dataclass(frozen=True)
 class GammaModule:
@@ -167,9 +162,8 @@ def is_submodule(M: GammaModule, members: frozenset[int]) -> bool:
     return all(members.issuperset(M.images[m]) for m in members)
 
 
-def enumerate_submodules(M: GammaModule, bound: int = DEFAULT_ENUM_BOUND) -> list[frozenset[int]]:
-    if M.size > bound:
-        raise BudgetError(f"enumerate_submodules: |M| = {M.size} exceeds bound {bound}")
+def enumerate_submodules(M: GammaModule) -> list[frozenset[int]]:
+    _charge("enum", M.size, "enumerate_submodules: |M|")
     found: set[frozenset[int]] = set()
     queue = [submodule_closure(M, ())]
     while queue:
@@ -183,7 +177,7 @@ def enumerate_submodules(M: GammaModule, bound: int = DEFAULT_ENUM_BOUND) -> lis
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def is_simple(M: GammaModule, bound: int = DEFAULT_ENUM_BOUND) -> bool:
+def is_simple(M: GammaModule) -> bool:
     """No submodules besides the zero singleton and the whole carrier.
 
     Stated this way (rather than "exactly two submodules") because the zero
@@ -194,7 +188,7 @@ def is_simple(M: GammaModule, bound: int = DEFAULT_ENUM_BOUND) -> bool:
         return False
     full = frozenset(range(M.size))
     zero_only = frozenset((M.zero,))
-    return all(s in (zero_only, full) for s in enumerate_submodules(M, bound))
+    return all(s in (zero_only, full) for s in enumerate_submodules(M))
 
 
 def sub_module(M: GammaModule, members: frozenset[int], name: str | None = None) -> GammaModule:
@@ -291,8 +285,7 @@ def _propagate(M: GammaModule, N: GammaModule, gens, images):
     return tuple(known[i] for i in range(M.size))
 
 
-def hom_set(M: GammaModule, N: GammaModule,
-            budget: int = DEFAULT_HOM_BUDGET) -> tuple[ModuleHom, ...]:
+def hom_set(M: GammaModule, N: GammaModule) -> tuple[ModuleHom, ...]:
     """All verified homomorphisms M -> N, ordered by mapping tuple.
 
     Candidates are generated from generator images and propagated through the
@@ -301,9 +294,7 @@ def hom_set(M: GammaModule, N: GammaModule,
     if M.base is not N.base and M.base != N.base:
         raise PreconditionError("hom_set: modules live over different bases")
     gens = generating_set(M)
-    candidates = N.size ** len(gens)
-    if candidates > budget:
-        raise BudgetError(f"hom_set: {candidates} candidates exceed budget {budget}")
+    _charge("hom", N.size ** len(gens), "hom_set: candidates")
     maps = set()
     for images in itertools.product(range(N.size), repeat=len(gens)):
         total = _propagate(M, N, gens, images)
@@ -384,10 +375,9 @@ class EndReport:
                 "add_closed": self.add_closed}
 
 
-def end_semiring(M: GammaModule, lenient: bool = False,
-                 budget: int = DEFAULT_HOM_BUDGET) -> EndReport:
+def end_semiring(M: GammaModule, lenient: bool = False) -> EndReport:
     require_module_axioms(M, lenient, "end_semiring")
-    homs = hom_set(M, M, budget=budget)
+    homs = hom_set(M, M)
     index = {f.map: k for k, f in enumerate(homs)}
     add_rows = tuple(tuple(index.get(tuple(M.madd[u][v] for u, v in zip(f.map, g_h.map)))
                            for g_h in homs) for f in homs)
@@ -582,13 +572,11 @@ def is_congruence_simple(M: GammaModule) -> bool:
                               for a, b in itertools.combinations(discrete, 2))
 
 
-def enumerate_module_congruences(M: GammaModule,
-                                 bound: int = DEFAULT_PARTITION_BOUND) -> list[ModuleCongruence]:
+def enumerate_module_congruences(M: GammaModule) -> list[ModuleCongruence]:
     """All congruences, in lexicographic order of `class_of`.  Each is a join of
     principal ones (Freese, Algebra Universalis 59, 2008); after each pair
     (a, b), `lattice` holds every join of the Cg(a, b) taken so far."""
-    if M.size > bound:
-        raise BudgetError(f"enumerate_module_congruences: |M| = {M.size} exceeds {bound}")
+    _charge("partition", M.size, "enumerate_module_congruences: |M|")
     join, discrete = _joins(M), tuple(range(M.size))
     lattice = {discrete}
     for a, b in itertools.combinations(discrete, 2):
@@ -721,14 +709,14 @@ def _iso_invariant(M: GammaModule) -> tuple:
                          for m, row in enumerate(M.madd))))
 
 
-def cyclic_module_catalog(S: FiniteTernaryGammaSemiring, lenient: bool = False,
-                          partition_bound: int = DEFAULT_PARTITION_BOUND) -> list[CatalogEntry]:
+def cyclic_module_catalog(S: FiniteTernaryGammaSemiring,
+                          lenient: bool = False) -> list[CatalogEntry]:
     """Regular module plus its quotients by its congruences, deduplicated by
     `find_isomorphism` among quotients whose `_iso_invariant` hashes agree."""
     reg = regular_module(S)
     require_module_axioms(reg, lenient, "cyclic_module_catalog")
     quotients: list[GammaModule] = []
-    for k, cong in enumerate(enumerate_module_congruences(reg, bound=partition_bound)):
+    for k, cong in enumerate(enumerate_module_congruences(reg)):
         if cong.size == reg.size:
             quotients.append(reg)
         else:
@@ -779,11 +767,11 @@ class SemisimplicityReport:
     family: tuple[tuple[int, ...], ...]
 
 
-def is_semisimple(M: GammaModule, bound: int = DEFAULT_ENUM_BOUND) -> SemisimplicityReport:
+def is_semisimple(M: GammaModule) -> SemisimplicityReport:
     """Search for simple submodules with trivial pairwise meets whose sum map
     is a bijection onto M; the empty family certifies the zero module."""
-    subs = enumerate_submodules(M, bound=bound)
-    simple_subs = [s for s in subs if is_simple(sub_module(M, s), bound=bound)]
+    subs = enumerate_submodules(M)
+    simple_subs = [s for s in subs if is_simple(sub_module(M, s))]
     zero_only = {M.zero}
     for k in range(len(simple_subs) + 1):
         for family in itertools.combinations(simple_subs, k):

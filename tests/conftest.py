@@ -13,13 +13,13 @@ import itertools
 import pytest
 
 from tgw import fixtures
-from tgw.core import (AxiomReport, BudgetError, FiniteTernaryGammaSemiring,
+from tgw.core import (BUDGETS, AxiomReport, BudgetError, FiniteTernaryGammaSemiring,
                       IdealSet, PreconditionError, UnionFind, Violation,
                       require_axioms, structure_from_dict)
 from tgw.homology import (TensorResult, _gen_label, _tensor_generators,
                           _tensor_relations, make_presentation)
 from tgw.ideals import LocalizedSemiring, is_ideal_subset, is_prime
-from tgw.modules import (DEFAULT_PARTITION_BOUND, GammaModule, ModuleCongruence,
+from tgw.modules import (GammaModule, ModuleCongruence,
                          _partition_to_congruence, check_module_axioms,
                          hom_violation, is_submodule)
 
@@ -679,7 +679,7 @@ def loop_congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | No
 # test_action.py.
 
 def loop_is_congruence_simple(M: GammaModule,
-                              bound: int = DEFAULT_PARTITION_BOUND) -> bool:
+                              bound: int = BUDGETS["partition"]) -> bool:
     """Supplementary notion: only the discrete and total congruences exist.
 
     Distinct from submodule-simplicity; quotients arise from congruences, so
@@ -691,7 +691,7 @@ def loop_is_congruence_simple(M: GammaModule,
 
 
 def loop_enumerate_module_congruences(
-        M: GammaModule, bound: int = DEFAULT_PARTITION_BOUND) -> list[ModuleCongruence]:
+        M: GammaModule, bound: int = BUDGETS["partition"]) -> list[ModuleCongruence]:
     """All compatible congruences, via restricted-growth partition strings."""
     if M.size > bound:
         raise BudgetError(f"enumerate_module_congruences: |M| = {M.size} exceeds {bound}")

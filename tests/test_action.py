@@ -23,9 +23,9 @@ from conftest import (all_bundled_modules, chain, loop_annihilator_of_element,
                       loop_is_congruence_simple, loop_is_submodule,
                       loop_submodule_closure, truncated_naturals, zsum)
 from tgw import fixtures, modules
-from tgw.core import BudgetError, product_structure
+from tgw.core import BUDGETS, BudgetError, product_structure
 from tgw.homology import free_module, hom_module, tensor
-from tgw.modules import (DEFAULT_PARTITION_BOUND, _congruence_compatible,
+from tgw.modules import (_congruence_compatible,
                          act_from_images, annihilator_of_element, bourne_quotient,
                          density_check, direct_sum, enumerate_module_congruences,
                          enumerate_submodules, hom_violation, is_congruence_simple,
@@ -39,7 +39,9 @@ def built_modules(S):
     """One module from each builder of the package, over S."""
     reg = regular_module(S)
     twice = direct_sum(reg, reg)
-    subs = enumerate_submodules(twice, bound=twice.size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(BUDGETS, "enum", twice.size)
+        subs = enumerate_submodules(twice)
     middle = subs[len(subs) // 2]
     congs = enumerate_module_congruences(reg)
     return {
@@ -258,7 +260,7 @@ def test_congruences_match_sweep(name):
     """Same congruences, in the same order, and the same simplicity verdict;
     above the partition bound both enumerations refuse."""
     M = CONGRUENCE_MODULES[name]
-    if M.size <= DEFAULT_PARTITION_BOUND:
+    if M.size <= BUDGETS["partition"]:
         assert_same_congruences(M)
         return
     for enumerate_congruences in (enumerate_module_congruences,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import chain
 from tgw import fixtures
 from tgw.cli import main
-from tgw.core import product_structure, structure_to_dict
+from tgw.core import BUDGETS, product_structure, structure_to_dict
 from tgw.ideals import spectrum
 from tgw.modules import module_to_dict
 
@@ -636,6 +636,33 @@ def _mutate(tree, path, how):
 _LEAVES = (None, True, False, math.nan, -1, 99, "no-such-label", [])
 
 
+def _check_mutated_file(tree, labels, data, runs):
+    """Run each of `runs` (argv, with FILE for the file) on `tree` with one
+    node dropped, shortened or replaced: the run exits 0, 1 or 2, and exit 2
+    prints exactly one error line and no traceback."""
+    nodes = [(path, node) for path, node in _nodes(tree) if path]
+    path, node = data.draw(st.sampled_from(nodes))
+    kinds = ["shorten"] if isinstance(node, list) and node else []
+    if len(path) == 1:
+        kinds.append("drop")
+    if not isinstance(node, (dict, list)):
+        kinds.extend([*_LEAVES, *labels])
+    mutated = _mutate(tree, path, data.draw(st.sampled_from(kinds)))
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = Path(tmp) / "mutated.json"
+        fixture.write_text(json.dumps(mutated), encoding="utf-8")
+        for argv in runs:
+            argv = [str(fixture) if arg == "FILE" else arg for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, mutated)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+                assert "Traceback" not in err.getvalue()
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.sampled_from(("b2.json", "b2xb2.json")), st.data())
 def test_malformed_structures_exit_cleanly(filename, data):
@@ -644,26 +671,21 @@ def test_malformed_structures_exit_cleanly(filename, data):
     leaves a well-formed file whose laws may fail, which the lenient
     commands analyse to the end."""
     tree = json.loads(fixtures._data_text(filename))
-    nodes = [(path, node) for path, node in _nodes(tree) if path]
-    path, node = data.draw(st.sampled_from(nodes))
-    kinds = ["shorten"] if isinstance(node, list) and node else []
-    if len(path) == 1:
-        kinds.append("drop")
-    if not isinstance(node, (dict, list)):
-        kinds.extend([*_LEAVES, *tree["elements"]])
-    mutated = _mutate(tree, path, data.draw(st.sampled_from(kinds)))
-    with tempfile.TemporaryDirectory() as tmp:
-        fixture = Path(tmp) / "mutated.json"
-        fixture.write_text(json.dumps(mutated), encoding="utf-8")
-        for argv in (["check"], ["spec", "--lenient"], ["localize", "--lenient"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([argv[0], str(fixture), *argv[1:]])
-            assert code in (0, 1, 2), (argv, mutated)
-            if code == 2:
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
-                assert "Traceback" not in err.getvalue()
+    _check_mutated_file(tree, tree["elements"], data,
+                        (["check", "FILE"], ["spec", "FILE", "--lenient"],
+                         ["localize", "FILE", "--lenient"]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(("b2_t2.json", "b2xb2_regular.json")), st.data())
+def test_malformed_modules_exit_cleanly(filename, data):
+    """The same for module files, loaded over their bundled base by the
+    module reader and by the lenient density analysis."""
+    tree = json.loads(fixtures._data_text(filename))
+    base = tree["base"]
+    _check_mutated_file(tree, tree["carrier"], data,
+                        (["modules", base, "--module", "FILE"],
+                         ["density", base, "--lenient", "--module", "FILE"]))
 
 
 def test_exit_2_on_budget(capsys, monkeypatch):
@@ -671,6 +693,20 @@ def test_exit_2_on_budget(capsys, monkeypatch):
     assert main(["ideals", "B2xB2"]) == 2
     monkeypatch.setenv("TGW_BUDGET", "notanint")
     assert main(["ideals", "B2"]) == 2
+
+
+def test_budget_applies_to_every_command_for_one_call(capsys, monkeypatch):
+    """TGW_BUDGET sets the enum and hom limits for the whole command, also
+    where the search sits below the catalog, and the limits are restored
+    when the command ends."""
+    defaults = dict(BUDGETS)
+    monkeypatch.setenv("TGW_BUDGET", "1")
+    assert main(["simples", "B2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "enum limit 1" in err[0]
+    assert BUDGETS == defaults
+    monkeypatch.delenv("TGW_BUDGET")
+    assert main(["simples", "B2"]) == 0
 
 
 def test_json_mode_all_commands(capsys):

@@ -8,15 +8,16 @@ import pytest
 
 from tgw import fixtures
 from tgw.cli import main
-from tgw.core import BudgetError, PreconditionError, serialize_structure
+from tgw.core import BUDGETS, BudgetError, PreconditionError, serialize_structure
 from tgw.homology import (_smith_diagonal, adjunction_check, ext1,
                           find_presentation_isomorphism, free_module,
                           free_resolution, homological_semisimplicity,
                           internal_hom_ternary, make_presentation, tensor,
                           tensor_induced_map, tor1)
+from tgw.ideals import enumerate_ideals
 from tgw.modules import (GammaModule, act_from_images, check_module_axioms,
-                         cyclic_module_catalog, find_isomorphism, hom_violation,
-                         regular_module)
+                         cyclic_module_catalog, enumerate_module_congruences,
+                         find_isomorphism, hom_set, hom_violation, regular_module)
 
 from conftest import (all_bundled_modules, brute_force_tensor_idempotent, chain,
                       integers_mod, truncated_naturals)
@@ -41,6 +42,43 @@ def test_free_module_requires_unit(z3):
 def test_free_module_budget(b2):
     with pytest.raises(BudgetError):
         free_module(b2, 20)
+
+
+@pytest.mark.parametrize("knob", sorted(BUDGETS))
+def test_each_budget_names_its_limit(knob, b2, b2_reg, monkeypatch):
+    """Lowering one limit makes its search raise a BudgetError that names the
+    limit; with the limit restored the same search runs."""
+    search = {"enum": lambda: enumerate_ideals(b2),
+              "hom": lambda: hom_set(b2_reg, b2_reg),
+              "partition": lambda: enumerate_module_congruences(b2_reg),
+              "carrier": lambda: free_module(b2, 2),
+              "state": lambda: tensor(b2_reg, b2_reg, backend="saturation")}[knob]
+    with monkeypatch.context() as mp:
+        mp.setitem(BUDGETS, knob, 1)
+        with pytest.raises(BudgetError, match=f"exceeds the {knob} limit 1$"):
+            search()
+    search()
+
+
+def test_presentation_isomorphism_charges_hom(monkeypatch):
+    """The (n-1)! zero-fixing bijections are charged to "hom" before the
+    search: a 4-class pair needs a limit of 3! = 6."""
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    relabel = (0, 2, 3, 1)
+    twisted = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            twisted[relabel[i]][relabel[j]] = relabel[z4[i][j]]
+    A = make_presentation("A", "abcd", "abcd", z4, 0)
+    B = make_presentation("B", "abcd", "abcd", twisted, 0)
+    monkeypatch.setitem(BUDGETS, "hom", 5)
+    with pytest.raises(BudgetError, match="hom limit 5"):
+        find_presentation_isomorphism(A, B)
+    monkeypatch.setitem(BUDGETS, "hom", 6)
+    perm = find_presentation_isomorphism(A, B)
+    assert perm is not None and perm[0] == 0
+    assert all(perm[z4[i][j]] == twisted[perm[i]][perm[j]]
+               for i in range(4) for j in range(4))
 
 
 def test_resolution_b2_regular(b2, b2_reg):

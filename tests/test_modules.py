@@ -326,12 +326,14 @@ def test_m2_nested_profile(b2, b2_reg):
     assert any(v.law == "m2-nested" for v in report.violations)
 
 
-def test_enumeration_budgets(b2_t2):
-    from tgw.core import BudgetError
+def test_enumeration_budgets(b2_t2, monkeypatch):
+    from tgw.core import BUDGETS, BudgetError
+    monkeypatch.setitem(BUDGETS, "enum", 2)
     with pytest.raises(BudgetError):
-        enumerate_submodules(b2_t2, bound=2)
+        enumerate_submodules(b2_t2)
+    monkeypatch.setitem(BUDGETS, "hom", 1)
     with pytest.raises(BudgetError):
-        hom_set(b2_t2, b2_t2, budget=1)
+        hom_set(b2_t2, b2_t2)
 
 
 def test_congruence_simplicity_supplementary(b2_reg, b2xb2_reg, z3_reg):
