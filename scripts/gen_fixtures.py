@@ -53,12 +53,10 @@ def build_z3() -> FiniteTernaryGammaSemiring:
 
 def build_z3_regular(z3: FiniteTernaryGammaSemiring) -> GammaModule:
     """Carrier Z3 with act(a,x,m,y,b) = a+m+b+x+y (mod 3)."""
-    n, g = 3, 2
-    act = tuple(tuple(tuple(tuple(tuple((a + m + b + x + y) % n for b in range(n))
-                                  for y in range(g)) for m in range(n))
-                      for x in range(g)) for a in range(n))
+    images = tuple(tuple((a + m + b + x + y) % 3 for a, x, y, b in z3.quads)
+                   for m in range(3))
     return GammaModule(name="Z3-regular", base=z3, carrier=("0", "1", "2"),
-                       zero=0, madd=z3.add, act=act, m2_profile="none")
+                       zero=0, madd=z3.add, images=images, m2_profile="none")
 
 
 def main() -> None:

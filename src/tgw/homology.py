@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import (FiniteTernaryGammaSemiring, PreconditionError, UnionFind,
                    _charge, bourne_classes)
-from .modules import (GammaModule, ModuleHom, act_from_images, check_module_axioms,
+from .modules import (GammaModule, ModuleHom, check_module_axioms,
                       generating_set, hom_set, hom_violation,
                       require_module_axioms, regular_module, sub_module,
                       is_submodule, cyclic_module_catalog,
@@ -162,11 +162,11 @@ def free_module(S: FiniteTernaryGammaSemiring, r: int) -> GammaModule:
     madd = tuple(tuple(idx[tuple(S.add[a[i]][b[i]] for i in range(r))] for b in tuples)
                  for a in tuples)
     reg = regular_module(S).images
-    act = act_from_images(S, (tuple(idx[tuple(reg[e][k] for e in t)]
-                                    for k in range(len(S.quads))) for t in tuples))
+    images = tuple(tuple(idx[tuple(reg[e][k] for e in t)] for k in range(len(S.quads)))
+                   for t in tuples)
     return GammaModule(name=f"{S.name}^{r}", base=S, carrier=labels,
                        zero=idx[tuple(S.zero for _ in range(r))],
-                       madd=madd, act=act, m2_profile="none")
+                       madd=madd, images=images, m2_profile="none")
 
 
 @dataclass
@@ -287,18 +287,16 @@ def _tensor_relations(M: GammaModule, N: GammaModule):
                     rels.append((lhs, rhs))
     # The balance relations keep this nesting order rather than the order of
     # `images`: the group backend's diagonalization follows the relation order.
-    balance = 0
-    for a in range(S.n):
-        for x in range(S.g):
-            for m in range(M.size):
-                for y in range(S.g):
-                    for b in range(S.n):
-                        for n in range(N.size):
-                            balance += 1
-                            lhs = {(M.act[a][x][m][y][b], n): 1}
-                            rhs = {(m, N.act[a][x][n][y][b]): 1}
-                            if lhs != rhs:
-                                rels.append((lhs, rhs))
+    col = {q: k for k, q in enumerate(S.quads)}
+    for a, x, m, y, b in itertools.product(range(S.n), range(S.g), range(M.size),
+                                           range(S.g), range(S.n)):
+        k = col[a, x, y, b]
+        for n in range(N.size):
+            lhs = {(M.images[m][k], n): 1}
+            rhs = {(m, N.images[n][k]): 1}
+            if lhs != rhs:
+                rels.append((lhs, rhs))
+    balance = len(S.quads) * M.size * N.size
     descriptions = (
         f"(m+m')⊗n ~ m⊗n + m'⊗n for all m,m' in {M.name}, n in {N.name}",
         f"m⊗(n+n') ~ m⊗n + m⊗n' for all m in {M.name}, n,n' in {N.name}",
@@ -344,8 +342,7 @@ def _with_induced_module(M: GammaModule, pres: MonoidPresentation, images,
     addition, with `images[c]` the classes of act(a, x, c, y, b) over the
     base's quads; a module that fails the module axioms clears `action_ok`."""
     module = GammaModule(name=pres.name, base=M.base, carrier=pres.classes,
-                         zero=pres.zero, madd=pres.add,
-                         act=act_from_images(M.base, images))
+                         zero=pres.zero, madd=pres.add, images=tuple(map(tuple, images)))
     if check_module_axioms(module).violations:
         action_ok = False
         notes = [*notes, "induced module fails the module axioms"]
@@ -839,13 +836,12 @@ class TorResult:
 
 
 def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
-         backend: str = "auto", params: tuple[int, int] = (0, 0),
-         lenient: bool = False) -> TorResult:
+         params: tuple[int, int] = (0, 0), lenient: bool = False) -> TorResult:
     """Homology of the tensored two-step resolution in degrees 0 and 1."""
     res = free_resolution(S, M, params=params, lenient=lenient)
-    t0 = tensor(res.p0, N, backend=backend, lenient=lenient)
-    t1 = tensor(res.p1, N, backend=backend, lenient=lenient)
-    t2 = tensor(res.p2, N, backend=backend, lenient=lenient)
+    t0 = tensor(res.p0, N, lenient=lenient)
+    t1 = tensor(res.p1, N, lenient=lenient)
+    t2 = tensor(res.p2, N, lenient=lenient)
     notes = list(res.notes)
 
     map1 = tensor_induced_map(t1, t0, lambda g: (res.d1.map[g[0]], g[1]))
@@ -882,7 +878,7 @@ def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
         image1, list(t0.presentation.reps),
         relations=("coequalizer of d1⊗id via the Bourne congruence of its image",))
 
-    tmn = tensor(M, N, backend=backend, lenient=lenient)
+    tmn = tensor(M, N, lenient=lenient)
     iso = find_presentation_isomorphism(tor0_pres, tmn.presentation)
     return TorResult(tor1=tor1_pres, tor0=tor0_pres, tensor_mn=tmn.presentation,
                      tor0_matches_tensor=iso is not None, notes=tuple(notes))
@@ -914,7 +910,7 @@ def hom_module(N: GammaModule, P: GammaModule) -> tuple[GammaModule, tuple[Modul
     module = GammaModule(name=f"Hom({N.name},{P.name})", base=S,
                          carrier=tuple(f"h{k}" for k in range(len(homs))),
                          zero=index[zero_map],
-                         madd=tuple(madd_rows), act=act_from_images(S, act_rows))
+                         madd=tuple(madd_rows), images=tuple(act_rows))
     return module, homs
 
 

@@ -5,11 +5,11 @@ analysis, annihilators, module catalogs, and the Jacobson radical.
 The module laws are declared once, in `MODULE_LAWS`, and checked on index
 grids by the same evaluator as the structure laws in `core`.
 
-Everything else reads the action through one flat view: `S.quads` lists the
-parameters (a, x, y, b) in C order, and `GammaModule.images[m]` is the row of
-act(a, x, m, y, b) over them.  Submodules, homomorphisms, congruences,
-annihilators and density read these rows; every derived module builds its
-nested `act` table from rows with `act_from_images`.
+A module stores its action once, flat: `S.quads` lists the parameters
+(a, x, y, b) in C order, and `GammaModule.images[m]` is the row of
+act(a, x, m, y, b) over them.  Every reader and every builder of a module
+works on these rows.  The nested table act[a][x][m][y][b] is the fixture
+format only: `module_from_dict` flattens it and `module_to_dict` nests it.
 
 The quotient construction is subtraction-free throughout: two carrier
 elements are identified when they become equal after adding elements of the
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
                    IdealSet, Law, PreconditionError, Violation, _Table,
@@ -33,10 +33,9 @@ from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
 class GammaModule:
     """A finite commutative monoid carrying a five-slot action of the base.
 
-    `act[a][x][m][y][b]` gives the carrier index of the action of base
-    elements a, b at parameters x, y on carrier element m.  The same values
-    for one m, flat, are `images[m]`: `images[m][k]` is act(a, x, m, y, b) for
-    (a, x, y, b) = base.quads[k].
+    `images[m][k]` gives the carrier index of act(a, x, m, y, b) for
+    (a, x, y, b) = base.quads[k]: the action of base elements a, b at
+    parameters x, y on carrier element m.
     """
 
     name: str
@@ -44,20 +43,24 @@ class GammaModule:
     carrier: tuple[str, ...]
     zero: int
     madd: tuple[tuple[int, ...], ...]
-    act: tuple
+    images: tuple[tuple[int, ...], ...]
     m2_profile: str = "none"
-    images: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # Set at construction for the same reason as `base.quads`.
-        act = self.act
-        object.__setattr__(self, "images", tuple(
-            tuple(act[a][x][m][y][b] for a, x, y, b in self.base.quads)
-            for m in range(len(self.carrier))))
 
     @property
     def size(self) -> int:
         return len(self.carrier)
+
+    @cached_property
+    def act(self) -> tuple:
+        """The nested table act[a][x][m][y][b], built from `images` on first use."""
+        n, g = self.base.n, self.base.g
+
+        def block(row, a, x):
+            start = (a * g + x) * g * n
+            return tuple(row[start + y * n:start + (y + 1) * n] for y in range(g))
+
+        return tuple(tuple(tuple(block(row, a, x) for row in self.images) for x in range(g))
+                     for a in range(n))
 
     def sum_of(self, items) -> int:
         total = self.zero
@@ -66,24 +69,13 @@ class GammaModule:
         return total
 
 
-def act_from_images(S: FiniteTernaryGammaSemiring, images) -> tuple:
-    """The nested table act[a][x][m][y][b] whose row over `S.quads` is
-    `images[m]`: the inverse of `GammaModule.images`."""
-    n, g = S.n, S.g
-    rows = [tuple(row) for row in images]
-
-    def block(row, a, x):
-        start = (a * g + x) * g * n
-        return tuple(row[start + y * n:start + (y + 1) * n] for y in range(g))
-
-    return tuple(tuple(tuple(block(row, a, x) for row in rows) for x in range(g))
-                 for a in range(n))
-
-
 def _module_tables(M: GammaModule) -> dict:
-    t = _structure_tables(M.base)
+    import numpy as np
+    t, n, g = _structure_tables(M.base), M.base.n, M.base.g
+    act = np.array(M.images).reshape(M.size, n, g, g, n).transpose(1, 2, 0, 3, 4)
     return {**t, "m": M.size, "zm": M.zero, "nested": M.m2_profile == "nested",
-            "madd": _Table(M.madd, M.size, t["grid"]), "act": _Table(M.act, M.size, t["grid"])}
+            "madd": _Table(M.madd, M.size, t["grid"]),
+            "act": _Table(np.ascontiguousarray(act), M.size, t["grid"])}
 
 
 # `u` names a carrier element, `zm` is the carrier's zero.
@@ -197,11 +189,11 @@ def sub_module(M: GammaModule, members: frozenset[int], name: str | None = None)
     order = sorted(members)
     new_index = {orig: k for k, orig in enumerate(order)}
     madd = tuple(tuple(new_index[M.madd[i][j]] for j in order) for i in order)
-    act = act_from_images(M.base, (tuple(new_index[v] for v in M.images[m]) for m in order))
+    images = tuple(tuple(new_index[v] for v in M.images[m]) for m in order)
     return GammaModule(
         name=name or f"{M.name}|{{{','.join(M.carrier[i] for i in order)}}}",
         base=M.base, carrier=tuple(M.carrier[i] for i in order),
-        zero=new_index[M.zero], madd=madd, act=act, m2_profile=M.m2_profile)
+        zero=new_index[M.zero], madd=madd, images=images, m2_profile=M.m2_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +512,11 @@ def quotient_by_congruence(M: GammaModule, cong: ModuleCongruence,
     reps = [cls[0] for cls in cong.classes]
     class_of = cong.class_of
     madd = tuple(tuple(class_of[M.madd[r1][r2]] for r2 in reps) for r1 in reps)
-    act = act_from_images(M.base, (tuple(class_of[v] for v in M.images[r]) for r in reps))
+    images = tuple(tuple(class_of[v] for v in M.images[r]) for r in reps)
     labels = tuple(f"[{M.carrier[r]}]" for r in reps)
     return GammaModule(name=name or f"{M.name}/~{len(cong.classes)}",
                        base=M.base, carrier=labels, zero=class_of[M.zero],
-                       madd=madd, act=act, m2_profile=M.m2_profile)
+                       madd=madd, images=images, m2_profile=M.m2_profile)
 
 
 def bourne_quotient(M: GammaModule, members: frozenset[int],
@@ -802,26 +794,27 @@ def direct_sum(M1: GammaModule, M2: GammaModule, name: str | None = None) -> Gam
     labels = tuple(f"({M1.carrier[i]},{M2.carrier[j]})" for i, j in pairs)
     madd = tuple(tuple(idx[(M1.madd[a1][b1], M2.madd[a2][b2])] for b1, b2 in pairs)
                  for a1, a2 in pairs)
-    act = act_from_images(S, (tuple(idx[p] for p in zip(M1.images[i], M2.images[j]))
-                              for i, j in pairs))
+    images = tuple(tuple(idx[p] for p in zip(M1.images[i], M2.images[j])) for i, j in pairs)
     profile = M1.m2_profile if M1.m2_profile == M2.m2_profile else "none"
     return GammaModule(name=name or f"{M1.name}(+){M2.name}", base=S,
                        carrier=labels, zero=idx[(M1.zero, M2.zero)],
-                       madd=madd, act=act, m2_profile=profile)
+                       madd=madd, images=images, m2_profile=profile)
 
 
 # ---------------------------------------------------------------------------
 # Module builders and fixture text
 
+@lru_cache(maxsize=None)
 def regular_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:
-    return GammaModule(name=name or f"{S.name}-regular", base=S,
-                       carrier=S.elements, zero=S.zero, madd=S.add, act=S.tri,
-                       m2_profile="none")
+    """T acting on itself by tri; built once per structure and name."""
+    images = tuple(tuple(S.tri[a][x][m][y][b] for a, x, y, b in S.quads) for m in range(S.n))
+    return GammaModule(name=name or f"{S.name}-regular", base=S, carrier=S.elements,
+                       zero=S.zero, madd=S.add, images=images, m2_profile="none")
 
 
 def zero_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:
     return GammaModule(name=name or f"{S.name}-zero", base=S, carrier=("0",),
-                       zero=0, madd=((0,),), act=act_from_images(S, [(0,) * len(S.quads)]),
+                       zero=0, madd=((0,),), images=((0,) * len(S.quads),),
                        m2_profile="none")
 
 
@@ -843,8 +836,9 @@ def module_from_dict(data: dict, base: FiniteTernaryGammaSemiring) -> GammaModul
     profile = data.get("m2_profile", "none")
     if profile not in ("none", "nested"):
         raise FixtureError(f"parse error: unknown m2_profile {profile!r}")
+    images = tuple(tuple(act[a][x][u][y][b] for a, x, y, b in base.quads) for u in range(m))
     return GammaModule(name=str(data.get("name", f"{base.name}-module")), base=base,
-                       carrier=tuple(carrier), zero=zero, madd=madd, act=act,
+                       carrier=tuple(carrier), zero=zero, madd=madd, images=images,
                        m2_profile=profile)
 
 

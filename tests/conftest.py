@@ -529,15 +529,12 @@ def brute_force_tensor_idempotent(M, N):
             notes.append("induced action is not well-defined on a relation pair")
     else:
         notes.append("induced action verified via module axiom check only")
-    act = [[[[[None] * S.n for _ in range(S.g)] for _ in ordered]
-            for _ in range(S.g)] for _ in range(S.n)]
-    for (a, x, y, b), ci in itertools.product(params, range(len(ordered))):
-        act[a][x][ci][y][b] = eval_sum(acted(a, x, y, b, dict(rep_sum(ci))))
+    # `params` lists (a, x, y, b) in the order of `S.quads`.
+    images = tuple(tuple(eval_sum(acted(*p, dict(rep_sum(ci)))) for p in params)
+                   for ci in range(len(ordered)))
     module = GammaModule(
         name=name, base=S, carrier=tuple(labels), zero=zero_class,
-        madd=tuple(tuple(r) for r in add_rows),
-        act=tuple(tuple(tuple(tuple(tuple(r) for r in l3) for l3 in l2)
-                        for l2 in l1) for l1 in act))
+        madd=tuple(tuple(r) for r in add_rows), images=images)
     if check_module_axioms(module).violations:
         action_ok = False
         notes.append("induced module fails the module axioms")

@@ -26,7 +26,7 @@ from tgw import fixtures, modules
 from tgw.core import BUDGETS, BudgetError, product_structure
 from tgw.homology import free_module, hom_module, tensor
 from tgw.modules import (_congruence_compatible,
-                         act_from_images, annihilator_of_element, bourne_quotient,
+                         annihilator_of_element, bourne_quotient,
                          density_check, direct_sum, enumerate_module_congruences,
                          enumerate_submodules, hom_violation, is_congruence_simple,
                          is_submodule, module_from_dict, module_to_dict,
@@ -61,7 +61,7 @@ def _sha(M):
 
 
 # sha256 of `serialize_module` (carrier, zero, madd and act) of each built
-# module, recorded before the builders were rewritten over `act_from_images`.
+# module, recorded before the builders were rewritten over flat action rows.
 BUILT_SHA256 = {
     "B2": {
         "free2":
@@ -127,28 +127,30 @@ def test_built_modules_pinned(structure):
     assert got == BUILT_SHA256[structure]
 
 
-def test_act_from_images_inverts_images():
+def test_nesting_then_flattening_gives_images():
     S = chain(4)
     n2 = regular_module(truncated_naturals(2))
     exact = tensor(n2, n2, backend="saturation").module
     for M in [*all_bundled_modules(), *built_modules(S).values(), exact]:
         assert M.base.quads == tuple(itertools.product(
             range(M.base.n), range(M.base.g), range(M.base.g), range(M.base.n)))
-        assert act_from_images(M.base, M.images) == M.act, M.name
+        act = M.act
+        assert tuple(tuple(act[a][x][m][y][b] for a, x, y, b in M.base.quads)
+                     for m in range(M.size)) == M.images, M.name
+        assert module_from_dict(module_to_dict(M), M.base).images == M.images, M.name
 
 
 def _skewed_t2():
     """B2-T2 with three act entries changed, so that the first parameter
     (0,0,0,0) moves (2,0) and slot a no longer mirrors slot b on (1,1)."""
     t2 = fixtures.bundled_module("B2-T2")
-    act = [[[[list(r) for r in l3] for l3 in l2] for l2 in l1] for l1 in t2.act]
-    act[0][0][2][0][0] = 1
-    act[0][0][3][0][1] = 3
+    col = {q: k for k, q in enumerate(t2.base.quads)}
+    images = [list(row) for row in t2.images]
+    images[2][col[0, 0, 0, 0]] = 1
+    images[3][col[0, 0, 0, 1]] = 3
     for x, y in itertools.product(range(t2.base.g), repeat=2):
-        act[1][x][3][y][1] = 0
-    frozen = tuple(tuple(tuple(tuple(tuple(r) for r in l3) for l3 in l2)
-                         for l2 in l1) for l1 in act)
-    return dataclasses.replace(t2, name="B2-T2-skewed", act=frozen)
+        images[3][col[1, x, y, 1]] = 0
+    return dataclasses.replace(t2, name="B2-T2-skewed", images=tuple(map(tuple, images)))
 
 
 def _differential_modules():

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -677,15 +678,28 @@ def test_malformed_structures_exit_cleanly(filename, data):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.sampled_from(("b2_t2.json", "b2xb2_regular.json")), st.data())
+@given(st.sampled_from(("b2_t2.json", "b2xb2_regular.json", "b2_regular.json")),
+       st.data())
 def test_malformed_modules_exit_cleanly(filename, data):
     """The same for module files, loaded over their bundled base by the
-    module reader and by the lenient density analysis."""
+    module reader and by the lenient density analysis, whose witness search
+    runs on the mutants of the simple B2-regular that stay simple."""
     tree = json.loads(fixtures._data_text(filename))
     base = tree["base"]
     _check_mutated_file(tree, tree["carrier"], data,
                         (["modules", base, "--module", "FILE"],
                          ["density", base, "--lenient", "--module", "FILE"]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(("valuation", "weights")), st.data())
+def test_malformed_embed_files_exit_cleanly(option, data):
+    """The same for the valuation and weight files of `embed`; besides the
+    usual leaves, an entry may become a fraction or the largest float."""
+    tree = {"valuation": {"g0": [0, 1, 2, 3], "g1": [3, 1, 2, 0]},
+            "weights": {"weights": [0.5, 1]}}[option]
+    _check_mutated_file(tree, (0.25, sys.float_info.max), data,
+                        (["embed", "B2xB2", f"--{option}", "FILE"],))
 
 
 def test_exit_2_on_budget(capsys, monkeypatch):

@@ -15,7 +15,7 @@ from tgw.homology import (_smith_diagonal, adjunction_check, ext1,
                           internal_hom_ternary, make_presentation, tensor,
                           tensor_induced_map, tor1)
 from tgw.ideals import enumerate_ideals
-from tgw.modules import (GammaModule, act_from_images, check_module_axioms,
+from tgw.modules import (GammaModule, check_module_axioms,
                          cyclic_module_catalog, enumerate_module_congruences,
                          find_isomorphism, hom_set, hom_violation, regular_module)
 
@@ -31,7 +31,7 @@ def test_free_module_rank1_is_regular(b2, b2_reg):
 
 def test_free_module_rank2_matches_t2(b2, b2_t2):
     free = free_module(b2, 2)
-    assert free.madd == b2_t2.madd and free.act == b2_t2.act
+    assert free.madd == b2_t2.madd and free.images == b2_t2.images
 
 
 def test_free_module_requires_unit(z3):
@@ -181,11 +181,10 @@ def test_tensor_backend_gates(b2_reg, z3_reg):
 
 def _perturbed_t2(b2_t2):
     """B2-T2 with act(1,x,(1,1),x,1) sent to (0,1): a module-law violation."""
-    act = [[[[list(r) for r in l3] for l3 in l2] for l2 in l1] for l1 in b2_t2.act]
-    act[1][0][3][0][1] = 1
-    frozen = tuple(tuple(tuple(tuple(tuple(r) for r in l3) for l3 in l2)
-                         for l2 in l1) for l1 in act)
-    return dataclasses.replace(b2_t2, name="B2-T2-perturbed", act=frozen)
+    images = [list(row) for row in b2_t2.images]
+    images[3][b2_t2.base.quads.index((1, 0, 0, 1))] = 1
+    return dataclasses.replace(b2_t2, name="B2-T2-perturbed",
+                               images=tuple(map(tuple, images)))
 
 
 def _zero_not_identity_t2(b2_t2):
@@ -217,7 +216,7 @@ def test_idempotent_tensor_matches_oracle(case, b2_reg, b2_t2):
     old = brute_force_tensor_idempotent(M, N)
     assert new.presentation.to_dict() == old.presentation.to_dict()
     assert new.gen_class == old.gen_class
-    assert new.module.act == old.module.act
+    assert new.module.images == old.module.images
     assert new.module_action_ok == old.module_action_ok
     assert new.notes == old.notes
     gated = len(new.gen_class) <= 8
@@ -302,7 +301,7 @@ def _swapping_module(b2):
     rows = [tuple(swaps.get((x, y), range(5))[m] if a and b else 0
                   for a, x, y, b in b2.quads) for m in range(5)]
     return GammaModule(name="B2-swaps", base=b2, carrier=tuple("0123t"), zero=0,
-                       madd=madd, act=act_from_images(b2, rows))
+                       madd=madd, images=tuple(rows))
 
 
 def test_exact_tensor_flags_an_ill_defined_action(b2):

@@ -44,12 +44,19 @@ def perturbed_structure(S, seed: int, entries: int = 2):
                    tri=_perturb(S.tri, (n, g, n, g, n), n, rng, entries - entries // 2))
 
 
+def _act_index(M, a, x, u, y, b):
+    """Where act(a, x, u, y, b) sits in `M.images`."""
+    return u, M.base.quads.index((a, x, y, b))
+
+
 def perturbed_module(M, seed: int, entries: int = 2):
     rng = random.Random(seed)
     n, g, m = M.base.n, M.base.g, M.size
-    return replace(M, name=f"{M.name}~{seed}",
-                   madd=_perturb(M.madd, (m, m), m, rng, 1),
-                   act=_perturb(M.act, (n, g, m, g, n), m, rng, entries))
+    madd, images = _perturb(M.madd, (m, m), m, rng, 1), M.images
+    for _ in range(entries):
+        index = _act_index(M, *(rng.randrange(s) for s in (n, g, m, g, n)))
+        images = _set(images, index, rng.randrange(m))
+    return replace(M, name=f"{M.name}~{seed}", madd=madd, images=images)
 
 
 def _structures():
@@ -115,9 +122,10 @@ def _modules():
                     base=perturbed_structure(t2.base, 5))]
     m = t2.size
     out += [replace(t2, name="madd-out", madd=_set(t2.madd, (1, 2), m)),
-            replace(t2, name="act-out", act=_set(t2.act, (1, 0, 2, 1, 1), m + 3)),
+            replace(t2, name="act-out",
+                    images=_set(t2.images, _act_index(t2, 1, 0, 2, 1, 1), m + 3)),
             replace(nested, name="both-out", madd=_set(t2.madd, (0, 3), -1),
-                    act=_set(t2.act, (0, 1, 3, 0, 1), m))]
+                    images=_set(t2.images, _act_index(t2, 0, 1, 3, 0, 1), m))]
     return out
 
 

@@ -13,7 +13,7 @@ from conftest import (all_bundled_modules, brute_force_homs, brute_force_submodu
                       chain)
 from tgw import fixtures
 from tgw.core import PreconditionError, product_structure
-from tgw.modules import (GammaModule, ModuleHom, _iso_invariant, act_from_images,
+from tgw.modules import (GammaModule, ModuleHom, _iso_invariant,
                          annihilator, annihilator_of_element, bourne_quotient,
                          check_module_axioms, cyclic_module_catalog, density_check,
                          direct_sum, end_semiring, enumerate_module_congruences,
@@ -252,7 +252,7 @@ def relabelled(M: GammaModule, rng: random.Random) -> tuple[GammaModule, tuple[i
         name=f"{M.name}-relabelled", base=M.base,
         carrier=tuple(M.carrier[i] for i in old), zero=perm[M.zero],
         madd=tuple(tuple(perm[M.madd[i][j]] for j in old) for i in old),
-        act=act_from_images(M.base, (tuple(perm[v] for v in M.images[i]) for i in old)),
+        images=tuple(tuple(perm[v] for v in M.images[i]) for i in old),
         m2_profile=M.m2_profile)
     return N, tuple(perm)
 
@@ -301,7 +301,7 @@ def test_is_semisimple(b2_reg, b2_t2, b2_zero):
 
 def test_direct_sum_matches_bundled_t2(b2_reg, b2_t2):
     built = direct_sum(b2_reg, b2_reg)
-    assert built.madd == b2_t2.madd and built.act == b2_t2.act
+    assert built.madd == b2_t2.madd and built.images == b2_t2.images
 
 
 def test_module_round_trip():
@@ -317,11 +317,10 @@ def test_m2_nested_profile(b2, b2_reg):
 
     # act(a,x,m,y,b) = m OR (a AND b) violates the nesting law.
     madd = b2_reg.madd
-    act = tuple(tuple(tuple(tuple(tuple(
-        int(bool(m) or (a and b)) for b in range(2)) for _ in range(2))
-        for m in range(2)) for _ in range(2)) for a in range(2))
+    images = tuple(tuple(int(bool(m) or (a and b)) for a, _, _, b in b2.quads)
+                   for m in range(2))
     bad = GammaModule(name="bad-nested", base=b2, carrier=("0", "1"), zero=0,
-                      madd=madd, act=act, m2_profile="nested")
+                      madd=madd, images=images, m2_profile="nested")
     report = check_module_axioms(bad)
     assert any(v.law == "m2-nested" for v in report.violations)
 
