@@ -2,9 +2,10 @@
 
 Exit codes: 0 = all checks passed, 1 = a verified-false finding (axiom
 violation, density failure, non-bijective adjunction, ...), 2 = input or
-configuration error.  With --lenient, base-axiom failures downgrade to
-printed warnings.  Output is deterministic: identical invocations produce
-byte-identical text.
+configuration error, 141 = stdout was closed before the output was written
+(128 + SIGPIPE).  With --lenient, base-axiom failures downgrade to printed
+warnings.  Output is deterministic: identical invocations produce
+byte-identical text, and JSON output is exactly `json.dumps(..., indent=2)`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 
 from . import fixtures
-from .core import BUDGETS, FixtureError, WorkbenchError, check_axioms
+from .core import BUDGETS, FixtureError, WorkbenchError, _dump, check_axioms
 from .geometry import embed, export_graph, valuation_from_dict
 from .homology import (adjunction_check, ext1, homological_semisimplicity,
                        tor1)
@@ -498,13 +499,19 @@ def main(argv=None) -> int:
         return 2
     finally:
         BUDGETS.update(saved)
+    # embed's lines are its export text, in the chosen graph format.
     if args.command != "embed" and args.format == "json":
-        print(json.dumps({"command": args.command, "exit_code": code,
-                          "result": payload}, indent=2))
-    else:
-        # embed prints its export text directly in the chosen graph format.
+        out = [_dump({"command": args.command, "exit_code": code,
+                      "result": payload})]
+    try:
         for line in out:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point fd 1 at devnull, so that the flush at
+        # interpreter exit does not report the unwritten rest on stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

@@ -17,6 +17,8 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 # numpy is imported inside the functions that use it, so that `import tgw`
 # still loads it last (through geometry): loaded before the other tgw
@@ -73,6 +75,9 @@ class FiniteTernaryGammaSemiring:
     # the flat view of a module action (`GammaModule.images`) lists them.
     quads: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False,
                                                          compare=False)
+    # The hash of the compared fields, taken once: `lru_cache` hashes its key
+    # on every lookup, and hashing `tri` costs about 55 us on B2^4.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Set at construction rather than as a functools.cached_property: its
@@ -80,6 +85,12 @@ class FiniteTernaryGammaSemiring:
         # the instance about 3x slower on CPython 3.11.
         n, g = range(len(self.elements)), range(len(self.gamma))
         object.__setattr__(self, "quads", tuple(itertools.product(n, g, g, n)))
+        object.__setattr__(self, "_hash", hash((
+            self.name, self.elements, self.zero, self.unit, self.gamma,
+            self.add, self.tri, self.commutative)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -390,6 +401,73 @@ def bourne_classes(size: int, add, sub) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# JSON text
+
+_RECORD = ("law", "witness", "left", "right")
+_SCALARS = {int, float, bool, type(None)}
+
+
+def _records(items: list, pad: str) -> list[str] | None:
+    """Each of `items`, a list of dicts, as JSON text whose braces sit at
+    indent `pad`, when every item is shaped like `Violation.to_dict()`: the
+    keys of `_RECORD` in that order, a str law, a nonempty list of int witness
+    entries and int sides.  None when any item is not."""
+    if set(map(tuple, items)) != {_RECORD}:
+        return None
+    laws, witnesses, lefts, rights = (list(map(itemgetter(k), items)) for k in _RECORD)
+    ints = itertools.chain(lefts, rights, itertools.chain.from_iterable(witnesses))
+    if (set(map(type, laws)) != {str} or set(map(type, witnesses)) != {list}
+            or not all(witnesses) or set(map(type, ints)) != {int}):
+        return None
+    inner, deep = pad + "  ", pad + "    "
+    head = f'{{\n{inner}"law": %s,\n{inner}"witness": [\n{deep}'
+    tail = f'\n{inner}],\n{inner}"left": %d,\n{inner}"right": %d\n{pad}}}'
+    # One template per witness length; %d renders an int as int.__repr__ does.
+    forms = {k: head + (",\n" + deep).join(["%d"] * k) + tail
+             for k in set(map(len, witnesses))}
+    names = {law: encode_basestring_ascii(law) for law in set(laws)}
+    return [forms[len(w)] % (names[law], *w, left, right)
+            for law, w, left, right in zip(laws, witnesses, lefts, rights)]
+
+
+def _dump(obj, pad: str = "") -> str:
+    """Exactly `json.dumps(obj, indent=2)`, for `obj` placed at indent `pad`.
+
+    Python's json encoder runs in C only without indent.  This walks nonempty
+    dicts with str keys and nonempty lists itself, writing str, int and bool
+    leaves as json writes them and lists of violation records from templates
+    (`_records`).  A float or null, and a list of numbers, bools and nulls,
+    print the same with and without indent, so json writes them in C.  Every
+    other value goes to `json.dumps` whole."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind in _SCALARS:
+        return json.dumps(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is list and obj:
+        kinds = set(map(type, obj))
+        if kinds <= _SCALARS:
+            # No scalar's text holds the item separator ", ".
+            body = sep.join(json.dumps(obj)[1:-1].split(", "))
+        else:
+            body = sep.join(kinds == {dict} and _records(obj, inner)
+                            or [_dump(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_dump(v, inner)}"
+                         for k, v in obj.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    # Encoded JSON holds no raw newline, so every newline starts a line.
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+
+
+# ---------------------------------------------------------------------------
 # Fixture text <-> structure
 
 def read_labels(data: dict, key: str) -> dict[str, int]:
@@ -472,7 +550,7 @@ def structure_to_dict(S: FiniteTernaryGammaSemiring) -> dict:
 
 
 def serialize_structure(S: FiniteTernaryGammaSemiring) -> str:
-    return json.dumps(structure_to_dict(S), indent=2) + "\n"
+    return _dump(structure_to_dict(S)) + "\n"
 
 
 def product_structure(S1: FiniteTernaryGammaSemiring, S2: FiniteTernaryGammaSemiring,

@@ -10,13 +10,13 @@ exports are byte-stable across runs.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteTernaryGammaSemiring, FixtureError, PreconditionError
+from .core import (FiniteTernaryGammaSemiring, FixtureError, PreconditionError,
+                   _dump)
 from .ideals import SpectrumSpace
 
 _OFFDIAG_TOL = 1e-12
@@ -248,7 +248,7 @@ def embed(S: FiniteTernaryGammaSemiring, spec: SpectrumSpace, k: int = 2,
 def export_graph(G: SpectrumGraph, fmt: str) -> str:
     """Render the embedding as json, dot, or csv text."""
     if fmt == "json":
-        return json.dumps(G.to_dict(), indent=2) + "\n"
+        return _dump(G.to_dict()) + "\n"
     if fmt == "dot":
         lines = [f'graph "{G.structure_name}" {{']
         for i, label in enumerate(G.point_labels):

@@ -26,8 +26,9 @@ from functools import cached_property, lru_cache
 
 from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
                    IdealSet, Law, PreconditionError, Violation, _Table,
-                   UnionFind, _charge, _check_laws, _reevaluate, _structure_tables,
-                   bourne_classes, check_axioms, label_array, read_labels)
+                   UnionFind, _charge, _check_laws, _dump, _reevaluate,
+                   _structure_tables, bourne_classes, check_axioms, label_array,
+                   read_labels)
 
 @dataclass(frozen=True)
 class GammaModule:
@@ -865,4 +866,4 @@ def module_to_dict(M: GammaModule) -> dict:
 
 
 def serialize_module(M: GammaModule) -> str:
-    return json.dumps(module_to_dict(M), indent=2) + "\n"
+    return _dump(module_to_dict(M)) + "\n"

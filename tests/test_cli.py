@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import math
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -16,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain
-from tgw import fixtures
+from conftest import chain, zsum
+from tgw import cli, fixtures, geometry
 from tgw.cli import main
-from tgw.core import BUDGETS, product_structure, structure_to_dict
+from tgw.core import (BUDGETS, _dump, product_structure, serialize_structure,
+                      structure_to_dict)
 from tgw.ideals import spectrum
-from tgw.modules import module_to_dict
+from tgw.modules import module_to_dict, serialize_module
 
 
 def run(capsys, *argv):
@@ -512,6 +514,70 @@ def test_report_deterministic(capsys):
         code, out = run(capsys, *argv.split())
         assert code == exit_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_json_writer_matches_json_dumps(capsys, monkeypatch):
+    # Every object the commands hand to the JSON writer, rendered both ways.
+    dumped = []
+
+    def spy(obj):
+        dumped.append(obj)
+        return _dump(obj)
+    monkeypatch.setattr(cli, "_dump", spy)
+    monkeypatch.setattr(geometry, "_dump", spy)
+    for argv in GOLDEN_SHA256:
+        main(argv.split())
+    capsys.readouterr()
+    # A command that fails writes no JSON; embed exports only a graph it built.
+    assert len(dumped) == sum(
+        "--format json" in argv and code != 2 and not (argv.startswith("embed") and code)
+        for argv, (code, _) in GOLDEN_SHA256.items())
+    for obj in dumped:
+        assert _dump(obj) == json.dumps(obj, indent=2)
+    for name in fixtures.STRUCTURE_NAMES:
+        S = fixtures.bundled_structure(name)
+        assert serialize_structure(S) == json.dumps(structure_to_dict(S), indent=2) + "\n"
+    for name in fixtures.MODULE_NAMES:
+        M = fixtures.bundled_module(name)
+        assert serialize_module(M) == json.dumps(module_to_dict(M), indent=2) + "\n"
+
+
+# Exit code and stdout sha256 of `check <Zsum8> --lenient`: 43,599 axiom
+# violations downgraded to warnings, the first ten of them in the table and
+# every one, with its witness and both sides, in the JSON.
+ZSUM8_SHA256 = {
+    "--lenient":
+        (0, "3ac2b2b474416d52dd93f7667591c007eaab81a7cf20dbc4838c23b8b4218e73"),
+    "--lenient --format json":
+        (0, "eecbe8bfcdae1a9dcfe130c2b01e5cad7ed78bef312c8d8a8e8795503361fc02"),
+}
+
+
+@pytest.fixture(scope="module")
+def zsum8_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("zsum") / "Zsum8.json"
+    path.write_text(serialize_structure(zsum(8)), encoding="utf-8")
+    return path
+
+
+def test_zsum8_check_pinned(capsys, zsum8_path):
+    got = {}
+    for options in ZSUM8_SHA256:
+        code, out = run(capsys, "check", str(zsum8_path), *options.split())
+        got[options] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == ZSUM8_SHA256
+
+
+def test_closed_stdout_exits_141_quietly(zsum8_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tgw.cli", "check", str(zsum8_path), "--lenient",
+         "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
 
 
 # Exit code and stdout sha256 of the catalog commands on C8 and B2^3, whose

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tgw import fixtures
-from tgw.core import (FixtureError, check_axioms, load_structure, patch_add,
-                      reevaluate_violation, serialize_structure,
+from tgw.core import (FixtureError, _dump, check_axioms, load_structure,
+                      patch_add, reevaluate_violation, serialize_structure,
                       structure_from_dict, tri_eval)
 
 B2_DICT = {
@@ -156,3 +157,79 @@ def test_random_add_patches_give_reevaluable_witnesses(i, j, v):
         left, right = reevaluate_violation(S, violation)
         assert (left, right) == (violation.left, violation.right)
         assert left != right
+
+
+def test_equal_structures_hash_alike_and_share_cached_reports():
+    text = serialize_structure(fixtures.bundled_structure("B2xB2"))
+    first, second = load_structure(text), load_structure(text)
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    report = check_axioms(first)
+    before = check_axioms.cache_info()
+    assert check_axioms(second) is report
+    after = check_axioms.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    patched = patch_add(second, 0, 1, 0)
+    assert patched != first
+    assert check_axioms(patched) is not report
+    assert check_axioms(patched).violations
+
+
+# ---------------------------------------------------------------------------
+# `_dump` against json.dumps(indent=2)
+
+def _record(law, witness, left, right):
+    return {"law": law, "witness": witness, "left": left, "right": right}
+
+
+# Ways a violation-shaped dict can break the record template; each must still
+# render exactly as json.dumps renders it.
+_BREAKS = {
+    "bool left": lambda r: {**r, "left": True},
+    "empty witness": lambda r: {**r, "witness": []},
+    "fifth key": lambda r: {**r, "note": None},
+    "key order": lambda r: dict(reversed(r.items())),
+    "bool entry": lambda r: {**r, "witness": [*r["witness"], False]},
+    "float side": lambda r: {**r, "right": 1.0},
+    "tuple witness": lambda r: {**r, "witness": tuple(r["witness"])},
+    "dict witness": lambda r: {**r, "witness": dict.fromkeys(r["witness"], 0)},
+    "int law": lambda r: {**r, "law": 3},
+}
+
+_INTS = st.integers() | st.integers(-2 ** 70, 2 ** 70)
+_RECORDS = st.builds(_record, st.text(), st.lists(_INTS, min_size=1, max_size=9),
+                     _INTS, _INTS)
+_BROKEN = st.builds(lambda r, how: _BREAKS[how](r), _RECORDS, st.sampled_from(sorted(_BREAKS)))
+_SCALARS = _INTS | st.floats() | st.booleans() | st.none()
+_LEAVES = (_SCALARS | st.text() | _RECORDS | _BROKEN
+           | st.lists(_INTS, min_size=1) | st.lists(_SCALARS, min_size=1)
+           | st.lists(_RECORDS, min_size=1) | st.lists(_RECORDS | _BROKEN, min_size=1))
+_KEYS = st.text() | st.integers() | st.booleans() | st.floats() | st.none()
+_PAYLOADS = st.recursive(_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=20)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, float("nan"), float("inf"), -float("inf"), "caf\u00e9 \u2603 \"\n\\", True, None,
+    (1, 2), [], {}, [[], {}, ()], {1: 2, True: 3, None: 4, 1.5: 5}, [True, 1],
+    [1, 1.5, 1e16, float("nan"), -float("inf"), False, None, -2 ** 80], ["a, b", 1],
+    [_record("law", [0, 1], 2, 3), _record("law", [], 2, 3)],
+    {"violations": [_record("caf\u00e9", [0], -1, 2 ** 80)]},
+], ids=repr)
+def test_dump_matches_json_on_fallback_cases(obj):
+    assert _dump(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("how", sorted(_BREAKS))
+def test_dump_matches_json_on_broken_records(how):
+    record = _record("law", [0, 1], 2, 3)
+    obj = {"violations": [record, _BREAKS[how](record)]}
+    assert _dump(obj) == json.dumps(obj, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOADS)
+def test_dump_matches_json_on_drawn_payloads(obj):
+    assert _dump(obj) == json.dumps(obj, indent=2)
