@@ -229,9 +229,12 @@ def cmd_tor(S, args, out, payload):
 def cmd_adjunction(S, args, out, payload):
     M, N, P = _pick_modules(args, S, 3)
     rep = adjunction_check(M, N, P, lenient=args.lenient)
+    rhs = "n/a" if rep.rhs_size is None else rep.rhs_size
     out.append(f"|Hom({M.name}(x){N.name},{P.name})| = {rep.lhs_size}, "
-               f"|Hom({M.name},Hom({N.name},{P.name}))| = {rep.rhs_size}, "
+               f"|Hom({M.name},Hom({N.name},{P.name}))| = {rhs}, "
                f"bijection: {'Yes' if rep.holds else 'No'}")
+    if rep.rhs_size is None:
+        out.append(f"  finding: {rep.notes[-1]}")
     payload.append({"structure": S.name, **rep.to_dict()})
     return not rep.holds
 

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from typing import NamedTuple
 
 # numpy is imported inside the functions that use it, so that `import tgw`
 # still loads it last (through geometry): loaded before the other tgw
@@ -101,8 +103,7 @@ class FiniteTernaryGammaSemiring:
         return len(self.gamma)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed law instance: witness indices plus both evaluated sides."""
 
     law: str
@@ -152,8 +153,10 @@ def tri_eval(S: FiniteTernaryGammaSemiring, a: int, x: int, b: int, y: int, c: i
 class _Table:
     """An operation table in the smallest integer dtype that holds its entries
     and its range size.  Called with one index per dimension (ints, or integer
-    arrays that broadcast) it returns the entries; trailing indices that are
-    the trailing axes of `grid` are gathered as whole rows."""
+    arrays that broadcast) it returns the entries, read by one `take` through
+    a flat index; trailing indices that are the trailing axes of `grid` are
+    gathered as whole rows.  A flat index does not check each index against
+    its axis, so callers keep them in range."""
 
     def __init__(self, rows, size: int, grid: list):
         import numpy as np
@@ -161,19 +164,40 @@ class _Table:
         dtype = np.promote_types(np.min_scalar_type(min(a.min(), 0)),
                                  np.min_scalar_type(max(a.max(), size)))
         self.a, self.grid = a.astype(dtype), grid
+        # How far one step along each axis moves in the raveled table.
+        self.steps = [math.prod(a.shape[j + 1:]) for j in range(a.ndim)]
 
     def __call__(self, *index):
         a, grid = self.a, self.grid
-        # The first grid axis holds one value of a chunk, so it is never gathered.
+        # The first grid axis holds the values of a chunk, so it is never gathered.
         k, top = 0, min(len(index), len(grid) - 1)
         while k < top and index[-1 - k] is grid[-1 - k]:
             k += 1
+        if k == a.ndim:
+            return a
         if k:
-            rows = a[index[:-k]]
-            lead = rows.shape[:-k]
-            if not lead or lead[-k:] == (1,) * k:
-                return rows.reshape(lead[:-k] + rows.shape[-k:])
-        return a[index]
+            row, tail = self.steps[-1 - k], a.shape[-k:]
+            at = _flat(index[:-k], [s // row for s in self.steps[:-k]])
+            rows = a.reshape(-1, row)
+            if type(at) is int or at.ndim == 0:
+                return rows[at].reshape(tail)
+            lead = at.shape[:-k]
+            if at.shape[-k:] == (1,) * k:
+                return rows.take(at.reshape(lead), axis=0).reshape(lead + tail)
+        return a.reshape(-1).take(_flat(index, self.steps))
+
+
+def _flat(index, steps):
+    """sum(i * step), in intp wherever an index is an array: a product of
+    table entries need not fit their dtype."""
+    import numpy as np
+    at = None
+    for i, step in zip(index, steps):
+        if type(i) is not int and i.dtype != np.intp:
+            i = i.astype(np.intp)
+        term = i * step if step != 1 else i
+        at = term if at is None else at + term
+    return at
 
 
 @dataclass(frozen=True)
@@ -183,8 +207,9 @@ class Law:
     and the names in `witness`, one per slot; a name's first letter gives its
     range (x, y, z, w a parameter, u a carrier element, others an element).
     The checker evaluates them on broadcast index grids, one grid axis per
-    distinct name and one value of the first at a time; the re-evaluator
-    evaluates them on the ints of one witness.  `when` says if a law applies."""
+    distinct name, in chunks of as many values of the first as fit in one
+    value of the widest law checked with it; the re-evaluator evaluates them
+    on the ints of one witness.  `when` says if a law applies."""
 
     name: str
     witness: str
@@ -202,6 +227,12 @@ class Law:
 _RANGE = {"x": "g", "y": "g", "z": "g", "w": "g", "u": "m"}
 
 
+def _grid_sizes(law: Law, tables: dict) -> tuple[list[str], tuple[int, ...]]:
+    """The distinct witness names of `law`, in order, and their range sizes."""
+    axes = list(dict.fromkeys(law.witness.split()))
+    return axes, tuple(tables[_RANGE.get(name[0], "n")] for name in axes)
+
+
 @lru_cache(maxsize=None)
 def _code(expression: str | None):
     """`expression` compiled once, when the law tables are built."""
@@ -216,18 +247,19 @@ def _axes(sizes: tuple[int, ...]) -> tuple:
                  for k, s in enumerate(sizes))
 
 
-def _law_violations(law: Law, tables: dict) -> list[Violation]:
-    """Every violation of `law`.  `tables` maps the names its expressions use
+def _law_violations(law: Law, tables: dict, cap: int) -> list[Violation]:
+    """Every violation of `law`, in chunks of at most `cap` grid points or
+    one value of the first axis.  `tables` maps the names its expressions use
     to tables and constants; its list "grid" holds the current chunk's axes."""
     import numpy as np
-    axes = list(dict.fromkeys(law.witness.split()))
+    axes, sizes = _grid_sizes(law, tables)
     slots = [axes.index(name) for name in law.witness.split()]
-    sizes = tuple(tables[_RANGE.get(name[0], "n")] for name in axes)
-    shape, grid, out = (1, *sizes[1:]), tables["grid"], []
+    step = max(1, cap // math.prod(sizes[1:]))
+    grid, out = tables["grid"], []
     grid[:] = _axes(sizes)
     ns, first_axis = {**tables, **dict(zip(axes, grid))}, grid[0]
-    for first in range(sizes[0]):
-        grid[0] = ns[axes[0]] = first_axis[first:first + 1]
+    for first in range(0, sizes[0], step):
+        grid[0] = ns[axes[0]] = first_axis[first:first + step]
         left, right = eval(_code(law.left), ns), eval(_code(law.right), ns)
         bad = (left < 0) | (left >= right) if law.closure else left != right
         if law.guard:
@@ -235,31 +267,41 @@ def _law_violations(law: Law, tables: dict) -> list[Violation]:
         # Every axis occurs in a side, so `bad` spans the whole chunk.
         if np.count_nonzero(bad):
             hits = np.nonzero(bad)
-            coords = [[first] * len(hits[0])] + [h.tolist() for h in hits[1:]]
-            out += map(Violation, itertools.repeat(law.name), zip(*(coords[s] for s in slots)),
-                       np.broadcast_to(left, shape)[hits].tolist(),
-                       np.broadcast_to(right, shape)[hits].tolist())
+            coords = [(hits[0] + first).tolist()] + [h.tolist() for h in hits[1:]]
+            out += map(tuple.__new__, itertools.repeat(Violation), zip(
+                itertools.repeat(law.name), zip(*(coords[s] for s in slots)),
+                np.broadcast_to(left, bad.shape)[hits].tolist(),
+                np.broadcast_to(right, bad.shape)[hits].tolist()))
     return out
 
 
 def _check_laws(stages, tables: dict) -> tuple[Violation, ...]:
     """Every violation, sorted by law then witness.  No stage runs after one
     with violations, which may be entries out of range."""
+    stages = [[law for law in stage if law.when is None or eval(_code(law.when), dict(tables))]
+              for stage in stages]
+    cap = max(math.prod(_grid_sizes(law, tables)[1][1:]) for stage in stages for law in stage)
     out: list[Violation] = []
     for stage in stages:
         for law in stage:
-            if law.when is None or eval(_code(law.when), dict(tables)):
-                out += _law_violations(law, tables)
+            out += _law_violations(law, tables, cap)
         if out:
             break
-    return tuple(sorted(out, key=lambda v: (v.law, v.witness)))
+    # Equal laws and witnesses give equal sides, so this is the (law, witness) order.
+    return tuple(sorted(out))
 
 
 def _reevaluate(stages, tables: dict, v: Violation) -> tuple[int, int]:
     for law in (law for stage in stages for law in stage if law.name == v.law):
+        names = law.witness.split()
+        if len(names) != len(v.witness):
+            continue
+        for name, k in zip(names, v.witness):
+            if not 0 <= k < tables[_RANGE.get(name[0], "n")]:
+                raise IndexError(f"witness entry {name} = {k} of {v.law} is out of range")
         ns = dict(tables)
         # A law that names one axis twice fits only witnesses that repeat it.
-        if all(ns.setdefault(name, k) == k for name, k in zip(law.witness.split(), v.witness)):
+        if all(ns.setdefault(name, k) == k for name, k in zip(names, v.witness)):
             return int(eval(_code(law.left), ns)), int(eval(_code(law.right), ns))
     raise ValueError(f"no law {v.law!r} fits witness {v.witness}")
 

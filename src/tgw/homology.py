@@ -887,8 +887,24 @@ def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
 # ---------------------------------------------------------------------------
 # Hom modules, adjunction, internal ternary hom
 
+class HomActionError(PreconditionError):
+    """Hom(N, P) is not closed under the induced action: hom number `hom`,
+    moved by the parameter `quad` = (a, x, y, b), is no hom."""
+
+    def __init__(self, N: GammaModule, P: GammaModule, hom: int, image, quad):
+        S, (a, x, y, b) = N.base, quad
+        labels = ", ".join(P.carrier[v] for v in image)
+        super().__init__(
+            f"Hom({N.name},{P.name}) is not closed under the induced action: for h{hom} = "
+            f"({labels}) and (a, x, y, b) = ({S.elements[a]}, {S.gamma[x]}, {S.gamma[y]}, "
+            f"{S.elements[b]}), m -> act(a, x, h{hom}(m), y, b) is not a hom")
+        self.hom, self.quad = hom, quad
+
+
 def hom_module(N: GammaModule, P: GammaModule) -> tuple[GammaModule, tuple[ModuleHom, ...]]:
-    """Hom(N, P) as a module: pointwise addition, action through the target."""
+    """Hom(N, P) as a module: pointwise addition, action through the target.
+    Raises HomActionError, naming a hom and a parameter, when the action
+    leaves the hom set."""
     homs = hom_set(N, P)
     index = {f.map: k for k, f in enumerate(homs)}
     S = N.base
@@ -904,9 +920,9 @@ def hom_module(N: GammaModule, P: GammaModule) -> tuple[GammaModule, tuple[Modul
     # Row of hom f over quads: the hom m -> act(a, x, f(m), y, b), by index.
     act_rows = [tuple(index.get(image) for image in zip(*(P.images[v] for v in f.map)))
                 for f in homs]
-    if any(None in row for row in act_rows):
-        raise PreconditionError("hom_module: hom set is not closed under the "
-                                "induced action")
+    for k, row in enumerate(act_rows):
+        if None in row:
+            raise HomActionError(N, P, k, homs[k].map, S.quads[row.index(None)])
     module = GammaModule(name=f"Hom({N.name},{P.name})", base=S,
                          carrier=tuple(f"h{k}" for k in range(len(homs))),
                          zero=index[zero_map],
@@ -917,7 +933,7 @@ def hom_module(N: GammaModule, P: GammaModule) -> tuple[GammaModule, tuple[Modul
 @dataclass
 class AdjunctionReport:
     lhs_size: int
-    rhs_size: int
+    rhs_size: int | None  # None when the action leaves Hom(N, P); the last note says where
     sizes_equal: bool
     phi_bijective: bool
     round_trips_ok: bool
@@ -944,7 +960,13 @@ def adjunction_check(M: GammaModule, N: GammaModule, P: GammaModule,
         raise PreconditionError("adjunction_check: tensor backend produced no "
                                 "induced module")
     lhs = hom_set(t.module, P)
-    hmod, nphoms = hom_module(N, P)
+    try:
+        hmod, nphoms = hom_module(N, P)
+    except HomActionError as exc:
+        # Hom(M, Hom(N, P)) is undefined, so the bijection fails: a finding.
+        return AdjunctionReport(lhs_size=len(lhs), rhs_size=None, sizes_equal=False,
+                                phi_bijective=False, round_trips_ok=False,
+                                notes=(*notes, str(exc)))
     rhs = hom_set(M, hmod)
     np_index = {h.map: k for k, h in enumerate(nphoms)}
     rhs_index = {h.map: k for k, h in enumerate(rhs)}

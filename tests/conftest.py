@@ -156,6 +156,20 @@ def zsum(n: int) -> FiniteTernaryGammaSemiring:
         unit=None, gamma=("g0", "g1"), add=add, tri=tri)
 
 
+def swapping_module(b2):
+    """Over B2: the flat semilattice 0 < 1, 2, 3 < 4 on which act(1,x,m,y,1)
+    permutes the atoms, by (1 2) at (x,y) = (0,1), by (2 3) at (1,0) and
+    trivially otherwise.  It is lawful, but the two swaps do not commute."""
+    top = 4
+    swaps = {(0, 1): (0, 2, 1, 3, 4), (1, 0): (0, 1, 3, 2, 4)}
+    madd = tuple(tuple(i if i == j or j == 0 else j if i == 0 else top
+                       for j in range(5)) for i in range(5))
+    rows = [tuple(swaps.get((x, y), range(5))[m] if a and b else 0
+                  for a, x, y, b in b2.quads) for m in range(5)]
+    return GammaModule(name="B2-swaps", base=b2, carrier=tuple("0123t"), zero=0,
+                       madd=madd, images=tuple(rows))
+
+
 # Non-identity permutations of the three element slots, in a fixed order.
 _PERMS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain, zsum
+from conftest import chain, swapping_module, zsum
 from tgw import cli, fixtures, geometry
 from tgw.cli import main
 from tgw.core import (BUDGETS, _dump, product_structure, serialize_structure,
@@ -87,6 +87,26 @@ def test_ext_tor_adjunction(capsys):
     assert code == 0 and "trivial" in out
     code, out = run(capsys, "adjunction", "B2")
     assert code == 0 and "bijection: Yes" in out
+
+
+def test_hom_set_open_under_the_action_is_a_finding(capsys, tmp_path):
+    # B2-swaps is lawful, but moving a hom by one swap leaves Hom(N, P): the
+    # adjunction fails with a witness (exit 1), as tor and ext on it do.
+    path = tmp_path / "swaps.json"
+    path.write_text(serialize_module(swapping_module(fixtures.bundled_structure("B2"))))
+    modules = ["--module", str(path)] * 3
+    assert run(capsys, "modules", "B2", "--module", str(path))[0] == 0
+    code, out = run(capsys, "adjunction", "B2", *modules)
+    assert code == 1
+    assert "|Hom(B2-swaps,Hom(B2-swaps,B2-swaps))| = n/a, bijection: No" in out
+    assert "finding: Hom(B2-swaps,B2-swaps) is not closed under the induced action" in out
+    assert "(a, x, y, b) = (" in out and "is not a hom" in out
+    code, out = run(capsys, "adjunction", "B2", *modules, "--format", "json")
+    result = json.loads(out)["result"][0]
+    assert code == 1 and result["rhs_size"] is None and not result["holds"]
+    assert "is not closed under the induced action" in result["notes"][-1]
+    for command in ("tor", "ext"):
+        assert run(capsys, command, "B2", *modules)[0] == 1
 
 
 def test_localize_gelfand(capsys):

@@ -9,9 +9,9 @@ import pytest
 from tgw import fixtures
 from tgw.cli import main
 from tgw.core import BUDGETS, BudgetError, PreconditionError, serialize_structure
-from tgw.homology import (_smith_diagonal, adjunction_check, ext1,
+from tgw.homology import (HomActionError, _smith_diagonal, adjunction_check, ext1,
                           find_presentation_isomorphism, free_module,
-                          free_resolution, homological_semisimplicity,
+                          free_resolution, hom_module, homological_semisimplicity,
                           internal_hom_ternary, make_presentation, tensor,
                           tensor_induced_map, tor1)
 from tgw.ideals import enumerate_ideals
@@ -20,7 +20,7 @@ from tgw.modules import (GammaModule, check_module_axioms,
                          find_isomorphism, hom_set, hom_violation, regular_module)
 
 from conftest import (all_bundled_modules, brute_force_tensor_idempotent, chain,
-                      integers_mod, truncated_naturals)
+                      integers_mod, swapping_module, truncated_naturals)
 
 
 def test_free_module_rank1_is_regular(b2, b2_reg):
@@ -290,31 +290,30 @@ def test_exact_tensor_folds_along_the_smaller_state_space():
     assert adjunction_check(reg, free, reg).holds
 
 
-def _swapping_module(b2):
-    """Over B2: the flat semilattice 0 < 1, 2, 3 < 4 on which act(1,x,m,y,1)
-    permutes the atoms, by (1 2) at (x,y) = (0,1), by (2 3) at (1,0) and
-    trivially otherwise.  It is lawful, but the two swaps do not commute."""
-    top = 4
-    swaps = {(0, 1): (0, 2, 1, 3, 4), (1, 0): (0, 1, 3, 2, 4)}
-    madd = tuple(tuple(i if i == j or j == 0 else j if i == 0 else top
-                       for j in range(5)) for i in range(5))
-    rows = [tuple(swaps.get((x, y), range(5))[m] if a and b else 0
-                  for a, x, y, b in b2.quads) for m in range(5)]
-    return GammaModule(name="B2-swaps", base=b2, carrier=tuple("0123t"), zero=0,
-                       madd=madd, images=tuple(rows))
-
-
 def test_exact_tensor_flags_an_ill_defined_action(b2):
     # Balance identifies (m, n) with (s m, s n) for each swap s, so the classes
     # of generators between atoms are the diagonal and the off-diagonal pairs;
     # (1 2) on the left sends the off-diagonal 1⊗2 to the diagonal 2⊗2 but
     # 1⊗3 to the off-diagonal 2⊗3.
-    M = _swapping_module(b2)
+    M = swapping_module(b2)
     assert check_module_axioms(M).passed
     t = tensor(M, M, backend="saturation")
     assert not t.module_action_ok
     assert "induced action is not well-defined on a class" in t.notes
     assert t.gen_class[(1, 2)] == t.gen_class[(1, 3)] != t.gen_class[(2, 2)]
+
+
+def test_hom_set_open_under_the_action_is_a_verified_finding(b2):
+    M = swapping_module(b2)
+    with pytest.raises(HomActionError) as info:
+        hom_module(M, M)
+    homs = hom_set(M, M)
+    a, x, y, b = info.value.quad
+    moved = tuple(M.act[a][x][v][y][b] for v in homs[info.value.hom].map)
+    assert hom_violation(M, M, moved) is not None
+    rep = adjunction_check(M, M, M)
+    assert rep.rhs_size is None and not rep.holds
+    assert rep.notes[-1] == str(info.value)
 
 
 def test_tensor_induced_map_identity(b2_reg):

@@ -9,16 +9,23 @@ its recorded sides.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (brute_force_check_axioms, brute_force_check_module_axioms,
                       chain, zsum)
-from tgw import fixtures
-from tgw.core import check_axioms, product_structure, reevaluate_violation
-from tgw.modules import check_module_axioms, reevaluate_module_violation
+from tgw import core, fixtures
+from tgw.core import (STRUCTURE_LAWS, Violation, _axes, _Table, check_axioms, patch_add,
+                      product_structure, reevaluate_violation)
+from tgw.modules import GammaModule, check_module_axioms, reevaluate_module_violation
 
 
 def _set(table, index, value):
@@ -146,7 +153,6 @@ def test_module_closure_failures_stop_the_check():
 
 
 def test_unknown_law_is_rejected():
-    from tgw.core import Violation
     with pytest.raises(ValueError):
         reevaluate_violation(fixtures.bundled_structure("B2"), Violation("nope", (0,), 0, 0))
     with pytest.raises(ValueError):
@@ -155,8 +161,6 @@ def test_unknown_law_is_rejected():
 
 
 def test_table_gathers_rows_only_where_the_prefix_allows():
-    import numpy as np
-    from tgw.core import _axes, _Table
     S = fixtures.bundled_structure("Z3")
     grid: list = []
     tri = _Table(S.tri, S.n, grid)
@@ -167,3 +171,141 @@ def test_table_gathers_rows_only_where_the_prefix_allows():
                   (S.zero, x, S.zero, y, c), (1, 0, 2, 1, 0)):
         expected = full[tuple(np.broadcast_arrays(*index))]
         assert np.array_equal(np.broadcast_to(tri(*index), expected.shape), expected)
+
+
+def _observed_chunks(monkeypatch, check, X) -> dict:
+    """Per law name, the lengths (values of the first axis) of the chunks
+    that an uncached `check(X)` evaluates the law in."""
+    events, law_violations, count_nonzero = [], core._law_violations, np.count_nonzero
+    monkeypatch.setattr(core, "_law_violations",
+                        lambda law, *rest: events.append(law.name) or law_violations(law, *rest))
+    monkeypatch.setattr(np, "count_nonzero", lambda bad: events.append(len(bad)) or count_nonzero(bad))
+    check.__wrapped__(X)
+    monkeypatch.undo()
+    chunks: dict = {}
+    for event in events:
+        if isinstance(event, str):
+            lengths = chunks.setdefault(event, [])
+        else:
+            lengths.append(event)
+    return chunks
+
+
+@pytest.mark.parametrize("S", [zsum(5), zsum(6), patch_add(chain(6), 2, 3, 4)],
+                         ids=lambda S: S.name)
+def test_check_axioms_matches_loops_over_several_chunks(S, monkeypatch):
+    # Associativity is the widest structure law, so it runs one value of its
+    # first axis per chunk; every narrower law fits in one chunk.
+    chunks = _observed_chunks(monkeypatch, check_axioms, S)
+    entries = Counter(law.name for stage in STRUCTURE_LAWS for law in stage)
+    for law, lengths in chunks.items():
+        if law.startswith("tri-associativity"):
+            assert lengths == [1] * S.n
+        else:
+            assert len(lengths) == entries[law], law
+    report = check_axioms(S)
+    _assert_same_report(report, brute_force_check_axioms(S))
+    for v in report.violations:
+        assert reevaluate_violation(S, v) == (v.left, v.right)
+
+
+def zero_action_module(S, m: int, name: str):
+    """Over S: the chain 0 < 1 < ... < m-1 under max, acted on by zero.  It
+    is lawful for every m."""
+    return GammaModule(name=name, base=S, carrier=tuple(map(str, range(m))), zero=0,
+                       madd=tuple(tuple(max(i, j) for j in range(m)) for i in range(m)),
+                       images=((0,) * len(S.quads),) * m)
+
+
+def _several_chunk_modules():
+    nested = replace(fixtures.bundled_module("B2xB2-regular"), name="B2xB2-nested",
+                     m2_profile="nested")
+    # Over Z3 (n = 3) with 7 carrier elements, the widest law is additivity in
+    # the carrier slot, so additivity in the a and b slots runs in chunks of
+    # 7 // 3 = 2 values of its first axis: 2, then 1.
+    wide = zero_action_module(fixtures.bundled_structure("Z3"), 7, "Z3-C7")
+    return [nested, perturbed_module(nested, 3, entries=3), wide,
+            perturbed_module(wide, 5, entries=3)]
+
+
+@pytest.mark.parametrize("M", _several_chunk_modules(), ids=lambda M: M.name)
+def test_check_module_axioms_matches_loops_over_several_chunks(M, monkeypatch):
+    chunks = _observed_chunks(monkeypatch, check_module_axioms, M)
+    if M.m2_profile == "nested":
+        assert chunks["m2-nested"] == [1] * M.base.n
+    else:
+        assert chunks["act-additivity-slot-a"] == chunks["act-additivity-slot-b"] == [2, 1]
+    report = check_module_axioms(M)
+    _assert_same_report(report, brute_force_check_module_axioms(M))
+    for v in report.violations:
+        assert reevaluate_module_violation(M, v) == (v.left, v.right)
+    assert report.passed == ("~" not in M.name)
+
+
+@pytest.mark.parametrize("witness", [(0, 2, 1, 0, 1), (0, 0, 1, -1, 1), (2, 0, 0, 0, 0),
+                                     (0, 0, 0, 0, -1)])
+def test_reevaluate_rejects_witnesses_out_of_range(witness):
+    # A flat index would alias an out-of-range entry onto another instance.
+    with pytest.raises(IndexError):
+        reevaluate_violation(fixtures.bundled_structure("B2"),
+                             Violation("zero-absorption", witness, 0, 0))
+
+
+@pytest.mark.parametrize("witness", [(0, 0, 4, 0, 1), (0, 0, -1, 0, 1), (0, 2, 0, 0, 1)])
+def test_reevaluate_module_rejects_witnesses_out_of_range(witness):
+    M = fixtures.bundled_module("B2-T2")
+    assert M.size == 4
+    with pytest.raises(IndexError):
+        reevaluate_module_violation(M, Violation("act-closure", witness, 0, 0))
+
+
+@st.composite
+def _lookups(draw):
+    """A chunk's grid, a table, and one index per table axis: an int, an axis
+    of the grid, or table entries (uint8) over some of the grid's axes.  The
+    last few indices may be the trailing grid axes themselves."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    grid = list(_axes(tuple(sizes)))
+    start = draw(st.integers(0, sizes[0] - 1))
+    grid[0] = grid[0][start:start + draw(st.integers(1, sizes[0]))]
+    ndim = draw(st.integers(1, 5))
+    tail = draw(st.integers(0, min(ndim, len(grid) - 1)))
+    index, dims = [], []
+    for k in range(ndim):
+        kind = "tail" if k >= ndim - tail else draw(st.sampled_from(["int", "axis", "entries"]))
+        if kind in ("tail", "axis"):
+            axis = grid[k - ndim] if kind == "tail" else draw(st.sampled_from(grid))
+            index.append(axis)
+            # As in a law, an axis other than the chunk's spans its table axis.
+            extra = draw(st.integers(0, 1)) if axis is grid[0] else 0
+            dims.append(int(axis.max()) + 1 + extra)
+            continue
+        dims.append(draw(st.integers(1, 3)))
+        if kind == "int":
+            index.append(draw(st.integers(0, dims[-1] - 1)))
+        else:
+            shape = [axis.size if draw(st.booleans()) else 1 for axis in grid]
+            values = draw(st.lists(st.integers(0, dims[-1] - 1), min_size=math.prod(shape),
+                                   max_size=math.prod(shape)))
+            index.append(np.array(values, dtype=np.uint8).reshape(shape))
+    entries = iter(draw(st.lists(st.integers(-1, 300), min_size=math.prod(dims),
+                                 max_size=math.prod(dims))))
+
+    def nest(level):
+        return (tuple(nest(level + 1) for _ in range(dims[level])) if level < ndim
+                else next(entries))
+    return grid, nest(0), index
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lookups())
+def test_table_matches_nested_lookup(case):
+    grid, rows, index = case
+    got = _Table(rows, 300, grid)(*index)
+    shape = np.broadcast_shapes(*(np.shape(i) for i in index))
+    got = np.broadcast_to(got, shape)
+    for point in itertools.product(*map(range, shape)):
+        entry = rows
+        for i in index:
+            entry = entry[i if type(i) is int else int(np.broadcast_to(i, shape)[point])]
+        assert got[point] == entry
