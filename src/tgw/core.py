@@ -13,13 +13,15 @@ expressions on one witness.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 # numpy is imported inside the functions that use it, so that `import tgw`
@@ -120,10 +122,67 @@ class Violation(NamedTuple):
         }
 
 
+class _Block(NamedTuple):
+    """The violations of one law name, in witness order, as columns: the
+    witness matrix (one row per violation, one column per witness slot) and
+    both sides, all intp."""
+
+    law: str
+    witness: "np.ndarray"
+    left: "np.ndarray"
+    right: "np.ndarray"
+
+
+class Violations(Sequence):
+    """The violations of one check, read-only, kept as `_Block` columns in
+    (law, witness) order.  Length, truth, an index and a slice read the
+    columns; iterating, comparing or hashing builds every `Violation` once."""
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+        self._ends = list(itertools.accumulate(len(b.left) for b in self.blocks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def _one(self, i: int) -> Violation:
+        k = bisect.bisect_right(self._ends, i)
+        b, j = self.blocks[k], i - (self._ends[k - 1] if k else 0)
+        return Violation(b.law, tuple(b.witness[j].tolist()), int(b.left[j]), int(b.right[j]))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._one, range(len(self))[index]))
+        return self._one(range(len(self))[index])
+
+    @cached_property
+    def _tuple(self) -> tuple[Violation, ...]:
+        out: list[Violation] = []
+        for b in self.blocks:
+            out += map(tuple.__new__, itertools.repeat(Violation), zip(
+                itertools.repeat(b.law), map(tuple, b.witness.tolist()),
+                b.left.tolist(), b.right.tolist()))
+        return tuple(out)
+
+    def __iter__(self):
+        return iter(self._tuple)
+
+    def __eq__(self, other):
+        if isinstance(other, Violations):
+            other = other._tuple
+        return self._tuple == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple)
+
+    def __repr__(self) -> str:
+        return f"Violations({self._tuple!r})"
+
+
 @dataclass(frozen=True)
 class AxiomReport:
-    violations: tuple[Violation, ...]
-    warnings: tuple[Violation, ...] = ()
+    violations: Sequence[Violation]
+    warnings: Sequence[Violation] = ()
 
     @property
     def passed(self) -> bool:
@@ -247,15 +306,19 @@ def _axes(sizes: tuple[int, ...]) -> tuple:
                  for k, s in enumerate(sizes))
 
 
-def _law_violations(law: Law, tables: dict, cap: int) -> list[Violation]:
-    """Every violation of `law`, in chunks of at most `cap` grid points or
-    one value of the first axis.  `tables` maps the names its expressions use
-    to tables and constants; its list "grid" holds the current chunk's axes."""
+def _law_violations(law: Law, tables: dict, cap: int) -> _Block | None:
+    """The violations of `law` as one block, or None when it holds.  The law
+    is evaluated in chunks of at most `cap` grid points or one value of the
+    first axis; the witness matrix stacks the `np.nonzero` coordinates in
+    witness-slot order.  Chunks ascend and `nonzero` runs in C order, which
+    is the witness order, as the grid axes are the witness names in order of
+    first use.  `tables` maps the names its expressions use to tables and
+    constants; its list "grid" holds the current chunk's axes."""
     import numpy as np
     axes, sizes = _grid_sizes(law, tables)
     slots = [axes.index(name) for name in law.witness.split()]
     step = max(1, cap // math.prod(sizes[1:]))
-    grid, out = tables["grid"], []
+    grid, parts = tables["grid"], []
     grid[:] = _axes(sizes)
     ns, first_axis = {**tables, **dict(zip(axes, grid))}, grid[0]
     for first in range(0, sizes[0], step):
@@ -267,28 +330,38 @@ def _law_violations(law: Law, tables: dict, cap: int) -> list[Violation]:
         # Every axis occurs in a side, so `bad` spans the whole chunk.
         if np.count_nonzero(bad):
             hits = np.nonzero(bad)
-            coords = [(hits[0] + first).tolist()] + [h.tolist() for h in hits[1:]]
-            out += map(tuple.__new__, itertools.repeat(Violation), zip(
-                itertools.repeat(law.name), zip(*(coords[s] for s in slots)),
-                np.broadcast_to(left, bad.shape)[hits].tolist(),
-                np.broadcast_to(right, bad.shape)[hits].tolist()))
-    return out
+            coords = (hits[0] + first,) + hits[1:]
+            parts.append((np.stack([coords[s] for s in slots], axis=1),
+                          *(np.broadcast_to(side, bad.shape)[hits].astype(np.intp)
+                            for side in (left, right))))
+    if parts:
+        return _Block(law.name, *map(np.concatenate, zip(*parts)))
+    return None
 
 
-def _check_laws(stages, tables: dict) -> tuple[Violation, ...]:
+def _check_laws(stages, tables: dict) -> Violations:
     """Every violation, sorted by law then witness.  No stage runs after one
     with violations, which may be entries out of range."""
+    import numpy as np
     stages = [[law for law in stage if law.when is None or eval(_code(law.when), dict(tables))]
               for stage in stages]
     cap = max(math.prod(_grid_sizes(law, tables)[1][1:]) for stage in stages for law in stage)
-    out: list[Violation] = []
+    blocks: list[_Block] = []
     for stage in stages:
-        for law in stage:
-            out += _law_violations(law, tables, cap)
-        if out:
+        blocks += filter(None, (_law_violations(law, tables, cap) for law in stage))
+        if blocks:
             break
-    # Equal laws and witnesses give equal sides, so this is the (law, witness) order.
-    return tuple(sorted(out))
+    out = []
+    for name, group in itertools.groupby(sorted(blocks, key=attrgetter("law")), attrgetter("law")):
+        group = list(group)
+        if len(group) == 1:
+            out += group
+            continue
+        # Laws sharing a name, such as the permutations of tri-commutativity.
+        witness, left, right = map(np.concatenate, list(zip(*group))[1:])
+        order = np.lexsort((right, left, *witness.T[::-1]))
+        out.append(_Block(name, witness[order], left[order], right[order]))
+    return Violations(out)
 
 
 def _reevaluate(stages, tables: dict, v: Violation) -> tuple[int, int]:
@@ -445,68 +518,116 @@ def bourne_classes(size: int, add, sub) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # JSON text
 
-_RECORD = ("law", "witness", "left", "right")
 _SCALARS = {int, float, bool, type(None)}
 
 
-def _records(items: list, pad: str) -> list[str] | None:
-    """Each of `items`, a list of dicts, as JSON text whose braces sit at
-    indent `pad`, when every item is shaped like `Violation.to_dict()`: the
-    keys of `_RECORD` in that order, a str law, a nonempty list of int witness
-    entries and int sides.  None when any item is not."""
-    if set(map(tuple, items)) != {_RECORD}:
-        return None
-    laws, witnesses, lefts, rights = (list(map(itemgetter(k), items)) for k in _RECORD)
-    ints = itertools.chain(lefts, rights, itertools.chain.from_iterable(witnesses))
-    if (set(map(type, laws)) != {str} or set(map(type, witnesses)) != {list}
-            or not all(witnesses) or set(map(type, ints)) != {int}):
-        return None
-    inner, deep = pad + "  ", pad + "    "
-    head = f'{{\n{inner}"law": %s,\n{inner}"witness": [\n{deep}'
-    tail = f'\n{inner}],\n{inner}"left": %d,\n{inner}"right": %d\n{pad}}}'
-    # One template per witness length; %d renders an int as int.__repr__ does.
-    forms = {k: head + (",\n" + deep).join(["%d"] * k) + tail
-             for k in set(map(len, witnesses))}
-    names = {law: encode_basestring_ascii(law) for law in set(laws)}
-    return [forms[len(w)] % (names[law], *w, left, right)
-            for law, w, left, right in zip(laws, witnesses, lefts, rights)]
+def _violation_text(violations: Violations, pad: str, out: list) -> None:
+    """Append to `out` exactly `json.dumps([v.to_dict() for v in
+    violations], indent=2)` at indent `pad`, written from the columns.  A
+    record is its values, each behind the fixed text that precedes it in a
+    record; the right side also carries the text that closes the record.
+    Each block builds one token table, a row per kind of fixed text by a
+    column per value from the block's least to its greatest (per distinct
+    value instead, when there are fewer values than that span, as out-of-range
+    closure entries can give), and gathers every record's tokens with one
+    `take`."""
+    import numpy as np
+    if not violations:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    key, item = inner + "  ", inner + "    "
+    out.append("[\n" + inner)
+    for b in violations.blocks:
+        values = np.column_stack((b.witness, b.left, b.right))
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < values.size:
+            keys, at = range(lo, hi + 1), values - lo
+        else:
+            keys, at = np.unique(values, return_inverse=True)
+            keys, at = keys.tolist(), at.reshape(values.shape)
+        law = encode_basestring_ascii(b.law)
+        fixed = [(f'{{\n{key}"law": {law},\n{key}"witness": [\n{item}', ""),
+                 (",\n" + item, ""), (f'\n{key}],\n{key}"left": ', ""),
+                 (f',\n{key}"right": ', f"\n{inner}}},\n{inner}")]
+        tokens = np.array([head + str(k) + tail for head, tail in fixed for k in keys],
+                          dtype=object)
+        # The kind of fixed text before each value column: the record's head,
+        # then witness separators, then the two sides.
+        kind = np.array([0] + [1] * (b.witness.shape[1] - 1) + [2, 3])
+        out += tokens.take(at + kind * len(keys)).ravel().tolist()
+    # The last record is followed by the list's end, not by a separator.
+    out[-1] = out[-1][:-len(inner) - 2] + "\n" + pad + "]"
 
 
-def _dump(obj, pad: str = "") -> str:
-    """Exactly `json.dumps(obj, indent=2)`, for `obj` placed at indent `pad`.
+def _dump(obj) -> str:
+    """Exactly `json.dumps(obj, indent=2)`, where a `Violations` stands for
+    the list of its `to_dict()`s.
 
     Python's json encoder runs in C only without indent.  This walks nonempty
     dicts with str keys and nonempty lists itself, writing str, int and bool
-    leaves as json writes them and lists of violation records from templates
-    (`_records`).  A float or null, and a list of numbers, bools and nulls,
-    print the same with and without indent, so json writes them in C.  Every
-    other value goes to `json.dumps` whole."""
+    leaves as json writes them and a `Violations` from its columns
+    (`_violation_text`).  The pieces of a `Violations` and of the containers
+    around it are joined once, at the end.  A float or null, and a list of
+    numbers, bools and nulls, print the same with and without indent, so json
+    writes them in C.  Every other value goes to `json.dumps` whole."""
+    out: list[str] = []
+    _write(obj, "", out)
+    return "".join(out)
+
+
+def _write(obj, pad: str, out: list) -> bool:
+    """Append the text of `obj` at indent `pad` to `out`, as one piece unless
+    `obj` holds a `Violations`, and say whether it does.  A container without
+    one is joined as it ends, so its small strings are freed; the large text
+    of one reaches the final join uncopied."""
     kind = type(obj)
     if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if kind in _SCALARS:
-        return json.dumps(obj)
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if kind is list and obj:
-        kinds = set(map(type, obj))
-        if kinds <= _SCALARS:
-            # No scalar's text holds the item separator ", ".
-            body = sep.join(json.dumps(obj)[1:-1].split(", "))
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif kind in _SCALARS:
+        out.append(json.dumps(obj))
+    elif kind is Violations:
+        _violation_text(obj, pad, out)
+        return True
+    elif kind is list and obj or kind is dict and obj and set(map(type, obj)) == {str}:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if kind is list:
+            kinds = set(map(type, obj))
+            if kinds <= _SCALARS:
+                # No scalar's text holds the item separator ", ".
+                out.append(f"[\n{inner}" + sep.join(json.dumps(obj)[1:-1].split(", "))
+                           + f"\n{pad}]")
+                return False
+            if kinds == {str}:
+                out.append(f"[\n{inner}" + sep.join(map(encode_basestring_ascii, obj))
+                           + f"\n{pad}]")
+                return False
+            parts, holds = ["[\n" + inner], False
+            for v in obj:
+                holds |= _write(v, inner, parts)
+                parts.append(sep)
+            parts[-1] = f"\n{pad}]"
         else:
-            body = sep.join(kinds == {dict} and _records(obj, inner)
-                            or [_dump(v, inner) for v in obj])
-        return f"[\n{inner}{body}\n{pad}]"
-    if kind is dict and obj and set(map(type, obj)) == {str}:
-        body = sep.join([f"{encode_basestring_ascii(k)}: {_dump(v, inner)}"
-                         for k, v in obj.items()])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    # Encoded JSON holds no raw newline, so every newline starts a line.
-    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+            parts, holds, lead = [], False, "{\n" + inner
+            for k, v in obj.items():
+                parts.append(f"{lead}{encode_basestring_ascii(k)}: ")
+                holds |= _write(v, inner, parts)
+                lead = sep
+            parts.append(f"\n{pad}}}")
+        if holds:
+            out += parts
+        else:
+            out.append("".join(parts))
+        return holds
+    else:
+        # Encoded JSON holds no raw newline, so every newline starts a line.
+        out.append(json.dumps(obj, indent=2).replace("\n", "\n" + pad))
+    return False
 
 
 # ---------------------------------------------------------------------------

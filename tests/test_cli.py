@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -17,13 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain, swapping_module, zsum
-from tgw import cli, fixtures, geometry
+from conftest import (brute_force_check_axioms, brute_force_check_module_axioms,
+                      chain, swapping_module, zsum)
+from tgw import cli, core, fixtures, geometry, modules
 from tgw.cli import main
-from tgw.core import (BUDGETS, _dump, product_structure, serialize_structure,
+from tgw.core import (BUDGETS, PreconditionError, Violations, _dump, check_axioms,
+                      product_structure, require_axioms, serialize_structure,
                       structure_to_dict)
 from tgw.ideals import spectrum
-from tgw.modules import module_to_dict, serialize_module
+from tgw.modules import (check_module_axioms, module_to_dict, regular_module,
+                         require_module_axioms, serialize_module)
 
 
 def run(capsys, *argv):
@@ -536,6 +540,11 @@ def test_report_deterministic(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def _violation_dicts(violations: Violations) -> list[dict]:
+    """json.dumps' view of a violation sequence: each record's `to_dict()`."""
+    return [v.to_dict() for v in violations]
+
+
 def test_json_writer_matches_json_dumps(capsys, monkeypatch):
     # Every object the commands hand to the JSON writer, rendered both ways.
     dumped = []
@@ -553,7 +562,7 @@ def test_json_writer_matches_json_dumps(capsys, monkeypatch):
         "--format json" in argv and code != 2 and not (argv.startswith("embed") and code)
         for argv, (code, _) in GOLDEN_SHA256.items())
     for obj in dumped:
-        assert _dump(obj) == json.dumps(obj, indent=2)
+        assert _dump(obj) == json.dumps(obj, indent=2, default=_violation_dicts)
     for name in fixtures.STRUCTURE_NAMES:
         S = fixtures.bundled_structure(name)
         assert serialize_structure(S) == json.dumps(structure_to_dict(S), indent=2) + "\n"
@@ -586,6 +595,40 @@ def test_zsum8_check_pinned(capsys, zsum8_path):
         code, out = run(capsys, "check", str(zsum8_path), *options.split())
         got[options] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == ZSUM8_SHA256
+
+
+def test_first_violations_read_the_columns(monkeypatch):
+    # The gates and the violation lines read the first violation, or the first
+    # MAX_PRINTED_VIOLATIONS, from the columns: they give the text that the
+    # oracle's tuple gives, and build no other Violation.
+    check_axioms.cache_clear()
+    check_module_axioms.cache_clear()
+    S = zsum(5)
+    M = regular_module(S)
+    z3 = fixtures.bundled_structure("Z3")
+    oracles = {S: brute_force_check_axioms(S), z3: brute_force_check_axioms(z3),
+               M: brute_force_check_module_axioms(M)}
+    reports = [check_axioms(S), check_module_axioms(M), check_axioms(z3)]
+
+    def texts():
+        out = []
+        for gate, X in ((require_axioms, S), (require_module_axioms, M)):
+            with pytest.raises(PreconditionError) as error:
+                gate(X, False, "op")
+            out.append(str(error.value))
+        for lenient in (False, True):
+            cli._structure_gate(S, argparse.Namespace(lenient=lenient), out)
+        for kind in ("violation", "warning"):
+            out += cli._violation_lines(cli.check_axioms(S).violations, S, kind)
+        return out + cli._report_battery()[1]["warnings"]
+    got = texts()
+    assert any(line.startswith("Z3: 699 axiom violation(s), e.g.") for line in got)
+    assert not any("_tuple" in vars(r.violations) for r in reports)
+    for module, name, check in ((core, "check_axioms", check_axioms),
+                                (cli, "check_axioms", check_axioms),
+                                (modules, "check_module_axioms", check_module_axioms)):
+        monkeypatch.setattr(module, name, lambda X, check=check: oracles.get(X) or check(X))
+    assert texts() == got
 
 
 def test_closed_stdout_exits_141_quietly(zsum8_path):

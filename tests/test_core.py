@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_check_axioms, chain, zsum
 from tgw import fixtures
 from tgw.core import (FixtureError, _dump, check_axioms, load_structure,
                       patch_add, reevaluate_violation, serialize_structure,
                       structure_from_dict, tri_eval)
+from tgw.modules import check_module_axioms
 
 B2_DICT = {
     "name": "B2", "elements": ["0", "1"], "zero": "0", "unit": "1",
@@ -182,8 +186,8 @@ def _record(law, witness, left, right):
     return {"law": law, "witness": witness, "left": left, "right": right}
 
 
-# Ways a violation-shaped dict can break the record template; each must still
-# render exactly as json.dumps renders it.
+# Violation-shaped dicts, whole and broken in each of these ways: the writer
+# renders plain dicts on its generic path, which must match json.dumps.
 _BREAKS = {
     "bool left": lambda r: {**r, "left": True},
     "empty witness": lambda r: {**r, "witness": []},
@@ -233,3 +237,91 @@ def test_dump_matches_json_on_broken_records(how):
 @given(_PAYLOADS)
 def test_dump_matches_json_on_drawn_payloads(obj):
     assert _dump(obj) == json.dumps(obj, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# Violation columns against json.dumps of `AxiomReport.to_dict()`
+
+def _assert_renders_as_dicts(report):
+    """The JSON writer, given the violation sequences themselves, writes what
+    json.dumps writes for the dicts of `to_dict()`, at every indent."""
+    columns = {"passed": report.passed, "violations": report.violations,
+               "warnings": report.warnings}
+    dicts = report.to_dict()
+    for wrap in (lambda r: r, lambda r: r["violations"], lambda r: r["warnings"],
+                 lambda r: {"result": [r, {"again": [r]}]}):
+        assert _dump(wrap(columns)) == json.dumps(wrap(dicts), indent=2)
+
+
+def _with_entries(S, table, entries):
+    """Copy of S with `table` ("add" or "tri") entries set, by index."""
+    a = np.array(getattr(S, table))
+    for index, value in entries:
+        a[index] = value
+
+    def nest(t):
+        return tuple(map(nest, t)) if isinstance(t, list) else t
+    return replace(S, **{table: nest(a.tolist())})
+
+
+def _commutativity_failure():
+    # Two changed entries break several permutations of tri-commutativity.
+    b2xb2 = fixtures.bundled_structure("B2xB2")
+    return _with_entries(b2xb2, "tri", [((1, 0, 2, 1, 3), 0), ((3, 1, 2, 0, 1), 2)])
+
+
+def _cases():
+    b2xb2 = fixtures.bundled_structure("B2xB2")
+    z3reg = fixtures.bundled_module("Z3-regular")
+    n = b2xb2.n
+    return {
+        "Zsum5": check_axioms(zsum(5)),
+        "Zsum6": check_axioms(zsum(6)),
+        "C6-patched": check_axioms(patch_add(chain(6), 2, 3, 0)),
+        "Z3": check_axioms(fixtures.bundled_structure("Z3")),
+        "Z3-regular": check_module_axioms(z3reg),
+        "Z3-regular-madd": check_module_axioms(replace(z3reg, madd=(
+            (1, 1, 2), *z3reg.madd[1:]))),
+        "commutativity": check_axioms(_commutativity_failure()),
+        # Closure sides at and far beyond n, and below 0.
+        "add-out": check_axioms(_with_entries(
+            b2xb2, "add", [((0, 1), n), ((2, 3), 10 ** 9), ((3, 3), -5)])),
+        "tri-out": check_axioms(_with_entries(b2xb2, "tri", [((0, 1, 2, 0, 3), n + 3)])),
+        "B2": check_axioms(fixtures.bundled_structure("B2")),
+        "B2-regular": check_module_axioms(fixtures.bundled_module("B2-regular")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cases()))
+def test_violation_columns_render_as_dicts(name):
+    report = _cases()[name]
+    if name in ("B2", "B2-regular"):
+        assert not report.violations and not report.warnings
+    _assert_renders_as_dicts(report)
+
+
+def test_same_named_laws_merge_in_witness_order():
+    S = _commutativity_failure()
+    report = check_axioms(S)
+    assert report.violations == brute_force_check_axioms(S).violations
+    assert [b.law for b in report.violations.blocks].count("tri-commutativity") == 1
+    witnesses = [v.witness for v in report.violations if v.law == "tri-commutativity"]
+    # Several permutations fail at the same (a, x, b, y, c).
+    assert len({w[:5] for w in witnesses}) < len(witnesses)
+
+
+_ENTRIES = st.lists(st.tuples(st.sampled_from(["add", "tri"]),
+                              st.lists(st.integers(0, 3), min_size=5, max_size=5),
+                              st.integers(-1, 4) | st.integers(-2 ** 40, 2 ** 40)),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ENTRIES, st.booleans())
+def test_perturbed_tables_render_as_dicts(entries, commutative):
+    S = replace(fixtures.bundled_structure("B2xB2"), commutative=commutative)
+    for table, index, value in entries:
+        at = tuple(index[:2]) if table == "add" else (index[0], index[1] % 2, index[2],
+                                                      index[3] % 2, index[4])
+        S = _with_entries(S, table, [(at, value)])
+    _assert_renders_as_dicts(check_axioms(S))
