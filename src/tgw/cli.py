@@ -42,13 +42,6 @@ def _violation_lines(violations, S, kind="violation"):
     return lines
 
 
-def _report_fields(report):
-    """The keys of `report.to_dict()`, holding the violation sequences
-    themselves: the JSON writer renders them from their columns."""
-    return {"passed": report.passed, "violations": report.violations,
-            "warnings": report.warnings}
-
-
 def _anchor_for(S, args):
     if args.anchor is not None:
         label = args.anchor
@@ -101,7 +94,7 @@ def _per_structure(body, gate=True):
 
 def cmd_check(S, args, out, payload):
     report = check_axioms(S)
-    payload.append({"structure": S.name, **_report_fields(report),
+    payload.append({"structure": S.name, **report.fields(),
                     "lenient": args.lenient})
     if report.passed:
         out.append(f"{S.name}: all axioms hold "
@@ -152,7 +145,7 @@ def cmd_modules(S, args, out, payload):
             out.extend(_violation_lines(report.violations, S))
             found = found or not args.lenient
         payload.append({"module": M.name, "structure": S.name,
-                        **_report_fields(report)})
+                        **report.fields()})
     return found
 
 

@@ -188,12 +188,15 @@ class AxiomReport:
     def passed(self) -> bool:
         return not self.violations
 
+    def fields(self) -> dict:
+        """The keys of `to_dict()`, holding the violation sequences
+        themselves: `_dump` renders a `Violations` from its columns."""
+        return {"passed": self.passed, "violations": self.violations,
+                "warnings": self.warnings}
+
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "violations": [v.to_dict() for v in self.violations],
-            "warnings": [v.to_dict() for v in self.warnings],
-        }
+        return {key: value if key == "passed" else [v.to_dict() for v in value]
+                for key, value in self.fields().items()}
 
 
 def tri_eval(S: FiniteTernaryGammaSemiring, a: int, x: int, b: int, y: int, c: int) -> int:
@@ -567,20 +570,17 @@ def _dump(obj) -> str:
     Python's json encoder runs in C only without indent.  This walks nonempty
     dicts with str keys and nonempty lists itself, writing str, int and bool
     leaves as json writes them and a `Violations` from its columns
-    (`_violation_text`).  The pieces of a `Violations` and of the containers
-    around it are joined once, at the end.  A float or null, and a list of
-    numbers, bools and nulls, print the same with and without indent, so json
-    writes them in C.  Every other value goes to `json.dumps` whole."""
+    (`_violation_text`), and joins all the pieces once, at the end.  A float
+    or null, and a list of numbers, bools and nulls, print the same with and
+    without indent, so json writes them in C.  Every other value goes to
+    `json.dumps` whole."""
     out: list[str] = []
     _write(obj, "", out)
     return "".join(out)
 
 
-def _write(obj, pad: str, out: list) -> bool:
-    """Append the text of `obj` at indent `pad` to `out`, as one piece unless
-    `obj` holds a `Violations`, and say whether it does.  A container without
-    one is joined as it ends, so its small strings are freed; the large text
-    of one reaches the final join uncopied."""
+def _write(obj, pad: str, out: list) -> None:
+    """Append the pieces of the text of `obj` at indent `pad` to `out`."""
     kind = type(obj)
     if kind is str:
         out.append(encode_basestring_ascii(obj))
@@ -592,42 +592,29 @@ def _write(obj, pad: str, out: list) -> bool:
         out.append(json.dumps(obj))
     elif kind is Violations:
         _violation_text(obj, pad, out)
-        return True
     elif kind is list and obj or kind is dict and obj and set(map(type, obj)) == {str}:
         inner = pad + "  "
         sep = ",\n" + inner
-        if kind is list:
-            kinds = set(map(type, obj))
-            if kinds <= _SCALARS:
-                # No scalar's text holds the item separator ", ".
-                out.append(f"[\n{inner}" + sep.join(json.dumps(obj)[1:-1].split(", "))
-                           + f"\n{pad}]")
-                return False
-            if kinds == {str}:
-                out.append(f"[\n{inner}" + sep.join(map(encode_basestring_ascii, obj))
-                           + f"\n{pad}]")
-                return False
-            parts, holds = ["[\n" + inner], False
+        if kind is list and set(map(type, obj)) <= _SCALARS:
+            # No scalar's text holds the item separator ", ".
+            out.append(f"[\n{inner}" + sep.join(json.dumps(obj)[1:-1].split(", "))
+                       + f"\n{pad}]")
+        elif kind is list:
+            out.append("[\n" + inner)
             for v in obj:
-                holds |= _write(v, inner, parts)
-                parts.append(sep)
-            parts[-1] = f"\n{pad}]"
+                _write(v, inner, out)
+                out.append(sep)
+            out[-1] = f"\n{pad}]"
         else:
-            parts, holds, lead = [], False, "{\n" + inner
+            lead = "{\n" + inner
             for k, v in obj.items():
-                parts.append(f"{lead}{encode_basestring_ascii(k)}: ")
-                holds |= _write(v, inner, parts)
+                out.append(f"{lead}{encode_basestring_ascii(k)}: ")
+                _write(v, inner, out)
                 lead = sep
-            parts.append(f"\n{pad}}}")
-        if holds:
-            out += parts
-        else:
-            out.append("".join(parts))
-        return holds
+            out.append(f"\n{pad}}}")
     else:
         # Encoded JSON holds no raw newline, so every newline starts a line.
         out.append(json.dumps(obj, indent=2).replace("\n", "\n" + pad))
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -243,10 +243,11 @@ def test_dump_matches_json_on_drawn_payloads(obj):
 # Violation columns against json.dumps of `AxiomReport.to_dict()`
 
 def _assert_renders_as_dicts(report):
-    """The JSON writer, given the violation sequences themselves, writes what
-    json.dumps writes for the dicts of `to_dict()`, at every indent."""
-    columns = {"passed": report.passed, "violations": report.violations,
-               "warnings": report.warnings}
+    """The JSON writer, given the violation sequences themselves (`fields()`),
+    writes what json.dumps writes for the dicts of `to_dict()`, at every
+    indent."""
+    columns = report.fields()
+    assert columns["violations"] is report.violations
     dicts = report.to_dict()
     for wrap in (lambda r: r, lambda r: r["violations"], lambda r: r["warnings"],
                  lambda r: {"result": [r, {"again": [r]}]}):
