@@ -42,7 +42,7 @@ class BudgetError(WorkbenchError):
 
 
 # The limit of every exponential search, by knob: submodule and ideal lattices
-# (|M|), hom-set and isomorphism candidates, congruence lattices (|M|),
+# (|M|), hom and isomorphism search nodes, congruence lattices (|M|),
 # free-module carriers and group quotients, and tensor state spaces.
 # `cli.main` sets "enum" and "hom" from TGW_BUDGET for one command.
 BUDGETS = {"enum": 12, "hom": 50000, "partition": 8, "carrier": 4096, "state": 200000}

@@ -21,20 +21,19 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three backends realize the quotient:
 Every presentation records the relation schemas that were imposed, so results
 are auditable.  Each search charges a limit of `core.BUDGETS`: free-module
 carriers and group quotients "carrier", saturation state spaces "state", and
-hom sets and presentation isomorphisms "hom".
+the search nodes of hom sets and presentation isomorphisms "hom".
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (FiniteTernaryGammaSemiring, PreconditionError, UnionFind,
                    _charge, bourne_classes)
-from .modules import (GammaModule, ModuleHom, check_module_axioms,
+from .modules import (GammaModule, ModuleHom, _homs, check_module_axioms,
                       generating_set, hom_set, hom_violation,
                       require_module_axioms, regular_module, sub_module,
                       is_submodule, cyclic_module_catalog,
@@ -102,18 +101,12 @@ def make_presentation(name, labels, reps, add_rows, zero,
 
 
 def find_presentation_isomorphism(A: MonoidPresentation, B: MonoidPresentation):
-    """Zero-preserving bijection matching the addition tables, or None."""
+    """Zero-preserving bijection matching the addition tables, or None: the hom
+    search of `modules._homs` over monoids with no action columns."""
     if A.size != B.size:
         return None
-    n = A.size
-    _charge("hom", math.factorial(n - 1), "find_presentation_isomorphism: candidates")
-    for perm in itertools.permutations(range(n)):
-        if perm[A.zero] != B.zero:
-            continue
-        if all(perm[A.add[i][j]] == B.add[perm[i]][perm[j]]
-               for i in range(n) for j in range(n)):
-            return perm
-    return None
+    return next(_homs((A.add, A.zero, ((),) * A.size), (B.add, B.zero, ((),) * B.size),
+                      True), None)
 
 
 def bourne_quotient_presentation(name, size, add_fn, zero_idx, sub_indices,

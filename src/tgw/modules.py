@@ -130,21 +130,30 @@ def require_module_axioms(M: GammaModule, lenient: bool, op: str) -> AxiomReport
 # ---------------------------------------------------------------------------
 # Submodules
 
-def submodule_closure(M: GammaModule, seed) -> frozenset[int]:
-    """Least submodule containing the seed.  Each element is expanded once,
-    against every element present by then; an element added later expands
-    against it in turn."""
-    madd = M.madd
-    current = {M.zero, *seed}
+def _closure(table, seed) -> frozenset[int]:
+    """Least subset of `table` = (addition, zero, action rows) holding the zero
+    and the seed and closed under both.  Each element is expanded once, against
+    every element present by then; one added later expands against it in turn."""
+    madd, zero, rows = table
+    current = {zero, *seed}
     todo = list(current)
     while todo:
         i = todo.pop()
         found = {madd[i][j] for j in current}
-        found.update([madd[j][i] for j in current], M.images[i])
+        found.update([madd[j][i] for j in current], rows[i])
         found -= current
         current |= found
         todo.extend(found)
     return frozenset(current)
+
+
+def _table(M: GammaModule) -> tuple:
+    return M.madd, M.zero, M.images
+
+
+def submodule_closure(M: GammaModule, seed) -> frozenset[int]:
+    """Least submodule containing the seed."""
+    return _closure(_table(M), seed)
 
 
 def is_submodule(M: GammaModule, members: frozenset[int]) -> bool:
@@ -240,16 +249,17 @@ def hom_violation(source: GammaModule, target: GammaModule, mapping: tuple[int, 
     return None
 
 
-def generating_set(M: GammaModule) -> tuple[int, ...]:
-    """Small additive+action generating set, greedy by largest closure gain."""
+def _generators(table) -> tuple[int, ...]:
+    """Small generating set of `table`, greedy by largest `_closure` gain."""
+    size = len(table[0])
     gens: list[int] = []
-    closure = submodule_closure(M, ())
-    while len(closure) < M.size:
+    closure = _closure(table, ())
+    while len(closure) < size:
         best, best_closure = None, None
-        for x in range(M.size):
+        for x in range(size):
             if x in closure:
                 continue
-            cl = submodule_closure(M, closure | {x})
+            cl = _closure(table, closure | {x})
             if best is None or len(cl) > len(best_closure):
                 best, best_closure = x, cl
         gens.append(best)
@@ -257,57 +267,68 @@ def generating_set(M: GammaModule) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _propagate(M: GammaModule, N: GammaModule, gens, images):
-    """Extend generator images through closure; None on conflict."""
-    known: dict[int, int] = {M.zero: N.zero}
-    for g_elem, img in zip(gens, images):
-        if known.get(g_elem, img) != img:
-            return None
-        known[g_elem] = img
-    size = 0
-    while len(known) != size:
-        size = len(known)
-        items = sorted(known.items())
-        pairs = itertools.chain(
-            ((M.madd[m1][m2], N.madd[v1][v2]) for m1, v1 in items for m2, v2 in items),
-            *(zip(M.images[m], N.images[v]) for m, v in items))
-        if any(known.setdefault(s, v) != v for s, v in pairs):
-            return None
-    if len(known) != M.size:
-        return None
-    return tuple(known[i] for i in range(M.size))
+def generating_set(M: GammaModule) -> tuple[int, ...]:
+    """Small additive+action generating set, greedy by largest closure gain."""
+    return _generators(_table(M))
+
+
+def _homs(source, target, injective: bool):
+    """Each hom, or each injective one, between two (addition, zero, action
+    rows) triples, as a carrier mapping.  From zero ↦ zero it tries every image
+    of one generator at a time, in `_generators` order, propagates through every
+    sum of mapped elements and every action column, and backtracks on a
+    conflict or, if `injective`, a shared image; so every complete map is a hom.
+    Each image tried for a generator is one search node, charged to "hom"."""
+    sadd, szero, srows = source
+    tadd, tzero, trows = target
+
+    def extend(image: list[int], m: int, v: int) -> bool:
+        todo = [(m, v)]
+        while todo:
+            m, v = todo.pop()
+            if image[m] >= 0 or injective and v in image:
+                if image[m] != v:
+                    return False
+                continue
+            image[m] = v
+            todo += zip(srows[m], trows[v])
+            todo += [(sadd[m][k], tadd[v][w]) for k, w in enumerate(image) if w >= 0]
+            todo += [(sadd[k][m], tadd[w][v]) for k, w in enumerate(image) if w >= 0]
+        return True
+
+    gens, nodes = _generators(source), itertools.count(1)
+
+    def search(image: list[int], depth: int):
+        if depth == len(gens):
+            yield tuple(image)
+            return
+        for v in range(len(tadd)):
+            _charge("hom", next(nodes), "hom search: nodes")
+            child = image.copy()
+            if extend(child, gens[depth], v):
+                yield from search(child, depth + 1)
+
+    root = [-1] * len(sadd)
+    if extend(root, szero, tzero):
+        yield from search(root, 0)
 
 
 def hom_set(M: GammaModule, N: GammaModule) -> tuple[ModuleHom, ...]:
-    """All verified homomorphisms M -> N, ordered by mapping tuple.
-
-    Candidates are generated from generator images and propagated through the
-    additive/action closure; every survivor is then re-verified pointwise.
-    """
+    """All homomorphisms M -> N, ordered by mapping tuple: the backtracking
+    search of `_homs` over generator images, charged per search node."""
     if M.base is not N.base and M.base != N.base:
         raise PreconditionError("hom_set: modules live over different bases")
-    gens = generating_set(M)
-    _charge("hom", N.size ** len(gens), "hom_set: candidates")
-    maps = set()
-    for images in itertools.product(range(N.size), repeat=len(gens)):
-        total = _propagate(M, N, gens, images)
-        if total is not None and hom_violation(M, N, total) is None:
-            maps.add(total)
-    return tuple(ModuleHom(M, N, mp, verified=True) for mp in sorted(maps))
+    maps = sorted(_homs(_table(M), _table(N), False))
+    return tuple(ModuleHom(M, N, mp, verified=True) for mp in maps)
 
 
 def find_isomorphism(A: GammaModule, B: GammaModule) -> ModuleHom | None:
-    """Bijective hom whose inverse is again a hom, or None."""
+    """First bijective hom A -> B that the search reaches, or None.  Its
+    inverse is a hom too, as for every bijective hom between total tables."""
     if A.size != B.size:
         return None
-    for f in hom_set(A, B):
-        if f.is_bijective():
-            inverse = [0] * B.size
-            for i, v in enumerate(f.map):
-                inverse[v] = i
-            if hom_violation(B, A, tuple(inverse)) is None:
-                return f
-    return None
+    found = next(_homs(_table(A), _table(B), True), None)
+    return None if found is None else ModuleHom(A, B, found, verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +372,6 @@ class EndReport:
     simple: bool
     schur_checked: bool
     schur_failures: tuple[int, ...]
-    locality_failures: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -378,28 +398,11 @@ def end_semiring(M: GammaModule, lenient: bool = False) -> EndReport:
     comp_rows = tuple(tuple(index[f.after(g_h).map] for g_h in homs) for f in homs)
 
     simple = is_simple(M)
-    schur_failures: list[int] = []
-    locality_failures: list[int] = []
-    if simple:
-        for k, f in enumerate(homs):
-            if f.is_zero:
-                continue
-            if not f.is_bijective():
-                schur_failures.append(k)
-                locality_failures.append(k)
-                continue
-            inverse = [0] * M.size
-            for i, v in enumerate(f.map):
-                inverse[v] = i
-            if hom_violation(M, M, tuple(inverse)) is None:
-                if tuple(inverse) not in index:
-                    locality_failures.append(k)
-            else:
-                locality_failures.append(k)
+    schur_failures = tuple(k for k, f in enumerate(homs)
+                           if simple and not f.is_zero and not f.is_bijective())
     return EndReport(module=M, homs=homs, add_table=add_rows,
                      comp_table=comp_rows, add_closed=add_closed, simple=simple,
-                     schur_checked=simple, schur_failures=tuple(schur_failures),
-                     locality_failures=tuple(locality_failures))
+                     schur_checked=simple, schur_failures=schur_failures)
 
 
 @dataclass
@@ -479,16 +482,17 @@ class ModuleCongruence:
         return len(self.classes)
 
 
+def _classes(class_of) -> tuple[tuple[int, ...], ...]:
+    """Classes of a partition given as the class of each carrier element."""
+    return tuple(tuple(m for m, c in enumerate(class_of) if c == k)
+                 for k in range(max(class_of) + 1))
+
+
 def _partition_to_congruence(M: GammaModule, class_of) -> ModuleCongruence:
-    """Congruence record of a partition, given as the class of each carrier
-    element with classes numbered by least member."""
-    classes = [[] for _ in range(max(class_of) + 1)]
-    for elem, ci in enumerate(class_of):
-        classes[ci].append(elem)
-    compatible, witness = _congruence_compatible(M, class_of)
-    return ModuleCongruence(classes=tuple(map(tuple, classes)),
-                            class_of=tuple(class_of),
-                            compatible=compatible, witness=witness)
+    """Congruence record of a partition, with classes numbered by least member,
+    checked against every translation and action column."""
+    return ModuleCongruence(_classes(class_of), tuple(class_of),
+                            *_congruence_compatible(M, class_of))
 
 
 def _congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | None]:
@@ -568,16 +572,16 @@ def is_congruence_simple(M: GammaModule) -> bool:
 def enumerate_module_congruences(M: GammaModule) -> list[ModuleCongruence]:
     """All congruences, in lexicographic order of `class_of`.  Each is a join of
     principal ones (Freese, Algebra Universalis 59, 2008); after each pair
-    (a, b), `lattice` holds every join of the Cg(a, b) taken so far."""
+    (a, b), `lattice` holds every join of the Cg(a, b) taken so far.  `join`
+    closes under every translation and action column, so each member is a
+    congruence by construction."""
     _charge("partition", M.size, "enumerate_module_congruences: |M|")
     join, discrete = _joins(M), tuple(range(M.size))
     lattice = {discrete}
     for a, b in itertools.combinations(discrete, 2):
         lattice |= {join(theta, a, b) for theta in lattice if theta[a] != theta[b]}
-    results = [_partition_to_congruence(M, class_of) for class_of in sorted(lattice)]
-    if bad := [cong for cong in results if not cong.compatible]:
-        raise RuntimeError(f"enumerate_module_congruences: {bad[0].class_of}: {bad[0].witness}")
-    return results
+    return [ModuleCongruence(_classes(class_of), class_of, compatible=True)
+            for class_of in sorted(lattice)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The oracles deliberately ignore the library's enumeration strategies: ideals
 and submodules come from filtering every subset, hom sets from filtering
-every total map, axiom reports from nested loops over every law instance.
+every total map, presentation isomorphisms from trying every permutation,
+axiom reports from nested loops over every law instance.
 Differential tests compare the fast paths against these.
 """
 
@@ -462,6 +463,21 @@ def brute_force_homs(M, N):
         if hom_violation(M, N, mapping) is None:
             out.append(mapping)
     return sorted(out)
+
+
+def brute_force_presentation_isomorphism(A, B):
+    """Zero-preserving bijection matching the addition tables, or None: the
+    first of all permutations that fits."""
+    if A.size != B.size:
+        return None
+    n = A.size
+    for perm in itertools.permutations(range(n)):
+        if perm[A.zero] != B.zero:
+            continue
+        if all(perm[A.add[i][j]] == B.add[perm[i]][perm[j]]
+               for i in range(n) for j in range(n)):
+            return perm
+    return None
 
 
 def all_bundled_modules():

@@ -838,6 +838,17 @@ def test_exit_2_on_budget(capsys, monkeypatch):
     assert main(["ideals", "B2"]) == 2
 
 
+def test_tor_on_c10_runs_at_default_limits(capsys, tmp_path, monkeypatch):
+    """The check Tor0 = M (x) N on C10 runs at default limits: its isomorphism
+    search is charged per search node, not for each of the 9! zero-fixing
+    bijections of 10 classes."""
+    monkeypatch.delenv("TGW_BUDGET", raising=False)
+    path = tmp_path / "C10.json"
+    path.write_text(serialize_structure(chain(10)), encoding="utf-8")
+    assert main(["tor", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_budget_applies_to_every_command_for_one_call(capsys, monkeypatch):
     """TGW_BUDGET sets the enum and hom limits for the whole command, also
     where the search sits below the catalog, and the limits are restored

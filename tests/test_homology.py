@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -19,8 +20,9 @@ from tgw.modules import (GammaModule, check_module_axioms,
                          cyclic_module_catalog, enumerate_module_congruences,
                          find_isomorphism, hom_set, hom_violation, regular_module)
 
-from conftest import (all_bundled_modules, brute_force_tensor_idempotent, chain,
-                      integers_mod, swapping_module, truncated_naturals)
+from conftest import (all_bundled_modules, brute_force_presentation_isomorphism,
+                      brute_force_tensor_idempotent, chain, integers_mod,
+                      swapping_module, truncated_naturals)
 
 
 def test_free_module_rank1_is_regular(b2, b2_reg):
@@ -61,8 +63,9 @@ def test_each_budget_names_its_limit(knob, b2, b2_reg, monkeypatch):
 
 
 def test_presentation_isomorphism_charges_hom(monkeypatch):
-    """The (n-1)! zero-fixing bijections are charged to "hom" before the
-    search: a 4-class pair needs a limit of 3! = 6."""
+    """Each image tried for a generator is one search node charged to "hom":
+    Z4 has the one generator 1, whose image 0 conflicts with the zero and
+    whose image 1 completes the isomorphism, so the pair needs 2 nodes."""
     z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     relabel = (0, 2, 3, 1)
     twisted = [[0] * 4 for _ in range(4)]
@@ -71,10 +74,10 @@ def test_presentation_isomorphism_charges_hom(monkeypatch):
             twisted[relabel[i]][relabel[j]] = relabel[z4[i][j]]
     A = make_presentation("A", "abcd", "abcd", z4, 0)
     B = make_presentation("B", "abcd", "abcd", twisted, 0)
-    monkeypatch.setitem(BUDGETS, "hom", 5)
-    with pytest.raises(BudgetError, match="hom limit 5"):
+    monkeypatch.setitem(BUDGETS, "hom", 1)
+    with pytest.raises(BudgetError, match="nodes = 2 exceeds the hom limit 1$"):
         find_presentation_isomorphism(A, B)
-    monkeypatch.setitem(BUDGETS, "hom", 6)
+    monkeypatch.setitem(BUDGETS, "hom", 2)
     perm = find_presentation_isomorphism(A, B)
     assert perm is not None and perm[0] == 0
     assert all(perm[z4[i][j]] == twisted[perm[i]][perm[j]]
@@ -260,6 +263,57 @@ def test_exact_tensor_matches_other_backends(M, N):
     assert ind.classes[exact.presentation.zero] == other.presentation.zero
     if other.module is not None:
         assert hom_violation(exact.module, other.module, ind.classes) is None
+
+
+def _relabelled_presentation(P, rng):
+    """P with its classes renumbered by a seeded permutation."""
+    perm = list(range(P.size))
+    rng.shuffle(perm)
+    add = [[0] * P.size for _ in range(P.size)]
+    for i in range(P.size):
+        for j in range(P.size):
+            add[perm[i]][perm[j]] = perm[P.add[i][j]]
+    return make_presentation(f"{P.name}~", P.classes, P.reps, add, perm[P.zero])
+
+
+def _presentation_pool():
+    """The distinct presentations of both backends over `BACKEND_PAIRS`, each
+    with a seeded relabelling."""
+    rng = random.Random("presentations")
+    pool = {}
+    for M, N in BACKEND_PAIRS:
+        for backend in ("saturation", "auto"):
+            P = tensor(M, N, backend=backend, lenient=True).presentation
+            for Q in (P, _relabelled_presentation(P, rng)):
+                pool.setdefault((Q.add, Q.zero), Q)
+    return list(pool.values())
+
+
+PRESENTATIONS = _presentation_pool()
+
+
+@pytest.mark.parametrize("size", sorted({P.size for P in PRESENTATIONS}))
+def test_presentation_isomorphism_matches_permutations(size):
+    """Same verdict as trying every permutation, on every ordered pair of one
+    size, and a zero-preserving bijection matching the tables when found.  The
+    pairs hold relabellings and non-isomorphic monoids of one size: Z2, Z3 and
+    Z4 against, in turn, the 2-element semilattice, C3 and the 4-element
+    semilattices.
+    Above 8 classes, out of the oracle's reach, every pair is isomorphic."""
+    group = [P for P in PRESENTATIONS if P.size == size]
+    verdicts = set()
+    for A in group:
+        for B in group:
+            perm = find_presentation_isomorphism(A, B)
+            expected = (brute_force_presentation_isomorphism(A, B) is not None
+                        if size <= 8 else True)
+            assert (perm is not None) == expected, (A.name, B.name)
+            verdicts.add(expected)
+            if perm is not None:
+                assert sorted(perm) == list(range(size)) and perm[A.zero] == B.zero
+                assert all(perm[A.add[i][j]] == B.add[perm[i]][perm[j]]
+                           for i in range(size) for j in range(size))
+    assert verdicts == ({True, False} if size in (2, 3, 4) else {True})
 
 
 @pytest.mark.parametrize("k,size", [(2, 3), (3, 4)])

