@@ -8,8 +8,7 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three backends realize the quotient:
 
 * idempotent - both carrier additions idempotent; the free object is a finite
   join-semilattice and the congruence is computed by saturation over subset
-  bitmasks, closing each distinct mask once; later class lookups fold the
-  generator classes through the class join table.
+  bitmasks, closing each distinct mask once.
 * group - both carrier additions are abelian groups; relation differences
   span an integer lattice and the quotient comes from a diagonalized relation
   matrix.
@@ -17,6 +16,12 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three backends realize the quotient:
   generators into a function from one carrier to the other (with an empty
   value adjoined), and the quotient of these functions is the equivalence
   closure of the translates of the remaining relations.
+
+A backend only computes the quotient: the class of each generator, the class
+addition table and a representative sum of generators per class.  For every
+backend, `tensor` then looks up the class of a sum by folding generator
+classes through that table, builds the induced module and checks the induced
+action on every relation pair.
 
 Every presentation records the relation schemas that were imposed, so results
 are auditable.  Each search charges a limit of `core.BUDGETS`: free-module
@@ -251,50 +256,33 @@ def free_resolution(S: FiniteTernaryGammaSemiring, M: GammaModule,
 # ---------------------------------------------------------------------------
 # Tensor products
 
-def _tensor_generators(M: GammaModule, N: GammaModule):
-    gens = [(m, n) for m in range(M.size) for n in range(N.size)]
-    return gens, {g: k for k, g in enumerate(gens)}
-
-
 def _tensor_relations(M: GammaModule, N: GammaModule):
-    """Relation pairs as generator-multiset dicts, plus schema descriptions."""
+    """Relation rows (l, r1, r2) over the generators m·|N| + n: generator l
+    equals r1 + r2, or r1 alone when r2 = -1.  Plus schema descriptions."""
     S = M.base
-    rels = []
-    for m1 in range(M.size):
-        for m2 in range(M.size):
-            for n in range(N.size):
-                lhs = {(M.madd[m1][m2], n): 1}
-                rhs: dict = {}
-                for g in ((m1, n), (m2, n)):
-                    rhs[g] = rhs.get(g, 0) + 1
-                if lhs != rhs:
-                    rels.append((lhs, rhs))
-    for m in range(M.size):
-        for n1 in range(N.size):
-            for n2 in range(N.size):
-                lhs = {(m, N.madd[n1][n2]): 1}
-                rhs = {}
-                for g in ((m, n1), (m, n2)):
-                    rhs[g] = rhs.get(g, 0) + 1
-                if lhs != rhs:
-                    rels.append((lhs, rhs))
-    # The balance relations keep this nesting order rather than the order of
-    # `images`: the group backend's diagonalization follows the relation order.
-    col = {q: k for k, q in enumerate(S.quads)}
-    for a, x, m, y, b in itertools.product(range(S.n), range(S.g), range(M.size),
-                                           range(S.g), range(S.n)):
-        k = col[a, x, y, b]
-        for n in range(N.size):
-            lhs = {(M.images[m][k], n): 1}
-            rhs = {(m, N.images[n][k]): 1}
-            if lhs != rhs:
-                rels.append((lhs, rhs))
-    balance = len(S.quads) * M.size * N.size
+    size = N.size
+
+    def rows(l, r1, r2):
+        return np.stack([a.ravel() for a in np.broadcast_arrays(l, r1, r2)], axis=1)
+
+    m1, m2, n = np.ix_(range(M.size), range(M.size), range(size))
+    left = rows(np.asarray(M.madd)[m1, m2] * size + n, m1 * size + n, m2 * size + n)
+    m, n1, n2 = np.ix_(range(M.size), range(size), range(size))
+    right = rows(m * size + np.asarray(N.madd)[n1, n2], m * size + n1, m * size + n2)
+    # The balance relations keep the nesting order (a, x, m, y, b, n) rather
+    # than the order of `images`: the group backend's diagonalization follows
+    # the relation order.  `S.quads` lists (a, x, y, b) in product order.
+    a, x, m, y, b, n = np.ix_(range(S.n), range(S.g), range(M.size), range(S.g),
+                              range(S.n), range(size))
+    k = ((a * S.g + x) * S.g + y) * S.n + b
+    balance = rows(np.asarray(M.images)[m, k] * size + n,
+                   m * size + np.asarray(N.images)[n, k], -1)
+    rels = np.concatenate([left, right, balance[balance[:, 0] != balance[:, 1]]])
     descriptions = (
         f"(m+m')⊗n ~ m⊗n + m'⊗n for all m,m' in {M.name}, n in {N.name}",
         f"m⊗(n+n') ~ m⊗n + m⊗n' for all m in {M.name}, n,n' in {N.name}",
         f"act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b) for all a,b,x,y "
-        f"({balance} instances)",
+        f"({len(S.quads) * M.size * N.size} instances)",
     )
     return rels, descriptions
 
@@ -310,15 +298,19 @@ def _is_group(M: GammaModule) -> bool:
 
 @dataclass
 class TensorResult:
+    """The presentation and induced module of M⊗N.  Generator m⊗n is index
+    m·|N| + n: `gen_class` maps each to its class, `relations` holds the
+    rows of `_tensor_relations`, and `rep_gens[c]` lists the generators whose
+    sum represents class c."""
+
     presentation: MonoidPresentation
-    module: GammaModule | None
+    module: GammaModule
     backend: str
-    gen_class: dict
+    gen_class: np.ndarray
     module_action_ok: bool
     notes: tuple[str, ...]
-    rel_pairs: list = field(repr=False, default_factory=list)
-    eval_sum: object = field(repr=False, default=None)
-    rep_sum: object = field(repr=False, default=None)
+    relations: np.ndarray = field(repr=False)
+    rep_gens: list = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -326,34 +318,63 @@ class TensorResult:
 
 
 def _gen_label(M, N, g) -> str:
-    return f"{M.carrier[g[0]]}⊗{N.carrier[g[1]]}"
+    return f"{M.carrier[g // N.size]}⊗{N.carrier[g % N.size]}"
 
 
-def _with_induced_module(M: GammaModule, pres: MonoidPresentation, images,
-                         action_ok: bool, notes: list, **fields) -> TensorResult:
-    """The tensor result whose module is the classes of `pres` under its
-    addition, with `images[c]` the classes of act(a, x, c, y, b) over the
-    base's quads; a module that fails the module axioms clears `action_ok`."""
-    module = GammaModule(name=pres.name, base=M.base, carrier=pres.classes,
-                         zero=pres.zero, madd=pres.add, images=tuple(map(tuple, images)))
-    if check_module_axioms(module).violations:
-        action_ok = False
-        notes = [*notes, "induced module fails the module axioms"]
-    return TensorResult(presentation=pres, module=module, module_action_ok=action_ok,
-                        notes=tuple(notes), **fields)
+def _first_generators(gen_class) -> dict:
+    """Each class that a generator lands in, mapped to its first generator."""
+    first = {}
+    for g, c in enumerate(gen_class.tolist()):
+        first.setdefault(c, g)
+    return first
 
 
-def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, descriptions):
-    gens, gidx = _tensor_generators(M, N)
+def _rep_labels(M, N, gen_class, rep_gens) -> list[str]:
+    """Each class's first generator, else the first three generators of its
+    representative."""
+    first = _first_generators(gen_class)
+    return [_gen_label(M, N, first[c]) if c in first
+            else "+".join(_gen_label(M, N, g) for g in rep[:3])
+            for c, rep in enumerate(rep_gens)]
 
-    def mask_of(d):
-        mask = 0
-        for g in d:
-            mask |= 1 << gidx[g]
-        return mask
 
+def _class_sums(table, classes, rep_gens):
+    """Row c is the class of the sum of `rep_gens[c]`: the classes of its
+    generators (rows of `classes`) folded left through the addition `table`."""
+    out = classes[[rep[0] for rep in rep_gens]]
+    for j in range(1, max(map(len, rep_gens))):
+        live = [c for c, rep in enumerate(rep_gens) if len(rep) > j]
+        out[live] = table[out[live], classes[[rep_gens[c][j] for c in live]]]
+    return out
+
+
+def _distinct_rows(a):
+    """The distinct rows of an int matrix, in lexicographic order.  (np.unique
+    does this too, but imports numpy.ma on first use, which takes longer than
+    a whole small tensor.)"""
+    a = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[keep]
+
+
+def _respects(rels, table, classes) -> bool:
+    """Whether each relation row lands on one class under g -> classes[g]."""
+    l, r1, r2 = rels.T
+    pair = r2 >= 0
+    rhs = classes[r1]
+    rhs[pair] = table[rhs[pair], classes[r2[pair]]]
+    return np.array_equal(classes[l], rhs)
+
+
+def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
+    G = M.size * N.size
     # Horn rules are symmetric, so each relation is kept once as a sorted pair.
-    pairs = {tuple(sorted((mask_of(lhs), mask_of(rhs)))) for lhs, rhs in rels}
+    pairs = set()
+    for l, r1, r2 in _distinct_rows(rels).tolist():
+        a = 1 << l
+        b = 1 << r1 | (1 << r2 if r2 >= 0 else 0)
+        pairs.add((a, b) if a < b else (b, a))
     rel_masks = sorted((a, b) for a, b in pairs if a != b)
     closed = {}
 
@@ -374,11 +395,8 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, descriptions)
         closed[start] = mask
         return mask
 
-    def bits(mask):
-        return [g for g in gens if mask >> gidx[g] & 1]
-
-    sat_gen = {g: saturate(1 << gidx[g]) for g in gens}
-    masks = set(sat_gen.values())
+    sat_gen = [saturate(1 << g) for g in range(G)]
+    masks = set(sat_gen)
     frontier = sorted(masks)
     while frontier:
         new = []
@@ -392,53 +410,13 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, descriptions)
     ordered = sorted(masks, key=lambda m: (bin(m).count("1"), m))
     index = {m: k for k, m in enumerate(ordered)}
     add_rows = [[index[saturate(a | b)] for b in ordered] for a in ordered]
-    zero_class = index[sat_gen[(M.zero, N.zero)]]
-    members = [bits(mask) for mask in ordered]
-
-    reps = []
-    for mask, gs in zip(ordered, members):
-        direct = [g for g in gs if sat_gen[g] == mask]
-        reps.append(_gen_label(M, N, direct[0]) if direct
-                    else "+".join(_gen_label(M, N, g) for g in gs[:3]))
-    labels = [f"c{k}" for k in range(len(ordered))]
-    pres = make_presentation(name, labels, reps, add_rows, zero_class,
-                             relations=descriptions)
-    gen_class = {g: index[sat_gen[g]] for g in gens}
-
-    def join(gs):
-        # saturate is a closure operator, so the class of a sum of generators
-        # is the fold of their classes through the join table.
-        gs = iter(gs)
-        c = gen_class[next(gs)]
-        for g in gs:
-            c = add_rows[c][gen_class[g]]
-        return c
-
-    def eval_sum(multiset):
-        return join(multiset) if multiset else None
-
-    def rep_sum(ci):
-        return tuple((g, 1) for g in members[ci])
-
-    notes = []
-    action_ok = True
-
-    def class_images(gs):
-        # The class of act(a, x, sum gs, y, b), for each (a, x, y, b) in quads.
-        ns = [n for _, n in gs]
-        return tuple(join(zip(ms, ns)) for ms in zip(*(M.images[m] for m, _ in gs)))
-
-    if len(gens) <= 8:
-        if any(class_images(bits(lhs)) != class_images(bits(rhs)) for lhs, rhs in rel_masks):
-            action_ok = False
-            notes.append("induced action is not well-defined "
-                         "on a relation pair")
-    else:
-        notes.append("induced action verified via module axiom check only")
-
-    return _with_induced_module(M, pres, map(class_images, members), action_ok,
-                                notes, backend="idempotent", gen_class=gen_class,
-                                rel_pairs=rels, eval_sum=eval_sum, rep_sum=rep_sum)
+    # saturate is a closure operator, so the class of any sum of generators
+    # is the fold of their classes through the join table, and a class is
+    # represented by the sum of its members.
+    gen_class = np.array([index[mask] for mask in sat_gen])
+    members = [[g for g in range(G) if mask >> g & 1] for mask in ordered]
+    return (add_rows, index[sat_gen[M.zero * N.size + N.zero]], gen_class, members,
+            _rep_labels(M, N, gen_class, members), [])
 
 
 def _smith_diagonal(rows, n):
@@ -503,40 +481,26 @@ def _smith_diagonal(rows, n):
     return diag[:n], V
 
 
-def _tensor_group(M: GammaModule, N: GammaModule, name, rels, descriptions):
-    gens, gidx = _tensor_generators(M, N)
-    G = len(gens)
-    rows = []
-    for lhs, rhs in rels:
-        vec = [0] * G
-        for g, c in lhs.items():
-            vec[gidx[g]] += c
-        for g, c in rhs.items():
-            vec[gidx[g]] -= c
-        if any(vec):
-            rows.append(vec)
-    diag, V = _smith_diagonal(rows, G)
-
-    def coords(vec):
-        return [sum(vec[i] * V[i][j] for i in range(G)) for j in range(G)]
-
-    gen_coords = [coords([1 if i == k else 0 for i in range(G)]) for k in range(G)]
+def _tensor_group(M: GammaModule, N: GammaModule, name, rels):
+    G = M.size * N.size
+    vecs = np.zeros((len(rels), G), dtype=np.int64)
+    for sign, col in ((1, rels[:, 0]), (-1, rels[:, 1]), (-1, rels[:, 2])):
+        used = col >= 0
+        np.add.at(vecs, (np.flatnonzero(used), col[used]), sign)
+    diag, V = _smith_diagonal(vecs[vecs.any(axis=1)].tolist(), G)
+    # Row k of V holds generator k's coordinates after the change of basis.
     live = []
     for j in range(G):
         d = diag[j]
         if d == 1:
             continue
         if d == 0:
-            if any(gc[j] != 0 for gc in gen_coords):
+            if any(V[k][j] != 0 for k in range(G)):
                 raise PreconditionError(
                     f"{name}: group backend found an infinite quotient; "
                     f"the carrier additions are not genuinely group-like")
             continue
         live.append(j)
-
-    def reduce(vec):
-        ys = coords(vec)
-        return tuple(ys[j] % diag[j] for j in live)
 
     size = 1
     for j in live:
@@ -546,49 +510,31 @@ def _tensor_group(M: GammaModule, N: GammaModule, name, rels, descriptions):
     index = {c: k for k, c in enumerate(classes)}
     add_rows = [[index[tuple((a[t] + b[t]) % diag[j] for t, j in enumerate(live))]
                  for b in classes] for a in classes]
-    gen_class = {}
-    for k, g in enumerate(gens):
-        vec = [0] * G
-        vec[k] = 1
-        gen_class[g] = index[reduce(vec)]
+    gen_class = np.array([index[tuple(V[k][j] % diag[j] for j in live)] for k in range(G)])
     zero_class = index[tuple(0 for _ in live)]
     notes = []
-    if gen_class[(M.zero, N.zero)] != zero_class:
+    if gen_class[M.zero * N.size + N.zero] != zero_class:
         notes.append("zero generator does not map to the zero class")
-    reps = []
-    for k, cls in enumerate(classes):
-        direct = [g for g in gens if gen_class[g] == k]
-        reps.append(_gen_label(M, N, direct[0]) if direct else "aggregate")
-    labels = [f"c{k}" for k in range(len(classes))]
-    pres = make_presentation(name, labels, reps, add_rows, zero_class,
-                             relations=descriptions)
-
-    def eval_sum(multiset):
-        vec = [0] * G
-        for g, c in multiset.items():
-            vec[gidx[g]] += c
-        return index[reduce(vec)]
-
-    def rep_sum(ci):
-        direct = [g for k, g in enumerate(gens) if gen_class[g] == ci]
-        if direct:
-            return ((direct[0], 1),)
-        return None
-
-    module = None
-    action_ok = True
-    if len(classes) == 1:
-        from .modules import zero_module
-        module = zero_module(M.base, name=name)
-    else:
-        notes.append("induced module not constructed for the group backend")
-    return TensorResult(presentation=pres, module=module, backend="group",
-                        gen_class=gen_class, module_action_ok=action_ok,
-                        notes=tuple(notes), rel_pairs=rels,
-                        eval_sum=eval_sum, rep_sum=rep_sum)
+    # A class with a generator is represented by its first one; the rest are
+    # reached breadth-first through the addition table.  The generator
+    # classes generate a submonoid of a finite group, which is the quotient.
+    first = _first_generators(gen_class)
+    rep_gens = [None] * len(classes)
+    for c, g in first.items():
+        rep_gens[c] = [g]
+    queue = list(first)
+    for c in queue:
+        for d, g in first.items():
+            s = add_rows[c][d]
+            if rep_gens[s] is None:
+                rep_gens[s] = rep_gens[c] + [g]
+                queue.append(s)
+    labels = [_gen_label(M, N, first[c]) if c in first else "aggregate"
+              for c in range(len(classes))]
+    return add_rows, zero_class, gen_class, rep_gens, labels, notes
 
 
-def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, descriptions):
+def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels):
     """Exact tensor of any pair of modules over one base.
 
     Left-linearity folds each column of a sum of generators a⊗n into one
@@ -613,21 +559,22 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, descriptions)
     digits = np.indices((E + 1,) * cols).reshape(cols, total).T
     place = (E + 1) ** np.arange(cols - 1, -1, -1)
 
-    def key(g):
-        # A generator m⊗n as (element of A, column), and back.
-        return g[::-1] if flip else g
-
-    def fold(multiset):
-        s = [E] * cols
-        for g, c in multiset.items():
-            u, col = key(g)
-            for _ in range(c):
-                s[col] = plus[s[col], u]
-        return tuple(s)
-
+    # Generator m⊗n as an element u of A in a column, and its state.
+    m, n = np.divmod(np.arange(M.size * N.size), N.size)
+    u, col = (n, m) if flip else (m, n)
+    empty = E * place.sum()
+    gen_state = empty + (u - E) * place[col]
+    l, r1, r2 = rels.T
+    pair = r2 >= 0
+    rhs = gen_state[r1]
+    # The two generators of a sum share a column or fill two.
+    p1, p2 = r1[pair], r2[pair]
+    rhs[pair] = np.where(col[p1] == col[p2],
+                         empty + (plus[u[p1], u[p2]] - E) * place[col[p1]],
+                         gen_state[p1] + gen_state[p2] - empty)
     uf = UnionFind(total)
-    for a, b in sorted({tuple(sorted((fold(lhs), fold(rhs)))) for lhs, rhs in rels}):
-        za, zb = plus[digits, a] @ place, plus[digits, b] @ place
+    for a, b in _distinct_rows(np.sort(np.stack([gen_state[l], rhs], axis=1))):
+        za, zb = plus[digits, digits[a]] @ place, plus[digits, digits[b]] @ place
         moved = za != zb
         for x, y in zip(za[moved].tolist(), zb[moved].tolist()):
             uf.union(x, y)
@@ -637,81 +584,78 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, descriptions)
     class_of = np.full(total, -1)
     for ci, cls in enumerate(classes):
         class_of[cls] = ci
-    reps = [cls[0] for cls in classes]
-
-    def eval_sum(multiset):
-        return int(class_of[np.dot(fold(multiset), place)])
-
-    def rep_sum(ci):
-        return tuple((key((u, col)), 1)
-                     for col, u in enumerate(digits[reps[ci]].tolist()) if u != E)
-
-    gens, _ = _tensor_generators(M, N)
-    gen_class = {g: eval_sum({g: 1}) for g in gens}
-    first = {}
-    for g in gens:
-        first.setdefault(gen_class[g], g)
-    labels = [f"c{k}" for k in range(len(classes))]
-    rep_labels = [_gen_label(M, N, first[ci]) if ci in first
-                  else "+".join(_gen_label(M, N, g) for g, _ in rep_sum(ci)[:3])
-                  for ci in range(len(classes))]
-    rep_digits = digits[reps]
+    rep_digits = digits[[cls[0] for cls in classes]]
+    # A state is represented by its generators, one per non-empty column.
+    gen_at = np.empty((E, cols), dtype=np.int64)
+    gen_at[u, col] = np.arange(M.size * N.size)
+    gen_at = gen_at.tolist()
+    rep_gens = [[gen_at[v][c] for c, v in enumerate(row) if v != E]
+                for row in rep_digits.tolist()]
     add_rows = [class_of[plus[r, rep_digits] @ place].tolist() for r in rep_digits]
-    pres = make_presentation(name, labels, rep_labels, add_rows,
-                             gen_class[(M.zero, N.zero)], relations=descriptions)
-
-    # The action works column by column and fixes E.  It is well defined when
-    # every state of a class lands in the class its representative lands in.
-    images = np.full((E + 1, len(M.base.quads)), E)
-    images[:E] = A.images
-    live = class_of >= 0
-    class_images = []
-    well_defined = True
-    for column in images.T:
-        acted = class_of[column[digits] @ place]
-        class_images.append(acted[reps])
-        if not np.array_equal(acted[live], acted[reps][class_of[live]]):
-            well_defined = False
-    notes = [] if well_defined else ["induced action is not well-defined on a class"]
-    return _with_induced_module(M, pres, np.array(class_images).T.tolist(),
-                                well_defined, notes, backend="saturation",
-                                gen_class=gen_class, rel_pairs=rels,
-                                eval_sum=eval_sum, rep_sum=rep_sum)
+    gen_class = class_of[gen_state]
+    return (add_rows, int(gen_class[M.zero * N.size + N.zero]), gen_class, rep_gens,
+            _rep_labels(M, N, gen_class, rep_gens), [])
 
 
 def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
            lenient: bool = False) -> TensorResult:
-    """Tensor product presentation over the common base, plus the induced
-    module when the backend can construct one.
+    """Tensor product presentation over the common base, and its induced
+    module.
 
     `auto` picks the idempotent backend when both additions are idempotent,
     the group backend when both are groups, and otherwise the exact
     `saturation` backend, which takes every pair and charges its state count
-    to the "state" limit of `core.BUDGETS`.  Only the group backend leaves
-    out the induced module, unless its quotient is trivial."""
+    to the "state" limit of `core.BUDGETS`.  Each backend computes only the
+    quotient; the induced action act(a, x, m⊗n, y, b) = act(a, x, m, y, b)⊗n
+    is built here for all three, from each class's representative, and is
+    well defined exactly when, at each quad column, every relation row lands
+    on one class.  (The action is additive on the free monoid, so the pairs
+    it respects form a congruence, which holds the generated one as soon as
+    it holds the relations.)"""
     if M.base != N.base:
         raise PreconditionError("tensor: modules live over different bases")
     require_module_axioms(M, lenient, "tensor")
     require_module_axioms(N, lenient, "tensor")
     name = f"{M.name}(x){N.name}"
-    rels, descriptions = _tensor_relations(M, N)
     idem = _is_idempotent(M) and _is_idempotent(N)
     group = _is_group(M) and _is_group(N)
     if backend == "auto":
         backend = "idempotent" if idem else ("group" if group else "saturation")
-    if backend == "idempotent":
-        if not idem:
-            raise PreconditionError("tensor: idempotent backend needs idempotent "
-                                    "additions on both carriers")
-        return _tensor_idempotent(M, N, name, rels, descriptions)
-    if backend == "group":
-        if not group:
-            raise PreconditionError("tensor: group backend needs group additions "
-                                    "on both carriers")
-        return _tensor_group(M, N, name, rels, descriptions)
-    if backend == "saturation":
-        return _tensor_saturation(M, N, name, rels, descriptions)
-    raise PreconditionError(f"tensor: unknown backend {backend!r}")
+    if backend == "idempotent" and not idem:
+        raise PreconditionError("tensor: idempotent backend needs idempotent "
+                                "additions on both carriers")
+    if backend == "group" and not group:
+        raise PreconditionError("tensor: group backend needs group additions "
+                                "on both carriers")
+    quotient = {"idempotent": _tensor_idempotent, "group": _tensor_group,
+                "saturation": _tensor_saturation}.get(backend)
+    if quotient is None:
+        raise PreconditionError(f"tensor: unknown backend {backend!r}")
+    rels, descriptions = _tensor_relations(M, N)
+    add_rows, zero, gen_class, rep_gens, labels, notes = quotient(M, N, name, rels)
+    pres = make_presentation(name, [f"c{k}" for k in range(len(add_rows))], labels,
+                             add_rows, zero, relations=descriptions)
+
+    table = np.array(add_rows)
+    # acted[g, k] is the class of act_k(m)⊗n for generator g = m·|N| + n.
+    acted = gen_class[np.asarray(M.images)[:, None, :] * N.size
+                      + np.arange(N.size)[:, None]].reshape(len(gen_class), -1)
+    # Many quads act alike, so relation rows repeat; each distinct row is
+    # checked one quad column at a time, as a rows × quads array outgrows
+    # everything else here.
+    distinct = _distinct_rows(rels)
+    action_ok = all(_respects(distinct, table, column) for column in acted.T)
+    if not action_ok:
+        notes.append("induced action is not well-defined on a relation pair")
+    images = _class_sums(table, acted, rep_gens).tolist()
+    module = GammaModule(name=name, base=M.base, carrier=pres.classes, zero=zero,
+                         madd=pres.add, images=tuple(map(tuple, images)))
+    if check_module_axioms(module).violations:
+        action_ok = False
+        notes.append("induced module fails the module axioms")
+    return TensorResult(presentation=pres, module=module, backend=backend,
+                        gen_class=gen_class, module_action_ok=action_ok,
+                        notes=tuple(notes), relations=rels, rep_gens=rep_gens)
 
 
 @dataclass
@@ -723,34 +667,20 @@ class InducedMap:
 
 
 def tensor_induced_map(src: TensorResult, dst: TensorResult, gen_map) -> InducedMap:
-    """Class map induced by a generator mapping (m,n) -> (m',n')."""
-    notes = []
-    well = True
-    for lhs, rhs in src.rel_pairs:
-        la = dst.eval_sum({gen_map(g): c for g, c in lhs.items()})
-        rb = dst.eval_sum({gen_map(g): c for g, c in rhs.items()})
-        if la != rb:
-            well = False
-            notes.append("a relation pair maps to distinct target classes")
-            break
-    classes = []
-    for ci in range(src.size):
-        rep = src.rep_sum(ci)
-        if rep is None:
-            raise PreconditionError("tensor_induced_map: source class has no "
-                                    "usable representative")
-        img = {}
-        for g, c in rep:
-            g2 = gen_map(g)
-            img[g2] = img.get(g2, 0) + c
-        classes.append(dst.eval_sum(img))
+    """Class map induced by a generator map: `gen_map[g]` is the generator
+    of `dst` that generator g of `src` goes to."""
+    classes = dst.gen_class[gen_map]
+    table = np.array(dst.presentation.add)
+    well = _respects(src.relations, table, classes)
+    notes = [] if well else ["a relation pair maps to distinct target classes"]
+    image = _class_sums(table, classes, src.rep_gens).tolist()
     additive = all(
-        classes[src.presentation.add[i][j]] ==
-        dst.presentation.add[classes[i]][classes[j]]
+        image[src.presentation.add[i][j]] ==
+        dst.presentation.add[image[i]][image[j]]
         for i in range(src.size) for j in range(src.size))
     if not additive:
         notes.append("induced map is not additive on classes")
-    return InducedMap(classes=tuple(classes), well_defined=well,
+    return InducedMap(classes=tuple(image), well_defined=well,
                       additive=additive, notes=tuple(notes))
 
 
@@ -837,8 +767,12 @@ def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
     t2 = tensor(res.p2, N, lenient=lenient)
     notes = list(res.notes)
 
-    map1 = tensor_induced_map(t1, t0, lambda g: (res.d1.map[g[0]], g[1]))
-    map2 = tensor_induced_map(t2, t1, lambda g: (res.d2.map[g[0]], g[1]))
+    def with_id(d):
+        # d⊗id sends generator p⊗n, index p·|N| + n, to d(p)⊗n.
+        return np.add.outer(np.multiply(d.map, N.size), np.arange(N.size)).ravel()
+
+    map1 = tensor_induced_map(t1, t0, with_id(res.d1))
+    map2 = tensor_induced_map(t2, t1, with_id(res.d2))
     if not (map1.well_defined and map1.additive):
         notes.append("d1⊗id is not a well-defined monoid map")
     if not (map2.well_defined and map2.additive):
@@ -949,9 +883,6 @@ def adjunction_check(M: GammaModule, N: GammaModule, P: GammaModule,
     """Explicit currying bijection between Hom(M⊗N, P) and Hom(M, Hom(N, P))."""
     t = tensor(M, N, lenient=lenient)
     notes = list(t.notes)
-    if t.module is None:
-        raise PreconditionError("adjunction_check: tensor backend produced no "
-                                "induced module")
     lhs = hom_set(t.module, P)
     try:
         hmod, nphoms = hom_module(N, P)
@@ -970,7 +901,7 @@ def adjunction_check(M: GammaModule, N: GammaModule, P: GammaModule,
     for f in lhs:
         rows = []
         for m in range(M.size):
-            inner = tuple(f.map[t.gen_class[(m, n)]] for n in range(N.size))
+            inner = tuple(f.map[c] for c in t.gen_class[m * N.size:(m + 1) * N.size])
             k = np_index.get(inner)
             if k is None:
                 phi_ok = False
@@ -991,23 +922,10 @@ def adjunction_check(M: GammaModule, N: GammaModule, P: GammaModule,
     psi = []
     psi_ok = True
     for g in rhs:
-        values = []
-        for ci in range(t.size):
-            rep = t.rep_sum(ci)
-            if rep is None:
-                psi_ok = False
-                break
-            total = P.zero
-            for (m, n), c in rep:
-                term = nphoms[g.map[m]].map[n]
-                for _ in range(c):
-                    total = P.madd[total][term]
-            values.append(total)
-        if not psi_ok:
-            notes.append("Ψ could not be evaluated on a tensor class")
-            psi.append(None)
-            continue
-        k = lhs_index.get(tuple(values))
+        values = tuple(P.sum_of(nphoms[g.map[m]].map[n]
+                                for m, n in (divmod(gi, N.size) for gi in rep))
+                       for rep in t.rep_gens)
+        k = lhs_index.get(values)
         if k is None:
             psi_ok = False
             notes.append("Ψ image is not a hom from M⊗N to P")

@@ -10,6 +10,7 @@ Differential tests compare the fast paths against these.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,8 +18,7 @@ from tgw import fixtures
 from tgw.core import (BUDGETS, AxiomReport, BudgetError, FiniteTernaryGammaSemiring,
                       IdealSet, PreconditionError, UnionFind, Violation,
                       require_axioms, structure_from_dict)
-from tgw.homology import (TensorResult, _gen_label, _tensor_generators,
-                          _tensor_relations, make_presentation)
+from tgw.homology import _gen_label, make_presentation
 from tgw.ideals import LocalizedSemiring, is_ideal_subset, is_prime
 from tgw.modules import (GammaModule, ModuleCongruence,
                          _partition_to_congruence, check_module_axioms,
@@ -484,12 +484,62 @@ def all_bundled_modules():
     return [fixtures.bundled_module(name) for name in fixtures.MODULE_NAMES]
 
 
+# The relation builder that `homology._tensor_relations` replaced, kept
+# verbatim (renamed) as the oracle's source of relations.
+
+def loop_tensor_relations(M: GammaModule, N: GammaModule):
+    """Relation pairs as generator-multiset dicts, plus schema descriptions."""
+    S = M.base
+    rels = []
+    for m1 in range(M.size):
+        for m2 in range(M.size):
+            for n in range(N.size):
+                lhs = {(M.madd[m1][m2], n): 1}
+                rhs: dict = {}
+                for g in ((m1, n), (m2, n)):
+                    rhs[g] = rhs.get(g, 0) + 1
+                if lhs != rhs:
+                    rels.append((lhs, rhs))
+    for m in range(M.size):
+        for n1 in range(N.size):
+            for n2 in range(N.size):
+                lhs = {(m, N.madd[n1][n2]): 1}
+                rhs = {}
+                for g in ((m, n1), (m, n2)):
+                    rhs[g] = rhs.get(g, 0) + 1
+                if lhs != rhs:
+                    rels.append((lhs, rhs))
+    # The balance relations keep this nesting order rather than the order of
+    # `images`: the group backend's diagonalization follows the relation order.
+    col = {q: k for k, q in enumerate(S.quads)}
+    for a, x, m, y, b in itertools.product(range(S.n), range(S.g), range(M.size),
+                                           range(S.g), range(S.n)):
+        k = col[a, x, y, b]
+        for n in range(N.size):
+            lhs = {(M.images[m][k], n): 1}
+            rhs = {(m, N.images[n][k]): 1}
+            if lhs != rhs:
+                rels.append((lhs, rhs))
+    balance = len(S.quads) * M.size * N.size
+    descriptions = (
+        f"(m+m')⊗n ~ m⊗n + m'⊗n for all m,m' in {M.name}, n in {N.name}",
+        f"m⊗(n+n') ~ m⊗n + m⊗n' for all m in {M.name}, n,n' in {N.name}",
+        f"act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b) for all a,b,x,y "
+        f"({balance} instances)",
+    )
+    return rels, descriptions
+
+
 def brute_force_tensor_idempotent(M, N):
     """Idempotent tensor product by plain saturation over the raw relation
-    list: no deduplication, no memo, and every class lookup re-saturates."""
+    list of `loop_tensor_relations`: no deduplication, no memo, and every
+    class lookup and every relation at every parameter re-saturates.  Returns
+    the presentation, `gen_class`, the induced module, `module_action_ok`,
+    the notes and each class's members, by generator index m·|N| + n."""
     name = f"{M.name}(x){N.name}"
-    rels, descriptions = _tensor_relations(M, N)
-    gens, gidx = _tensor_generators(M, N)
+    rels, descriptions = loop_tensor_relations(M, N)
+    gens = [(m, n) for m in range(M.size) for n in range(N.size)]
+    gidx = {g: k for k, g in enumerate(gens)}
 
     def mask_of(d):
         mask = 0
@@ -535,8 +585,8 @@ def brute_force_tensor_idempotent(M, N):
     for mask in ordered:
         direct = [g for g in gens if sat_gen[g] == mask]
         bits = [g for g in gens if mask >> gidx[g] & 1]
-        reps.append(_gen_label(M, N, direct[0]) if direct
-                    else "+".join(_gen_label(M, N, g) for g in bits[:3]))
+        reps.append(_gen_label(M, N, gidx[direct[0]]) if direct
+                    else "+".join(_gen_label(M, N, gidx[g]) for g in bits[:3]))
     labels = [f"c{k}" for k in range(len(ordered))]
     pres = make_presentation(name, labels, reps, add_rows, zero_class,
                              relations=descriptions)
@@ -544,34 +594,28 @@ def brute_force_tensor_idempotent(M, N):
     def eval_sum(multiset):
         return index[saturate(mask_of(multiset))] if multiset else None
 
-    def rep_sum(ci):
-        return tuple((g, 1) for g in gens if ordered[ci] >> gidx[g] & 1)
-
+    members = [[gidx[g] for g in gens if mask >> gidx[g] & 1] for mask in ordered]
     S = M.base
     params = list(itertools.product(range(S.n), range(S.g), range(S.g),
                                     range(S.n)))
     notes = []
     action_ok = True
-    if len(gens) <= 8:
-        if any(saturate(mask_of(acted(*p, lhs))) != saturate(mask_of(acted(*p, rhs)))
-               for lhs, rhs in rels for p in params):
-            action_ok = False
-            notes.append("induced action is not well-defined on a relation pair")
-    else:
-        notes.append("induced action verified via module axiom check only")
+    if any(saturate(mask_of(acted(*p, lhs))) != saturate(mask_of(acted(*p, rhs)))
+           for lhs, rhs in rels for p in params):
+        action_ok = False
+        notes.append("induced action is not well-defined on a relation pair")
     # `params` lists (a, x, y, b) in the order of `S.quads`.
-    images = tuple(tuple(eval_sum(acted(*p, dict(rep_sum(ci)))) for p in params)
-                   for ci in range(len(ordered)))
+    images = tuple(tuple(eval_sum(acted(*p, {gens[g]: 1 for g in rep})) for p in params)
+                   for rep in members)
     module = GammaModule(
         name=name, base=S, carrier=tuple(labels), zero=zero_class,
         madd=tuple(tuple(r) for r in add_rows), images=images)
     if check_module_axioms(module).violations:
         action_ok = False
         notes.append("induced module fails the module axioms")
-    return TensorResult(presentation=pres, module=module, backend="idempotent",
-                        gen_class={g: index[sat_gen[g]] for g in gens},
-                        module_action_ok=action_ok, notes=tuple(notes),
-                        rel_pairs=rels, eval_sum=eval_sum, rep_sum=rep_sum)
+    return SimpleNamespace(presentation=pres, gen_class=[index[sat_gen[g]] for g in gens],
+                           module=module, module_action_ok=action_ok,
+                           notes=tuple(notes), members=members)
 
 
 # The nested action loops that `GammaModule.images` replaced, kept verbatim

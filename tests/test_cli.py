@@ -400,11 +400,11 @@ GOLDEN_SHA256 = {
     "adjunction B2xB2":
         (0, "5502f8e4ab71cfdd94460357592c2d5d872363cbd6e24cf9d26154af77b45873"),
     "adjunction B2xB2 --format json":
-        (0, "9d482adde0c97bc7768987121e7afded8a6d51d870b299d7953d15503b99a604"),
+        (0, "89d9e3989bbe747abb2b49830d6a46f86fbbf1bb73d8785d3497ed683cacdf54"),
     "adjunction B2xB2 --lenient":
         (0, "5502f8e4ab71cfdd94460357592c2d5d872363cbd6e24cf9d26154af77b45873"),
     "adjunction B2xB2 --lenient --format json":
-        (0, "9d482adde0c97bc7768987121e7afded8a6d51d870b299d7953d15503b99a604"),
+        (0, "89d9e3989bbe747abb2b49830d6a46f86fbbf1bb73d8785d3497ed683cacdf54"),
     "adjunction Z3":
         (1, "c05ff2d480ce90c76bf9dd9cbe5e908fe409349496dfa5154a15a24512e0417f"),
     "adjunction Z3 --format json":
