@@ -9,6 +9,7 @@ Differential tests compare the fast paths against these.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -155,6 +156,14 @@ def zsum(n: int) -> FiniteTernaryGammaSemiring:
     return FiniteTernaryGammaSemiring(
         name=f"Zsum{n}", elements=tuple(str(i) for i in range(n)), zero=0,
         unit=None, gamma=("g0", "g1"), add=add, tri=tri)
+
+
+def perturbed_t2(b2_t2):
+    """B2-T2 with act(1,x,(1,1),x,1) sent to (0,1): a module-law violation."""
+    images = [list(row) for row in b2_t2.images]
+    images[3][b2_t2.base.quads.index((1, 0, 0, 1))] = 1
+    return dataclasses.replace(b2_t2, name="B2-T2-perturbed",
+                               images=tuple(map(tuple, images)))
 
 
 def swapping_module(b2):

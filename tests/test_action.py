@@ -17,11 +17,12 @@ import operator
 
 import pytest
 
-from conftest import (all_bundled_modules, chain, loop_annihilator_of_element,
+from conftest import (all_bundled_modules, brute_force_submodules, chain,
+                      loop_annihilator_of_element,
                       loop_congruence_compatible, loop_density_witnesses,
                       loop_enumerate_module_congruences, loop_hom_violation,
                       loop_is_congruence_simple, loop_is_submodule,
-                      loop_submodule_closure, truncated_naturals, zsum)
+                      loop_submodule_closure, perturbed_t2, truncated_naturals, zsum)
 from tgw import fixtures, modules
 from tgw.core import BUDGETS, BudgetError, product_structure
 from tgw.homology import free_module, hom_module, tensor
@@ -29,7 +30,7 @@ from tgw.modules import (_congruence_compatible,
                          annihilator_of_element, bourne_quotient,
                          density_check, direct_sum, enumerate_module_congruences,
                          enumerate_submodules, hom_violation, is_congruence_simple,
-                         is_submodule, module_from_dict, module_to_dict,
+                         is_simple, is_submodule, module_from_dict, module_to_dict,
                          quotient_by_congruence, regular_module,
                          serialize_module, sub_module, submodule_closure,
                          zero_module)
@@ -154,14 +155,15 @@ def _skewed_t2():
 
 
 def _differential_modules():
-    """The bundled modules and a lawless variant of B2-T2, the regular modules
-    of C5, C6 and B2^3, a Bourne quotient of B2^3's and a direct sum of C5's
-    with one of its quotients."""
+    """The bundled modules and two lawless variants of B2-T2, the regular
+    modules of C5, C6 and B2^3, a Bourne quotient of B2^3's and a direct sum
+    of C5's with one of its quotients."""
     b2 = fixtures.bundled_structure("B2")
     b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
     c5, c6, r8 = (regular_module(S) for S in (chain(5), chain(6), b2p3))
     c5_low = bourne_quotient(c5, frozenset({0, 1, 2}))[0]
-    return [*all_bundled_modules(), _skewed_t2(), c5, c6, r8,
+    return [*all_bundled_modules(), _skewed_t2(),
+            perturbed_t2(fixtures.bundled_module("B2-T2")), c5, c6, r8,
             bourne_quotient(r8, frozenset({0, 1}))[0], direct_sum(c5, c5_low)]
 
 
@@ -170,7 +172,7 @@ DIFF_IDS = [M.name for M in DIFF_MODULES]
 
 
 @pytest.mark.parametrize("M", DIFF_MODULES, ids=DIFF_IDS)
-def test_submodules_match_loops(M):
+def test_submodules_match_loops(M, monkeypatch):
     carrier = range(M.size)
     for r in range(M.size + 1):
         for subset in itertools.combinations(carrier, r):
@@ -179,6 +181,12 @@ def test_submodules_match_loops(M):
     for r in range(3):
         for seed in itertools.combinations(carrier, r):
             assert submodule_closure(M, seed) == loop_submodule_closure(M, seed), seed
+    # Simple: no submodule besides {zero} and the carrier, even where {zero}
+    # is not action-closed (Z3-regular).  The limit is raised to |M| so that
+    # a lattice enumeration may run too.
+    monkeypatch.setitem(BUDGETS, "enum", M.size)
+    others = set(brute_force_submodules(M)) - {(M.zero,), tuple(carrier)}
+    assert is_simple(M) == (M.size > 1 and not others)
 
 
 @pytest.mark.parametrize("M", DIFF_MODULES, ids=DIFF_IDS)

@@ -672,10 +672,11 @@ CATALOG_SHA256 = {
 
 
 def _catalog_structure(name):
-    if name == "C8":
-        return chain(8)
+    if name.startswith("C"):
+        return chain(int(name[1:]))
     b2 = fixtures.bundled_structure("B2")
-    return product_structure(fixtures.bundled_structure("B2xB2"), b2, name)
+    b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
+    return b2p3 if name == "B2^3" else product_structure(b2p3, b2, name)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_SHA256))
@@ -688,6 +689,23 @@ def test_catalog_commands_pinned(capsys, tmp_path, name):
         code, out = run(capsys, command, str(path), *options)
         got[argv] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == CATALOG_SHA256[name]
+
+
+# Exit code and stdout sha256 of `tor --format json` on C16 and B2^4.  Their
+# resolutions tensor presentations of 256 generators, far past the sizes the
+# idempotent tensor oracle reaches.
+TOR_SHA256 = {
+    "B2^4": (0, "e8fed59f025ad4d01c999ed06e77c5600df149cf0dc034bc5cfd9d3a0b4d717c"),
+    "C16": (0, "4fadac3b703eb112ce65e233253599e3377044da4df6787fc7efd67cd0136b62"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOR_SHA256))
+def test_tor_pinned(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(structure_to_dict(_catalog_structure(name))))
+    code, out = run(capsys, "tor", str(path), "--format", "json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == TOR_SHA256[name]
 
 
 def test_exit_2_on_bad_inputs(capsys, tmp_path):

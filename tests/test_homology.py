@@ -23,7 +23,8 @@ from tgw.modules import (GammaModule, check_module_axioms,
 
 from conftest import (all_bundled_modules, brute_force_presentation_isomorphism,
                       brute_force_tensor_idempotent, chain, integers_mod,
-                      loop_tensor_relations, swapping_module, truncated_naturals)
+                      loop_tensor_relations, perturbed_t2, swapping_module,
+                      truncated_naturals)
 
 
 def test_free_module_rank1_is_regular(b2, b2_reg):
@@ -183,14 +184,6 @@ def test_tensor_backend_gates(b2_reg, z3_reg):
         tensor(z3_reg, z3_reg, backend="idempotent", lenient=True)
 
 
-def _perturbed_t2(b2_t2):
-    """B2-T2 with act(1,x,(1,1),x,1) sent to (0,1): a module-law violation."""
-    images = [list(row) for row in b2_t2.images]
-    images[3][b2_t2.base.quads.index((1, 0, 0, 1))] = 1
-    return dataclasses.replace(b2_t2, name="B2-T2-perturbed",
-                               images=tuple(map(tuple, images)))
-
-
 def _zero_not_identity_t2(b2_t2):
     """B2-T2 with (0,0)+(0,1) = (0,0): still idempotent, but the zero is no
     longer the additive identity, so class sums must not start from it."""
@@ -204,7 +197,7 @@ def _zero_not_identity_t2(b2_t2):
                                   "perturbed", "regxperturbed",
                                   "zero-not-identity", "swaps"])
 def test_idempotent_tensor_matches_oracle(case, b2_reg, b2_t2):
-    perturbed = _perturbed_t2(b2_t2)
+    perturbed = perturbed_t2(b2_t2)
     odd_zero = _zero_not_identity_t2(b2_t2)
     assert check_module_axioms(perturbed).violations
     assert check_module_axioms(odd_zero).violations
