@@ -7,8 +7,9 @@ on generator pairs m⊗n modulo bilinearity in both slots and the balance law
 act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three backends realize the quotient:
 
 * idempotent - both carrier additions idempotent; the free object is a finite
-  join-semilattice and the congruence is computed by saturation over subset
-  bitmasks, closing each distinct mask once.
+  join-semilattice and the classes are the sets of generators closed under
+  the relations read as Horn rules, closed many seeds at a time as rows of
+  one boolean matrix.
 * group - both carrier additions are abelian groups; relation differences
   span an integer lattice and the quotient comes from a diagonalized relation
   matrix.
@@ -367,55 +368,73 @@ def _respects(rels, table, classes) -> bool:
     return np.array_equal(classes[l], rhs)
 
 
+def _horn_closure(rules, seeds, rows):
+    """Close each row of the boolean matrix `seeds` under the Horn rules
+    (p, q, c): a row holding columns p and q gets column c (a rule with one
+    premise has q = p).  A pass fires every rule at once, OR-reducing the
+    rules grouped by the column they write, and passes repeat until no row
+    changes.  Seeds are closed `rows` at a time, so a pass's working
+    matrices stay near `rows` × len(rules) booleans."""
+    out = seeds.copy()
+    if not len(rules):
+        return out
+    p, q, c = rules[np.argsort(rules[:, 2], kind="stable")].T
+    starts = np.flatnonzero(np.diff(c, prepend=-1))
+    heads = c[starts]
+    for lo in range(0, len(out), rows):
+        X = out[lo:lo + rows]
+        while True:
+            fired = X[:, p]
+            fired &= X[:, q]
+            fired = np.logical_or.reduceat(fired, starts, axis=1) & ~X[:, heads]
+            if not fired.any():
+                break
+            X[:, heads] |= fired
+    return out
+
+
 def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
+    """Quotient of the free join-semilattice on the generators.
+
+    A sum of generators is the set of them.  Relation row l = r1 + r2 puts
+    r1 and r2 below l and l below their join: the Horn rules l ⊢ r1, l ⊢ r2
+    and r1 ∧ r2 ⊢ l.  The closure of a set holds exactly the generators below
+    its sum, so two sets are congruent iff their closures agree.  Hence the
+    classes are the closed sets reached from the generators by joins, the
+    class of A ∪ B is the closure of A ∪ B, and a class is represented by the
+    sum of its members.  Classes are ordered by size, then by bitmask Σ 2^g."""
     G = M.size * N.size
-    # Horn rules are symmetric, so each relation is kept once as a sorted pair.
-    pairs = set()
-    for l, r1, r2 in _distinct_rows(rels).tolist():
-        a = 1 << l
-        b = 1 << r1 | (1 << r2 if r2 >= 0 else 0)
-        pairs.add((a, b) if a < b else (b, a))
-    rel_masks = sorted((a, b) for a, b in pairs if a != b)
-    closed = {}
+    l, r1, r2 = _distinct_rows(rels).T
+    r2 = np.where(r2 < 0, r1, r2)
+    rules = np.concatenate([np.c_[l, l, r1], np.c_[l, l, r2], np.c_[r1, r2, l]])
+    rules = _distinct_rows(rules[(rules[:, 2] != rules[:, 0]) & (rules[:, 2] != rules[:, 1])])
+    # Seeds are closed in chunks whose working matrices stay below the
+    # relation array already held, so closing sets no new memory peak.
+    rows = max(1, rels.nbytes // (4 * max(1, len(rules))))
 
-    def saturate(mask):
-        if mask in closed:
-            return closed[mask]
-        start = mask
-        changed = True
-        while changed:
-            changed = False
-            for a, b in rel_masks:
-                if a & mask == a and mask | b != mask:
-                    mask |= b
-                    changed = True
-                if b & mask == b and mask | a != mask:
-                    mask |= a
-                    changed = True
-        closed[start] = mask
-        return mask
+    def close(seeds):
+        return _horn_closure(rules, seeds, rows)
 
-    sat_gen = [saturate(1 << g) for g in range(G)]
-    masks = set(sat_gen)
-    frontier = sorted(masks)
-    while frontier:
-        new = []
-        for a in sorted(masks):
-            for b in frontier:
-                j = saturate(a | b)
-                if j not in masks:
-                    masks.add(j)
-                    new.append(j)
-        frontier = new
-    ordered = sorted(masks, key=lambda m: (bin(m).count("1"), m))
-    index = {m: k for k, m in enumerate(ordered)}
-    add_rows = [[index[saturate(a | b)] for b in ordered] for a in ordered]
-    # saturate is a closure operator, so the class of any sum of generators
-    # is the fold of their classes through the join table, and a class is
-    # represented by the sum of its members.
-    gen_class = np.array([index[mask] for mask in sat_gen])
-    members = [[g for g in range(G) if mask >> g & 1] for mask in ordered]
-    return (add_rows, index[sat_gen[M.zero * N.size + N.zero]], gen_class, members,
+    def joins(a, b):
+        return (a[:, None] | b[None]).reshape(-1, G)
+
+    gen_sets = close(np.eye(G, dtype=bool))
+    classes = frontier = _distinct_rows(gen_sets)
+    while len(frontier):
+        known = {row.tobytes() for row in classes}
+        sums = close(_distinct_rows(joins(classes, frontier)))
+        frontier = _distinct_rows(sums[[row.tobytes() not in known for row in sums]])
+        classes = np.concatenate([classes, frontier])
+    classes = classes[np.lexsort(np.c_[classes, classes.sum(1)].T)]
+    index = {row.tobytes(): k for k, row in enumerate(classes)}
+
+    def class_of(sets):
+        return np.array([index[row.tobytes()] for row in sets])
+
+    add_rows = class_of(close(joins(classes, classes))).reshape(len(classes), -1).tolist()
+    gen_class = class_of(gen_sets)
+    members = [np.flatnonzero(row).tolist() for row in classes]
+    return (add_rows, int(gen_class[M.zero * N.size + N.zero]), gen_class, members,
             _rep_labels(M, N, gen_class, members), [])
 
 
@@ -476,9 +495,7 @@ def _smith_diagonal(rows, n):
             if not moved:
                 break
         t += 1
-    diag = [abs(A[i][i]) if i < m else 0 for i in range(min(max(m, 0), n))]
-    diag += [0] * (n - len(diag))
-    return diag[:n], V
+    return [abs(A[i][i]) if i < m else 0 for i in range(n)], V
 
 
 def _tensor_group(M: GammaModule, N: GammaModule, name, rels):
@@ -673,14 +690,11 @@ def tensor_induced_map(src: TensorResult, dst: TensorResult, gen_map) -> Induced
     table = np.array(dst.presentation.add)
     well = _respects(src.relations, table, classes)
     notes = [] if well else ["a relation pair maps to distinct target classes"]
-    image = _class_sums(table, classes, src.rep_gens).tolist()
-    additive = all(
-        image[src.presentation.add[i][j]] ==
-        dst.presentation.add[image[i]][image[j]]
-        for i in range(src.size) for j in range(src.size))
+    image = _class_sums(table, classes, src.rep_gens)
+    additive = np.array_equal(image[np.array(src.presentation.add)], table[image[:, None], image])
     if not additive:
         notes.append("induced map is not additive on classes")
-    return InducedMap(classes=tuple(image), well_defined=well,
+    return InducedMap(classes=tuple(image.tolist()), well_defined=well,
                       additive=additive, notes=tuple(notes))
 
 
@@ -753,7 +767,6 @@ def ext1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
 class TorResult:
     tor1: MonoidPresentation
     tor0: MonoidPresentation
-    tensor_mn: MonoidPresentation
     tor0_matches_tensor: bool
     notes: tuple[str, ...]
 
@@ -805,9 +818,11 @@ def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
         image1, list(t0.presentation.reps),
         relations=("coequalizer of d1⊗id via the Bourne congruence of its image",))
 
-    tmn = tensor(M, N, lenient=lenient)
+    # P0 often carries M's own tables (M regular), and then M⊗N is P0⊗N.
+    same = (M.madd, M.zero, M.images) == (res.p0.madd, res.p0.zero, res.p0.images)
+    tmn = t0 if same else tensor(M, N, lenient=lenient)
     iso = find_presentation_isomorphism(tor0_pres, tmn.presentation)
-    return TorResult(tor1=tor1_pres, tor0=tor0_pres, tensor_mn=tmn.presentation,
+    return TorResult(tor1=tor1_pres, tor0=tor0_pres,
                      tor0_matches_tensor=iso is not None, notes=tuple(notes))
 
 
@@ -897,41 +912,26 @@ def adjunction_check(M: GammaModule, N: GammaModule, P: GammaModule,
     lhs_index = {h.map: k for k, h in enumerate(lhs)}
 
     phi = []
-    phi_ok = True
     for f in lhs:
-        rows = []
-        for m in range(M.size):
-            inner = tuple(f.map[c] for c in t.gen_class[m * N.size:(m + 1) * N.size])
-            k = np_index.get(inner)
-            if k is None:
-                phi_ok = False
-                notes.append("Φ image slice is not a hom from N to P")
-                break
-            rows.append(k)
-        if len(rows) != M.size:
+        # Φ(f)(m) is the hom n ↦ f(m⊗n), looked up by its values.
+        slices = np.asarray(f.map)[t.gen_class].reshape(M.size, N.size).tolist()
+        rows = tuple(np_index.get(tuple(inner)) for inner in slices)
+        if None in rows:
+            notes.append("Φ image slice is not a hom from N to P")
             phi.append(None)
             continue
-        k = rhs_index.get(tuple(rows))
-        if k is None:
-            phi_ok = False
+        phi.append(rhs_index.get(rows))
+        if phi[-1] is None:
             notes.append("Φ image is not a hom from M to Hom(N,P)")
-            phi.append(None)
-        else:
-            phi.append(k)
 
     psi = []
-    psi_ok = True
     for g in rhs:
-        values = tuple(P.sum_of(nphoms[g.map[m]].map[n]
-                                for m, n in (divmod(gi, N.size) for gi in rep))
-                       for rep in t.rep_gens)
-        k = lhs_index.get(values)
-        if k is None:
-            psi_ok = False
+        psi.append(lhs_index.get(tuple(
+            P.sum_of(nphoms[g.map[m]].map[n] for m, n in (divmod(gi, N.size) for gi in rep))
+            for rep in t.rep_gens)))
+        if psi[-1] is None:
             notes.append("Ψ image is not a hom from M⊗N to P")
-            psi.append(None)
-        else:
-            psi.append(k)
+    phi_ok, psi_ok = None not in phi, None not in psi
 
     round_ok = (phi_ok and psi_ok
                 and all(psi[phi[i]] == i for i in range(len(lhs)))

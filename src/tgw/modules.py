@@ -20,6 +20,7 @@ verified rather than assumed.  Congruences are built as joins of principal ones.
 from __future__ import annotations
 
 import itertools
+import math
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -184,13 +185,19 @@ def is_simple(M: GammaModule) -> bool:
 
     Stated this way (rather than "exactly two submodules") because the zero
     singleton need not be action-closed when the absorption laws fail, yet
-    such a module still has no proper nonzero submodule.
+    such a module still has no proper nonzero submodule.  A proper nonzero
+    submodule contains the closure of each of its nonzero elements, so M is
+    simple exactly when the closure of ∅ and of each {x} is {zero} or M:
+    |M| + 1 closures and no lattice.  |M| is still charged to the "enum"
+    limit, as the lattice enumeration was, so every command keeps its limits.
     """
     if M.size <= 1:
         return False
-    full = frozenset(range(M.size))
-    zero_only = frozenset((M.zero,))
-    return all(s in (zero_only, full) for s in enumerate_submodules(M))
+    _charge("enum", M.size, "is_simple: |M|")
+    table = _table(M)
+    allowed = (frozenset((M.zero,)), frozenset(range(M.size)))
+    return all(_closure(table, seed) in allowed
+               for seed in ((), *((x,) for x in range(M.size))))
 
 
 def sub_module(M: GammaModule, members: frozenset[int], name: str | None = None) -> GammaModule:
@@ -255,15 +262,11 @@ def _generators(table) -> tuple[int, ...]:
     gens: list[int] = []
     closure = _closure(table, ())
     while len(closure) < size:
-        best, best_closure = None, None
-        for x in range(size):
-            if x in closure:
-                continue
-            cl = _closure(table, closure | {x})
-            if best is None or len(cl) > len(best_closure):
-                best, best_closure = x, cl
-        gens.append(best)
-        closure = best_closure
+        # max keeps the first of the largest closures.
+        x, closure = max(((x, _closure(table, closure | {x}))
+                          for x in range(size) if x not in closure),
+                         key=lambda pair: len(pair[1]))
+        gens.append(x)
     return tuple(gens)
 
 
@@ -720,15 +723,16 @@ def cyclic_module_catalog(S: FiniteTernaryGammaSemiring,
             quotients.append(quotient_by_congruence(reg, cong,
                                                     name=f"{S.name}-cyclic-q{k}"))
     quotients.sort(key=lambda q: (q.size, q.name))
-    kept: list[tuple[int, GammaModule]] = []
+    kept: list[GammaModule] = []
+    by_invariant: dict[int, list[GammaModule]] = {}
     for q in quotients:
-        key = hash(_iso_invariant(q))
-        if not any(key == other_key and find_isomorphism(q, other) is not None
-                   for other_key, other in kept):
-            kept.append((key, q))
+        alike = by_invariant.setdefault(hash(_iso_invariant(q)), [])
+        if all(find_isomorphism(q, other) is None for other in alike):
+            alike.append(q)
+            kept.append(q)
     return [CatalogEntry(module=q, simple=is_simple(q), origin="regular-quotient",
                          congruence_simple=is_congruence_simple(q))
-            for _, q in kept]
+            for q in kept]
 
 
 @dataclass
@@ -772,18 +776,12 @@ def is_semisimple(M: GammaModule) -> SemisimplicityReport:
     zero_only = {M.zero}
     for k in range(len(simple_subs) + 1):
         for family in itertools.combinations(simple_subs, k):
-            sizes = 1
-            for s in family:
-                sizes *= len(s)
-            if sizes != M.size:
+            if math.prod(map(len, family)) != M.size:
                 continue
             if any(set(a & b) != zero_only
                    for a, b in itertools.combinations(family, 2)):
                 continue
-            seen = set()
-            ordered = [sorted(s) for s in family]
-            for combo in itertools.product(*ordered):
-                seen.add(M.sum_of(combo))
+            seen = {M.sum_of(combo) for combo in itertools.product(*map(sorted, family))}
             if len(seen) == M.size:
                 return SemisimplicityReport(True, tuple(tuple(sorted(s)) for s in family))
     return SemisimplicityReport(False, ())
