@@ -20,8 +20,8 @@ verified rather than assumed.  Congruences are built as joins of principal ones.
 from __future__ import annotations
 
 import itertools
-import math
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 

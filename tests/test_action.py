@@ -182,8 +182,8 @@ def test_submodules_match_loops(M, monkeypatch):
         for seed in itertools.combinations(carrier, r):
             assert submodule_closure(M, seed) == loop_submodule_closure(M, seed), seed
     # Simple: no submodule besides {zero} and the carrier, even where {zero}
-    # is not action-closed (Z3-regular).  The limit is raised to |M| so that
-    # a lattice enumeration may run too.
+    # is not action-closed (Z3-regular).  is_simple charges |M| to the enum
+    # limit, which the direct sum of C5's exceeds.
     monkeypatch.setitem(BUDGETS, "enum", M.size)
     others = set(brute_force_submodules(M)) - {(M.zero,), tuple(carrier)}
     assert is_simple(M) == (M.size > 1 and not others)
