@@ -360,10 +360,14 @@ def _report_battery():
         try:
             reg = regular_module(S)
             adj = adjunction_check(reg, reg, reg, lenient=True)
-            equality = "Yes" if adj.holds else "No"
-            if not adj.holds:
-                findings.append(f"{name}: adjunction not bijective")
-            adj_rows.append((S.n, S.g, adj.lhs_size, adj.rhs_size, equality))
+            if adj.rhs_size is None:
+                # Hom(M, M) carries no module structure: no side to compare.
+                adj_rows.append((S.n, S.g, "n/a", "n/a", f"n/a ({adj.notes[-1]})"))
+            else:
+                equality = "Yes" if adj.holds else "No"
+                if not adj.holds:
+                    findings.append(f"{name}: adjunction not bijective")
+                adj_rows.append((S.n, S.g, adj.lhs_size, adj.rhs_size, equality))
         except WorkbenchError as exc:
             adj_rows.append((S.n, S.g, "n/a", "n/a", f"n/a ({exc})"))
 

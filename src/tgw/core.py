@@ -505,6 +505,21 @@ class UnionFind:
         return list(groups.values())
 
 
+def distinct_rows(a):
+    """The distinct rows of an int matrix in lexicographic order, and the
+    index of each row of `a` among them.  (np.unique does this too, but
+    imports numpy.ma on first use, which takes longer than a whole small
+    tensor.)"""
+    import numpy as np
+    order = np.lexsort(a.T[::-1])
+    a = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (a[1:] != a[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return a[new], inverse
+
+
 def bourne_classes(size: int, add, sub) -> list[list[int]]:
     """Classes of the Bourne congruence of the submonoid `sub` on the finite
     commutative monoid range(size) with addition `add(i, j)`: i and j share a

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (FiniteTernaryGammaSemiring, PreconditionError, UnionFind,
-                   _charge, bourne_classes)
+                   _charge, bourne_classes, distinct_rows)
 from .modules import (GammaModule, ModuleHom, _homs, check_module_axioms,
                       generating_set, hom_set, hom_violation,
                       require_module_axioms, regular_module, sub_module,
@@ -349,16 +349,6 @@ def _class_sums(table, classes, rep_gens):
     return out
 
 
-def _distinct_rows(a):
-    """The distinct rows of an int matrix, in lexicographic order.  (np.unique
-    does this too, but imports numpy.ma on first use, which takes longer than
-    a whole small tensor.)"""
-    a = a[np.lexsort(a.T[::-1])]
-    keep = np.ones(len(a), dtype=bool)
-    keep[1:] = (a[1:] != a[:-1]).any(axis=1)
-    return a[keep]
-
-
 def _respects(rels, table, classes) -> bool:
     """Whether each relation row lands on one class under g -> classes[g]."""
     l, r1, r2 = rels.T
@@ -393,7 +383,7 @@ def _horn_closure(rules, seeds, rows):
     return out
 
 
-def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
+def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, distinct):
     """Quotient of the free join-semilattice on the generators.
 
     A sum of generators is the set of them.  Relation row l = r1 + r2 puts
@@ -404,10 +394,10 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
     class of A ∪ B is the closure of A ∪ B, and a class is represented by the
     sum of its members.  Classes are ordered by size, then by bitmask Σ 2^g."""
     G = M.size * N.size
-    l, r1, r2 = _distinct_rows(rels).T
+    l, r1, r2 = distinct.T
     r2 = np.where(r2 < 0, r1, r2)
     rules = np.concatenate([np.c_[l, l, r1], np.c_[l, l, r2], np.c_[r1, r2, l]])
-    rules = _distinct_rows(rules[(rules[:, 2] != rules[:, 0]) & (rules[:, 2] != rules[:, 1])])
+    rules = distinct_rows(rules[(rules[:, 2] != rules[:, 0]) & (rules[:, 2] != rules[:, 1])])[0]
     # Seeds are closed in chunks whose working matrices stay below the
     # relation array already held, so closing sets no new memory peak.
     rows = max(1, rels.nbytes // (4 * max(1, len(rules))))
@@ -419,11 +409,11 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
         return (a[:, None] | b[None]).reshape(-1, G)
 
     gen_sets = close(np.eye(G, dtype=bool))
-    classes = frontier = _distinct_rows(gen_sets)
+    classes = frontier = distinct_rows(gen_sets)[0]
     while len(frontier):
         known = {row.tobytes() for row in classes}
-        sums = close(_distinct_rows(joins(classes, frontier)))
-        frontier = _distinct_rows(sums[[row.tobytes() not in known for row in sums]])
+        sums = close(distinct_rows(joins(classes, frontier))[0])
+        frontier = distinct_rows(sums[[row.tobytes() not in known for row in sums]])[0]
         classes = np.concatenate([classes, frontier])
     classes = classes[np.lexsort(np.c_[classes, classes.sum(1)].T)]
     index = {row.tobytes(): k for k, row in enumerate(classes)}
@@ -498,7 +488,7 @@ def _smith_diagonal(rows, n):
     return [abs(A[i][i]) if i < m else 0 for i in range(n)], V
 
 
-def _tensor_group(M: GammaModule, N: GammaModule, name, rels):
+def _tensor_group(M: GammaModule, N: GammaModule, name, rels, distinct):
     G = M.size * N.size
     vecs = np.zeros((len(rels), G), dtype=np.int64)
     for sign, col in ((1, rels[:, 0]), (-1, rels[:, 1]), (-1, rels[:, 2])):
@@ -551,7 +541,7 @@ def _tensor_group(M: GammaModule, N: GammaModule, name, rels):
     return add_rows, zero_class, gen_class, rep_gens, labels, notes
 
 
-def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels):
+def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, distinct):
     """Exact tensor of any pair of modules over one base.
 
     Left-linearity folds each column of a sum of generators a⊗n into one
@@ -581,7 +571,7 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels):
     u, col = (n, m) if flip else (m, n)
     empty = E * place.sum()
     gen_state = empty + (u - E) * place[col]
-    l, r1, r2 = rels.T
+    l, r1, r2 = distinct.T
     pair = r2 >= 0
     rhs = gen_state[r1]
     # The two generators of a sum share a column or fill two.
@@ -590,7 +580,7 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels):
                          empty + (plus[u[p1], u[p2]] - E) * place[col[p1]],
                          gen_state[p1] + gen_state[p2] - empty)
     uf = UnionFind(total)
-    for a, b in _distinct_rows(np.sort(np.stack([gen_state[l], rhs], axis=1))):
+    for a, b in distinct_rows(np.sort(np.stack([gen_state[l], rhs], axis=1)))[0]:
         za, zb = plus[digits, digits[a]] @ place, plus[digits, digits[b]] @ place
         moved = za != zb
         for x, y in zip(za[moved].tolist(), zb[moved].tolist()):
@@ -648,8 +638,11 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
                 "saturation": _tensor_saturation}.get(backend)
     if quotient is None:
         raise PreconditionError(f"tensor: unknown backend {backend!r}")
+    # Many quads act alike, so relation rows repeat.  The group backend
+    # follows their order; the others, and the action check, need each once.
     rels, descriptions = _tensor_relations(M, N)
-    add_rows, zero, gen_class, rep_gens, labels, notes = quotient(M, N, name, rels)
+    distinct = distinct_rows(rels)[0]
+    add_rows, zero, gen_class, rep_gens, labels, notes = quotient(M, N, name, rels, distinct)
     pres = make_presentation(name, [f"c{k}" for k in range(len(add_rows))], labels,
                              add_rows, zero, relations=descriptions)
 
@@ -657,11 +650,10 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
     # acted[g, k] is the class of act_k(m)⊗n for generator g = m·|N| + n.
     acted = gen_class[np.asarray(M.images)[:, None, :] * N.size
                       + np.arange(N.size)[:, None]].reshape(len(gen_class), -1)
-    # Many quads act alike, so relation rows repeat; each distinct row is
-    # checked one quad column at a time, as a rows × quads array outgrows
-    # everything else here.
-    distinct = _distinct_rows(rels)
-    action_ok = all(_respects(distinct, table, column) for column in acted.T)
+    # Quad columns repeat as well.  Each distinct column is checked on its
+    # own, as a rows × quads array outgrows everything else here.
+    action_ok = all(_respects(distinct, table, column)
+                    for column in distinct_rows(acted.T)[0])
     if not action_ok:
         notes.append("induced action is not well-defined on a relation pair")
     images = _class_sums(table, acted, rep_gens).tolist()
@@ -829,7 +821,12 @@ def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
 # ---------------------------------------------------------------------------
 # Hom modules, adjunction, internal ternary hom
 
-class HomActionError(PreconditionError):
+class HomModuleError(PreconditionError):
+    """Hom(N, P) carries no module structure: a verified property of N and
+    P, which `adjunction_check` reports as a finding."""
+
+
+class HomActionError(HomModuleError):
     """Hom(N, P) is not closed under the induced action: hom number `hom`,
     moved by the parameter `quad` = (a, x, y, b), is no hom."""
 
@@ -845,20 +842,21 @@ class HomActionError(PreconditionError):
 
 def hom_module(N: GammaModule, P: GammaModule) -> tuple[GammaModule, tuple[ModuleHom, ...]]:
     """Hom(N, P) as a module: pointwise addition, action through the target.
-    Raises HomActionError, naming a hom and a parameter, when the action
-    leaves the hom set."""
+    Raises HomModuleError when the zero map or a pointwise sum is no hom,
+    and HomActionError, naming a hom and a parameter, when the action leaves
+    the hom set."""
     homs = hom_set(N, P)
     index = {f.map: k for k, f in enumerate(homs)}
     S = N.base
     zero_map = tuple(P.zero for _ in range(N.size))
     if zero_map not in index:
-        raise PreconditionError("hom_module: the zero map is not a homomorphism "
-                                "here, so Hom carries no module structure")
+        raise HomModuleError("hom_module: the zero map is not a homomorphism "
+                             "here, so Hom carries no module structure")
     madd_rows = [tuple(index.get(tuple(P.madd[u][v] for u, v in zip(f.map, g.map)))
                        for g in homs) for f in homs]
     if any(None in row for row in madd_rows):
-        raise PreconditionError("hom_module: hom set is not closed under "
-                                "pointwise addition")
+        raise HomModuleError("hom_module: hom set is not closed under "
+                             "pointwise addition")
     # Row of hom f over quads: the hom m -> act(a, x, f(m), y, b), by index.
     act_rows = [tuple(index.get(image) for image in zip(*(P.images[v] for v in f.map)))
                 for f in homs]
@@ -901,7 +899,7 @@ def adjunction_check(M: GammaModule, N: GammaModule, P: GammaModule,
     lhs = hom_set(t.module, P)
     try:
         hmod, nphoms = hom_module(N, P)
-    except HomActionError as exc:
+    except HomModuleError as exc:
         # Hom(M, Hom(N, P)) is undefined, so the bijection fails: a finding.
         return AdjunctionReport(lhs_size=len(lhs), rhs_size=None, sizes_equal=False,
                                 phi_bijective=False, round_trips_ok=False,

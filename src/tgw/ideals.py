@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FiniteTernaryGammaSemiring, IdealSet, PreconditionError,
-                   _charge, require_axioms)
+                   _charge, distinct_rows, require_axioms)
 from .modules import (enumerate_submodules, is_submodule, regular_module,
                       submodule_closure)
 
@@ -226,22 +226,51 @@ def _sum_classes(tri, add, cid, outside, nums, dens):
 
 def _product_span(tri, cid, nums, dens, bounds):
     """`_span` of the class of the product tri(i, x, j, y, k) of fractions
-    nums/dens over every block triple, with blocks cut at `bounds`.  The
-    products are gathered one first fraction i at a time, as the flat cid
-    index num * n + den."""
+    nums/dens over every block triple, with blocks cut at `bounds`.
+
+    The class of tri(a_i,x,a_j,y,a_k)/tri(s_i,x,s_j,y,s_k) depends on
+    (i, x, j, y) only through the pair of tri rows tri(a_i,x,a_j,y,·) and
+    tri(s_i,x,s_j,y,·).  So each block (ci, x, cj, y) is reduced over the
+    distinct row pairs met in it rather than over its fraction pairs.  Each
+    such pair is looked up at every fraction k, as the flat cid index
+    num * n + den, in chunks of k sized so that a chunk's products fit one
+    (i, x, j, y) grid of F²g² entries.  No working array outgrows that grid
+    (the sort keys take three), and only the result holds count³g²."""
     import numpy as np
     n, g, count = len(tri), tri.shape[1], len(bounds) - 1
-    num = tri[:, :, nums][:, :, :, :, nums] * n
-    den = tri[:, :, dens][:, :, :, :, dens]
+    rows, row_of = distinct_rows(tri.reshape(-1, n))
+    blocks = (count * g) ** 2
+    # Keys in the narrowest dtype take less memory and the sort's radix path.
+    narrow = np.min_scalar_type(max(blocks, len(rows)))
+    row_of = row_of.astype(narrow).reshape(n, g, n, g)
+    # Block (ci, x, cj, y) is numbered (ci·g + x)·count·g + cj·g + y.
+    cls = np.repeat(np.arange(count), np.diff(bounds))
+    side = (cls[:, None] * g + np.arange(g)).astype(narrow)
+    keys = np.stack([(side[:, :, None, None] * (count * g) + side).ravel(),
+                     row_of[nums][:, :, nums].ravel(),
+                     row_of[dens][:, :, dens].ravel()], axis=1)
+    met = distinct_rows(keys)[0]
+    # Every block is met, so block b's pairs start at starts[b].
+    starts = np.searchsorted(met[:, 0], np.arange(blocks))
+    row_num, row_den = met[:, 1:].T.astype(np.intp)
     flat = cid.ravel()
-    hi = np.full((count, g, count, g, count), -1, dtype=cid.dtype)
+    hi = np.full((count, blocks), -1, dtype=cid.dtype)
     lo = hi.view(f"u{hi.itemsize}").copy()
-    for block in range(count):
-        for i in range(bounds[block], bounds[block + 1]):
-            i_lo, i_hi = _span(flat[num[nums[i]] + den[dens[i]]], bounds[:-1], (1, 3))
-            np.minimum(lo[block], i_lo, out=lo[block])
-            np.maximum(hi[block], i_hi, out=hi[block])
-    return lo, hi
+    step = len(keys) // len(met)
+    for f0 in range(0, len(nums), step):
+        part = slice(f0, f0 + step)
+        c0, c1 = cls[f0], cls[part][-1] + 1
+        vals = flat[(rows[:, nums[part]].T * n)[:, row_num] + rows[:, dens[part]].T[:, row_den]]
+        # Each class's share of this chunk, reduced over k; reduceat along
+        # the short axis costs far more per element.
+        cuts = [max(b, f0) - f0 for b in bounds[c0:c1 + 1]]
+        shares = list(zip(cuts, cuts[1:]))
+        k_lo = np.array([vals[a:b].view(lo.dtype).min(axis=0) for a, b in shares])
+        k_hi = np.array([vals[a:b].max(axis=0) for a, b in shares])
+        np.minimum(lo[c0:c1], np.minimum.reduceat(k_lo, starts, axis=1), out=lo[c0:c1])
+        np.maximum(hi[c0:c1], np.maximum.reduceat(k_hi, starts, axis=1), out=hi[c0:c1])
+    shape = (count, g, count, g, count)
+    return lo.T.reshape(shape), hi.T.reshape(shape)
 
 
 def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
@@ -259,8 +288,11 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
     den lies in P.  Every sum of two representatives and every product of
     three is mapped through `cid`, and each grid of results is reduced over
     the class blocks to its least and greatest class: a class combination is
-    well defined iff the two agree.  Products are gathered one first
-    fraction at a time, so no grid holds all fraction triples.
+    well defined iff the two agree.  A product's class depends on its first
+    two fractions only through a pair of tri rows, so products are looked up
+    per distinct row pair, a few third fractions at a time: the working
+    arrays stay within a small multiple of one grid of fraction pairs and
+    parameter pairs, and none holds all fraction triples.
     """
     import numpy as np
     report = require_axioms(S, lenient, "localize")

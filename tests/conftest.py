@@ -20,7 +20,7 @@ from tgw.core import (BUDGETS, AxiomReport, BudgetError, FiniteTernaryGammaSemir
                       IdealSet, PreconditionError, UnionFind, Violation,
                       require_axioms, structure_from_dict)
 from tgw.homology import _gen_label, make_presentation
-from tgw.ideals import LocalizedSemiring, is_ideal_subset, is_prime
+from tgw.ideals import LocalizedSemiring, _span, is_ideal_subset, is_prime
 from tgw.modules import (GammaModule, ModuleCongruence,
                          _partition_to_congruence, check_module_axioms,
                          hom_violation, is_submodule)
@@ -956,3 +956,27 @@ def loop_localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
         prime=P, structure=local, classes=classes, class_of=class_of,
         maximal_ideal=maximal, well_defined=well_defined,
         failures=tuple(failures), lenient=lenient_tag)
+
+
+# `ideals._product_span` before it reduced each block over the distinct
+# pairs of tri rows met in it, kept verbatim (renamed): it gathers every
+# product of three fractions, one first fraction at a time.
+
+def loop_product_span(tri, cid, nums, dens, bounds):
+    """`_span` of the class of the product tri(i, x, j, y, k) of fractions
+    nums/dens over every block triple, with blocks cut at `bounds`.  The
+    products are gathered one first fraction i at a time, as the flat cid
+    index num * n + den."""
+    import numpy as np
+    n, g, count = len(tri), tri.shape[1], len(bounds) - 1
+    num = tri[:, :, nums][:, :, :, :, nums] * n
+    den = tri[:, :, dens][:, :, :, :, dens]
+    flat = cid.ravel()
+    hi = np.full((count, g, count, g, count), -1, dtype=cid.dtype)
+    lo = hi.view(f"u{hi.itemsize}").copy()
+    for block in range(count):
+        for i in range(bounds[block], bounds[block + 1]):
+            i_lo, i_hi = _span(flat[num[nums[i]] + den[dens[i]]], bounds[:-1], (1, 3))
+            np.minimum(lo[block], i_lo, out=lo[block])
+            np.maximum(hi[block], i_hi, out=hi[block])
+    return lo, hi

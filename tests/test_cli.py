@@ -410,9 +410,9 @@ GOLDEN_SHA256 = {
     "adjunction Z3 --format json":
         (1, "3aa6a0e6066379802de2bf8199d94a23ae69c4554ce341f1077c0f794c7398df"),
     "adjunction Z3 --lenient":
-        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "1d72425df428f6b382f15a36954c184f002f4db7c31c21c0954266ca6f826767"),
     "adjunction Z3 --lenient --format json":
-        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "8139f514dde602b62d3ff4ae20aaa51105dd55e778464412d326965c1babe001"),
     "radical B2":
         (0, "eb7e3835e344d528b2d4ad71bbdc4cbbed5416d3d5ada3f069dd14d67e1462da"),
     "radical B2 --format json":

@@ -11,7 +11,7 @@ import pytest
 from tgw import fixtures
 from tgw.cli import main
 from tgw.core import BUDGETS, BudgetError, PreconditionError, serialize_structure
-from tgw.homology import (HomActionError, _smith_diagonal, adjunction_check, ext1,
+from tgw.homology import (HomActionError, HomModuleError, _smith_diagonal, adjunction_check, ext1,
                           find_presentation_isomorphism, free_module,
                           free_resolution, hom_module, homological_semisimplicity,
                           internal_hom_ternary, make_presentation, tensor,
@@ -383,6 +383,18 @@ def test_hom_set_open_under_the_action_is_a_verified_finding(b2):
     rep = adjunction_check(M, M, M)
     assert rep.rhs_size is None and not rep.holds
     assert rep.notes[-1] == str(info.value)
+
+
+def test_hom_set_without_the_zero_map_is_a_verified_finding(z3_reg):
+    # Z3, taken leniently, breaks tri-distributivity: the only endomorphism
+    # of Z3-regular is the identity, not the zero map, so Hom carries no
+    # module structure.
+    assert [h.map for h in hom_set(z3_reg, z3_reg)] == [(0, 1, 2)]
+    with pytest.raises(HomModuleError, match="the zero map is not a homomorphism"):
+        hom_module(z3_reg, z3_reg)
+    rep = adjunction_check(z3_reg, z3_reg, z3_reg, lenient=True)
+    assert rep.rhs_size is None and not rep.holds
+    assert rep.notes[-1].startswith("hom_module: the zero map")
 
 
 def test_tensor_induced_map_identity(b2_reg):

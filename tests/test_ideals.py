@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_ideals, chain, loop_is_prime, loop_localize
+from conftest import (brute_force_ideals, chain, loop_is_prime, loop_localize,
+                      loop_product_span)
 from tgw import fixtures
 from tgw.core import (PreconditionError, check_axioms, product_structure,
                       structure_from_dict, structure_to_dict)
-from tgw.ideals import (IdealSet, enumerate_ideals, gelfand_injectivity,
+from tgw.ideals import (IdealSet, _product_span, enumerate_ideals, gelfand_injectivity,
                         ideal_closure, is_ideal_subset, is_prime, localize,
                         spectrum, zariski_report)
 
@@ -258,6 +261,101 @@ def test_grid_localize_matches_loop_on_perturbed_c4():
     # 370 localizations of 192 structures, 153 of them ill defined.
     assert ill_defined == 153
     assert {"add:", "tri:", "locality:"} <= failures
+
+
+def span_case(rng, n, g, singletons=False, distinct=False, pool=None,
+              all_denoms=False, classes=None):
+    """Random `_product_span` inputs: a tri table over n elements and g
+    parameters (with pairwise distinct rows if `distinct`, or rows drawn
+    from `pool` random ones), the fractions over a random set of
+    denominators (every element if `all_denoms`; else a product can land on
+    a fraction outside them, whose cid is -1), and a random cut of the
+    shuffled fractions into `classes` blocks."""
+    itype = np.min_scalar_type(-n * n)
+    if distinct:
+        codes = rng.choice(n ** n, size=n * n * g * g, replace=False)
+        tri = codes[:, None] // n ** np.arange(n) % n
+    elif pool:
+        tri = rng.integers(0, n, (pool, n))[rng.integers(0, pool, n * n * g * g)]
+    else:
+        tri = rng.integers(0, n, n ** 3 * g * g)
+    tri = tri.reshape(n, g, n, g, n).astype(itype)
+    size = n if all_denoms else int(rng.integers(1, n + 1))
+    denoms = np.sort(rng.choice(n, size=size, replace=False))
+    order = rng.permutation(n * size)
+    nums, dens = np.repeat(np.arange(n), size)[order], np.tile(denoms, n)[order]
+    count = len(nums) if singletons else classes or int(rng.integers(1, len(nums) + 1))
+    cuts = np.sort(rng.choice(np.arange(1, len(nums)), size=count - 1, replace=False))
+    bounds = [0, *cuts.tolist(), len(nums)]
+    cid = np.full((n, n), -1, dtype=itype)
+    cid[nums, dens] = np.repeat(np.arange(count), np.diff(bounds))
+    return tri, cid, nums, dens, bounds
+
+
+def met_pairs(tri, nums, dens, bounds):
+    """The distinct (block, row pair) combinations of (i, x, j, y)."""
+    g = tri.shape[1]
+    cls = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)).tolist()
+    return {(cls[i], x, cls[j], y, tri[nums[i], x, nums[j], y].tobytes(),
+             tri[dens[i], x, dens[j], y].tobytes())
+            for i, j in itertools.product(range(len(nums)), repeat=2)
+            for x, y in itertools.product(range(g), repeat=2)}
+
+
+SPAN_CASES = {
+    "g1": lambda rng: span_case(rng, int(rng.integers(1, 8)), 1),
+    "g2": lambda rng: span_case(rng, int(rng.integers(1, 6)), 2),
+    "minus-one": lambda rng: span_case(rng, int(rng.integers(2, 6)), int(rng.integers(1, 3)),
+                                       singletons=True),
+    "singletons": lambda rng: span_case(rng, int(rng.integers(1, 7)), int(rng.integers(1, 3)),
+                                        singletons=True, all_denoms=True),
+    "distinct-rows": lambda rng: span_case(rng, int(rng.integers(4, 7)), 1, distinct=True),
+    # Few row pairs: a chunk holds several fractions of a class at once.
+    "repeated-rows": lambda rng: span_case(rng, int(rng.integers(3, 7)), int(rng.integers(1, 3)),
+                                           pool=int(rng.integers(1, 4))),
+    "chunked": lambda rng: span_case(rng, 5, int(rng.integers(1, 3)), distinct=True,
+                                     all_denoms=True, classes=int(rng.integers(2, 4))),
+}
+
+
+@pytest.mark.parametrize("kind", list(SPAN_CASES))
+def test_product_span_matches_loop_on_random_tables(kind):
+    """The pair-of-rows reduction gives the fraction-triple loop's lo and hi,
+    values and dtypes, on 50 seeded random tables of each kind."""
+    rng = np.random.default_rng(sorted(SPAN_CASES).index(kind))
+    saw_empty_block = False
+    for _ in range(50):
+        tri, cid, nums, dens, bounds = SPAN_CASES[kind](rng)
+        n, g = len(tri), tri.shape[1]
+        fast, loop = _product_span(tri, cid, nums, dens, bounds), \
+            loop_product_span(tri, cid, nums, dens, bounds)
+        for ours, theirs in zip(fast, loop):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+        saw_empty_block |= bool((loop[1] < 0).any())
+        if kind in ("distinct-rows", "chunked"):
+            assert len({row.tobytes() for row in tri.reshape(-1, n)}) == n * n * g * g
+        if kind == "chunked":
+            # A chunk holds (i, x, j, y) grid // met pairs fractions, fewer
+            # than all of them, and the classes straddle chunks.
+            assert len(met_pairs(tri, nums, dens, bounds)) > len(nums) * g * g
+    if kind == "minus-one":
+        assert saw_empty_block
+
+
+def test_product_span_memory_stays_below_the_fraction_triples():
+    """No working array spans the fraction triples: with F = 64 fractions in
+    two classes and every tri row distinct, the peak stays below one byte
+    per triple."""
+    tri, cid, nums, dens, bounds = span_case(np.random.default_rng(3), 8, 1, distinct=True,
+                                             all_denoms=True, classes=2)
+    tracemalloc.start()
+    try:
+        _product_span(tri, cid, nums, dens, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(nums) ** 3
 
 
 def test_localize_ill_defined_tri():
