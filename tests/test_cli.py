@@ -657,6 +657,10 @@ CATALOG_SHA256 = {
             (0, "a2ef762fa31d265a622f2ee2c3758729f36954a3285d3e85c91acd64d91c617b"),
         "density --format json":
             (0, "7659c899ed13bc8d52e4242dcb570dd54fca268ed40e3f7bf597f49874347001"),
+        "radical":
+            (0, "1a692379124fe9fa7892d3ca780d8f00eade5c2dad7bfbaad76be5afde428014"),
+        "radical --format json":
+            (0, "ef2776ded638e9f5cd6be53341b0c053710cf458f7b615170546fbedd20a0d31"),
     },
     "C8": {
         "simples":
@@ -667,6 +671,10 @@ CATALOG_SHA256 = {
             (0, "42bb638b8017bdcc88aa1037ac5c014d6776904b581e5523b478220389d9eadd"),
         "density --format json":
             (0, "7d6d5bdf793707c9f2c3af78e58b126784764cc9b20d359300434e6412a70f7d"),
+        "radical":
+            (0, "e00d6ba69f241470f79468cc45c4ade5babffaeefdd1020b58522a973aff3838"),
+        "radical --format json":
+            (0, "388335dffaf14ac1333c10e72fe799d1a96ab574869434061043efb7eef95595"),
     },
 }
 
@@ -706,6 +714,58 @@ def test_tor_pinned(capsys, tmp_path, name):
     path.write_text(json.dumps(structure_to_dict(_catalog_structure(name))))
     code, out = run(capsys, "tor", str(path), "--format", "json")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == TOR_SHA256[name]
+
+
+# Exit code and sha256 of stdout and stderr of the top-level help, each
+# command's help and two usage errors, at a terminal width of 80 columns.
+HELP_SHA256 = {
+    "--help": (0, "788b0f51a65c7846641448d7cf8741b0df9f571962fcde0755ae9fe8eaa7bda0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check --help": (0, "102c905da069e8ab7e2c0488a22ae0e2ead579844fef0482dea2d8e4ffb668e9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "ideals --help": (0, "7bc3fcc998edd634cd290e826e7992559fce6c1e6facc05651dcf0a888e823ba",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "spec --help": (0, "30f68a0884d2ba2ef684724029fd9ad5fdee92b1fd6edc425e504bd91046d36f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "modules --help": (0, "633197ebf9c6f9c98e9a1b82b61fe3db53770d3ec0a5f93d90cd635072e2daf8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "simples --help": (0, "1c54e1845591eaca1b847d13962c72e551a0d819db01462e4c9b5a396b4c01ae",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "density --help": (0, "4ae203039b51ece50a384ecc7ea1ba591915a97580b35f7ec47b80775b12e999",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "ext --help": (0, "087958f36d4f3a4a834b7c4b1054a8a907776a1e4230d34e2c507324cdb8b460",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "tor --help": (0, "e7ef75df68203083e61a2570235600e66614283d912fc40c98fdfb369f4b8669",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "adjunction --help": (0, "10ec1c42935f3c382ba2bfde1ef4714b4a5f3250f09004c19a1e905ae51bab89",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "radical --help": (0, "13beab7910f5c1294599c25a0792413d91dce456368a5a6b1f4aff4b6638cb7f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "localize --help": (0, "2bdd23721021dc8158a7b22018992a74ec359478df843ff9c493726f8d93e94e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "gelfand --help": (0, "b0a60fe49c814dfc5c67112cdc3453bd592df881e27a823b7febfa63fb45fdbc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "embed --help": (0, "508d05b619f55b67aaf0f2b4ee9c3e00c32fc31117a0e6986048116a83e71a4c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "report --help": (0, "0675e4774ec056956a9163b1c201aeebd7d1454633ed52bc6f15dc0f268e410b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "chek x": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "75bcc276f5950797c150fbf102f4c552ebf42acc5edcad7291407a60b4423f24"),
+    "check": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "453ea1341c5f007fb24983aab9760e20c3360f303170ba33c2f8c41e4f385cf7"),
+}
+
+
+@pytest.mark.parametrize("argv", ["--help", *(f"{name} --help" for name in cli._COMMANDS),
+                                  "chek x", "check"])
+def test_help_and_usage_errors_pinned(capsys, monkeypatch, argv):
+    """argparse wraps help text to the terminal width, read from COLUMNS."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    got = (code, hashlib.sha256(captured.out.encode()).hexdigest(),
+           hashlib.sha256(captured.err.encode()).hexdigest())
+    assert got == HELP_SHA256[argv]
 
 
 def test_exit_2_on_bad_inputs(capsys, tmp_path):
