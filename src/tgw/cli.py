@@ -448,7 +448,8 @@ def _add_option(parser, command: str, flag: str, **kwargs) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command, with the arguments of `command` alone: a call parses one."""
     parser = argparse.ArgumentParser(
         prog="tgw",
         description="Workbench for finite commutative ternary gamma-semirings "
@@ -456,6 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        if name != command:
+            continue
         option = functools.partial(_add_option, p, name)
         if name != "report":
             p.add_argument("fixtures", nargs="+",
@@ -482,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes the first argument that is no option as the command.
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
