@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
                    IdealSet, Law, PreconditionError, Violation, _Table,
@@ -520,7 +520,7 @@ def quotient_by_congruence(M: GammaModule, cong: ModuleCongruence,
     reps = [cls[0] for cls in cong.classes]
     class_of = cong.class_of
     madd = tuple(tuple(class_of[M.madd[r1][r2]] for r2 in reps) for r1 in reps)
-    images = tuple(tuple(class_of[v] for v in M.images[r]) for r in reps)
+    images = tuple(tuple(map(class_of.__getitem__, M.images[r])) for r in reps)
     labels = tuple(f"[{M.carrier[r]}]" for r in reps)
     return GammaModule(name=name or f"{M.name}/~{len(cong.classes)}",
                        base=M.base, carrier=labels, zero=class_of[M.zero],
@@ -543,46 +543,55 @@ def bourne_quotient(M: GammaModule, members: frozenset[int],
     return quotient_by_congruence(M, cong, name=name), cong
 
 
-def _joins(M: GammaModule):
-    """join(class_of, a, b): least congruence above the congruence `class_of`
-    holding (a, b), as a restricted-growth string.  Congruences respect each
-    m ↦ madd[m][u] and m ↦ images[m][k]; merging x, y pushes (f(x), f(y))."""
-    maps = {*zip(*M.madd), *zip(*M.images)}
+def _below(pairs, theta) -> bool:
+    """Whether the equivalence generated by `pairs` lies below `theta`."""
+    return all(theta[m] == theta[r] for m, r in pairs)
 
-    def join(class_of, a: int, b: int) -> tuple[int, ...]:
-        uf = UnionFind(M.size)
-        for m, ci in enumerate(class_of):
-            uf.union(class_of.index(ci), m)
-        todo = [(a, b)]
+
+def _equivalence_join(theta, pairs) -> tuple[int, ...]:
+    """θ ∨ (the equivalence `pairs` generate), by union-find over θ's classes."""
+    uf = UnionFind(max(theta) + 1)
+    for m, r in pairs:
+        uf.union(theta[m], theta[r])
+    roots: dict[int, int] = {}
+    return tuple(roots.setdefault(uf.find(c), len(roots)) for c in theta)
+
+
+@lru_cache(maxsize=1)  # the catalog reads them right after its lattice did
+def _join_irreducibles(M: GammaModule) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each Cg(a, b) that is not the join of the principal congruences below it,
+    as its edges (m, least member of m's class).  Congruences respect each
+    m ↦ madd[m][u] and m ↦ images[m][k]: merging x, y pushes (f(x), f(y))."""
+    maps, discrete = {*zip(*M.madd), *zip(*M.images)}, tuple(range(M.size))
+    principals = {}
+    for a, b in itertools.combinations(discrete, 2):
+        uf, todo = UnionFind(M.size), [(a, b)]
         while todo:
             x, y = todo.pop()
             if uf.union(x, y):
                 todo.extend((f[x], f[y]) for f in maps)
-        roots: dict[int, int] = {}
-        return tuple(roots.setdefault(uf.find(m), len(roots)) for m in range(M.size))
-    return join
+        root = tuple(map(uf.find, discrete))
+        principals[root] = tuple((m, r) for m, r in enumerate(root) if r != m)
+    return tuple(sorted(p for root, p in principals.items() if not _below(p, reduce(
+        _equivalence_join, (q for q in principals.values() if q != p and _below(q, root)),
+        discrete))))
 
 
 def is_congruence_simple(M: GammaModule) -> bool:
-    """Supplementary to submodule-simplicity, and what controls quotients: the
-    only congruences are the discrete and total ones, that is |M| ≥ 2 and
-    every principal congruence Cg(a, b) with a ≠ b is total."""
-    join, discrete = _joins(M), tuple(range(M.size))
-    return M.size > 1 and all(max(join(discrete, a, b)) == 0
-                              for a, b in itertools.combinations(discrete, 2))
+    """Supplementary to submodule-simplicity, and what controls quotients: |M| ≥ 2
+    and the only congruences are the discrete and total ones."""
+    return M.size > 1 and len(_join_irreducibles(M)) == 1
 
 
 def enumerate_module_congruences(M: GammaModule) -> list[ModuleCongruence]:
-    """All congruences, in lexicographic order of `class_of`.  Each is a join of
-    principal ones (Freese, Algebra Universalis 59, 2008); after each pair
-    (a, b), `lattice` holds every join of the Cg(a, b) taken so far.  `join`
-    closes under every translation and action column, so each member is a
-    congruence by construction."""
+    """All congruences, in lexicographic order of `class_of`: each is a join of
+    join-irreducible principal ones (Freese, Algebra Universalis 59, 2008), and
+    joins of congruences are their equivalence joins (Burris & Sankappanavar, A
+    Course in Universal Algebra).  θ ∨ p is skipped when p is below θ."""
     _charge("partition", M.size, "enumerate_module_congruences: |M|")
-    join, discrete = _joins(M), tuple(range(M.size))
-    lattice = {discrete}
-    for a, b in itertools.combinations(discrete, 2):
-        lattice |= {join(theta, a, b) for theta in lattice if theta[a] != theta[b]}
+    lattice = {tuple(range(M.size))}
+    for p in _join_irreducibles(M):
+        lattice |= {_equivalence_join(theta, p) for theta in lattice if not _below(p, theta)}
     return [ModuleCongruence(_classes(class_of), class_of, compatible=True)
             for class_of in sorted(lattice)]
 
@@ -702,37 +711,43 @@ class CatalogEntry:
 
 
 def _iso_invariant(M: GammaModule) -> tuple:
-    """What isomorphisms over one base keep: size, sorted fibre sizes of each
-    action column, multiset of (is zero, #{u: m + u = m}, columns fixing m)."""
-    return (M.size, tuple(tuple(sorted(map(col.count, set(col)))) for col in zip(*M.images)),
-            tuple(sorted((m == M.zero, row.count(m), tuple(v == m for v in M.images[m]))
+    """What isomorphisms over one base keep: size, which action columns are equal,
+    sorted fibre sizes of each distinct column, multiset of (is zero,
+    #{u: m + u = m}, distinct columns fixing m)."""
+    cols = tuple(zip(*M.images))
+    first = {col: k for k, col in enumerate(dict.fromkeys(cols))}
+    pattern = tuple(map(first.__getitem__, cols))
+    return (M.size, pattern, tuple(tuple(sorted(map(col.count, set(col)))) for col in first),
+            tuple(sorted((m == M.zero, row.count(m), tuple(col[m] == m for col in first))
                          for m, row in enumerate(M.madd))))
 
 
 def cyclic_module_catalog(S: FiniteTernaryGammaSemiring,
                           lenient: bool = False) -> list[CatalogEntry]:
     """Regular module plus its quotients by its congruences, deduplicated by
-    `find_isomorphism` among quotients whose `_iso_invariant` hashes agree."""
+    `find_isomorphism` among quotients whose `_iso_invariant` hashes agree.  If
+    T's addition commutes, Con(reg/θ) is Con(reg) above θ, so reg/θ is
+    congruence-simple when θ ∨ j is θ or total for each join-irreducible j."""
     reg = regular_module(S)
     require_module_axioms(reg, lenient, "cyclic_module_catalog")
-    quotients: list[GammaModule] = []
-    for k, cong in enumerate(enumerate_module_congruences(reg)):
-        if cong.size == reg.size:
-            quotients.append(reg)
-        else:
-            quotients.append(quotient_by_congruence(reg, cong,
-                                                    name=f"{S.name}-cyclic-q{k}"))
-    quotients.sort(key=lambda q: (q.size, q.name))
-    kept: list[GammaModule] = []
+    quotients = sorted(
+        ((reg if cong.size == reg.size else
+          quotient_by_congruence(reg, cong, name=f"{S.name}-cyclic-q{k}"), cong.class_of)
+         for k, cong in enumerate(enumerate_module_congruences(reg))),
+        key=lambda pair: (pair[0].size, pair[0].name))
+    commutative, generators = reg.madd == tuple(zip(*reg.madd)), _join_irreducibles(reg)
+    kept: list[CatalogEntry] = []
     by_invariant: dict[int, list[GammaModule]] = {}
-    for q in quotients:
+    for q, theta in quotients:
         alike = by_invariant.setdefault(hash(_iso_invariant(q)), [])
         if all(find_isomorphism(q, other) is None for other in alike):
             alike.append(q)
-            kept.append(q)
-    return [CatalogEntry(module=q, simple=is_simple(q), origin="regular-quotient",
-                         congruence_simple=is_congruence_simple(q))
-            for q in kept]
+            con_simple = q.size > 1 and all(
+                _below(j, theta) or max(_equivalence_join(theta, j)) == 0
+                for j in generators) if commutative else is_congruence_simple(q)
+            kept.append(CatalogEntry(module=q, simple=is_simple(q), origin="regular-quotient",
+                                     congruence_simple=con_simple))
+    return kept
 
 
 @dataclass

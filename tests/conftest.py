@@ -17,11 +17,11 @@ import pytest
 
 from tgw import fixtures
 from tgw.core import (BUDGETS, AxiomReport, BudgetError, FiniteTernaryGammaSemiring,
-                      IdealSet, PreconditionError, UnionFind, Violation,
+                      IdealSet, PreconditionError, UnionFind, Violation, _charge,
                       require_axioms, structure_from_dict)
 from tgw.homology import _gen_label, make_presentation
 from tgw.ideals import LocalizedSemiring, _span, is_ideal_subset, is_prime
-from tgw.modules import (GammaModule, ModuleCongruence,
+from tgw.modules import (GammaModule, ModuleCongruence, _classes,
                          _partition_to_congruence, check_module_axioms,
                          hom_violation, is_submodule)
 
@@ -792,6 +792,55 @@ def loop_enumerate_module_congruences(
 
     grow([], 0)
     return results
+
+
+# The principal-congruence lattice and simplicity test that
+# `enumerate_module_congruences` and `is_congruence_simple` replaced with
+# join-irreducible generators and equivalence joins, kept verbatim (renamed)
+# as references for the differential tests in test_action.py.
+
+def principal_joins(M: GammaModule):
+    """join(class_of, a, b): least congruence above the congruence `class_of`
+    holding (a, b), as a restricted-growth string.  Congruences respect each
+    m ↦ madd[m][u] and m ↦ images[m][k]; merging x, y pushes (f(x), f(y))."""
+    maps = {*zip(*M.madd), *zip(*M.images)}
+
+    def join(class_of, a: int, b: int) -> tuple[int, ...]:
+        uf = UnionFind(M.size)
+        for m, ci in enumerate(class_of):
+            uf.union(class_of.index(ci), m)
+        todo = [(a, b)]
+        while todo:
+            x, y = todo.pop()
+            if uf.union(x, y):
+                todo.extend((f[x], f[y]) for f in maps)
+        roots: dict[int, int] = {}
+        return tuple(roots.setdefault(uf.find(m), len(roots)) for m in range(M.size))
+    return join
+
+
+def principal_is_congruence_simple(M: GammaModule) -> bool:
+    """Supplementary to submodule-simplicity, and what controls quotients: the
+    only congruences are the discrete and total ones, that is |M| ≥ 2 and
+    every principal congruence Cg(a, b) with a ≠ b is total."""
+    join, discrete = principal_joins(M), tuple(range(M.size))
+    return M.size > 1 and all(max(join(discrete, a, b)) == 0
+                              for a, b in itertools.combinations(discrete, 2))
+
+
+def principal_enumerate_module_congruences(M: GammaModule) -> list[ModuleCongruence]:
+    """All congruences, in lexicographic order of `class_of`.  Each is a join of
+    principal ones (Freese, Algebra Universalis 59, 2008); after each pair
+    (a, b), `lattice` holds every join of the Cg(a, b) taken so far.  `join`
+    closes under every translation and action column, so each member is a
+    congruence by construction."""
+    _charge("partition", M.size, "enumerate_module_congruences: |M|")
+    join, discrete = principal_joins(M), tuple(range(M.size))
+    lattice = {discrete}
+    for a, b in itertools.combinations(discrete, 2):
+        lattice |= {join(theta, a, b) for theta in lattice if theta[a] != theta[b]}
+    return [ModuleCongruence(_classes(class_of), class_of, compatible=True)
+            for class_of in sorted(lattice)]
 
 
 # The loops that `ideals.is_prime` and `ideals.localize` replaced with

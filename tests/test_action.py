@@ -2,8 +2,9 @@
 
 Every module the package builds is pinned by digest, and each reader of
 `GammaModule.images` is compared with the nested loop it replaced (kept in
-conftest.py as `loop_*`).  The congruence lattice, built from principal
-congruences, is compared with the partition sweep it replaced.
+conftest.py as `loop_*`).  The congruence lattice, built from join-irreducible
+principal congruences, is compared with the partition sweep and with the
+lattice of all principal congruences that it replaced.
 """
 
 from __future__ import annotations
@@ -14,21 +15,25 @@ import functools
 import hashlib
 import itertools
 import operator
+import random
 
 import pytest
 
-from conftest import (all_bundled_modules, brute_force_submodules, chain,
+from conftest import (all_bundled_modules, brute_force_submodules, chain, integers_mod,
                       loop_annihilator_of_element,
                       loop_congruence_compatible, loop_density_witnesses,
                       loop_enumerate_module_congruences, loop_hom_violation,
                       loop_is_congruence_simple, loop_is_submodule,
-                      loop_submodule_closure, perturbed_t2, truncated_naturals, zsum)
+                      loop_submodule_closure, perturbed_t2,
+                      principal_enumerate_module_congruences,
+                      principal_is_congruence_simple, truncated_naturals, zsum)
 from tgw import fixtures, modules
-from tgw.core import BUDGETS, BudgetError, product_structure
+from tgw.core import BUDGETS, BudgetError, patch_add, product_structure
 from tgw.homology import free_module, hom_module, tensor
 from tgw.modules import (_congruence_compatible,
                          annihilator_of_element, bourne_quotient,
-                         density_check, direct_sum, enumerate_module_congruences,
+                         cyclic_module_catalog, density_check, direct_sum,
+                         enumerate_module_congruences,
                          enumerate_submodules, hom_violation, is_congruence_simple,
                          is_simple, is_submodule, module_from_dict, module_to_dict,
                          quotient_by_congruence, regular_module,
@@ -246,13 +251,15 @@ def test_annihilators_and_density_match_loops(M, monkeypatch):
 
 def _congruence_modules():
     """Every module above, the built modules over B2, B2xB2 and C4, and the
-    regular modules of C5, C6, C8, B2^3 and Zsum5."""
+    regular modules of C5, C6, C8, B2^3, Zsum5, N4, Z6 and Z3xB2."""
     b2 = fixtures.bundled_structure("B2")
     b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
     built = {f"{S.name}-{kind}": M
              for S in (b2, fixtures.bundled_structure("B2xB2"), chain(4))
              for kind, M in built_modules(S).items()}
-    bases = (chain(5), chain(6), chain(8), b2p3, zsum(5))
+    z3b2 = product_structure(fixtures.bundled_structure("Z3"), b2, "Z3xB2")
+    bases = (chain(5), chain(6), chain(8), b2p3, zsum(5), truncated_naturals(4),
+             integers_mod(6), z3b2)
     regular = {M.name: M for M in map(regular_module, bases)}
     return {**{M.name: M for M in DIFF_MODULES}, **built, **regular}
 
@@ -277,6 +284,69 @@ def test_congruences_match_sweep(name):
                                   loop_enumerate_module_congruences):
         with pytest.raises(BudgetError):
             enumerate_congruences(M)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_congruences_match_principal_lattice_on_chains(n, monkeypatch):
+    """C10 and C12, past the default partition limit, whose regular modules
+    have 512 and 2,048 congruences."""
+    monkeypatch.setitem(BUDGETS, "partition", n)
+    reg = regular_module(chain(n))
+    assert enumerate_module_congruences(reg) == principal_enumerate_module_congruences(reg)
+
+
+def add_perturbations(count: int, seed: int):
+    """`count` structures, each a base with one or two `patch_add` entries
+    replaced at random; most of them have a non-commutative addition."""
+    rng = random.Random(seed)
+    bases = (chain(4), chain(5), fixtures.bundled_structure("B2xB2"), integers_mod(4),
+             integers_mod(6), truncated_naturals(4))
+    for _ in range(count):
+        S = rng.choice(bases)
+        for _ in range(rng.randint(1, 2)):
+            S = patch_add(S, rng.randrange(S.n), rng.randrange(S.n), rng.randrange(S.n))
+        yield S
+
+
+def _commutes(S):
+    return S.add == tuple(zip(*S.add))
+
+
+def test_congruences_match_principal_lattice_on_perturbed_adds():
+    structures = list(add_perturbations(240, seed=18))
+    assert sum(not _commutes(S) for S in structures) >= 120
+    for S in structures:
+        reg = regular_module(S)
+        assert enumerate_module_congruences(reg) == \
+            principal_enumerate_module_congruences(reg), S.add
+
+
+def _catalog_bases():
+    b2 = fixtures.bundled_structure("B2")
+    b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
+    return (chain(8), chain(10), b2p3, fixtures.bundled_structure("B2xB2"),
+            integers_mod(6), truncated_naturals(4))
+
+
+@pytest.mark.parametrize("S", _catalog_bases(), ids=lambda S: S.name)
+def test_catalog_congruence_simple_matches_quotients(S, monkeypatch):
+    """The catalog reads congruence-simplicity off the lattice of the regular
+    module: reg/θ is congruence-simple when θ is a coatom."""
+    monkeypatch.setitem(BUDGETS, "partition", S.n)
+    for entry in cyclic_module_catalog(S):
+        assert entry.congruence_simple == is_congruence_simple(entry.module) == \
+            principal_is_congruence_simple(entry.module), entry.module.name
+
+
+def test_catalog_congruence_simple_matches_quotients_of_perturbed_adds():
+    """Without a commutative addition reg/θ keeps only the translations by
+    class representatives, and may have more congruences than reg above θ."""
+    structures = [S for S in add_perturbations(200, seed=1818) if not _commutes(S)]
+    assert len(structures) >= 100
+    for S in structures:
+        for entry in cyclic_module_catalog(S, lenient=True):
+            assert entry.congruence_simple == is_congruence_simple(entry.module) == \
+                principal_is_congruence_simple(entry.module), (S.add, entry.module.name)
 
 
 def entry_perturbations(M):
