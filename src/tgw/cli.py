@@ -448,7 +448,7 @@ def _add_option(parser, command: str, flag: str, **kwargs) -> None:
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
     """Every command, with the arguments of `command` alone: a call parses one."""
     parser = argparse.ArgumentParser(
         prog="tgw",

@@ -14,7 +14,7 @@ format only: `module_from_dict` flattens it and `module_to_dict` nests it.
 The quotient construction is subtraction-free throughout: two carrier
 elements are identified when they become equal after adding elements of the
 designated submodule (the Bourne relation), and the induced tables are
-verified rather than assumed.  Congruences are built as joins of principal ones.
+verified rather than assumed.  Congruences are joins of join-irreducible ones.
 """
 
 from __future__ import annotations
