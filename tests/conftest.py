@@ -13,17 +13,21 @@ import dataclasses
 import itertools
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from tgw import fixtures
 from tgw.core import (BUDGETS, AxiomReport, BudgetError, FiniteTernaryGammaSemiring,
                       IdealSet, PreconditionError, UnionFind, Violation, _charge,
-                      require_axioms, structure_from_dict)
-from tgw.homology import _gen_label, make_presentation
+                      bourne_classes, require_axioms, structure_from_dict)
+from tgw.homology import (MonoidPresentation, TorResult, _gen_label,
+                          find_presentation_isomorphism, free_carrier_tuples, free_module,
+                          make_presentation, tensor, tensor_induced_map)
 from tgw.ideals import LocalizedSemiring, _span, is_ideal_subset, is_prime
-from tgw.modules import (GammaModule, ModuleCongruence, _classes,
+from tgw.modules import (GammaModule, ModuleCongruence, ModuleHom, _classes,
                          _partition_to_congruence, check_module_axioms,
-                         hom_violation, is_submodule)
+                         generating_set, hom_set, hom_violation, is_submodule,
+                         require_module_axioms, sub_module)
 
 
 @pytest.fixture(scope="session")
@@ -1029,3 +1033,234 @@ def loop_product_span(tri, cid, nums, dens, bounds):
             np.minimum(lo[block], i_lo, out=lo[block])
             np.maximum(hi[block], i_hi, out=hi[block])
     return lo, hi
+
+
+# The free resolution, Ext¹ and Tor₀/Tor₁ that `homology` replaced with one
+# covering loop and one kernel-modulo-image quotient, kept verbatim (renamed)
+# with the Bourne-quotient routine and covering map they called, as references
+# for the differential tests in test_homology.py.
+
+def staged_bourne_quotient_presentation(name, size, add_fn, zero_idx, sub_indices,
+                                        reps, relations=()) -> MonoidPresentation:
+    """Quotient of a finite commutative monoid by the Bourne congruence of a
+    submonoid: i ~ j when i + h = j + h' for some h, h' in the submonoid."""
+    classes = bourne_classes(size, add_fn, sub_indices)
+    class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
+    add_rows = []
+    for ci, cls_i in enumerate(classes):
+        row = []
+        for cj, cls_j in enumerate(classes):
+            results = {class_of[add_fn(a, b)] for a in cls_i for b in cls_j}
+            if len(results) > 1:
+                raise PreconditionError(
+                    f"{name}: Bourne quotient addition is representative-dependent "
+                    f"at classes ({ci},{cj})")
+            row.append(results.pop())
+        add_rows.append(row)
+    labels = tuple(f"c{k}" for k in range(len(classes)))
+    out_reps = tuple("~".join(reps[i] for i in cls[:3]) for cls in classes)
+    return make_presentation(name, labels, out_reps, add_rows,
+                             class_of[zero_idx], relations=relations)
+
+
+@dataclasses.dataclass
+class StagedFreeResolution:
+    module: GammaModule
+    generators: tuple[int, ...]
+    ranks: tuple[int, int, int]
+    p0: GammaModule
+    p1: GammaModule
+    p2: GammaModule
+    aug: ModuleHom
+    d1: ModuleHom
+    d2: ModuleHom
+    params: tuple[int, int]
+    aug_surjective: bool
+    exact_at_p0: bool
+    exact_at_p1: bool
+    notes: tuple[str, ...]
+
+
+def staged_covering_map(S, target: GammaModule, gens, params):
+    """Free module on `gens` with the evaluation map sending (a_i) to
+    sum_i act(a_i, x0, gens_i, y0, unit) inside `target`."""
+    x0, y0 = params
+    p = free_module(S, len(gens))
+    col = {q[0]: k for k, q in enumerate(S.quads) if q[1:] == (x0, y0, S.unit)}
+    mapping = tuple(target.sum_of(target.images[g][col[a]] for a, g in zip(tup, gens))
+                    for tup in free_carrier_tuples(S, len(gens)))
+    return p, mapping
+
+
+def staged_submodule_generators(M: GammaModule, members: frozenset[int]) -> tuple[int, ...]:
+    sub = sub_module(M, members)
+    order = sorted(members)
+    return tuple(order[g] for g in generating_set(sub))
+
+
+def staged_free_resolution(S: FiniteTernaryGammaSemiring, M: GammaModule,
+                           params: tuple[int, int] = (0, 0),
+                           lenient: bool = False) -> StagedFreeResolution:
+    """Two-step free resolution P2 -> P1 -> P0 -> M with exactness checks."""
+    if S.unit is None:
+        raise PreconditionError("free_resolution: structure has no unit")
+    require_module_axioms(M, lenient, "free_resolution")
+    notes = []
+    gens = generating_set(M)
+    p0, aug_map = staged_covering_map(S, M, gens, params)
+    aug_ok = hom_violation(p0, M, aug_map) is None
+    if not aug_ok:
+        notes.append("augmentation fails the homomorphism laws")
+    surjective = set(aug_map) == set(range(M.size))
+    if not surjective:
+        notes.append("augmentation is not surjective")
+
+    ker0 = frozenset(i for i, v in enumerate(aug_map) if v == M.zero)
+    if not is_submodule(p0, ker0):
+        raise PreconditionError("free_resolution: kernel of the augmentation "
+                                "is not a submodule")
+    k_gens = staged_submodule_generators(p0, ker0)
+    p1, d1_map = staged_covering_map(S, p0, k_gens, params)
+    if hom_violation(p1, p0, d1_map) is not None:
+        notes.append("d1 fails the homomorphism laws")
+    exact0 = frozenset(d1_map) == ker0
+    if not exact0:
+        notes.append("image of d1 differs from kernel of the augmentation")
+
+    ker1 = frozenset(i for i, v in enumerate(d1_map) if v == p0.zero)
+    if not is_submodule(p1, ker1):
+        raise PreconditionError("free_resolution: kernel of d1 is not a submodule")
+    k1_gens = staged_submodule_generators(p1, ker1)
+    p2, d2_map = staged_covering_map(S, p1, k1_gens, params)
+    if hom_violation(p2, p1, d2_map) is not None:
+        notes.append("d2 fails the homomorphism laws")
+    exact1 = frozenset(d2_map) == ker1
+    if not exact1:
+        notes.append("image of d2 differs from kernel of d1")
+
+    return StagedFreeResolution(
+        module=M, generators=gens,
+        ranks=(len(gens), len(k_gens), len(k1_gens)),
+        p0=p0, p1=p1, p2=p2,
+        aug=ModuleHom(p0, M, tuple(aug_map), verified=aug_ok),
+        d1=ModuleHom(p1, p0, tuple(d1_map), verified=True),
+        d2=ModuleHom(p2, p1, tuple(d2_map), verified=True),
+        params=params, aug_surjective=surjective,
+        exact_at_p0=exact0, exact_at_p1=exact1, notes=tuple(notes))
+
+
+@dataclasses.dataclass
+class StagedExtResult:
+    ext1: MonoidPresentation
+    ext0_size: int
+    hom_size: int
+    ext0_matches_hom: bool
+    resolution: StagedFreeResolution
+    cycle_count: int
+    boundary_count: int
+    notes: tuple[str, ...]
+
+
+def staged_ext1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
+                params: tuple[int, int] = (0, 0), lenient: bool = False) -> StagedExtResult:
+    """Cycles modulo boundaries of the dualized two-step resolution."""
+    res = staged_free_resolution(S, M, params=params, lenient=lenient)
+    homs0 = hom_set(res.p0, N)
+    homs1 = hom_set(res.p1, N)
+    idx1 = {f.map: k for k, f in enumerate(homs1)}
+    notes = list(res.notes)
+
+    boundaries = set()
+    for f in homs0:
+        pulled = f.after(res.d1).map
+        k = idx1.get(pulled)
+        if k is None:
+            raise PreconditionError("ext1: a pulled-back boundary is missing from "
+                                    "the enumerated hom set")
+        boundaries.add(k)
+    cycles = [k for k, g in enumerate(homs1) if g.after(res.d2).is_zero]
+    if not boundaries <= set(cycles):
+        notes.append("boundaries are not all cycles (d1∘d2 is not zero)")
+
+    cycle_homs = [homs1[k] for k in cycles]
+    cidx = {homs1[k].map: i for i, k in enumerate(cycles)}
+
+    def add_fn(i, j):
+        summed = tuple(N.madd[cycle_homs[i].map[t]][cycle_homs[j].map[t]]
+                       for t in range(res.p1.size))
+        k = cidx.get(summed)
+        if k is None:
+            raise PreconditionError("ext1: cycle monoid is not closed under "
+                                    "pointwise addition")
+        return k
+
+    zero_map = tuple(N.zero for _ in range(res.p1.size))
+    sub = sorted(cidx[homs1[k].map] for k in boundaries)
+    reps = [f"h{k}" for k in cycles]
+    pres = staged_bourne_quotient_presentation(
+        f"Ext1({M.name},{N.name})", len(cycles), add_fn, cidx[zero_map], sub, reps,
+        relations=(f"cycles: maps from {res.p1.name} killed by d2",
+                   f"boundaries: pullbacks of maps from {res.p0.name} along d1",
+                   "quotient: Bourne congruence of the boundary submonoid"))
+
+    ext0 = [f for f in homs0 if f.after(res.d1).is_zero]
+    hom_mn = hom_set(M, N)
+    return StagedExtResult(ext1=pres, ext0_size=len(ext0), hom_size=len(hom_mn),
+                           ext0_matches_hom=len(ext0) == len(hom_mn), resolution=res,
+                           cycle_count=len(cycles), boundary_count=len(sub),
+                           notes=tuple(notes))
+
+
+def staged_tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
+                params: tuple[int, int] = (0, 0), lenient: bool = False) -> TorResult:
+    """Homology of the tensored two-step resolution in degrees 0 and 1."""
+    res = staged_free_resolution(S, M, params=params, lenient=lenient)
+    t0 = tensor(res.p0, N, lenient=lenient)
+    t1 = tensor(res.p1, N, lenient=lenient)
+    t2 = tensor(res.p2, N, lenient=lenient)
+    notes = list(res.notes)
+
+    def with_id(d):
+        # d⊗id sends generator p⊗n, index p·|N| + n, to d(p)⊗n.
+        return np.add.outer(np.multiply(d.map, N.size), np.arange(N.size)).ravel()
+
+    map1 = tensor_induced_map(t1, t0, with_id(res.d1))
+    map2 = tensor_induced_map(t2, t1, with_id(res.d2))
+    if not (map1.well_defined and map1.additive):
+        notes.append("d1⊗id is not a well-defined monoid map")
+    if not (map2.well_defined and map2.additive):
+        notes.append("d2⊗id is not a well-defined monoid map")
+
+    kernel = [c for c in range(t1.size) if map1.classes[c] == t0.presentation.zero]
+    image2 = sorted({map2.classes[c] for c in range(t2.size)})
+    if not set(image2) <= set(kernel):
+        notes.append("image of d2⊗id is not contained in the kernel of d1⊗id")
+        image2 = [c for c in image2 if c in kernel]
+    kpos = {c: i for i, c in enumerate(kernel)}
+
+    def add_k(i, j):
+        s = t1.presentation.add[kernel[i]][kernel[j]]
+        k = kpos.get(s)
+        if k is None:
+            raise PreconditionError("tor1: kernel is not closed under addition")
+        return k
+
+    tor1_pres = staged_bourne_quotient_presentation(
+        f"Tor1({M.name},{N.name})", len(kernel), add_k,
+        kpos[t1.presentation.zero], [kpos[c] for c in image2],
+        [t1.presentation.reps[c] for c in kernel],
+        relations=("kernel of d1⊗id modulo the Bourne congruence of im(d2⊗id)",))
+
+    image1 = sorted({map1.classes[c] for c in range(t1.size)})
+    tor0_pres = staged_bourne_quotient_presentation(
+        f"Tor0({M.name},{N.name})", t0.size,
+        lambda i, j: t0.presentation.add[i][j], t0.presentation.zero,
+        image1, list(t0.presentation.reps),
+        relations=("coequalizer of d1⊗id via the Bourne congruence of its image",))
+
+    # P0 often carries M's own tables (M regular), and then M⊗N is P0⊗N.
+    same = (M.madd, M.zero, M.images) == (res.p0.madd, res.p0.zero, res.p0.images)
+    tmn = t0 if same else tensor(M, N, lenient=lenient)
+    iso = find_presentation_isomorphism(tor0_pres, tmn.presentation)
+    return TorResult(tor1=tor1_pres, tor0=tor0_pres,
+                     tor0_matches_tensor=iso is not None, notes=tuple(notes))

@@ -699,21 +699,37 @@ def test_catalog_commands_pinned(capsys, tmp_path, name):
     assert got == CATALOG_SHA256[name]
 
 
-# Exit code and stdout sha256 of `tor --format json` on C16 and B2^4.  Their
-# resolutions tensor presentations of 256 generators, far past the sizes the
-# idempotent tensor oracle reaches.
-TOR_SHA256 = {
-    "B2^4": (0, "e8fed59f025ad4d01c999ed06e77c5600df149cf0dc034bc5cfd9d3a0b4d717c"),
-    "C16": (0, "4fadac3b703eb112ce65e233253599e3377044da4df6787fc7efd67cd0136b62"),
+# Exit code and stdout sha256 of `tor --format json` and `ext --format json`
+# on C16 and B2^4.  Their resolutions tensor presentations of 256 generators,
+# far past the sizes the idempotent tensor oracle reaches, and dualize into
+# hom sets of the same free modules.
+HOMOLOGY_SHA256 = {
+    "tor": {
+        "B2^4": (0, "e8fed59f025ad4d01c999ed06e77c5600df149cf0dc034bc5cfd9d3a0b4d717c"),
+        "C16": (0, "4fadac3b703eb112ce65e233253599e3377044da4df6787fc7efd67cd0136b62"),
+    },
+    "ext": {
+        "B2^4": (0, "e120b327af423c2bd28555fe8d3c9950fba7544c3ac80d2b8c24cdc79d4a430c"),
+        "C16": (0, "c5984975b7f5d50f0f6cb420e313f40c8004bc44bbfae5538711a5c38c93e674"),
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(TOR_SHA256))
-def test_tor_pinned(capsys, tmp_path, name):
+def assert_homology_pinned(capsys, tmp_path, command, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(structure_to_dict(_catalog_structure(name))))
-    code, out = run(capsys, "tor", str(path), "--format", "json")
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == TOR_SHA256[name]
+    code, out = run(capsys, command, str(path), "--format", "json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == HOMOLOGY_SHA256[command][name]
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY_SHA256["tor"]))
+def test_tor_pinned(capsys, tmp_path, name):
+    assert_homology_pinned(capsys, tmp_path, "tor", name)
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY_SHA256["ext"]))
+def test_ext_pinned(capsys, tmp_path, name):
+    assert_homology_pinned(capsys, tmp_path, "ext", name)
 
 
 # Exit code and sha256 of stdout and stderr of the top-level help, each
