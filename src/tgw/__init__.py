@@ -11,7 +11,7 @@ from .modules import (GammaModule, ModuleCongruence, ModuleHom, annihilator,
                       bourne_quotient, check_module_axioms,
                       cyclic_module_catalog, density_check, direct_sum,
                       end_semiring, enumerate_submodules, hom_set, is_faithful,
-                      is_semisimple, is_simple, iso_theorem_suite,
+                      is_simple, iso_theorem_suite,
                       jacobson_radical, load_module, regular_module,
                       serialize_module, zero_module)
 from .homology import (FreeResolution, MonoidPresentation, adjunction_check,

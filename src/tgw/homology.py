@@ -39,8 +39,8 @@ import numpy as np
 
 from .core import (FiniteTernaryGammaSemiring, PreconditionError, UnionFind,
                    _charge, bourne_classes, distinct_rows)
-from .modules import (GammaModule, ModuleHom, _homs, check_module_axioms,
-                      generating_set, hom_set, hom_violation,
+from .modules import (GammaModule, ModuleHom, _homs, _pointwise_sums,
+                      check_module_axioms, generating_set, hom_set, hom_violation,
                       require_module_axioms, regular_module, sub_module,
                       is_submodule, cyclic_module_catalog,
                       jacobson_radical)
@@ -115,11 +115,26 @@ def find_presentation_isomorphism(A: MonoidPresentation, B: MonoidPresentation):
                       True), None)
 
 
-def bourne_quotient_presentation(name, size, add_fn, zero_idx, sub_indices,
-                                 reps, relations=()) -> MonoidPresentation:
-    """Quotient of a finite commutative monoid by the Bourne congruence of a
-    submonoid: i ~ j when i + h = j + h' for some h, h' in the submonoid."""
-    classes = bourne_classes(size, add_fn, sub_indices)
+def bourne_quotient_presentation(name, add, zero, members, sub, reps, error,
+                                 relations=()) -> MonoidPresentation:
+    """Kernel modulo image: the submonoid `members` of the finite commutative
+    monoid with addition table `add` and zero `zero`, modulo the Bourne
+    congruence of its submonoid `sub` (i ~ j when i + h = j + h' for some h, h'
+    in `sub`).  Members are numbered in the order given; `reps` labels every
+    element of the ambient monoid, and elements of `sub` outside `members` are
+    ignored.  Raises PreconditionError(error) when the zero or a sum of two
+    members is not a member."""
+    pos = {m: k for k, m in enumerate(members)}
+    if zero not in pos:
+        raise PreconditionError(error)
+
+    def add_fn(i, j):
+        k = pos.get(add[members[i]][members[j]])
+        if k is None:
+            raise PreconditionError(error)
+        return k
+
+    classes = bourne_classes(len(pos), add_fn, [pos[h] for h in sub if h in pos])
     class_of = {i: ci for ci, cls in enumerate(classes) for i in cls}
     add_rows = []
     for ci, cls_i in enumerate(classes):
@@ -133,9 +148,9 @@ def bourne_quotient_presentation(name, size, add_fn, zero_idx, sub_indices,
             row.append(results.pop())
         add_rows.append(row)
     labels = tuple(f"c{k}" for k in range(len(classes)))
-    out_reps = tuple("~".join(reps[i] for i in cls[:3]) for cls in classes)
+    out_reps = tuple("~".join(reps[members[i]] for i in cls[:3]) for cls in classes)
     return make_presentation(name, labels, out_reps, add_rows,
-                             class_of[zero_idx], relations=relations)
+                             class_of[pos[zero]], relations=relations)
 
 
 # ---------------------------------------------------------------------------
@@ -179,79 +194,58 @@ class FreeResolution:
     aug: ModuleHom
     d1: ModuleHom
     d2: ModuleHom
-    params: tuple[int, int]
     aug_surjective: bool
     exact_at_p0: bool
     exact_at_p1: bool
     notes: tuple[str, ...]
 
 
-def _covering_map(S, target: GammaModule, gens, params):
+def _covering_map(S, target: GammaModule, gens):
     """Free module on `gens` with the evaluation map sending (a_i) to
-    sum_i act(a_i, x0, gens_i, y0, unit) inside `target`."""
-    x0, y0 = params
+    sum_i act(a_i, x0, gens_i, y0, unit) inside `target`, at the first
+    parameters x0 = y0 = 0."""
     p = free_module(S, len(gens))
-    col = {q[0]: k for k, q in enumerate(S.quads) if q[1:] == (x0, y0, S.unit)}
+    col = {q[0]: k for k, q in enumerate(S.quads) if q[1:] == (0, 0, S.unit)}
     mapping = tuple(target.sum_of(target.images[g][col[a]] for a, g in zip(tup, gens))
                     for tup in free_carrier_tuples(S, len(gens)))
     return p, mapping
 
 
-def _submodule_generators(M: GammaModule, members: frozenset[int]) -> tuple[int, ...]:
-    sub = sub_module(M, members)
-    order = sorted(members)
-    return tuple(order[g] for g in generating_set(sub))
-
-
 def free_resolution(S: FiniteTernaryGammaSemiring, M: GammaModule,
-                    params: tuple[int, int] = (0, 0),
                     lenient: bool = False) -> FreeResolution:
-    """Two-step free resolution P2 -> P1 -> P0 -> M with exactness checks."""
+    """Two-step free resolution P2 -> P1 -> P0 -> M with exactness checks.
+    Each step covers the kernel of the step before it by a free module; the
+    augmentation covers M itself, so its exactness is surjectivity."""
     if S.unit is None:
         raise PreconditionError("free_resolution: structure has no unit")
     require_module_axioms(M, lenient, "free_resolution")
-    notes = []
-    gens = generating_set(M)
-    p0, aug_map = _covering_map(S, M, gens, params)
-    aug_ok = hom_violation(p0, M, aug_map) is None
-    if not aug_ok:
-        notes.append("augmentation fails the homomorphism laws")
-    surjective = set(aug_map) == set(range(M.size))
-    if not surjective:
-        notes.append("augmentation is not surjective")
-
-    ker0 = frozenset(i for i, v in enumerate(aug_map) if v == M.zero)
-    if not is_submodule(p0, ker0):
-        raise PreconditionError("free_resolution: kernel of the augmentation "
-                                "is not a submodule")
-    k_gens = _submodule_generators(p0, ker0)
-    p1, d1_map = _covering_map(S, p0, k_gens, params)
-    if hom_violation(p1, p0, d1_map) is not None:
-        notes.append("d1 fails the homomorphism laws")
-    exact0 = frozenset(d1_map) == ker0
-    if not exact0:
-        notes.append("image of d1 differs from kernel of the augmentation")
-
-    ker1 = frozenset(i for i, v in enumerate(d1_map) if v == p0.zero)
-    if not is_submodule(p1, ker1):
-        raise PreconditionError("free_resolution: kernel of d1 is not a submodule")
-    k1_gens = _submodule_generators(p1, ker1)
-    p2, d2_map = _covering_map(S, p1, k1_gens, params)
-    if hom_violation(p2, p1, d2_map) is not None:
-        notes.append("d2 fails the homomorphism laws")
-    exact1 = frozenset(d2_map) == ker1
-    if not exact1:
-        notes.append("image of d2 differs from kernel of d1")
-
+    notes, maps, covers, exact = [], [], [], []
+    target, members = M, frozenset(range(M.size))
+    for name, before in (("augmentation", None), ("d1", "the augmentation"), ("d2", "d1")):
+        if maps:
+            members = frozenset(i for i, v in enumerate(maps[-1].map)
+                                if v == maps[-1].target.zero)
+            if not is_submodule(target, members):
+                raise PreconditionError(f"free_resolution: kernel of {before} "
+                                        "is not a submodule")
+        order = sorted(members)
+        covers.append(tuple(order[g] for g in generating_set(sub_module(target, members))))
+        source, mapping = _covering_map(S, target, covers[-1])
+        verified = hom_violation(source, target, mapping) is None
+        if not verified:
+            notes.append(f"{name} fails the homomorphism laws")
+        exact.append(frozenset(mapping) == members)
+        if not exact[-1]:
+            notes.append(f"image of {name} differs from kernel of {before}" if before
+                         else "augmentation is not surjective")
+        maps.append(ModuleHom(source, target, mapping, verified))
+        target = source
+    aug, d1, d2 = maps
     return FreeResolution(
-        module=M, generators=gens,
-        ranks=(len(gens), len(k_gens), len(k1_gens)),
-        p0=p0, p1=p1, p2=p2,
-        aug=ModuleHom(p0, M, tuple(aug_map), verified=aug_ok),
-        d1=ModuleHom(p1, p0, tuple(d1_map), verified=True),
-        d2=ModuleHom(p2, p1, tuple(d2_map), verified=True),
-        params=params, aug_surjective=surjective,
-        exact_at_p0=exact0, exact_at_p1=exact1, notes=tuple(notes))
+        module=M, generators=covers[0], ranks=tuple(map(len, covers)),
+        p0=aug.source, p1=d1.source, p2=d2.source, aug=aug, d1=d1, d2=d2,
+        aug_surjective=exact[0], exact_at_p0=exact[1], exact_at_p1=exact[2],
+        notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -699,16 +693,14 @@ class ExtResult:
     ext0_size: int
     hom_size: int
     ext0_matches_hom: bool
-    resolution: FreeResolution
-    cycle_count: int
-    boundary_count: int
     notes: tuple[str, ...]
 
 
 def ext1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
-         params: tuple[int, int] = (0, 0), lenient: bool = False) -> ExtResult:
-    """Cycles modulo boundaries of the dualized two-step resolution."""
-    res = free_resolution(S, M, params=params, lenient=lenient)
+         lenient: bool = False) -> ExtResult:
+    """Cycles modulo boundaries of the dualized two-step resolution, inside the
+    monoid of homs P1 -> N under pointwise addition."""
+    res = free_resolution(S, M, lenient=lenient)
     homs0 = hom_set(res.p0, N)
     homs1 = hom_set(res.p1, N)
     idx1 = {f.map: k for k, f in enumerate(homs1)}
@@ -725,24 +717,13 @@ def ext1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
     cycles = [k for k, g in enumerate(homs1) if g.after(res.d2).is_zero]
     if not boundaries <= set(cycles):
         notes.append("boundaries are not all cycles (d1∘d2 is not zero)")
-
-    cycle_homs = [homs1[k] for k in cycles]
-    cidx = {homs1[k].map: i for i, k in enumerate(cycles)}
-
-    def add_fn(i, j):
-        summed = tuple(N.madd[cycle_homs[i].map[t]][cycle_homs[j].map[t]]
-                       for t in range(res.p1.size))
-        k = cidx.get(summed)
-        if k is None:
-            raise PreconditionError("ext1: cycle monoid is not closed under "
-                                    "pointwise addition")
-        return k
-
-    zero_map = tuple(N.zero for _ in range(res.p1.size))
-    sub = sorted(cidx[homs1[k].map] for k in boundaries)
-    reps = [f"h{k}" for k in cycles]
+    zero = idx1.get((N.zero,) * res.p1.size)
+    if zero is None:
+        raise PreconditionError("ext1: the zero map P1 -> N is not a homomorphism")
     pres = bourne_quotient_presentation(
-        f"Ext1({M.name},{N.name})", len(cycles), add_fn, cidx[zero_map], sub, reps,
+        f"Ext1({M.name},{N.name})", _pointwise_sums(homs1, N.madd), zero, cycles,
+        sorted(boundaries), [f"h{k}" for k in range(len(homs1))],
+        "ext1: cycle monoid is not closed under pointwise addition",
         relations=(f"cycles: maps from {res.p1.name} killed by d2",
                    f"boundaries: pullbacks of maps from {res.p0.name} along d1",
                    "quotient: Bourne congruence of the boundary submonoid"))
@@ -750,9 +731,7 @@ def ext1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
     ext0 = [f for f in homs0 if f.after(res.d1).is_zero]
     hom_mn = hom_set(M, N)
     return ExtResult(ext1=pres, ext0_size=len(ext0), hom_size=len(hom_mn),
-                     ext0_matches_hom=len(ext0) == len(hom_mn), resolution=res,
-                     cycle_count=len(cycles), boundary_count=len(sub),
-                     notes=tuple(notes))
+                     ext0_matches_hom=len(ext0) == len(hom_mn), notes=tuple(notes))
 
 
 @dataclass
@@ -764,9 +743,9 @@ class TorResult:
 
 
 def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
-         params: tuple[int, int] = (0, 0), lenient: bool = False) -> TorResult:
+         lenient: bool = False) -> TorResult:
     """Homology of the tensored two-step resolution in degrees 0 and 1."""
-    res = free_resolution(S, M, params=params, lenient=lenient)
+    res = free_resolution(S, M, lenient=lenient)
     t0 = tensor(res.p0, N, lenient=lenient)
     t1 = tensor(res.p1, N, lenient=lenient)
     t2 = tensor(res.p2, N, lenient=lenient)
@@ -783,31 +762,18 @@ def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
     if not (map2.well_defined and map2.additive):
         notes.append("d2⊗id is not a well-defined monoid map")
 
-    kernel = [c for c in range(t1.size) if map1.classes[c] == t0.presentation.zero]
-    image2 = sorted({map2.classes[c] for c in range(t2.size)})
+    p0n, p1n = t0.presentation, t1.presentation
+    kernel = [c for c in range(t1.size) if map1.classes[c] == p0n.zero]
+    image2 = sorted(set(map2.classes))
     if not set(image2) <= set(kernel):
         notes.append("image of d2⊗id is not contained in the kernel of d1⊗id")
-        image2 = [c for c in image2 if c in kernel]
-    kpos = {c: i for i, c in enumerate(kernel)}
-
-    def add_k(i, j):
-        s = t1.presentation.add[kernel[i]][kernel[j]]
-        k = kpos.get(s)
-        if k is None:
-            raise PreconditionError("tor1: kernel is not closed under addition")
-        return k
-
     tor1_pres = bourne_quotient_presentation(
-        f"Tor1({M.name},{N.name})", len(kernel), add_k,
-        kpos[t1.presentation.zero], [kpos[c] for c in image2],
-        [t1.presentation.reps[c] for c in kernel],
+        f"Tor1({M.name},{N.name})", p1n.add, p1n.zero, kernel, image2, p1n.reps,
+        "tor1: kernel is not closed under addition",
         relations=("kernel of d1⊗id modulo the Bourne congruence of im(d2⊗id)",))
-
-    image1 = sorted({map1.classes[c] for c in range(t1.size)})
     tor0_pres = bourne_quotient_presentation(
-        f"Tor0({M.name},{N.name})", t0.size,
-        lambda i, j: t0.presentation.add[i][j], t0.presentation.zero,
-        image1, list(t0.presentation.reps),
+        f"Tor0({M.name},{N.name})", p0n.add, p0n.zero, range(t0.size),
+        sorted(set(map1.classes)), p0n.reps, "tor1: P0⊗N is not closed under addition",
         relations=("coequalizer of d1⊗id via the Bourne congruence of its image",))
 
     # P0 often carries M's own tables (M regular), and then M⊗N is P0⊗N.
@@ -852,8 +818,7 @@ def hom_module(N: GammaModule, P: GammaModule) -> tuple[GammaModule, tuple[Modul
     if zero_map not in index:
         raise HomModuleError("hom_module: the zero map is not a homomorphism "
                              "here, so Hom carries no module structure")
-    madd_rows = [tuple(index.get(tuple(P.madd[u][v] for u, v in zip(f.map, g.map)))
-                       for g in homs) for f in homs]
+    madd_rows = _pointwise_sums(homs, P.madd)
     if any(None in row for row in madd_rows):
         raise HomModuleError("hom_module: hom set is not closed under "
                              "pointwise addition")
@@ -866,7 +831,7 @@ def hom_module(N: GammaModule, P: GammaModule) -> tuple[GammaModule, tuple[Modul
     module = GammaModule(name=f"Hom({N.name},{P.name})", base=S,
                          carrier=tuple(f"h{k}" for k in range(len(homs))),
                          zero=index[zero_map],
-                         madd=tuple(madd_rows), images=tuple(act_rows))
+                         madd=madd_rows, images=tuple(act_rows))
     return module, homs
 
 

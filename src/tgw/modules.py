@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
                    IdealSet, Law, PreconditionError, Violation, _Table,
@@ -52,23 +51,23 @@ class GammaModule:
     def size(self) -> int:
         return len(self.carrier)
 
-    @cached_property
-    def act(self) -> tuple:
-        """The nested table act[a][x][m][y][b], built from `images` on first use."""
-        n, g = self.base.n, self.base.g
-
-        def block(row, a, x):
-            start = (a * g + x) * g * n
-            return tuple(row[start + y * n:start + (y + 1) * n] for y in range(g))
-
-        return tuple(tuple(tuple(block(row, a, x) for row in self.images) for x in range(g))
-                     for a in range(n))
-
     def sum_of(self, items) -> int:
         total = self.zero
         for i in items:
             total = self.madd[total][i]
         return total
+
+
+def nested_action(M: GammaModule) -> tuple:
+    """The nested table act[a][x][m][y][b] of the fixture format, from `images`."""
+    n, g = M.base.n, M.base.g
+
+    def block(row, a, x):
+        start = (a * g + x) * g * n
+        return tuple(row[start + y * n:start + (y + 1) * n] for y in range(g))
+
+    return tuple(tuple(tuple(block(row, a, x) for row in M.images) for x in range(g))
+                 for a in range(n))
 
 
 def _module_tables(M: GammaModule) -> dict:
@@ -240,6 +239,14 @@ class ModuleHom:
                          tuple(self.map[v] for v in other.map))
 
 
+def _pointwise_sums(homs, madd) -> tuple[tuple[int | None, ...], ...]:
+    """Row f, column g: the index in `homs` of the pointwise sum f + g under the
+    target addition `madd`, or None when that sum is not in `homs`."""
+    index = {f.map: k for k, f in enumerate(homs)}
+    return tuple(tuple(index.get(tuple(madd[u][v] for u, v in zip(f.map, g.map)))
+                       for g in homs) for f in homs)
+
+
 def hom_violation(source: GammaModule, target: GammaModule, mapping: tuple[int, ...]):
     """First broken homomorphism law for a total carrier mapping, or None."""
     if mapping[source.zero] != target.zero:
@@ -395,8 +402,7 @@ def end_semiring(M: GammaModule, lenient: bool = False) -> EndReport:
     require_module_axioms(M, lenient, "end_semiring")
     homs = hom_set(M, M)
     index = {f.map: k for k, f in enumerate(homs)}
-    add_rows = tuple(tuple(index.get(tuple(M.madd[u][v] for u, v in zip(f.map, g_h.map)))
-                           for g_h in homs) for f in homs)
+    add_rows = _pointwise_sums(homs, M.madd)
     add_closed = all(None not in row for row in add_rows)
     comp_rows = tuple(tuple(index[f.after(g_h).map] for g_h in homs) for f in homs)
 
@@ -557,30 +563,38 @@ def _equivalence_join(theta, pairs) -> tuple[int, ...]:
     return tuple(roots.setdefault(uf.find(c), len(roots)) for c in theta)
 
 
-@lru_cache(maxsize=1)  # the catalog reads them right after its lattice did
-def _join_irreducibles(M: GammaModule) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each Cg(a, b) that is not the join of the principal congruences below it,
-    as its edges (m, least member of m's class).  Congruences respect each
-    m ↦ madd[m][u] and m ↦ images[m][k]: merging x, y pushes (f(x), f(y))."""
-    maps, discrete = {*zip(*M.madd), *zip(*M.images)}, tuple(range(M.size))
-    principals = {}
+def _principals(M: GammaModule):
+    """Each principal congruence Cg(a, b), a < b, as the least member of each
+    element's class.  Congruences respect each m ↦ madd[m][u] and
+    m ↦ images[m][k]: merging x, y pushes (f(x), f(y))."""
+    maps, discrete = {*zip(*M.madd), *zip(*M.images)}, range(M.size)
     for a, b in itertools.combinations(discrete, 2):
         uf, todo = UnionFind(M.size), [(a, b)]
         while todo:
             x, y = todo.pop()
             if uf.union(x, y):
                 todo.extend((f[x], f[y]) for f in maps)
-        root = tuple(map(uf.find, discrete))
-        principals[root] = tuple((m, r) for m, r in enumerate(root) if r != m)
+        yield tuple(map(uf.find, discrete))
+
+
+@lru_cache(maxsize=1)  # the catalog reads them right after its lattice did
+def _join_irreducibles(M: GammaModule) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each Cg(a, b) that is not the join of the principal congruences below it,
+    as its edges (m, least member of m's class)."""
+    discrete = tuple(range(M.size))
+    principals = {root: tuple((m, r) for m, r in enumerate(root) if r != m)
+                  for root in _principals(M)}
     return tuple(sorted(p for root, p in principals.items() if not _below(p, reduce(
         _equivalence_join, (q for q in principals.values() if q != p and _below(q, root)),
         discrete))))
 
 
 def is_congruence_simple(M: GammaModule) -> bool:
-    """Supplementary to submodule-simplicity, and what controls quotients: |M| ≥ 2
-    and the only congruences are the discrete and total ones."""
-    return M.size > 1 and len(_join_irreducibles(M)) == 1
+    """Supplementary to submodule-simplicity, and what controls quotients: the
+    only congruences are the discrete and total ones, that is |M| ≥ 2 and
+    every principal congruence Cg(a, b) with a ≠ b is total.  Stops at the
+    first one that is not."""
+    return M.size > 1 and all(max(root) == 0 for root in _principals(M))
 
 
 def enumerate_module_congruences(M: GammaModule) -> list[ModuleCongruence]:
@@ -777,31 +791,6 @@ def jacobson_radical(S: FiniteTernaryGammaSemiring, catalog=None,
                          simples_used=tuple(e.module.name for e in simples))
 
 
-@dataclass
-class SemisimplicityReport:
-    ok: bool
-    family: tuple[tuple[int, ...], ...]
-
-
-def is_semisimple(M: GammaModule) -> SemisimplicityReport:
-    """Search for simple submodules with trivial pairwise meets whose sum map
-    is a bijection onto M; the empty family certifies the zero module."""
-    subs = enumerate_submodules(M)
-    simple_subs = [s for s in subs if is_simple(sub_module(M, s))]
-    zero_only = {M.zero}
-    for k in range(len(simple_subs) + 1):
-        for family in itertools.combinations(simple_subs, k):
-            if math.prod(map(len, family)) != M.size:
-                continue
-            if any(set(a & b) != zero_only
-                   for a, b in itertools.combinations(family, 2)):
-                continue
-            seen = {M.sum_of(combo) for combo in itertools.product(*map(sorted, family))}
-            if len(seen) == M.size:
-                return SemisimplicityReport(True, tuple(tuple(sorted(s)) for s in family))
-    return SemisimplicityReport(False, ())
-
-
 def direct_sum(M1: GammaModule, M2: GammaModule, name: str | None = None) -> GammaModule:
     """Componentwise product carrier with componentwise tables."""
     if M1.base != M2.base:
@@ -877,7 +866,7 @@ def module_to_dict(M: GammaModule) -> dict:
         "zero": c[M.zero],
         "madd": [[c[v] for v in row] for row in M.madd],
         "act": [[[[[c[v] for v in t4] for t4 in t3] for t3 in t2] for t2 in t1]
-                for t1 in M.act],
+                for t1 in nested_action(M)],
         "m2_profile": M.m2_profile,
     }
 

@@ -27,7 +27,7 @@ from tgw.ideals import LocalizedSemiring, _span, is_ideal_subset, is_prime
 from tgw.modules import (GammaModule, ModuleCongruence, ModuleHom, _classes,
                          _partition_to_congruence, check_module_axioms,
                          generating_set, hom_set, hom_violation, is_submodule,
-                         require_module_axioms, sub_module)
+                         nested_action, require_module_axioms, sub_module)
 
 
 @pytest.fixture(scope="session")
@@ -336,7 +336,7 @@ def brute_force_check_module_axioms(M):
     S = M.base
     n, g, m = S.n, S.g, M.size
     rng, grng, mrng = range(n), range(g), range(m)
-    madd, act, zm = M.madd, M.act, M.zero
+    madd, act, zm = M.madd, nested_action(M), M.zero
 
     for i in mrng:
         for j in mrng:
@@ -553,6 +553,7 @@ def brute_force_tensor_idempotent(M, N):
     rels, descriptions = loop_tensor_relations(M, N)
     gens = [(m, n) for m in range(M.size) for n in range(N.size)]
     gidx = {g: k for k, g in enumerate(gens)}
+    act = nested_action(M)
 
     def mask_of(d):
         mask = 0
@@ -576,7 +577,7 @@ def brute_force_tensor_idempotent(M, N):
         return mask
 
     def acted(a, x, y, b, d):
-        return {(M.act[a][x][g[0]][y][b], g[1]): 1 for g in d}
+        return {(act[a][x][g[0]][y][b], g[1]): 1 for g in d}
 
     sat_gen = {g: saturate(1 << gidx[g]) for g in gens}
     masks = set(sat_gen.values())
@@ -637,7 +638,7 @@ def brute_force_tensor_idempotent(M, N):
 def loop_submodule_closure(M: GammaModule, seed) -> frozenset[int]:
     current = set(seed)
     current.add(M.zero)
-    S = M.base
+    S, act = M.base, nested_action(M)
     changed = True
     while changed:
         changed = False
@@ -653,7 +654,7 @@ def loop_submodule_closure(M: GammaModule, seed) -> frozenset[int]:
                 for b in range(S.n):
                     for x in range(S.g):
                         for y in range(S.g):
-                            v = M.act[a][x][mm][y][b]
+                            v = act[a][x][mm][y][b]
                             if v not in current:
                                 current.add(v)
                                 changed = True
@@ -665,8 +666,8 @@ def loop_is_submodule(M: GammaModule, members: frozenset[int]) -> bool:
         return False
     if any(M.madd[i][j] not in members for i in members for j in members):
         return False
-    S = M.base
-    return all(M.act[a][x][mm][y][b] in members
+    S, act = M.base, nested_action(M)
+    return all(act[a][x][mm][y][b] in members
                for mm in members for a in range(S.n) for b in range(S.n)
                for x in range(S.g) for y in range(S.g))
 
@@ -679,22 +680,22 @@ def loop_hom_violation(source: GammaModule, target: GammaModule, mapping: tuple[
         for j in range(source.size):
             if mapping[source.madd[i][j]] != target.madd[mapping[i]][mapping[j]]:
                 return ("additive", (i, j))
-    S = source.base
+    S, source_act, target_act = source.base, nested_action(source), nested_action(target)
     for a in range(S.n):
         for x in range(S.g):
             for mm in range(source.size):
                 for y in range(S.g):
                     for b in range(S.n):
-                        if mapping[source.act[a][x][mm][y][b]] != \
-                                target.act[a][x][mapping[mm]][y][b]:
+                        if mapping[source_act[a][x][mm][y][b]] != \
+                                target_act[a][x][mapping[mm]][y][b]:
                             return ("equivariance", (a, x, mm, y, b))
     return None
 
 
 def loop_annihilator_of_element(M: GammaModule, mm: int) -> frozenset[int]:
-    S = M.base
+    S, act = M.base, nested_action(M)
     ann = {a for a in range(S.n)
-           if all(M.act[a][x][mm][y][b] == M.zero
+           if all(act[a][x][mm][y][b] == M.zero
                   for x in range(S.g) for y in range(S.g) for b in range(S.n))}
     # 0_T belongs by the ideal type invariant even when absorption fails.
     ann.add(S.zero)
@@ -704,7 +705,7 @@ def loop_annihilator_of_element(M: GammaModule, mm: int) -> frozenset[int]:
 def loop_density_witnesses(M: GammaModule, anchor: int, rank2: bool):
     """The witness search of `density_check`, without its simplicity and
     axiom gates: (witnesses, unsolvable, rank2 counts)."""
-    S = M.base
+    S, act = M.base, nested_action(M)
     witnesses = []
     unsolvable = []
     combos = [(a, x, y) for a in range(S.n) for x in range(S.g) for y in range(S.g)]
@@ -713,7 +714,7 @@ def loop_density_witnesses(M: GammaModule, anchor: int, rank2: bool):
             continue
         for n in range(M.size):
             hit = next(((a, x, y) for a, x, y in combos
-                        if M.act[a][x][mm][y][anchor] == n), None)
+                        if act[a][x][mm][y][anchor] == n), None)
             if hit is None:
                 unsolvable.append((mm, n))
             else:
@@ -726,8 +727,8 @@ def loop_density_witnesses(M: GammaModule, anchor: int, rank2: bool):
             for n1 in range(M.size):
                 for n2 in range(M.size):
                     eligible += 1
-                    if any(M.act[a][x][m1][y][anchor] == n1
-                           and M.act[a][x][m2][y][anchor] == n2
+                    if any(act[a][x][m1][y][anchor] == n1
+                           and act[a][x][m2][y][anchor] == n2
                            for a, x, y in combos):
                         solvable += 1
                     else:
@@ -738,7 +739,7 @@ def loop_density_witnesses(M: GammaModule, anchor: int, rank2: bool):
 
 
 def loop_congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | None]:
-    S = M.base
+    S, act = M.base, nested_action(M)
     for m1 in range(M.size):
         for m2 in range(M.size):
             if class_of[m1] != class_of[m2]:
@@ -750,8 +751,8 @@ def loop_congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | No
                 for ga in range(S.g):
                     for gb in range(S.g):
                         for b in range(S.n):
-                            if class_of[M.act[a][ga][m1][gb][b]] != \
-                                    class_of[M.act[a][ga][m2][gb][b]]:
+                            if class_of[act[a][ga][m1][gb][b]] != \
+                                    class_of[act[a][ga][m2][gb][b]]:
                                 return False, (f"act: [{m1}]=[{m2}] but images differ "
                                                f"at (a={a},x={ga},y={gb},b={b})")
     return True, None

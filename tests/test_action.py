@@ -36,7 +36,7 @@ from tgw.modules import (_congruence_compatible,
                          enumerate_module_congruences,
                          enumerate_submodules, hom_violation, is_congruence_simple,
                          is_simple, is_submodule, module_from_dict, module_to_dict,
-                         quotient_by_congruence, regular_module,
+                         nested_action, quotient_by_congruence, regular_module,
                          serialize_module, sub_module, submodule_closure,
                          zero_module)
 
@@ -140,7 +140,7 @@ def test_nesting_then_flattening_gives_images():
     for M in [*all_bundled_modules(), *built_modules(S).values(), exact]:
         assert M.base.quads == tuple(itertools.product(
             range(M.base.n), range(M.base.g), range(M.base.g), range(M.base.n)))
-        act = M.act
+        act = nested_action(M)
         assert tuple(tuple(act[a][x][m][y][b] for a, x, y, b in M.base.quads)
                      for m in range(M.size)) == M.images, M.name
         assert module_from_dict(module_to_dict(M), M.base).images == M.images, M.name
@@ -198,9 +198,11 @@ def test_submodules_match_loops(M, monkeypatch):
 def test_hom_violation_matches_loops(M):
     """Same verdict on every map into a module over the same base; the
     equivariance witness may be another one, so it is re-checked instead."""
+    m_act = nested_action(M)
     for N in DIFF_MODULES:
         if N.base != M.base or N.size ** M.size > 5000:
             continue
+        n_act = nested_action(N)
         for mapping in itertools.product(range(N.size), repeat=M.size):
             got, ref = hom_violation(M, N, mapping), loop_hom_violation(M, N, mapping)
             assert (got is None) == (ref is None), mapping
@@ -211,7 +213,7 @@ def test_hom_violation_matches_loops(M):
                 assert got == ref, mapping
                 continue
             a, x, m, y, b = got[1]
-            assert mapping[M.act[a][x][m][y][b]] != N.act[a][x][mapping[m]][y][b]
+            assert mapping[m_act[a][x][m][y][b]] != n_act[a][x][mapping[m]][y][b]
 
 
 def _partitions(items):

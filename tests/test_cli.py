@@ -914,6 +914,22 @@ def test_malformed_modules_exit_cleanly(filename, data):
                          ["density", base, "--lenient", "--module", "FILE"]))
 
 
+def test_ext_without_a_zero_hom_exits_cleanly(tmp_path):
+    """B2-T2 with act(1, g0, (0,0), g0, 0) = (1,1) fails act-zero-module.  Taken
+    leniently, the zero map P1 -> N of its resolution is no hom, so Ext¹ has no
+    cycle monoid: exit 2 with one error line naming the zero map."""
+    data = module_to_dict(fixtures.bundled_module("B2-T2"))
+    data["act"][1][0][0][0][0] = "(1,1)"
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["ext", "B2", "--module", str(path), "--module", str(path), "--lenient"])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == ("error: ext1: the zero map P1 -> N is not a "
+                              "homomorphism\n")
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.sampled_from(("valuation", "weights")), st.data())
 def test_malformed_embed_files_exit_cleanly(option, data):

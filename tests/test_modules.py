@@ -18,8 +18,8 @@ from tgw.modules import (GammaModule, ModuleHom, _iso_invariant,
                          check_module_axioms, cyclic_module_catalog, density_check,
                          direct_sum, end_semiring, enumerate_module_congruences,
                          enumerate_submodules, find_isomorphism, hom_set, hom_violation,
-                         is_faithful, is_semisimple, is_simple, iso_theorem_suite,
-                         jacobson_radical, load_module, quotient_by_congruence,
+                         is_faithful, is_simple, iso_theorem_suite,
+                         jacobson_radical, load_module, nested_action, quotient_by_congruence,
                          regular_module, reevaluate_module_violation, serialize_module)
 
 
@@ -212,10 +212,10 @@ def test_density_witnesses_reevaluate(b2_reg, z3_reg, b2xb2_reg):
     entries += [z3_reg]
     for M in entries:
         anchor = M.base.unit if M.base.unit is not None else M.base.zero
-        rep = density_check(M, anchor=anchor, lenient=True)
+        rep, act = density_check(M, anchor=anchor, lenient=True), nested_action(M)
         assert rep.ok
         for mm, nn, a, x, y in rep.witnesses:
-            assert M.act[a][x][mm][y][rep.anchor] == nn
+            assert act[a][x][mm][y][rep.anchor] == nn
 
 
 def test_density_preconditions(b2_zero, z3_reg):
@@ -347,13 +347,6 @@ def test_jacobson_radical(b2, z3, b2xb2, one_element):
     assert one_report.ideal.members == frozenset(range(one_element.n))
     assert not one_report.simples_used
     assert one_report.note == "catalog-relative"
-
-
-def test_is_semisimple(b2_reg, b2_t2, b2_zero):
-    assert is_semisimple(b2_reg).ok
-    rep = is_semisimple(b2_t2)
-    assert rep.ok and rep.family == ((0, 1), (0, 2))
-    assert is_semisimple(b2_zero).ok  # empty family certifies the zero module
 
 
 def test_direct_sum_matches_bundled_t2(b2_reg, b2_t2):
