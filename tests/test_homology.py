@@ -635,14 +635,14 @@ def test_homology_matches_staged_on_perturbed_actions():
     """Self-pairs of 300 perturbed modules.  Where the staged Ext¹ failed with a
     KeyError (the zero map P1 -> N is no hom), the new one raises a
     PreconditionError.  Tor over N4 takes the exact tensor backend at about
-    0.6 s a call, so it is compared on the first five N4 modules only."""
+    0.6 s a call, so it is compared on the first two N4 modules only."""
     outcomes, n4_tor = collections.Counter(), 0
     for M in action_perturbations(300, seed=19):
-        with_tor = M.base.name != "N4" or n4_tor < 5
+        with_tor = M.base.name != "N4" or n4_tor < 2
         n4_tor += M.base.name == "N4" and with_tor
         assert_homology_matches_staged(M.base, M, M, outcomes, with_tor)
     kernel = "free_resolution: kernel of the augmentation is not a submodule"
     assert outcomes == {"augmentation fails the homomorphism laws": 255,
                         "augmentation is not surjective": 118, kernel: 6,
                         "ext1 ok": 220, "ext1: KeyError": 74, f"ext1: {kernel}": 6,
-                        "tor1 ok": 246, f"tor1: {kernel}": 6}
+                        "tor1 ok": 243, f"tor1: {kernel}": 6}
