@@ -566,14 +566,14 @@ def action_perturbations(count: int, seed: int):
 
 
 def _staged_or_new(staged, new, *args):
-    """Both results, or the kind of error both raised: the same error, or a
-    KeyError from the staged code and a PreconditionError from the new."""
+    """Both results, or the error both raised: the same error, or a KeyError
+    from the staged code and a PreconditionError from the new."""
     try:
         old = staged(*args, lenient=True)
     except KeyError:
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as info:
             new(*args, lenient=True)
-        return "KeyError", None
+        return f"KeyError -> {info.value}", None
     except (PreconditionError, BudgetError) as exc:
         with pytest.raises(type(exc)) as info:
             new(*args, lenient=True)
@@ -630,7 +630,6 @@ def test_homology_matches_staged_on_bundled_pairs():
                         f"ext1: {unitless}": 4, f"tor1: {unitless}": 4}
 
 
-
 def test_homology_matches_staged_on_perturbed_actions():
     """Self-pairs of 300 perturbed modules.  Where the staged Ext¹ failed with a
     KeyError (the zero map P1 -> N is no hom), the new one raises a
@@ -644,5 +643,7 @@ def test_homology_matches_staged_on_perturbed_actions():
     kernel = "free_resolution: kernel of the augmentation is not a submodule"
     assert outcomes == {"augmentation fails the homomorphism laws": 255,
                         "augmentation is not surjective": 118, kernel: 6,
-                        "ext1 ok": 220, "ext1: KeyError": 74, f"ext1: {kernel}": 6,
+                        "ext1 ok": 220, f"ext1: {kernel}": 6,
+                        "ext1: KeyError -> ext1: the zero map P1 -> N is not a "
+                        "homomorphism": 74,
                         "tor1 ok": 243, f"tor1: {kernel}": 6}
