@@ -20,14 +20,16 @@ from tgw import fixtures
 from tgw.core import (BUDGETS, AxiomReport, BudgetError, FiniteTernaryGammaSemiring,
                       IdealSet, PreconditionError, UnionFind, Violation, _charge,
                       bourne_classes, require_axioms, structure_from_dict)
-from tgw.homology import (MonoidPresentation, TorResult, _gen_label,
-                          find_presentation_isomorphism, free_carrier_tuples, free_module,
-                          make_presentation, tensor, tensor_induced_map)
+from tgw.homology import (HomSemisimplicityReport, MonoidPresentation, TorResult,
+                          _gen_label, ext1, find_presentation_isomorphism,
+                          free_carrier_tuples, free_module, make_presentation, tensor,
+                          tensor_induced_map)
 from tgw.ideals import LocalizedSemiring, _span, is_ideal_subset, is_prime
 from tgw.modules import (GammaModule, ModuleCongruence, ModuleHom, _classes,
                          _partition_to_congruence, check_module_axioms,
-                         generating_set, hom_set, hom_violation, is_submodule,
-                         nested_action, require_module_axioms, sub_module)
+                         cyclic_module_catalog, generating_set, hom_set, hom_violation,
+                         is_submodule, jacobson_radical, nested_action,
+                         require_module_axioms, sub_module)
 
 
 @pytest.fixture(scope="session")
@@ -1265,3 +1267,26 @@ def staged_tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
     iso = find_presentation_isomorphism(tor0_pres, tmn.presentation)
     return TorResult(tor1=tor1_pres, tor0=tor0_pres,
                      tor0_matches_tensor=iso is not None, notes=tuple(notes))
+
+
+def pairwise_homological_semisimplicity(S: FiniteTernaryGammaSemiring, catalog=None,
+                                        lenient: bool = False) -> HomSemisimplicityReport:
+    """Ext¹ triviality over all catalog pairs, cross-checked against the radical."""
+    if catalog is None:
+        catalog = cyclic_module_catalog(S, lenient=lenient)
+    witness = None
+    ok = True
+    pairs = 0
+    for a in catalog:
+        for b in catalog:
+            pairs += 1
+            result = ext1(S, a.module, b.module, lenient=lenient)
+            if not result.ext1.is_trivial:
+                ok = False
+                if witness is None:
+                    witness = (a.module.name, b.module.name)
+    rad = jacobson_radical(S, catalog, lenient=lenient)
+    radical_zero = rad.ideal.members == frozenset({S.zero})
+    return HomSemisimplicityReport(ok=ok, radical_zero=radical_zero,
+                                   consistent=ok == radical_zero,
+                                   witness=witness, pair_count=pairs)

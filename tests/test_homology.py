@@ -11,7 +11,8 @@ import pytest
 
 from tgw import fixtures
 from tgw.cli import main
-from tgw.core import BUDGETS, BudgetError, PreconditionError, serialize_structure
+from tgw.core import (BUDGETS, BudgetError, PreconditionError, patch_add,
+                      serialize_structure)
 from tgw.homology import (HomActionError, HomModuleError, _smith_diagonal, adjunction_check, ext1,
                           find_presentation_isomorphism, free_module,
                           free_resolution, hom_module, homological_semisimplicity,
@@ -25,7 +26,8 @@ from tgw.modules import (GammaModule, check_module_axioms,
 
 from conftest import (all_bundled_modules, brute_force_presentation_isomorphism,
                       brute_force_tensor_idempotent, chain, integers_mod,
-                      loop_tensor_relations, perturbed_t2, staged_ext1,
+                      loop_tensor_relations, pairwise_homological_semisimplicity,
+                      perturbed_t2, staged_ext1,
                       staged_free_resolution, staged_tor1, swapping_module,
                       truncated_naturals)
 
@@ -479,6 +481,50 @@ def test_homological_semisimplicity(b2, b2xb2):
     for S in (b2, b2xb2):
         rep = homological_semisimplicity(S)
         assert rep.ok and rep.radical_zero and rep.consistent
+
+
+@pytest.mark.parametrize("S", [fixtures.bundled_structure("B2"),
+                               fixtures.bundled_structure("B2xB2"), chain(4), chain(5),
+                               integers_mod(4), truncated_naturals(4)],
+                         ids=lambda S: S.name)
+def test_homological_semisimplicity_matches_pairwise(S):
+    catalog = cyclic_module_catalog(S)
+    new = homological_semisimplicity(S, catalog)
+    old = pairwise_homological_semisimplicity(S, catalog)
+    assert new.to_dict() == old.to_dict() and new.pair_count == len(catalog) ** 2
+
+
+def test_homological_semisimplicity_matches_pairwise_on_perturbed_adds():
+    """120 bases, B2xB2 or C4 with one or two `patch_add` entries replaced at
+    random, taken leniently from the catalog on.  Where the pairwise oracle
+    raises, the new code raises the same error with the same text."""
+    rng = random.Random(20)
+    outcomes = collections.Counter()
+    for _ in range(120):
+        S = rng.choice((fixtures.bundled_structure("B2xB2"), chain(4)))
+        for _ in range(rng.randint(1, 2)):
+            S = patch_add(S, rng.randrange(S.n), rng.randrange(S.n), rng.randrange(S.n))
+        try:
+            old = pairwise_homological_semisimplicity(S, lenient=True)
+        except (PreconditionError, BudgetError) as exc:
+            with pytest.raises(type(exc)) as info:
+                homological_semisimplicity(S, lenient=True)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+            outcomes[str(exc)] += 1
+            continue
+        new = homological_semisimplicity(S, lenient=True)
+        assert new.to_dict() == old.to_dict() and new.pair_count == old.pair_count, S.add
+        outcomes[f"ok={old.ok} consistent={old.consistent}"] += 1
+    assert outcomes == {
+        "ok=True consistent=True": 13, "ok=True consistent=False": 9,
+        "ok=False consistent=False": 9,
+        "free_resolution: kernel of the augmentation is not a submodule": 2,
+        "free_resolution: kernel of d1 is not a submodule": 24,
+        "ext1: a pulled-back boundary is missing from the enumerated hom set": 46,
+        "ext1: the zero map P1 -> N is not a homomorphism": 11,
+        "ext1: cycle monoid is not closed under pointwise addition": 5,
+        "Ext1(C4-cyclic-q1,C4-regular): Bourne quotient addition is "
+        "representative-dependent at classes (0,2)": 1}
 
 
 def test_ext0_matches_hom_on_all_unit_bearing_pairs():
