@@ -117,14 +117,14 @@ def reevaluate_module_violation(M: GammaModule, v: Violation) -> tuple[int, int]
     return _reevaluate(MODULE_LAWS, _module_tables(M), v)
 
 
-def require_module_axioms(M: GammaModule, lenient: bool, op: str) -> AxiomReport:
-    report = check_module_axioms(M)
-    if report.violations and not lenient:
-        first = report.violations[0]
+def require_module_axioms(M: GammaModule, lenient: bool, op: str) -> None:
+    """Raise at M's first module-law violation; a lenient gate checks nothing."""
+    violations = () if lenient else check_module_axioms(M).violations
+    if violations:
+        first = violations[0]
         raise PreconditionError(
             f"{op}: module {M.name!r} fails {first.law} at witness {first.witness}; "
             f"pass lenient=True to proceed anyway")
-    return report
 
 
 # ---------------------------------------------------------------------------

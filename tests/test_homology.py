@@ -19,10 +19,10 @@ from tgw.homology import (HomActionError, HomModuleError, _smith_diagonal, adjun
                           internal_hom_ternary, make_presentation, tensor,
                           tensor_induced_map, tor1)
 from tgw.ideals import enumerate_ideals
-from tgw.modules import (GammaModule, check_module_axioms,
-                         cyclic_module_catalog, enumerate_module_congruences,
-                         find_isomorphism, hom_set, hom_violation, nested_action,
-                         regular_module)
+from tgw.modules import (GammaModule, annihilator, check_module_axioms,
+                         cyclic_module_catalog, density_check, end_semiring,
+                         enumerate_module_congruences, find_isomorphism, hom_set,
+                         hom_violation, nested_action, regular_module)
 
 from conftest import (all_bundled_modules, brute_force_presentation_isomorphism,
                       brute_force_tensor_idempotent, chain, integers_mod,
@@ -525,6 +525,37 @@ def test_homological_semisimplicity_matches_pairwise_on_perturbed_adds():
         "ext1: cycle monoid is not closed under pointwise addition": 5,
         "Ext1(C4-cyclic-q1,C4-regular): Bourne quotient addition is "
         "representative-dependent at classes (0,2)": 1}
+
+
+def test_lenient_gates_compute_no_module_report(b2_t2):
+    """Lenient callers go past the module-law gate without a law check; strict
+    ones still stop at the first violation.  The catalog gates the regular
+    module of its base, so it runs on Z3, whose regular module fails the laws;
+    the others run on the perturbed B2-T2."""
+    M = perturbed_t2(b2_t2)
+    z3 = fixtures.bundled_structure("Z3")
+    witness = "act-additivity-slot-m at witness (1, 0, 1, 2, 0, 1)"
+    calls = {"free_resolution": lambda lenient: free_resolution(M.base, M, lenient=lenient),
+             "ext1": lambda lenient: ext1(M.base, M, M, lenient=lenient),
+             "cyclic_module_catalog": lambda lenient: cyclic_module_catalog(z3, lenient),
+             "density_check": lambda lenient: density_check(M, lenient=lenient),
+             "annihilator": lambda lenient: annihilator(M, lenient),
+             "end_semiring": lambda lenient: end_semiring(M, lenient)}
+    for op, call in calls.items():
+        check_module_axioms.cache_clear()
+        if op == "density_check":
+            with pytest.raises(PreconditionError, match="^density_check: module is not simple$"):
+                call(True)
+        else:
+            call(True)
+        assert check_module_axioms.cache_info().misses == 0, op
+        with pytest.raises(PreconditionError) as info:
+            call(False)
+        gate = "free_resolution" if op == "ext1" else op
+        fails = ("'Z3-regular' fails act-absorb-a at witness (0, 0, 0, 1)"
+                 if op == "cyclic_module_catalog" else f"'B2-T2-perturbed' fails {witness}")
+        assert str(info.value) == (f"{gate}: module {fails}; "
+                                   "pass lenient=True to proceed anyway")
 
 
 def test_ext0_matches_hom_on_all_unit_bearing_pairs():
