@@ -496,8 +496,8 @@ def test_homological_semisimplicity_matches_pairwise(S):
 
 def test_homological_semisimplicity_matches_pairwise_on_perturbed_adds():
     """120 bases, B2xB2 or C4 with one or two `patch_add` entries replaced at
-    random, taken leniently from the catalog on.  Where the pairwise oracle
-    raises, the new code raises the same error with the same text."""
+    random, run leniently, catalog included.  Where the pairwise oracle raises,
+    the new code raises the same error with the same text."""
     rng = random.Random(20)
     outcomes = collections.Counter()
     for _ in range(120):
@@ -548,7 +548,7 @@ def test_lenient_gates_compute_no_module_report(b2_t2):
                 call(True)
         else:
             call(True)
-        assert check_module_axioms.cache_info().misses == 0, op
+        assert check_module_axioms.cache_info()[:2] == (0, 0), op
         with pytest.raises(PreconditionError) as info:
             call(False)
         gate = "free_resolution" if op == "ext1" else op
