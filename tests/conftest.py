@@ -637,6 +637,13 @@ def brute_force_tensor_idempotent(M, N):
 # The nested action loops that `GammaModule.images` replaced, kept verbatim
 # (renamed) as references for the differential tests in test_action.py.
 
+def loop_action_rows(act, base, m):
+    """The rows of `GammaModule.images` from a nested table act[a][x][u][y][b]
+    (or tri[a][x][m][y][b] for the regular module), one quad at a time, as
+    `module_from_dict` and `regular_module` built them."""
+    return tuple(tuple(act[a][x][u][y][b] for a, x, y, b in base.quads) for u in range(m))
+
+
 def loop_submodule_closure(M: GammaModule, seed) -> frozenset[int]:
     current = set(seed)
     current.add(M.zero)

@@ -20,7 +20,7 @@ import random
 import pytest
 
 from conftest import (all_bundled_modules, brute_force_submodules, chain, integers_mod,
-                      loop_annihilator_of_element,
+                      loop_action_rows, loop_annihilator_of_element,
                       loop_congruence_compatible, loop_density_witnesses,
                       loop_enumerate_module_congruences, loop_hom_violation,
                       loop_is_congruence_simple, loop_is_submodule,
@@ -39,6 +39,7 @@ from tgw.modules import (_congruence_compatible,
                          nested_action, quotient_by_congruence, regular_module,
                          serialize_module, sub_module, submodule_closure,
                          zero_module)
+from test_laws import perturbed_module
 
 
 def built_modules(S):
@@ -144,6 +145,21 @@ def test_nesting_then_flattening_gives_images():
         assert tuple(tuple(act[a][x][m][y][b] for a, x, y, b in M.base.quads)
                      for m in range(M.size)) == M.images, M.name
         assert module_from_dict(module_to_dict(M), M.base).images == M.images, M.name
+
+
+def test_action_rows_match_per_quad_lookups():
+    """The fixture reader and the regular module build the same rows as the
+    per-quad comprehension, on lawless modules and on 6-8 element bases."""
+    b2 = fixtures.bundled_structure("B2")
+    bases = [product_structure(product_structure(b2, b2, "B2^2"), b2, "B2^3"), chain(8),
+             integers_mod(6)]
+    for S in bases:
+        assert regular_module(S).images == loop_action_rows(S.tri, S, S.n), S.name
+    mods = [perturbed_module(M, seed, entries=4) for M in all_bundled_modules()
+            for seed in range(3)]
+    for M in [*mods, *map(regular_module, bases)]:
+        rows = loop_action_rows(nested_action(M), M.base, M.size)
+        assert module_from_dict(module_to_dict(M), M.base) == dataclasses.replace(M, images=rows), M.name
 
 
 def _skewed_t2():

@@ -829,6 +829,39 @@ def test_exit_2_on_bad_inputs(capsys, tmp_path):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_reference_errors_name_the_first_bad_label(capsys, tmp_path):
+    """A table with two unknown labels names the first in C order; a list or
+    an int where a label belongs is named as JSON decoded it."""
+    b2 = structure_to_dict(fixtures.bundled_structure("B2"))
+    t2 = module_to_dict(fixtures.bundled_module("B2-T2"))
+    check, module = ["check"], ["modules", "B2", "--module"]
+    cases = [
+        (check, b2, {("tri", 1, 0, 0, 0, 0): "q", ("tri", 0, 0, 1, 0, 1): "p"},
+         "label 'p' in tri is not declared"),
+        (check, b2, {("tri", 0, 0, 1, 0, 1): ["1"]}, "label ['1'] in tri is not declared"),
+        (check, b2, {("tri", 1, 0, 1, 0, 1): "q", ("tri", 0, 0, 1, 0, 1): 7},
+         "label 7 in tri is not declared"),
+        (check, b2, {("zero",): 0}, "label 0 in zero is not declared"),
+        (module, t2, {("act", 1, 0, 3, 0, 0): "q", ("act", 0, 0, 2, 0, 1): "p"},
+         "label 'p' in act is not in the carrier"),
+        (module, t2, {("act", 1, 0, 3, 0, 0): [["x"]]},
+         "label [['x']] in act is not in the carrier"),
+        (module, t2, {("madd", 1, 2): 3}, "label 3 in madd is not in the carrier"),
+    ]
+    for k, (argv, data, edits, message) in enumerate(cases):
+        data = json.loads(json.dumps(data))
+        for (*path, last), label in edits.items():
+            node = data
+            for key in path:
+                node = node[key]
+            node[last] = label
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main([*argv, str(path)]) == 2, message
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: reference error: {message}\n")
+
+
 def _nodes(tree, path=()):
     """(path, node) for every node of a parsed JSON document, root first."""
     yield path, tree

@@ -191,7 +191,18 @@ def _observed_chunks(monkeypatch, check, X) -> dict:
     return chunks
 
 
-@pytest.mark.parametrize("S", [zsum(5), zsum(6), patch_add(chain(6), 2, 3, 4)],
+def _patched_b2_cubed(witness, value):
+    """B2^3 with tri at `witness` set to `value`: tri-associativity-ac then
+    fails, and its right side tri(a, x, b, y, tri(c, z, d, w, e)) is a lookup
+    whose last index varies only along grid axes after the others'."""
+    b2 = fixtures.bundled_structure("B2")
+    S = product_structure(product_structure(b2, b2, "B2^2"), b2, "B2^3")
+    return replace(S, name=f"B2^3-tri{witness}={value}", tri=_set(S.tri, witness, value))
+
+
+@pytest.mark.parametrize("S", [zsum(5), zsum(6), patch_add(chain(6), 2, 3, 4),
+                               _patched_b2_cubed((7, 0, 7, 0, 7), 0),
+                               _patched_b2_cubed((3, 1, 5, 0, 6), 7)],
                          ids=lambda S: S.name)
 def test_check_axioms_matches_loops_over_several_chunks(S, monkeypatch):
     # Associativity is the widest structure law, so it runs one value of its
@@ -207,6 +218,8 @@ def test_check_axioms_matches_loops_over_several_chunks(S, monkeypatch):
     _assert_same_report(report, brute_force_check_axioms(S))
     for v in report.violations:
         assert reevaluate_violation(S, v) == (v.left, v.right)
+    if S.name.startswith("B2^3"):
+        assert any(v.law == "tri-associativity-ac" for v in report.violations)
 
 
 def zero_action_module(S, m: int, name: str):
@@ -263,38 +276,59 @@ def test_reevaluate_module_rejects_witnesses_out_of_range(witness):
 def _lookups(draw):
     """A chunk's grid, a table, and one index per table axis: an int, an axis
     of the grid, or table entries (uint8) over some of the grid's axes.  The
-    last few indices may be the trailing grid axes themselves."""
+    last few indices may be the trailing grid axes themselves.  In the split
+    arm, the indices before a drawn table axis j use only the grid axes before
+    a drawn grid axis p, the others only the axes from p on, and the last index
+    is a second table's lookup on those later axes, as in tri(a, x, b, y,
+    tri(c, z, d, w, e))."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     grid = list(_axes(tuple(sizes)))
     start = draw(st.integers(0, sizes[0] - 1))
     grid[0] = grid[0][start:start + draw(st.integers(1, sizes[0]))]
     ndim = draw(st.integers(1, 5))
-    tail = draw(st.integers(0, min(ndim, len(grid) - 1)))
-    index, dims = [], []
-    for k in range(ndim):
-        kind = "tail" if k >= ndim - tail else draw(st.sampled_from(["int", "axis", "entries"]))
+    j = draw(st.integers(0, ndim - 1)) if len(grid) > 1 else 0
+    p = draw(st.integers(1, len(grid) - 1)) if j else 0
+    tail = 0 if j else draw(st.integers(0, min(ndim, len(grid) - 1)))
+
+    def one(kind, axes, dims):
+        """An index of `kind` over the grid axes numbered in `axes`; its
+        table axis's size is appended to `dims`."""
         if kind in ("tail", "axis"):
-            axis = grid[k - ndim] if kind == "tail" else draw(st.sampled_from(grid))
-            index.append(axis)
+            axis = grid[draw(st.sampled_from(axes)) if kind == "axis" else len(dims) - ndim]
             # As in a law, an axis other than the chunk's spans its table axis.
             extra = draw(st.integers(0, 1)) if axis is grid[0] else 0
             dims.append(int(axis.max()) + 1 + extra)
-            continue
+            return axis
         dims.append(draw(st.integers(1, 3)))
         if kind == "int":
-            index.append(draw(st.integers(0, dims[-1] - 1)))
-        else:
-            shape = [axis.size if draw(st.booleans()) else 1 for axis in grid]
-            values = draw(st.lists(st.integers(0, dims[-1] - 1), min_size=math.prod(shape),
-                                   max_size=math.prod(shape)))
-            index.append(np.array(values, dtype=np.uint8).reshape(shape))
-    entries = iter(draw(st.lists(st.integers(-1, 300), min_size=math.prod(dims),
-                                 max_size=math.prod(dims))))
+            return draw(st.integers(0, dims[-1] - 1))
+        shape = [axis.size if k in axes and draw(st.booleans()) else 1
+                 for k, axis in enumerate(grid)]
+        values = draw(st.lists(st.integers(0, dims[-1] - 1), min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+        return np.array(values, dtype=np.uint8).reshape(shape)
 
-    def nest(level):
-        return (tuple(nest(level + 1) for _ in range(dims[level])) if level < ndim
-                else next(entries))
-    return grid, nest(0), index
+    def table(dims, low, high):
+        entries = iter(draw(st.lists(st.integers(low, high), min_size=math.prod(dims),
+                                     max_size=math.prod(dims))))
+
+        def nest(level):
+            return (tuple(nest(level + 1) for _ in range(dims[level])) if level < len(dims)
+                    else next(entries))
+        return nest(0)
+
+    kinds = st.sampled_from(["int", "axis", "entries"])
+    index, dims = [], []
+    for k in range(ndim - (j > 0)):
+        axes = range(len(grid)) if not j else range(p) if k < j else range(p, len(grid))
+        index.append(one("tail" if k >= ndim - tail else draw(kinds), axes, dims))
+    if j:
+        inner_dims, later = [], range(p, len(grid))
+        inner = [one(draw(st.sampled_from(["int", "axis"])), later, inner_dims)
+                 for _ in range(draw(st.integers(1, 3)))]
+        dims.append(draw(st.integers(1, 3)))
+        index.append(_Table(table(inner_dims, 0, dims[-1] - 1), dims[-1], grid)(*inner))
+    return grid, table(dims, -1, 300), index
 
 
 @settings(max_examples=300, deadline=None)
