@@ -213,12 +213,10 @@ def tri_eval(S: FiniteTernaryGammaSemiring, a: int, x: int, b: int, y: int, c: i
 # Laws
 
 class _Table:
-    """An operation table in the smallest integer dtype that holds its entries
-    and its range size.  Called with one index per dimension (ints, or integer
-    arrays that broadcast) it returns the entries, read by one `take` through
-    a flat index; trailing indices that are the trailing axes of `grid` are
-    gathered as whole rows.  A flat index does not check each index against
-    its axis, so callers keep them in range."""
+    """A table in the smallest integer dtype holding its entries and range size,
+    called with an int or index array per axis, none range-checked.  A prefix of
+    indices over earlier grid axes than the rest takes its rows, then the rest's
+    columns of them (none for trailing grid axes); others take via a flat index."""
 
     def __init__(self, rows, size: int, grid: list):
         import numpy as np
@@ -226,27 +224,33 @@ class _Table:
         dtype = np.promote_types(np.min_scalar_type(min(a.min(), 0)),
                                  np.min_scalar_type(max(a.max(), size)))
         self.a, self.grid = a.astype(dtype), grid
-        # How far one step along each axis moves in the raveled table.
+        # How far a step along each axis moves in the table, and in its rows.
         self.steps = [math.prod(a.shape[j + 1:]) for j in range(a.ndim)]
+        self.row_steps = [[s // t for s in self.steps[:j]] for j, t in enumerate(self.steps, 1)]
 
     def __call__(self, *index):
-        a, grid = self.a, self.grid
+        a, grid, steps = self.a, self.grid, self.steps
         # The first grid axis holds the values of a chunk, so it is never gathered.
         k, top = 0, min(len(index), len(grid) - 1)
         while k < top and index[-1 - k] is grid[-1 - k]:
             k += 1
         if k == a.ndim:
             return a
-        if k:
-            row, tail = self.steps[-1 - k], a.shape[-k:]
-            at = _flat(index[:-k], [s // row for s in self.steps[:-k]])
-            rows = a.reshape(-1, row)
-            if type(at) is int or at.ndim == 0:
-                return rows[at].reshape(tail)
-            lead = at.shape[:-k]
-            if at.shape[-k:] == (1,) * k:
-                return rows.take(at.reshape(lead), axis=0).reshape(lead + tail)
-        return a.reshape(-1).take(_flat(index, self.steps))
+        # The suffix: those k axes, else the last index; `tail`: its shape from its first axis.
+        j, col = a.ndim - max(k, 1), index[-1]
+        if not j or not k and type(col) is int:
+            return a.reshape(-1).take(_flat(index, steps))
+        row, tail = _flat(index[:j], self.row_steps[j - 1]), a.shape[-k:] if k else col.shape
+        while not k and tail[:1] == (1,):
+            tail = tail[1:]
+        if type(row) is not int:
+            cut = max(row.ndim - len(tail), 0)
+            if math.prod(row.shape[cut:]) != 1:
+                return a.reshape(-1).take(
+                    row * steps[j - 1] + (_flat(index[j:], steps[j:]) if k else col))
+            row = row.reshape(row.shape[:cut])
+        rows = a.reshape(-1, steps[j - 1]).take(row, axis=0)
+        return rows.reshape(rows.shape[:-1] + tail) if k else rows.take(col.reshape(tail), axis=-1)
 
 
 def _flat(index, steps):
@@ -647,8 +651,8 @@ def read_labels(data: dict, key: str) -> dict[str, int]:
 def label_array(data: dict, key: str, shape: tuple[int, ...], index: dict[str, int],
                 missing: str = "is not declared"):
     """`data[key]`, an array of labels of the given shape (() for one label),
-    as nested tuples of indices.  The whole shape is checked, level by level,
-    before any label is looked up."""
+    as nested tuples of indices.  The shape is checked level by level before
+    the leaves are looked up (naming the first bad label in C order) and nested."""
     level = [data[key]]
     for size in shape:
         for t in level:
@@ -658,15 +662,14 @@ def label_array(data: dict, key: str, shape: tuple[int, ...], index: dict[str, i
                 raise FixtureError(f"shape error: {key} table must be "
                                    + "x".join(map(str, shape)))
         level = [v for t in level for v in t]
-
-    def read(t, depth):
-        if depth:
-            return tuple(read(v, depth - 1) for v in t)
-        try:
-            return index[t]
-        except (KeyError, TypeError):
-            raise FixtureError(f"reference error: label {t!r} in {key} {missing}") from None
-    return read(data[key], len(shape))
+    try:
+        flat = list(map(index.__getitem__, level))
+    except (KeyError, TypeError):
+        bad = next(t for t in level if not isinstance(t, str) or t not in index)
+        raise FixtureError(f"reference error: label {bad!r} in {key} {missing}") from None
+    for size in reversed(shape):
+        flat = zip(*[iter(flat)] * size)
+    return next(iter(flat))
 
 
 def structure_from_dict(data: dict) -> FiniteTernaryGammaSemiring:

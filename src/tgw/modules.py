@@ -60,14 +60,9 @@ class GammaModule:
 
 def nested_action(M: GammaModule) -> tuple:
     """The nested table act[a][x][m][y][b] of the fixture format, from `images`."""
-    n, g = M.base.n, M.base.g
-
-    def block(row, a, x):
-        start = (a * g + x) * g * n
-        return tuple(row[start + y * n:start + (y + 1) * n] for y in range(g))
-
-    return tuple(tuple(tuple(block(row, a, x) for row in M.images) for x in range(g))
-                 for a in range(n))
+    g, n = M.base.g, M.base.n
+    blocks = [tuple(zip(*[zip(*[iter(row)] * n)] * g)) for row in M.images]
+    return tuple(zip(*[zip(*blocks)] * g))
 
 
 def _module_tables(M: GammaModule) -> dict:
@@ -811,18 +806,22 @@ def direct_sum(M1: GammaModule, M2: GammaModule, name: str | None = None) -> Gam
 # ---------------------------------------------------------------------------
 # Module builders and fixture text
 
+def _action_rows(table) -> tuple:
+    """`images` from a nested table t[a][x][u][y][b], such as act or tri."""
+    flat = itertools.chain.from_iterable
+    return tuple(tuple(flat(flat(blocks))) for blocks in zip(*flat(table)))
+
+
 @lru_cache(maxsize=None)
 def regular_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:
     """T acting on itself by tri; built once per structure and name."""
-    images = tuple(tuple(S.tri[a][x][m][y][b] for a, x, y, b in S.quads) for m in range(S.n))
     return GammaModule(name=name or f"{S.name}-regular", base=S, carrier=S.elements,
-                       zero=S.zero, madd=S.add, images=images, m2_profile="none")
+                       zero=S.zero, madd=S.add, images=_action_rows(S.tri))
 
 
 def zero_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:
     return GammaModule(name=name or f"{S.name}-zero", base=S, carrier=("0",),
-                       zero=0, madd=((0,),), images=((0,) * len(S.quads),),
-                       m2_profile="none")
+                       zero=0, madd=((0,),), images=((0,) * len(S.quads),))
 
 
 def module_from_dict(data: dict, base: FiniteTernaryGammaSemiring) -> GammaModule:
@@ -843,10 +842,9 @@ def module_from_dict(data: dict, base: FiniteTernaryGammaSemiring) -> GammaModul
     profile = data.get("m2_profile", "none")
     if profile not in ("none", "nested"):
         raise FixtureError(f"parse error: unknown m2_profile {profile!r}")
-    images = tuple(tuple(act[a][x][u][y][b] for a, x, y, b in base.quads) for u in range(m))
     return GammaModule(name=str(data.get("name", f"{base.name}-module")), base=base,
-                       carrier=tuple(carrier), zero=zero, madd=madd, images=images,
-                       m2_profile=profile)
+                       carrier=tuple(carrier), zero=zero, madd=madd,
+                       images=_action_rows(act), m2_profile=profile)
 
 
 def load_module(text: str, base: FiniteTernaryGammaSemiring) -> GammaModule:
