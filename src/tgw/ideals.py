@@ -1,16 +1,15 @@
 """Ideal lattice, prime spectrum, Zariski-style closed sets, and localization.
 
-An ideal is a submodule of the regular module, in which the structure acts on
-itself through tri: an additive submonoid that absorbs the ternary product in
-the middle slot.  Under tri-commutativity that is absorption in every slot,
-so one notion covers left, lateral, and right ideals.  All enumerations are
-deterministic: subsets are ordered by cardinality then lexicographically by
-sorted member indices.
+An ideal is an additive submonoid that absorbs the ternary product tri in
+every element slot.  Under declared tri-commutativity that is the middle slot
+alone, so the ideals are the submodules of the regular module, in which the
+structure acts on itself through tri.  All enumerations are deterministic:
+subsets are ordered by cardinality then lexicographically by sorted members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (FiniteTernaryGammaSemiring, IdealSet, PreconditionError,
                    _charge, distinct_rows, require_axioms)
@@ -18,13 +17,23 @@ from .modules import (enumerate_submodules, is_submodule, regular_module,
                       submodule_closure)
 
 
+def _ideals_of(S: FiniteTernaryGammaSemiring):
+    """The regular module, with tri on m in the outer slots too unless S is commutative."""
+    import numpy as np
+    if S.commutative:
+        return regular_module(S)
+    reg, t = regular_module(S), np.array(S.tri).reshape(-1, S.n)
+    rows = np.hstack([reg.images, t.reshape(S.n, -1), t.T]).tolist()
+    return replace(reg, images=tuple(map(tuple, rows)))
+
+
 def is_ideal_subset(S: FiniteTernaryGammaSemiring, members: frozenset[int]) -> bool:
-    return is_submodule(regular_module(S), members)
+    return is_submodule(_ideals_of(S), members)
 
 
 def ideal_closure(S: FiniteTernaryGammaSemiring, seed) -> IdealSet:
     """Least ideal containing the seed."""
-    return IdealSet(submodule_closure(regular_module(S), seed), is_ideal=True)
+    return IdealSet(submodule_closure(_ideals_of(S), seed), is_ideal=True)
 
 
 def enumerate_ideals(S: FiniteTernaryGammaSemiring,
@@ -34,7 +43,7 @@ def enumerate_ideals(S: FiniteTernaryGammaSemiring,
     _charge("enum", S.n, "enumerate_ideals: |T|")
     require_axioms(S, lenient, "enumerate_ideals")
     return [IdealSet(members, is_ideal=True)
-            for members in enumerate_submodules(regular_module(S))]
+            for members in enumerate_submodules(_ideals_of(S))]
 
 
 def is_prime(S: FiniteTernaryGammaSemiring, I: IdealSet) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from conftest import (brute_force_ideals, chain, loop_is_prime, loop_localize,
                       loop_product_span)
 from tgw import fixtures
+from tgw.cli import main
 from tgw.core import (PreconditionError, check_axioms, product_structure,
-                      structure_from_dict, structure_to_dict)
+                      serialize_structure, structure_from_dict, structure_to_dict)
 from tgw.ideals import (IdealSet, _product_span, enumerate_ideals, gelfand_injectivity,
                         ideal_closure, is_ideal_subset, is_prime, localize,
                         spectrum, zariski_report)
@@ -64,6 +66,53 @@ def test_enumerate_expected_values(b2, z3, b2xb2):
     # The zero singleton is not absorbing under the mod-3 product, so the
     # whole carrier is the only ideal.
     assert keys(enumerate_ideals(z3, lenient=True)) == [(0, 1, 2)]
+
+
+def three_slot_ideals(S):
+    """All-subsets filter: the subsets that hold the zero, are closed under
+    addition, and hold tri(a, x, b, y, c) whenever a, b or c is a member."""
+    out = []
+    for r in range(S.n + 1):
+        for members in map(frozenset, itertools.combinations(range(S.n), r)):
+            if S.zero in members and all(S.add[i][j] in members
+                                         for i in members for j in members) and all(
+                    S.tri[a][x][b][y][c] in members
+                    for a, x, b, y, c in itertools.product(range(S.n), range(S.g), range(S.n),
+                                                           range(S.g), range(S.n))
+                    if {a, b, c} & members):
+                out.append(tuple(sorted(members)))
+    return sorted(out, key=lambda t: (len(t), t))
+
+
+def middle_slot_structure(b2xb2):
+    """B2xB2 declared non-commutative, with every tri(a, g0, b, g0, c) set to
+    tri(a, g0, b, g0, unit): absorbing in the middle slot is no longer
+    absorbing in the outer ones."""
+    u = b2xb2.unit
+    tri = tuple(tuple(tuple(tuple(tuple(t_axby[u] if x == y == 0 else v for v in t_axby)
+                                  for y, t_axby in enumerate(t_axb))
+                            for t_axb in t_ax) for x, t_ax in enumerate(t_a))
+                for t_a in b2xb2.tri)
+    return replace(b2xb2, name="B2xB2-mid", tri=tri, commutative=False)
+
+
+def test_non_commutative_ideals_absorb_in_every_slot(b2xb2, capsys, tmp_path):
+    S = middle_slot_structure(b2xb2)
+    oracle = three_slot_ideals(S)
+    # The middle slot alone kept {(0,0)}, {(0,0),(0,1)} and {(0,0),(1,0)}.
+    assert oracle == [(0, 1, 2, 3)]
+    assert keys(enumerate_ideals(S, lenient=True)) == oracle
+    subsets = [frozenset(c) for r in range(S.n + 1)
+               for c in itertools.combinations(range(S.n), r)]
+    for seed in subsets:
+        assert is_ideal_subset(S, seed) == (tuple(sorted(seed)) in oracle)
+        assert ideal_closure(S, seed).key() == min(
+            (i for i in oracle if seed <= set(i)), key=len)
+    path = tmp_path / "mid.json"
+    path.write_text(serialize_structure(S), encoding="utf-8")
+    assert main(["ideals", str(path), "--lenient"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "B2xB2-mid: 1 ideal(s)\n  {(0,0),(0,1),(1,0),(1,1)}\n")
 
 
 def test_z3_requires_lenient(z3):
