@@ -236,7 +236,7 @@ class _Table:
             k += 1
         if k == a.ndim:
             return a
-        # The suffix: those k axes, else the last index; `tail`: its shape from its first axis.
+        # Suffix: the k axes, else the last index; `tail`: its shape from its first varying axis.
         j, col = a.ndim - max(k, 1), index[-1]
         if not j or not k and type(col) is int:
             return a.reshape(-1).take(_flat(index, steps))
