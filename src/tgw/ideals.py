@@ -9,31 +9,21 @@ subsets are ordered by cardinality then lexicographically by sorted members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (FiniteTernaryGammaSemiring, IdealSet, PreconditionError,
                    _charge, distinct_rows, require_axioms)
-from .modules import (enumerate_submodules, is_submodule, regular_module,
+from .modules import (_ideal_module, enumerate_submodules, is_submodule,
                       submodule_closure)
 
 
-def _ideals_of(S: FiniteTernaryGammaSemiring):
-    """The regular module, with tri on m in the outer slots too unless S is commutative."""
-    import numpy as np
-    if S.commutative:
-        return regular_module(S)
-    reg, t = regular_module(S), np.array(S.tri).reshape(-1, S.n)
-    rows = np.hstack([reg.images, t.reshape(S.n, -1), t.T]).tolist()
-    return replace(reg, images=tuple(map(tuple, rows)))
-
-
 def is_ideal_subset(S: FiniteTernaryGammaSemiring, members: frozenset[int]) -> bool:
-    return is_submodule(_ideals_of(S), members)
+    return is_submodule(_ideal_module(S), members)
 
 
 def ideal_closure(S: FiniteTernaryGammaSemiring, seed) -> IdealSet:
     """Least ideal containing the seed."""
-    return IdealSet(submodule_closure(_ideals_of(S), seed), is_ideal=True)
+    return IdealSet(submodule_closure(_ideal_module(S), seed), is_ideal=True)
 
 
 def enumerate_ideals(S: FiniteTernaryGammaSemiring,
@@ -43,7 +33,7 @@ def enumerate_ideals(S: FiniteTernaryGammaSemiring,
     _charge("enum", S.n, "enumerate_ideals: |T|")
     require_axioms(S, lenient, "enumerate_ideals")
     return [IdealSet(members, is_ideal=True)
-            for members in enumerate_submodules(_ideals_of(S))]
+            for members in enumerate_submodules(_ideal_module(S))]
 
 
 def is_prime(S: FiniteTernaryGammaSemiring, I: IdealSet) -> bool:

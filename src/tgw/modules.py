@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
@@ -353,7 +353,7 @@ def annihilator(M: GammaModule, lenient: bool = False) -> IdealSet:
     members = frozenset(range(S.n))
     for mm in range(M.size):
         members &= annihilator_of_element(M, mm)
-    return IdealSet(members, is_ideal=is_submodule(regular_module(S), members))
+    return IdealSet(members, is_ideal=is_submodule(_ideal_module(S), members))
 
 
 def is_faithful(M: GammaModule, lenient: bool = False) -> tuple[bool, int | None]:
@@ -781,7 +781,7 @@ def jacobson_radical(S: FiniteTernaryGammaSemiring, catalog=None,
     members = frozenset(range(S.n))
     for entry in simples:
         members &= annihilator(entry.module, lenient=lenient).members
-    ideal = IdealSet(members, is_ideal=is_submodule(regular_module(S), members))
+    ideal = IdealSet(members, is_ideal=is_submodule(_ideal_module(S), members))
     return RadicalReport(ideal=ideal,
                          simples_used=tuple(e.module.name for e in simples))
 
@@ -817,6 +817,16 @@ def regular_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> Ga
     """T acting on itself by tri; built once per structure and name."""
     return GammaModule(name=name or f"{S.name}-regular", base=S, carrier=S.elements,
                        zero=S.zero, madd=S.add, images=_action_rows(S.tri))
+
+
+def _ideal_module(S: FiniteTernaryGammaSemiring) -> GammaModule:
+    """The module whose submodules are the ideals: T acting on itself in every slot."""
+    import numpy as np
+    if S.commutative:
+        return regular_module(S)
+    reg, t = regular_module(S), np.array(S.tri).reshape(-1, S.n)
+    rows = np.hstack([reg.images, t.reshape(S.n, -1), t.T]).tolist()
+    return replace(reg, images=tuple(map(tuple, rows)))
 
 
 def zero_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:

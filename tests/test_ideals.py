@@ -21,6 +21,7 @@ from tgw.core import (PreconditionError, check_axioms, product_structure,
 from tgw.ideals import (IdealSet, _product_span, enumerate_ideals, gelfand_injectivity,
                         ideal_closure, is_ideal_subset, is_prime, localize,
                         spectrum, zariski_report)
+from tgw.modules import annihilator, jacobson_radical, regular_module
 
 
 def keys(ideals):
@@ -108,6 +109,10 @@ def test_non_commutative_ideals_absorb_in_every_slot(b2xb2, capsys, tmp_path):
         assert is_ideal_subset(S, seed) == (tuple(sorted(seed)) in oracle)
         assert ideal_closure(S, seed).key() == min(
             (i for i in oracle if seed <= set(i)), key=len)
+    # The annihilator and the radical flag their ideals by the same test.
+    assert annihilator(regular_module(S), lenient=True).members == {0}
+    assert not annihilator(regular_module(S), lenient=True).is_ideal
+    assert not jacobson_radical(S, lenient=True).ideal.is_ideal
     path = tmp_path / "mid.json"
     path.write_text(serialize_structure(S), encoding="utf-8")
     assert main(["ideals", str(path), "--lenient"]) == 0
