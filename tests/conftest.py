@@ -19,9 +19,10 @@ import pytest
 from tgw import fixtures
 from tgw.core import (BUDGETS, AxiomReport, BudgetError, FiniteTernaryGammaSemiring,
                       IdealSet, PreconditionError, UnionFind, Violation, _charge,
-                      bourne_classes, require_axioms, structure_from_dict)
+                      bourne_classes, distinct_rows, require_axioms,
+                      structure_from_dict)
 from tgw.homology import (HomSemisimplicityReport, MonoidPresentation, TorResult,
-                          _gen_label, ext1, find_presentation_isomorphism,
+                          _gen_label, _rep_labels, ext1, find_presentation_isomorphism,
                           free_carrier_tuples, free_module, make_presentation, tensor,
                           tensor_induced_map)
 from tgw.ideals import LocalizedSemiring, _span, is_ideal_subset, is_prime
@@ -632,6 +633,74 @@ def brute_force_tensor_idempotent(M, N):
     return SimpleNamespace(presentation=pres, gen_class=[index[sat_gen[g]] for g in gens],
                            module=module, module_action_ok=action_ok,
                            notes=tuple(notes), members=members)
+
+
+# The exact tensor quotient that `homology._tensor_saturation` replaced: it
+# translates every distinct relation pair across every state and unites
+# the moved pairs one at a time.  Kept verbatim (renamed) as the oracle of
+# the generator closure in test_homology.py.
+
+def union_loop_tensor_saturation(M: GammaModule, N: GammaModule, name, rels, distinct):
+    """Exact tensor of any pair of modules over one base.
+
+    Left-linearity folds each column of a sum of generators a⊗n into one
+    element of A, so a sum is a state: a function from the carrier of B (the
+    columns) to A with an identity E adjoined (an empty column).  The states
+    form the commutative monoid (A + E)^B under pointwise addition, and the
+    tensor is its quotient by the congruence the remaining relations
+    generate, minus the all-E state.  On a commutative monoid that congruence
+    is the equivalence closure of the translates z+a ~ z+b of the relation
+    pairs (a, b).  (A, B) is (M, N) or (N, M), whichever has fewer states.
+    """
+    flip = (N.size + 1) ** M.size < (M.size + 1) ** N.size
+    A, B = (N, M) if flip else (M, N)
+    E, cols = A.size, B.size
+    total = (E + 1) ** cols
+    _charge("state", total, f"{name}: tensor states")
+    plus = np.empty((E + 1, E + 1), dtype=np.int64)
+    plus[:E, :E] = A.madd
+    plus[E, :] = plus[:, E] = np.arange(E + 1)
+    # State k has the column values digits[k], and digits[k] @ place == k;
+    # the all-E state is the last one.
+    digits = np.indices((E + 1,) * cols).reshape(cols, total).T
+    place = (E + 1) ** np.arange(cols - 1, -1, -1)
+
+    # Generator m⊗n as an element u of A in a column, and its state.
+    m, n = np.divmod(np.arange(M.size * N.size), N.size)
+    u, col = (n, m) if flip else (m, n)
+    empty = E * place.sum()
+    gen_state = empty + (u - E) * place[col]
+    l, r1, r2 = distinct.T
+    pair = r2 >= 0
+    rhs = gen_state[r1]
+    # The two generators of a sum share a column or fill two.
+    p1, p2 = r1[pair], r2[pair]
+    rhs[pair] = np.where(col[p1] == col[p2],
+                         empty + (plus[u[p1], u[p2]] - E) * place[col[p1]],
+                         gen_state[p1] + gen_state[p2] - empty)
+    uf = UnionFind(total)
+    for a, b in distinct_rows(np.sort(np.stack([gen_state[l], rhs], axis=1)))[0]:
+        za, zb = plus[digits, digits[a]] @ place, plus[digits, digits[b]] @ place
+        moved = za != zb
+        for x, y in zip(za[moved].tolist(), zb[moved].tolist()):
+            uf.union(x, y)
+    # A relation side is never all-E, so the all-E state is a class of its
+    # own, and the last one; it is left out.
+    classes = uf.classes()[:-1]
+    class_of = np.full(total, -1)
+    for ci, cls in enumerate(classes):
+        class_of[cls] = ci
+    rep_digits = digits[[cls[0] for cls in classes]]
+    # A state is represented by its generators, one per non-empty column.
+    gen_at = np.empty((E, cols), dtype=np.int64)
+    gen_at[u, col] = np.arange(M.size * N.size)
+    gen_at = gen_at.tolist()
+    rep_gens = [[gen_at[v][c] for c, v in enumerate(row) if v != E]
+                for row in rep_digits.tolist()]
+    add_rows = [class_of[plus[r, rep_digits] @ place].tolist() for r in rep_digits]
+    gen_class = class_of[gen_state]
+    return (add_rows, int(gen_class[M.zero * N.size + N.zero]), gen_class, rep_gens,
+            _rep_labels(M, N, gen_class, rep_gens), [])
 
 
 # The nested action loops that `GammaModule.images` replaced, kept verbatim

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_check_axioms, brute_force_check_module_axioms,
-                      chain, swapping_module, zsum)
+                      chain, swapping_module, truncated_naturals, zsum)
 from tgw import cli, core, fixtures, geometry, modules
 from tgw.cli import main
 from tgw.core import (BUDGETS, PreconditionError, Violations, _dump, check_axioms,
@@ -682,6 +682,8 @@ CATALOG_SHA256 = {
 def _catalog_structure(name):
     if name.startswith("C"):
         return chain(int(name[1:]))
+    if name.startswith("N"):
+        return truncated_naturals(int(name[1:]))
     b2 = fixtures.bundled_structure("B2")
     b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
     return b2p3 if name == "B2^3" else product_structure(b2p3, b2, name)
@@ -702,15 +704,22 @@ def test_catalog_commands_pinned(capsys, tmp_path, name):
 # Exit code and stdout sha256 of `tor --format json` and `ext --format json`
 # on C16 and B2^4.  Their resolutions tensor presentations of 256 generators,
 # far past the sizes the idempotent tensor oracle reaches, and dualize into
-# hom sets of the same free modules.
+# hom sets of the same free modules.  N5 (truncated naturals, 6 elements)
+# takes the exact tensor backend, on 117,649 states, in `tor` and
+# `adjunction`: past the reach of the union-loop oracle in test_homology.py.
 HOMOLOGY_SHA256 = {
     "tor": {
         "B2^4": (0, "e8fed59f025ad4d01c999ed06e77c5600df149cf0dc034bc5cfd9d3a0b4d717c"),
         "C16": (0, "4fadac3b703eb112ce65e233253599e3377044da4df6787fc7efd67cd0136b62"),
+        "N5": (0, "eb7ee939f4bd953289cf238ed3834307faa9fde91dcd7d6909b35b07ffa3a844"),
     },
     "ext": {
         "B2^4": (0, "e120b327af423c2bd28555fe8d3c9950fba7544c3ac80d2b8c24cdc79d4a430c"),
         "C16": (0, "c5984975b7f5d50f0f6cb420e313f40c8004bc44bbfae5538711a5c38c93e674"),
+        "N5": (0, "3073c54646ca3441364f66764dbbf197f2e3a12f4c60b7466c6d1a3257f88410"),
+    },
+    "adjunction": {
+        "N5": (0, "6c93c59c194be811afdc2763d205e97463b226ebc1a6c375bca3d7deb557f793"),
     },
 }
 
@@ -730,6 +739,11 @@ def test_tor_pinned(capsys, tmp_path, name):
 @pytest.mark.parametrize("name", sorted(HOMOLOGY_SHA256["ext"]))
 def test_ext_pinned(capsys, tmp_path, name):
     assert_homology_pinned(capsys, tmp_path, "ext", name)
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY_SHA256["adjunction"]))
+def test_adjunction_pinned(capsys, tmp_path, name):
+    assert_homology_pinned(capsys, tmp_path, "adjunction", name)
 
 
 # Exit code and sha256 of stdout and stderr of the top-level help, each

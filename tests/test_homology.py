@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from tgw import fixtures
+from tgw import fixtures, homology
 from tgw.cli import main
 from tgw.core import (BUDGETS, BudgetError, PreconditionError, patch_add,
                       serialize_structure)
@@ -22,14 +22,14 @@ from tgw.ideals import enumerate_ideals
 from tgw.modules import (GammaModule, annihilator, check_module_axioms,
                          cyclic_module_catalog, density_check, end_semiring,
                          enumerate_module_congruences, find_isomorphism, hom_set,
-                         hom_violation, nested_action, regular_module)
+                         hom_violation, nested_action, regular_module, sub_module)
 
 from conftest import (all_bundled_modules, brute_force_presentation_isomorphism,
                       brute_force_tensor_idempotent, chain, integers_mod,
                       loop_tensor_relations, pairwise_homological_semisimplicity,
                       perturbed_t2, staged_ext1,
                       staged_free_resolution, staged_tor1, swapping_module,
-                      truncated_naturals)
+                      truncated_naturals, union_loop_tensor_saturation)
 
 
 def test_free_module_rank1_is_regular(b2, b2_reg):
@@ -265,6 +265,53 @@ def test_exact_tensor_matches_other_backends(M, N):
     assert all(ind.classes[c] == other.gen_class[g] for g, c in enumerate(exact.gen_class))
     assert ind.classes[exact.presentation.zero] == other.presentation.zero
     assert hom_violation(exact.module, other.module, ind.classes) is None
+
+
+def addition_or_action_perturbations(S, count: int, seed: int):
+    """`count` copies of the regular module of S, each with one to three
+    entries replaced at random: addition entries in the even copies, action
+    entries in the odd ones."""
+    rng = random.Random(seed)
+    reg = regular_module(S)
+    for k in range(count):
+        madd, images = [list(r) for r in reg.madd], [list(r) for r in reg.images]
+        rows = images if k % 2 else madd
+        for _ in range(rng.randint(1, 3)):
+            rows[rng.randrange(reg.size)][rng.randrange(len(rows[0]))] = rng.randrange(reg.size)
+        yield dataclasses.replace(reg, name=f"{reg.name}~{k}", madd=tuple(map(tuple, madd)),
+                                  images=tuple(map(tuple, images)))
+
+
+def _oracle_pairs():
+    regular = [regular_module(S) for S in (*map(truncated_naturals, (2, 3, 4)),
+                                           *map(integers_mod, (2, 3, 4, 5)),
+                                           chain(3), chain(4))]
+    n3 = regular_module(truncated_naturals(3))
+    # A submodule of 3 elements against the regular module of 4: the states
+    # run over the columns of the larger one, so the two orders take both
+    # assignments of (A, B).
+    sub = sub_module(n3, frozenset({0, 2, 3}))
+    pairs = [(M, M) for M in regular] + [(n3, sub), (sub, n3)]
+    pairs += [(M, M) for M in addition_or_action_perturbations(truncated_naturals(3), 16, 23)]
+    pairs += [(M, M) for M in addition_or_action_perturbations(truncated_naturals(4), 6, 29)]
+    return pairs
+
+
+ORACLE_PAIRS = _oracle_pairs()
+
+
+@pytest.mark.parametrize("M,N", ORACLE_PAIRS,
+                         ids=[f"{M.name}-{N.name}" for M, N in ORACLE_PAIRS])
+def test_exact_tensor_matches_union_loop(M, N, monkeypatch):
+    """The exact backend against the union loop it replaced: the same
+    presentation, classes, representatives, induced module and verdict."""
+    def fields(t):
+        return (t.presentation.to_dict(), t.gen_class.tolist(), t.rep_gens, t.notes,
+                t.module.images, t.module_action_ok)
+
+    new = fields(tensor(M, N, backend="saturation", lenient=True))
+    monkeypatch.setattr(homology, "_tensor_saturation", union_loop_tensor_saturation)
+    assert new == fields(tensor(M, N, backend="saturation", lenient=True))
 
 
 def _relabelled_presentation(P, rng):
