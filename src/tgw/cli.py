@@ -318,10 +318,6 @@ def _report_battery():
                "warnings": [], "notes": []}
     remarks = {"B2": "Boolean", "Z3": "mod-3 (lenient)",
                "B2xB2": "Boolean product"}
-
-    density_rows = []
-    ext_rows = []
-    adj_rows = []
     for name in fixtures.STRUCTURE_NAMES:
         S = fixtures.bundled_structure(name)
         axioms = check_axioms(S)
@@ -338,11 +334,12 @@ def _report_battery():
                          for e in simples)
         if not density_ok:
             findings.append(f"{name}: density failed")
-        density_rows.append((S.n, S.g, len(simples),
-                             "Yes" if density_ok else "No", remarks[name]))
+        payload["density_table"].append([S.n, S.g, len(simples),
+                                         "Yes" if density_ok else "No", remarks[name]])
 
         if S.unit is None:
-            ext_rows.append((S.n, S.g, "n/a (no unit)", "n/a (no unit)", "n/a"))
+            payload["ext_tor_table"].append([S.n, S.g, "n/a (no unit)", "n/a (no unit)",
+                                             "n/a"])
         else:
             reg = regular_module(S)
             ext_result = ext1(S, reg, reg, lenient=True)
@@ -354,22 +351,22 @@ def _report_battery():
                 interp = "inconsistent"
             if not ext_result.ext0_matches_hom:
                 findings.append(f"{name}: Ext0 mismatch")
-            ext_rows.append((S.n, S.g, ext_result.ext1.structure_tag,
-                             tor_result.tor1.structure_tag, interp))
+            payload["ext_tor_table"].append([S.n, S.g, ext_result.ext1.structure_tag,
+                                             tor_result.tor1.structure_tag, interp])
 
         try:
             reg = regular_module(S)
             adj = adjunction_check(reg, reg, reg, lenient=True)
             if adj.rhs_size is None:
                 # Hom(M, M) carries no module structure: no side to compare.
-                adj_rows.append((S.n, S.g, "n/a", "n/a", f"n/a ({adj.notes[-1]})"))
+                row = ["n/a", "n/a", f"n/a ({adj.notes[-1]})"]
             else:
-                equality = "Yes" if adj.holds else "No"
                 if not adj.holds:
                     findings.append(f"{name}: adjunction not bijective")
-                adj_rows.append((S.n, S.g, adj.lhs_size, adj.rhs_size, equality))
+                row = [adj.lhs_size, adj.rhs_size, "Yes" if adj.holds else "No"]
         except WorkbenchError as exc:
-            adj_rows.append((S.n, S.g, "n/a", "n/a", f"n/a ({exc})"))
+            row = ["n/a", "n/a", f"n/a ({exc})"]
+        payload["adjunction_table"].append([S.n, S.g, *row])
 
         spc = spectrum(S, lenient=True)
         if spc.points:
@@ -377,24 +374,14 @@ def _report_battery():
             if not zar.passed:
                 findings.append(f"{name}: closed-set identities failed")
 
-    lines.append("Density confirmation")
-    lines.append("|T|, |Gamma|, #simple modules, Density verified, Remarks")
-    for row in density_rows:
-        lines.append(", ".join(str(v) for v in row))
-        payload["density_table"].append(list(row))
-    lines.append("")
-    lines.append("Ext and Tor for the regular module")
-    lines.append("|T|, |Gamma|, Ext1(M,M), Tor1(M,M), Interpretation")
-    for row in ext_rows:
-        lines.append(", ".join(str(v) for v in row))
-        payload["ext_tor_table"].append(list(row))
-    lines.append("")
-    lines.append("Tensor-Hom adjunction")
-    lines.append("|T|, |Gamma|, |Hom(MxN,P)|, |Hom(M,Hom(N,P))|, Equality")
-    for row in adj_rows:
-        lines.append(", ".join(str(v) for v in row))
-        payload["adjunction_table"].append(list(row))
-    lines.append("")
+    for key, title, header in (
+            ("density_table", "Density confirmation",
+             "|T|, |Gamma|, #simple modules, Density verified, Remarks"),
+            ("ext_tor_table", "Ext and Tor for the regular module",
+             "|T|, |Gamma|, Ext1(M,M), Tor1(M,M), Interpretation"),
+            ("adjunction_table", "Tensor-Hom adjunction",
+             "|T|, |Gamma|, |Hom(MxN,P)|, |Hom(M,Hom(N,P))|, Equality")):
+        lines += [title, header, *(", ".join(map(str, row)) for row in payload[key]), ""]
     lines.append("note: the Gamma column counts declared parameters of each fixture")
     payload["notes"].append("gamma column counts declared parameters")
     for warning in payload["warnings"]:

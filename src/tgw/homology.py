@@ -15,8 +15,9 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three backends realize the quotient:
   matrix.
 * saturation - every other pair, exactly: left-linearity folds a sum of
   generators into a function from one carrier to the other (with an empty
-  value adjoined), and the quotient of these functions is the equivalence
-  closure of the translates of the remaining relations.
+  value adjoined), and the quotient of these functions is the least
+  equivalence that holds the remaining relations and is closed under adding
+  each generator.
 
 A backend only computes the quotient: the class of each generator, the class
 addition table and a representative sum of generators per class.  For every
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FiniteTernaryGammaSemiring, PreconditionError, UnionFind,
-                   _charge, bourne_classes, distinct_rows)
+from .core import (FiniteTernaryGammaSemiring, PreconditionError, _charge,
+                   bourne_classes, distinct_rows)
 from .modules import (GammaModule, ModuleHom, _homs, _pointwise_sums,
                       check_module_axioms, generating_set, hom_set, hom_violation,
                       require_module_axioms, regular_module, sub_module,
@@ -535,6 +536,20 @@ def _tensor_group(M: GammaModule, N: GammaModule, name, rels, distinct):
     return add_rows, zero_class, gen_class, rep_gens, labels, notes
 
 
+def _merge(label, a, b) -> bool:
+    """Unite the classes of the pairs (a[i], b[i]) in `label`, each state's
+    least class member: hook the larger label of each differing pair under
+    the smaller and jump pointers until all agree; True if any merged."""
+    merged = False
+    while (differ := label[a] != label[b]).any():
+        la, lb = label[a[differ]], label[b[differ]]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(jumped := label[label], label):
+            label[:] = jumped
+        merged = True
+    return merged
+
+
 def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, distinct):
     """Exact tensor of any pair of modules over one base.
 
@@ -543,9 +558,11 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, distinct):
     columns) to A with an identity E adjoined (an empty column).  The states
     form the commutative monoid (A + E)^B under pointwise addition, and the
     tensor is its quotient by the congruence the remaining relations
-    generate, minus the all-E state.  On a commutative monoid that congruence
-    is the equivalence closure of the translates z+a ~ z+b of the relation
-    pairs (a, b).  (A, B) is (M, N) or (N, M), whichever has fewer states.
+    generate, minus the all-E state.  The states are sums of generators (one
+    non-empty column each), so that congruence is the least equivalence that
+    holds the relation pairs and is closed under adding each generator s:
+    closed once it holds (z+s, w+s) for each z and the least member w of the
+    class of z.  (A, B) is (M, N) or (N, M), whichever has fewer states.
     """
     flip = (N.size + 1) ** M.size < (M.size + 1) ** N.size
     A, B = (N, M) if flip else (M, N)
@@ -563,29 +580,24 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, distinct):
     # Generator m⊗n as an element u of A in a column, and its state.
     m, n = np.divmod(np.arange(M.size * N.size), N.size)
     u, col = (n, m) if flip else (m, n)
-    empty = E * place.sum()
-    gen_state = empty + (u - E) * place[col]
+    gen_state = E * place.sum() + (u - E) * place[col]
     l, r1, r2 = distinct.T
     pair = r2 >= 0
     rhs = gen_state[r1]
-    # The two generators of a sum share a column or fill two.
-    p1, p2 = r1[pair], r2[pair]
-    rhs[pair] = np.where(col[p1] == col[p2],
-                         empty + (plus[u[p1], u[p2]] - E) * place[col[p1]],
-                         gen_state[p1] + gen_state[p2] - empty)
-    uf = UnionFind(total)
-    for a, b in distinct_rows(np.sort(np.stack([gen_state[l], rhs], axis=1)))[0]:
-        za, zb = plus[digits, digits[a]] @ place, plus[digits, digits[b]] @ place
-        moved = za != zb
-        for x, y in zip(za[moved].tolist(), zb[moved].tolist()):
-            uf.union(x, y)
+    rhs[pair] = plus[digits[rhs[pair]], digits[gen_state[r2[pair]]]] @ place
+    label = np.arange(total)
+    merged = _merge(label, gen_state[l], rhs)
+    while merged:
+        merged = False
+        for s in gen_state.tolist():
+            t = plus[digits, digits[s]] @ place
+            z = np.flatnonzero(label != np.arange(total))
+            merged |= _merge(label, t[z], t[label[z]])
     # A relation side is never all-E, so the all-E state is a class of its
     # own, and the last one; it is left out.
-    classes = uf.classes()[:-1]
-    class_of = np.full(total, -1)
-    for ci, cls in enumerate(classes):
-        class_of[cls] = ci
-    rep_digits = digits[[cls[0] for cls in classes]]
+    roots = np.flatnonzero(label == np.arange(total))[:-1]
+    class_of = np.searchsorted(roots, label)
+    rep_digits = digits[roots]
     # A state is represented by its generators, one per non-empty column.
     gen_at = np.empty((E, cols), dtype=np.int64)
     gen_at[u, col] = np.arange(M.size * N.size)
