@@ -19,8 +19,8 @@ import pytest
 from tgw import fixtures
 from tgw.core import (BUDGETS, AxiomReport, BudgetError, FiniteTernaryGammaSemiring,
                       IdealSet, PreconditionError, UnionFind, Violation, _charge,
-                      bourne_classes, distinct_rows, require_axioms,
-                      structure_from_dict)
+                      bourne_classes, distinct_rows, product_structure,
+                      require_axioms, structure_from_dict)
 from tgw.homology import (HomSemisimplicityReport, MonoidPresentation, TorResult,
                           _gen_label, _rep_labels, ext1, find_presentation_isomorphism,
                           free_carrier_tuples, free_module, make_presentation, tensor,
@@ -185,6 +185,37 @@ def swapping_module(b2):
                   for a, x, y, b in b2.quads) for m in range(5)]
     return GammaModule(name="B2-swaps", base=b2, carrier=tuple("0123t"), zero=0,
                        madd=madd, images=tuple(rows))
+
+
+def _tuples(rows):
+    return tuple(map(_tuples, rows)) if isinstance(rows, list) else rows
+
+
+def tri_patched_at_every_pair(S, a: int, b: int, c: int, value: int):
+    """S with tri(a, x, b, y, c) set to `value` at every parameter pair
+    (x, y): parameters that every table read alike stay alike."""
+    tri = np.array(S.tri)
+    tri[a, :, b, :, c] = value
+    return dataclasses.replace(S, name=f"{S.name}-tri({a},{b},{c})={value}",
+                               tri=_tuples(tri.tolist()))
+
+
+def act_patched_at_every_pair(M, a: int, u: int, b: int, value: int):
+    """M with act(a, x, u, y, b) set to `value` at every parameter pair."""
+    images = [list(row) for row in M.images]
+    for k, quad in enumerate(M.base.quads):
+        if (quad[0], quad[3]) == (a, b):
+            images[u][k] = value
+    return dataclasses.replace(M, name=f"{M.name}-act({a},{u},{b})={value}",
+                               images=_tuples(images))
+
+
+def collapsed_b2_cubed():
+    """B2^3 with one tri entry changed at every parameter pair: its two
+    parameters stay alike, and it fails several laws."""
+    b2 = fixtures.bundled_structure("B2")
+    S = product_structure(product_structure(b2, b2, "B2^2"), b2, "B2^3")
+    return tri_patched_at_every_pair(S, 3, 5, 6, 7)
 
 
 # Non-identity permutations of the three element slots, in a fixed order.

@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_check_axioms, brute_force_check_module_axioms,
-                      chain, swapping_module, truncated_naturals, zsum)
+from conftest import (act_patched_at_every_pair, brute_force_check_axioms,
+                      brute_force_check_module_axioms, chain, collapsed_b2_cubed,
+                      swapping_module, tri_patched_at_every_pair, truncated_naturals,
+                      zsum)
 from tgw import cli, core, fixtures, geometry, modules
 from tgw.cli import main
 from tgw.core import (BUDGETS, PreconditionError, Violations, _dump, check_axioms,
@@ -595,6 +597,43 @@ def test_zsum8_check_pinned(capsys, zsum8_path):
         code, out = run(capsys, "check", str(zsum8_path), *options.split())
         got[options] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == ZSUM8_SHA256
+
+
+# Exit code and stdout sha256 of lenient JSON checks on inputs whose two
+# parameters every table reads alike and that still fail laws: B2^3 and B2xB2
+# with one tri entry changed at every parameter pair, and B2-T2 with one
+# action entry changed the same way.  Every violation is listed at both
+# parameters, in the order of the full grid.
+COLLAPSED_SHA256 = {
+    "check B2^3-tri(3,5,6)=7":
+        (0, "3fbf7ee26983191760f107937a6e24cfd5c73175aa606ffe16fbbbaad6b9fbf7"),
+    "check B2xB2-tri(1,1,2)=3":
+        (0, "5855e65318402b3f9eb2e1762e231c11f9f1ba2338789ae7b4659ba57b69772c"),
+    "modules B2-T2-act(1,3,1)=1":
+        (0, "c7d5717dcd76614a6ea48f444e01e8b799e818d16cbf6cfd5354c91cfa0e04d5"),
+}
+
+
+def _collapsed_inputs():
+    b2xb2 = fixtures.bundled_structure("B2xB2")
+    return {"check": [collapsed_b2_cubed(), tri_patched_at_every_pair(b2xb2, 1, 1, 2, 3)],
+            "modules": [act_patched_at_every_pair(fixtures.bundled_module("B2-T2"), 1, 3, 1, 1)]}
+
+
+def test_collapsed_parameters_pinned(capsys, tmp_path):
+    got = {}
+    for command, inputs in _collapsed_inputs().items():
+        for X in inputs:
+            path = tmp_path / f"{X.name}.json"
+            if command == "check":
+                path.write_text(serialize_structure(X), encoding="utf-8")
+                argv = ["check", str(path)]
+            else:
+                path.write_text(serialize_module(X), encoding="utf-8")
+                argv = ["modules", X.base.name, "--module", str(path)]
+            code, out = run(capsys, *argv, "--lenient", "--format", "json")
+            got[f"{command} {X.name}"] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == COLLAPSED_SHA256
 
 
 def test_first_violations_read_the_columns(monkeypatch):
