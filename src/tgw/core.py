@@ -223,7 +223,7 @@ class _Table:
         a = np.array(rows)
         dtype = np.promote_types(np.min_scalar_type(min(a.min(), 0)),
                                  np.min_scalar_type(max(a.max(), size)))
-        self.a, self.grid = a.astype(dtype), grid
+        self.a, self.size, self.grid = a.astype(dtype), size, grid
         # How far a step along each axis moves in the table, and in its rows.
         self.steps = [math.prod(a.shape[j + 1:]) for j in range(a.ndim)]
         self.row_steps = [[s // t for s in self.steps[:j]] for j, t in enumerate(self.steps, 1)]
@@ -275,7 +275,10 @@ class Law:
     The checker evaluates them on broadcast index grids, one grid axis per
     distinct name, in chunks of as many values of the first as fit in one
     value of the widest law checked with it; the re-evaluator evaluates them
-    on the ints of one witness.  `when` says if a law applies."""
+    on the ints of one witness.  `when` says if a law applies.  No expression
+    reads a parameter but as an index along axis 1 or 3 of a five-axis table,
+    so a law has the same instances at parameters whose slices along those
+    axes are equal in every such table."""
 
     name: str
     witness: str
@@ -346,16 +349,49 @@ def _law_violations(law: Law, tables: dict, cap: int) -> _Block | None:
     return None
 
 
+def _expand(block: _Block, law: Law, classes: list[list[int]]) -> _Block:
+    """`block`, found at class indices, listed at every member of each class: a
+    parameter name that fills several slots takes one member in all of them.
+    The rows are sorted by witness, which is the order of the full grid."""
+    import numpy as np
+    names = law.witness.split()
+    members, sizes = np.concatenate(classes), np.array([len(c) for c in classes])
+    witness, left, right = block[1:]
+    for name in dict.fromkeys(names):
+        if _RANGE.get(name[0]) == "g":
+            cols = [k for k, other in enumerate(names) if other == name]
+            count = sizes[witness[:, cols[0]]]
+            # Row i's copies take the members of its class from its first on.
+            first = np.cumsum(sizes)[witness[:, cols[0]]] - np.cumsum(count)
+            witness, left, right = (np.repeat(c, count, axis=0) for c in (witness, left, right))
+            witness[:, cols] = members[np.repeat(first, count) + np.arange(len(left))][:, None]
+    order = np.lexsort(witness.T[::-1])
+    return _Block(block.law, witness[order], left[order], right[order])
+
+
 def _check_laws(stages, tables: dict) -> Violations:
     """Every violation, sorted by law then witness.  No stage runs after one
-    with violations, which may be entries out of range."""
+    with violations, which may be entries out of range.  Parameters with equal
+    slices in every five-axis table form a class; when one has several
+    members, the laws run on one parameter per class (see `Law`)."""
     import numpy as np
     stages = [[law for law in stage if law.when is None or eval(_code(law.when), dict(tables))]
               for stage in stages]
+    five = {name: t for name, t in tables.items() if isinstance(t, _Table) and t.a.ndim == 5}
+    found: dict[bytes, list[int]] = {}
+    for x in range(tables["g"]):
+        found.setdefault(b"".join(t.a.take(x, axis).tobytes()
+                                  for t in five.values() for axis in (1, 3)), []).append(x)
+    classes = list(found.values()) if len(found) < tables["g"] else None
+    if classes:
+        reps = [c[0] for c in classes]
+        tables = {**tables, "g": len(reps), **{name: _Table(
+            t.a.take(reps, 1).take(reps, 3), t.size, t.grid) for name, t in five.items()}}
     cap = max(math.prod(_grid_sizes(law, tables)[1][1:]) for stage in stages for law in stage)
     blocks: list[_Block] = []
     for stage in stages:
-        blocks += filter(None, (_law_violations(law, tables, cap) for law in stage))
+        blocks += [block if classes is None else _expand(block, law, classes)
+                   for law in stage if (block := _law_violations(law, tables, cap))]
         if blocks:
             break
     out = []

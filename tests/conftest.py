@@ -187,8 +187,9 @@ def swapping_module(b2):
                        madd=madd, images=tuple(rows))
 
 
-def _tuples(rows):
-    return tuple(map(_tuples, rows)) if isinstance(rows, list) else rows
+def nested_tuples(rows):
+    """Nested lists, such as `ndarray.tolist()` gives, as nested tuples."""
+    return tuple(map(nested_tuples, rows)) if isinstance(rows, list) else rows
 
 
 def tri_patched_at_every_pair(S, a: int, b: int, c: int, value: int):
@@ -197,7 +198,7 @@ def tri_patched_at_every_pair(S, a: int, b: int, c: int, value: int):
     tri = np.array(S.tri)
     tri[a, :, b, :, c] = value
     return dataclasses.replace(S, name=f"{S.name}-tri({a},{b},{c})={value}",
-                               tri=_tuples(tri.tolist()))
+                               tri=nested_tuples(tri.tolist()))
 
 
 def act_patched_at_every_pair(M, a: int, u: int, b: int, value: int):
@@ -207,7 +208,7 @@ def act_patched_at_every_pair(M, a: int, u: int, b: int, value: int):
         if (quad[0], quad[3]) == (a, b):
             images[u][k] = value
     return dataclasses.replace(M, name=f"{M.name}-act({a},{u},{b})={value}",
-                               images=_tuples(images))
+                               images=nested_tuples(images))
 
 
 def collapsed_b2_cubed():

@@ -20,12 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_check_axioms, brute_force_check_module_axioms,
-                      chain, zsum)
+from conftest import (act_patched_at_every_pair, brute_force_check_axioms,
+                      brute_force_check_module_axioms, chain, collapsed_b2_cubed,
+                      nested_tuples, swapping_module, tri_patched_at_every_pair, zsum)
 from tgw import core, fixtures
 from tgw.core import (STRUCTURE_LAWS, Violation, _axes, _Table, check_axioms, patch_add,
                       product_structure, reevaluate_violation)
-from tgw.modules import GammaModule, check_module_axioms, reevaluate_module_violation
+from tgw.modules import (GammaModule, check_module_axioms, reevaluate_module_violation,
+                         regular_module)
 
 
 def _set(table, index, value):
@@ -66,11 +68,19 @@ def perturbed_module(M, seed: int, entries: int = 2):
     return replace(M, name=f"{M.name}~{seed}", madd=madd, images=images)
 
 
+def second_parameter_sum(n: int):
+    """Z/n with tri(a, x, b, y, c) = a+b+c+y mod n: its slices along the
+    first parameter slot are all equal, and along the second they differ."""
+    tri = np.add.outer(np.add.outer(np.arange(n), np.zeros(2, int)),
+                       np.add.outer(np.add.outer(np.arange(n), np.arange(2)), np.arange(n)))
+    return replace(zsum(n), name=f"Zsum{n}-y", tri=nested_tuples((tri % n).tolist()))
+
+
 def _structures():
     base = [fixtures.bundled_structure(name) for name in fixtures.STRUCTURE_NAMES]
     b2 = base[0]
     out = base + [chain(6), product_structure(product_structure(b2, b2, "B2^2"), b2, "B2^3"),
-                  zsum(5)]
+                  zsum(5), second_parameter_sum(4)]
     out += [replace(S, name=f"{S.name}-nc", commutative=False) for S in base]
     out += [perturbed_structure(S, seed) for S in base for seed in range(6)]
     out += [replace(perturbed_structure(fixtures.bundled_structure("B2xB2"), 9, 4),
@@ -98,6 +108,86 @@ def test_check_axioms_matches_loops(S):
     _assert_same_report(report, brute_force_check_axioms(S))
     for v in report.violations:
         assert reevaluate_violation(S, v) == (v.left, v.right)
+
+
+def _alike(X, x: int, x2: int) -> bool:
+    """Whether tri, and the action of a module X, read x and x2 alike."""
+    S = X.base if isinstance(X, GammaModule) else X
+    tables = [np.array(S.tri)]
+    if isinstance(X, GammaModule):
+        act = np.array(X.images).reshape(X.size, S.n, S.g, S.g, S.n)
+        tables.append(act.transpose(1, 2, 0, 3, 4))
+    return all(np.array_equal(t.take(x, axis), t.take(x2, axis))
+               for t in tables for axis in (1, 3))
+
+
+def with_three_parameters(S):
+    """S over parameters (g0, g1, g0'): tri at (x, y) is S's at (p[x], p[y])
+    for p = (0, 1, 0), so the first and last parameters are read alike."""
+    p = [0, 1, 0]
+    tri = np.array(S.tri)[:, p][:, :, :, p]
+    return replace(S, name=f"{S.name}-g3", gamma=("g0", "g1", "g0'"),
+                   tri=nested_tuples(tri.tolist()))
+
+
+def _collapsed_structures():
+    """Structures whose parameters every table reads alike and that fail laws:
+    tri entries changed at every parameter pair and add entries changed, in
+    B2, B2xB2 and B2^3, each commutative and not; and two structures over
+    three parameters, of which exactly two are alike."""
+    b2, b2xb2 = fixtures.bundled_structure("B2"), fixtures.bundled_structure("B2xB2")
+    b2p3 = collapsed_b2_cubed()
+    out = [tri_patched_at_every_pair(b2, 1, 1, 1, 0),
+           tri_patched_at_every_pair(b2xb2, 1, 1, 2, 3),
+           tri_patched_at_every_pair(b2xb2, 3, 3, 3, 1), b2p3]
+    out += [replace(patch_add(S, i, j, value), name=f"{S.name}-add({i},{j})={value}")
+            for S, i, j, value in ((b2, 0, 1, 0), (b2xb2, 1, 2, 1), (b2p3, 3, 5, 0))]
+    out += [replace(S, name=f"{S.name}-nc", commutative=False) for S in out]
+    one_pair = replace(b2xb2, name="B2xB2-tri(1,0,1,0,2)=3",
+                       tri=_set(b2xb2.tri, (1, 0, 1, 0, 2), 3))
+    return out + [with_three_parameters(zsum(4)), with_three_parameters(one_pair)]
+
+
+@pytest.mark.parametrize("S", _collapsed_structures(), ids=lambda S: S.name)
+def test_check_axioms_matches_loops_on_alike_parameters(S):
+    # The first and last parameters are alike, and a third differs.
+    assert _alike(S, 0, S.g - 1)
+    assert S.g == 2 or not _alike(S, 0, 1)
+    report = check_axioms(S)
+    assert not report.passed
+    _assert_same_report(report, brute_force_check_axioms(S))
+    for v in report.violations:
+        assert reevaluate_violation(S, v) == (v.left, v.right)
+
+
+def _collapsed_modules():
+    """Modules whose actions fail laws: over B2, where tri reads the two
+    parameters alike, action entries changed at every parameter pair, in the
+    plain and the nested profile and with a changed base; and the swapping
+    module, whose action separates the parameters that tri merges."""
+    t2, b2xb2 = fixtures.bundled_module("B2-T2"), fixtures.bundled_structure("B2xB2")
+    nested = replace(fixtures.bundled_module("B2xB2-regular"), name="B2xB2-nested",
+                     m2_profile="nested")
+    base = tri_patched_at_every_pair(b2xb2, 1, 1, 2, 3)
+    swaps = swapping_module(fixtures.bundled_structure("B2"))
+    return [act_patched_at_every_pair(t2, 1, 3, 1, 1),
+            act_patched_at_every_pair(replace(t2, name="B2-T2n", m2_profile="nested"),
+                                      1, 3, 1, 0),
+            act_patched_at_every_pair(nested, 1, 2, 3, 1),
+            replace(act_patched_at_every_pair(nested, 3, 3, 3, 1), base=base),
+            replace(regular_module(with_three_parameters(base)), m2_profile="nested"),
+            act_patched_at_every_pair(swaps, 1, 1, 1, 3), perturbed_module(swaps, 2, 3)]
+
+
+@pytest.mark.parametrize("M", _collapsed_modules(), ids=lambda M: M.name)
+def test_check_module_axioms_matches_loops_on_alike_parameters(M):
+    assert _alike(M.base, 0, M.base.g - 1)
+    assert _alike(M, 0, M.base.g - 1) != M.name.startswith("B2-swaps")
+    report = check_module_axioms(M)
+    assert not report.passed
+    _assert_same_report(report, brute_force_check_module_axioms(M))
+    for v in report.violations:
+        assert reevaluate_module_violation(M, v) == (v.left, v.right)
 
 
 def test_closure_failures_stop_the_check():
@@ -192,17 +282,23 @@ def _observed_chunks(monkeypatch, check, X) -> dict:
 
 
 def _patched_b2_cubed(witness, value):
-    """B2^3 with tri at `witness` set to `value`: tri-associativity-ac then
-    fails, and its right side tri(a, x, b, y, tri(c, z, d, w, e)) is a lookup
-    whose last index varies only along grid axes after the others'."""
+    """B2^3 with tri at `witness` set to `value`, or, for a witness (a, b, c),
+    at (a, x, b, y, c) for every parameter pair, so that its two parameters
+    stay alike: tri-associativity-ac then fails, and its right side
+    tri(a, x, b, y, tri(c, z, d, w, e)) is a lookup whose last index varies
+    only along grid axes after the others'."""
     b2 = fixtures.bundled_structure("B2")
     S = product_structure(product_structure(b2, b2, "B2^2"), b2, "B2^3")
+    if len(witness) == 3:
+        return tri_patched_at_every_pair(S, *witness, value)
     return replace(S, name=f"B2^3-tri{witness}={value}", tri=_set(S.tri, witness, value))
 
 
 @pytest.mark.parametrize("S", [zsum(5), zsum(6), patch_add(chain(6), 2, 3, 4),
                                _patched_b2_cubed((7, 0, 7, 0, 7), 0),
-                               _patched_b2_cubed((3, 1, 5, 0, 6), 7)],
+                               _patched_b2_cubed((3, 1, 5, 0, 6), 7),
+                               _patched_b2_cubed((7, 7, 7), 0),
+                               _patched_b2_cubed((3, 5, 6), 7)],
                          ids=lambda S: S.name)
 def test_check_axioms_matches_loops_over_several_chunks(S, monkeypatch):
     # Associativity is the widest structure law, so it runs one value of its
