@@ -436,13 +436,16 @@ def _add_option(parser, command: str, flag: str, **kwargs) -> None:
 
 @functools.cache
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Every command, with the arguments of `command` alone: a call parses one."""
+    """The parser of `command` alone when it names one, under the metavar
+    that every command gives; else every command, without arguments."""
     parser = argparse.ArgumentParser(
         prog="tgw",
         description="Workbench for finite commutative ternary gamma-semirings "
                     "given as operation tables")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    named = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(_COMMANDS) if named else None)
+    for name in (command,) if named else _COMMANDS:
         p = sub.add_parser(name)
         if name != command:
             continue
