@@ -1,10 +1,11 @@
 """Ideal lattice, prime spectrum, Zariski-style closed sets, and localization.
 
 An ideal is an additive submonoid that absorbs the ternary product tri in
-every element slot.  Under declared tri-commutativity that is the middle slot
-alone, so the ideals are the submodules of the regular module, in which the
-structure acts on itself through tri.  All enumerations are deterministic:
-subsets are ordered by cardinality then lexicographically by sorted members.
+every element slot.  Under tri-commutativity, declared and found by the axiom
+check, that is the middle slot alone, so the ideals are the submodules of the
+regular module, in which the structure acts on itself through tri.  All
+enumerations are deterministic: subsets are ordered by cardinality then
+lexicographically by sorted members.
 """
 
 from __future__ import annotations

@@ -820,9 +820,12 @@ def regular_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> Ga
 
 
 def _ideal_module(S: FiniteTernaryGammaSemiring) -> GammaModule:
-    """The module whose submodules are the ideals: T acting on itself in every slot."""
+    """The module whose submodules are the ideals: T acting on itself in every
+    slot, or in the middle slot alone when tri-commutativity is declared and
+    `check_axioms` finds it holding."""
     import numpy as np
-    if S.commutative:
+    if S.commutative and all(b.law != "tri-commutativity"
+                             for b in check_axioms(S).violations.blocks):
         return regular_module(S)
     reg, t = regular_module(S), np.array(S.tri).reshape(-1, S.n)
     rows = np.hstack([reg.images, t.reshape(S.n, -1), t.T]).tolist()

@@ -120,6 +120,15 @@ def test_non_commutative_ideals_absorb_in_every_slot(b2xb2, capsys, tmp_path):
         "B2xB2-mid: 1 ideal(s)\n  {(0,0),(0,1),(1,0),(1,1)}\n")
 
 
+def test_false_commutativity_claim_takes_three_slot_ideals(b2xb2):
+    # Declared tri-commutative, but the axiom check finds that it fails: the
+    # ideals must still absorb in all three slots.
+    S = replace(middle_slot_structure(b2xb2), commutative=True)
+    assert "tri-commutativity" in {v.law for v in check_axioms(S).violations}
+    assert keys(enumerate_ideals(S, lenient=True)) == three_slot_ideals(S) == [(0, 1, 2, 3)]
+    assert [is_ideal_subset(S, {0, k}) for k in (1, 2)] == [False, False]
+
+
 def test_z3_requires_lenient(z3):
     with pytest.raises(PreconditionError):
         enumerate_ideals(z3)
@@ -301,20 +310,33 @@ def test_grid_localize_and_is_prime_match_loops(make):
 
 
 def test_grid_localize_matches_loop_on_perturbed_c4():
-    """Every single-entry tri perturbation of C4, leniently, at every prime."""
-    failures, ill_defined = set(), 0
-    for S in tri_perturbations(chain(4)):
-        spc = spectrum(S, lenient=True)
-        for ideal in spc.ideals:
-            if len(ideal.members) < S.n:
-                assert is_prime(S, ideal) == loop_is_prime(S, ideal)
-        for P in spc.points:
-            loc = assert_same_localization(S, P, lenient=True)
-            ill_defined += not loc.well_defined
-            failures.update(f.split(" ")[0] for f in loc.failures)
-    # 370 localizations of 192 structures, 153 of them ill defined.
-    assert ill_defined == 153
-    assert {"add:", "tri:", "locality:"} <= failures
+    """Every single-entry tri perturbation of C4, leniently, at every prime;
+    then those of B2xB2 at tri(unit, x, unit, y, c)."""
+    b2xb2 = fixtures.bundled_structure("B2xB2")
+    u = b2xb2.unit
+    unit_rows = [S for S in tri_perturbations(b2xb2)
+                 if any(S.tri[u][x][u] != b2xb2.tri[u][x][u] for x in range(S.g))]
+    for perturbations, counts, kinds in (
+            # 244 localizations of 192 structures, 42 of them ill defined.
+            # 180 of the structures fail tri-commutativity, so their ideals
+            # absorb in all three slots; before that was checked, 370
+            # localizations ran, at subsets that were not all ideals.
+            (tri_perturbations(chain(4)), (244, 42), {"add:", "tri:"}),
+            # 64 localizations of 48 structures, all well defined; some mix
+            # classes across the prime or are not local.
+            (unit_rows, (64, 0), {"classes", "locality:"})):
+        failures, localizations, ill_defined = set(), 0, 0
+        for S in perturbations:
+            spc = spectrum(S, lenient=True)
+            for ideal in spc.ideals:
+                if len(ideal.members) < S.n:
+                    assert is_prime(S, ideal) == loop_is_prime(S, ideal)
+            for P in spc.points:
+                loc = assert_same_localization(S, P, lenient=True)
+                localizations += 1
+                ill_defined += not loc.well_defined
+                failures.update(f.split(" ")[0] for f in loc.failures)
+        assert (localizations, ill_defined, failures) == (*counts, kinds)
 
 
 def span_case(rng, n, g, singletons=False, distinct=False, pool=None,
