@@ -20,10 +20,11 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three backends realize the quotient:
   each generator.
 
 A backend only computes the quotient: the class of each generator, the class
-addition table and a representative sum of generators per class.  For every
-backend, `tensor` then looks up the class of a sum by folding generator
-classes through that table, builds the induced module and checks the induced
-action on every relation pair.
+addition table and a representative sum of generators per class.  Tor reads
+these quotients alone.  For every backend, `tensor` then looks up the class
+of a sum by folding generator classes through that table, builds the induced
+module, checks the induced action on every relation pair and checks the
+module laws.
 
 Every presentation records the relation schemas that were imposed, so results
 are auditable.  Each search charges a limit of `core.BUDGETS`: free-module
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,10 +164,16 @@ def free_carrier_tuples(S: FiniteTernaryGammaSemiring, r: int) -> list[tuple[int
 
 
 def free_module(S: FiniteTernaryGammaSemiring, r: int) -> GammaModule:
-    """Rank-r free module: carrier T^r with componentwise tables."""
+    """Rank-r free module: carrier T^r with componentwise tables.  Its size is
+    charged on every call; the module is built once per structure and rank."""
     if S.unit is None:
         raise PreconditionError("free_module: structure has no unit for basis vectors")
     _charge("carrier", S.n ** r, "free_module: carrier size")
+    return _free_module(S, r)
+
+
+@lru_cache(maxsize=None)
+def _free_module(S: FiniteTernaryGammaSemiring, r: int) -> GammaModule:
     tuples = free_carrier_tuples(S, r)
     idx = {t: k for k, t in enumerate(tuples)}
     if r == 0:
@@ -293,17 +301,15 @@ def _is_group(M: GammaModule) -> bool:
 
 
 @dataclass
-class TensorResult:
-    """The presentation and induced module of M⊗N.  Generator m⊗n is index
-    m·|N| + n: `gen_class` maps each to its class, `relations` holds the
-    rows of `_tensor_relations`, and `rep_gens[c]` lists the generators whose
-    sum represents class c."""
+class TensorQuotient:
+    """The presentation of M⊗N.  Generator m⊗n is index m·|N| + n:
+    `gen_class` maps each to its class, `relations` holds the rows of
+    `_tensor_relations`, and `rep_gens[c]` lists the generators whose sum
+    represents class c."""
 
     presentation: MonoidPresentation
-    module: GammaModule
     backend: str
     gen_class: np.ndarray
-    module_action_ok: bool
     notes: tuple[str, ...]
     relations: np.ndarray = field(repr=False)
     rep_gens: list = field(repr=False)
@@ -311,6 +317,14 @@ class TensorResult:
     @property
     def size(self) -> int:
         return self.presentation.size
+
+
+@dataclass
+class TensorResult(TensorQuotient):
+    """The presentation of M⊗N and its induced module."""
+
+    module: GammaModule
+    module_action_ok: bool
 
 
 def _gen_label(M, N, g) -> str:
@@ -585,17 +599,19 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, distinct):
     pair = r2 >= 0
     rhs = gen_state[r1]
     rhs[pair] = plus[digits[rhs[pair]], digits[gen_state[r2[pair]]]] @ place
-    label = np.arange(total)
+    states = np.arange(total)
+    label = states.copy()
     merged = _merge(label, gen_state[l], rhs)
     while merged:
         merged = False
-        for s in gen_state.tolist():
-            t = plus[digits, digits[s]] @ place
-            z = np.flatnonzero(label != np.arange(total))
+        # Adding generator v in column c changes column c alone.
+        for c, v in zip(col.tolist(), u.tolist()):
+            t = states + (plus[digits[:, c], v] - digits[:, c]) * place[c]
+            z = np.flatnonzero(label != states)
             merged |= _merge(label, t[z], t[label[z]])
     # A relation side is never all-E, so the all-E state is a class of its
     # own, and the last one; it is left out.
-    roots = np.flatnonzero(label == np.arange(total))[:-1]
+    roots = np.flatnonzero(label == states)[:-1]
     class_of = np.searchsorted(roots, label)
     rep_digits = digits[roots]
     # A state is represented by its generators, one per non-empty column.
@@ -610,21 +626,10 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, distinct):
             _rep_labels(M, N, gen_class, rep_gens), [])
 
 
-def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
-           lenient: bool = False) -> TensorResult:
-    """Tensor product presentation over the common base, and its induced
-    module.
-
-    `auto` picks the idempotent backend when both additions are idempotent,
-    the group backend when both are groups, and otherwise the exact
-    `saturation` backend, which takes every pair and charges its state count
-    to the "state" limit of `core.BUDGETS`.  Each backend computes only the
-    quotient; the induced action act(a, x, m⊗n, y, b) = act(a, x, m, y, b)⊗n
-    is built here for all three, from each class's representative, and is
-    well defined exactly when, at each quad column, every relation row lands
-    on one class.  (The action is additive on the free monoid, so the pairs
-    it respects form a congruence, which holds the generated one as soon as
-    it holds the relations.)"""
+def _tensor_quotient(M: GammaModule, N: GammaModule, backend: str = "auto",
+                     lenient: bool = False):
+    """The presentation of M⊗N from the backend that `tensor` picks, and the
+    distinct relation rows."""
     if M.base != N.base:
         raise PreconditionError("tensor: modules live over different bases")
     require_module_axioms(M, lenient, "tensor")
@@ -651,8 +656,29 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
     add_rows, zero, gen_class, rep_gens, labels, notes = quotient(M, N, name, rels, distinct)
     pres = make_presentation(name, [f"c{k}" for k in range(len(add_rows))], labels,
                              add_rows, zero, relations=descriptions)
+    return TensorQuotient(presentation=pres, backend=backend, gen_class=gen_class,
+                          notes=tuple(notes), relations=rels, rep_gens=rep_gens), distinct
 
-    table = np.array(add_rows)
+
+def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
+           lenient: bool = False) -> TensorResult:
+    """Tensor product presentation over the common base, and its induced
+    module.
+
+    `auto` picks the idempotent backend when both additions are idempotent,
+    the group backend when both are groups, and otherwise the exact
+    `saturation` backend, which takes every pair and charges its state count
+    to the "state" limit of `core.BUDGETS`.  Each backend computes only the
+    quotient (`_tensor_quotient`, all that Tor reads); the induced action
+    act(a, x, m⊗n, y, b) = act(a, x, m, y, b)⊗n is built here for all three,
+    from each class's representative, and is well defined exactly when, at
+    each quad column, every relation row lands on one class.  (The action is
+    additive on the free monoid, so the pairs it respects form a congruence,
+    which holds the generated one as soon as it holds the relations.)  The
+    induced module is then checked against the module laws."""
+    q, distinct = _tensor_quotient(M, N, backend, lenient)
+    pres, gen_class, notes = q.presentation, q.gen_class, list(q.notes)
+    table = np.array(pres.add)
     # acted[g, k] is the class of act_k(m)⊗n for generator g = m·|N| + n.
     acted = gen_class[np.asarray(M.images)[:, None, :] * N.size
                       + np.arange(N.size)[:, None]].reshape(len(gen_class), -1)
@@ -662,15 +688,14 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
                     for column in distinct_rows(acted.T)[0])
     if not action_ok:
         notes.append("induced action is not well-defined on a relation pair")
-    images = _class_sums(table, acted, rep_gens).tolist()
-    module = GammaModule(name=name, base=M.base, carrier=pres.classes, zero=zero,
+    images = _class_sums(table, acted, q.rep_gens).tolist()
+    module = GammaModule(name=pres.name, base=M.base, carrier=pres.classes, zero=pres.zero,
                          madd=pres.add, images=tuple(map(tuple, images)))
     if check_module_axioms(module).violations:
         action_ok = False
         notes.append("induced module fails the module axioms")
-    return TensorResult(presentation=pres, module=module, backend=backend,
-                        gen_class=gen_class, module_action_ok=action_ok,
-                        notes=tuple(notes), relations=rels, rep_gens=rep_gens)
+    return TensorResult(**{**vars(q), "notes": tuple(notes)}, module=module,
+                        module_action_ok=action_ok)
 
 
 @dataclass
@@ -681,7 +706,7 @@ class InducedMap:
     notes: tuple[str, ...]
 
 
-def tensor_induced_map(src: TensorResult, dst: TensorResult, gen_map) -> InducedMap:
+def tensor_induced_map(src: TensorQuotient, dst: TensorQuotient, gen_map) -> InducedMap:
     """Class map induced by a generator map: `gen_map[g]` is the generator
     of `dst` that generator g of `src` goes to."""
     classes = dst.gen_class[gen_map]
@@ -756,11 +781,13 @@ class TorResult:
 
 def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
          lenient: bool = False) -> TorResult:
-    """Homology of the tensored two-step resolution in degrees 0 and 1."""
+    """Homology of the tensored two-step resolution in degrees 0 and 1, which
+    reads the tensor quotients alone.  Free modules of equal rank are one
+    object, and then P2⊗N is P1⊗N."""
     res = free_resolution(S, M, lenient=lenient)
-    t0 = tensor(res.p0, N, lenient=lenient)
-    t1 = tensor(res.p1, N, lenient=lenient)
-    t2 = tensor(res.p2, N, lenient=lenient)
+    t0 = _tensor_quotient(res.p0, N, lenient=lenient)[0]
+    t1 = _tensor_quotient(res.p1, N, lenient=lenient)[0]
+    t2 = t1 if res.p2 is res.p1 else _tensor_quotient(res.p2, N, lenient=lenient)[0]
     notes = list(res.notes)
 
     def with_id(d):
@@ -790,7 +817,7 @@ def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
 
     # P0 often carries M's own tables (M regular), and then M⊗N is P0⊗N.
     same = (M.madd, M.zero, M.images) == (res.p0.madd, res.p0.zero, res.p0.images)
-    tmn = t0 if same else tensor(M, N, lenient=lenient)
+    tmn = t0 if same else _tensor_quotient(M, N, lenient=lenient)[0]
     iso = find_presentation_isomorphism(tor0_pres, tmn.presentation)
     return TorResult(tor1=tor1_pres, tor0=tor0_pres,
                      tor0_matches_tensor=iso is not None, notes=tuple(notes))

@@ -286,6 +286,11 @@ def _homs(source, target, injective: bool):
     Each image tried for a generator is one search node, charged to "hom"."""
     sadd, szero, srows = source
     tadd, tzero, trows = target
+    # Quads with equal source and equal target columns push equal pairs, so
+    # one quad per distinct pair of columns is kept.
+    keep = dict(zip(zip(*srows, *trows), itertools.count())).values()
+    srows = [[row[k] for k in keep] for row in srows]
+    trows = [[row[k] for k in keep] for row in trows]
 
     def extend(image: list[int], m: int, v: int) -> bool:
         todo = [(m, v)]

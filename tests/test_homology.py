@@ -11,9 +11,10 @@ import pytest
 
 from tgw import fixtures, homology
 from tgw.cli import main
-from tgw.core import (BUDGETS, BudgetError, PreconditionError, patch_add,
+from tgw.core import (BUDGETS, BudgetError, PreconditionError, distinct_rows, patch_add,
                       serialize_structure)
-from tgw.homology import (HomActionError, HomModuleError, _smith_diagonal, adjunction_check, ext1,
+from tgw.homology import (HomActionError, HomModuleError, _smith_diagonal, _tensor_quotient,
+                          adjunction_check, ext1,
                           find_presentation_isomorphism, free_module,
                           free_resolution, hom_module, homological_semisimplicity,
                           internal_hom_ternary, make_presentation, tensor,
@@ -51,6 +52,16 @@ def test_free_module_requires_unit(z3):
 def test_free_module_budget(b2):
     with pytest.raises(BudgetError):
         free_module(b2, 20)
+
+
+def test_free_module_built_once_and_charged_every_call(b2, monkeypatch):
+    """One module per structure and rank, whose carrier is still charged on
+    each call: a cached module does not get past a lowered limit."""
+    free = free_module(b2, 2)
+    assert free_module(b2, 2) is free
+    monkeypatch.setitem(BUDGETS, "carrier", 1)
+    with pytest.raises(BudgetError, match="carrier size = 4 exceeds the carrier limit 1$"):
+        free_module(b2, 2)
 
 
 @pytest.mark.parametrize("knob", sorted(BUDGETS))
@@ -270,6 +281,29 @@ def test_exact_tensor_matches_other_backends(M, N):
     assert all(ind.classes[c] == other.gen_class[g] for g, c in enumerate(exact.gen_class))
     assert ind.classes[exact.presentation.zero] == other.presentation.zero
     assert hom_violation(exact.module, other.module, ind.classes) is None
+
+
+@pytest.mark.parametrize("M,N", AGREEMENT_PAIRS,
+                         ids=[f"{M.name}-{N.name}" for M, N in AGREEMENT_PAIRS])
+def test_tensor_quotient_matches_tensor(M, N):
+    """On each backend that takes the pair, the quotient that Tor reads is the
+    one `tensor` builds its induced module on, and `tensor`'s notes begin
+    with the quotient's."""
+    for backend in ("idempotent", "group", "saturation"):
+        try:
+            full = tensor(M, N, backend=backend, lenient=True)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError, match=f"^{exc}$"):
+                _tensor_quotient(M, N, backend, lenient=True)
+            continue
+        quotient, distinct = _tensor_quotient(M, N, backend, lenient=True)
+        assert quotient.presentation.to_dict() == full.presentation.to_dict()
+        assert quotient.gen_class.tolist() == full.gen_class.tolist()
+        assert quotient.rep_gens == full.rep_gens
+        assert quotient.relations.tolist() == full.relations.tolist()
+        assert quotient.backend == full.backend == backend
+        assert quotient.notes == full.notes[:len(quotient.notes)]
+        assert distinct.tolist() == distinct_rows(full.relations)[0].tolist()
 
 
 def addition_or_action_perturbations(S, count: int, seed: int):
@@ -718,13 +752,16 @@ def _resolution_fields(res):
 
 
 def assert_homology_matches_staged(S, M, N, outcomes, with_tor=True):
-    old, new = _staged_or_new(staged_free_resolution, free_resolution, S, M)
-    if new is None:
+    """Compare the resolution, Ext and Tor with the staged code, tallying each
+    outcome; a Tor that matches where P2 is not P1 (so P2⊗N is a tensor of its
+    own) is tallied a second time, as "tor1 ok, P2 is not P1"."""
+    old, res = _staged_or_new(staged_free_resolution, free_resolution, S, M)
+    if res is None:
         outcomes[old] += 1
     else:
-        assert _resolution_fields(new) == _resolution_fields(old), M.name
-        assert new.aug.verified == old.aug.verified
-        for h in (new.aug, new.d1, new.d2):
+        assert _resolution_fields(res) == _resolution_fields(old), M.name
+        assert res.aug.verified == old.aug.verified
+        for h in (res.aug, res.d1, res.d2):
             assert h.verified == (hom_violation(h.source, h.target, h.map) is None)
         outcomes.update(old.notes)
     old, new = _staged_or_new(staged_ext1, ext1, S, M, N)
@@ -745,6 +782,8 @@ def assert_homology_matches_staged(S, M, N, outcomes, with_tor=True):
                 new.notes) == (old.tor1.to_dict(), old.tor0.to_dict(),
                                old.tor0_matches_tensor, old.notes), (M.name, N.name)
         outcomes["tor1 ok"] += 1
+        if res.p2 is not res.p1:
+            outcomes["tor1 ok, P2 is not P1"] += 1
 
 
 def test_homology_matches_staged_on_bundled_pairs():
@@ -757,6 +796,19 @@ def test_homology_matches_staged_on_bundled_pairs():
     unitless = "free_resolution: structure has no unit"
     assert outcomes == {"ext1 ok": 13, "tor1 ok": 13, unitless: 4,
                         f"ext1: {unitless}": 4, f"tor1: {unitless}": 4}
+
+
+def test_homology_matches_staged_on_chain_quotients():
+    """Every pair of cyclic modules over C3 and over C4.  Four of them, C3's q1
+    and C4's q1, q2 and q3, resolve with ranks (1, 1, 0), so their P2 is not
+    P1, and 28 of the 80 Tor pairs tensor P2 on its own."""
+    outcomes = collections.Counter()
+    for S in (chain(3), chain(4)):
+        mods = [entry.module for entry in cyclic_module_catalog(S)]
+        for M in mods:
+            for N in mods:
+                assert_homology_matches_staged(S, M, N, outcomes)
+    assert outcomes == {"ext1 ok": 80, "tor1 ok": 80, "tor1 ok, P2 is not P1": 28}
 
 
 def test_homology_matches_staged_on_perturbed_actions():
