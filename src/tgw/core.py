@@ -220,10 +220,10 @@ class _Table:
 
     def __init__(self, rows, size: int, grid: list):
         import numpy as np
-        a = np.array(rows)
+        a = np.asarray(rows)
         dtype = np.promote_types(np.min_scalar_type(min(a.min(), 0)),
                                  np.min_scalar_type(max(a.max(), size)))
-        self.a, self.size, self.grid = a.astype(dtype), size, grid
+        self.a, self.size, self.grid = a.astype(dtype, copy=False), size, grid
         # How far a step along each axis moves in the table, and in its rows.
         self.steps = [math.prod(a.shape[j + 1:]) for j in range(a.ndim)]
         self.row_steps = [[s // t for s in self.steps[:j]] for j, t in enumerate(self.steps, 1)]
@@ -422,11 +422,20 @@ def _reevaluate(stages, tables: dict, v: Violation) -> tuple[int, int]:
     raise ValueError(f"no law {v.law!r} fits witness {v.witness}")
 
 
+@lru_cache(maxsize=None)
+def table_arrays(S: FiniteTernaryGammaSemiring) -> tuple:
+    """`add` and `tri` as read-only arrays in `_Table`'s dtype, built once per structure."""
+    add, tri = (_Table(t, S.n, []).a for t in (S.add, S.tri))
+    add.flags.writeable = tri.flags.writeable = False
+    return add, tri
+
+
 def _structure_tables(S: FiniteTernaryGammaSemiring) -> dict:
     grid: list = []
+    add, tri = table_arrays(S)
     return {"grid": grid, "n": S.n, "g": S.g, "zero": S.zero, "unit": S.unit,
             "commutative": S.commutative,
-            "add": _Table(S.add, S.n, grid), "tri": _Table(S.tri, S.n, grid)}
+            "add": _Table(add, S.n, grid), "tri": _Table(tri, S.n, grid)}
 
 
 STRUCTURE_LAWS = (
@@ -551,10 +560,14 @@ def distinct_rows(a):
     imports numpy.ma on first use, which takes longer than a whole small
     tensor.)"""
     import numpy as np
+    if not a.shape[1]:
+        return a[:1], np.zeros(len(a), dtype=np.intp)
     order = np.lexsort(a.T[::-1])
-    a = a[order]
+    a = a.take(order, axis=0)
+    # Each row as the widest unsigned words that tile it: one comparison per word.
+    words = a.view(f"u{math.gcd(8, a.itemsize * a.shape[1])}")
     new = np.ones(len(a), dtype=bool)
-    new[1:] = (a[1:] != a[:-1]).any(axis=1)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
     inverse = np.empty(len(a), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return a[new], inverse

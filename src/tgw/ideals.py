@@ -11,9 +11,10 @@ lexicographically by sorted members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (FiniteTernaryGammaSemiring, IdealSet, PreconditionError,
-                   _charge, distinct_rows, require_axioms)
+                   _charge, distinct_rows, require_axioms, table_arrays)
 from .modules import (_ideal_module, enumerate_submodules, is_submodule,
                       submodule_closure)
 
@@ -47,7 +48,7 @@ def is_prime(S: FiniteTernaryGammaSemiring, I: IdealSet) -> bool:
     outside = np.ones(S.n, dtype=bool)
     outside[list(I.members)] = False
     # forced[a, b, c]: tri(a, x, b, y, c) lies in I at every parameter pair.
-    forced = ~outside[np.array(S.tri)].any(axis=(1, 3))
+    forced = ~outside[table_arrays(S)[1]].any(axis=(1, 3))
     return not (forced & outside[:, None, None] & outside[:, None] & outside).any()
 
 
@@ -224,9 +225,10 @@ def _sum_classes(tri, add, cid, outside, nums, dens):
                tri[si, x, sj, y, u]]
 
 
-def _product_span(tri, cid, nums, dens, bounds):
+def _product_span(tri, cid, nums, dens, bounds, rows=None):
     """`_span` of the class of the product tri(i, x, j, y, k) of fractions
-    nums/dens over every block triple, with blocks cut at `bounds`.
+    nums/dens over every block triple, with blocks cut at `bounds`; `rows` is
+    `distinct_rows` of the tri rows, found here when not given.
 
     The class of tri(a_i,x,a_j,y,a_k)/tri(s_i,x,s_j,y,s_k) depends on
     (i, x, j, y) only through the pair of tri rows tri(a_i,x,a_j,y,·) and
@@ -234,25 +236,26 @@ def _product_span(tri, cid, nums, dens, bounds):
     distinct row pairs met in it rather than over its fraction pairs.  Each
     such pair is looked up at every fraction k, as the flat cid index
     num * n + den, in chunks of k sized so that a chunk's products fit one
-    (i, x, j, y) grid of F²g² entries.  No working array outgrows that grid
-    (the sort keys take three), and only the result holds count³g²."""
+    (i, x, j, y) grid of F²g² entries.  No working array outgrows that grid,
+    and only the result holds count³g²."""
     import numpy as np
     n, g, count = len(tri), tri.shape[1], len(bounds) - 1
-    rows, row_of = distinct_rows(tri.reshape(-1, n))
-    blocks = (count * g) ** 2
-    # Keys in the narrowest dtype take less memory and the sort's radix path.
-    narrow = np.min_scalar_type(max(blocks, len(rows)))
-    row_of = row_of.astype(narrow).reshape(n, g, n, g)
+    rows, row_of = rows or distinct_rows(tri.reshape(-1, n))
+    blocks, size = (count * g) ** 2, len(rows)
+    # (i, x, j, y) is keyed (block·size + num row)·size + den row in the narrowest
+    # dtype holding every key.  A stable sort takes the radix path up to 16 bits
+    # and pages in no SIMD sort code, which would raise the call's peak RSS.
     # Block (ci, x, cj, y) is numbered (ci·g + x)·count·g + cj·g + y.
+    narrow = np.min_scalar_type(blocks * size * size - 1)
+    row_of = row_of.astype(narrow).reshape(n, g, n, g)
     cls = np.repeat(np.arange(count), np.diff(bounds))
     side = (cls[:, None] * g + np.arange(g)).astype(narrow)
-    keys = np.stack([(side[:, :, None, None] * (count * g) + side).ravel(),
-                     row_of[nums][:, :, nums].ravel(),
-                     row_of[dens][:, :, dens].ravel()], axis=1)
-    met = distinct_rows(keys)[0]
+    keys = (side[:, :, None, None] * (count * g) + side) * size + row_of[nums][:, :, nums]
+    keys = np.sort(keys * size + row_of[dens][:, :, dens], axis=None, kind="stable")
+    met = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    block, row_num, row_den = met // size // size, met // size % size, met % size
     # Every block is met, so block b's pairs start at starts[b].
-    starts = np.searchsorted(met[:, 0], np.arange(blocks))
-    row_num, row_den = met[:, 1:].T.astype(np.intp)
+    starts = np.searchsorted(block, np.arange(blocks))
     flat = cid.ravel()
     hi = np.full((count, blocks), -1, dtype=cid.dtype)
     lo = hi.view(f"u{hi.itemsize}").copy()
@@ -271,6 +274,14 @@ def _product_span(tri, cid, nums, dens, bounds):
         np.maximum(hi[c0:c1], np.maximum.reduceat(k_hi, starts, axis=1), out=hi[c0:c1])
     shape = (count, g, count, g, count)
     return lo.T.reshape(shape), hi.T.reshape(shape)
+
+
+@lru_cache(maxsize=None)
+def _tri_rows(S: FiniteTernaryGammaSemiring) -> tuple:
+    """`distinct_rows` of S's tri rows; the rows hold every flat index num * n + den."""
+    import numpy as np
+    rows, row_of = distinct_rows(table_arrays(S)[1].reshape(-1, S.n))
+    return rows.astype(np.min_scalar_type(-S.n * S.n)), row_of
 
 
 def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
@@ -303,7 +314,7 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
     n = S.n
     # Holds -1, every class index and every flat index num * n + den.
     itype = np.min_scalar_type(-n * n)
-    tri, add = np.array(S.tri, dtype=itype), np.array(S.add, dtype=itype)
+    add, tri = table_arrays(S)
     outside = np.ones(n, dtype=bool)
     outside[list(P.members)] = False
     denoms = np.flatnonzero(outside)
@@ -340,8 +351,9 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
             f"add: class {ci} + class {cj} depends on representatives "
             f"({found(sums[blocks[ci], blocks[cj]])})")
 
-    lo, hi = _product_span(tri, cid, cnum, cden, bounds)
-    tri_table = np.where(hi >= 0, lo, 0).tolist()
+    lo, hi = _product_span(tri, cid, cnum, cden, bounds, _tri_rows(S))
+    tri_classes = np.where(hi >= 0, lo, 0)
+    tri_table = tri_classes.tolist()
     for ci, x, cj, y, ck in zip(*(k.tolist() for k in np.nonzero((hi < 0) | (hi > lo)))):
         if hi[ci, x, cj, y, ck] < 0:
             failures.append(
@@ -373,21 +385,16 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
                   for t1 in tri_table),
         commutative=S.commutative)
 
-    maximal = frozenset(ci for ci, cls in enumerate(classes)
-                        if any(a in P.members for a, _ in cls))
-    mixed = [ci for ci, cls in enumerate(classes)
-             if any(a in P.members for a, _ in cls)
-             and any(a not in P.members for a, _ in cls)]
+    inside = ~outside[cnum]
+    some, every = (f.reduceat(inside, bounds[:-1]) for f in (np.logical_or, np.logical_and))
+    maximal = frozenset(np.flatnonzero(some).tolist())
+    mixed = np.flatnonzero(some & ~every).tolist()
     if mixed:
         failures.append(f"classes {mixed} mix numerators inside and outside the prime")
 
     if unit_class is not None:
-        invertible = set()
-        for ci in range(nclasses):
-            if any(tri_table[ci][x][cj][y][unit_class] == unit_class
-                   for cj in range(nclasses) for x in range(S.g) for y in range(S.g)):
-                invertible.add(ci)
-        non_invertible = frozenset(range(nclasses)) - invertible
+        invertible = (tri_classes[..., unit_class] == unit_class).any(axis=(1, 2, 3))
+        non_invertible = frozenset(np.flatnonzero(~invertible).tolist())
         if non_invertible != maximal:
             failures.append(
                 f"locality: non-invertible classes {sorted(non_invertible)} differ "

@@ -28,7 +28,7 @@ from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
                    IdealSet, Law, PreconditionError, Violation, _Table,
                    UnionFind, _charge, _check_laws, _dump, _reevaluate,
                    _structure_tables, bourne_classes, check_axioms, label_array,
-                   read_labels)
+                   read_labels, table_arrays)
 
 @dataclass(frozen=True)
 class GammaModule:
@@ -832,7 +832,7 @@ def _ideal_module(S: FiniteTernaryGammaSemiring) -> GammaModule:
     if S.commutative and all(b.law != "tri-commutativity"
                              for b in check_axioms(S).violations.blocks):
         return regular_module(S)
-    reg, t = regular_module(S), np.array(S.tri).reshape(-1, S.n)
+    reg, t = regular_module(S), table_arrays(S)[1].reshape(-1, S.n)
     rows = np.hstack([reg.images, t.reshape(S.n, -1), t.T]).tolist()
     return replace(reg, images=tuple(map(tuple, rows)))
 

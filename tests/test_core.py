@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_check_axioms, chain, zsum
 from tgw import fixtures
-from tgw.core import (FixtureError, _dump, check_axioms, load_structure,
-                      patch_add, reevaluate_violation, serialize_structure,
-                      structure_from_dict, tri_eval)
+from tgw.core import (FixtureError, _dump, check_axioms, distinct_rows,
+                      load_structure, patch_add, reevaluate_violation,
+                      serialize_structure, structure_from_dict, tri_eval)
 from tgw.modules import check_module_axioms
 
 B2_DICT = {
@@ -177,6 +177,26 @@ def test_equal_structures_hash_alike_and_share_cached_reports():
     assert patched != first
     assert check_axioms(patched) is not report
     assert check_axioms(patched).violations
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
+def test_distinct_rows_matches_unique(dtype):
+    """`distinct_rows` gives np.unique's rows, order and inverse on seeded
+    random matrices, and on no rows, one row, no columns and equal rows."""
+    rng = np.random.default_rng(11)
+    # int64 entries are negative and span several bytes; the narrow ones repeat.
+    values = [-1000, 0, 1000] if dtype is np.int64 else [0, 1]
+    # Narrow rows of 1, 2, 3, 12 and 40 bytes are read as 1-, 2-, 1-, 4- and 8-byte words.
+    shapes = [(0, 3), (1, 3), (5, 0), (0, 0), (1, 0), (200, 3), (300, 40), (17, 1), (60, 2),
+              (60, 12)]
+    cases = [rng.choice(values, size=shape).astype(dtype) for shape in shapes]
+    cases.append(np.ones((7, 5), dtype=dtype))
+    for a in cases:
+        rows, inverse = distinct_rows(a)
+        want, want_inverse = np.unique(a, axis=0, return_inverse=True)
+        assert rows.dtype == a.dtype and rows.shape == want.shape
+        assert np.array_equal(rows, want)
+        assert inverse.tolist() == want_inverse.ravel().tolist()
 
 
 # ---------------------------------------------------------------------------

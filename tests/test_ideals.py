@@ -17,7 +17,8 @@ from conftest import (brute_force_ideals, chain, loop_is_prime, loop_localize,
 from tgw import fixtures
 from tgw.cli import main
 from tgw.core import (PreconditionError, check_axioms, product_structure,
-                      serialize_structure, structure_from_dict, structure_to_dict)
+                      serialize_structure, structure_from_dict, structure_to_dict,
+                      table_arrays)
 from tgw.ideals import (IdealSet, _product_span, enumerate_ideals, gelfand_injectivity,
                         ideal_closure, is_ideal_subset, is_prime, localize,
                         spectrum, zariski_report)
@@ -231,6 +232,21 @@ def test_localize_rejects_non_prime(b2xb2):
         localize(b2xb2, IdealSet(frozenset({0})))
 
 
+def test_tables_are_built_once_per_structure():
+    """The spectrum of C12 and its localizations at all 11 primes read one
+    array form of its tables, which refuses writes."""
+    S = chain(12)
+    table_arrays.cache_clear()
+    points = spectrum(S).points
+    assert len(points) == 11
+    for P in points:
+        localize(S, P)
+    assert table_arrays.cache_info().misses == 1
+    for table in table_arrays(S):
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
+
+
 def test_gelfand(b2, b2xb2, z3, one_element):
     assert gelfand_injectivity(b2, spectrum(b2)).injective
     assert gelfand_injectivity(b2xb2, spectrum(b2xb2)).injective
@@ -391,6 +407,9 @@ SPAN_CASES = {
                                            pool=int(rng.integers(1, 4))),
     "chunked": lambda rng: span_case(rng, 5, int(rng.integers(1, 3)), distinct=True,
                                      all_denoms=True, classes=int(rng.integers(2, 4))),
+    # The widest keys: 64 singleton classes make (64·2)² = 16,384 blocks, and
+    # the 256 tri rows are distinct.
+    "wide": lambda rng: span_case(rng, 8, 2, singletons=True, distinct=True, all_denoms=True),
 }
 
 
@@ -409,7 +428,7 @@ def test_product_span_matches_loop_on_random_tables(kind):
             assert ours.dtype == theirs.dtype
             assert np.array_equal(ours, theirs)
         saw_empty_block |= bool((loop[1] < 0).any())
-        if kind in ("distinct-rows", "chunked"):
+        if kind in ("distinct-rows", "chunked", "wide"):
             assert len({row.tobytes() for row in tri.reshape(-1, n)}) == n * n * g * g
         if kind == "chunked":
             # A chunk holds (i, x, j, y) grid // met pairs fractions, fewer
