@@ -10,14 +10,15 @@ byte-identical text, and JSON output is exactly `json.dumps(..., indent=2)`.
 
 from __future__ import annotations
 
-import argparse
 import functools
+import itertools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import fixtures
-from .core import BUDGETS, FixtureError, WorkbenchError, _dump, check_axioms
+from .core import BUDGETS, FixtureError, WorkbenchError, _write, check_axioms
 from .geometry import embed, export_graph, valuation_from_dict
 from .homology import (adjunction_check, ext1, homological_semisimplicity,
                        tor1)
@@ -413,31 +414,42 @@ _COMMANDS = {
 }
 
 
-# The commands that read each option besides --format.  Every command accepts
-# every option; one it ignores has no default, so it is in the parsed
-# namespace only when given, and `main` notes it on stderr.
-_READERS = {
-    "module": ("modules", "density", "ext", "tor", "adjunction"),
-    "lenient": tuple(name for name in _COMMANDS if name != "report"),
-    "anchor": ("density",),
-    "rank2": ("density",),
-    "k": ("embed",),
-    "valuation": ("embed",),
-    "weights": ("embed",),
-    "out": ("embed",),
+# The commands that read each option, and its argparse keywords, which
+# `build_parser` and `_parse_plain` both follow.  An option a command ignores
+# has no default there, so it is in the parsed namespace only when given, and
+# `main` notes it on stderr.
+_OPTIONS = {
+    "module": (("modules", "density", "ext", "tor", "adjunction"),
+               {"action": "append",
+                "help": "bundled module name or module fixture path (repeatable)"}),
+    "lenient": (tuple(name for name in _COMMANDS if name != "report"),
+                {"action": "store_true", "default": False,
+                 "help": "downgrade base-axiom failures to warnings"}),
+    "format": (tuple(_COMMANDS), {"choices": ("table", "json"), "default": "table"}),
+    "anchor": (("density",), {"help": "anchor element label for density"}),
+    "rank2": (("density",), {"action": "store_true", "default": False,
+                             "help": "also report the simultaneous two-pair density census"}),
+    "k": (("embed",), {"type": int, "default": 2, "help": "embedding dimension (embed)"}),
+    "valuation": (("embed",), {"help": "valuation table JSON file (embed)"}),
+    "weights": (("embed",), {"default": "default",
+                             "help": "'default' or a weight table JSON file (embed)"}),
+    "out": (("embed",), {"help": "output file path (embed)"}),
 }
 
 
-def _add_option(parser, command: str, flag: str, **kwargs) -> None:
-    if command not in _READERS[flag]:
-        kwargs["default"] = argparse.SUPPRESS
-    parser.add_argument(f"--{flag}", **kwargs)
+def _keywords(command: str, flag: str) -> dict:
+    """The argparse keywords of --flag, which embed's --format has of its own."""
+    if command == "embed" and flag == "format":
+        return {"choices": ("json", "dot", "csv"), "default": "json",
+                "help": "graph export format"}
+    return _OPTIONS[flag][1]
 
 
 @functools.cache
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser of `command` alone when it names one, under the metavar
     that every command gives; else every command, without arguments."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="tgw",
         description="Workbench for finite commutative ternary gamma-semirings "
@@ -449,40 +461,70 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name != command:
             continue
-        option = functools.partial(_add_option, p, name)
         if name != "report":
             p.add_argument("fixtures", nargs="+",
                            help="bundled fixture names or fixture file paths")
-        option("module", action="append",
-               help="bundled module name or module fixture path (repeatable)")
-        option("lenient", action="store_true",
-               help="downgrade base-axiom failures to warnings")
-        if name == "embed":
-            p.add_argument("--format", choices=("json", "dot", "csv"),
-                           default="json", help="graph export format")
-        else:
-            p.add_argument("--format", choices=("table", "json"),
-                           default="table")
-        option("anchor", help="anchor element label for density")
-        option("rank2", action="store_true",
-               help="also report the simultaneous two-pair density census")
-        option("k", type=int, default=2, help="embedding dimension (embed)")
-        option("valuation", help="valuation table JSON file (embed)")
-        option("weights", default="default",
-               help="'default' or a weight table JSON file (embed)")
-        option("out", help="output file path (embed)")
+        for flag, (readers, _) in _OPTIONS.items():
+            kwargs = _keywords(name, flag)
+            if name not in readers:
+                kwargs = {**kwargs, "default": argparse.SUPPRESS}
+            p.add_argument(f"--{flag}", **kwargs)
     return parser
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """What `build_parser` parses from a plain command line: a command, one
+    run of fixtures (none for report) and exact --flags, each followed by a
+    value that does not start with "-" when it takes one.  None for any other
+    command line, which is argparse's to parse or reject."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, tokens, fixtures, closed = argv[0], iter(argv[1:]), [], False
+    args = {"command": command, **{flag: _keywords(command, flag).get("default")
+                                   for flag, (readers, _) in _OPTIONS.items()
+                                   if command in readers}}
+    for token in tokens:
+        if not token.startswith("-"):
+            if closed:
+                return None
+            fixtures.append(token)
+            continue
+        closed, flag = bool(fixtures), token[2:]
+        if not token.startswith("--") or flag not in _OPTIONS:
+            return None
+        kwargs = _keywords(command, flag)
+        if kwargs.get("action") == "store_true":
+            args[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        append = kwargs.get("action") == "append"
+        args[flag] = [*(args.get(flag) or ()), value] if append else value
+    if (command == "report") != (not fixtures):
+        return None
+    if fixtures:
+        args["fixtures"] = fixtures
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # argparse takes the first argument that is no option as the command.
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    for flag, readers in _READERS.items():
+    args = _parse_plain(argv)
+    if args is None:
+        # argparse takes the first argument that is no option as the command.
+        parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
+    for flag, (readers, _) in _OPTIONS.items():
         if args.command not in readers and hasattr(args, flag):
             print(f"note: --{flag} is ignored by {args.command}", file=sys.stderr)
     out: list[str] = []
@@ -501,13 +543,14 @@ def main(argv=None) -> int:
         return 2
     finally:
         BUDGETS.update(saved)
+    pieces = (line + "\n" for line in out)
     # embed's lines are its export text, in the chosen graph format.
     if args.command != "embed" and args.format == "json":
-        out = [_dump({"command": args.command, "exit_code": code,
-                      "result": payload})]
+        pieces = itertools.chain(_write({"command": args.command, "exit_code": code,
+                                         "result": payload}), ["\n"])
     try:
-        for line in out:
-            print(line)
+        for piece in pieces:
+            sys.stdout.write(piece)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away.  Point fd 1 at devnull, so that the flush at

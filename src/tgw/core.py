@@ -590,25 +590,27 @@ def bourne_classes(size: int, add, sub) -> list[list[int]]:
 # JSON text
 
 _SCALARS = {int, float, bool, type(None)}
+# The most violation records that `_violation_text` joins into one piece.
+_CHUNK = 512
 
 
-def _violation_text(violations: Violations, pad: str, out: list) -> None:
-    """Append to `out` exactly `json.dumps([v.to_dict() for v in
-    violations], indent=2)` at indent `pad`, written from the columns.  A
-    record is its values, each behind the fixed text that precedes it in a
-    record; the right side also carries the text that closes the record.
-    Each block builds one token table, a row per kind of fixed text by a
-    column per value from the block's least to its greatest (per distinct
-    value instead, when there are fewer values than that span, as out-of-range
-    closure entries can give), and gathers every record's tokens with one
-    `take`."""
+def _violation_text(violations: Violations, pad: str):
+    """The pieces of exactly `json.dumps([v.to_dict() for v in violations],
+    indent=2)` at indent `pad`, written from the columns.  A record is its
+    values, each behind the fixed text that precedes it in a record; the right
+    side also carries the text that closes the record.  Each block builds one
+    token table, a row per kind of fixed text by a column per value from the
+    block's least to its greatest (per distinct value instead, when there are
+    fewer values than that span, as out-of-range closure entries can give),
+    gathers every record's tokens with one `take`, and joins them `_CHUNK`
+    records at a time."""
     import numpy as np
     if not violations:
-        out.append("[]")
+        yield "[]"
         return
     inner = pad + "  "
     key, item = inner + "  ", inner + "    "
-    out.append("[\n" + inner)
+    yield "[\n" + inner
     for b in violations.blocks:
         values = np.column_stack((b.witness, b.left, b.right))
         lo, hi = int(values.min()), int(values.max())
@@ -626,63 +628,65 @@ def _violation_text(violations: Violations, pad: str, out: list) -> None:
         # The kind of fixed text before each value column: the record's head,
         # then witness separators, then the two sides.
         kind = np.array([0] + [1] * (b.witness.shape[1] - 1) + [2, 3])
-        out += tokens.take(at + kind * len(keys)).ravel().tolist()
-    # The last record is followed by the list's end, not by a separator.
-    out[-1] = out[-1][:-len(inner) - 2] + "\n" + pad + "]"
+        at = at + kind * len(keys)
+        for start in range(0, len(at), _CHUNK):
+            text = "".join(tokens.take(at[start:start + _CHUNK]).ravel().tolist())
+            if b is violations.blocks[-1] and start + _CHUNK >= len(at):
+                # The last record is followed by the list's end, not by a separator.
+                text = text[:-len(inner) - 2] + "\n" + pad + "]"
+            yield text
 
 
 def _dump(obj) -> str:
     """Exactly `json.dumps(obj, indent=2)`, where a `Violations` stands for
-    the list of its `to_dict()`s.
+    the list of its `to_dict()`s: the pieces of `_write`, joined."""
+    return "".join(_write(obj))
+
+
+def _write(obj, pad: str = ""):
+    """The pieces of the text of `obj` at indent `pad`, in order.
 
     Python's json encoder runs in C only without indent.  This walks nonempty
     dicts with str keys and nonempty lists itself, writing str, int and bool
     leaves as json writes them and a `Violations` from its columns
-    (`_violation_text`), and joins all the pieces once, at the end.  A float
-    or null, and a list of numbers, bools and nulls, print the same with and
-    without indent, so json writes them in C.  Every other value goes to
-    `json.dumps` whole."""
-    out: list[str] = []
-    _write(obj, "", out)
-    return "".join(out)
-
-
-def _write(obj, pad: str, out: list) -> None:
-    """Append the pieces of the text of `obj` at indent `pad` to `out`."""
+    (`_violation_text`).  A float or null, and a list of numbers, bools and
+    nulls, print the same with and without indent, so json writes them in C.
+    Every other value goes to `json.dumps` whole."""
     kind = type(obj)
     if kind is str:
-        out.append(encode_basestring_ascii(obj))
+        yield encode_basestring_ascii(obj)
     elif kind is int:
-        out.append(int.__repr__(obj))
+        yield int.__repr__(obj)
     elif kind is bool:
-        out.append("true" if obj else "false")
+        yield "true" if obj else "false"
     elif kind in _SCALARS:
-        out.append(json.dumps(obj))
+        yield json.dumps(obj)
     elif kind is Violations:
-        _violation_text(obj, pad, out)
+        yield from _violation_text(obj, pad)
     elif kind is list and obj or kind is dict and obj and set(map(type, obj)) == {str}:
         inner = pad + "  "
         sep = ",\n" + inner
         if kind is list and set(map(type, obj)) <= _SCALARS:
             # No scalar's text holds the item separator ", ".
-            out.append(f"[\n{inner}" + sep.join(json.dumps(obj)[1:-1].split(", "))
-                       + f"\n{pad}]")
+            yield (f"[\n{inner}" + sep.join(json.dumps(obj)[1:-1].split(", "))
+                   + f"\n{pad}]")
         elif kind is list:
-            out.append("[\n" + inner)
+            lead = "[\n" + inner
             for v in obj:
-                _write(v, inner, out)
-                out.append(sep)
-            out[-1] = f"\n{pad}]"
+                yield lead
+                yield from _write(v, inner)
+                lead = sep
+            yield f"\n{pad}]"
         else:
             lead = "{\n" + inner
             for k, v in obj.items():
-                out.append(f"{lead}{encode_basestring_ascii(k)}: ")
-                _write(v, inner, out)
+                yield f"{lead}{encode_basestring_ascii(k)}: "
+                yield from _write(v, inner)
                 lead = sep
-            out.append(f"\n{pad}}}")
+            yield f"\n{pad}}}"
     else:
         # Encoded JSON holds no raw newline, so every newline starts a line.
-        out.append(json.dumps(obj, indent=2).replace("\n", "\n" + pad))
+        yield json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
 # ---------------------------------------------------------------------------

@@ -824,10 +824,11 @@ def regular_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> Ga
                        zero=S.zero, madd=S.add, images=_action_rows(S.tri))
 
 
+@lru_cache(maxsize=None)
 def _ideal_module(S: FiniteTernaryGammaSemiring) -> GammaModule:
     """The module whose submodules are the ideals: T acting on itself in every
     slot, or in the middle slot alone when tri-commutativity is declared and
-    `check_axioms` finds it holding."""
+    `check_axioms` finds it holding; built once per structure."""
     import numpy as np
     if S.commutative and all(b.law != "tri-commutativity"
                              for b in check_axioms(S).violations.blocks):

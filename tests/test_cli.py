@@ -9,6 +9,7 @@ import importlib.util
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import tempfile
@@ -24,7 +25,7 @@ from conftest import (act_patched_at_every_pair, brute_force_check_axioms,
                       zsum)
 from tgw import cli, core, fixtures, geometry, modules
 from tgw.cli import main
-from tgw.core import (BUDGETS, PreconditionError, Violations, _dump, check_axioms,
+from tgw.core import (BUDGETS, PreconditionError, Violations, _dump, _write, check_axioms,
                       product_structure, require_axioms, serialize_structure,
                       structure_to_dict)
 from tgw.ideals import spectrum
@@ -548,14 +549,16 @@ def _violation_dicts(violations: Violations) -> list[dict]:
 
 
 def test_json_writer_matches_json_dumps(capsys, monkeypatch):
-    # Every object the commands hand to the JSON writer, rendered both ways.
+    # Every object that main writes as JSON or that embed exports, rendered both ways.
     dumped = []
 
-    def spy(obj):
-        dumped.append(obj)
-        return _dump(obj)
-    monkeypatch.setattr(cli, "_dump", spy)
-    monkeypatch.setattr(geometry, "_dump", spy)
+    def spy(writer):
+        def record(obj):
+            dumped.append(obj)
+            return writer(obj)
+        return record
+    monkeypatch.setattr(cli, "_write", spy(_write))
+    monkeypatch.setattr(geometry, "_dump", spy(_dump))
     for argv in GOLDEN_SHA256:
         main(argv.split())
     capsys.readouterr()
@@ -837,6 +840,59 @@ def test_help_and_usage_errors_pinned(capsys, monkeypatch, argv):
     assert got == HELP_SHA256[argv]
 
 
+# Tokens of drawn command lines: fixture-like words, option values good and
+# bad, and every flag with exact, abbreviated, joined and unknown forms.
+_WORDS = ["B2", "Z3", "", "C8.json", "x y", "check", "default", "-1"]
+_VALUES = ["json", "table", "dot", "csv", "2", "07", " 3", "x", "", "-1"]
+_FLAGS = [f"--{flag}" for flag in cli._OPTIONS] + [
+    "--form", "--format=json", "-h", "--help", "--", "-1", "--nosuch"]
+
+
+def _load(*parts):
+    """The module of the file at `parts` from the root of the checkout."""
+    path = Path(__file__).resolve().parents[1].joinpath(*parts)
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _argparse_vars(argv):
+    try:
+        return vars(cli.build_parser(argv[0]).parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_plain_parse_matches_argparse(capsys):
+    """Whenever the parse without argparse accepts a command line, it gives
+    argparse's namespace; it accepts the golden and benchmark command lines,
+    and leaves help, abbreviations, joined values and `--` to argparse."""
+    rng = random.Random(5)
+    accepted = 0
+    for _ in range(20000):
+        argv = [rng.choice([*cli._COMMANDS, "chek"])]
+        for _ in range(rng.randrange(6)):
+            if rng.random() < 0.5:
+                argv.append(rng.choice(_WORDS))
+                continue
+            argv.append(rng.choice(_FLAGS))
+            if rng.random() < 0.7:
+                argv.append(rng.choice(_VALUES))
+        plain = cli._parse_plain(argv)
+        if plain is not None:
+            accepted += 1
+            assert vars(plain) == _argparse_vars(argv), argv
+    assert accepted > 2000
+    calls = _load("perfbench", "workloads.py").CALLS.values()
+    for argv in [a.split() for a in GOLDEN_SHA256] + [list(a) for c in calls for _, a in c]:
+        plain = cli._parse_plain(argv)
+        assert plain is not None and vars(plain) == _argparse_vars(argv), argv
+    for option in ("--form", "--format=json", "-h", "--help", "--", "--k -1"):
+        assert cli._parse_plain(["embed", "B2", *option.split()]) is None, option
+    capsys.readouterr()
+
+
 def test_exit_2_on_bad_inputs(capsys, tmp_path):
     assert main(["check", "/nonexistent/path.json"]) == 2
     assert main(["nosuchcommand", "B2"]) == 2
@@ -1073,10 +1129,7 @@ def test_json_mode_all_commands(capsys):
 def test_run_battery_script(capsys, tmp_path):
     """scripts/run_battery.py returns the exit code of `tgw report` and
     writes every export of each bundled spectrum that has points."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_battery.py"
-    spec = importlib.util.spec_from_file_location("run_battery", path)
-    battery = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(battery)
+    battery = _load("scripts", "run_battery.py")
     expected = main(["report"])
     capsys.readouterr()
     assert battery.run(tmp_path / "out") == expected

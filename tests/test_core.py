@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_check_axioms, chain, zsum
-from tgw import fixtures
-from tgw.core import (FixtureError, _dump, check_axioms, distinct_rows,
-                      load_structure, patch_add, reevaluate_violation,
+from tgw import core, fixtures
+from tgw.core import (AxiomReport, FixtureError, Violations, _dump, _write, check_axioms,
+                      distinct_rows, load_structure, patch_add, reevaluate_violation,
                       serialize_structure, structure_from_dict, tri_eval)
 from tgw.modules import check_module_axioms
 
@@ -318,6 +318,33 @@ def test_violation_columns_render_as_dicts(name):
     report = _cases()[name]
     if name in ("B2", "B2-regular"):
         assert not report.violations and not report.warnings
+    _assert_renders_as_dicts(report)
+
+
+_CHUNK = core._CHUNK
+
+
+def _sized_report(sizes):
+    """A report whose violations are blocks of these many seeded records,
+    alternating narrow values and values too far apart for a token column
+    each, and whose warnings are its first block."""
+    rng = np.random.default_rng(len(sizes) * 1000 + sizes[-1])
+    blocks = [core._Block(f"law {k}", rng.integers(0, 5, (size, 3 + k % 3)),
+                          rng.integers(-2, 5, size), rng.integers(0, 5 * 10 ** (9 * (k % 2)), size))
+              for k, size in enumerate(sizes)]
+    return AxiomReport(Violations(blocks), Violations(blocks[:1]))
+
+
+@pytest.mark.parametrize("sizes", [
+    (1,), (_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,), (3 * _CHUNK + 5,),
+    (_CHUNK, _CHUNK + 1, 5), (2, 3 * _CHUNK + 5, _CHUNK - 1), (_CHUNK + 1, 1),
+], ids=repr)
+def test_violation_chunks_render_as_dicts(sizes):
+    """Each block's records are joined at most `_CHUNK` to a piece, and the
+    pieces render as the dicts do, whichever block a chunk ends."""
+    report = _sized_report(sizes)
+    assert max(piece.count('"law"') for piece in _write(report.violations)) == min(
+        max(sizes), _CHUNK)
     _assert_renders_as_dicts(report)
 
 

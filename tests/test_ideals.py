@@ -22,7 +22,7 @@ from tgw.core import (PreconditionError, check_axioms, product_structure,
 from tgw.ideals import (IdealSet, _product_span, enumerate_ideals, gelfand_injectivity,
                         ideal_closure, is_ideal_subset, is_prime, localize,
                         spectrum, zariski_report)
-from tgw.modules import annihilator, jacobson_radical, regular_module
+from tgw.modules import _ideal_module, annihilator, jacobson_radical, regular_module
 
 
 def keys(ideals):
@@ -245,6 +245,22 @@ def test_tables_are_built_once_per_structure():
     for table in table_arrays(S):
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1
+
+
+def test_ideal_module_is_built_once_per_structure(monkeypatch):
+    """C8 declared non-commutative takes the three-slot ideal module: the
+    spectrum and its Zariski report build it once, and give what the uncached
+    builder gives, and what C8 as declared gives."""
+    S = replace(chain(8), commutative=False)
+
+    def spec(X):
+        spc = spectrum(X)
+        return spc.to_dict(X), zariski_report(X, spc).to_dict()
+    _ideal_module.cache_clear()
+    got = spec(S)
+    assert _ideal_module.cache_info().misses == 1
+    monkeypatch.setattr("tgw.ideals._ideal_module", _ideal_module.__wrapped__)
+    assert spec(S) == got == spec(chain(8))
 
 
 def test_gelfand(b2, b2xb2, z3, one_element):
