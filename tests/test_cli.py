@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import (act_patched_at_every_pair, brute_force_check_axioms,
                       brute_force_check_module_axioms, chain, collapsed_b2_cubed,
-                      swapping_module, tri_patched_at_every_pair, truncated_naturals,
+                      integers_mod, swapping_module, tri_patched_at_every_pair, truncated_naturals,
                       zsum)
 from tgw import cli, core, fixtures, geometry, modules
 from tgw.cli import main
@@ -726,6 +726,8 @@ def _catalog_structure(name):
         return chain(int(name[1:]))
     if name.startswith("N"):
         return truncated_naturals(int(name[1:]))
+    if name.startswith("Z"):
+        return integers_mod(int(name[1:]))
     b2 = fixtures.bundled_structure("B2")
     b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
     return b2p3 if name == "B2^3" else product_structure(b2p3, b2, name)
@@ -749,11 +751,17 @@ def test_catalog_commands_pinned(capsys, tmp_path, name):
 # hom sets of the same free modules.  N5 (truncated naturals, 6 elements)
 # takes the exact tensor backend, on 117,649 states, in `tor` and
 # `adjunction`: past the reach of the union-loop oracle in test_homology.py.
+# Z4, Z5, Z6 and Z8 (`conftest.integers_mod`) take the group backend, whose
+# diagonalization follows the relation order, in `tor` and `adjunction`.
 HOMOLOGY_SHA256 = {
     "tor": {
         "B2^4": (0, "e8fed59f025ad4d01c999ed06e77c5600df149cf0dc034bc5cfd9d3a0b4d717c"),
         "C16": (0, "4fadac3b703eb112ce65e233253599e3377044da4df6787fc7efd67cd0136b62"),
         "N5": (0, "eb7ee939f4bd953289cf238ed3834307faa9fde91dcd7d6909b35b07ffa3a844"),
+        "Z4": (0, "d8cce347e48d31a3dda044ad2573f3c77e89e7722353535e6ff7d11fd489262d"),
+        "Z5": (0, "3745fc749a72274098037100f2522b17f81ea21731f0bd5eabbc2d4db1c91c46"),
+        "Z6": (0, "6be358d6e8ae3df317899b3e7c193580bac337cc8adb97c268c8043d9bb7288a"),
+        "Z8": (0, "895888c905c4f96ffc4ef3a45a98ab3d4f4c6d01e0d6baef03e1546739ea620e"),
     },
     "ext": {
         "B2^4": (0, "e120b327af423c2bd28555fe8d3c9950fba7544c3ac80d2b8c24cdc79d4a430c"),
@@ -762,6 +770,10 @@ HOMOLOGY_SHA256 = {
     },
     "adjunction": {
         "N5": (0, "6c93c59c194be811afdc2763d205e97463b226ebc1a6c375bca3d7deb557f793"),
+        "Z4": (0, "efc6d9e3a2f7bd0e60e9f03913634f920f0f9014510f9abe4fb463388a6d302f"),
+        "Z5": (0, "572a606133deed3b354d5aa9081164e9fc4651cd13d3cbff553a50ecd3362677"),
+        "Z6": (0, "0b33f429f8bbca037854ad84fe95ffd47b7ddc75103d19aaf1190c60688f71bc"),
+        "Z8": (0, "007a1f61dd66610025324be56b538358969998731955e3cc1935be2fe0051d83"),
     },
 }
 
