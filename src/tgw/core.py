@@ -555,14 +555,14 @@ class UnionFind:
 
 
 def distinct_rows(a):
-    """The distinct rows of an int matrix in lexicographic order, and the
-    index of each row of `a` among them.  (np.unique does this too, but
-    imports numpy.ma on first use, which takes longer than a whole small
-    tensor.)"""
+    """The distinct rows of an int matrix in lexicographic order, the index
+    of each row of `a` among them, and the index in `a` of each one's first
+    occurrence.  (np.unique does this too, but imports numpy.ma on first use,
+    which takes longer than a whole small tensor.)"""
     import numpy as np
     if not a.shape[1]:
-        return a[:1], np.zeros(len(a), dtype=np.intp)
-    order = np.lexsort(a.T[::-1])
+        return a[:1], np.zeros(len(a), dtype=np.intp), np.arange(len(a[:1]))
+    order = np.lexsort(a.T[::-1])  # stable: equal rows stay in the order of `a`
     a = a.take(order, axis=0)
     # Each row as the widest unsigned words that tile it: one comparison per word.
     words = a.view(f"u{math.gcd(8, a.itemsize * a.shape[1])}")
@@ -570,7 +570,7 @@ def distinct_rows(a):
     new[1:] = (words[1:] != words[:-1]).any(axis=1)
     inverse = np.empty(len(a), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return a[new], inverse
+    return a[new], inverse, order[new]
 
 
 def bourne_classes(size: int, add, sub) -> list[list[int]]:

@@ -20,6 +20,7 @@ from .core import (FiniteTernaryGammaSemiring, FixtureError, PreconditionError,
 from .ideals import SpectrumSpace
 
 _OFFDIAG_TOL = 1e-12
+_MAX_SWEEPS = 200
 _SIGN_EPS = 1e-12
 
 
@@ -133,14 +134,13 @@ def fuzzy_weights(S: FiniteTernaryGammaSemiring, spec: SpectrumSpace,
                         monotone=not failures, failures=tuple(failures))
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = _OFFDIAG_TOL,
-                max_sweeps: int = 200) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns eigenvalues (descending) and an orthonormal column matrix V,
-    rotated until the off-diagonal Frobenius norm is at most `tol`.  The sign
-    convention makes the first entry of each column with magnitude above
-    1e-12 positive.
+    rotated until the off-diagonal Frobenius norm is at most `_OFFDIAG_TOL`
+    or `_MAX_SWEEPS` sweeps have run.  The sign convention makes the first
+    entry of each column with magnitude above 1e-12 positive.
     """
     A = np.array(A, dtype=float)
     n = A.shape[0]
@@ -149,13 +149,13 @@ def jacobi_eigh(A: np.ndarray, tol: float = _OFFDIAG_TOL,
     if not np.allclose(A, A.T, atol=1e-12):
         raise PreconditionError("jacobi_eigh: matrix must be symmetric")
     V = np.eye(n)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2.0)
-        if off <= tol:
+        if off <= _OFFDIAG_TOL:
             break
         for p in range(n):
             for q in range(p + 1, n):
-                if abs(A[p, q]) <= tol / max(n * n, 1):
+                if abs(A[p, q]) <= _OFFDIAG_TOL / max(n * n, 1):
                     continue
                 phi = 0.5 * np.arctan2(2.0 * A[p, q], A[q, q] - A[p, p])
                 c, s = np.cos(phi), np.sin(phi)

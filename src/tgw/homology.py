@@ -19,12 +19,12 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three backends realize the quotient:
   equivalence that holds the remaining relations and is closed under adding
   each generator.
 
-A backend only computes the quotient: the class of each generator, the class
-addition table and a representative sum of generators per class.  Tor reads
-these quotients alone.  For every backend, `tensor` then looks up the class
-of a sum by folding generator classes through that table, builds the induced
-module, checks the induced action on every relation pair and checks the
-module laws.
+Every backend reads one relation array, each row once, where it first occurs,
+and computes only the quotient: the class of each generator, the class
+addition table and a representative sum of generators per class.  Tor's
+induced maps read these quotients and that array alone.  `tensor` folds
+generator classes through the table to build the induced module, checks the
+induced action on every relation row and checks the module laws.
 
 Every presentation records the relation schemas that were imposed, so results
 are auditable.  Each search charges a limit of `core.BUDGETS`: free-module
@@ -265,9 +265,10 @@ def _tensor_relations(M: GammaModule, N: GammaModule):
     equals r1 + r2, or r1 alone when r2 = -1.  Plus schema descriptions."""
     S = M.base
     size = N.size
+    narrow = np.min_scalar_type(-M.size * size)
 
     def rows(l, r1, r2):
-        return np.stack([a.ravel() for a in np.broadcast_arrays(l, r1, r2)], axis=1)
+        return np.stack([a.ravel() for a in np.broadcast_arrays(l, r1, r2)], 1, dtype=narrow)
 
     m1, m2, n = np.ix_(range(M.size), range(M.size), range(size))
     left = rows(np.asarray(M.madd)[m1, m2] * size + n, m1 * size + n, m2 * size + n)
@@ -303,9 +304,9 @@ def _is_group(M: GammaModule) -> bool:
 @dataclass
 class TensorQuotient:
     """The presentation of M⊗N.  Generator m⊗n is index m·|N| + n:
-    `gen_class` maps each to its class, `relations` holds the rows of
-    `_tensor_relations`, and `rep_gens[c]` lists the generators whose sum
-    represents class c."""
+    `gen_class` maps each to its class, `relations` holds each row of
+    `_tensor_relations` once, where it first occurs, and `rep_gens[c]` lists
+    the generators whose sum represents class c."""
 
     presentation: MonoidPresentation
     backend: str
@@ -392,7 +393,7 @@ def _horn_closure(rules, seeds, rows):
     return out
 
 
-def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, distinct):
+def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
     """Quotient of the free join-semilattice on the generators.
 
     A sum of generators is the set of them.  Relation row l = r1 + r2 puts
@@ -403,13 +404,13 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels, distinct):
     class of A ∪ B is the closure of A ∪ B, and a class is represented by the
     sum of its members.  Classes are ordered by size, then by bitmask Σ 2^g."""
     G = M.size * N.size
-    l, r1, r2 = distinct.T
+    l, r1, r2 = rels.T
     r2 = np.where(r2 < 0, r1, r2)
     rules = np.concatenate([np.c_[l, l, r1], np.c_[l, l, r2], np.c_[r1, r2, l]])
     rules = distinct_rows(rules[(rules[:, 2] != rules[:, 0]) & (rules[:, 2] != rules[:, 1])])[0]
-    # Seeds are closed in chunks whose working matrices stay below the
-    # relation array already held, so closing sets no new memory peak.
-    rows = max(1, rels.nbytes // (4 * max(1, len(rules))))
+    # Seeds are closed in chunks whose working matrices stay below the int64
+    # columns of the G·(|M| + |N| + |quads|) rows `_tensor_relations` stacks.
+    rows = max(1, 6 * G * (M.size + N.size + len(M.base.quads)) // max(1, len(rules)))
 
     def close(seeds):
         return _horn_closure(rules, seeds, rows)
@@ -497,7 +498,7 @@ def _smith_diagonal(rows, n):
     return [abs(A[i][i]) if i < m else 0 for i in range(n)], V
 
 
-def _tensor_group(M: GammaModule, N: GammaModule, name, rels, distinct):
+def _tensor_group(M: GammaModule, N: GammaModule, name, rels):
     G = M.size * N.size
     vecs = np.zeros((len(rels), G), dtype=np.int64)
     for sign, col in ((1, rels[:, 0]), (-1, rels[:, 1]), (-1, rels[:, 2])):
@@ -564,7 +565,7 @@ def _merge(label, a, b) -> bool:
     return merged
 
 
-def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, distinct):
+def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels):
     """Exact tensor of any pair of modules over one base.
 
     Left-linearity folds each column of a sum of generators a⊗n into one
@@ -595,7 +596,7 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, distinct):
     m, n = np.divmod(np.arange(M.size * N.size), N.size)
     u, col = (n, m) if flip else (m, n)
     gen_state = E * place.sum() + (u - E) * place[col]
-    l, r1, r2 = distinct.T
+    l, r1, r2 = rels.T
     pair = r2 >= 0
     rhs = gen_state[r1]
     rhs[pair] = plus[digits[rhs[pair]], digits[gen_state[r2[pair]]]] @ place
@@ -627,9 +628,8 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels, distinct):
 
 
 def _tensor_quotient(M: GammaModule, N: GammaModule, backend: str = "auto",
-                     lenient: bool = False):
-    """The presentation of M⊗N from the backend that `tensor` picks, and the
-    distinct relation rows."""
+                     lenient: bool = False) -> TensorQuotient:
+    """The presentation of M⊗N from the backend that `tensor` picks."""
     if M.base != N.base:
         raise PreconditionError("tensor: modules live over different bases")
     require_module_axioms(M, lenient, "tensor")
@@ -649,15 +649,17 @@ def _tensor_quotient(M: GammaModule, N: GammaModule, backend: str = "auto",
                 "saturation": _tensor_saturation}.get(backend)
     if quotient is None:
         raise PreconditionError(f"tensor: unknown backend {backend!r}")
-    # Many quads act alike, so relation rows repeat.  The group backend
-    # follows their order; the others, and the action check, need each once.
+    # Many quads act alike, so relation rows repeat.  Each is kept once, where
+    # it first occurs, as the group backend follows the relation order.
     rels, descriptions = _tensor_relations(M, N)
-    distinct = distinct_rows(rels)[0]
-    add_rows, zero, gen_class, rep_gens, labels, notes = quotient(M, N, name, rels, distinct)
+    first = np.zeros(len(rels), dtype=bool)
+    first[distinct_rows(rels)[2]] = True
+    rels = rels.compress(first, axis=0)
+    add_rows, zero, gen_class, rep_gens, labels, notes = quotient(M, N, name, rels)
     pres = make_presentation(name, [f"c{k}" for k in range(len(add_rows))], labels,
                              add_rows, zero, relations=descriptions)
     return TensorQuotient(presentation=pres, backend=backend, gen_class=gen_class,
-                          notes=tuple(notes), relations=rels, rep_gens=rep_gens), distinct
+                          notes=tuple(notes), relations=rels, rep_gens=rep_gens)
 
 
 def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
@@ -676,7 +678,7 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
     additive on the free monoid, so the pairs it respects form a congruence,
     which holds the generated one as soon as it holds the relations.)  The
     induced module is then checked against the module laws."""
-    q, distinct = _tensor_quotient(M, N, backend, lenient)
+    q = _tensor_quotient(M, N, backend, lenient)
     pres, gen_class, notes = q.presentation, q.gen_class, list(q.notes)
     table = np.array(pres.add)
     # acted[g, k] is the class of act_k(m)⊗n for generator g = m·|N| + n.
@@ -684,7 +686,7 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
                       + np.arange(N.size)[:, None]].reshape(len(gen_class), -1)
     # Quad columns repeat as well.  Each distinct column is checked on its
     # own, as a rows × quads array outgrows everything else here.
-    action_ok = all(_respects(distinct, table, column)
+    action_ok = all(_respects(q.relations, table, column)
                     for column in distinct_rows(acted.T)[0])
     if not action_ok:
         notes.append("induced action is not well-defined on a relation pair")
@@ -785,9 +787,9 @@ def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
     reads the tensor quotients alone.  Free modules of equal rank are one
     object, and then P2⊗N is P1⊗N."""
     res = free_resolution(S, M, lenient=lenient)
-    t0 = _tensor_quotient(res.p0, N, lenient=lenient)[0]
-    t1 = _tensor_quotient(res.p1, N, lenient=lenient)[0]
-    t2 = t1 if res.p2 is res.p1 else _tensor_quotient(res.p2, N, lenient=lenient)[0]
+    t0 = _tensor_quotient(res.p0, N, lenient=lenient)
+    t1 = _tensor_quotient(res.p1, N, lenient=lenient)
+    t2 = t1 if res.p2 is res.p1 else _tensor_quotient(res.p2, N, lenient=lenient)
     notes = list(res.notes)
 
     def with_id(d):
@@ -817,7 +819,7 @@ def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
 
     # P0 often carries M's own tables (M regular), and then M⊗N is P0⊗N.
     same = (M.madd, M.zero, M.images) == (res.p0.madd, res.p0.zero, res.p0.images)
-    tmn = t0 if same else _tensor_quotient(M, N, lenient=lenient)[0]
+    tmn = t0 if same else _tensor_quotient(M, N, lenient=lenient)
     iso = find_presentation_isomorphism(tor0_pres, tmn.presentation)
     return TorResult(tor1=tor1_pres, tor0=tor0_pres,
                      tor0_matches_tensor=iso is not None, notes=tuple(notes))

@@ -225,10 +225,10 @@ def _sum_classes(tri, add, cid, outside, nums, dens):
                tri[si, x, sj, y, u]]
 
 
-def _product_span(tri, cid, nums, dens, bounds, rows=None):
+def _product_span(tri, cid, nums, dens, bounds, rows):
     """`_span` of the class of the product tri(i, x, j, y, k) of fractions
     nums/dens over every block triple, with blocks cut at `bounds`; `rows` is
-    `distinct_rows` of the tri rows, found here when not given.
+    the distinct tri rows and the index of each tri row among them.
 
     The class of tri(a_i,x,a_j,y,a_k)/tri(s_i,x,s_j,y,s_k) depends on
     (i, x, j, y) only through the pair of tri rows tri(a_i,x,a_j,y,·) and
@@ -240,7 +240,7 @@ def _product_span(tri, cid, nums, dens, bounds, rows=None):
     and only the result holds count³g²."""
     import numpy as np
     n, g, count = len(tri), tri.shape[1], len(bounds) - 1
-    rows, row_of = rows or distinct_rows(tri.reshape(-1, n))
+    rows, row_of = rows
     blocks, size = (count * g) ** 2, len(rows)
     # (i, x, j, y) is keyed (block·size + num row)·size + den row in the narrowest
     # dtype holding every key.  A stable sort takes the radix path up to 16 bits
@@ -280,7 +280,7 @@ def _product_span(tri, cid, nums, dens, bounds, rows=None):
 def _tri_rows(S: FiniteTernaryGammaSemiring) -> tuple:
     """`distinct_rows` of S's tri rows; the rows hold every flat index num * n + den."""
     import numpy as np
-    rows, row_of = distinct_rows(table_arrays(S)[1].reshape(-1, S.n))
+    rows, row_of = distinct_rows(table_arrays(S)[1].reshape(-1, S.n))[:2]
     return rows.astype(np.min_scalar_type(-S.n * S.n)), row_of
 
 

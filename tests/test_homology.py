@@ -11,10 +11,10 @@ import pytest
 
 from tgw import fixtures, homology
 from tgw.cli import main
-from tgw.core import (BUDGETS, BudgetError, PreconditionError, distinct_rows, patch_add,
+from tgw.core import (BUDGETS, BudgetError, PreconditionError, patch_add,
                       serialize_structure)
-from tgw.homology import (HomActionError, HomModuleError, _smith_diagonal, _tensor_quotient,
-                          adjunction_check, ext1,
+from tgw.homology import (HomActionError, HomModuleError, _smith_diagonal, _tensor_group,
+                          _tensor_quotient, _tensor_relations, adjunction_check, ext1,
                           find_presentation_isomorphism, free_module,
                           free_resolution, hom_module, homological_semisimplicity,
                           internal_hom_ternary, make_presentation, tensor,
@@ -241,7 +241,8 @@ def test_idempotent_tensor_matches_oracle(case, b2_reg, b2_t2):
     for lhs, rhs in loop_tensor_relations(M, N)[0]:
         right = [gens[g] for g, c in rhs.items() for _ in range(c)]
         rows.append([*(gens[g] for g in lhs), right[0], right[1] if len(right) == 2 else -1])
-    assert new.relations.tolist() == rows
+    assert _tensor_relations(M, N)[0].tolist() == rows
+    assert new.relations.tolist() == [list(r) for r in dict.fromkeys(map(tuple, rows))]
 
 
 def _backend_pairs():
@@ -288,7 +289,8 @@ def test_exact_tensor_matches_other_backends(M, N):
 def test_tensor_quotient_matches_tensor(M, N):
     """On each backend that takes the pair, the quotient that Tor reads is the
     one `tensor` builds its induced module on, and `tensor`'s notes begin
-    with the quotient's."""
+    with the quotient's.  Its relations are the rows of `_tensor_relations`,
+    each once, in the order of their first occurrence."""
     for backend in ("idempotent", "group", "saturation"):
         try:
             full = tensor(M, N, backend=backend, lenient=True)
@@ -296,14 +298,15 @@ def test_tensor_quotient_matches_tensor(M, N):
             with pytest.raises(PreconditionError, match=f"^{exc}$"):
                 _tensor_quotient(M, N, backend, lenient=True)
             continue
-        quotient, distinct = _tensor_quotient(M, N, backend, lenient=True)
+        quotient = _tensor_quotient(M, N, backend, lenient=True)
         assert quotient.presentation.to_dict() == full.presentation.to_dict()
         assert quotient.gen_class.tolist() == full.gen_class.tolist()
         assert quotient.rep_gens == full.rep_gens
         assert quotient.relations.tolist() == full.relations.tolist()
         assert quotient.backend == full.backend == backend
         assert quotient.notes == full.notes[:len(quotient.notes)]
-        assert distinct.tolist() == distinct_rows(full.relations)[0].tolist()
+        rows = list(map(tuple, _tensor_relations(M, N)[0].tolist()))
+        assert list(map(tuple, quotient.relations.tolist())) == list(dict.fromkeys(rows))
 
 
 def addition_or_action_perturbations(S, count: int, seed: int):
@@ -319,6 +322,37 @@ def addition_or_action_perturbations(S, count: int, seed: int):
             rows[rng.randrange(reg.size)][rng.randrange(len(rows[0]))] = rng.randrange(reg.size)
         yield dataclasses.replace(reg, name=f"{reg.name}~{k}", madd=tuple(map(tuple, madd)),
                                   images=tuple(map(tuple, images)))
+
+
+def _group_modules():
+    """Regular Z2-Z8, free Z2^2 and Z3^2, and seeded addition and action
+    perturbations of regular Z3-Z5 that the group backend still takes."""
+    lawful = [regular_module(integers_mod(n)) for n in range(2, 9)]
+    lawful += [free_module(integers_mod(n), 2) for n in (2, 3)]
+    perturbed = [M for n, count, seed in ((3, 84, 31), (4, 60, 37), (5, 28, 41))
+                 for M in addition_or_action_perturbations(integers_mod(n), count, seed)
+                 if homology._is_group(M)]
+    return lawful, perturbed
+
+
+def test_group_tensor_on_first_occurrences_matches_all_rows():
+    """The group backend on each relation row once, where it first occurs,
+    against the same backend on every row of `_tensor_relations`: the
+    diagonalization follows the row order, and dropping the repeats leaves
+    the classes, their numbering, representatives, labels and notes as they
+    were."""
+    lawful, perturbed = _group_modules()
+    assert len(perturbed) >= 150
+    for M in lawful + perturbed:
+        q = _tensor_quotient(M, M, "group", lenient=True)
+        add_rows, zero, gen_class, rep_gens, labels, notes = _tensor_group(
+            M, M, q.presentation.name, _tensor_relations(M, M)[0])
+        assert q.presentation.add == tuple(map(tuple, add_rows))
+        assert q.presentation.zero == zero
+        assert q.gen_class.tolist() == gen_class.tolist()
+        assert q.rep_gens == rep_gens
+        assert list(q.presentation.reps) == labels
+        assert q.notes == tuple(notes)
 
 
 def _oracle_pairs():
@@ -349,7 +383,9 @@ def test_exact_tensor_matches_union_loop(M, N, monkeypatch):
                 t.module.images, t.module_action_ok)
 
     new = fields(tensor(M, N, backend="saturation", lenient=True))
-    monkeypatch.setattr(homology, "_tensor_saturation", union_loop_tensor_saturation)
+    # The oracle reads only its last argument, the distinct rows, in any order.
+    monkeypatch.setattr(homology, "_tensor_saturation", lambda M, N, name, rels:
+                        union_loop_tensor_saturation(M, N, name, rels, rels))
     assert new == fields(tensor(M, N, backend="saturation", lenient=True))
 
 

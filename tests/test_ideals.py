@@ -16,7 +16,7 @@ from conftest import (brute_force_ideals, chain, loop_is_prime, loop_localize,
                       loop_product_span)
 from tgw import fixtures
 from tgw.cli import main
-from tgw.core import (PreconditionError, check_axioms, product_structure,
+from tgw.core import (PreconditionError, check_axioms, distinct_rows, product_structure,
                       serialize_structure, structure_from_dict, structure_to_dict,
                       table_arrays)
 from tgw.ideals import (IdealSet, _product_span, enumerate_ideals, gelfand_injectivity,
@@ -438,8 +438,8 @@ def test_product_span_matches_loop_on_random_tables(kind):
     for _ in range(50):
         tri, cid, nums, dens, bounds = SPAN_CASES[kind](rng)
         n, g = len(tri), tri.shape[1]
-        fast, loop = _product_span(tri, cid, nums, dens, bounds), \
-            loop_product_span(tri, cid, nums, dens, bounds)
+        fast = _product_span(tri, cid, nums, dens, bounds, distinct_rows(tri.reshape(-1, n))[:2])
+        loop = loop_product_span(tri, cid, nums, dens, bounds)
         for ours, theirs in zip(fast, loop):
             assert ours.dtype == theirs.dtype
             assert np.array_equal(ours, theirs)
@@ -460,9 +460,10 @@ def test_product_span_memory_stays_below_the_fraction_triples():
     per triple."""
     tri, cid, nums, dens, bounds = span_case(np.random.default_rng(3), 8, 1, distinct=True,
                                              all_denoms=True, classes=2)
+    rows = distinct_rows(tri.reshape(-1, len(tri)))[:2]
     tracemalloc.start()
     try:
-        _product_span(tri, cid, nums, dens, bounds)
+        _product_span(tri, cid, nums, dens, bounds, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
