@@ -124,8 +124,8 @@ class Violation(NamedTuple):
 
 class _Block(NamedTuple):
     """The violations of one law name, in witness order, as columns: the
-    witness matrix (one row per violation, one column per witness slot) and
-    both sides, all intp."""
+    witness matrix (a row per violation, a column per witness slot), narrow
+    and unsigned, and both sides, each in the dtype its expression gives."""
 
     law: str
     witness: "np.ndarray"
@@ -316,14 +316,15 @@ def _axes(sizes: tuple[int, ...]) -> tuple:
                  for k, s in enumerate(sizes))
 
 
-def _law_violations(law: Law, tables: dict, cap: int) -> _Block | None:
+def _law_violations(law: Law, tables: dict, cap: int, dtype) -> _Block | None:
     """The violations of `law` as one block, or None when it holds.  The law
     is evaluated in chunks of at most `cap` grid points or one value of the
-    first axis; the witness matrix stacks the `np.nonzero` coordinates in
-    witness-slot order.  Chunks ascend and `nonzero` runs in C order, which
-    is the witness order, as the grid axes are the witness names in order of
-    first use.  `tables` maps the names its expressions use to tables and
-    constants; its list "grid" holds the current chunk's axes."""
+    first axis; the witness, in the unsigned `dtype`, holds the coordinates of
+    each chunk's `flatnonzero` hits in witness-slot order, and each side is
+    taken at the same flat positions.  Chunks ascend and the hits run in C
+    order, which is the witness order, as the grid axes are the witness names
+    in order of first use.  `tables` maps the names its expressions use to
+    tables and constants; its list "grid" holds the current chunk's axes."""
     import numpy as np
     axes, sizes = _grid_sizes(law, tables)
     slots = [axes.index(name) for name in law.witness.split()]
@@ -339,11 +340,13 @@ def _law_violations(law: Law, tables: dict, cap: int) -> _Block | None:
             bad = bad & eval(_code(law.guard), ns)
         # Every axis occurs in a side, so `bad` spans the whole chunk.
         if np.count_nonzero(bad):
-            hits = np.nonzero(bad)
-            coords = (hits[0] + first,) + hits[1:]
-            parts.append((np.stack([coords[s] for s in slots], axis=1),
-                          *(np.broadcast_to(side, bad.shape)[hits].astype(np.intp)
-                            for side in (left, right))))
+            hits = np.flatnonzero(bad)
+            coords = np.unravel_index(hits + first * math.prod(sizes[1:]), sizes)
+            witness = np.empty((len(hits), len(slots)), dtype)
+            for j, s in enumerate(slots):
+                witness[:, j] = coords[s]
+            parts.append((witness, *(np.broadcast_to(side, bad.shape).take(hits)
+                                      for side in (left, right))))
     if parts:
         return _Block(law.name, *map(np.concatenate, zip(*parts)))
     return None
@@ -352,11 +355,14 @@ def _law_violations(law: Law, tables: dict, cap: int) -> _Block | None:
 def _expand(block: _Block, law: Law, classes: list[list[int]]) -> _Block:
     """`block`, found at class indices, listed at every member of each class: a
     parameter name that fills several slots takes one member in all of them.
-    The rows are sorted by witness, which is the order of the full grid."""
+    The witness widens where it cannot hold every member.  The rows are sorted
+    by witness, which is the order of the full grid."""
     import numpy as np
     names = law.witness.split()
     members, sizes = np.concatenate(classes), np.array([len(c) for c in classes])
     witness, left, right = block[1:]
+    witness = witness.astype(np.promote_types(witness.dtype, np.min_scalar_type(members.max())),
+                             copy=False)
     for name in dict.fromkeys(names):
         if _RANGE.get(name[0]) == "g":
             cols = [k for k, other in enumerate(names) if other == name]
@@ -373,10 +379,12 @@ def _check_laws(stages, tables: dict) -> Violations:
     """Every violation, sorted by law then witness.  No stage runs after one
     with violations, which may be entries out of range.  Parameters with equal
     slices in every five-axis table form a class; when one has several
-    members, the laws run on one parameter per class (see `Law`)."""
+    members, the laws run on one parameter per class (see `Law`).  Witnesses
+    are unsigned, sized from the full ranges, as `_expand` writes members."""
     import numpy as np
     stages = [[law for law in stage if law.when is None or eval(_code(law.when), dict(tables))]
               for stage in stages]
+    dtype = np.min_scalar_type(max(tables.get(k, 0) for k in ("n", "g", "m")))
     five = {name: t for name, t in tables.items() if isinstance(t, _Table) and t.a.ndim == 5}
     found: dict[bytes, list[int]] = {}
     for x in range(tables["g"]):
@@ -391,7 +399,7 @@ def _check_laws(stages, tables: dict) -> Violations:
     blocks: list[_Block] = []
     for stage in stages:
         blocks += [block if classes is None else _expand(block, law, classes)
-                   for law in stage if (block := _law_violations(law, tables, cap))]
+                   for law in stage if (block := _law_violations(law, tables, cap, dtype))]
         if blocks:
             break
     out = []
@@ -554,23 +562,27 @@ class UnionFind:
         return list(groups.values())
 
 
-def distinct_rows(a):
-    """The distinct rows of an int matrix in lexicographic order, the index
-    of each row of `a` among them, and the index in `a` of each one's first
-    occurrence.  (np.unique does this too, but imports numpy.ma on first use,
-    which takes longer than a whole small tensor.)"""
+def row_order(a) -> tuple:
+    """The stable lexicographic order of the rows of an int matrix, and a mask
+    over that order, True at the first of each run of equal rows: so
+    `order[new]` indexes the first occurrence in `a` of each distinct row, in
+    lexicographic order.  (np.unique does this too, but imports numpy.ma on
+    first use, which takes longer than a whole small tensor.)"""
     import numpy as np
     if not a.shape[1]:
-        return a[:1], np.zeros(len(a), dtype=np.intp), np.arange(len(a[:1]))
+        return np.arange(len(a)), np.arange(len(a)) < 1
     order = np.lexsort(a.T[::-1])  # stable: equal rows stay in the order of `a`
-    a = a.take(order, axis=0)
     # Each row as the widest unsigned words that tile it: one comparison per word.
-    words = a.view(f"u{math.gcd(8, a.itemsize * a.shape[1])}")
+    words = a.take(order, axis=0).view(f"u{math.gcd(8, a.itemsize * a.shape[1])}")
     new = np.ones(len(a), dtype=bool)
     new[1:] = (words[1:] != words[:-1]).any(axis=1)
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return a[new], inverse, order[new]
+    return order, new
+
+
+def distinct_rows(a):
+    """The distinct rows of an int matrix, in lexicographic order."""
+    order, new = row_order(a)
+    return a.take(order[new], axis=0)
 
 
 def bourne_classes(size: int, add, sub) -> list[list[int]]:
@@ -602,8 +614,8 @@ def _violation_text(violations: Violations, pad: str):
     token table, a row per kind of fixed text by a column per value from the
     block's least to its greatest (per distinct value instead, when there are
     fewer values than that span, as out-of-range closure entries can give),
-    gathers every record's tokens with one `take`, and joins them `_CHUNK`
-    records at a time."""
+    and joins the tokens of `_CHUNK` records at a time, gathered with one
+    `take` through an intp index built for those records alone."""
     import numpy as np
     if not violations:
         yield "[]"
@@ -612,13 +624,11 @@ def _violation_text(violations: Violations, pad: str):
     key, item = inner + "  ", inner + "    "
     yield "[\n" + inner
     for b in violations.blocks:
-        values = np.column_stack((b.witness, b.left, b.right))
-        lo, hi = int(values.min()), int(values.max())
-        if hi - lo < values.size:
-            keys, at = range(lo, hi + 1), values - lo
-        else:
-            keys, at = np.unique(values, return_inverse=True)
-            keys, at = keys.tolist(), at.reshape(values.shape)
+        width, columns = b.witness.shape[1], (b.witness, b.left, b.right)
+        lo, hi = min(int(c.min()) for c in columns), max(int(c.max()) for c in columns)
+        keys = range(lo, hi + 1)
+        if len(keys) > len(b.left) * (width + 2):
+            keys = np.unique(np.concatenate([np.unique(c).astype(np.intp) for c in columns]))
         law = encode_basestring_ascii(b.law)
         fixed = [(f'{{\n{key}"law": {law},\n{key}"witness": [\n{item}', ""),
                  (",\n" + item, ""), (f'\n{key}],\n{key}"left": ', ""),
@@ -627,11 +637,16 @@ def _violation_text(violations: Violations, pad: str):
                           dtype=object)
         # The kind of fixed text before each value column: the record's head,
         # then witness separators, then the two sides.
-        kind = np.array([0] + [1] * (b.witness.shape[1] - 1) + [2, 3])
-        at = at + kind * len(keys)
-        for start in range(0, len(at), _CHUNK):
-            text = "".join(tokens.take(at[start:start + _CHUNK]).ravel().tolist())
-            if b is violations.blocks[-1] and start + _CHUNK >= len(at):
+        kind = np.array([0] + [1] * (width - 1) + [2, 3]) * len(keys)
+        for start in range(0, len(b.left), _CHUNK):
+            # Each column is cast to intp on its own: promoted together, uint64
+            # beside a signed column becomes float64.
+            part = slice(start, start + _CHUNK)
+            at = np.concatenate([b.witness[part], b.left[part, None], b.right[part, None]],
+                                axis=1, dtype=np.intp)
+            at = at - lo if type(keys) is range else np.searchsorted(keys, at)
+            text = "".join(tokens.take(at + kind).ravel().tolist())
+            if b is violations.blocks[-1] and start + _CHUNK >= len(b.left):
                 # The last record is followed by the list's end, not by a separator.
                 text = text[:-len(inner) - 2] + "\n" + pad + "]"
             yield text

@@ -35,13 +35,14 @@ the search nodes of hom sets and presentation isomorphisms "hom".
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .core import (FiniteTernaryGammaSemiring, PreconditionError, _charge,
-                   bourne_classes, distinct_rows)
+                   bourne_classes, distinct_rows, row_order)
 from .modules import (GammaModule, ModuleHom, _homs, _pointwise_sums,
                       check_module_axioms, generating_set, hom_set, hom_violation,
                       require_module_axioms, regular_module, sub_module,
@@ -176,12 +177,8 @@ def free_module(S: FiniteTernaryGammaSemiring, r: int) -> GammaModule:
 def _free_module(S: FiniteTernaryGammaSemiring, r: int) -> GammaModule:
     tuples = free_carrier_tuples(S, r)
     idx = {t: k for k, t in enumerate(tuples)}
-    if r == 0:
-        labels = ("()",)
-    elif r == 1:
-        labels = tuple(S.elements[t[0]] for t in tuples)
-    else:
-        labels = tuple("(" + ",".join(S.elements[i] for i in t) + ")" for t in tuples)
+    labels = tuple(S.elements[t[0]] if r == 1 else f"({','.join(S.elements[i] for i in t)})"
+                   for t in tuples)
     madd = tuple(tuple(idx[tuple(S.add[a[i]][b[i]] for i in range(r))] for b in tuples)
                  for a in tuples)
     reg = regular_module(S).images
@@ -407,7 +404,7 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
     l, r1, r2 = rels.T
     r2 = np.where(r2 < 0, r1, r2)
     rules = np.concatenate([np.c_[l, l, r1], np.c_[l, l, r2], np.c_[r1, r2, l]])
-    rules = distinct_rows(rules[(rules[:, 2] != rules[:, 0]) & (rules[:, 2] != rules[:, 1])])[0]
+    rules = distinct_rows(rules[(rules[:, 2] != rules[:, 0]) & (rules[:, 2] != rules[:, 1])])
     # Seeds are closed in chunks whose working matrices stay below the int64
     # columns of the G·(|M| + |N| + |quads|) rows `_tensor_relations` stacks.
     rows = max(1, 6 * G * (M.size + N.size + len(M.base.quads)) // max(1, len(rules)))
@@ -419,11 +416,11 @@ def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
         return (a[:, None] | b[None]).reshape(-1, G)
 
     gen_sets = close(np.eye(G, dtype=bool))
-    classes = frontier = distinct_rows(gen_sets)[0]
+    classes = frontier = distinct_rows(gen_sets)
     while len(frontier):
         known = {row.tobytes() for row in classes}
-        sums = close(distinct_rows(joins(classes, frontier))[0])
-        frontier = distinct_rows(sums[[row.tobytes() not in known for row in sums]])[0]
+        sums = close(distinct_rows(joins(classes, frontier)))
+        frontier = distinct_rows(sums[[row.tobytes() not in known for row in sums]])
         classes = np.concatenate([classes, frontier])
     classes = classes[np.lexsort(np.c_[classes, classes.sum(1)].T)]
     index = {row.tobytes(): k for k, row in enumerate(classes)}
@@ -506,23 +503,11 @@ def _tensor_group(M: GammaModule, N: GammaModule, name, rels):
         np.add.at(vecs, (np.flatnonzero(used), col[used]), sign)
     diag, V = _smith_diagonal(vecs[vecs.any(axis=1)].tolist(), G)
     # Row k of V holds generator k's coordinates after the change of basis.
-    live = []
-    for j in range(G):
-        d = diag[j]
-        if d == 1:
-            continue
-        if d == 0:
-            if any(V[k][j] != 0 for k in range(G)):
-                raise PreconditionError(
-                    f"{name}: group backend found an infinite quotient; "
-                    f"the carrier additions are not genuinely group-like")
-            continue
-        live.append(j)
-
-    size = 1
-    for j in live:
-        size *= diag[j]
-    _charge("carrier", size, f"{name}: group quotient order")
+    if any(diag[j] == 0 and any(V[k][j] != 0 for k in range(G)) for j in range(G)):
+        raise PreconditionError(f"{name}: group backend found an infinite quotient; "
+                                f"the carrier additions are not genuinely group-like")
+    live = [j for j in range(G) if diag[j] > 1]
+    _charge("carrier", math.prod(diag[j] for j in live), f"{name}: group quotient order")
     classes = list(itertools.product(*[range(diag[j]) for j in live]))
     index = {c: k for k, c in enumerate(classes)}
     add_rows = [[index[tuple((a[t] + b[t]) % diag[j] for t, j in enumerate(live))]
@@ -652,8 +637,9 @@ def _tensor_quotient(M: GammaModule, N: GammaModule, backend: str = "auto",
     # Many quads act alike, so relation rows repeat.  Each is kept once, where
     # it first occurs, as the group backend follows the relation order.
     rels, descriptions = _tensor_relations(M, N)
+    order, new = row_order(rels)
     first = np.zeros(len(rels), dtype=bool)
-    first[distinct_rows(rels)[2]] = True
+    first[order[new]] = True
     rels = rels.compress(first, axis=0)
     add_rows, zero, gen_class, rep_gens, labels, notes = quotient(M, N, name, rels)
     pres = make_presentation(name, [f"c{k}" for k in range(len(add_rows))], labels,
@@ -687,7 +673,7 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
     # Quad columns repeat as well.  Each distinct column is checked on its
     # own, as a rows × quads array outgrows everything else here.
     action_ok = all(_respects(q.relations, table, column)
-                    for column in distinct_rows(acted.T)[0])
+                    for column in distinct_rows(acted.T))
     if not action_ok:
         notes.append("induced action is not well-defined on a relation pair")
     images = _class_sums(table, acted, q.rep_gens).tolist()
@@ -967,17 +953,14 @@ def internal_hom_ternary(N: GammaModule) -> InternalHomReport:
     index = {f.map: k for k, f in enumerate(homs)}
     table = {}
     failures = []
-    for x in range(S.g):
-        for y in range(S.g):
-            for i, f in enumerate(homs):
-                for j, g in enumerate(homs):
-                    for k, h in enumerate(homs):
-                        combo = tuple(S.tri[f.map[m]][x][g.map[m]][y][h.map[m]]
-                                      for m in range(N.size))
-                        hit = index.get(combo)
-                        table[(x, y, i, j, k)] = hit
-                        if hit is None:
-                            failures.append((x, y, i, j, k))
+    indexed = list(enumerate(homs))
+    for x, y, (i, f), (j, g), (k, h) in itertools.product(range(S.g), range(S.g),
+                                                          indexed, indexed, indexed):
+        combo = tuple(S.tri[f.map[m]][x][g.map[m]][y][h.map[m]] for m in range(N.size))
+        hit = index.get(combo)
+        table[(x, y, i, j, k)] = hit
+        if hit is None:
+            failures.append((x, y, i, j, k))
     return InternalHomReport(homs=homs, closed=not failures,
                              failures=tuple(failures), table=table)
 

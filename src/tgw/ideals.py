@@ -10,11 +10,12 @@ lexicographically by sorted members.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (FiniteTernaryGammaSemiring, IdealSet, PreconditionError,
-                   _charge, distinct_rows, require_axioms, table_arrays)
+                   _charge, require_axioms, row_order, table_arrays)
 from .modules import (_ideal_module, enumerate_submodules, is_submodule,
                       submodule_closure)
 
@@ -130,12 +131,8 @@ def zariski_report(S: FiniteTernaryGammaSemiring, spec: SpectrumSpace) -> Zarisk
                 inter_fail.append((I.key(), J.key(), lhs, rhs))
             if I.members <= J.members and not set(v[J.key()]) <= set(v[I.key()]):
                 incl_fail.append((I.key(), J.key(), v[I.key()], v[J.key()]))
-    t0_fail = []
-    for a, P in enumerate(spec.points):
-        for b, Q in enumerate(spec.points):
-            if a < b:
-                if v[P.key()] == v[Q.key()]:
-                    t0_fail.append((a, b))
+    t0_fail = [(a, b) for (a, P), (b, Q) in itertools.combinations(enumerate(spec.points), 2)
+               if v[P.key()] == v[Q.key()]]
     return ZariskiReport(
         t0_ok=not t0_fail, t0_failures=tuple(t0_fail),
         intersection_ok=not inter_fail, intersection_failures=tuple(inter_fail),
@@ -278,10 +275,14 @@ def _product_span(tri, cid, nums, dens, bounds, rows):
 
 @lru_cache(maxsize=None)
 def _tri_rows(S: FiniteTernaryGammaSemiring) -> tuple:
-    """`distinct_rows` of S's tri rows; the rows hold every flat index num * n + den."""
+    """`distinct_rows` of S's tri rows, which hold every flat index num * n + den,
+    and the index among them of each tri row."""
     import numpy as np
-    rows, row_of = distinct_rows(table_arrays(S)[1].reshape(-1, S.n))[:2]
-    return rows.astype(np.min_scalar_type(-S.n * S.n)), row_of
+    t = table_arrays(S)[1].reshape(-1, S.n)
+    order, new = row_order(t)
+    row_of = np.empty(len(t), dtype=np.intp)
+    row_of[order] = np.cumsum(new) - 1
+    return t.take(order[new], axis=0).astype(np.min_scalar_type(-S.n * S.n)), row_of
 
 
 def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,

@@ -711,7 +711,7 @@ def union_loop_tensor_saturation(M: GammaModule, N: GammaModule, name, rels, dis
                          empty + (plus[u[p1], u[p2]] - E) * place[col[p1]],
                          gen_state[p1] + gen_state[p2] - empty)
     uf = UnionFind(total)
-    for a, b in distinct_rows(np.sort(np.stack([gen_state[l], rhs], axis=1)))[0]:
+    for a, b in distinct_rows(np.sort(np.stack([gen_state[l], rhs], axis=1))):
         za, zb = plus[digits, digits[a]] @ place, plus[digits, digits[b]] @ place
         moved = za != zb
         for x, y in zip(za[moved].tolist(), zb[moved].tolist()):

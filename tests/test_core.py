@@ -15,7 +15,7 @@ from conftest import brute_force_check_axioms, chain, zsum
 from tgw import core, fixtures
 from tgw.core import (AxiomReport, FixtureError, Violations, _dump, _write, check_axioms,
                       distinct_rows, load_structure, patch_add, reevaluate_violation,
-                      serialize_structure, structure_from_dict, tri_eval)
+                      row_order, serialize_structure, structure_from_dict, tri_eval)
 from tgw.modules import check_module_axioms
 
 B2_DICT = {
@@ -181,9 +181,9 @@ def test_equal_structures_hash_alike_and_share_cached_reports():
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint8, np.bool_])
 def test_distinct_rows_matches_unique(dtype):
-    """`distinct_rows` gives np.unique's rows, order, inverse and first
-    occurrences on seeded random matrices, and on no rows, one row, no
-    columns and equal rows."""
+    """`distinct_rows` gives np.unique's rows and order, and `row_order` its
+    first occurrences, on seeded random matrices, and on no rows, one row,
+    no columns and equal rows."""
     rng = np.random.default_rng(11)
     # Signed entries are negative and span several bytes; the narrow ones repeat.
     values = [-1000, 0, 1000] if dtype in (np.int64, np.int16) else [0, 1]
@@ -193,13 +193,11 @@ def test_distinct_rows_matches_unique(dtype):
     cases = [rng.choice(values, size=shape).astype(dtype) for shape in shapes]
     cases.append(np.ones((7, 5), dtype=dtype))
     for a in cases:
-        rows, inverse, first = distinct_rows(a)
-        want, want_first, want_inverse = np.unique(a, axis=0, return_index=True,
-                                                   return_inverse=True)
+        rows, (order, new) = distinct_rows(a), row_order(a)
+        want, want_first = np.unique(a, axis=0, return_index=True)
         assert rows.dtype == a.dtype and rows.shape == want.shape
         assert np.array_equal(rows, want)
-        assert inverse.tolist() == want_inverse.ravel().tolist()
-        assert first.tolist() == want_first.tolist()
+        assert order[new].tolist() == want_first.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +325,27 @@ def test_violation_columns_render_as_dicts(name):
 _CHUNK = core._CHUNK
 
 
+# Per block, cyclically: the witness dtype and the dtypes of the two sides.
+# Each block sets uint64 beside a signed dtype, whose common NumPy type is
+# float64, so a writer that mixes the columns prints 0 as 0.0.
+_COLUMN_DTYPES = [(np.uint8, np.int8, np.uint64), (np.uint16, np.int64, np.uint64),
+                  (np.uint8, np.uint64, np.int8)]
+
+
 def _sized_report(sizes):
     """A report whose violations are blocks of these many seeded records,
-    alternating narrow values and values too far apart for a token column
-    each, and whose warnings are its first block."""
+    with the column dtypes of `_COLUMN_DTYPES`, alternating narrow values and
+    values too far apart for a token column each (witness entries above 255
+    and sides up to 5e9), and whose warnings are its first block."""
     rng = np.random.default_rng(len(sizes) * 1000 + sizes[-1])
-    blocks = [core._Block(f"law {k}", rng.integers(0, 5, (size, 3 + k % 3)),
-                          rng.integers(-2, 5, size), rng.integers(0, 5 * 10 ** (9 * (k % 2)), size))
-              for k, size in enumerate(sizes)]
+    blocks = []
+    for k, size in enumerate(sizes):
+        witness, left, right = _COLUMN_DTYPES[k % 3]
+        low = -2 if np.issubdtype(left, np.signedinteger) else 0
+        blocks.append(core._Block(
+            f"law {k}", rng.integers(0, 300 if k % 2 else 5, (size, 3 + k % 3)).astype(witness),
+            rng.integers(low, 5, size).astype(left),
+            rng.integers(0, 5 * 10 ** (9 * (k % 2)), size).astype(right)))
     return AxiomReport(Violations(blocks), Violations(blocks[:1]))
 
 

@@ -100,6 +100,8 @@ def _assert_same_report(report, oracle):
     assert report.violations == oracle.violations
     assert report.warnings == oracle.warnings
     assert report == oracle
+    for b in report.violations.blocks + getattr(report.warnings, "blocks", ()):
+        assert b.witness.dtype.kind == "u" and b.witness.dtype.itemsize <= 2
 
 
 @pytest.mark.parametrize("S", _structures() + _closure_failures(), ids=lambda S: S.name)
@@ -207,6 +209,21 @@ def test_commutativity_witnesses_keep_duplicates():
     witnesses = [v.witness for v in check_axioms(S).violations
                  if v.law == "tri-commutativity"]
     assert len(witnesses) > len(set(witnesses))
+
+
+def test_expand_lists_every_member_of_wide_classes():
+    """A block found at class indices, in a one-byte witness column, lists
+    every member of each class, members above 255 included, one member in
+    both slots of a parameter name that fills two, in witness order."""
+    law = core.Law("twice", "x a y x", "a", "a")
+    classes = [[0, 300], [256, 257, 258], [5]]
+    witness = np.array([[0, 7, 1, 0], [2, 3, 0, 2], [1, 0, 2, 1]], dtype=np.uint8)
+    left, right = np.array([1, -2, 3], dtype=np.int8), np.array([4, 5, 6], dtype=np.uint64)
+    out = core._expand(core._Block("twice", witness, left, right), law, classes)
+    want = sorted((mx, a, my, mx, lv, rv)
+                  for (x, a, y, _), lv, rv in zip(witness.tolist(), left.tolist(), right.tolist())
+                  for mx in classes[x] for my in classes[y])
+    assert list(zip(*out.witness.T.tolist(), out.left.tolist(), out.right.tolist())) == want
 
 
 def _modules():
