@@ -800,6 +800,32 @@ def test_adjunction_pinned(capsys, tmp_path, name):
     assert_homology_pinned(capsys, tmp_path, "adjunction", name)
 
 
+# Exit code and stdout sha256 of `localize --format json` and `gelfand
+# --format json` on chains and B2^3: localization at every prime of C8
+# (7 primes), C12 (11) and B2^3 (3, with two parameters), and at the maximal
+# primes that the Gelfand map reads.
+LOCALIZATION_SHA256 = {
+    "localize": {
+        "B2^3": (0, "cb93d16f31767f0b48b4b5e9719386e08dddcb366e217e847d8aa6708a806009"),
+        "C8": (0, "292c13cce588ebddc1982a07a122cdd79b12d7852a89f066dc7a424a99387ab4"),
+        "C12": (0, "5fcf1c02b52f5903da0ace14ff7f13a1183f955b1c708a964d5cc814feb64430"),
+    },
+    "gelfand": {
+        "B2^3": (0, "8d16bf76ad7c24df73ccb39df2dd3008d6f9ba31b299e7b4217fe983462016e9"),
+        "C12": (0, "0ae00f35c8b9ee29a779b912673fe2f5b5036c1b9183fb7c03f0d635e198afe5"),
+    },
+}
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c in LOCALIZATION_SHA256
+                                           for n in sorted(LOCALIZATION_SHA256[c])])
+def test_localization_pinned(capsys, tmp_path, command, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(structure_to_dict(_catalog_structure(name))))
+    code, out = run(capsys, command, str(path), "--format", "json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == LOCALIZATION_SHA256[command][name]
+
+
 # Exit code and sha256 of stdout and stderr of the top-level help, each
 # command's help and two usage errors, at a terminal width of 80 columns.
 HELP_SHA256 = {
