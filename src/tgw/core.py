@@ -221,8 +221,11 @@ class _Table:
     def __init__(self, rows, size: int, grid: list):
         import numpy as np
         a = np.asarray(rows)
-        dtype = np.promote_types(np.min_scalar_type(min(a.min(), 0)),
-                                 np.min_scalar_type(max(a.max(), size)))
+        lo, hi = min(a.min(), 0), max(a.max(), size)
+        # Beside a negative entry, a top past uint32 is sized as signed: a signed
+        # dtype and uint64 promote to float64.
+        top = -hi if lo < 0 and hi >> 32 else hi
+        dtype = np.promote_types(np.min_scalar_type(lo), np.min_scalar_type(top))
         self.a, self.size, self.grid = a.astype(dtype, copy=False), size, grid
         # How far a step along each axis moves in the table, and in its rows.
         self.steps = [math.prod(a.shape[j + 1:]) for j in range(a.ndim)]
@@ -628,7 +631,8 @@ def _violation_text(violations: Violations, pad: str):
         lo, hi = min(int(c.min()) for c in columns), max(int(c.max()) for c in columns)
         keys = range(lo, hi + 1)
         if len(keys) > len(b.left) * (width + 2):
-            keys = np.unique(np.concatenate([np.unique(c).astype(np.intp) for c in columns]))
+            keys = distinct_rows(np.concatenate([distinct_rows(c.reshape(-1, 1)).astype(np.intp)
+                                                 for c in columns]))[:, 0]
         law = encode_basestring_ascii(b.law)
         fixed = [(f'{{\n{key}"law": {law},\n{key}"witness": [\n{item}', ""),
                  (",\n" + item, ""), (f'\n{key}],\n{key}"left": ', ""),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .core import FiniteTernaryGammaSemiring, FixtureError, load_structure
@@ -26,7 +25,7 @@ _MODULE_FILES = {
 
 
 def _data_text(filename: str) -> str:
-    return resources.files("tgw.data").joinpath(filename).read_text(encoding="utf-8")
+    return (Path(__file__).with_name("data") / filename).read_text(encoding="utf-8")
 
 
 def bundled_structure(name: str) -> FiniteTernaryGammaSemiring:

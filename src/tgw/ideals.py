@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (FiniteTernaryGammaSemiring, IdealSet, PreconditionError,
-                   _charge, require_axioms, row_order, table_arrays)
-from .modules import (_ideal_module, enumerate_submodules, is_submodule,
-                      submodule_closure)
+                   _charge, distinct_rows, require_axioms, row_order, table_arrays)
+from .modules import _ideal_module, enumerate_submodules, is_submodule, submodule_closure
 
 
 def is_ideal_subset(S: FiniteTernaryGammaSemiring, members: frozenset[int]) -> bool:
@@ -29,8 +28,7 @@ def ideal_closure(S: FiniteTernaryGammaSemiring, seed) -> IdealSet:
     return IdealSet(submodule_closure(_ideal_module(S), seed), is_ideal=True)
 
 
-def enumerate_ideals(S: FiniteTernaryGammaSemiring,
-                     lenient: bool = False) -> list[IdealSet]:
+def enumerate_ideals(S: FiniteTernaryGammaSemiring, lenient: bool = False) -> list[IdealSet]:
     """All ideals, ordered by size then members; tests cross-check against the
     all-subsets filter."""
     _charge("enum", S.n, "enumerate_ideals: |T|")
@@ -79,16 +77,13 @@ def spectrum(S: FiniteTernaryGammaSemiring, lenient: bool = False) -> SpectrumSp
     for ideal in ideals:
         ideal.is_ideal = True
         if len(ideal.members) == S.n:
-            ideal.is_prime = False
-            ideal.is_maximal = False
+            ideal.is_prime = ideal.is_maximal = False
         else:
             ideal.is_prime = is_prime(S, ideal)
             ideal.is_maximal = not any(ideal.members < other.members for other in proper)
     points = tuple(i for i in ideals if i.is_prime)
-    closed = {}
-    for ideal in ideals:
-        closed[ideal.key()] = tuple(k for k, p in enumerate(points)
-                                    if ideal.members <= p.members)
+    closed = {ideal.key(): tuple(k for k, p in enumerate(points) if ideal.members <= p.members)
+              for ideal in ideals}
     return SpectrumSpace(points=points, ideals=tuple(ideals), closed_sets=closed)
 
 
@@ -120,13 +115,11 @@ class ZariskiReport:
 def zariski_report(S: FiniteTernaryGammaSemiring, spec: SpectrumSpace) -> ZariskiReport:
     """Check V(I) ∩ V(J) = V(I+J), inclusion reversal, and T0 separation."""
     v = spec.closed_sets
-    inter_fail = []
-    incl_fail = []
+    inter_fail, incl_fail = [], []
     for I in spec.ideals:
         for J in spec.ideals:
             lhs = tuple(sorted(set(v[I.key()]) & set(v[J.key()])))
-            sum_ideal = ideal_closure(S, I.members | J.members)
-            rhs = v[sum_ideal.key()]
+            rhs = v[ideal_closure(S, I.members | J.members).key()]
             if lhs != rhs:
                 inter_fail.append((I.key(), J.key(), lhs, rhs))
             if I.members <= J.members and not set(v[J.key()]) <= set(v[I.key()]):
@@ -187,39 +180,59 @@ def _span(values, starts, axes):
     return lo, hi
 
 
+def _row_ids(a) -> tuple:
+    """The distinct rows of an int matrix, sorted, and the index among them of each row."""
+    import numpy as np
+    order, new = row_order(a)
+    ids = np.empty(len(a), dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return a.take(order[new], axis=0), ids
+
+
 def _fraction_classes(tri, denoms, nums, dens) -> list[list[int]]:
     """Classes of the fractions nums[f]/dens[f]: f ~ h iff
     tri(u,x,nums[f],y,dens[h]) = tri(u,x,nums[h],y,dens[f]) for some u in
-    `denoms` and parameters x, y, closed transitively."""
+    `denoms` and parameters x, y, closed transitively.  Both sides are rows
+    of w, so each pair of distinct rows is compared once."""
     import numpy as np
     n = len(tri)
-    # w[a, t] lists tri(u, x, a, y, t) over (u, x, y).
-    w = tri[denoms].transpose(2, 4, 0, 1, 3).reshape(n, n, -1)
-    pair = w[nums[:, None], dens]
+    # w[a * n + t] lists tri(u, x, a, y, t) over (u, x, y); side[f, h] numbers
+    # the row w[nums[f] * n + dens[h]].
+    rows, rid = _row_ids(tri[denoms].transpose(2, 4, 0, 1, 3).reshape(n * n, -1))
+    side = rid.take(nums[:, None] * n + dens)
     # Links are symmetric and reflexive; labels fall to the least linked one.
-    linked = (pair == pair.transpose(1, 0, 2)).any(axis=2)
+    linked = (rows[:, None] == rows).any(axis=2).ravel().take(side * len(rows) + side.T)
     labels = np.arange(len(nums))
     while ((least := np.where(linked, labels, len(nums)).min(axis=1)) < labels).any():
         labels = least
-    roots = np.flatnonzero(labels == np.arange(len(nums)))
-    return [np.flatnonzero(labels == root).tolist() for root in roots]
+    # Each class in index order, the classes by least member.
+    members, sizes = np.argsort(labels, kind="stable").tolist(), np.bincount(labels)
+    cuts = np.cumsum(sizes[sizes > 0]).tolist()
+    return [members[b:e] for b, e in zip([0] + cuts, cuts)]
 
 
 def _sum_classes(tri, add, cid, outside, nums, dens):
     """cid of the sum of fractions i and j, nums[i]/dens[i] + nums[j]/dens[j],
     over the first admissible common denominator tri(s,x,t,y,u) in (u, x, y)
-    order.  Commutativity makes it symmetric."""
+    order.  Commutativity makes it symmetric.  (u, x, y) depends on the
+    denominators alone, so each term is tabled over a numerator and a pair of
+    denominators, and the result over all fraction pairs is gathered flat."""
     import numpy as np
     n, g = len(tri), tri.shape[1]
     denoms = np.flatnonzero(outside)
-    common = tri[:, :, :, :, denoms].transpose(0, 2, 4, 1, 3).reshape(n, n, -1)
+    d, s, t = len(denoms), denoms[:, None], denoms
     # P is prime, so tri(s,x,t,y,s) lies outside P for some x, y: every pair
-    # of fractions has an admissible common denominator.
-    si, sj = dens[:, None], dens
-    first = outside[common].argmax(axis=2)[si, sj]
+    # of denominators has an admissible common denominator.
+    first = outside[tri[s[:, :, None], :, t[:, None], :, denoms].reshape(d, d, -1)].argmax(axis=2)
     u, x, y = denoms[first // (g * g)], first // g % g, first % g
-    return cid[add[tri[nums[:, None], x, sj, y, u], tri[nums, x, si, y, u]],
-               tri[si, x, sj, y, u]]
+    # The flat indices into `add` of the two numerators, and the denominator.
+    a = np.arange(n)[:, None, None]
+    left = tri[a, x, t, y, u].astype(np.intp).ravel() * n
+    right, den = tri[a, x, s, y, u].ravel(), tri[s, x, t, y, u].ravel()
+    p = np.searchsorted(denoms, dens)
+    pair, at = p[:, None] * d + p, nums * d * d
+    num = add.ravel().take(left.take(at[:, None] + pair) + right.take(at + pair))
+    return cid.ravel().take(num.astype(np.intp) * n + den.take(pair))
 
 
 def _product_span(tri, cid, nums, dens, bounds, rows):
@@ -229,12 +242,11 @@ def _product_span(tri, cid, nums, dens, bounds, rows):
 
     The class of tri(a_i,x,a_j,y,a_k)/tri(s_i,x,s_j,y,s_k) depends on
     (i, x, j, y) only through the pair of tri rows tri(a_i,x,a_j,y,·) and
-    tri(s_i,x,s_j,y,·).  So each block (ci, x, cj, y) is reduced over the
-    distinct row pairs met in it rather than over its fraction pairs.  Each
-    such pair is looked up at every fraction k, as the flat cid index
-    num * n + den, in chunks of k sized so that a chunk's products fit one
-    (i, x, j, y) grid of F²g² entries.  No working array outgrows that grid,
-    and only the result holds count³g²."""
+    tri(s_i,x,s_j,y,·).  So each distinct row pair met in some block is
+    looked up at every fraction k, as the flat cid index num * n + den, in
+    chunks of at most 2^14 products, and reduced over each class of k; then
+    each block (ci, x, cj, y) is reduced over its pairs.  No working array
+    spans the fraction triples; only the result holds count³g²."""
     import numpy as np
     n, g, count = len(tri), tri.shape[1], len(bounds) - 1
     rows, row_of = rows
@@ -250,27 +262,30 @@ def _product_span(tri, cid, nums, dens, bounds, rows):
     keys = (side[:, :, None, None] * (count * g) + side) * size + row_of[nums][:, :, nums]
     keys = np.sort(keys * size + row_of[dens][:, :, dens], axis=None, kind="stable")
     met = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    block, row_num, row_den = met // size // size, met // size % size, met % size
     # Every block is met, so block b's pairs start at starts[b].
-    starts = np.searchsorted(block, np.arange(blocks))
-    flat = cid.ravel()
-    hi = np.full((count, blocks), -1, dtype=cid.dtype)
+    starts = np.searchsorted(met // size // size, np.arange(blocks))
+    pairs, pair_of = _row_ids((met // size % size * size + met % size)[:, None])
+    num_row, den_row = pairs[:, 0] // size, pairs[:, 0] % size
+    num, den, flat = rows.T * n, rows.T, cid.ravel()
+    hi = np.full((count, len(pairs)), -1, dtype=cid.dtype)
     lo = hi.view(f"u{hi.itemsize}").copy()
-    step = len(keys) // len(met)
+    step = max(1, (1 << 14) // len(pairs))
     for f0 in range(0, len(nums), step):
         part = slice(f0, f0 + step)
         c0, c1 = cls[f0], cls[part][-1] + 1
-        vals = flat[(rows[:, nums[part]].T * n)[:, row_num] + rows[:, dens[part]].T[:, row_den]]
-        # Each class's share of this chunk, reduced over k; reduceat along
-        # the short axis costs far more per element.
-        cuts = [max(b, f0) - f0 for b in bounds[c0:c1 + 1]]
-        shares = list(zip(cuts, cuts[1:]))
-        k_lo = np.array([vals[a:b].view(lo.dtype).min(axis=0) for a, b in shares])
-        k_hi = np.array([vals[a:b].max(axis=0) for a, b in shares])
-        np.minimum(lo[c0:c1], np.minimum.reduceat(k_lo, starts, axis=1), out=lo[c0:c1])
-        np.maximum(hi[c0:c1], np.maximum.reduceat(k_hi, starts, axis=1), out=hi[c0:c1])
-    shape = (count, g, count, g, count)
-    return lo.T.reshape(shape), hi.T.reshape(shape)
+        vals = flat[num[nums[part]].take(num_row, axis=1) + den[dens[part]].take(den_row, axis=1)]
+        # Each class's share of the chunk, reduced along the fraction axis;
+        # reduceat would only copy shares of one fraction each.
+        cuts = np.maximum(bounds[c0:c1], f0) - f0
+        k_lo, k_hi = vals.view(lo.dtype), vals
+        if len(cuts) < len(vals):
+            k_lo, k_hi = np.minimum.reduceat(k_lo, cuts), np.maximum.reduceat(k_hi, cuts)
+        np.minimum(lo[c0:c1], k_lo, out=lo[c0:c1])
+        np.maximum(hi[c0:c1], k_hi, out=hi[c0:c1])
+    lo, hi = lo.take(pair_of, axis=1), hi.take(pair_of, axis=1)
+    if blocks < len(met):  # else each block holds one pair
+        lo, hi = np.minimum.reduceat(lo, starts, axis=1), np.maximum.reduceat(hi, starts, axis=1)
+    return tuple(k.T.reshape(count, g, count, g, count) for k in (lo, hi))
 
 
 @lru_cache(maxsize=None)
@@ -278,11 +293,8 @@ def _tri_rows(S: FiniteTernaryGammaSemiring) -> tuple:
     """`distinct_rows` of S's tri rows, which hold every flat index num * n + den,
     and the index among them of each tri row."""
     import numpy as np
-    t = table_arrays(S)[1].reshape(-1, S.n)
-    order, new = row_order(t)
-    row_of = np.empty(len(t), dtype=np.intp)
-    row_of[order] = np.cumsum(new) - 1
-    return t.take(order[new], axis=0).astype(np.min_scalar_type(-S.n * S.n)), row_of
+    rows, row_of = _row_ids(table_arrays(S)[1].reshape(-1, S.n))
+    return rows.astype(np.min_scalar_type(-S.n * S.n)), row_of
 
 
 def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
@@ -294,28 +306,21 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
     induced add/tri tables are checked for representative independence
     exhaustively.
 
-    The work runs on NumPy index grids.  The equivalence compares both sides
-    for every fraction pair at once.  The fractions are then ordered class by
-    class, and `cid[num, den]` maps a fraction to its class, or to -1 when
-    den lies in P.  Every sum of two representatives and every product of
-    three is mapped through `cid`, and each grid of results is reduced over
-    the class blocks to its least and greatest class: a class combination is
-    well defined iff the two agree.  A product's class depends on its first
-    two fractions only through a pair of tri rows, so products are looked up
-    per distinct row pair, a few third fractions at a time: the working
-    arrays stay within a small multiple of one grid of fraction pairs and
-    parameter pairs, and none holds all fraction triples.
+    The work runs on NumPy index grids.  The equivalence compares each pair
+    of distinct rows of tri values once.  The fractions are then ordered
+    class by class, and `cid[num, den]` maps a fraction to its class, or to
+    -1 when den lies in P.  Every sum of two representatives and every
+    product of three is mapped through `cid`, and reduced over the class
+    blocks to its least and greatest class: a class combination is well
+    defined iff the two agree.  Products are looked up per distinct pair of
+    tri rows, in chunks, so no working array holds all fraction triples.
     """
     import numpy as np
     report = require_axioms(S, lenient, "localize")
     if not is_prime(S, P):
         raise PreconditionError("localize: ideal is not prime")
-    lenient_tag = bool(report.violations)
 
-    n = S.n
-    # Holds -1, every class index and every flat index num * n + den.
-    itype = np.min_scalar_type(-n * n)
-    add, tri = table_arrays(S)
+    n, (add, tri) = S.n, table_arrays(S)
     outside = np.ones(n, dtype=bool)
     outside[list(P.members)] = False
     denoms = np.flatnonzero(outside)
@@ -326,11 +331,7 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
     # Fractions are listed in sorted order, so index order is fraction order.
     classes = tuple(tuple(fractions[k] for k in cls) for cls in groups)
     class_of = {f: ci for ci, cls in enumerate(classes) for f in cls}
-    nclasses = len(classes)
     failures: list[str] = []
-
-    def frac_label(f):
-        return f"{S.elements[f[0]]}/{S.elements[f[1]]}"
 
     # From here on the fractions are taken class by class: class ci is
     # cnum[blocks[ci]]/cden[blocks[ci]].
@@ -338,11 +339,12 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
     cnum, cden = nums[order], dens[order]
     bounds = np.cumsum([0] + [len(cls) for cls in groups]).tolist()
     blocks = [slice(b, e) for b, e in zip(bounds, bounds[1:])]
-    cid = np.full((n, n), -1, dtype=itype)
-    cid[cnum, cden] = np.repeat(np.arange(nclasses), np.diff(bounds))
+    # Holds -1, every class index and every flat index num * n + den.
+    cid = np.full((n, n), -1, dtype=np.min_scalar_type(-n * n))
+    cid[cnum, cden] = np.repeat(np.arange(len(classes)), np.diff(bounds))
 
     def found(values) -> list[int]:
-        return np.unique(values[values >= 0]).tolist()
+        return distinct_rows(values[values >= 0].reshape(-1, 1)).ravel().tolist()
 
     sums = _sum_classes(tri, add, cid, outside, cnum, cden)
     lo, hi = _span(sums, bounds[:-1], (0, 1))
@@ -354,7 +356,6 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
 
     lo, hi = _product_span(tri, cid, cnum, cden, bounds, _tri_rows(S))
     tri_classes = np.where(hi >= 0, lo, 0)
-    tri_table = tri_classes.tolist()
     for ci, x, cj, y, ck in zip(*(k.tolist() for k in np.nonzero((hi < 0) | (hi > lo)))):
         if hi[ci, x, cj, y, ck] < 0:
             failures.append(
@@ -371,19 +372,18 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
 
     zero_class = class_of[(S.zero, int(denoms[0]))]
     unit_class = None
-    if S.unit is not None:
-        if S.unit in P.members:
-            failures.append("unit lies in the prime; localization has no unit class")
-        else:
-            unit_class = class_of[(S.unit, S.unit)]
+    if S.unit in P.members:
+        failures.append("unit lies in the prime; localization has no unit class")
+    elif S.unit is not None:
+        unit_class = class_of[(S.unit, S.unit)]
 
-    labels = tuple(frac_label(cls[0]) for cls in classes)
+    labels = tuple(f"{S.elements[a]}/{S.elements[s]}" for (a, s), *_ in classes)
     local = FiniteTernaryGammaSemiring(
         name=f"{S.name}_at_{{{','.join(P.labels(S))}}}",
         elements=labels, zero=zero_class, unit=unit_class, gamma=S.gamma,
         add=tuple(tuple(row) for row in add_table),
         tri=tuple(tuple(tuple(tuple(tuple(t4) for t4 in t3) for t3 in t2) for t2 in t1)
-                  for t1 in tri_table),
+                  for t1 in tri_classes.tolist()),
         commutative=S.commutative)
 
     inside = ~outside[cnum]
@@ -404,7 +404,7 @@ def localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
     return LocalizedSemiring(
         prime=P, structure=local, classes=classes, class_of=class_of,
         maximal_ideal=maximal, well_defined=well_defined,
-        failures=tuple(failures), lenient=lenient_tag)
+        failures=tuple(failures), lenient=bool(report.violations))
 
 
 @dataclass
@@ -434,11 +434,8 @@ def gelfand_injectivity(S: FiniteTernaryGammaSemiring, spec: SpectrumSpace,
     if not maximal_points:
         raise PreconditionError("gelfand_injectivity: no maximal ideals found")
     locals_ = [localize(S, spec.points[k], lenient=lenient) for k in maximal_points]
-    images = []
-    for a in range(S.n):
-        images.append(tuple(loc.class_of[(a, S.unit)] for loc in locals_))
-    for a in range(S.n):
-        for b in range(a + 1, S.n):
-            if images[a] == images[b]:
-                return GelfandReport(False, (a, b), maximal_points)
+    images = [tuple(loc.class_of[(a, S.unit)] for loc in locals_) for a in range(S.n)]
+    for a, b in itertools.combinations(range(S.n), 2):
+        if images[a] == images[b]:
+            return GelfandReport(False, (a, b), maximal_points)
     return GelfandReport(True, None, maximal_points)

@@ -1122,6 +1122,45 @@ def loop_localize(S: FiniteTernaryGammaSemiring, P: IdealSet,
         failures=tuple(failures), lenient=lenient_tag)
 
 
+# `ideals._fraction_classes` and `ideals._sum_classes` before they worked on
+# distinct rows and denominator pairs, kept verbatim (renamed): each compares
+# or gathers over every (fraction, fraction) pair.
+
+def grid_fraction_classes(tri, denoms, nums, dens) -> list[list[int]]:
+    """Classes of the fractions nums[f]/dens[f]: f ~ h iff
+    tri(u,x,nums[f],y,dens[h]) = tri(u,x,nums[h],y,dens[f]) for some u in
+    `denoms` and parameters x, y, closed transitively."""
+    import numpy as np
+    n = len(tri)
+    # w[a, t] lists tri(u, x, a, y, t) over (u, x, y).
+    w = tri[denoms].transpose(2, 4, 0, 1, 3).reshape(n, n, -1)
+    pair = w[nums[:, None], dens]
+    # Links are symmetric and reflexive; labels fall to the least linked one.
+    linked = (pair == pair.transpose(1, 0, 2)).any(axis=2)
+    labels = np.arange(len(nums))
+    while ((least := np.where(linked, labels, len(nums)).min(axis=1)) < labels).any():
+        labels = least
+    roots = np.flatnonzero(labels == np.arange(len(nums)))
+    return [np.flatnonzero(labels == root).tolist() for root in roots]
+
+
+def grid_sum_classes(tri, add, cid, outside, nums, dens):
+    """cid of the sum of fractions i and j, nums[i]/dens[i] + nums[j]/dens[j],
+    over the first admissible common denominator tri(s,x,t,y,u) in (u, x, y)
+    order.  Commutativity makes it symmetric."""
+    import numpy as np
+    n, g = len(tri), tri.shape[1]
+    denoms = np.flatnonzero(outside)
+    common = tri[:, :, :, :, denoms].transpose(0, 2, 4, 1, 3).reshape(n, n, -1)
+    # P is prime, so tri(s,x,t,y,s) lies outside P for some x, y: every pair
+    # of fractions has an admissible common denominator.
+    si, sj = dens[:, None], dens
+    first = outside[common].argmax(axis=2)[si, sj]
+    u, x, y = denoms[first // (g * g)], first // g % g, first % g
+    return cid[add[tri[nums[:, None], x, sj, y, u], tri[nums, x, si, y, u]],
+               tri[si, x, sj, y, u]]
+
+
 # `ideals._product_span` before it reduced each block over the distinct
 # pairs of tri rows met in it, kept verbatim (renamed): it gathers every
 # product of three fractions, one first fraction at a time.

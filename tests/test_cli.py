@@ -9,6 +9,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -683,6 +684,29 @@ def test_closed_stdout_exits_141_quietly(zsum8_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
+def test_lenient_localize_leaves_numpy_ma_unimported(tmp_path):
+    """The classes that make a product ill defined are listed through a sort:
+    the first np.unique call imports numpy.ma, which takes most of such a
+    call's time in a fresh process.  (NumPy 1.x imports numpy.ma with numpy,
+    and then the call cannot import it again.)"""
+    data = structure_to_dict(chain(4))
+    data["tri"][0][0][0][0][2] = "1"
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps(data))
+    script = ("import sys, numpy\n"
+              "before = 'numpy.ma' in sys.modules\n"
+              "from tgw.cli import main\n"
+              f"code = main(['localize', {str(path)!r}, '--lenient'])\n"
+              "print(code, before, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    *lines, last = proc.stdout.splitlines()
+    assert "  failure: tri: (0,0,2) at (0,0) depends on representatives ([0, 1])" in lines
+    code, before, after = last.split()
+    assert (code, after) == ("1", before)
 
 
 # Exit code and stdout sha256 of the catalog commands on C8 and B2^3, whose

@@ -372,6 +372,16 @@ def test_same_named_laws_merge_in_witness_order():
     assert len({w[:5] for w in witnesses}) < len(witnesses)
 
 
+def test_negative_and_wide_entries_keep_an_integer_table():
+    """A table with -1 and an entry past uint32 is held as int64: a signed
+    dtype beside uint64 promotes to float64, whose violation columns the
+    JSON writer cannot cast to intp."""
+    S = replace(fixtures.bundled_structure("B2xB2"), commutative=False)
+    S = _with_entries(S, "add", [((0, 0), -1), ((0, 1), 2 ** 32)])
+    assert core.table_arrays(S)[0].dtype == np.int64
+    _assert_renders_as_dicts(check_axioms(S))
+
+
 _ENTRIES = st.lists(st.tuples(st.sampled_from(["add", "tri"]),
                               st.lists(st.integers(0, 3), min_size=5, max_size=5),
                               st.integers(-1, 4) | st.integers(-2 ** 40, 2 ** 40)),

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_ideals, chain, loop_is_prime, loop_localize,
-                      loop_product_span)
+from conftest import (brute_force_ideals, chain, grid_fraction_classes, grid_sum_classes,
+                      loop_is_prime, loop_localize, loop_product_span)
 from tgw import fixtures
 from tgw.cli import main
 from tgw.core import (PreconditionError, check_axioms, product_structure,
                       serialize_structure, structure_from_dict, structure_to_dict,
                       table_arrays)
-from tgw.ideals import (IdealSet, _product_span, enumerate_ideals, gelfand_injectivity,
+from tgw.ideals import (IdealSet, _fraction_classes, _product_span, _sum_classes,
+                        enumerate_ideals, gelfand_injectivity,
                         ideal_closure, is_ideal_subset, is_prime, localize,
                         spectrum, zariski_report)
 from tgw.modules import _ideal_module, annihilator, jacobson_radical, regular_module
@@ -369,6 +370,89 @@ def test_grid_localize_matches_loop_on_perturbed_c4():
                 ill_defined += not loc.well_defined
                 failures.update(f.split(" ")[0] for f in loc.failures)
         assert (localizations, ill_defined, failures) == (*counts, kinds)
+
+
+def kernel_case(rng, n, g, size=None):
+    """Random `_fraction_classes` and `_sum_classes` inputs: tri and add
+    tables over n elements and g parameters, whose entries take a random
+    number of values (few values link many fractions), `size` denominators
+    (a random number if None), the fractions over them in a random order,
+    and a random cid that is -1 at some entries."""
+    values = int(rng.integers(1, n + 1))
+    tri = rng.integers(0, values, (n, g, n, g, n)).astype(np.uint8)
+    add = rng.integers(0, n, (n, n)).astype(np.uint8)
+    outside = np.zeros(n, dtype=bool)
+    outside[rng.choice(n, size=size or int(rng.integers(1, n + 1)), replace=False)] = True
+    denoms = np.flatnonzero(outside)
+    order = rng.permutation(n * len(denoms))
+    nums, dens = np.repeat(np.arange(n), len(denoms))[order], np.tile(denoms, n)[order]
+    cid = rng.integers(-1, len(nums), (n, n)).astype(np.min_scalar_type(-n * n))
+    return tri, add, cid, outside, nums, dens
+
+
+KERNEL_CASES = {
+    "g1": lambda rng: kernel_case(rng, int(rng.integers(1, 9)), 1),
+    # Few denominators, or nearly every pair of fractions links at some (u, x, y).
+    "g2": lambda rng: kernel_case(rng, int(rng.integers(2, 9)), 2, size=int(rng.integers(1, 3))),
+    "one-denominator": lambda rng: kernel_case(rng, int(rng.integers(1, 9)),
+                                               int(rng.integers(1, 3)), size=1),
+}
+
+
+def assert_kernels_match_grids(tri, add, cid, outside, nums, dens):
+    """`_fraction_classes` and `_sum_classes` give what the fraction-pair
+    grids they replaced give, values and dtype; returns the classes."""
+    denoms = np.flatnonzero(outside)
+    classes = _fraction_classes(tri, denoms, nums, dens)
+    assert classes == grid_fraction_classes(tri, denoms, nums, dens)
+    fast, grid = (f(tri, add, cid, outside, nums, dens) for f in (_sum_classes, grid_sum_classes))
+    assert fast.dtype == grid.dtype
+    assert np.array_equal(fast, grid)
+    return classes
+
+
+@pytest.mark.parametrize("kind", list(KERNEL_CASES))
+def test_fraction_and_sum_kernels_match_grids_on_random_tables(kind):
+    """On 100 seeded random tables of each kind, with fractions in a random
+    order; some tables give several classes, not all of them singletons."""
+    rng = np.random.default_rng(sorted(KERNEL_CASES).index(kind))
+    sizes = set()
+    for _ in range(100):
+        tri, add, cid, outside, nums, dens = KERNEL_CASES[kind](rng)
+        if kind == "one-denominator":
+            assert outside.sum() == 1
+        classes = assert_kernels_match_grids(tri, add, cid, outside, nums, dens)
+        sizes.add((len(classes) == 1, len(classes) == len(nums)))
+    assert (False, False) in sizes
+
+
+def test_fraction_and_sum_kernels_match_grids_on_perturbed_tables():
+    """At every prime of the lenient perturbations of
+    `test_grid_localize_matches_loop_on_perturbed_c4` (C4 with g = 1, and
+    B2xB2's unit rows with g = 2), on the inputs that `localize` builds: the
+    fractions in sorted order, then class by class with their cid."""
+    b2xb2 = fixtures.bundled_structure("B2xB2")
+    u = b2xb2.unit
+    unit_rows = [S for S in tri_perturbations(b2xb2)
+                 if any(S.tri[u][x][u] != b2xb2.tri[u][x][u] for x in range(S.g))]
+    for perturbations, count in ((tri_perturbations(chain(4)), 244), (unit_rows, 64)):
+        seen = 0
+        for S in perturbations:
+            n, (add, tri) = S.n, table_arrays(S)
+            for P in spectrum(S, lenient=True).points:
+                outside = np.ones(n, dtype=bool)
+                outside[list(P.members)] = False
+                denoms = np.flatnonzero(outside)
+                nums, dens = np.repeat(np.arange(n), len(denoms)), np.tile(denoms, n)
+                classes = grid_fraction_classes(tri, denoms, nums, dens)
+                order = np.concatenate(classes)
+                cid = np.full((n, n), -1, dtype=np.min_scalar_type(-n * n))
+                cid[nums[order], dens[order]] = np.repeat(np.arange(len(classes)),
+                                                          [len(c) for c in classes])
+                assert_kernels_match_grids(tri, add, cid, outside, nums, dens)
+                assert_kernels_match_grids(tri, add, cid, outside, nums[order], dens[order])
+                seen += 1
+        assert seen == count
 
 
 def span_case(rng, n, g, singletons=False, distinct=False, pool=None,
