@@ -225,7 +225,7 @@ def _sum_classes(tri, add, cid, outside, nums, dens):
     # of denominators has an admissible common denominator.
     first = outside[tri[s[:, :, None], :, t[:, None], :, denoms].reshape(d, d, -1)].argmax(axis=2)
     u, x, y = denoms[first // (g * g)], first // g % g, first % g
-    # The flat indices into `add` of the two numerators, and the denominator.
+    # Per numerator and pair of denominators: flat `add` index left + right, and the denominator.
     a = np.arange(n)[:, None, None]
     left = tri[a, x, t, y, u].astype(np.intp).ravel() * n
     right, den = tri[a, x, s, y, u].ravel(), tri[s, x, t, y, u].ravel()
