@@ -769,12 +769,14 @@ def test_catalog_commands_pinned(capsys, tmp_path, name):
     assert got == CATALOG_SHA256[name]
 
 
-# Exit code and stdout sha256 of `tor --format json` and `ext --format json`
+# Exit code and stdout sha256 of `tor`, `ext` and `adjunction --format json`
 # on C16 and B2^4.  Their resolutions tensor presentations of 256 generators,
 # far past the sizes the idempotent tensor oracle reaches, and dualize into
-# hom sets of the same free modules.  N5 (truncated naturals, 6 elements)
-# takes the exact tensor backend, on 117,649 states, in `tor` and
-# `adjunction`: past the reach of the union-loop oracle in test_homology.py.
+# hom sets of the same free modules.  N5 and N6 (truncated naturals, 6 and 7
+# elements) take the exact tensor numbering in `tor` and `adjunction`, past
+# the reach of the full-state oracles in test_homology.py; N6's pins were
+# recorded from the full-state quotient over 2,097,152 states, with the
+# state limit raised.
 # Z4, Z5, Z6 and Z8 (`conftest.integers_mod`) take the group backend, whose
 # diagonalization follows the relation order, in `tor` and `adjunction`.
 HOMOLOGY_SHA256 = {
@@ -782,6 +784,7 @@ HOMOLOGY_SHA256 = {
         "B2^4": (0, "e8fed59f025ad4d01c999ed06e77c5600df149cf0dc034bc5cfd9d3a0b4d717c"),
         "C16": (0, "4fadac3b703eb112ce65e233253599e3377044da4df6787fc7efd67cd0136b62"),
         "N5": (0, "eb7ee939f4bd953289cf238ed3834307faa9fde91dcd7d6909b35b07ffa3a844"),
+        "N6": (0, "05460527ce5a1a52d08562cdb1104bc58cf505562baeaa4ad9f38a3be872e0b4"),
         "Z4": (0, "d8cce347e48d31a3dda044ad2573f3c77e89e7722353535e6ff7d11fd489262d"),
         "Z5": (0, "3745fc749a72274098037100f2522b17f81ea21731f0bd5eabbc2d4db1c91c46"),
         "Z6": (0, "6be358d6e8ae3df317899b3e7c193580bac337cc8adb97c268c8043d9bb7288a"),
@@ -793,7 +796,10 @@ HOMOLOGY_SHA256 = {
         "N5": (0, "3073c54646ca3441364f66764dbbf197f2e3a12f4c60b7466c6d1a3257f88410"),
     },
     "adjunction": {
+        "B2^4": (0, "ea0770c59104870bc377e2e78f7439569b7b9bf28e36924a985e0c1a0465d84d"),
+        "C16": (0, "f1ca1a6e4956942a9f4c53af1e85f478cd0b3ee83c81f1b2495c8785c6d0a330"),
         "N5": (0, "6c93c59c194be811afdc2763d205e97463b226ebc1a6c375bca3d7deb557f793"),
+        "N6": (0, "bdee2328c465376cd51fd0026ebf032be8fa4971f53a09c6f52d1ffb70d47b0f"),
         "Z4": (0, "efc6d9e3a2f7bd0e60e9f03913634f920f0f9014510f9abe4fb463388a6d302f"),
         "Z5": (0, "572a606133deed3b354d5aa9081164e9fc4651cd13d3cbff553a50ecd3362677"),
         "Z6": (0, "0b33f429f8bbca037854ad84fe95ffd47b7ddc75103d19aaf1190c60688f71bc"),
