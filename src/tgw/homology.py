@@ -4,31 +4,28 @@ sets.
 
 Tensor products are finite monoid presentations: the free additive semigroup
 on generator pairs m⊗n modulo bilinearity in both slots and the balance law
-act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three backends realize the quotient:
+act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Two engines realize the quotient:
 
-* idempotent - both carrier additions idempotent; the free object is a finite
-  join-semilattice and the classes are the sets of generators closed under
-  the relations read as Horn rules, closed many seeds at a time as rows of
-  one boolean matrix.
 * group - both carrier additions are abelian groups; relation differences
   span an integer lattice and the quotient comes from a diagonalized relation
-  matrix.
-* saturation - every other pair, exactly: left-linearity folds a sum of
-  generators into a function from one carrier to the other (with an empty
-  value adjoined), and the quotient of these functions is the least
-  equivalence that holds the remaining relations and is closed under adding
-  each generator.
+  matrix, whose column operations number the classes.
+* reduced states - every pair, exactly: left-linearity folds a sum of
+  generators into a function from one carrier to the other, and the
+  generators outside a module-generating set of the columns are eliminated
+  (a Tietze transformation), so the quotient is a congruence on functions
+  from a few columns.  Idempotent pairs number its classes by their closed
+  sets of generators, all other pairs by their least full functions.
 
-Every backend reads one relation array, each row once, where it first occurs,
-and computes only the quotient: the class of each generator, the class
-addition table and a representative sum of generators per class.  Tor's
-induced maps read these quotients and that array alone.  `tensor` folds
-generator classes through the table to build the induced module, checks the
-induced action on every relation row and checks the module laws.
+Both read one relation array, each row once, where it first occurs, and
+compute only the quotient: the class of each generator, the class addition
+table and a representative sum of generators per class.  Tor's induced maps
+read these quotients and that array alone.  `tensor` folds generator classes
+through the table to build the induced module, checks the induced action on
+every relation row and checks the module laws.
 
 Every presentation records the relation schemas that were imposed, so results
 are auditable.  Each search charges a limit of `core.BUDGETS`: free-module
-carriers and group quotients "carrier", saturation state spaces "state", and
+carriers and group quotients "carrier", reduced state spaces "state", and
 the search nodes of hom sets and presentation isomorphisms "hom".
 """
 
@@ -37,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -365,76 +362,6 @@ def _respects(rels, table, classes) -> bool:
     return np.array_equal(classes[l], rhs)
 
 
-def _horn_closure(rules, seeds, rows):
-    """Close each row of the boolean matrix `seeds` under the Horn rules
-    (p, q, c): a row holding columns p and q gets column c (a rule with one
-    premise has q = p).  A pass fires every rule at once, OR-reducing the
-    rules grouped by the column they write, and passes repeat until no row
-    changes.  Seeds are closed `rows` at a time, so a pass's working
-    matrices stay near `rows` × len(rules) booleans."""
-    out = seeds.copy()
-    if not len(rules):
-        return out
-    p, q, c = rules[np.argsort(rules[:, 2], kind="stable")].T
-    starts = np.flatnonzero(np.diff(c, prepend=-1))
-    heads = c[starts]
-    for lo in range(0, len(out), rows):
-        X = out[lo:lo + rows]
-        while True:
-            fired = X[:, p]
-            fired &= X[:, q]
-            fired = np.logical_or.reduceat(fired, starts, axis=1) & ~X[:, heads]
-            if not fired.any():
-                break
-            X[:, heads] |= fired
-    return out
-
-
-def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
-    """Quotient of the free join-semilattice on the generators.
-
-    A sum of generators is the set of them.  Relation row l = r1 + r2 puts
-    r1 and r2 below l and l below their join: the Horn rules l ⊢ r1, l ⊢ r2
-    and r1 ∧ r2 ⊢ l.  The closure of a set holds exactly the generators below
-    its sum, so two sets are congruent iff their closures agree.  Hence the
-    classes are the closed sets reached from the generators by joins, the
-    class of A ∪ B is the closure of A ∪ B, and a class is represented by the
-    sum of its members.  Classes are ordered by size, then by bitmask Σ 2^g."""
-    G = M.size * N.size
-    l, r1, r2 = rels.T
-    r2 = np.where(r2 < 0, r1, r2)
-    rules = np.concatenate([np.c_[l, l, r1], np.c_[l, l, r2], np.c_[r1, r2, l]])
-    rules = distinct_rows(rules[(rules[:, 2] != rules[:, 0]) & (rules[:, 2] != rules[:, 1])])
-    # Seeds are closed in chunks whose working matrices stay below the int64
-    # columns of the G·(|M| + |N| + |quads|) rows `_tensor_relations` stacks.
-    rows = max(1, 6 * G * (M.size + N.size + len(M.base.quads)) // max(1, len(rules)))
-
-    def close(seeds):
-        return _horn_closure(rules, seeds, rows)
-
-    def joins(a, b):
-        return (a[:, None] | b[None]).reshape(-1, G)
-
-    gen_sets = close(np.eye(G, dtype=bool))
-    classes = frontier = distinct_rows(gen_sets)
-    while len(frontier):
-        known = {row.tobytes() for row in classes}
-        sums = close(distinct_rows(joins(classes, frontier)))
-        frontier = distinct_rows(sums[[row.tobytes() not in known for row in sums]])
-        classes = np.concatenate([classes, frontier])
-    classes = classes[np.lexsort(np.c_[classes, classes.sum(1)].T)]
-    index = {row.tobytes(): k for k, row in enumerate(classes)}
-
-    def class_of(sets):
-        return np.array([index[row.tobytes()] for row in sets])
-
-    add_rows = class_of(close(joins(classes, classes))).reshape(len(classes), -1).tolist()
-    gen_class = class_of(gen_sets)
-    members = [np.flatnonzero(row).tolist() for row in classes]
-    return (add_rows, int(gen_class[M.zero * N.size + N.zero]), gen_class, members,
-            _rep_labels(M, N, gen_class, members), [])
-
-
 def _smith_diagonal(rows, n):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
@@ -550,48 +477,76 @@ def _merge(label, a, b) -> bool:
     return merged
 
 
-def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels):
+def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool):
     """Exact tensor of any pair of modules over one base.
 
     Left-linearity folds each column of a sum of generators a⊗n into one
-    element of A, so a sum is a state: a function from the carrier of B (the
-    columns) to A with an identity E adjoined (an empty column).  The states
-    form the commutative monoid (A + E)^B under pointwise addition, and the
-    tensor is its quotient by the congruence the remaining relations
-    generate, minus the all-E state.  The states are sums of generators (one
-    non-empty column each), so that congruence is the least equivalence that
-    holds the relation pairs and is closed under adding each generator s:
-    closed once it holds (z+s, w+s) for each z and the least member w of the
-    class of z.  (A, B) is (M, N) or (N, M), whichever has fewer states.
-    """
+    element of A, with an identity E adjoined for an empty column; (A, B) is
+    (M, N) or (N, M), whichever has fewer such full states (A + E)^B.  From
+    the columns of `generating_set(B)`, breadth first and by actions before
+    sums, a balance row rewrites u⊗act_k(x) as act_k(u)⊗x and a linearity
+    row u⊗(x + y) as u⊗x + u⊗y.  Eliminating the generators so derived is a
+    Tietze transformation (Ruškuc, Semigroup Presentations, St Andrews
+    1995): the kept columns K, those and any column not reached, present the
+    same monoid.  The tensor is the quotient of the reduced states (A + E)^K
+    by the least equivalence that holds the relation rows, mapped to
+    states, and is closed under adding each kept generator, minus the all-E
+    state.  With `idempotent`, class c is numbered by its closed set
+    {g : c + class(g) = c}, by size, then by bitmask Σ 2^g, and represented
+    by its members; otherwise by `_least_full_states`."""
     flip = (N.size + 1) ** M.size < (M.size + 1) ** N.size
     A, B = (N, M) if flip else (M, N)
-    E, cols = A.size, B.size
-    total = (E + 1) ** cols
-    _charge("state", total, f"{name}: tensor states")
+    E = A.size
     plus = np.empty((E + 1, E + 1), dtype=np.int64)
     plus[:E, :E] = A.madd
     plus[E, :] = plus[:, E] = np.arange(E + 1)
+    a_img, b_img, b_add = np.asarray(A.images), np.asarray(B.images), np.asarray(B.madd)
+    order, new = row_order(np.c_[a_img.T, b_img.T])
+    acts = np.sort(order[new]).tolist()  # one quad per distinct pair of columns
+    # red[u, b] is the state of u⊗b over the columns of B, first u⊗b itself.
+    red = np.full((E, B.size, B.size), E, dtype=np.min_scalar_type(E))
+    red[:, range(B.size), range(B.size)] = np.arange(E)[:, None]
+    known = np.zeros(B.size, dtype=bool)
+    queue = list(generating_set(B))
+    known[queue] = True
+    while True:
+        for x in queue:
+            for b, k in zip(b_img[x, acts].tolist(), acts):
+                if not known[b]:
+                    known[b] = True
+                    red[:, b] = red[a_img[:, k], x]
+                    queue.append(b)
+        sums = np.argwhere(known[:, None] & known & ~known[b_add])
+        if not len(sums):
+            break
+        x, y = sums[0]
+        queue = [b_add[x, y]]
+        known[queue] = True
+        red[:, queue[0]] = plus[red[:, x], red[:, y]]
+    kept = np.flatnonzero((red < E).any(axis=(0, 1)))
+    total = (E + 1) ** len(kept)
+    _charge("state", total, f"{name}: tensor states")
     # State k has the column values digits[k], and digits[k] @ place == k;
     # the all-E state is the last one.
-    digits = np.indices((E + 1,) * cols).reshape(cols, total).T
-    place = (E + 1) ** np.arange(cols - 1, -1, -1)
+    place = (E + 1) ** np.arange(len(kept) - 1, -1, -1)
+    states = np.arange(total)
+    digits = states[:, None] // place % (E + 1)
 
     # Generator m⊗n as an element u of A in a column, and its state.
     m, n = np.divmod(np.arange(M.size * N.size), N.size)
     u, col = (n, m) if flip else (m, n)
-    gen_state = E * place.sum() + (u - E) * place[col]
+    gen_digits = red[u, col][:, kept]
+    gen_state = gen_digits @ place
     l, r1, r2 = rels.T
     pair = r2 >= 0
     rhs = gen_state[r1]
-    rhs[pair] = plus[digits[rhs[pair]], digits[gen_state[r2[pair]]]] @ place
-    states = np.arange(total)
+    rhs[pair] = plus[gen_digits[r1[pair]], gen_digits[r2[pair]]] @ place
     label = states.copy()
     merged = _merge(label, gen_state[l], rhs)
     while merged:
         merged = False
         # Adding generator v in column c changes column c alone.
-        for c, v in zip(col.tolist(), u.tolist()):
+        for c, v in itertools.product(range(len(kept)), range(E)):
             t = states + (plus[digits[:, c], v] - digits[:, c]) * place[c]
             z = np.flatnonzero(label != states)
             merged |= _merge(label, t[z], t[label[z]])
@@ -599,17 +554,56 @@ def _tensor_saturation(M: GammaModule, N: GammaModule, name, rels):
     # own, and the last one; it is left out.
     roots = np.flatnonzero(label == states)[:-1]
     class_of = np.searchsorted(roots, label)
-    rep_digits = digits[roots]
-    # A state is represented by its generators, one per non-empty column.
-    gen_at = np.empty((E, cols), dtype=np.int64)
-    gen_at[u, col] = np.arange(M.size * N.size)
-    gen_at = gen_at.tolist()
-    rep_gens = [[gen_at[v][c] for c, v in enumerate(row) if v != E]
-                for row in rep_digits.tolist()]
-    add_rows = [class_of[plus[r, rep_digits] @ place].tolist() for r in rep_digits]
+    reps = digits[roots]
+    table = np.array([class_of[plus[r, reps] @ place] for r in reps])
     gen_class = class_of[gen_state]
-    return (add_rows, int(gen_class[M.zero * N.size + N.zero]), gen_class, rep_gens,
+    gen_at = np.empty((E, B.size), dtype=np.int64)
+    gen_at[u, col] = np.arange(M.size * N.size)
+    if idempotent:
+        closed = table[:, gen_class] == np.arange(len(roots))[:, None]
+        order = np.lexsort(np.c_[closed, closed.sum(1)].T)
+        rep_gens = [np.flatnonzero(row).tolist() for row in closed[order]]
+    else:
+        least = _least_full_states(table, gen_class[gen_at], E)
+        order = np.lexsort(least.T[::-1])
+        rep_gens = [[gen_at[v, c] for c, v in enumerate(row) if v != E]
+                    for row in least[order].tolist()]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    gen_class = rank[gen_class]
+    return (rank[table[np.ix_(order, order)]].tolist(),
+            int(gen_class[M.zero * N.size + N.zero]), gen_class, rep_gens,
             _rep_labels(M, N, gen_class, rep_gens), [])
+
+
+def _least_full_states(table, gen_class, E):
+    """Row c is the least full state of class c, column 0 the most significant
+    digit and E the largest, found without listing the full states: the
+    class of value v in column b is `gen_class[v, b]`, and a full state's
+    class is the sum of its columns' classes.  A backward pass finds the
+    classes (ε for the empty sum) that each suffix of columns sums to; a
+    forward pass picks, for all classes at once, the least value in each
+    column from which the class can still be reached."""
+    size, cols = len(table), gen_class.shape[1]
+    full = np.empty((size + 1, size + 1), dtype=np.int64)
+    full[:size, :size] = table
+    full[size, :] = full[:, size] = np.arange(size + 1)
+    values = np.vstack([gen_class, np.full(cols, size)])  # class `size` is ε
+    suffix = np.zeros((cols + 1, size + 1), dtype=bool)
+    suffix[cols, size] = True
+    for c in range(cols - 1, -1, -1):
+        suffix[c, full[np.ix_(values[:, c], np.flatnonzero(suffix[c + 1]))]] = True
+    classes = np.arange(size)
+    prefix = np.full(size, size)
+    least = np.empty((size, cols), dtype=np.int64)
+    for c in range(cols):
+        # reach[q, t]: prefix class q plus some sum of the later columns is t.
+        reach = np.zeros((size + 1, size + 1), dtype=bool)
+        reach[np.arange(size + 1)[:, None], full[:, suffix[c + 1]]] = True
+        step = full[prefix[:, None], values[:, c]]
+        least[:, c] = reach[step, classes[:, None]].argmax(1)
+        prefix = step[classes, least[:, c]]
+    return least
 
 
 def _tensor_quotient(M: GammaModule, N: GammaModule, backend: str = "auto",
@@ -630,8 +624,8 @@ def _tensor_quotient(M: GammaModule, N: GammaModule, backend: str = "auto",
     if backend == "group" and not group:
         raise PreconditionError("tensor: group backend needs group additions "
                                 "on both carriers")
-    quotient = {"idempotent": _tensor_idempotent, "group": _tensor_group,
-                "saturation": _tensor_saturation}.get(backend)
+    quotient = {"idempotent": partial(_tensor_reduced, idempotent=True), "group": _tensor_group,
+                "saturation": partial(_tensor_reduced, idempotent=False)}.get(backend)
     if quotient is None:
         raise PreconditionError(f"tensor: unknown backend {backend!r}")
     # Many quads act alike, so relation rows repeat.  Each is kept once, where
@@ -653,10 +647,12 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
     """Tensor product presentation over the common base, and its induced
     module.
 
-    `auto` picks the idempotent backend when both additions are idempotent,
-    the group backend when both are groups, and otherwise the exact
-    `saturation` backend, which takes every pair and charges its state count
-    to the "state" limit of `core.BUDGETS`.  Each backend computes only the
+    `auto` picks `idempotent` when both additions are idempotent, `group`
+    when both are groups, and otherwise `saturation`.  All but `group` run
+    one engine over reduced states (`_tensor_reduced`), which takes every
+    pair and charges its state count to the "state" limit of `core.BUDGETS`;
+    `idempotent` numbers the classes by their closed sets of generators and
+    `saturation` by their least full states.  Each backend computes only the
     quotient (`_tensor_quotient`, all that Tor reads); the induced action
     act(a, x, m⊗n, y, b) = act(a, x, m, y, b)⊗n is built here for all three,
     from each class's representative, and is well defined exactly when, at

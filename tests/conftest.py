@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tgw import fixtures
 from tgw.core import (BUDGETS, AxiomReport, BudgetError, FiniteTernaryGammaSemiring,
@@ -31,6 +32,12 @@ from tgw.modules import (GammaModule, ModuleCongruence, ModuleHom, _classes,
                          cyclic_module_catalog, generating_set, hom_set, hom_violation,
                          is_submodule, jacobson_radical, nested_action,
                          require_module_axioms, sub_module)
+
+# Every run draws the same examples, seeded from each test, so a test that
+# passes keeps passing until its code or Hypothesis changes; each test keeps
+# its own example count.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")
@@ -667,7 +674,7 @@ def brute_force_tensor_idempotent(M, N):
                            notes=tuple(notes), members=members)
 
 
-# The exact tensor quotient that `homology._tensor_saturation` replaced: it
+# The exact tensor quotient that `full_state_tensor_saturation` replaced: it
 # translates every distinct relation pair across every state and unites
 # the moved pairs one at a time.  Kept verbatim (renamed) as the oracle of
 # the generator closure in test_homology.py.
@@ -723,6 +730,162 @@ def union_loop_tensor_saturation(M: GammaModule, N: GammaModule, name, rels, dis
     for ci, cls in enumerate(classes):
         class_of[cls] = ci
     rep_digits = digits[[cls[0] for cls in classes]]
+    # A state is represented by its generators, one per non-empty column.
+    gen_at = np.empty((E, cols), dtype=np.int64)
+    gen_at[u, col] = np.arange(M.size * N.size)
+    gen_at = gen_at.tolist()
+    rep_gens = [[gen_at[v][c] for c, v in enumerate(row) if v != E]
+                for row in rep_digits.tolist()]
+    add_rows = [class_of[plus[r, rep_digits] @ place].tolist() for r in rep_digits]
+    gen_class = class_of[gen_state]
+    return (add_rows, int(gen_class[M.zero * N.size + N.zero]), gen_class, rep_gens,
+            _rep_labels(M, N, gen_class, rep_gens), [])
+
+
+# The idempotent tensor quotient that `homology._tensor_reduced` replaced: the
+# closed sets of generators under the relations read as Horn rules.  Kept
+# verbatim (renamed) as the oracle of the idempotent numbering in
+# test_homology.py.
+
+def horn_closure(rules, seeds, rows):
+    """Close each row of the boolean matrix `seeds` under the Horn rules
+    (p, q, c): a row holding columns p and q gets column c (a rule with one
+    premise has q = p).  A pass fires every rule at once, OR-reducing the
+    rules grouped by the column they write, and passes repeat until no row
+    changes.  Seeds are closed `rows` at a time, so a pass's working
+    matrices stay near `rows` × len(rules) booleans."""
+    out = seeds.copy()
+    if not len(rules):
+        return out
+    p, q, c = rules[np.argsort(rules[:, 2], kind="stable")].T
+    starts = np.flatnonzero(np.diff(c, prepend=-1))
+    heads = c[starts]
+    for lo in range(0, len(out), rows):
+        X = out[lo:lo + rows]
+        while True:
+            fired = X[:, p]
+            fired &= X[:, q]
+            fired = np.logical_or.reduceat(fired, starts, axis=1) & ~X[:, heads]
+            if not fired.any():
+                break
+            X[:, heads] |= fired
+    return out
+
+
+def horn_tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
+    """Quotient of the free join-semilattice on the generators.
+
+    A sum of generators is the set of them.  Relation row l = r1 + r2 puts
+    r1 and r2 below l and l below their join: the Horn rules l ⊢ r1, l ⊢ r2
+    and r1 ∧ r2 ⊢ l.  The closure of a set holds exactly the generators below
+    its sum, so two sets are congruent iff their closures agree.  Hence the
+    classes are the closed sets reached from the generators by joins, the
+    class of A ∪ B is the closure of A ∪ B, and a class is represented by the
+    sum of its members.  Classes are ordered by size, then by bitmask Σ 2^g."""
+    G = M.size * N.size
+    l, r1, r2 = rels.T
+    r2 = np.where(r2 < 0, r1, r2)
+    rules = np.concatenate([np.c_[l, l, r1], np.c_[l, l, r2], np.c_[r1, r2, l]])
+    rules = distinct_rows(rules[(rules[:, 2] != rules[:, 0]) & (rules[:, 2] != rules[:, 1])])
+    # Seeds are closed in chunks whose working matrices stay below the int64
+    # columns of the G·(|M| + |N| + |quads|) rows `_tensor_relations` stacks.
+    rows = max(1, 6 * G * (M.size + N.size + len(M.base.quads)) // max(1, len(rules)))
+
+    def close(seeds):
+        return horn_closure(rules, seeds, rows)
+
+    def joins(a, b):
+        return (a[:, None] | b[None]).reshape(-1, G)
+
+    gen_sets = close(np.eye(G, dtype=bool))
+    classes = frontier = distinct_rows(gen_sets)
+    while len(frontier):
+        known = {row.tobytes() for row in classes}
+        sums = close(distinct_rows(joins(classes, frontier)))
+        frontier = distinct_rows(sums[[row.tobytes() not in known for row in sums]])
+        classes = np.concatenate([classes, frontier])
+    classes = classes[np.lexsort(np.c_[classes, classes.sum(1)].T)]
+    index = {row.tobytes(): k for k, row in enumerate(classes)}
+
+    def class_of(sets):
+        return np.array([index[row.tobytes()] for row in sets])
+
+    add_rows = class_of(close(joins(classes, classes))).reshape(len(classes), -1).tolist()
+    gen_class = class_of(gen_sets)
+    members = [np.flatnonzero(row).tolist() for row in classes]
+    return (add_rows, int(gen_class[M.zero * N.size + N.zero]), gen_class, members,
+            _rep_labels(M, N, gen_class, members), [])
+
+
+# The exact tensor quotient that `homology._tensor_reduced` replaced: the
+# least congruence on all (|A|+1)^|B| full states, closed under adding each
+# generator, and the union step it runs.  Kept verbatim (renamed) as the
+# oracle of the least-state numbering in test_homology.py.
+
+def pointer_jump_merge(label, a, b) -> bool:
+    """Unite the classes of the pairs (a[i], b[i]) in `label`, each state's
+    least class member: hook the larger label of each differing pair under
+    the smaller and jump pointers until all agree; True if any merged."""
+    merged = False
+    while (differ := label[a] != label[b]).any():
+        la, lb = label[a[differ]], label[b[differ]]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(jumped := label[label], label):
+            label[:] = jumped
+        merged = True
+    return merged
+
+
+def full_state_tensor_saturation(M: GammaModule, N: GammaModule, name, rels):
+    """Exact tensor of any pair of modules over one base.
+
+    Left-linearity folds each column of a sum of generators a⊗n into one
+    element of A, so a sum is a state: a function from the carrier of B (the
+    columns) to A with an identity E adjoined (an empty column).  The states
+    form the commutative monoid (A + E)^B under pointwise addition, and the
+    tensor is its quotient by the congruence the remaining relations
+    generate, minus the all-E state.  The states are sums of generators (one
+    non-empty column each), so that congruence is the least equivalence that
+    holds the relation pairs and is closed under adding each generator s:
+    closed once it holds (z+s, w+s) for each z and the least member w of the
+    class of z.  (A, B) is (M, N) or (N, M), whichever has fewer states.
+    """
+    flip = (N.size + 1) ** M.size < (M.size + 1) ** N.size
+    A, B = (N, M) if flip else (M, N)
+    E, cols = A.size, B.size
+    total = (E + 1) ** cols
+    _charge("state", total, f"{name}: tensor states")
+    plus = np.empty((E + 1, E + 1), dtype=np.int64)
+    plus[:E, :E] = A.madd
+    plus[E, :] = plus[:, E] = np.arange(E + 1)
+    # State k has the column values digits[k], and digits[k] @ place == k;
+    # the all-E state is the last one.
+    digits = np.indices((E + 1,) * cols).reshape(cols, total).T
+    place = (E + 1) ** np.arange(cols - 1, -1, -1)
+
+    # Generator m⊗n as an element u of A in a column, and its state.
+    m, n = np.divmod(np.arange(M.size * N.size), N.size)
+    u, col = (n, m) if flip else (m, n)
+    gen_state = E * place.sum() + (u - E) * place[col]
+    l, r1, r2 = rels.T
+    pair = r2 >= 0
+    rhs = gen_state[r1]
+    rhs[pair] = plus[digits[rhs[pair]], digits[gen_state[r2[pair]]]] @ place
+    states = np.arange(total)
+    label = states.copy()
+    merged = pointer_jump_merge(label, gen_state[l], rhs)
+    while merged:
+        merged = False
+        # Adding generator v in column c changes column c alone.
+        for c, v in zip(col.tolist(), u.tolist()):
+            t = states + (plus[digits[:, c], v] - digits[:, c]) * place[c]
+            z = np.flatnonzero(label != states)
+            merged |= pointer_jump_merge(label, t[z], t[label[z]])
+    # A relation side is never all-E, so the all-E state is a class of its
+    # own, and the last one; it is left out.
+    roots = np.flatnonzero(label == states)[:-1]
+    class_of = np.searchsorted(roots, label)
+    rep_digits = digits[roots]
     # A state is represented by its generators, one per non-empty column.
     gen_at = np.empty((E, cols), dtype=np.int64)
     gen_at[u, col] = np.arange(M.size * N.size)

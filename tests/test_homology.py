@@ -12,7 +12,7 @@ import pytest
 from tgw import fixtures, homology
 from tgw.cli import main
 from tgw.core import (BUDGETS, BudgetError, PreconditionError, patch_add,
-                      serialize_structure)
+                      product_structure, serialize_structure)
 from tgw.homology import (HomActionError, HomModuleError, _smith_diagonal, _tensor_group,
                           _tensor_quotient, _tensor_relations, adjunction_check, ext1,
                           find_presentation_isomorphism, free_module,
@@ -26,9 +26,10 @@ from tgw.modules import (GammaModule, annihilator, check_module_axioms,
                          hom_violation, nested_action, regular_module, sub_module)
 
 from conftest import (all_bundled_modules, brute_force_presentation_isomorphism,
-                      brute_force_tensor_idempotent, chain, integers_mod,
-                      loop_tensor_relations, pairwise_homological_semisimplicity,
-                      perturbed_t2, staged_ext1,
+                      brute_force_tensor_idempotent, chain,
+                      full_state_tensor_saturation, horn_tensor_idempotent,
+                      integers_mod, loop_tensor_relations,
+                      pairwise_homological_semisimplicity, perturbed_t2, staged_ext1,
                       staged_free_resolution, staged_tor1, swapping_module,
                       truncated_naturals, union_loop_tensor_saturation)
 
@@ -209,10 +210,13 @@ def _zero_not_identity_t2(b2_t2):
                                madd=tuple(map(tuple, madd)))
 
 
-@pytest.mark.parametrize("case", ["C3", "C4", "C5", "T2xT2", "regxT2",
-                                  "perturbed", "regxperturbed",
-                                  "zero-not-identity", "swaps"])
-def test_idempotent_tensor_matches_oracle(case, b2_reg, b2_t2):
+IDEMPOTENT_CASES = ["C3", "C4", "C5", "T2xT2", "regxT2", "perturbed", "regxperturbed",
+                    "zero-not-identity", "swaps"]
+
+
+def _idempotent_case(case, b2_reg, b2_t2):
+    """The pair (M, N) of an idempotent oracle case, and whether it is
+    lenient."""
     perturbed = perturbed_t2(b2_t2)
     odd_zero = _zero_not_identity_t2(b2_t2)
     assert check_module_axioms(perturbed).violations
@@ -226,7 +230,12 @@ def test_idempotent_tensor_matches_oracle(case, b2_reg, b2_t2):
                 "zero-not-identity": (odd_zero, odd_zero),
                 # Lawful, with an ill-defined induced action.
                 "swaps": (swapping_module(b2_reg.base),) * 2}[case]
-    lenient = case in ("perturbed", "regxperturbed", "zero-not-identity")
+    return M, N, case in ("perturbed", "regxperturbed", "zero-not-identity")
+
+
+@pytest.mark.parametrize("case", IDEMPOTENT_CASES)
+def test_idempotent_tensor_matches_oracle(case, b2_reg, b2_t2):
+    M, N, lenient = _idempotent_case(case, b2_reg, b2_t2)
     new = tensor(M, N, backend="idempotent", lenient=lenient)
     old = brute_force_tensor_idempotent(M, N)
     assert new.presentation.to_dict() == old.presentation.to_dict()
@@ -256,8 +265,9 @@ def _backend_pairs():
 BACKEND_PAIRS = _backend_pairs()
 # Six classes of Z2^2 ⊗ Z2^2 hold no single generator, so the group backend
 # represents them by sums.  Its 16 classes would put it past the permutation
-# oracle in the presentation pool below.  Z6 ⊗ Z6 runs the exact backend over
-# 117,649 states, and free_module(B2, 2) ⊗ B2-T2 is an idempotent pair of two
+# oracle in the presentation pool below.  Z6 ⊗ Z6 runs the exact numbering,
+# whose full-state oracle closes 117,649 states, and free_module(B2, 2) ⊗ B2-T2
+# is an idempotent pair of two
 # 4-element modules, one built and one bundled.
 AGREEMENT_PAIRS = [*BACKEND_PAIRS, (free_module(integers_mod(2), 2),) * 2,
                    (regular_module(integers_mod(6)),) * 2,
@@ -268,7 +278,8 @@ AGREEMENT_PAIRS = [*BACKEND_PAIRS, (free_module(integers_mod(2), 2),) * 2,
 @pytest.mark.parametrize("M,N", AGREEMENT_PAIRS,
                          ids=[f"{M.name}-{N.name}" for M, N in AGREEMENT_PAIRS])
 def test_exact_tensor_matches_other_backends(M, N):
-    """The exact backend against the idempotent or group backend: the identity
+    """The least-state numbering against the idempotent numbering or the group
+    backend: the identity
     on generators induces a bijective monoid map between the two quotients."""
     exact = tensor(M, N, backend="saturation", lenient=True)
     other = tensor(M, N, lenient=True)
@@ -375,18 +386,58 @@ ORACLE_PAIRS = _oracle_pairs()
 
 @pytest.mark.parametrize("M,N", ORACLE_PAIRS,
                          ids=[f"{M.name}-{N.name}" for M, N in ORACLE_PAIRS])
-def test_exact_tensor_matches_union_loop(M, N, monkeypatch):
-    """The exact backend against the union loop it replaced: the same
-    presentation, classes, representatives, induced module and verdict."""
-    def fields(t):
-        return (t.presentation.to_dict(), t.gen_class.tolist(), t.rep_gens, t.notes,
-                t.module.images, t.module_action_ok)
+def test_exact_tensor_matches_union_loop(M, N):
+    """The least-state numbering against the union loop that the full-state
+    closure replaced: the same presentation, classes and representatives.
+    The oracle reads only its last argument, the distinct rows, in any
+    order."""
+    q = _tensor_quotient(M, N, "saturation", lenient=True)
+    assert_quotient_matches(q, union_loop_tensor_saturation(
+        M, N, q.presentation.name, q.relations, q.relations))
 
-    new = fields(tensor(M, N, backend="saturation", lenient=True))
-    # The oracle reads only its last argument, the distinct rows, in any order.
-    monkeypatch.setattr(homology, "_tensor_saturation", lambda M, N, name, rels:
-                        union_loop_tensor_saturation(M, N, name, rels, rels))
-    assert new == fields(tensor(M, N, backend="saturation", lenient=True))
+
+def assert_quotient_matches(q, oracle):
+    """`q` has the add table, zero, generator classes, representatives,
+    labels and notes of an oracle's quotient."""
+    add_rows, zero, gen_class, rep_gens, labels, notes = oracle
+    assert q.presentation.add == tuple(map(tuple, add_rows))
+    assert q.presentation.zero == zero
+    assert q.gen_class.tolist() == list(gen_class)
+    assert q.rep_gens == rep_gens
+    assert list(q.presentation.reps) == labels
+    assert q.notes == tuple(notes)
+
+
+def _engine_pairs():
+    """Every pair above, the idempotent oracle cases, and regular C8 and B2^3
+    each tensored with itself, keyed by a test id."""
+    b2_reg, b2_t2 = fixtures.bundled_module("B2-regular"), fixtures.bundled_module("B2-T2")
+    b2 = b2_reg.base
+    b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
+    pairs = [*ORACLE_PAIRS, *AGREEMENT_PAIRS,
+             *(_idempotent_case(case, b2_reg, b2_t2)[:2] for case in IDEMPOTENT_CASES),
+             *((regular_module(S),) * 2 for S in (chain(8), b2p3))]
+    return {f"{M.name}-{N.name}": (M, N) for M, N in pairs}
+
+
+ENGINE_PAIRS = _engine_pairs()
+
+
+@pytest.mark.parametrize("M,N", ENGINE_PAIRS.values(), ids=ENGINE_PAIRS)
+def test_reduced_engine_matches_full_state_oracles(M, N):
+    """The quotient over reduced states, under each numbering that takes the
+    pair, against the backend that numbering replaced: the Horn closure on
+    idempotent pairs, and the closure of every full state where the state
+    limit admits the full state space."""
+    numberings = {"saturation": full_state_tensor_saturation}
+    if homology._is_idempotent(M) and homology._is_idempotent(N):
+        numberings["idempotent"] = horn_tensor_idempotent
+    if min((M.size + 1) ** N.size, (N.size + 1) ** M.size) > BUDGETS["state"]:
+        del numberings["saturation"]
+    assert numberings
+    for backend, oracle in numberings.items():
+        q = _tensor_quotient(M, N, backend, lenient=True)
+        assert_quotient_matches(q, oracle(M, N, q.presentation.name, q.relations))
 
 
 def _relabelled_presentation(P, rng):
