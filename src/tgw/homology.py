@@ -466,11 +466,12 @@ def _tensor_group(M: GammaModule, N: GammaModule, name, rels):
 def _merge(label, a, b) -> bool:
     """Unite the classes of the pairs (a[i], b[i]) in `label`, each state's
     least class member: hook the larger label of each differing pair under
-    the smaller and jump pointers until all agree; True if any merged."""
+    the smaller (under one of them, where pairs share the larger) and jump
+    pointers until all agree; True if any merged."""
     merged = False
     while (differ := label[a] != label[b]).any():
         la, lb = label[a[differ]], label[b[differ]]
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        label[np.maximum(la, lb)] = np.minimum(la, lb)
         while not np.array_equal(jumped := label[label], label):
             label[:] = jumped
         merged = True
@@ -502,7 +503,7 @@ def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool
     plus[E, :] = plus[:, E] = np.arange(E + 1)
     a_img, b_img, b_add = np.asarray(A.images), np.asarray(B.images), np.asarray(B.madd)
     order, new = row_order(np.c_[a_img.T, b_img.T])
-    acts = np.sort(order[new]).tolist()  # one quad per distinct pair of columns
+    acts = sorted(order[new].tolist())  # one quad per distinct pair of columns
     # red[u, b] is the state of u⊗b over the columns of B, first u⊗b itself.
     red = np.full((E, B.size, B.size), E, dtype=np.min_scalar_type(E))
     red[:, range(B.size), range(B.size)] = np.arange(E)[:, None]
@@ -526,21 +527,21 @@ def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool
     kept = np.flatnonzero((red < E).any(axis=(0, 1)))
     total = (E + 1) ** len(kept)
     _charge("state", total, f"{name}: tensor states")
-    # State k has the column values digits[k], and digits[k] @ place == k;
+    # State k has the column values digits[k], and digits[k] · place == k;
     # the all-E state is the last one.
-    place = (E + 1) ** np.arange(len(kept) - 1, -1, -1)
+    place = np.array([(E + 1) ** k for k in range(len(kept) - 1, -1, -1)])
     states = np.arange(total)
-    digits = states[:, None] // place % (E + 1)
+    digits = np.indices((E + 1,) * len(kept)).reshape(len(kept), total).T
 
     # Generator m⊗n as an element u of A in a column, and its state.
-    m, n = np.divmod(np.arange(M.size * N.size), N.size)
+    m, n = np.indices((M.size, N.size)).reshape(2, -1)
     u, col = (n, m) if flip else (m, n)
     gen_digits = red[u, col][:, kept]
-    gen_state = gen_digits @ place
+    gen_state = (gen_digits * place).sum(1)
     l, r1, r2 = rels.T
     pair = r2 >= 0
     rhs = gen_state[r1]
-    rhs[pair] = plus[gen_digits[r1[pair]], gen_digits[r2[pair]]] @ place
+    rhs[pair] = (plus[gen_digits[r1[pair]], gen_digits[r2[pair]]] * place).sum(1)
     label = states.copy()
     merged = _merge(label, gen_state[l], rhs)
     while merged:
@@ -553,9 +554,9 @@ def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool
     # A relation side is never all-E, so the all-E state is a class of its
     # own, and the last one; it is left out.
     roots = np.flatnonzero(label == states)[:-1]
-    class_of = np.searchsorted(roots, label)
+    class_of = (np.cumsum(label == states) - 1)[label]
     reps = digits[roots]
-    table = np.array([class_of[plus[r, reps] @ place] for r in reps])
+    table = np.array([class_of[(plus[r, reps] * place).sum(1)] for r in reps])
     gen_class = class_of[gen_state]
     gen_at = np.empty((E, B.size), dtype=np.int64)
     gen_at[u, col] = np.arange(M.size * N.size)
