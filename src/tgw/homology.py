@@ -562,10 +562,10 @@ def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool
     gen_at[u, col] = np.arange(M.size * N.size)
     if idempotent:
         closed = table[:, gen_class] == np.arange(len(roots))[:, None]
-        order = np.lexsort(np.c_[closed, closed.sum(1)].T)
+        order = np.lexsort([*closed.T, closed.sum(1)])
         rep_gens = [np.flatnonzero(row).tolist() for row in closed[order]]
     else:
-        least = _least_full_states(table, gen_class[gen_at], E)
+        least = _least_full_states(table, gen_class[gen_at])
         order = np.lexsort(least.T[::-1])
         rep_gens = [[gen_at[v, c] for c, v in enumerate(row) if v != E]
                     for row in least[order].tolist()]
@@ -577,11 +577,11 @@ def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool
             _rep_labels(M, N, gen_class, rep_gens), [])
 
 
-def _least_full_states(table, gen_class, E):
+def _least_full_states(table, gen_class):
     """Row c is the least full state of class c, column 0 the most significant
-    digit and E the largest, found without listing the full states: the
-    class of value v in column b is `gen_class[v, b]`, and a full state's
-    class is the sum of its columns' classes.  A backward pass finds the
+    digit and the empty value E = |A| the largest, found without listing the
+    full states: the class of value v < E in column b is `gen_class[v, b]`,
+    and a full state's class is the sum of its columns' classes.  A backward pass finds the
     classes (ε for the empty sum) that each suffix of columns sums to; a
     forward pass picks, for all classes at once, the least value in each
     column from which the class can still be reached."""
