@@ -10,11 +10,11 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Two engines realize the quotient:
   span an integer lattice and the quotient comes from a diagonalized relation
   matrix, whose column operations number the classes.
 * reduced states - every pair, exactly: left-linearity folds a sum of
-  generators into a function from one carrier to the other, and the
-  generators outside a module-generating set of the columns are eliminated
-  (a Tietze transformation), so the quotient is a congruence on functions
-  from a few columns.  Idempotent pairs number its classes by their closed
-  sets of generators, all other pairs by their least full functions.
+  generators into a function from the columns of one carrier to the other;
+  the generators in columns outside a module-generating set are eliminated,
+  a Tietze transformation (Ruškuc 1995), so the quotient is a congruence on
+  functions from a few columns.  Idempotent pairs number its classes by
+  their closed sets of generators, all others by their least full functions.
 
 Both read one relation array, each row once, where it first occurs, and
 compute only the quotient: the class of each generator, the class addition
