@@ -401,18 +401,6 @@ def test_exact_tensor_matches_union_loop(M, N, monkeypatch):
     assert new == fields(tensor(M, N, backend="saturation", lenient=True))
 
 
-def assert_quotient_matches(q, oracle):
-    """`q` has the add table, zero, generator classes, representatives,
-    labels and notes of an oracle's quotient."""
-    add_rows, zero, gen_class, rep_gens, labels, notes = oracle
-    assert q.presentation.add == tuple(map(tuple, add_rows))
-    assert q.presentation.zero == zero
-    assert q.gen_class.tolist() == list(gen_class)
-    assert q.rep_gens == rep_gens
-    assert list(q.presentation.reps) == labels
-    assert q.notes == tuple(notes)
-
-
 def _engine_pairs():
     """Every pair above, the idempotent oracle cases, and regular C8 and B2^3
     each tensored with itself, keyed by a test id."""
@@ -442,7 +430,14 @@ def test_reduced_engine_matches_full_state_oracles(M, N):
     assert numberings
     for backend, oracle in numberings.items():
         q = _tensor_quotient(M, N, backend, lenient=True)
-        assert_quotient_matches(q, oracle(M, N, q.presentation.name, q.relations))
+        add_rows, zero, gen_class, rep_gens, labels, notes = oracle(
+            M, N, q.presentation.name, q.relations)
+        assert q.presentation.add == tuple(map(tuple, add_rows))
+        assert q.presentation.zero == zero
+        assert q.gen_class.tolist() == list(gen_class)
+        assert q.rep_gens == rep_gens
+        assert list(q.presentation.reps) == labels
+        assert q.notes == tuple(notes)
 
 
 def _relabelled_presentation(P, rng):
