@@ -12,8 +12,8 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Two engines realize the quotient:
 * reduced states - every pair, exactly: left-linearity folds a sum of
   generators into a function from the columns of one carrier to the other;
   the generators in columns outside a module-generating set are eliminated,
-  a Tietze transformation (Ruškuc 1995), so the quotient is a congruence on
-  functions from a few columns.  Idempotent pairs number its classes by
+  a Tietze transformation (`_tensor_reduced` cites it), so the quotient is a
+  congruence on functions from a few columns.  Idempotent pairs number its classes by
   their closed sets of generators, all others by their least full functions.
 
 Both read one relation array, each row once, where it first occurs, and
@@ -562,7 +562,7 @@ def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool
     gen_at[u, col] = np.arange(M.size * N.size)
     if idempotent:
         closed = table[:, gen_class] == np.arange(len(roots))[:, None]
-        order = np.lexsort([*closed.T, closed.sum(1)])
+        order = np.lexsort(np.c_[closed, closed.sum(1)].T)
         rep_gens = [np.flatnonzero(row).tolist() for row in closed[order]]
     else:
         least = _least_full_states(table, gen_class[gen_at])
@@ -581,10 +581,10 @@ def _least_full_states(table, gen_class):
     """Row c is the least full state of class c, column 0 the most significant
     digit and the empty value E = |A| the largest, found without listing the
     full states: the class of value v < E in column b is `gen_class[v, b]`,
-    and a full state's class is the sum of its columns' classes.  A backward pass finds the
-    classes (ε for the empty sum) that each suffix of columns sums to; a
-    forward pass picks, for all classes at once, the least value in each
-    column from which the class can still be reached."""
+    and a full state's class is the sum of its columns' classes.  A backward
+    pass finds the classes (ε for the empty sum) that each suffix of columns
+    sums to; a forward pass picks, for all classes at once, the least value
+    in each column from which the class can still be reached."""
     size, cols = len(table), gen_class.shape[1]
     full = np.empty((size + 1, size + 1), dtype=np.int64)
     full[:size, :size] = table
