@@ -4,7 +4,7 @@ sets.
 
 Tensor products are finite monoid presentations: the free additive semigroup
 on generator pairs m⊗n modulo bilinearity in both slots and the balance law
-act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Two engines realize the quotient:
+act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three engines realize the quotient:
 
 * group - both carrier additions are abelian groups; relation differences
   span an integer lattice and the quotient comes from a diagonalized relation
@@ -12,12 +12,17 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Two engines realize the quotient:
 * reduced states - every pair, exactly: left-linearity folds a sum of
   generators into a function from the columns of one carrier to the other;
   the generators in columns outside a module-generating set are eliminated,
-  a Tietze transformation (`_tensor_reduced` cites it), so the quotient is a
-  congruence on functions from a few columns.  Idempotent pairs number its classes by
-  their closed sets of generators, all others by their least full functions.
+  a Tietze transformation (`_reduction` cites it), so the quotient is a
+  congruence on functions from a few columns.  Idempotent pairs number its
+  classes by their closed sets of generators, all others by their least
+  full functions.
+* Horn closure - idempotent pairs whose reduced states exceed the state
+  limit: the classes are the sets of generators closed under the relations
+  read as Horn rules, closed many sets at a time as rows of one boolean
+  matrix, and numbered as the reduced states number them.
 
-Both read one relation array, each row once, where it first occurs, and
-compute only the quotient: the class of each generator, the class addition
+Each reads one relation array, each row once, where it first occurs, and
+computes only the quotient: the class of each generator, the class addition
 table and a representative sum of generators per class.  Tor's induced maps
 read these quotients and that array alone.  `tensor` folds generator classes
 through the table to build the induced module, checks the induced action on
@@ -25,8 +30,9 @@ every relation row and checks the module laws.
 
 Every presentation records the relation schemas that were imposed, so results
 are auditable.  Each search charges a limit of `core.BUDGETS`: free-module
-carriers and group quotients "carrier", reduced state spaces "state", and
-the search nodes of hom sets and presentation isomorphisms "hom".
+carriers and group quotients "carrier", reduced state spaces "state" (which
+idempotent pairs never exceed: past it they take the Horn closure), and the
+search nodes of hom sets and presentation isomorphisms "hom".
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import (FiniteTernaryGammaSemiring, PreconditionError, _charge,
+from .core import (BUDGETS, FiniteTernaryGammaSemiring, PreconditionError, _charge,
                    bourne_classes, distinct_rows, row_order)
 from .modules import (GammaModule, ModuleHom, _homs, _pointwise_sums,
                       check_module_axioms, generating_set, hom_set, hom_violation,
@@ -478,25 +484,89 @@ def _merge(label, a, b) -> bool:
     return merged
 
 
-def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool):
-    """Exact tensor of any pair of modules over one base.
+def _horn_closure(rules, seeds, rows):
+    """Close each row of the boolean matrix `seeds` under the Horn rules
+    (p, q, c): a row holding columns p and q gets column c (a rule with one
+    premise has q = p).  A pass fires every rule at once, OR-reducing the
+    rules grouped by the column they write, and passes repeat until no row
+    changes.  Seeds are closed `rows` at a time, so a pass's working
+    matrices stay near `rows` × len(rules) booleans."""
+    out = seeds.copy()
+    if not len(rules):
+        return out
+    p, q, c = rules[np.argsort(rules[:, 2], kind="stable")].T
+    starts = np.flatnonzero(np.diff(c, prepend=-1))
+    heads = c[starts]
+    for lo in range(0, len(out), rows):
+        X = out[lo:lo + rows]
+        while True:
+            fired = X[:, p]
+            fired &= X[:, q]
+            fired = np.logical_or.reduceat(fired, starts, axis=1) & ~X[:, heads]
+            if not fired.any():
+                break
+            X[:, heads] |= fired
+    return out
 
-    Left-linearity folds each column of a sum of generators a⊗n into one
-    element of A, with an identity E adjoined for an empty column; (A, B) is
-    (M, N) or (N, M), whichever has fewer such full states (A + E)^B.  From
-    the columns of `generating_set(B)`, breadth first and by actions before
-    sums, a balance row rewrites u⊗act_k(x) as act_k(u)⊗x and a linearity
-    row u⊗(x + y) as u⊗x + u⊗y.  Eliminating the generators so derived is a
-    Tietze transformation (Ruškuc, Semigroup Presentations, St Andrews
-    1995): the kept columns K, those and any column not reached, present the
-    same monoid.  The tensor is the quotient of the reduced states (A + E)^K
-    by the least equivalence that holds the relation rows, mapped to
-    states, and is closed under adding each kept generator, minus the all-E
-    state.  With `idempotent`, class c is numbered by its closed set
-    {g : c + class(g) = c}, by size, then by bitmask Σ 2^g, and represented
-    by its members; otherwise by `_least_full_states`."""
-    flip = (N.size + 1) ** M.size < (M.size + 1) ** N.size
-    A, B = (N, M) if flip else (M, N)
+
+def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
+    """Quotient of the free join-semilattice on the generators, for the
+    idempotent pairs whose reduced states exceed the state limit: its cost
+    grows with the classes, not with (|A|+1)^|K|, and it charges no limit.
+
+    A sum of generators is the set of them.  Relation row l = r1 + r2 puts
+    r1 and r2 below l and l below their join: the Horn rules l ⊢ r1, l ⊢ r2
+    and r1 ∧ r2 ⊢ l.  The closure of a set holds exactly the generators below
+    its sum, so two sets are congruent iff their closures agree.  Hence the
+    classes are the closed sets reached from the generators by joins, the
+    class of A ∪ B is the closure of A ∪ B, and a class is represented by the
+    sum of its members.  Classes are ordered by size, then by bitmask Σ 2^g."""
+    G = M.size * N.size
+    l, r1, r2 = rels.T
+    r2 = np.where(r2 < 0, r1, r2)
+    rules = np.concatenate([np.c_[l, l, r1], np.c_[l, l, r2], np.c_[r1, r2, l]])
+    rules = distinct_rows(rules[(rules[:, 2] != rules[:, 0]) & (rules[:, 2] != rules[:, 1])])
+    # Seeds are closed in chunks whose working matrices stay below the int64
+    # columns of the G·(|M| + |N| + |quads|) rows `_tensor_relations` stacks.
+    rows = max(1, 6 * G * (M.size + N.size + len(M.base.quads)) // max(1, len(rules)))
+
+    def close(seeds):
+        return _horn_closure(rules, seeds, rows)
+
+    def joins(a, b):
+        return (a[:, None] | b[None]).reshape(-1, G)
+
+    gen_sets = close(np.eye(G, dtype=bool))
+    classes = frontier = distinct_rows(gen_sets)
+    while len(frontier):
+        known = {row.tobytes() for row in classes}
+        sums = close(distinct_rows(joins(classes, frontier)))
+        frontier = distinct_rows(sums[[row.tobytes() not in known for row in sums]])
+        classes = np.concatenate([classes, frontier])
+    classes = classes[np.lexsort(np.c_[classes, classes.sum(1)].T)]
+    index = {row.tobytes(): k for k, row in enumerate(classes)}
+
+    def class_of(sets):
+        return np.array([index[row.tobytes()] for row in sets])
+
+    add_rows = class_of(close(joins(classes, classes))).reshape(len(classes), -1).tolist()
+    gen_class = class_of(gen_sets)
+    members = [np.flatnonzero(row).tolist() for row in classes]
+    return (add_rows, int(gen_class[M.zero * N.size + N.zero]), gen_class, members,
+            _rep_labels(M, N, gen_class, members), [])
+
+
+def _reduction(A: GammaModule, B: GammaModule):
+    """A's addition `plus` with an identity E = |A| adjoined (an empty
+    column), `red[u, b]`, the reduced state of u⊗b, and the kept columns K.
+
+    From the columns of `generating_set(B)`, breadth first and by actions
+    before sums, a balance row rewrites u⊗act_k(x) as act_k(u)⊗x and a
+    linearity row u⊗(x + y) as u⊗x + u⊗y.  Eliminating the generators of the
+    columns so derived is a Tietze transformation (Ruškuc, Semigroup
+    Presentations, St Andrews 1995): the generators of the kept columns,
+    those not derived (any column not reached among them), present the same
+    monoid, and red[u, b] holds a value of A + E in each kept column."""
     E = A.size
     plus = np.empty((E + 1, E + 1), dtype=np.int64)
     plus[:E, :E] = A.madd
@@ -504,28 +574,54 @@ def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool
     a_img, b_img, b_add = np.asarray(A.images), np.asarray(B.images), np.asarray(B.madd)
     order, new = row_order(np.c_[a_img.T, b_img.T])
     acts = sorted(order[new].tolist())  # one quad per distinct pair of columns
-    # red[u, b] is the state of u⊗b over the columns of B, first u⊗b itself.
+    # red[u, b] starts as u⊗b itself, in its own column.
     red = np.full((E, B.size, B.size), E, dtype=np.min_scalar_type(E))
     red[:, range(B.size), range(B.size)] = np.arange(E)[:, None]
     known = np.zeros(B.size, dtype=bool)
+    derived = known.copy()
     queue = list(generating_set(B))
     known[queue] = True
-    while True:
+    while queue:
         for x in queue:
             for b, k in zip(b_img[x, acts].tolist(), acts):
                 if not known[b]:
-                    known[b] = True
+                    known[b] = derived[b] = True
                     red[:, b] = red[a_img[:, k], x]
                     queue.append(b)
-        sums = np.argwhere(known[:, None] & known & ~known[b_add])
-        if not len(sums):
-            break
-        x, y = sums[0]
-        queue = [b_add[x, y]]
-        known[queue] = True
-        red[:, queue[0]] = plus[red[:, x], red[:, y]]
-    kept = np.flatnonzero((red < E).any(axis=(0, 1)))
+        # Each new column that a sum of known columns reaches, from its first
+        # such pair; the sums are collected once per round.
+        pairs = np.argwhere(known[:, None] & known & ~known[b_add])
+        sums, first = np.unique(b_add[tuple(pairs.T)], return_index=True)
+        x, y = pairs[first].T
+        red[:, sums] = plus[red[:, x], red[:, y]]
+        known[sums] = derived[sums] = True
+        queue = sums.tolist()
+    return plus, red, np.flatnonzero(~derived)
+
+
+def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool):
+    """Exact tensor of any pair of modules over one base.
+
+    Left-linearity folds each column of a sum of generators a⊗n into one
+    element of A, with an identity E adjoined for an empty column; (A, B) is
+    (M, N) or (N, M), whichever has fewer such full states (A + E)^B.
+    `_reduction` keeps the columns K of B that present the same monoid, and
+    the tensor is the quotient of the reduced states (A + E)^K by the least
+    equivalence that holds the relation rows, mapped to states, and is
+    closed under adding each kept generator, minus the all-E state.  With
+    `idempotent`, class c is numbered by its closed set
+    {g : c + class(g) = c}, by size, then by bitmask Σ 2^g, and represented
+    by its members; otherwise by `_least_full_states`.  The closed sets read
+    the quotient alone, so idempotent pairs take whichever orientation has
+    fewer reduced states, and past the state limit `_tensor_idempotent`."""
+    flip = (N.size + 1) ** M.size < (M.size + 1) ** N.size
+    options = [(f, *_reduction(*((N, M) if f else (M, N))))
+               for f in ((flip, not flip) if idempotent else (flip,))]
+    flip, plus, red, kept = min(options, key=lambda o: len(o[1]) ** len(o[3]))
+    E = len(plus) - 1
     total = (E + 1) ** len(kept)
+    if idempotent and total > BUDGETS["state"]:
+        return _tensor_idempotent(M, N, name, rels)
     _charge("state", total, f"{name}: tensor states")
     # State k has the column values digits[k], and digits[k] · place == k;
     # the all-E state is the last one.
@@ -558,13 +654,13 @@ def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool
     reps = digits[roots]
     table = np.array([class_of[(plus[r, reps] * place).sum(1)] for r in reps])
     gen_class = class_of[gen_state]
-    gen_at = np.empty((E, B.size), dtype=np.int64)
-    gen_at[u, col] = np.arange(M.size * N.size)
     if idempotent:
         closed = table[:, gen_class] == np.arange(len(roots))[:, None]
         order = np.lexsort(np.c_[closed, closed.sum(1)].T)
         rep_gens = [np.flatnonzero(row).tolist() for row in closed[order]]
     else:
+        gen_at = np.empty((E, red.shape[1]), dtype=np.int64)
+        gen_at[u, col] = np.arange(M.size * N.size)
         least = _least_full_states(table, gen_class[gen_at])
         order = np.lexsort(least.T[::-1])
         rep_gens = [[gen_at[v, c] for c, v in enumerate(row) if v != E]
@@ -653,7 +749,9 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
     one engine over reduced states (`_tensor_reduced`), which takes every
     pair and charges its state count to the "state" limit of `core.BUDGETS`;
     `idempotent` numbers the classes by their closed sets of generators and
-    `saturation` by their least full states.  Each backend computes only the
+    `saturation` by their least full states.  An idempotent pair past that
+    limit takes the Horn closure instead (`_tensor_idempotent`), with the
+    same numbering.  Each backend computes only the
     quotient (`_tensor_quotient`, all that Tor reads); the induced action
     act(a, x, m⊗n, y, b) = act(a, x, m, y, b)⊗n is built here for all three,
     from each class's representative, and is well defined exactly when, at

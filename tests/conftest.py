@@ -194,6 +194,31 @@ def swapping_module(b2):
                        madd=madd, images=tuple(rows))
 
 
+def zero_action_semilattice(b2, madd, name):
+    """Over B2: the join-semilattice with addition `madd` and zero 0, on
+    which every action is 0.  Lawful: the module laws ask for no unit."""
+    k = len(madd)
+    return GammaModule(name=name, base=b2, carrier=tuple(f"e{i}" for i in range(k)),
+                       zero=0, madd=tuple(map(tuple, madd)),
+                       images=((0,) * len(b2.quads),) * k)
+
+
+def zero_action_chain(b2, k):
+    """The chain 0 < 1 < ... < k-1 under max, with the zero action: its
+    module-generating set is its k - 1 nonzero elements, none a sum of others."""
+    return zero_action_semilattice(b2, [[max(i, j) for j in range(k)] for i in range(k)],
+                                   f"B2-chain{k}-zero")
+
+
+def zero_action_flat(b2, k):
+    """The flat semilattice 0 < 1, ..., k-2 < k-1 with the zero action: any two
+    distinct atoms sum to the top, so its k - 2 atoms generate it."""
+    top = k - 1
+    madd = [[i if i == j or j == 0 else j if i == 0 else top for j in range(k)]
+            for i in range(k)]
+    return zero_action_semilattice(b2, madd, f"B2-flat{k}-zero")
+
+
 def nested_tuples(rows):
     """Nested lists, such as `ndarray.tolist()` gives, as nested tuples."""
     return tuple(map(nested_tuples, rows)) if isinstance(rows, list) else rows
@@ -740,81 +765,6 @@ def union_loop_tensor_saturation(M: GammaModule, N: GammaModule, name, rels, dis
     gen_class = class_of[gen_state]
     return (add_rows, int(gen_class[M.zero * N.size + N.zero]), gen_class, rep_gens,
             _rep_labels(M, N, gen_class, rep_gens), [])
-
-
-# The idempotent tensor quotient that `homology._tensor_reduced` replaced: the
-# closed sets of generators under the relations read as Horn rules.  Kept
-# verbatim (renamed) as the oracle of the idempotent numbering in
-# test_homology.py.
-
-def horn_closure(rules, seeds, rows):
-    """Close each row of the boolean matrix `seeds` under the Horn rules
-    (p, q, c): a row holding columns p and q gets column c (a rule with one
-    premise has q = p).  A pass fires every rule at once, OR-reducing the
-    rules grouped by the column they write, and passes repeat until no row
-    changes.  Seeds are closed `rows` at a time, so a pass's working
-    matrices stay near `rows` × len(rules) booleans."""
-    out = seeds.copy()
-    if not len(rules):
-        return out
-    p, q, c = rules[np.argsort(rules[:, 2], kind="stable")].T
-    starts = np.flatnonzero(np.diff(c, prepend=-1))
-    heads = c[starts]
-    for lo in range(0, len(out), rows):
-        X = out[lo:lo + rows]
-        while True:
-            fired = X[:, p]
-            fired &= X[:, q]
-            fired = np.logical_or.reduceat(fired, starts, axis=1) & ~X[:, heads]
-            if not fired.any():
-                break
-            X[:, heads] |= fired
-    return out
-
-
-def horn_tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
-    """Quotient of the free join-semilattice on the generators.
-
-    A sum of generators is the set of them.  Relation row l = r1 + r2 puts
-    r1 and r2 below l and l below their join: the Horn rules l ⊢ r1, l ⊢ r2
-    and r1 ∧ r2 ⊢ l.  The closure of a set holds exactly the generators below
-    its sum, so two sets are congruent iff their closures agree.  Hence the
-    classes are the closed sets reached from the generators by joins, the
-    class of A ∪ B is the closure of A ∪ B, and a class is represented by the
-    sum of its members.  Classes are ordered by size, then by bitmask Σ 2^g."""
-    G = M.size * N.size
-    l, r1, r2 = rels.T
-    r2 = np.where(r2 < 0, r1, r2)
-    rules = np.concatenate([np.c_[l, l, r1], np.c_[l, l, r2], np.c_[r1, r2, l]])
-    rules = distinct_rows(rules[(rules[:, 2] != rules[:, 0]) & (rules[:, 2] != rules[:, 1])])
-    # Seeds are closed in chunks whose working matrices stay below the int64
-    # columns of the G·(|M| + |N| + |quads|) rows `_tensor_relations` stacks.
-    rows = max(1, 6 * G * (M.size + N.size + len(M.base.quads)) // max(1, len(rules)))
-
-    def close(seeds):
-        return horn_closure(rules, seeds, rows)
-
-    def joins(a, b):
-        return (a[:, None] | b[None]).reshape(-1, G)
-
-    gen_sets = close(np.eye(G, dtype=bool))
-    classes = frontier = distinct_rows(gen_sets)
-    while len(frontier):
-        known = {row.tobytes() for row in classes}
-        sums = close(distinct_rows(joins(classes, frontier)))
-        frontier = distinct_rows(sums[[row.tobytes() not in known for row in sums]])
-        classes = np.concatenate([classes, frontier])
-    classes = classes[np.lexsort(np.c_[classes, classes.sum(1)].T)]
-    index = {row.tobytes(): k for k, row in enumerate(classes)}
-
-    def class_of(sets):
-        return np.array([index[row.tobytes()] for row in sets])
-
-    add_rows = class_of(close(joins(classes, classes))).reshape(len(classes), -1).tolist()
-    gen_class = class_of(gen_sets)
-    members = [np.flatnonzero(row).tolist() for row in classes]
-    return (add_rows, int(gen_class[M.zero * N.size + N.zero]), gen_class, members,
-            _rep_labels(M, N, gen_class, members), [])
 
 
 # The exact tensor quotient that `homology._tensor_reduced` replaced: the

@@ -14,6 +14,7 @@ from tgw.cli import main
 from tgw.core import (BUDGETS, BudgetError, PreconditionError, patch_add,
                       product_structure, serialize_structure)
 from tgw.homology import (HomActionError, HomModuleError, _smith_diagonal, _tensor_group,
+                          _tensor_idempotent,
                           _tensor_quotient, _tensor_relations, adjunction_check, ext1,
                           find_presentation_isomorphism, free_module,
                           free_resolution, hom_module, homological_semisimplicity,
@@ -27,11 +28,11 @@ from tgw.modules import (GammaModule, annihilator, check_module_axioms,
 
 from conftest import (all_bundled_modules, brute_force_presentation_isomorphism,
                       brute_force_tensor_idempotent, chain,
-                      full_state_tensor_saturation, horn_tensor_idempotent,
-                      integers_mod, loop_tensor_relations,
+                      full_state_tensor_saturation, integers_mod, loop_tensor_relations,
                       pairwise_homological_semisimplicity, perturbed_t2, staged_ext1,
                       staged_free_resolution, staged_tor1, swapping_module,
-                      truncated_naturals, union_loop_tensor_saturation)
+                      truncated_naturals, union_loop_tensor_saturation,
+                      zero_action_chain, zero_action_flat)
 
 
 def test_free_module_rank1_is_regular(b2, b2_reg):
@@ -402,14 +403,17 @@ def test_exact_tensor_matches_union_loop(M, N, monkeypatch):
 
 
 def _engine_pairs():
-    """Every pair above, the idempotent oracle cases, and regular C8 and B2^3
-    each tensored with itself, keyed by a test id."""
+    """Every pair above, the idempotent oracle cases, regular C8 and B2^3,
+    and the zero-action 5-chain and flat 6-element semilattice, whose 4
+    generators make 4 kept columns, each tensored with itself, keyed by a
+    test id."""
     b2_reg, b2_t2 = fixtures.bundled_module("B2-regular"), fixtures.bundled_module("B2-T2")
     b2 = b2_reg.base
     b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
     pairs = [*ORACLE_PAIRS, *AGREEMENT_PAIRS,
              *(_idempotent_case(case, b2_reg, b2_t2)[:2] for case in IDEMPOTENT_CASES),
-             *((regular_module(S),) * 2 for S in (chain(8), b2p3))]
+             *((regular_module(S),) * 2 for S in (chain(8), b2p3)),
+             *((M,) * 2 for M in (zero_action_chain(b2, 5), zero_action_flat(b2, 6)))]
     return {f"{M.name}-{N.name}": (M, N) for M, N in pairs}
 
 
@@ -419,12 +423,13 @@ ENGINE_PAIRS = _engine_pairs()
 @pytest.mark.parametrize("M,N", ENGINE_PAIRS.values(), ids=ENGINE_PAIRS)
 def test_reduced_engine_matches_full_state_oracles(M, N):
     """The quotient over reduced states, under each numbering that takes the
-    pair, against the backend that numbering replaced: the Horn closure on
-    idempotent pairs, and the closure of every full state where the state
-    limit admits the full state space."""
+    pair, against the Horn closure on idempotent pairs (which takes them past
+    the state limit), and against the closure of every full state, which the
+    least-state numbering replaced, where the state limit admits the full
+    state space."""
     numberings = {"saturation": full_state_tensor_saturation}
     if homology._is_idempotent(M) and homology._is_idempotent(N):
-        numberings["idempotent"] = horn_tensor_idempotent
+        numberings["idempotent"] = homology._tensor_idempotent
     if min((M.size + 1) ** N.size, (N.size + 1) ** M.size) > BUDGETS["state"]:
         del numberings["saturation"]
     assert numberings
@@ -438,6 +443,28 @@ def test_reduced_engine_matches_full_state_oracles(M, N):
         assert q.rep_gens == rep_gens
         assert list(q.presentation.reps) == labels
         assert q.notes == tuple(notes)
+
+
+def test_wide_idempotent_pair_takes_the_horn_closure_past_the_state_limit(b2, monkeypatch):
+    """The zero-action 7-chain has 6 generators, none a sum of others, so its
+    tensor square keeps 6 columns in either orientation: 8^6 = 262,144
+    reduced states, past the state limit.  The idempotent numbering then
+    takes the Horn closure, which charges no limit, and agrees with the
+    reduced engine under a raised limit: C(12, 6) = 924 classes, one per
+    down-set of the 6 × 6 grid of nonzero pairs."""
+    def fields(q):
+        return q.presentation.to_dict(), q.gen_class.tolist(), q.rep_gens, q.notes
+
+    M = zero_action_chain(b2, 7)
+    assert not check_module_axioms(M).violations
+    assert 8 ** 6 > BUDGETS["state"]
+    horn = []
+    monkeypatch.setattr(homology, "_tensor_idempotent",
+                        lambda *args: horn.append(args) or _tensor_idempotent(*args))
+    past = _tensor_quotient(M, M)
+    assert len(horn) == 1 and past.presentation.size == 924
+    monkeypatch.setitem(BUDGETS, "state", 8 ** 6)
+    assert fields(_tensor_quotient(M, M)) == fields(past) and len(horn) == 1
 
 
 def _relabelled_presentation(P, rng):
