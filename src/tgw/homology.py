@@ -16,10 +16,11 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three engines realize the quotient:
   congruence on functions from a few columns.  Idempotent pairs number its
   classes by their closed sets of generators, all others by their least
   full functions.
-* Horn closure - idempotent pairs whose reduced states exceed the state
-  limit: the classes are the sets of generators closed under the relations
-  read as Horn rules, closed many sets at a time as rows of one boolean
-  matrix, and numbered as the reduced states number them.
+* Horn closure (`horn`, loaded only for these) - idempotent pairs whose
+  reduced states exceed the state limit: the classes are the sets of
+  generators closed under the relations read as Horn rules, closed many
+  sets at a time as rows of one boolean matrix, and numbered as the
+  reduced states number them.
 
 Each reads one relation array, each row once, where it first occurs, and
 computes only the quotient: the class of each generator, the class addition
@@ -484,78 +485,6 @@ def _merge(label, a, b) -> bool:
     return merged
 
 
-def _horn_closure(rules, seeds, rows):
-    """Close each row of the boolean matrix `seeds` under the Horn rules
-    (p, q, c): a row holding columns p and q gets column c (a rule with one
-    premise has q = p).  A pass fires every rule at once, OR-reducing the
-    rules grouped by the column they write, and passes repeat until no row
-    changes.  Seeds are closed `rows` at a time, so a pass's working
-    matrices stay near `rows` × len(rules) booleans."""
-    out = seeds.copy()
-    if not len(rules):
-        return out
-    p, q, c = rules[np.argsort(rules[:, 2], kind="stable")].T
-    starts = np.flatnonzero(np.diff(c, prepend=-1))
-    heads = c[starts]
-    for lo in range(0, len(out), rows):
-        X = out[lo:lo + rows]
-        while True:
-            fired = X[:, p]
-            fired &= X[:, q]
-            fired = np.logical_or.reduceat(fired, starts, axis=1) & ~X[:, heads]
-            if not fired.any():
-                break
-            X[:, heads] |= fired
-    return out
-
-
-def _tensor_idempotent(M: GammaModule, N: GammaModule, name, rels):
-    """Quotient of the free join-semilattice on the generators, for the
-    idempotent pairs whose reduced states exceed the state limit: its cost
-    grows with the classes, not with (|A|+1)^|K|, and it charges no limit.
-
-    A sum of generators is the set of them.  Relation row l = r1 + r2 puts
-    r1 and r2 below l and l below their join: the Horn rules l ⊢ r1, l ⊢ r2
-    and r1 ∧ r2 ⊢ l.  The closure of a set holds exactly the generators below
-    its sum, so two sets are congruent iff their closures agree.  Hence the
-    classes are the closed sets reached from the generators by joins, the
-    class of A ∪ B is the closure of A ∪ B, and a class is represented by the
-    sum of its members.  Classes are ordered by size, then by bitmask Σ 2^g."""
-    G = M.size * N.size
-    l, r1, r2 = rels.T
-    r2 = np.where(r2 < 0, r1, r2)
-    rules = np.concatenate([np.c_[l, l, r1], np.c_[l, l, r2], np.c_[r1, r2, l]])
-    rules = distinct_rows(rules[(rules[:, 2] != rules[:, 0]) & (rules[:, 2] != rules[:, 1])])
-    # Seeds are closed in chunks whose working matrices stay below the int64
-    # columns of the G·(|M| + |N| + |quads|) rows `_tensor_relations` stacks.
-    rows = max(1, 6 * G * (M.size + N.size + len(M.base.quads)) // max(1, len(rules)))
-
-    def close(seeds):
-        return _horn_closure(rules, seeds, rows)
-
-    def joins(a, b):
-        return (a[:, None] | b[None]).reshape(-1, G)
-
-    gen_sets = close(np.eye(G, dtype=bool))
-    classes = frontier = distinct_rows(gen_sets)
-    while len(frontier):
-        known = {row.tobytes() for row in classes}
-        sums = close(distinct_rows(joins(classes, frontier)))
-        frontier = distinct_rows(sums[[row.tobytes() not in known for row in sums]])
-        classes = np.concatenate([classes, frontier])
-    classes = classes[np.lexsort(np.c_[classes, classes.sum(1)].T)]
-    index = {row.tobytes(): k for k, row in enumerate(classes)}
-
-    def class_of(sets):
-        return np.array([index[row.tobytes()] for row in sets])
-
-    add_rows = class_of(close(joins(classes, classes))).reshape(len(classes), -1).tolist()
-    gen_class = class_of(gen_sets)
-    members = [np.flatnonzero(row).tolist() for row in classes]
-    return (add_rows, int(gen_class[M.zero * N.size + N.zero]), gen_class, members,
-            _rep_labels(M, N, gen_class, members), [])
-
-
 def _reduction(A: GammaModule, B: GammaModule):
     """A's addition `plus` with an identity E = |A| adjoined (an empty
     column), `red[u, b]`, the reduced state of u⊗b, and the kept columns K.
@@ -612,16 +541,19 @@ def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool
     `idempotent`, class c is numbered by its closed set
     {g : c + class(g) = c}, by size, then by bitmask Σ 2^g, and represented
     by its members; otherwise by `_least_full_states`.  The closed sets read
-    the quotient alone, so idempotent pairs take whichever orientation has
-    fewer reduced states, and past the state limit `_tensor_idempotent`."""
+    the quotient alone, so an idempotent pair that keeps several columns
+    takes whichever orientation has fewer reduced states, and past the state
+    limit `horn.tensor_idempotent`."""
     flip = (N.size + 1) ** M.size < (M.size + 1) ** N.size
-    options = [(f, *_reduction(*((N, M) if f else (M, N))))
-               for f in ((flip, not flip) if idempotent else (flip,))]
+    options = [(flip, *_reduction(*((N, M) if flip else (M, N))))]
+    if idempotent and len(options[0][3]) > 1:
+        options.append((not flip, *_reduction(*((M, N) if flip else (N, M)))))
     flip, plus, red, kept = min(options, key=lambda o: len(o[1]) ** len(o[3]))
     E = len(plus) - 1
     total = (E + 1) ** len(kept)
     if idempotent and total > BUDGETS["state"]:
-        return _tensor_idempotent(M, N, name, rels)
+        from .horn import tensor_idempotent
+        return tensor_idempotent(M, N, name, rels)
     _charge("state", total, f"{name}: tensor states")
     # State k has the column values digits[k], and digits[k] · place == k;
     # the all-E state is the last one.
@@ -750,7 +682,7 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
     pair and charges its state count to the "state" limit of `core.BUDGETS`;
     `idempotent` numbers the classes by their closed sets of generators and
     `saturation` by their least full states.  An idempotent pair past that
-    limit takes the Horn closure instead (`_tensor_idempotent`), with the
+    limit takes the Horn closure instead (`horn.tensor_idempotent`), with the
     same numbering.  Each backend computes only the
     quotient (`_tensor_quotient`, all that Tor reads); the induced action
     act(a, x, m⊗n, y, b) = act(a, x, m, y, b)⊗n is built here for all three,

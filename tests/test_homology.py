@@ -9,12 +9,11 @@ import random
 import numpy as np
 import pytest
 
-from tgw import fixtures, homology
+from tgw import fixtures, homology, horn
 from tgw.cli import main
 from tgw.core import (BUDGETS, BudgetError, PreconditionError, patch_add,
                       product_structure, serialize_structure)
 from tgw.homology import (HomActionError, HomModuleError, _smith_diagonal, _tensor_group,
-                          _tensor_idempotent,
                           _tensor_quotient, _tensor_relations, adjunction_check, ext1,
                           find_presentation_isomorphism, free_module,
                           free_resolution, hom_module, homological_semisimplicity,
@@ -429,7 +428,7 @@ def test_reduced_engine_matches_full_state_oracles(M, N):
     state space."""
     numberings = {"saturation": full_state_tensor_saturation}
     if homology._is_idempotent(M) and homology._is_idempotent(N):
-        numberings["idempotent"] = homology._tensor_idempotent
+        numberings["idempotent"] = horn.tensor_idempotent
     if min((M.size + 1) ** N.size, (N.size + 1) ** M.size) > BUDGETS["state"]:
         del numberings["saturation"]
     assert numberings
@@ -458,13 +457,14 @@ def test_wide_idempotent_pair_takes_the_horn_closure_past_the_state_limit(b2, mo
     M = zero_action_chain(b2, 7)
     assert not check_module_axioms(M).violations
     assert 8 ** 6 > BUDGETS["state"]
-    horn = []
-    monkeypatch.setattr(homology, "_tensor_idempotent",
-                        lambda *args: horn.append(args) or _tensor_idempotent(*args))
+    calls = []
+    closure = horn.tensor_idempotent
+    monkeypatch.setattr(horn, "tensor_idempotent",
+                        lambda *args: calls.append(args) or closure(*args))
     past = _tensor_quotient(M, M)
-    assert len(horn) == 1 and past.presentation.size == 924
+    assert len(calls) == 1 and past.presentation.size == 924
     monkeypatch.setitem(BUDGETS, "state", 8 ** 6)
-    assert fields(_tensor_quotient(M, M)) == fields(past) and len(horn) == 1
+    assert fields(_tensor_quotient(M, M)) == fields(past) and len(calls) == 1
 
 
 def _relabelled_presentation(P, rng):
