@@ -517,11 +517,13 @@ def _reduction(A: GammaModule, B: GammaModule):
                     known[b] = derived[b] = True
                     red[:, b] = red[a_img[:, k], x]
                     queue.append(b)
-        # Each new column that a sum of known columns reaches, from its first
-        # such pair; the sums are collected once per round.
+        # Each new column that a sum of known columns reaches, from one such
+        # pair (any will do); the sums are collected once per round.
         pairs = np.argwhere(known[:, None] & known & ~known[b_add])
-        sums, first = np.unique(b_add[tuple(pairs.T)], return_index=True)
-        x, y = pairs[first].T
+        via = np.full(B.size, -1)
+        via[b_add[tuple(pairs.T)]] = np.arange(len(pairs))
+        sums = np.flatnonzero(via >= 0)
+        x, y = pairs[via[sums]].T
         red[:, sums] = plus[red[:, x], red[:, y]]
         known[sums] = derived[sums] = True
         queue = sums.tolist()
