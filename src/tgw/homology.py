@@ -519,14 +519,12 @@ def _reduction(A: GammaModule, B: GammaModule):
                     queue.append(b)
         # Each new column that a sum of known columns reaches, from one such
         # pair (any will do); the sums are collected once per round.
-        pairs = np.argwhere(known[:, None] & known & ~known[b_add])
-        via = np.full(B.size, -1)
-        via[b_add[tuple(pairs.T)]] = np.arange(len(pairs))
-        sums = np.flatnonzero(via >= 0)
-        x, y = pairs[via[sums]].T
-        red[:, sums] = plus[red[:, x], red[:, y]]
-        known[sums] = derived[sums] = True
-        queue = sums.tolist()
+        pairs = np.argwhere(known[:, None] & known & ~known[b_add]).tolist()
+        via = {b_add[x, y]: (x, y) for x, y in pairs}
+        for b, (x, y) in via.items():
+            red[:, b] = plus[red[:, x], red[:, y]]
+        queue = list(via)
+        known[queue] = derived[queue] = True
     return plus, red, np.flatnonzero(~derived)
 
 

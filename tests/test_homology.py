@@ -404,15 +404,17 @@ def test_exact_tensor_matches_union_loop(M, N, monkeypatch):
 def _engine_pairs():
     """Every pair above, the idempotent oracle cases, regular C8 and B2^3,
     and the zero-action 5-chain and flat 6-element semilattice, whose 4
-    generators make 4 kept columns, each tensored with itself, keyed by a
-    test id."""
+    generators make 4 kept columns, each tensored with itself, and the free
+    B2-module of rank 3 with the zero-action 4-chain, whose fewer full
+    states have more reduced ones, keyed by a test id."""
     b2_reg, b2_t2 = fixtures.bundled_module("B2-regular"), fixtures.bundled_module("B2-T2")
     b2 = b2_reg.base
     b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
     pairs = [*ORACLE_PAIRS, *AGREEMENT_PAIRS,
              *(_idempotent_case(case, b2_reg, b2_t2)[:2] for case in IDEMPOTENT_CASES),
              *((regular_module(S),) * 2 for S in (chain(8), b2p3)),
-             *((M,) * 2 for M in (zero_action_chain(b2, 5), zero_action_flat(b2, 6)))]
+             *((M,) * 2 for M in (zero_action_chain(b2, 5), zero_action_flat(b2, 6))),
+             (free_module(b2, 3), zero_action_chain(b2, 4))]
     return {f"{M.name}-{N.name}": (M, N) for M, N in pairs}
 
 
