@@ -709,10 +709,12 @@ def test_lenient_localize_leaves_numpy_ma_unimported(tmp_path):
     assert (code, after) == ("1", before)
 
 
-# Exit code and stdout sha256 of the catalog commands on C8 and B2^3, whose
-# regular modules have 128 and 8 congruences.  The `<name>-cyclic-q<k>` names
-# number the congruences in restricted-growth order, so every byte depends on
-# the order in which `enumerate_module_congruences` returns them.
+# Exit code and stdout sha256 of the catalog commands on C8, C10, C12 and
+# B2^3, whose regular modules have 128, 512, 2,048 and 8 congruences (C10 and
+# C12 past the default partition and enum limits, which the test raises).
+# The `<name>-cyclic-q<k>` names number the congruences in restricted-growth
+# order, so every byte depends on the order in which
+# `enumerate_module_congruences` returns them.
 CATALOG_SHA256 = {
     "B2^3": {
         "simples":
@@ -742,6 +744,34 @@ CATALOG_SHA256 = {
         "radical --format json":
             (0, "388335dffaf14ac1333c10e72fe799d1a96ab574869434061043efb7eef95595"),
     },
+    "C10": {
+        "simples":
+            (0, "06afe7b8b80c1e204e3560d0f6f9ea1fe24800d1c0085e74b2c74f8449eb128e"),
+        "simples --format json":
+            (0, "8ff8da8a8aceb663598753fa35327e168abee6d9a4205c6393ef0a86e115e580"),
+        "density":
+            (0, "6958a849222db365e3d0eb6ec531e51036d2d65961078cf5a3e1a1ca8719c077"),
+        "density --format json":
+            (0, "f6da8e8c4425e7f9e7fde77a86df5eeaadf65963b05be7d6ffa93329b8b7befa"),
+        "radical":
+            (0, "d3d6a7de30e19cb10f23f7ea7b716543263ff87d6f6d927d8b64fc2008323df8"),
+        "radical --format json":
+            (0, "e243cca74075bac63aa4198f2fe0521695f7d3b72ddcd07c28a55733e84e5c7d"),
+    },
+    "C12": {
+        "simples":
+            (0, "9d546e9331460d99997c649772ca4551f4f1c45386a6b6742d40188c10b975bd"),
+        "simples --format json":
+            (0, "7ab55522a48778e9814c268dbf588c6435262280e0abe8fee415fb29e0362359"),
+        "density":
+            (0, "a7d2ac43a1428558abd19a83ee5c9f8f57ba7b1f675b08a6775204a65e3c24f1"),
+        "density --format json":
+            (0, "2dde605781d2c88359386ca5e66ef071779fbfe365a4871ed4df8e74d8d2a44f"),
+        "radical":
+            (0, "3363a3fa19454eaf04b1c77061ee7dd30192e1ddb7839ab3c1f48b852bedeffd"),
+        "radical --format json":
+            (0, "30aec799d7bbd8debe655cdfa485307b6b508b0afca7c96c30eb5e0b63b2e355"),
+    },
 }
 
 
@@ -752,13 +782,28 @@ def _catalog_structure(name):
         return truncated_naturals(int(name[1:]))
     if name.startswith("Z"):
         return integers_mod(int(name[1:]))
+    k = int(name[3:]) if name.startswith("B2^") else 0
+    if k < 3:
+        raise ValueError(f"no catalog structure is named {name!r}")
     b2 = fixtures.bundled_structure("B2")
-    b2p3 = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
-    return b2p3 if name == "B2^3" else product_structure(b2p3, b2, name)
+    power = product_structure(fixtures.bundled_structure("B2xB2"), b2, "B2^3")
+    for i in range(4, k + 1):
+        power = product_structure(power, b2, f"B2^{i}")
+    return power
+
+
+def test_catalog_structure_reads_the_exponent():
+    assert [_catalog_structure(f"B2^{k}").n for k in (3, 4, 5)] == [8, 16, 32]
+    assert _catalog_structure("B2^5").name == "B2^5"
+    for name in ("B2^2", "B2xB2", "B2^x", "Q8"):
+        with pytest.raises(ValueError):
+            _catalog_structure(name)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_SHA256))
-def test_catalog_commands_pinned(capsys, tmp_path, name):
+def test_catalog_commands_pinned(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.setitem(BUDGETS, "partition", 16)
+    monkeypatch.setitem(BUDGETS, "enum", 40)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(structure_to_dict(_catalog_structure(name))))
     got = {}
@@ -767,6 +812,32 @@ def test_catalog_commands_pinned(capsys, tmp_path, name):
         code, out = run(capsys, command, str(path), *options)
         got[argv] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == CATALOG_SHA256[name]
+
+
+# Exit code and stdout sha256 of `spec --format json` on B2^5, whose 1,024
+# ideal closures read the action of its ideal module (enum limit raised), and
+# of `modules --format json` on B2^3 with B2^3-T2n, the module that
+# `perfbench/inputs.write_inputs` writes: the module loader and the law tables.
+MODULE_SHA256 = {
+    "spec B2^5": (0, "c61d78d3d5a1967d8c112283b1a12efc1da1209366ac3001595f935c950ec8c7"),
+    "modules B2^3-T2n": (0, "e9a87b21adeaedeb8aff284f87d29006a6966dca6eba2b5b13c7970b408db8f3"),
+}
+
+
+def test_spectrum_of_b2_to_the_fifth_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.setitem(BUDGETS, "enum", 40)
+    path = tmp_path / "B2^5.json"
+    path.write_text(json.dumps(structure_to_dict(_catalog_structure("B2^5"))))
+    code, out = run(capsys, "spec", str(path), "--format", "json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == MODULE_SHA256["spec B2^5"]
+
+
+def test_modules_of_the_benchmark_module_pinned(capsys, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    paths = _load("perfbench", "inputs.py").write_inputs(root, tmp_path, 0, ["B2p3", "B2p3-T2n"])
+    code, out = run(capsys, "modules", paths["B2p3"], "--module", paths["B2p3-T2n"],
+                    "--format", "json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == MODULE_SHA256["modules B2^3-T2n"]
 
 
 # Exit code and stdout sha256 of `tor`, `ext` and `adjunction --format json`
