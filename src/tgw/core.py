@@ -76,7 +76,7 @@ class FiniteTernaryGammaSemiring:
     tri: tuple
     commutative: bool = True
     # Every action parameter (a, x, y, b), in C order: the one order in which
-    # the flat view of a module action (`GammaModule.images`) lists them.
+    # a module action (`GammaModule.column_of`) lists them.
     quads: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False,
                                                          compare=False)
     # The hash of the compared fields, taken once: `lru_cache` hashes its key
@@ -721,10 +721,11 @@ def read_labels(data: dict, key: str) -> dict[str, int]:
 
 
 def label_array(data: dict, key: str, shape: tuple[int, ...], index: dict[str, int],
-                missing: str = "is not declared"):
+                missing: str = "is not declared", nested: bool = True):
     """`data[key]`, an array of labels of the given shape (() for one label),
-    as nested tuples of indices.  The shape is checked level by level before
-    the leaves are looked up (naming the first bad label in C order) and nested."""
+    as nested tuples of indices, or unless `nested` as the list of them in C order.
+    The shape is checked level by level before the leaves are looked up
+    (naming the first bad label in C order) and nested."""
     level = [data[key]]
     for size in shape:
         for t in level:
@@ -739,6 +740,8 @@ def label_array(data: dict, key: str, shape: tuple[int, ...], index: dict[str, i
     except (KeyError, TypeError):
         bad = next(t for t in level if not isinstance(t, str) or t not in index)
         raise FixtureError(f"reference error: label {bad!r} in {key} {missing}") from None
+    if not nested:
+        return flat
     for size in reversed(shape):
         flat = zip(*[iter(flat)] * size)
     return next(iter(flat))

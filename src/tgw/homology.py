@@ -46,8 +46,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .core import (BUDGETS, FiniteTernaryGammaSemiring, PreconditionError, _charge,
-                   bourne_classes, distinct_rows, row_order)
-from .modules import (GammaModule, ModuleHom, _homs, _pointwise_sums,
+                   bourne_classes, row_order)
+from .modules import (GammaModule, ModuleHom, _canonical, _homs, _pointwise_sums,
                       check_module_axioms, generating_set, hom_set, hom_violation,
                       require_module_axioms, regular_module, sub_module,
                       is_submodule, cyclic_module_catalog,
@@ -185,12 +185,11 @@ def _free_module(S: FiniteTernaryGammaSemiring, r: int) -> GammaModule:
                    for t in tuples)
     madd = tuple(tuple(idx[tuple(S.add[a[i]][b[i]] for i in range(r))] for b in tuples)
                  for a in tuples)
-    reg = regular_module(S).images
-    images = tuple(tuple(idx[tuple(reg[e][k] for e in t)] for k in range(len(S.quads)))
-                   for t in tuples)
+    reg = regular_module(S)
+    cols = (tuple(idx[tuple(col[e] for e in t)] for t in tuples) for col in reg.columns)
     return GammaModule(name=f"{S.name}^{r}", base=S, carrier=labels,
                        zero=idx[tuple(S.zero for _ in range(r))],
-                       madd=madd, images=images, m2_profile="none")
+                       madd=madd, **_canonical(cols, reg.column_of), m2_profile="none")
 
 
 @dataclass
@@ -215,8 +214,9 @@ def _covering_map(S, target: GammaModule, gens):
     sum_i act(a_i, x0, gens_i, y0, unit) inside `target`, at the first
     parameters x0 = y0 = 0."""
     p = free_module(S, len(gens))
-    col = {q[0]: k for k, q in enumerate(S.quads) if q[1:] == (0, 0, S.unit)}
-    mapping = tuple(target.sum_of(target.images[g][col[a]] for a, g in zip(tup, gens))
+    # The column of each a at (a, 0, 0, unit): one quad in every |quads| / |T|.
+    cols = [target.columns[i] for i in target.column_of[S.unit::len(S.quads) // S.n]]
+    mapping = tuple(target.sum_of(cols[a][g] for a, g in zip(tup, gens))
                     for tup in free_carrier_tuples(S, len(gens)))
     return p, mapping
 
@@ -275,14 +275,14 @@ def _tensor_relations(M: GammaModule, N: GammaModule):
     left = rows(np.asarray(M.madd)[m1, m2] * size + n, m1 * size + n, m2 * size + n)
     m, n1, n2 = np.ix_(range(M.size), range(size), range(size))
     right = rows(m * size + np.asarray(N.madd)[n1, n2], m * size + n1, m * size + n2)
-    # The balance relations keep the nesting order (a, x, m, y, b, n) rather
-    # than the order of `images`: the group backend's diagonalization follows
-    # the relation order.  `S.quads` lists (a, x, y, b) in product order.
+    # The balance relations keep the nesting order (a, x, m, y, b, n), one
+    # row per quad rather than per column: the group backend's diagonalization
+    # follows the relation order.  `S.quads` lists (a, x, y, b) in product order.
     a, x, m, y, b, n = np.ix_(range(S.n), range(S.g), range(M.size), range(S.g),
                               range(S.n), range(size))
     k = ((a * S.g + x) * S.g + y) * S.n + b
-    balance = rows(np.asarray(M.images)[m, k] * size + n,
-                   m * size + np.asarray(N.images)[n, k], -1)
+    mk, nk = (np.asarray(X.columns)[np.asarray(X.column_of)] for X in (M, N))
+    balance = rows(mk[k, m] * size + n, m * size + nk[k, n], -1)
     rels = np.concatenate([left, right, balance[balance[:, 0] != balance[:, 1]]])
     descriptions = (
         f"(m+m')⊗n ~ m⊗n + m'⊗n for all m,m' in {M.name}, n in {N.name}",
@@ -500,9 +500,10 @@ def _reduction(A: GammaModule, B: GammaModule):
     plus = np.empty((E + 1, E + 1), dtype=np.int64)
     plus[:E, :E] = A.madd
     plus[E, :] = plus[:, E] = np.arange(E + 1)
-    a_img, b_img, b_add = np.asarray(A.images), np.asarray(B.images), np.asarray(B.madd)
-    order, new = row_order(np.c_[a_img.T, b_img.T])
-    acts = sorted(order[new].tolist())  # one quad per distinct pair of columns
+    # The columns of A and B at one quad per distinct pair of columns.
+    pairs = dict.fromkeys(zip(A.column_of, B.column_of))
+    a_cols = np.asarray(A.columns)[[i for i, _ in pairs]]
+    b_cols, b_add = np.asarray(B.columns)[[j for _, j in pairs]], np.asarray(B.madd)
     # red[u, b] starts as u⊗b itself, in its own column.
     red = np.full((E, B.size, B.size), E, dtype=np.min_scalar_type(E))
     red[:, range(B.size), range(B.size)] = np.arange(E)[:, None]
@@ -512,10 +513,10 @@ def _reduction(A: GammaModule, B: GammaModule):
     known[queue] = True
     while queue:
         for x in queue:
-            for b, k in zip(b_img[x, acts].tolist(), acts):
+            for b, a_col in zip(b_cols[:, x].tolist(), a_cols):
                 if not known[b]:
                     known[b] = derived[b] = True
-                    red[:, b] = red[a_img[:, k], x]
+                    red[:, b] = red[a_col, x]
                     queue.append(b)
         # Each new column that a sum of known columns reaches, from one such
         # pair (any will do); the sums are collected once per round.
@@ -694,18 +695,15 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
     q = _tensor_quotient(M, N, backend, lenient)
     pres, gen_class, notes = q.presentation, q.gen_class, list(q.notes)
     table = np.array(pres.add)
-    # acted[g, k] is the class of act_k(m)⊗n for generator g = m·|N| + n.
-    acted = gen_class[np.asarray(M.images)[:, None, :] * N.size
+    # acted[g, i] is the class of act(m)⊗n in M's column i, for g = m·|N| + n.
+    acted = gen_class[np.asarray(M.columns).T[:, None, :] * N.size
                       + np.arange(N.size)[:, None]].reshape(len(gen_class), -1)
-    # Quad columns repeat as well.  Each distinct column is checked on its
-    # own, as a rows × quads array outgrows everything else here.
-    action_ok = all(_respects(q.relations, table, column)
-                    for column in distinct_rows(acted.T))
+    action_ok = all(_respects(q.relations, table, column) for column in acted.T)
     if not action_ok:
         notes.append("induced action is not well-defined on a relation pair")
-    images = _class_sums(table, acted, q.rep_gens).tolist()
+    cols = _class_sums(table, acted, q.rep_gens).T.tolist()
     module = GammaModule(name=pres.name, base=M.base, carrier=pres.classes, zero=pres.zero,
-                         madd=pres.add, images=tuple(map(tuple, images)))
+                         madd=pres.add, **_canonical(map(tuple, cols), M.column_of))
     if check_module_axioms(module).violations:
         action_ok = False
         notes.append("induced module fails the module axioms")
@@ -831,7 +829,8 @@ def tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
         relations=("coequalizer of d1⊗id via the Bourne congruence of its image",))
 
     # P0 often carries M's own tables (M regular), and then M⊗N is P0⊗N.
-    same = (M.madd, M.zero, M.images) == (res.p0.madd, res.p0.zero, res.p0.images)
+    same = ((M.madd, M.zero, M.columns, M.column_of)
+            == (res.p0.madd, res.p0.zero, res.p0.columns, res.p0.column_of))
     tmn = t0 if same else _tensor_quotient(M, N, lenient=lenient)
     iso = find_presentation_isomorphism(tor0_pres, tmn.presentation)
     return TorResult(tor1=tor1_pres, tor0=tor0_pres,
@@ -876,16 +875,16 @@ def hom_module(N: GammaModule, P: GammaModule) -> tuple[GammaModule, tuple[Modul
     if any(None in row for row in madd_rows):
         raise HomModuleError("hom_module: hom set is not closed under "
                              "pointwise addition")
-    # Row of hom f over quads: the hom m -> act(a, x, f(m), y, b), by index.
-    act_rows = [tuple(index.get(image) for image in zip(*(P.images[v] for v in f.map)))
-                for f in homs]
-    for k, row in enumerate(act_rows):
+    # Per column of P, the hom m -> act(a, x, f(m), y, b) of each hom f, by index.
+    cols = [tuple(index.get(tuple(map(col.__getitem__, f.map))) for f in homs)
+            for col in P.columns]
+    for k, row in enumerate(zip(*cols)):
         if None in row:
-            raise HomActionError(N, P, k, homs[k].map, S.quads[row.index(None)])
+            raise HomActionError(N, P, k, homs[k].map, S.quads[P.column_of.index(row.index(None))])
     module = GammaModule(name=f"Hom({N.name},{P.name})", base=S,
                          carrier=tuple(f"h{k}" for k in range(len(homs))),
-                         zero=index[zero_map],
-                         madd=madd_rows, images=tuple(act_rows))
+                         zero=index[zero_map], madd=madd_rows,
+                         **_canonical(cols, P.column_of))
     return module, homs
 
 

@@ -5,11 +5,10 @@ analysis, annihilators, module catalogs, and the Jacobson radical.
 The module laws are declared once, in `MODULE_LAWS`, and checked on index
 grids by the same evaluator as the structure laws in `core`.
 
-A module stores its action once, flat: `S.quads` lists the parameters
-(a, x, y, b) in C order, and `GammaModule.images[m]` is the row of
-act(a, x, m, y, b) over them.  Every reader and every builder of a module
-works on these rows.  The nested table act[a][x][m][y][b] is the fixture
-format only: `module_from_dict` flattens it and `module_to_dict` nests it.
+A module stores its action once per distinct column m ↦ act(a, x, m, y, b):
+`S.quads` lists the parameters (a, x, y, b) in C order.  Builders map these
+columns and readers iterate them.  The nested table act[a][x][m][y][b] is the
+fixture format only: `module_from_dict` reads it and `module_to_dict` writes it.
 
 The quotient construction is subtraction-free throughout: two carrier
 elements are identified when they become equal after adding elements of the
@@ -34,9 +33,9 @@ from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
 class GammaModule:
     """A finite commutative monoid carrying a five-slot action of the base.
 
-    `images[m][k]` gives the carrier index of act(a, x, m, y, b) for
-    (a, x, y, b) = base.quads[k]: the action of base elements a, b at
-    parameters x, y on carrier element m.
+    `columns[column_of[k]][m]` gives the carrier index of act(a, x, m, y, b)
+    for (a, x, y, b) = base.quads[k].  The columns are distinct and in order
+    of first occurrence over the quads, so equal actions have equal fields.
     """
 
     name: str
@@ -44,7 +43,8 @@ class GammaModule:
     carrier: tuple[str, ...]
     zero: int
     madd: tuple[tuple[int, ...], ...]
-    images: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    column_of: tuple[int, ...]
     m2_profile: str = "none"
 
     @property
@@ -59,16 +59,18 @@ class GammaModule:
 
 
 def nested_action(M: GammaModule) -> tuple:
-    """The nested table act[a][x][m][y][b] of the fixture format, from `images`."""
+    """The nested table act[a][x][m][y][b] of the fixture format, from the columns."""
     g, n = M.base.g, M.base.n
-    blocks = [tuple(zip(*[zip(*[iter(row)] * n)] * g)) for row in M.images]
+    rows = zip(*map(M.columns.__getitem__, M.column_of))
+    blocks = [tuple(zip(*[zip(*[iter(row)] * n)] * g)) for row in rows]
     return tuple(zip(*[zip(*blocks)] * g))
 
 
 def _module_tables(M: GammaModule) -> dict:
     import numpy as np
     t, n, g = _structure_tables(M.base), M.base.n, M.base.g
-    act = np.array(M.images).reshape(M.size, n, g, g, n).transpose(1, 2, 0, 3, 4)
+    act = np.array(M.columns)[np.array(M.column_of)]  # act[k, m] at quad k
+    act = act.reshape(n, g, g, n, -1).transpose(0, 1, 4, 2, 3)
     return {**t, "m": M.size, "zm": M.zero, "nested": M.m2_profile == "nested",
             "madd": _Table(M.madd, M.size, t["grid"]),
             "act": _Table(np.ascontiguousarray(act), M.size, t["grid"])}
@@ -143,7 +145,7 @@ def _closure(table, seed) -> frozenset[int]:
 
 
 def _table(M: GammaModule) -> tuple:
-    return M.madd, M.zero, M.images
+    return M.madd, M.zero, tuple(zip(*M.columns))
 
 
 def submodule_closure(M: GammaModule, seed) -> frozenset[int]:
@@ -156,7 +158,7 @@ def is_submodule(M: GammaModule, members: frozenset[int]) -> bool:
         return False
     if any(M.madd[i][j] not in members for i in members for j in members):
         return False
-    return all(members.issuperset(M.images[m]) for m in members)
+    return all(col[m] in members for col in M.columns for m in members)
 
 
 def enumerate_submodules(M: GammaModule) -> list[frozenset[int]]:
@@ -200,11 +202,11 @@ def sub_module(M: GammaModule, members: frozenset[int], name: str | None = None)
     order = sorted(members)
     new_index = {orig: k for k, orig in enumerate(order)}
     madd = tuple(tuple(new_index[M.madd[i][j]] for j in order) for i in order)
-    images = tuple(tuple(new_index[v] for v in M.images[m]) for m in order)
-    return GammaModule(
-        name=name or f"{M.name}|{{{','.join(M.carrier[i] for i in order)}}}",
-        base=M.base, carrier=tuple(M.carrier[i] for i in order),
-        zero=new_index[M.zero], madd=madd, images=images, m2_profile=M.m2_profile)
+    cols = (tuple(new_index[col[m]] for m in order) for col in M.columns)
+    return replace(
+        M, name=name or f"{M.name}|{{{','.join(M.carrier[i] for i in order)}}}",
+        carrier=tuple(M.carrier[i] for i in order), zero=new_index[M.zero], madd=madd,
+        **_canonical(cols, M.column_of))
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +253,11 @@ def hom_violation(source: GammaModule, target: GammaModule, mapping: tuple[int, 
         for j in carrier:
             if mapping[source.madd[i][j]] != target.madd[mapping[i]][mapping[j]]:
                 return ("additive", (i, j))
-    for m, row in enumerate(source.images):
-        for (a, x, y, b), s, t in zip(source.base.quads, row, target.images[mapping[m]]):
-            if mapping[s] != t:
+    quads = list(zip(source.column_of, target.column_of))
+    for m in carrier:
+        for i, j in dict.fromkeys(quads):
+            if mapping[source.columns[i][m]] != target.columns[j][mapping[m]]:
+                a, x, y, b = source.base.quads[quads.index((i, j))]
                 return ("equivariance", (a, x, m, y, b))
     return None
 
@@ -277,6 +281,13 @@ def generating_set(M: GammaModule) -> tuple[int, ...]:
     return _generators(_table(M))
 
 
+def _paired(M: GammaModule, N: GammaModule) -> tuple[tuple, tuple]:
+    """`_table` of M and N over one quad per distinct pair of their columns."""
+    pairs = dict.fromkeys(zip(M.column_of, N.column_of))
+    return ((M.madd, M.zero, tuple(zip(*(M.columns[i] for i, _ in pairs)))),
+            (N.madd, N.zero, tuple(zip(*(N.columns[j] for _, j in pairs)))))
+
+
 def _homs(source, target, injective: bool):
     """Each hom, or each injective one, between two (addition, zero, action
     rows) triples, as a carrier mapping.  From zero ↦ zero it tries every image
@@ -286,11 +297,6 @@ def _homs(source, target, injective: bool):
     Each image tried for a generator is one search node, charged to "hom"."""
     sadd, szero, srows = source
     tadd, tzero, trows = target
-    # Quads with equal source and equal target columns push equal pairs, so
-    # one quad per distinct pair of columns is kept.
-    keep = dict(zip(zip(*srows, *trows), itertools.count())).values()
-    srows = [[row[k] for k in keep] for row in srows]
-    trows = [[row[k] for k in keep] for row in trows]
 
     def extend(image: list[int], m: int, v: int) -> bool:
         todo = [(m, v)]
@@ -328,7 +334,7 @@ def hom_set(M: GammaModule, N: GammaModule) -> tuple[ModuleHom, ...]:
     search of `_homs` over generator images, charged per search node."""
     if M.base is not N.base and M.base != N.base:
         raise PreconditionError("hom_set: modules live over different bases")
-    maps = sorted(_homs(_table(M), _table(N), False))
+    maps = sorted(_homs(*_paired(M, N), False))
     return tuple(ModuleHom(M, N, mp, verified=True) for mp in maps)
 
 
@@ -337,7 +343,7 @@ def find_isomorphism(A: GammaModule, B: GammaModule) -> ModuleHom | None:
     inverse is a hom too, as for every bijective hom between total tables."""
     if A.size != B.size:
         return None
-    found = next(_homs(_table(A), _table(B), True), None)
+    found = next(_homs(*_paired(A, B), True), None)
     return None if found is None else ModuleHom(A, B, found, verified=True)
 
 
@@ -345,8 +351,8 @@ def find_isomorphism(A: GammaModule, B: GammaModule) -> ModuleHom | None:
 # Annihilators and faithfulness
 
 def annihilator_of_element(M: GammaModule, mm: int) -> frozenset[int]:
-    S = M.base
-    acting = {q[0] for q, v in zip(S.quads, M.images[mm]) if v != M.zero}
+    S, moved = M.base, {i for i, col in enumerate(M.columns) if col[mm] != M.zero}
+    acting = {q[0] for q, i in zip(S.quads, M.column_of) if i in moved}
     # 0_T belongs by the ideal type invariant even when absorption fails.
     return frozenset(range(S.n)).difference(acting) | {S.zero}
 
@@ -448,11 +454,13 @@ def density_check(M: GammaModule, anchor: int | None = None, rank2: bool = False
         anchor = M.base.unit
     if anchor is None:
         raise PreconditionError("density_check: no anchor available (no unit declared)")
-    # The anchored columns of `images`, keeping the (a, x, y) order of quads.
-    cols = [k for k, q in enumerate(M.base.quads) if q[3] == anchor]
-    combos = [M.base.quads[k][:3] for k in cols]
+    # The columns at the quads with b = anchor, each with the (a, x, y) of the
+    # first of them, in the order of quads.
+    anchored = M.column_of[anchor::M.base.n]
+    cols = dict.fromkeys(anchored)
+    combos = [M.base.quads[anchored.index(i) * M.base.n + anchor][:3] for i in cols]
     nonzero = [mm for mm in range(M.size) if mm != M.zero]
-    rows = {mm: [M.images[mm][k] for k in cols] for mm in nonzero}
+    rows = {mm: [M.columns[i][mm] for i in cols] for mm in nonzero}
     witnesses = []
     unsolvable = []
     for mm in nonzero:
@@ -513,8 +521,9 @@ def _congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | None]:
             for u in carrier:
                 if class_of[M.madd[m1][u]] != class_of[M.madd[m2][u]]:
                     return False, f"madd: [{m1}]=[{m2}] but [{m1}+{u}]!=[{m2}+{u}]"
-            for (a, x, y, b), v1, v2 in zip(M.base.quads, M.images[m1], M.images[m2]):
-                if class_of[v1] != class_of[v2]:
+            for i, col in enumerate(M.columns):
+                if class_of[col[m1]] != class_of[col[m2]]:
+                    a, x, y, b = M.base.quads[M.column_of.index(i)]
                     return False, (f"act: [{m1}]=[{m2}] but images differ "
                                    f"at (a={a},x={x},y={y},b={b})")
     return True, None
@@ -526,11 +535,10 @@ def quotient_by_congruence(M: GammaModule, cong: ModuleCongruence,
     reps = [cls[0] for cls in cong.classes]
     class_of = cong.class_of
     madd = tuple(tuple(class_of[M.madd[r1][r2]] for r2 in reps) for r1 in reps)
-    images = tuple(tuple(map(class_of.__getitem__, M.images[r])) for r in reps)
+    cols = (tuple(class_of[col[r]] for r in reps) for col in M.columns)
     labels = tuple(f"[{M.carrier[r]}]" for r in reps)
-    return GammaModule(name=name or f"{M.name}/~{len(cong.classes)}",
-                       base=M.base, carrier=labels, zero=class_of[M.zero],
-                       madd=madd, images=images, m2_profile=M.m2_profile)
+    return replace(M, name=name or f"{M.name}/~{len(cong.classes)}", carrier=labels,
+                   zero=class_of[M.zero], madd=madd, **_canonical(cols, M.column_of))
 
 
 def bourne_quotient(M: GammaModule, members: frozenset[int],
@@ -565,9 +573,9 @@ def _equivalence_join(theta, pairs) -> tuple[int, ...]:
 
 def _principals(M: GammaModule):
     """Each principal congruence Cg(a, b), a < b, as the least member of each
-    element's class.  Congruences respect each m ↦ madd[m][u] and
-    m ↦ images[m][k]: merging x, y pushes (f(x), f(y))."""
-    maps, discrete = {*zip(*M.madd), *zip(*M.images)}, range(M.size)
+    element's class.  Congruences respect each m ↦ madd[m][u] and each action
+    column: merging x, y pushes (f(x), f(y))."""
+    maps, discrete = {*zip(*M.madd), *M.columns}, range(M.size)
     for a, b in itertools.combinations(discrete, 2):
         uf, todo = UnionFind(M.size), [(a, b)]
         while todo:
@@ -725,14 +733,12 @@ class CatalogEntry:
 
 
 def _iso_invariant(M: GammaModule) -> tuple:
-    """What isomorphisms over one base keep: size, which action columns are equal,
-    sorted fibre sizes of each distinct column, multiset of (is zero,
-    #{u: m + u = m}, distinct columns fixing m)."""
-    cols = tuple(zip(*M.images))
-    first = {col: k for k, col in enumerate(dict.fromkeys(cols))}
-    pattern = tuple(map(first.__getitem__, cols))
-    return (M.size, pattern, tuple(tuple(sorted(map(col.count, set(col)))) for col in first),
-            tuple(sorted((m == M.zero, row.count(m), tuple(col[m] == m for col in first))
+    """What isomorphisms over one base keep: size, which action columns are equal
+    (`column_of`), sorted fibre sizes of each distinct column, multiset of
+    (is zero, #{u: m + u = m}, distinct columns fixing m)."""
+    cols = M.columns
+    return (M.size, M.column_of, tuple(tuple(sorted(map(col.count, set(col)))) for col in cols),
+            tuple(sorted((m == M.zero, row.count(m), tuple(col[m] == m for col in cols))
                          for m, row in enumerate(M.madd))))
 
 
@@ -801,27 +807,45 @@ def direct_sum(M1: GammaModule, M2: GammaModule, name: str | None = None) -> Gam
     labels = tuple(f"({M1.carrier[i]},{M2.carrier[j]})" for i, j in pairs)
     madd = tuple(tuple(idx[(M1.madd[a1][b1], M2.madd[a2][b2])] for b1, b2 in pairs)
                  for a1, a2 in pairs)
-    images = tuple(tuple(idx[p] for p in zip(M1.images[i], M2.images[j])) for i, j in pairs)
+    both = {p: k for k, p in enumerate(dict.fromkeys(zip(M1.column_of, M2.column_of)))}
+    cols = (tuple(map(idx.__getitem__, itertools.product(M1.columns[i], M2.columns[j])))
+            for i, j in both)
     profile = M1.m2_profile if M1.m2_profile == M2.m2_profile else "none"
     return GammaModule(name=name or f"{M1.name}(+){M2.name}", base=S,
-                       carrier=labels, zero=idx[(M1.zero, M2.zero)],
-                       madd=madd, images=images, m2_profile=profile)
+                       carrier=labels, zero=idx[(M1.zero, M2.zero)], madd=madd,
+                       **_canonical(cols, tuple(map(both.__getitem__,
+                                                    zip(M1.column_of, M2.column_of)))),
+                       m2_profile=profile)
 
 
 # ---------------------------------------------------------------------------
 # Module builders and fixture text
 
-def _action_rows(table) -> tuple:
-    """`images` from a nested table t[a][x][u][y][b], such as act or tri."""
-    flat = itertools.chain.from_iterable
-    return tuple(tuple(flat(flat(blocks))) for blocks in zip(*flat(table)))
+def _canonical(cols, column_of=None) -> dict:
+    """`columns` and `column_of` for the action whose slot k reads cols[column_of[k]]
+    (cols[k] without `column_of`), equal columns merged.  `cols` must list its
+    columns in order of first occurrence over the slots, as a map of canonical
+    columns does."""
+    index: dict = {}
+    merged = [index.setdefault(col, len(index)) for col in cols]
+    if column_of is None or len(index) < len(merged):
+        column_of = tuple(map(merged.__getitem__, column_of or range(len(merged))))
+    return {"columns": tuple(index), "column_of": column_of}
+
+
+def _action_columns(flat, m: int, width: int) -> dict:
+    """`_canonical` of the entries of t[a][x][u][y][b] in C order, width g·n."""
+    block = m * width
+    return _canonical(tuple(flat[s + j:s + block:width])
+                      for s in range(0, len(flat), block) for j in range(width))
 
 
 @lru_cache(maxsize=None)
 def regular_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:
     """T acting on itself by tri; built once per structure and name."""
     return GammaModule(name=name or f"{S.name}-regular", base=S, carrier=S.elements,
-                       zero=S.zero, madd=S.add, images=_action_rows(S.tri))
+                       zero=S.zero, madd=S.add,
+                       **_action_columns(table_arrays(S)[1].ravel().tolist(), S.n, S.g * S.n))
 
 
 @lru_cache(maxsize=None)
@@ -833,14 +857,17 @@ def _ideal_module(S: FiniteTernaryGammaSemiring) -> GammaModule:
     if S.commutative and all(b.law != "tri-commutativity"
                              for b in check_axioms(S).violations.blocks):
         return regular_module(S)
-    reg, t = regular_module(S), table_arrays(S)[1].reshape(-1, S.n)
-    rows = np.hstack([reg.images, t.reshape(S.n, -1), t.T]).tolist()
-    return replace(reg, images=tuple(map(tuple, rows)))
+    # Slots past the quads: T in slot a, then in slot b, each by its columns.
+    reg, t = regular_module(S), table_arrays(S)[1]
+    cols = reg.columns + tuple(map(tuple, np.vstack([t.reshape(S.n, -1).T,
+                                                     t.reshape(-1, S.n)]).tolist()))
+    return replace(reg, **_canonical(cols, reg.column_of + tuple(range(len(reg.columns),
+                                                                       len(cols)))))
 
 
 def zero_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:
-    return GammaModule(name=name or f"{S.name}-zero", base=S, carrier=("0",),
-                       zero=0, madd=((0,),), images=((0,) * len(S.quads),))
+    return GammaModule(name=name or f"{S.name}-zero", base=S, carrier=("0",), zero=0,
+                       madd=((0,),), columns=((0,),), column_of=(0,) * len(S.quads))
 
 
 def module_from_dict(data: dict, base: FiniteTernaryGammaSemiring) -> GammaModule:
@@ -857,13 +884,13 @@ def module_from_dict(data: dict, base: FiniteTernaryGammaSemiring) -> GammaModul
     missing = "is not in the carrier"
     zero = label_array(data, "zero", (), carrier, missing)
     madd = label_array(data, "madd", (m, m), carrier, missing)
-    act = label_array(data, "act", (n, g, m, g, n), carrier, missing)
+    act = label_array(data, "act", (n, g, m, g, n), carrier, missing, nested=False)
     profile = data.get("m2_profile", "none")
     if profile not in ("none", "nested"):
         raise FixtureError(f"parse error: unknown m2_profile {profile!r}")
     return GammaModule(name=str(data.get("name", f"{base.name}-module")), base=base,
                        carrier=tuple(carrier), zero=zero, madd=madd,
-                       images=_action_rows(act), m2_profile=profile)
+                       **_action_columns(act, m, g * n), m2_profile=profile)
 
 
 def load_module(text: str, base: FiniteTernaryGammaSemiring) -> GammaModule:

@@ -27,7 +27,7 @@ from tgw.homology import (HomSemisimplicityReport, MonoidPresentation, TorResult
                           free_carrier_tuples, free_module, make_presentation, tensor,
                           tensor_induced_map)
 from tgw.ideals import LocalizedSemiring, _span, is_ideal_subset, is_prime
-from tgw.modules import (GammaModule, ModuleCongruence, ModuleHom, _classes,
+from tgw.modules import (GammaModule, ModuleCongruence, ModuleHom, _canonical, _classes,
                          _partition_to_congruence, check_module_axioms,
                          cyclic_module_catalog, generating_set, hom_set, hom_violation,
                          is_submodule, jacobson_radical, nested_action,
@@ -172,12 +172,22 @@ def zsum(n: int) -> FiniteTernaryGammaSemiring:
         unit=None, gamma=("g0", "g1"), add=add, tri=tri)
 
 
+def action_rows(M: GammaModule) -> tuple:
+    """Row m lists act(a, x, m, y, b) over `M.base.quads`: the action expanded
+    from its distinct columns."""
+    return tuple(zip(*map(M.columns.__getitem__, M.column_of)))
+
+
+def with_rows(M: GammaModule, rows, **fields) -> GammaModule:
+    """M with the action whose row m lists act(a, x, m, y, b) over the quads."""
+    return dataclasses.replace(M, **_canonical(zip(*rows)), **fields)
+
+
 def perturbed_t2(b2_t2):
     """B2-T2 with act(1,x,(1,1),x,1) sent to (0,1): a module-law violation."""
-    images = [list(row) for row in b2_t2.images]
+    images = [list(row) for row in action_rows(b2_t2)]
     images[3][b2_t2.base.quads.index((1, 0, 0, 1))] = 1
-    return dataclasses.replace(b2_t2, name="B2-T2-perturbed",
-                               images=tuple(map(tuple, images)))
+    return with_rows(b2_t2, images, name="B2-T2-perturbed")
 
 
 def swapping_module(b2):
@@ -191,7 +201,7 @@ def swapping_module(b2):
     rows = [tuple(swaps.get((x, y), range(5))[m] if a and b else 0
                   for a, x, y, b in b2.quads) for m in range(5)]
     return GammaModule(name="B2-swaps", base=b2, carrier=tuple("0123t"), zero=0,
-                       madd=madd, images=tuple(rows))
+                       madd=madd, **_canonical(zip(*rows)))
 
 
 def zero_action_semilattice(b2, madd, name):
@@ -200,7 +210,7 @@ def zero_action_semilattice(b2, madd, name):
     k = len(madd)
     return GammaModule(name=name, base=b2, carrier=tuple(f"e{i}" for i in range(k)),
                        zero=0, madd=tuple(map(tuple, madd)),
-                       images=((0,) * len(b2.quads),) * k)
+                       columns=((0,) * k,), column_of=(0,) * len(b2.quads))
 
 
 def zero_action_chain(b2, k):
@@ -235,12 +245,11 @@ def tri_patched_at_every_pair(S, a: int, b: int, c: int, value: int):
 
 def act_patched_at_every_pair(M, a: int, u: int, b: int, value: int):
     """M with act(a, x, u, y, b) set to `value` at every parameter pair."""
-    images = [list(row) for row in M.images]
+    images = [list(row) for row in action_rows(M)]
     for k, quad in enumerate(M.base.quads):
         if (quad[0], quad[3]) == (a, b):
             images[u][k] = value
-    return dataclasses.replace(M, name=f"{M.name}-act({a},{u},{b})={value}",
-                               images=nested_tuples(images))
+    return with_rows(M, images, name=f"{M.name}-act({a},{u},{b})={value}")
 
 
 def collapsed_b2_cubed():
@@ -590,14 +599,15 @@ def loop_tensor_relations(M: GammaModule, N: GammaModule):
                 if lhs != rhs:
                     rels.append((lhs, rhs))
     # The balance relations keep this nesting order rather than the order of
-    # `images`: the group backend's diagonalization follows the relation order.
+    # the quads: the group backend's diagonalization follows the relation order.
     col = {q: k for k, q in enumerate(S.quads)}
+    m_rows, n_rows = action_rows(M), action_rows(N)
     for a, x, m, y, b in itertools.product(range(S.n), range(S.g), range(M.size),
                                            range(S.g), range(S.n)):
         k = col[a, x, y, b]
         for n in range(N.size):
-            lhs = {(M.images[m][k], n): 1}
-            rhs = {(m, N.images[n][k]): 1}
+            lhs = {(m_rows[m][k], n): 1}
+            rhs = {(m, n_rows[n][k]): 1}
             if lhs != rhs:
                 rels.append((lhs, rhs))
     balance = len(S.quads) * M.size * N.size
@@ -690,7 +700,7 @@ def brute_force_tensor_idempotent(M, N):
                    for rep in members)
     module = GammaModule(
         name=name, base=S, carrier=tuple(labels), zero=zero_class,
-        madd=tuple(tuple(r) for r in add_rows), images=images)
+        madd=tuple(tuple(r) for r in add_rows), **_canonical(zip(*images)))
     if check_module_axioms(module).violations:
         action_ok = False
         notes.append("induced module fails the module axioms")
@@ -848,13 +858,13 @@ def full_state_tensor_saturation(M: GammaModule, N: GammaModule, name, rels):
             _rep_labels(M, N, gen_class, rep_gens), [])
 
 
-# The nested action loops that `GammaModule.images` replaced, kept verbatim
+# The nested action loops that the flat action replaced, kept verbatim
 # (renamed) as references for the differential tests in test_action.py.
 
 def loop_action_rows(act, base, m):
-    """The rows of `GammaModule.images` from a nested table act[a][x][u][y][b]
+    """The action rows (`action_rows`) from a nested table act[a][x][u][y][b]
     (or tri[a][x][m][y][b] for the regular module), one quad at a time, as
-    `module_from_dict` and `regular_module` built them."""
+    `module_from_dict` and `regular_module` once built them."""
     return tuple(tuple(act[a][x][u][y][b] for a, x, y, b in base.quads) for u in range(m))
 
 
@@ -1030,8 +1040,8 @@ def loop_enumerate_module_congruences(
 def principal_joins(M: GammaModule):
     """join(class_of, a, b): least congruence above the congruence `class_of`
     holding (a, b), as a restricted-growth string.  Congruences respect each
-    m ↦ madd[m][u] and m ↦ images[m][k]; merging x, y pushes (f(x), f(y))."""
-    maps = {*zip(*M.madd), *zip(*M.images)}
+    m ↦ madd[m][u] and m ↦ act(a, x, m, y, b); merging x, y pushes (f(x), f(y))."""
+    maps = {*zip(*M.madd), *zip(*action_rows(M))}
 
     def join(class_of, a: int, b: int) -> tuple[int, ...]:
         uf = UnionFind(M.size)
@@ -1350,7 +1360,8 @@ def staged_covering_map(S, target: GammaModule, gens, params):
     x0, y0 = params
     p = free_module(S, len(gens))
     col = {q[0]: k for k, q in enumerate(S.quads) if q[1:] == (x0, y0, S.unit)}
-    mapping = tuple(target.sum_of(target.images[g][col[a]] for a, g in zip(tup, gens))
+    rows = action_rows(target)
+    mapping = tuple(target.sum_of(rows[g][col[a]] for a, g in zip(tup, gens))
                     for tup in free_carrier_tuples(S, len(gens)))
     return p, mapping
 
@@ -1522,7 +1533,8 @@ def staged_tor1(S: FiniteTernaryGammaSemiring, M: GammaModule, N: GammaModule,
         relations=("coequalizer of d1⊗id via the Bourne congruence of its image",))
 
     # P0 often carries M's own tables (M regular), and then M⊗N is P0⊗N.
-    same = (M.madd, M.zero, M.images) == (res.p0.madd, res.p0.zero, res.p0.images)
+    same = ((M.madd, M.zero, action_rows(M))
+            == (res.p0.madd, res.p0.zero, action_rows(res.p0)))
     tmn = t0 if same else tensor(M, N, lenient=lenient)
     iso = find_presentation_isomorphism(tor0_pres, tmn.presentation)
     return TorResult(tor1=tor1_pres, tor0=tor0_pres,

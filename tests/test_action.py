@@ -1,8 +1,9 @@
-"""The flat view of the module action.
+"""The module action, stored once per distinct column.
 
-Every module the package builds is pinned by digest, and each reader of
-`GammaModule.images` is compared with the nested loop it replaced (kept in
-conftest.py as `loop_*`).  The congruence lattice, built from join-irreducible
+Every module the package builds is pinned by digest and checked for distinct
+columns in order of first occurrence, and each reader of the action columns
+is compared with the nested loop it replaced (kept in conftest.py as
+`loop_*`).  The congruence lattice, built from join-irreducible
 principal congruences, is compared with the partition sweep and with the
 lattice of all principal congruences that it replaced.
 """
@@ -14,19 +15,21 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import json
 import operator
 import random
 
 import pytest
 
-from conftest import (all_bundled_modules, brute_force_submodules, chain, integers_mod,
-                      loop_action_rows, loop_annihilator_of_element,
+from conftest import (action_rows, all_bundled_modules, brute_force_submodules, chain,
+                      integers_mod, loop_action_rows, loop_annihilator_of_element,
                       loop_congruence_compatible, loop_density_witnesses,
                       loop_enumerate_module_congruences, loop_hom_violation,
                       loop_is_congruence_simple, loop_is_submodule,
                       loop_submodule_closure, perturbed_t2,
                       principal_enumerate_module_congruences,
-                      principal_is_congruence_simple, truncated_naturals, zsum)
+                      principal_is_congruence_simple, swapping_module, truncated_naturals,
+                      with_rows, zero_action_flat, zsum)
 from tgw import fixtures, modules
 from tgw.core import BUDGETS, BudgetError, patch_add, product_structure
 from tgw.homology import free_module, hom_module, tensor
@@ -35,7 +38,8 @@ from tgw.modules import (_congruence_compatible,
                          cyclic_module_catalog, density_check, direct_sum,
                          enumerate_module_congruences,
                          enumerate_submodules, hom_violation, is_congruence_simple,
-                         is_simple, is_submodule, module_from_dict, module_to_dict,
+                         is_simple, is_submodule, load_module, module_from_dict,
+                         module_to_dict,
                          nested_action, quotient_by_congruence, regular_module,
                          serialize_module, sub_module, submodule_closure,
                          zero_module)
@@ -143,8 +147,8 @@ def test_nesting_then_flattening_gives_images():
             range(M.base.n), range(M.base.g), range(M.base.g), range(M.base.n)))
         act = nested_action(M)
         assert tuple(tuple(act[a][x][m][y][b] for a, x, y, b in M.base.quads)
-                     for m in range(M.size)) == M.images, M.name
-        assert module_from_dict(module_to_dict(M), M.base).images == M.images, M.name
+                     for m in range(M.size)) == action_rows(M), M.name
+        assert module_from_dict(module_to_dict(M), M.base) == M, M.name
 
 
 def test_action_rows_match_per_quad_lookups():
@@ -154,12 +158,12 @@ def test_action_rows_match_per_quad_lookups():
     bases = [product_structure(product_structure(b2, b2, "B2^2"), b2, "B2^3"), chain(8),
              integers_mod(6)]
     for S in bases:
-        assert regular_module(S).images == loop_action_rows(S.tri, S, S.n), S.name
+        assert action_rows(regular_module(S)) == loop_action_rows(S.tri, S, S.n), S.name
     mods = [perturbed_module(M, seed, entries=4) for M in all_bundled_modules()
             for seed in range(3)]
     for M in [*mods, *map(regular_module, bases)]:
         rows = loop_action_rows(nested_action(M), M.base, M.size)
-        assert module_from_dict(module_to_dict(M), M.base) == dataclasses.replace(M, images=rows), M.name
+        assert module_from_dict(module_to_dict(M), M.base) == with_rows(M, rows), M.name
 
 
 def _skewed_t2():
@@ -167,12 +171,86 @@ def _skewed_t2():
     (0,0,0,0) moves (2,0) and slot a no longer mirrors slot b on (1,1)."""
     t2 = fixtures.bundled_module("B2-T2")
     col = {q: k for k, q in enumerate(t2.base.quads)}
-    images = [list(row) for row in t2.images]
+    images = [list(row) for row in action_rows(t2)]
     images[2][col[0, 0, 0, 0]] = 1
     images[3][col[0, 0, 0, 1]] = 3
     for x, y in itertools.product(range(t2.base.g), repeat=2):
         images[3][col[1, x, y, 1]] = 0
-    return dataclasses.replace(t2, name="B2-T2-skewed", images=tuple(map(tuple, images)))
+    return with_rows(t2, images, name="B2-T2-skewed")
+
+
+def _per_quad_builds(S):
+    """(module, its action rows evaluated one quad at a time from tri) for
+    each builder of the package over S, and for every submodule and quotient
+    that the sub-module and quotient builders reach from its first modules."""
+    quads = range(len(S.quads))
+    tri = loop_action_rows(S.tri, S, S.n)
+    reg, pairs = regular_module(S), list(itertools.product(range(S.n), repeat=2))
+    twice = [[pairs.index((tri[u][k], tri[v][k])) for k in quads] for u, v in pairs]
+    out = [(reg, tri), (zero_module(S), [[0 for _ in quads]]),
+           (direct_sum(reg, reg), twice), (free_module(S, 2), twice)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(BUDGETS, "enum", len(pairs))
+        subs = enumerate_submodules(direct_sum(reg, reg))
+    for members in subs:
+        order = sorted(members)
+        out.append((sub_module(direct_sum(reg, reg), members),
+                    [[order.index(twice[m][k]) for k in quads] for m in order]))
+    for cong in enumerate_module_congruences(reg):
+        out.append((quotient_by_congruence(reg, cong),
+                    [[cong.class_of[tri[cls[0]][k]] for k in quads] for cls in cong.classes]))
+    hom, homs = hom_module(reg, reg)
+    maps = [f.map for f in homs]
+    out.append((hom, [[maps.index(tuple(tri[v][k] for v in f)) for k in quads] for f in maps]))
+    t = tensor(reg, reg, backend="idempotent")
+    add = t.presentation.add
+    out.append((t.module, [[functools.reduce(lambda c, d: add[c][d], (
+        t.gen_class[tri[g // S.n][k] * S.n + g % S.n] for g in rep)) for k in quads]
+        for rep in t.rep_gens]))
+    return out
+
+
+@pytest.mark.parametrize("structure", ["B2", "B2xB2", "C4"])
+def test_every_builder_stores_distinct_columns_in_first_occurrence_order(structure):
+    """Each builder's columns are pairwise distinct, listed in order of first
+    occurrence over the quads, and give act(a, x, m, y, b) as the per-quad
+    evaluation does; so do the fixture reader's on bundled, conftest, lenient
+    and perturbed modules, and the fixture text round-trips."""
+    S = chain(4) if structure == "C4" else fixtures.bundled_structure(structure)
+    built = _per_quad_builds(S)
+    if structure == "B2":
+        t2 = fixtures.bundled_module("B2-T2")
+        built += [(M, action_rows(M)) for M in (
+            swapping_module(S), zero_action_flat(S, 5), perturbed_t2(t2), _skewed_t2(),
+            *(perturbed_module(t2, seed, entries=4) for seed in range(3)))]
+        # Every bundled module, Z3's lenient ones too, against its fixture's act.
+        for name, (filename, _) in fixtures._MODULE_FILES.items():
+            M, data = fixtures.bundled_module(name), json.loads(fixtures._data_text(filename))
+            label = {c: k for k, c in enumerate(data["carrier"])}
+            built.append((M, [[label[v] for v in row]
+                              for row in loop_action_rows(data["act"], M.base, M.size)]))
+    for M, rows in built:
+        S = M.base
+        assert len(M.column_of) == len(S.quads), M.name
+        assert len(set(M.columns)) == len(M.columns), M.name
+        assert list(dict.fromkeys(M.column_of)) == list(range(len(M.columns))), M.name
+        assert all(M.columns[i][m] == rows[m][k] for k, i in enumerate(M.column_of)
+                   for m in range(M.size)), M.name
+        assert module_from_dict(module_to_dict(M), S) == M, M.name
+
+
+def test_fixture_text_round_trips():
+    """Loading then serializing gives the text back, on every bundled module
+    and on B2^3-T2n as the benchmark writes it."""
+    b2 = fixtures.bundled_structure("B2")
+    b2p3 = product_structure(product_structure(b2, b2, "B2^2"), b2, "B2^3")
+    reg = regular_module(b2p3)
+    t2n = dataclasses.replace(direct_sum(reg, reg, name="B2^3-T2n"), m2_profile="nested")
+    texts = [(serialize_module(t2n), b2p3)]
+    texts += [(fixtures._data_text(name), fixtures.bundled_structure(base))
+              for name, base in fixtures._MODULE_FILES.values()]
+    for text, base in texts:
+        assert serialize_module(load_module(text, base)) == text
 
 
 def _differential_modules():

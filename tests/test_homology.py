@@ -25,12 +25,12 @@ from tgw.modules import (GammaModule, annihilator, check_module_axioms,
                          enumerate_module_congruences, find_isomorphism, hom_set,
                          hom_violation, nested_action, regular_module, sub_module)
 
-from conftest import (all_bundled_modules, brute_force_presentation_isomorphism,
+from conftest import (action_rows, all_bundled_modules, brute_force_presentation_isomorphism,
                       brute_force_tensor_idempotent, chain,
                       full_state_tensor_saturation, integers_mod, loop_tensor_relations,
                       pairwise_homological_semisimplicity, perturbed_t2, staged_ext1,
                       staged_free_resolution, staged_tor1, swapping_module,
-                      truncated_naturals, union_loop_tensor_saturation,
+                      truncated_naturals, union_loop_tensor_saturation, with_rows,
                       zero_action_chain, zero_action_flat)
 
 
@@ -42,7 +42,8 @@ def test_free_module_rank1_is_regular(b2, b2_reg):
 
 def test_free_module_rank2_matches_t2(b2, b2_t2):
     free = free_module(b2, 2)
-    assert free.madd == b2_t2.madd and free.images == b2_t2.images
+    assert (free.madd, free.columns, free.column_of) == (b2_t2.madd, b2_t2.columns,
+                                                          b2_t2.column_of)
 
 
 def test_free_module_requires_unit(z3):
@@ -240,7 +241,8 @@ def test_idempotent_tensor_matches_oracle(case, b2_reg, b2_t2):
     old = brute_force_tensor_idempotent(M, N)
     assert new.presentation.to_dict() == old.presentation.to_dict()
     assert new.gen_class.tolist() == old.gen_class
-    assert new.module.images == old.module.images
+    assert (new.module.columns, new.module.column_of) == (old.module.columns,
+                                                          old.module.column_of)
     assert new.module_action_ok == old.module_action_ok
     assert new.notes == old.notes
     assert new.rep_gens == old.members
@@ -327,12 +329,11 @@ def addition_or_action_perturbations(S, count: int, seed: int):
     rng = random.Random(seed)
     reg = regular_module(S)
     for k in range(count):
-        madd, images = [list(r) for r in reg.madd], [list(r) for r in reg.images]
+        madd, images = [list(r) for r in reg.madd], [list(r) for r in action_rows(reg)]
         rows = images if k % 2 else madd
         for _ in range(rng.randint(1, 3)):
             rows[rng.randrange(reg.size)][rng.randrange(len(rows[0]))] = rng.randrange(reg.size)
-        yield dataclasses.replace(reg, name=f"{reg.name}~{k}", madd=tuple(map(tuple, madd)),
-                                  images=tuple(map(tuple, images)))
+        yield with_rows(reg, images, name=f"{reg.name}~{k}", madd=tuple(map(tuple, madd)))
 
 
 def _group_modules():
@@ -392,7 +393,7 @@ def test_exact_tensor_matches_union_loop(M, N, monkeypatch):
     induced module and verdict."""
     def fields(t):
         return (t.presentation.to_dict(), t.gen_class.tolist(), t.rep_gens, t.notes,
-                t.module.images, t.module_action_ok)
+                t.module.columns, t.module.column_of, t.module_action_ok)
 
     new = fields(tensor(M, N, backend="saturation", lenient=True))
     # The oracle reads only its last argument, the distinct rows, in any order.
@@ -837,11 +838,11 @@ def action_perturbations(count: int, seed: int):
                                    integers_mod(4), truncated_naturals(4))))
     for k in range(count):
         M = rng.choice(bases)
-        images = [list(row) for row in M.images]
+        images = [list(row) for row in action_rows(M)]
         for _ in range(rng.randint(1, 2)):
             images[rng.randrange(M.size)][rng.randrange(len(M.base.quads))] = \
                 rng.randrange(M.size)
-        yield dataclasses.replace(M, name=f"{M.name}~{k}", images=tuple(map(tuple, images)))
+        yield with_rows(M, images, name=f"{M.name}~{k}")
 
 
 def _staged_or_new(staged, new, *args):

@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (act_patched_at_every_pair, brute_force_check_axioms,
+from conftest import (act_patched_at_every_pair, action_rows, brute_force_check_axioms,
                       brute_force_check_module_axioms, chain, collapsed_b2_cubed,
-                      nested_tuples, swapping_module, tri_patched_at_every_pair, zsum)
+                      nested_tuples, swapping_module, tri_patched_at_every_pair, with_rows,
+                      zsum)
 from tgw import core, fixtures
 from tgw.core import (STRUCTURE_LAWS, Violation, _axes, _Table, check_axioms, patch_add,
                       product_structure, reevaluate_violation)
@@ -54,18 +55,18 @@ def perturbed_structure(S, seed: int, entries: int = 2):
 
 
 def _act_index(M, a, x, u, y, b):
-    """Where act(a, x, u, y, b) sits in `M.images`."""
+    """Where act(a, x, u, y, b) sits in `action_rows(M)`."""
     return u, M.base.quads.index((a, x, y, b))
 
 
 def perturbed_module(M, seed: int, entries: int = 2):
     rng = random.Random(seed)
     n, g, m = M.base.n, M.base.g, M.size
-    madd, images = _perturb(M.madd, (m, m), m, rng, 1), M.images
+    madd, images = _perturb(M.madd, (m, m), m, rng, 1), action_rows(M)
     for _ in range(entries):
         index = _act_index(M, *(rng.randrange(s) for s in (n, g, m, g, n)))
         images = _set(images, index, rng.randrange(m))
-    return replace(M, name=f"{M.name}~{seed}", madd=madd, images=images)
+    return with_rows(M, images, name=f"{M.name}~{seed}", madd=madd)
 
 
 def second_parameter_sum(n: int):
@@ -117,7 +118,7 @@ def _alike(X, x: int, x2: int) -> bool:
     S = X.base if isinstance(X, GammaModule) else X
     tables = [np.array(S.tri)]
     if isinstance(X, GammaModule):
-        act = np.array(X.images).reshape(X.size, S.n, S.g, S.g, S.n)
+        act = np.array(action_rows(X)).reshape(X.size, S.n, S.g, S.g, S.n)
         tables.append(act.transpose(1, 2, 0, 3, 4))
     return all(np.array_equal(t.take(x, axis), t.take(x2, axis))
                for t in tables for axis in (1, 3))
@@ -236,10 +237,10 @@ def _modules():
                     base=perturbed_structure(t2.base, 5))]
     m = t2.size
     out += [replace(t2, name="madd-out", madd=_set(t2.madd, (1, 2), m)),
-            replace(t2, name="act-out",
-                    images=_set(t2.images, _act_index(t2, 1, 0, 2, 1, 1), m + 3)),
-            replace(nested, name="both-out", madd=_set(t2.madd, (0, 3), -1),
-                    images=_set(t2.images, _act_index(t2, 0, 1, 3, 0, 1), m))]
+            with_rows(t2, _set(action_rows(t2), _act_index(t2, 1, 0, 2, 1, 1), m + 3),
+                      name="act-out"),
+            with_rows(nested, _set(action_rows(t2), _act_index(t2, 0, 1, 3, 0, 1), m),
+                      name="both-out", madd=_set(t2.madd, (0, 3), -1))]
     return out
 
 
@@ -340,7 +341,7 @@ def zero_action_module(S, m: int, name: str):
     is lawful for every m."""
     return GammaModule(name=name, base=S, carrier=tuple(map(str, range(m))), zero=0,
                        madd=tuple(tuple(max(i, j) for j in range(m)) for i in range(m)),
-                       images=((0,) * len(S.quads),) * m)
+                       columns=((0,) * m,), column_of=(0,) * len(S.quads))
 
 
 def _several_chunk_modules():

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_bundled_modules, brute_force_homs, brute_force_submodules,
-                      chain, integers_mod, truncated_naturals)
+from conftest import (action_rows, all_bundled_modules, brute_force_homs,
+                      brute_force_submodules, chain, integers_mod, truncated_naturals)
 from tgw import fixtures
 from tgw.core import PreconditionError, product_structure
-from tgw.modules import (GammaModule, ModuleHom, _iso_invariant,
+from tgw.modules import (GammaModule, ModuleHom, _canonical, _iso_invariant,
                          annihilator, annihilator_of_element, bourne_quotient,
                          check_module_axioms, cyclic_module_catalog, density_check,
                          direct_sum, end_semiring, enumerate_module_congruences,
@@ -309,8 +309,8 @@ def relabelled(M: GammaModule, rng: random.Random) -> tuple[GammaModule, tuple[i
         name=f"{M.name}-relabelled", base=M.base,
         carrier=tuple(M.carrier[i] for i in old), zero=perm[M.zero],
         madd=tuple(tuple(perm[M.madd[i][j]] for j in old) for i in old),
-        images=tuple(tuple(perm[v] for v in M.images[i]) for i in old),
-        m2_profile=M.m2_profile)
+        columns=tuple(tuple(perm[col[i]] for i in old) for col in M.columns),
+        column_of=M.column_of, m2_profile=M.m2_profile)
     return N, tuple(perm)
 
 
@@ -351,7 +351,7 @@ def test_jacobson_radical(b2, z3, b2xb2, one_element):
 
 def test_direct_sum_matches_bundled_t2(b2_reg, b2_t2):
     built = direct_sum(b2_reg, b2_reg)
-    assert built.madd == b2_t2.madd and built.images == b2_t2.images
+    assert built.madd == b2_t2.madd and action_rows(built) == action_rows(b2_t2)
 
 
 def test_module_round_trip():
@@ -367,10 +367,9 @@ def test_m2_nested_profile(b2, b2_reg):
 
     # act(a,x,m,y,b) = m OR (a AND b) violates the nesting law.
     madd = b2_reg.madd
-    images = tuple(tuple(int(bool(m) or (a and b)) for a, _, _, b in b2.quads)
-                   for m in range(2))
+    cols = (tuple(int(bool(m) or (a and b)) for m in range(2)) for a, _, _, b in b2.quads)
     bad = GammaModule(name="bad-nested", base=b2, carrier=("0", "1"), zero=0,
-                      madd=madd, images=images, m2_profile="nested")
+                      madd=madd, **_canonical(cols), m2_profile="nested")
     report = check_module_axioms(bad)
     assert any(v.law == "m2-nested" for v in report.violations)
 
