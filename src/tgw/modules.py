@@ -144,8 +144,12 @@ def _closure(table, seed) -> frozenset[int]:
     return frozenset(current)
 
 
-def _table(M: GammaModule) -> tuple:
-    return M.madd, M.zero, tuple(zip(*M.columns))
+def _table(M: GammaModule, N: GammaModule | None = None) -> tuple:
+    """(addition, zero, action rows) of M, the rows over M's columns, or with N
+    over one quad per distinct pair of a column of M and one of N."""
+    cols = M.columns if N is None else [
+        M.columns[i] for i, _ in dict.fromkeys(zip(M.column_of, N.column_of))]
+    return M.madd, M.zero, tuple(zip(*cols))
 
 
 def submodule_closure(M: GammaModule, seed) -> frozenset[int]:
@@ -281,13 +285,6 @@ def generating_set(M: GammaModule) -> tuple[int, ...]:
     return _generators(_table(M))
 
 
-def _paired(M: GammaModule, N: GammaModule) -> tuple[tuple, tuple]:
-    """`_table` of M and N over one quad per distinct pair of their columns."""
-    pairs = dict.fromkeys(zip(M.column_of, N.column_of))
-    return ((M.madd, M.zero, tuple(zip(*(M.columns[i] for i, _ in pairs)))),
-            (N.madd, N.zero, tuple(zip(*(N.columns[j] for _, j in pairs)))))
-
-
 def _homs(source, target, injective: bool):
     """Each hom, or each injective one, between two (addition, zero, action
     rows) triples, as a carrier mapping.  From zero ↦ zero it tries every image
@@ -334,7 +331,7 @@ def hom_set(M: GammaModule, N: GammaModule) -> tuple[ModuleHom, ...]:
     search of `_homs` over generator images, charged per search node."""
     if M.base is not N.base and M.base != N.base:
         raise PreconditionError("hom_set: modules live over different bases")
-    maps = sorted(_homs(*_paired(M, N), False))
+    maps = sorted(_homs(_table(M, N), _table(N, M), False))
     return tuple(ModuleHom(M, N, mp, verified=True) for mp in maps)
 
 
@@ -343,7 +340,7 @@ def find_isomorphism(A: GammaModule, B: GammaModule) -> ModuleHom | None:
     inverse is a hom too, as for every bijective hom between total tables."""
     if A.size != B.size:
         return None
-    found = next(_homs(*_paired(A, B), True), None)
+    found = next(_homs(_table(A, B), _table(B, A), True), None)
     return None if found is None else ModuleHom(A, B, found, verified=True)
 
 
@@ -807,25 +804,22 @@ def direct_sum(M1: GammaModule, M2: GammaModule, name: str | None = None) -> Gam
     labels = tuple(f"({M1.carrier[i]},{M2.carrier[j]})" for i, j in pairs)
     madd = tuple(tuple(idx[(M1.madd[a1][b1], M2.madd[a2][b2])] for b1, b2 in pairs)
                  for a1, a2 in pairs)
-    both = {p: k for k, p in enumerate(dict.fromkeys(zip(M1.column_of, M2.column_of)))}
+    both = _canonical(zip(M1.column_of, M2.column_of))  # the distinct pairs of columns
     cols = (tuple(map(idx.__getitem__, itertools.product(M1.columns[i], M2.columns[j])))
-            for i, j in both)
+            for i, j in both["columns"])
     profile = M1.m2_profile if M1.m2_profile == M2.m2_profile else "none"
     return GammaModule(name=name or f"{M1.name}(+){M2.name}", base=S,
                        carrier=labels, zero=idx[(M1.zero, M2.zero)], madd=madd,
-                       **_canonical(cols, tuple(map(both.__getitem__,
-                                                    zip(M1.column_of, M2.column_of)))),
-                       m2_profile=profile)
+                       **_canonical(cols, both["column_of"]), m2_profile=profile)
 
 
 # ---------------------------------------------------------------------------
 # Module builders and fixture text
 
 def _canonical(cols, column_of=None) -> dict:
-    """`columns` and `column_of` for the action whose slot k reads cols[column_of[k]]
-    (cols[k] without `column_of`), equal columns merged.  `cols` must list its
-    columns in order of first occurrence over the slots, as a map of canonical
-    columns does."""
+    """`columns` and `column_of` of the action whose slot k reads cols[column_of[k]]
+    (cols[k] without `column_of`), equal columns merged.  `cols` must be in order
+    of first occurrence over the slots, as a map of canonical columns is."""
     index: dict = {}
     merged = [index.setdefault(col, len(index)) for col in cols]
     if column_of is None or len(index) < len(merged):
