@@ -500,8 +500,7 @@ def _reduction(A: GammaModule, B: GammaModule):
     plus = np.empty((E + 1, E + 1), dtype=np.int64)
     plus[:E, :E] = A.madd
     plus[E, :] = plus[:, E] = np.arange(E + 1)
-    # The columns of A and B at one quad per distinct pair of columns.
-    pairs = dict.fromkeys(zip(A.column_of, B.column_of))
+    pairs = dict.fromkeys(zip(A.column_of, B.column_of))  # one quad per distinct pair of columns
     a_cols = np.asarray(A.columns)[[i for i, _ in pairs]]
     b_cols, b_add = np.asarray(B.columns)[[j for _, j in pairs]], np.asarray(B.madd)
     # red[u, b] starts as u⊗b itself, in its own column.

@@ -451,8 +451,7 @@ def density_check(M: GammaModule, anchor: int | None = None, rank2: bool = False
         anchor = M.base.unit
     if anchor is None:
         raise PreconditionError("density_check: no anchor available (no unit declared)")
-    # The columns at the quads with b = anchor, each with the (a, x, y) of the
-    # first of them, in the order of quads.
+    # The distinct columns at the quads with b = anchor, each with its first quad's (a, x, y).
     anchored = M.column_of[anchor::M.base.n]
     cols = dict.fromkeys(anchored)
     combos = [M.base.quads[anchored.index(i) * M.base.n + anchor][:3] for i in cols]

@@ -230,13 +230,33 @@ def test_every_builder_stores_distinct_columns_in_first_occurrence_order(structu
             built.append((M, [[label[v] for v in row]
                               for row in loop_action_rows(data["act"], M.base, M.size)]))
     for M, rows in built:
-        S = M.base
-        assert len(M.column_of) == len(S.quads), M.name
-        assert len(set(M.columns)) == len(M.columns), M.name
-        assert list(dict.fromkeys(M.column_of)) == list(range(len(M.columns))), M.name
-        assert all(M.columns[i][m] == rows[m][k] for k, i in enumerate(M.column_of)
-                   for m in range(M.size)), M.name
-        assert module_from_dict(module_to_dict(M), S) == M, M.name
+        assert len(M.column_of) == len(M.base.quads), M.name
+        _assert_canonical(M, rows)
+        assert module_from_dict(module_to_dict(M), M.base) == M, M.name
+
+
+def _assert_canonical(M, rows):
+    """M's columns are distinct, in order of first occurrence over its slots,
+    and hold act(a, x, m, y, b) as `rows[m]` lists it over the slots."""
+    assert len(M.column_of) == len(rows[0]), M.name
+    assert len(set(M.columns)) == len(M.columns), M.name
+    assert list(dict.fromkeys(M.column_of)) == list(range(len(M.columns))), M.name
+    assert all(M.columns[i][m] == rows[m][k] for k, i in enumerate(M.column_of)
+               for m in range(M.size)), M.name
+
+
+@pytest.mark.parametrize("structure", ["B2xB2", "C4"])
+def test_ideal_module_stores_each_slot_in_first_occurrence_order(structure):
+    """Without declared tri-commutativity the ideal module acts by T in the
+    middle slot (the quads), then in slot a over (x, u, y, b), then in slot b
+    over (a, x, u, y), each column once."""
+    S = chain(4) if structure == "C4" else fixtures.bundled_structure(structure)
+    S = dataclasses.replace(S, commutative=False)
+    n, g, t = range(S.n), range(S.g), S.tri
+    rows = [[t[a][x][m][y][b] for a, x, y, b in S.quads]
+            + [t[m][x][u][y][b] for x, u, y, b in itertools.product(g, n, g, n)]
+            + [t[a][x][u][y][m] for a, x, u, y in itertools.product(n, g, n, g)] for m in n]
+    _assert_canonical(modules._ideal_module(S), rows)
 
 
 def test_fixture_text_round_trips():
