@@ -850,12 +850,11 @@ def _ideal_module(S: FiniteTernaryGammaSemiring) -> GammaModule:
     if S.commutative and all(b.law != "tri-commutativity"
                              for b in check_axioms(S).violations.blocks):
         return regular_module(S)
-    # Slots past the quads: T in slot a, then in slot b, each by its columns.
     reg, t = regular_module(S), table_arrays(S)[1]
-    cols = reg.columns + tuple(map(tuple, np.vstack([t.reshape(S.n, -1).T,
-                                                     t.reshape(-1, S.n)]).tolist()))
-    return replace(reg, **_canonical(cols, reg.column_of + tuple(range(len(reg.columns),
-                                                                       len(cols)))))
+    # Past the quads (the middle slot), the columns of T in slot a, then in slot b.
+    slots = np.vstack([t.reshape(S.n, -1).T, t.reshape(-1, S.n)]).tolist()
+    ideal = _canonical([*map(reg.columns.__getitem__, reg.column_of), *map(tuple, slots)])
+    return replace(reg, **ideal)
 
 
 def zero_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:
