@@ -687,7 +687,7 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
     quotient (`_tensor_quotient`, all that Tor reads); the induced action
     act(a, x, m⊗n, y, b) = act(a, x, m, y, b)⊗n is built here for all three,
     from each class's representative, and is well defined exactly when, at
-    each quad column, every relation row lands on one class.  (The action is
+    each of M's action columns, every relation row lands on one class.  (The action is
     additive on the free monoid, so the pairs it respects form a congruence,
     which holds the generated one as soon as it holds the relations.)  The
     induced module is then checked against the module laws."""
