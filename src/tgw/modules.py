@@ -158,11 +158,9 @@ def submodule_closure(M: GammaModule, seed) -> frozenset[int]:
 
 
 def is_submodule(M: GammaModule, members: frozenset[int]) -> bool:
-    if M.zero not in members:
-        return False
-    if any(M.madd[i][j] not in members for i in members for j in members):
-        return False
-    return all(col[m] in members for col in M.columns for m in members)
+    return (M.zero in members
+            and all(M.madd[i][j] in members for i in members for j in members)
+            and all(col[m] in members for col in M.columns for m in members))
 
 
 def enumerate_submodules(M: GammaModule) -> list[frozenset[int]]:
@@ -174,9 +172,7 @@ def enumerate_submodules(M: GammaModule) -> list[frozenset[int]]:
         if sub in found:
             continue
         found.add(sub)
-        for x in range(M.size):
-            if x not in sub:
-                queue.append(submodule_closure(M, sub | {x}))
+        queue.extend(submodule_closure(M, sub | {x}) for x in range(M.size) if x not in sub)
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -253,10 +249,9 @@ def hom_violation(source: GammaModule, target: GammaModule, mapping: tuple[int, 
     if mapping[source.zero] != target.zero:
         return ("zero", (source.zero,))
     carrier = range(source.size)
-    for i in carrier:
-        for j in carrier:
-            if mapping[source.madd[i][j]] != target.madd[mapping[i]][mapping[j]]:
-                return ("additive", (i, j))
+    for i, j in itertools.product(carrier, repeat=2):
+        if mapping[source.madd[i][j]] != target.madd[mapping[i]][mapping[j]]:
+            return ("additive", (i, j))
     quads = list(zip(source.column_of, target.column_of))
     for m in carrier:
         for i, j in dict.fromkeys(quads):
@@ -357,19 +352,14 @@ def annihilator_of_element(M: GammaModule, mm: int) -> frozenset[int]:
 def annihilator(M: GammaModule, lenient: bool = False) -> IdealSet:
     """Elements acting as zero on every carrier element, as an IdealSet."""
     require_module_axioms(M, lenient, "annihilator")
-    S = M.base
-    members = frozenset(range(S.n))
-    for mm in range(M.size):
-        members &= annihilator_of_element(M, mm)
-    return IdealSet(members, is_ideal=is_submodule(_ideal_module(S), members))
+    members = frozenset(range(M.base.n)).intersection(
+        *(annihilator_of_element(M, mm) for mm in range(M.size)))
+    return IdealSet(members, is_ideal=is_submodule(_ideal_module(M.base), members))
 
 
 def is_faithful(M: GammaModule, lenient: bool = False) -> tuple[bool, int | None]:
-    ann = annihilator(M, lenient=lenient)
-    nonzero = sorted(ann.members - {M.base.zero})
-    if nonzero:
-        return False, nonzero[0]
-    return True, None
+    nonzero = min(annihilator(M, lenient=lenient).members - {M.base.zero}, default=None)
+    return nonzero is None, nonzero
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +447,12 @@ def density_check(M: GammaModule, anchor: int | None = None, rank2: bool = False
     combos = [M.base.quads[anchored.index(i) * M.base.n + anchor][:3] for i in cols]
     nonzero = [mm for mm in range(M.size) if mm != M.zero]
     rows = {mm: [M.columns[i][mm] for i in cols] for mm in nonzero}
-    witnesses = []
-    unsolvable = []
+    witnesses, unsolvable = [], []
     for mm in nonzero:
-        first: dict[int, int] = {}
-        for k, v in enumerate(rows[mm]):
-            first.setdefault(v, k)
+        first = dict(zip(rows[mm][::-1], combos[::-1]))  # each value's first (a, x, y)
         for n in range(M.size):
             if n in first:
-                witnesses.append((mm, n, *combos[first[n]]))
+                witnesses.append((mm, n, *first[n]))
             else:
                 unsolvable.append((mm, n))
     rank2_data = None
@@ -510,18 +497,17 @@ def _partition_to_congruence(M: GammaModule, class_of) -> ModuleCongruence:
 
 def _congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | None]:
     carrier = range(len(class_of))
-    for m1 in carrier:
-        for m2 in carrier:
-            if class_of[m1] != class_of[m2]:
-                continue
-            for u in carrier:
-                if class_of[M.madd[m1][u]] != class_of[M.madd[m2][u]]:
-                    return False, f"madd: [{m1}]=[{m2}] but [{m1}+{u}]!=[{m2}+{u}]"
-            for i, col in enumerate(M.columns):
-                if class_of[col[m1]] != class_of[col[m2]]:
-                    a, x, y, b = M.base.quads[M.column_of.index(i)]
-                    return False, (f"act: [{m1}]=[{m2}] but images differ "
-                                   f"at (a={a},x={x},y={y},b={b})")
+    for m1, m2 in itertools.product(carrier, repeat=2):
+        if class_of[m1] != class_of[m2]:
+            continue
+        for u in carrier:
+            if class_of[M.madd[m1][u]] != class_of[M.madd[m2][u]]:
+                return False, f"madd: [{m1}]=[{m2}] but [{m1}+{u}]!=[{m2}+{u}]"
+        for i, col in enumerate(M.columns):
+            if class_of[col[m1]] != class_of[col[m2]]:
+                a, x, y, b = M.base.quads[M.column_of.index(i)]
+                return False, (f"act: [{m1}]=[{m2}] but images differ "
+                               f"at (a={a},x={x},y={y},b={b})")
     return True, None
 
 
@@ -641,14 +627,9 @@ def first_isomorphism_check(f: ModuleHom) -> IsoInstanceReport:
         return IsoInstanceReport("first", False, details)
     quotient, cong = bourne_quotient(M, kernel)
     details["quotient_size"] = quotient.size
-    induced = []
-    well_defined = True
-    for cls in cong.classes:
-        values = {f.map[m] for m in cls}
-        if len(values) > 1:
-            well_defined = False
-        induced.append(min(values))
-    details["induced_well_defined"] = well_defined
+    values = [{f.map[m] for m in cls} for cls in cong.classes]
+    induced = [min(v) for v in values]
+    details["induced_well_defined"] = well_defined = all(len(v) == 1 for v in values)
     injective = len(set(induced)) == len(induced)
     surjective = set(induced) == set(image)
     details["induced_bijective_onto_image"] = injective and surjective
@@ -785,9 +766,8 @@ def jacobson_radical(S: FiniteTernaryGammaSemiring, catalog=None,
     if catalog is None:
         catalog = cyclic_module_catalog(S, lenient=lenient)
     simples = [e for e in catalog if e.simple]
-    members = frozenset(range(S.n))
-    for entry in simples:
-        members &= annihilator(entry.module, lenient=lenient).members
+    members = frozenset(range(S.n)).intersection(
+        *(annihilator(e.module, lenient=lenient).members for e in simples))
     ideal = IdealSet(members, is_ideal=is_submodule(_ideal_module(S), members))
     return RadicalReport(ideal=ideal,
                          simples_used=tuple(e.module.name for e in simples))
@@ -852,9 +832,9 @@ def _ideal_module(S: FiniteTernaryGammaSemiring) -> GammaModule:
         return regular_module(S)
     reg, t = regular_module(S), table_arrays(S)[1]
     # Past the quads (the middle slot), the columns of T in slot a, then in slot b.
-    slots = np.vstack([t.reshape(S.n, -1).T, t.reshape(-1, S.n)]).tolist()
-    ideal = _canonical([*map(reg.columns.__getitem__, reg.column_of), *map(tuple, slots)])
-    return replace(reg, **ideal)
+    slots, k = np.vstack([t.reshape(S.n, -1).T, t.reshape(-1, S.n)]).tolist(), len(reg.columns)
+    return replace(reg, **_canonical([*reg.columns, *map(tuple, slots)],
+                                     reg.column_of + tuple(range(k, k + len(slots)))))
 
 
 def zero_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:
