@@ -253,11 +253,10 @@ def hom_violation(source: GammaModule, target: GammaModule, mapping: tuple[int, 
         if mapping[source.madd[i][j]] != target.madd[mapping[i]][mapping[j]]:
             return ("additive", (i, j))
     quads = list(zip(source.column_of, target.column_of))
-    for m in carrier:
-        for i, j in dict.fromkeys(quads):
-            if mapping[source.columns[i][m]] != target.columns[j][mapping[m]]:
-                a, x, y, b = source.base.quads[quads.index((i, j))]
-                return ("equivariance", (a, x, m, y, b))
+    for m, (i, j) in itertools.product(carrier, dict.fromkeys(quads)):
+        if mapping[source.columns[i][m]] != target.columns[j][mapping[m]]:
+            a, x, y, b = source.base.quads[quads.index((i, j))]
+            return ("equivariance", (a, x, m, y, b))
     return None
 
 
