@@ -710,8 +710,9 @@ def test_lenient_localize_leaves_numpy_ma_unimported(tmp_path):
 
 
 # Exit code and stdout sha256 of the catalog commands on C8, C10, C12 and
-# B2^3, whose regular modules have 128, 512, 2,048 and 8 congruences (C10 and
-# C12 past the default partition and enum limits, which the test raises).
+# B2^3, whose regular modules have 128, 512, 2,048 and 8 congruences.  C10
+# and C12 lie past the default partition and enum limits, which the test
+# raises for them alone: C8 and B2^3 run at the defaults.
 # The `<name>-cyclic-q<k>` names number the congruences in restricted-growth
 # order, so every byte depends on the order in which
 # `enumerate_module_congruences` returns them.
@@ -800,10 +801,14 @@ def test_catalog_structure_reads_the_exponent():
             _catalog_structure(name)
 
 
+RAISED_LIMITS = {"C10", "C12"}
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG_SHA256))
 def test_catalog_commands_pinned(capsys, tmp_path, monkeypatch, name):
-    monkeypatch.setitem(BUDGETS, "partition", 16)
-    monkeypatch.setitem(BUDGETS, "enum", 40)
+    if name in RAISED_LIMITS:
+        monkeypatch.setitem(BUDGETS, "partition", 16)
+        monkeypatch.setitem(BUDGETS, "enum", 40)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(structure_to_dict(_catalog_structure(name))))
     got = {}
