@@ -15,7 +15,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from tgw.core import (FiniteTernaryGammaSemiring, product_structure,
                       serialize_structure)
-from tgw.modules import (GammaModule, _canonical, direct_sum, regular_module,
+from tgw.modules import (GammaModule, direct_sum, regular_module,
                          serialize_module, zero_module)
 
 DATA = ROOT / "src" / "tgw" / "data"
@@ -55,7 +55,8 @@ def build_z3_regular(z3: FiniteTernaryGammaSemiring) -> GammaModule:
     """Carrier Z3 with act(a,x,m,y,b) = a+m+b+x+y (mod 3)."""
     cols = (tuple((a + m + b + x + y) % 3 for m in range(3)) for a, x, y, b in z3.quads)
     return GammaModule(name="Z3-regular", base=z3, carrier=("0", "1", "2"),
-                       zero=0, madd=z3.add, **_canonical(cols), m2_profile="none")
+                       zero=0, madd=z3.add, columns=cols,
+                       column_of=range(len(z3.quads)), m2_profile="none")
 
 
 def main() -> None:

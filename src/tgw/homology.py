@@ -47,7 +47,7 @@ import numpy as np
 
 from .core import (BUDGETS, FiniteTernaryGammaSemiring, PreconditionError, _charge,
                    bourne_classes, row_order)
-from .modules import (GammaModule, ModuleHom, _canonical, _homs, _pointwise_sums,
+from .modules import (GammaModule, ModuleHom, _column_pairs, _homs, _pointwise_sums,
                       check_module_axioms, generating_set, hom_set, hom_violation,
                       require_module_axioms, regular_module, sub_module,
                       is_submodule, cyclic_module_catalog,
@@ -189,7 +189,7 @@ def _free_module(S: FiniteTernaryGammaSemiring, r: int) -> GammaModule:
     cols = (tuple(idx[tuple(col[e] for e in t)] for t in tuples) for col in reg.columns)
     return GammaModule(name=f"{S.name}^{r}", base=S, carrier=labels,
                        zero=idx[tuple(S.zero for _ in range(r))],
-                       madd=madd, **_canonical(cols, reg.column_of), m2_profile="none")
+                       madd=madd, columns=cols, column_of=reg.column_of, m2_profile="none")
 
 
 @dataclass
@@ -500,7 +500,7 @@ def _reduction(A: GammaModule, B: GammaModule):
     plus = np.empty((E + 1, E + 1), dtype=np.int64)
     plus[:E, :E] = A.madd
     plus[E, :] = plus[:, E] = np.arange(E + 1)
-    pairs = dict.fromkeys(zip(A.column_of, B.column_of))  # one quad per distinct pair of columns
+    pairs = _column_pairs(A, B)  # one quad per distinct pair of columns
     a_cols = np.asarray(A.columns)[[i for i, _ in pairs]]
     b_cols, b_add = np.asarray(B.columns)[[j for _, j in pairs]], np.asarray(B.madd)
     # red[u, b] starts as u⊗b itself, in its own column.
@@ -702,7 +702,7 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
         notes.append("induced action is not well-defined on a relation pair")
     cols = _class_sums(table, acted, q.rep_gens).T.tolist()
     module = GammaModule(name=pres.name, base=M.base, carrier=pres.classes, zero=pres.zero,
-                         madd=pres.add, **_canonical(map(tuple, cols), M.column_of))
+                         madd=pres.add, columns=cols, column_of=M.column_of)
     if check_module_axioms(module).violations:
         action_ok = False
         notes.append("induced module fails the module axioms")
@@ -883,7 +883,7 @@ def hom_module(N: GammaModule, P: GammaModule) -> tuple[GammaModule, tuple[Modul
     module = GammaModule(name=f"Hom({N.name},{P.name})", base=S,
                          carrier=tuple(f"h{k}" for k in range(len(homs))),
                          zero=index[zero_map], madd=madd_rows,
-                         **_canonical(cols, P.column_of))
+                         columns=cols, column_of=P.column_of)
     return module, homs
 
 

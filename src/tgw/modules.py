@@ -34,8 +34,10 @@ class GammaModule:
     """A finite commutative monoid carrying a five-slot action of the base.
 
     `columns[column_of[k]][m]` gives the carrier index of act(a, x, m, y, b)
-    for (a, x, y, b) = base.quads[k].  The columns are distinct and in order
-    of first occurrence over the quads, so equal actions have equal fields.
+    for (a, x, y, b) = base.quads[k].  A builder may pass any columns and any
+    `column_of` (iterables will do) that give its action: construction keeps
+    the canonical form, the distinct columns in order of first occurrence
+    over the quads, so equal actions have equal fields.
     """
 
     name: str
@@ -46,6 +48,17 @@ class GammaModule:
     columns: tuple[tuple[int, ...], ...]
     column_of: tuple[int, ...]
     m2_profile: str = "none"
+
+    def __post_init__(self):
+        cols, column_of = tuple(map(tuple, self.columns)), tuple(self.column_of)
+        # Each column read by a quad, numbered by its first quad, equal ones merged.
+        new, number = dict.fromkeys(column_of), {}
+        for i in new:
+            new[i] = number.setdefault(cols[i], len(number))
+        if list(new) != list(new.values()):
+            column_of = tuple(map(new.__getitem__, column_of))
+        object.__setattr__(self, "columns", tuple(number))
+        object.__setattr__(self, "column_of", column_of)
 
     @property
     def size(self) -> int:
@@ -144,12 +157,22 @@ def _closure(table, seed) -> frozenset[int]:
     return frozenset(current)
 
 
-def _table(M: GammaModule, N: GammaModule | None = None) -> tuple:
-    """(addition, zero, action rows) of M, the rows over M's columns, or with N
-    over one quad per distinct pair of a column of M and one of N."""
-    cols = M.columns if N is None else [
-        M.columns[i] for i, _ in dict.fromkeys(zip(M.column_of, N.column_of))]
-    return M.madd, M.zero, tuple(zip(*cols))
+def _table(M: GammaModule) -> tuple:
+    return M.madd, M.zero, tuple(zip(*M.columns))
+
+
+def _column_pairs(M: GammaModule, N: GammaModule) -> dict:
+    """The distinct pairs (column of M, column of N) over the quads, numbered
+    in order of first occurrence."""
+    return dict(zip(dict.fromkeys(zip(M.column_of, N.column_of)), itertools.count()))
+
+
+def _hom_tables(M: GammaModule, N: GammaModule) -> tuple:
+    """`_table` of M and of N over one quad per pair of `_column_pairs`: quads
+    with equal source and equal target columns push equal pairs in `_homs`."""
+    pairs = _column_pairs(M, N)
+    return tuple((X.madd, X.zero, tuple(zip(*(X.columns[p[s]] for p in pairs))))
+                 for s, X in enumerate((M, N)))
 
 
 def submodule_closure(M: GammaModule, seed) -> frozenset[int]:
@@ -158,9 +181,11 @@ def submodule_closure(M: GammaModule, seed) -> frozenset[int]:
 
 
 def is_submodule(M: GammaModule, members: frozenset[int]) -> bool:
-    return (M.zero in members
-            and all(M.madd[i][j] in members for i in members for j in members)
-            and all(col[m] in members for col in M.columns for m in members))
+    if M.zero not in members:
+        return False
+    if any(M.madd[i][j] not in members for i in members for j in members):
+        return False
+    return all(members.issuperset(col[m] for m in members) for col in M.columns)
 
 
 def enumerate_submodules(M: GammaModule) -> list[frozenset[int]]:
@@ -172,7 +197,9 @@ def enumerate_submodules(M: GammaModule) -> list[frozenset[int]]:
         if sub in found:
             continue
         found.add(sub)
-        queue.extend(submodule_closure(M, sub | {x}) for x in range(M.size) if x not in sub)
+        for x in range(M.size):
+            if x not in sub:
+                queue.append(submodule_closure(M, sub | {x}))
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -203,10 +230,11 @@ def sub_module(M: GammaModule, members: frozenset[int], name: str | None = None)
     new_index = {orig: k for k, orig in enumerate(order)}
     madd = tuple(tuple(new_index[M.madd[i][j]] for j in order) for i in order)
     cols = (tuple(new_index[col[m]] for m in order) for col in M.columns)
-    return replace(
-        M, name=name or f"{M.name}|{{{','.join(M.carrier[i] for i in order)}}}",
-        carrier=tuple(M.carrier[i] for i in order), zero=new_index[M.zero], madd=madd,
-        **_canonical(cols, M.column_of))
+    return GammaModule(
+        name=name or f"{M.name}|{{{','.join(M.carrier[i] for i in order)}}}",
+        base=M.base, carrier=tuple(M.carrier[i] for i in order),
+        zero=new_index[M.zero], madd=madd, columns=cols, column_of=M.column_of,
+        m2_profile=M.m2_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +277,18 @@ def hom_violation(source: GammaModule, target: GammaModule, mapping: tuple[int, 
     if mapping[source.zero] != target.zero:
         return ("zero", (source.zero,))
     carrier = range(source.size)
-    for i, j in itertools.product(carrier, repeat=2):
-        if mapping[source.madd[i][j]] != target.madd[mapping[i]][mapping[j]]:
-            return ("additive", (i, j))
-    quads = list(zip(source.column_of, target.column_of))
-    for m, (i, j) in itertools.product(carrier, dict.fromkeys(quads)):
-        if mapping[source.columns[i][m]] != target.columns[j][mapping[m]]:
-            a, x, y, b = source.base.quads[quads.index((i, j))]
-            return ("equivariance", (a, x, m, y, b))
+    for i in carrier:
+        for j in carrier:
+            if mapping[source.madd[i][j]] != target.madd[mapping[i]][mapping[j]]:
+                return ("additive", (i, j))
+    # The first quad of each pair of columns is the first quad to break it.
+    pairs = _column_pairs(source, target)
+    for m in carrier:
+        for s, t in pairs:
+            if mapping[source.columns[s][m]] != target.columns[t][mapping[m]]:
+                k = [*zip(source.column_of, target.column_of)].index((s, t))
+                a, x, y, b = source.base.quads[k]
+                return ("equivariance", (a, x, m, y, b))
     return None
 
 
@@ -325,7 +357,7 @@ def hom_set(M: GammaModule, N: GammaModule) -> tuple[ModuleHom, ...]:
     search of `_homs` over generator images, charged per search node."""
     if M.base is not N.base and M.base != N.base:
         raise PreconditionError("hom_set: modules live over different bases")
-    maps = sorted(_homs(_table(M, N), _table(N, M), False))
+    maps = sorted(_homs(*_hom_tables(M, N), False))
     return tuple(ModuleHom(M, N, mp, verified=True) for mp in maps)
 
 
@@ -334,7 +366,7 @@ def find_isomorphism(A: GammaModule, B: GammaModule) -> ModuleHom | None:
     inverse is a hom too, as for every bijective hom between total tables."""
     if A.size != B.size:
         return None
-    found = next(_homs(_table(A, B), _table(B, A), True), None)
+    found = next(_homs(*_hom_tables(A, B), True), None)
     return None if found is None else ModuleHom(A, B, found, verified=True)
 
 
@@ -342,7 +374,8 @@ def find_isomorphism(A: GammaModule, B: GammaModule) -> ModuleHom | None:
 # Annihilators and faithfulness
 
 def annihilator_of_element(M: GammaModule, mm: int) -> frozenset[int]:
-    S, moved = M.base, {i for i, col in enumerate(M.columns) if col[mm] != M.zero}
+    S = M.base
+    moved = {i for i, col in enumerate(M.columns) if col[mm] != M.zero}
     acting = {q[0] for q, i in zip(S.quads, M.column_of) if i in moved}
     # 0_T belongs by the ideal type invariant even when absorption fails.
     return frozenset(range(S.n)).difference(acting) | {S.zero}
@@ -351,14 +384,19 @@ def annihilator_of_element(M: GammaModule, mm: int) -> frozenset[int]:
 def annihilator(M: GammaModule, lenient: bool = False) -> IdealSet:
     """Elements acting as zero on every carrier element, as an IdealSet."""
     require_module_axioms(M, lenient, "annihilator")
-    members = frozenset(range(M.base.n)).intersection(
-        *(annihilator_of_element(M, mm) for mm in range(M.size)))
-    return IdealSet(members, is_ideal=is_submodule(_ideal_module(M.base), members))
+    S = M.base
+    members = frozenset(range(S.n))
+    for mm in range(M.size):
+        members &= annihilator_of_element(M, mm)
+    return IdealSet(members, is_ideal=is_submodule(_ideal_module(S), members))
 
 
 def is_faithful(M: GammaModule, lenient: bool = False) -> tuple[bool, int | None]:
-    nonzero = min(annihilator(M, lenient=lenient).members - {M.base.zero}, default=None)
-    return nonzero is None, nonzero
+    ann = annihilator(M, lenient=lenient)
+    nonzero = sorted(ann.members - {M.base.zero})
+    if nonzero:
+        return False, nonzero[0]
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +484,15 @@ def density_check(M: GammaModule, anchor: int | None = None, rank2: bool = False
     combos = [M.base.quads[anchored.index(i) * M.base.n + anchor][:3] for i in cols]
     nonzero = [mm for mm in range(M.size) if mm != M.zero]
     rows = {mm: [M.columns[i][mm] for i in cols] for mm in nonzero}
-    witnesses, unsolvable = [], []
+    witnesses = []
+    unsolvable = []
     for mm in nonzero:
-        first = dict(zip(rows[mm][::-1], combos[::-1]))  # each value's first (a, x, y)
+        first: dict[int, int] = {}
+        for k, v in enumerate(rows[mm]):
+            first.setdefault(v, k)
         for n in range(M.size):
             if n in first:
-                witnesses.append((mm, n, *first[n]))
+                witnesses.append((mm, n, *combos[first[n]]))
             else:
                 unsolvable.append((mm, n))
     rank2_data = None
@@ -496,17 +537,18 @@ def _partition_to_congruence(M: GammaModule, class_of) -> ModuleCongruence:
 
 def _congruence_compatible(M: GammaModule, class_of) -> tuple[bool, str | None]:
     carrier = range(len(class_of))
-    for m1, m2 in itertools.product(carrier, repeat=2):
-        if class_of[m1] != class_of[m2]:
-            continue
-        for u in carrier:
-            if class_of[M.madd[m1][u]] != class_of[M.madd[m2][u]]:
-                return False, f"madd: [{m1}]=[{m2}] but [{m1}+{u}]!=[{m2}+{u}]"
-        for i, col in enumerate(M.columns):
-            if class_of[col[m1]] != class_of[col[m2]]:
-                a, x, y, b = M.base.quads[M.column_of.index(i)]
-                return False, (f"act: [{m1}]=[{m2}] but images differ "
-                               f"at (a={a},x={x},y={y},b={b})")
+    for m1 in carrier:
+        for m2 in carrier:
+            if class_of[m1] != class_of[m2]:
+                continue
+            for u in carrier:
+                if class_of[M.madd[m1][u]] != class_of[M.madd[m2][u]]:
+                    return False, f"madd: [{m1}]=[{m2}] but [{m1}+{u}]!=[{m2}+{u}]"
+            for i, col in enumerate(M.columns):
+                if class_of[col[m1]] != class_of[col[m2]]:
+                    a, x, y, b = M.base.quads[M.column_of.index(i)]
+                    return False, (f"act: [{m1}]=[{m2}] but images differ "
+                                   f"at (a={a},x={x},y={y},b={b})")
     return True, None
 
 
@@ -518,8 +560,9 @@ def quotient_by_congruence(M: GammaModule, cong: ModuleCongruence,
     madd = tuple(tuple(class_of[M.madd[r1][r2]] for r2 in reps) for r1 in reps)
     cols = (tuple(class_of[col[r]] for r in reps) for col in M.columns)
     labels = tuple(f"[{M.carrier[r]}]" for r in reps)
-    return replace(M, name=name or f"{M.name}/~{len(cong.classes)}", carrier=labels,
-                   zero=class_of[M.zero], madd=madd, **_canonical(cols, M.column_of))
+    return GammaModule(name=name or f"{M.name}/~{len(cong.classes)}",
+                       base=M.base, carrier=labels, zero=class_of[M.zero], madd=madd,
+                       columns=cols, column_of=M.column_of, m2_profile=M.m2_profile)
 
 
 def bourne_quotient(M: GammaModule, members: frozenset[int],
@@ -626,9 +669,14 @@ def first_isomorphism_check(f: ModuleHom) -> IsoInstanceReport:
         return IsoInstanceReport("first", False, details)
     quotient, cong = bourne_quotient(M, kernel)
     details["quotient_size"] = quotient.size
-    values = [{f.map[m] for m in cls} for cls in cong.classes]
-    induced = [min(v) for v in values]
-    details["induced_well_defined"] = well_defined = all(len(v) == 1 for v in values)
+    induced = []
+    well_defined = True
+    for cls in cong.classes:
+        values = {f.map[m] for m in cls}
+        if len(values) > 1:
+            well_defined = False
+        induced.append(min(values))
+    details["induced_well_defined"] = well_defined
     injective = len(set(induced)) == len(induced)
     surjective = set(induced) == set(image)
     details["induced_bijective_onto_image"] = injective and surjective
@@ -765,8 +813,9 @@ def jacobson_radical(S: FiniteTernaryGammaSemiring, catalog=None,
     if catalog is None:
         catalog = cyclic_module_catalog(S, lenient=lenient)
     simples = [e for e in catalog if e.simple]
-    members = frozenset(range(S.n)).intersection(
-        *(annihilator(e.module, lenient=lenient).members for e in simples))
+    members = frozenset(range(S.n))
+    for entry in simples:
+        members &= annihilator(entry.module, lenient=lenient).members
     ideal = IdealSet(members, is_ideal=is_submodule(_ideal_module(S), members))
     return RadicalReport(ideal=ideal,
                          simples_used=tuple(e.module.name for e in simples))
@@ -782,42 +831,34 @@ def direct_sum(M1: GammaModule, M2: GammaModule, name: str | None = None) -> Gam
     labels = tuple(f"({M1.carrier[i]},{M2.carrier[j]})" for i, j in pairs)
     madd = tuple(tuple(idx[(M1.madd[a1][b1], M2.madd[a2][b2])] for b1, b2 in pairs)
                  for a1, a2 in pairs)
-    both = _canonical(zip(M1.column_of, M2.column_of))  # the distinct pairs of columns
+    both = _column_pairs(M1, M2)
     cols = (tuple(map(idx.__getitem__, itertools.product(M1.columns[i], M2.columns[j])))
-            for i, j in both["columns"])
+            for i, j in both)
     profile = M1.m2_profile if M1.m2_profile == M2.m2_profile else "none"
     return GammaModule(name=name or f"{M1.name}(+){M2.name}", base=S,
                        carrier=labels, zero=idx[(M1.zero, M2.zero)], madd=madd,
-                       **_canonical(cols, both["column_of"]), m2_profile=profile)
+                       columns=cols, column_of=map(both.get, zip(M1.column_of, M2.column_of)),
+                       m2_profile=profile)
 
 
 # ---------------------------------------------------------------------------
 # Module builders and fixture text
 
-def _canonical(cols, column_of=None) -> dict:
-    """`columns` and `column_of` of the action whose slot k reads cols[column_of[k]]
-    (cols[k] without `column_of`), equal columns merged.  `cols` must be in order
-    of first occurrence over the slots, as a map of canonical columns is."""
-    index: dict = {}
-    merged = [index.setdefault(col, len(index)) for col in cols]
-    if column_of is None or len(index) < len(merged):
-        column_of = tuple(map(merged.__getitem__, column_of or range(len(merged))))
-    return {"columns": tuple(index), "column_of": column_of}
-
-
-def _action_columns(flat, m: int, width: int) -> dict:
-    """`_canonical` of the entries of t[a][x][u][y][b] in C order, width g·n."""
+def _action_columns(flat, m: int, width: int) -> list:
+    """The column of each quad, from the entries of t[a][x][u][y][b] in C order
+    (width g·n)."""
     block = m * width
-    return _canonical(tuple(flat[s + j:s + block:width])
-                      for s in range(0, len(flat), block) for j in range(width))
+    return [tuple(flat[s + j:s + block:width])
+            for s in range(0, len(flat), block) for j in range(width)]
 
 
 @lru_cache(maxsize=None)
 def regular_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:
     """T acting on itself by tri; built once per structure and name."""
     return GammaModule(name=name or f"{S.name}-regular", base=S, carrier=S.elements,
-                       zero=S.zero, madd=S.add,
-                       **_action_columns(table_arrays(S)[1].ravel().tolist(), S.n, S.g * S.n))
+                       zero=S.zero, madd=S.add, column_of=range(len(S.quads)),
+                       columns=_action_columns(table_arrays(S)[1].ravel().tolist(),
+                                               S.n, S.g * S.n))
 
 
 @lru_cache(maxsize=None)
@@ -831,9 +872,10 @@ def _ideal_module(S: FiniteTernaryGammaSemiring) -> GammaModule:
         return regular_module(S)
     reg, t = regular_module(S), table_arrays(S)[1]
     # Past the quads (the middle slot), the columns of T in slot a, then in slot b.
-    slots, k = np.vstack([t.reshape(S.n, -1).T, t.reshape(-1, S.n)]).tolist(), len(reg.columns)
-    return replace(reg, **_canonical([*reg.columns, *map(tuple, slots)],
-                                     reg.column_of + tuple(range(k, k + len(slots)))))
+    slots = np.vstack([t.reshape(S.n, -1).T, t.reshape(-1, S.n)]).tolist()
+    k = len(reg.columns)
+    return replace(reg, columns=[*reg.columns, *slots],
+                   column_of=reg.column_of + tuple(range(k, k + len(slots))))
 
 
 def zero_module(S: FiniteTernaryGammaSemiring, name: str | None = None) -> GammaModule:
@@ -861,7 +903,8 @@ def module_from_dict(data: dict, base: FiniteTernaryGammaSemiring) -> GammaModul
         raise FixtureError(f"parse error: unknown m2_profile {profile!r}")
     return GammaModule(name=str(data.get("name", f"{base.name}-module")), base=base,
                        carrier=tuple(carrier), zero=zero, madd=madd,
-                       **_action_columns(act, m, g * n), m2_profile=profile)
+                       columns=_action_columns(act, m, g * n),
+                       column_of=range(len(base.quads)), m2_profile=profile)
 
 
 def load_module(text: str, base: FiniteTernaryGammaSemiring) -> GammaModule:

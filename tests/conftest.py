@@ -27,7 +27,7 @@ from tgw.homology import (HomSemisimplicityReport, MonoidPresentation, TorResult
                           free_carrier_tuples, free_module, make_presentation, tensor,
                           tensor_induced_map)
 from tgw.ideals import LocalizedSemiring, _span, is_ideal_subset, is_prime
-from tgw.modules import (GammaModule, ModuleCongruence, ModuleHom, _canonical, _classes,
+from tgw.modules import (GammaModule, ModuleCongruence, ModuleHom, _classes,
                          _partition_to_congruence, check_module_axioms,
                          cyclic_module_catalog, generating_set, hom_set, hom_violation,
                          is_submodule, jacobson_radical, nested_action,
@@ -180,7 +180,8 @@ def action_rows(M: GammaModule) -> tuple:
 
 def with_rows(M: GammaModule, rows, **fields) -> GammaModule:
     """M with the action whose row m lists act(a, x, m, y, b) over the quads."""
-    return dataclasses.replace(M, **_canonical(zip(*rows)), **fields)
+    return dataclasses.replace(M, columns=zip(*rows), column_of=range(len(M.base.quads)),
+                               **fields)
 
 
 def perturbed_t2(b2_t2):
@@ -201,7 +202,7 @@ def swapping_module(b2):
     rows = [tuple(swaps.get((x, y), range(5))[m] if a and b else 0
                   for a, x, y, b in b2.quads) for m in range(5)]
     return GammaModule(name="B2-swaps", base=b2, carrier=tuple("0123t"), zero=0,
-                       madd=madd, **_canonical(zip(*rows)))
+                       madd=madd, columns=zip(*rows), column_of=range(len(b2.quads)))
 
 
 def zero_action_semilattice(b2, madd, name):
@@ -700,7 +701,8 @@ def brute_force_tensor_idempotent(M, N):
                    for rep in members)
     module = GammaModule(
         name=name, base=S, carrier=tuple(labels), zero=zero_class,
-        madd=tuple(tuple(r) for r in add_rows), **_canonical(zip(*images)))
+        madd=tuple(tuple(r) for r in add_rows), columns=zip(*images),
+        column_of=range(len(S.quads)))
     if check_module_axioms(module).violations:
         action_ok = False
         notes.append("induced module fails the module axioms")

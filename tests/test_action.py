@@ -245,6 +245,22 @@ def _assert_canonical(M, rows):
                for m in range(M.size)), M.name
 
 
+def test_construction_keeps_the_canonical_form():
+    """Whatever columns a builder passes, in any order, repeated or never
+    read, the module stores the distinct columns its quads read in order of
+    first occurrence, so equal actions give equal (and equally hashed) modules."""
+    reg = regular_module(fixtures.bundled_structure("B2"))
+    rows = action_rows(reg)
+    k, unread = len(reg.columns), (0,) * reg.size
+    shuffled = dataclasses.replace(
+        reg, columns=[unread, *reversed(reg.columns), *reg.columns],
+        column_of=[k - i for i in reg.column_of])
+    for M in (shuffled, with_rows(reg, rows)):
+        _assert_canonical(M, rows)
+        assert (M.columns, M.column_of) == (reg.columns, reg.column_of)
+        assert M == reg and hash(M) == hash(reg)
+
+
 @pytest.mark.parametrize("structure", ["B2xB2", "C4"])
 def test_ideal_module_stores_each_slot_in_first_occurrence_order(structure):
     """Without declared tri-commutativity the ideal module acts by T in the

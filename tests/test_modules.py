@@ -13,7 +13,7 @@ from conftest import (action_rows, all_bundled_modules, brute_force_homs,
                       brute_force_submodules, chain, integers_mod, truncated_naturals)
 from tgw import fixtures
 from tgw.core import PreconditionError, product_structure
-from tgw.modules import (GammaModule, ModuleHom, _canonical, _iso_invariant,
+from tgw.modules import (GammaModule, ModuleHom, _iso_invariant,
                          annihilator, annihilator_of_element, bourne_quotient,
                          check_module_axioms, cyclic_module_catalog, density_check,
                          direct_sum, end_semiring, enumerate_module_congruences,
@@ -369,7 +369,8 @@ def test_m2_nested_profile(b2, b2_reg):
     madd = b2_reg.madd
     cols = (tuple(int(bool(m) or (a and b)) for m in range(2)) for a, _, _, b in b2.quads)
     bad = GammaModule(name="bad-nested", base=b2, carrier=("0", "1"), zero=0,
-                      madd=madd, **_canonical(cols), m2_profile="nested")
+                      madd=madd, columns=cols, column_of=range(len(b2.quads)),
+                      m2_profile="nested")
     report = check_module_axioms(bad)
     assert any(v.law == "m2-nested" for v in report.violations)
 
