@@ -34,10 +34,11 @@ class GammaModule:
     """A finite commutative monoid carrying a five-slot action of the base.
 
     `columns[column_of[k]][m]` gives the carrier index of act(a, x, m, y, b)
-    for (a, x, y, b) = base.quads[k].  A builder may pass any columns and any
-    `column_of` (iterables will do) that give its action: construction keeps
-    the canonical form, the distinct columns in order of first occurrence
-    over the quads, so equal actions have equal fields.
+    for (a, x, y, b) = base.quads[k].  The columns are distinct and in order
+    of first occurrence over the quads, so equal actions have equal fields.
+    A builder passes its columns (iterables will do) in the order the quads
+    first read them, as the column of each quad and any map of a module's
+    columns are; construction merges those that are equal.
     """
 
     name: str
@@ -50,13 +51,11 @@ class GammaModule:
     m2_profile: str = "none"
 
     def __post_init__(self):
-        cols, column_of = tuple(map(tuple, self.columns)), tuple(self.column_of)
-        # Each column read by a quad, numbered by its first quad, equal ones merged.
-        new, number = dict.fromkeys(column_of), {}
-        for i in new:
-            new[i] = number.setdefault(cols[i], len(number))
-        if list(new) != list(new.values()):
-            column_of = tuple(map(new.__getitem__, column_of))
+        number: dict = {}
+        merged = [number.setdefault(tuple(col), len(number)) for col in self.columns]
+        column_of = tuple(self.column_of)
+        if len(number) < len(merged):
+            column_of = tuple(map(merged.__getitem__, column_of))
         object.__setattr__(self, "columns", tuple(number))
         object.__setattr__(self, "column_of", column_of)
 

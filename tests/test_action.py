@@ -245,17 +245,14 @@ def _assert_canonical(M, rows):
                for m in range(M.size)), M.name
 
 
-def test_construction_keeps_the_canonical_form():
-    """Whatever columns a builder passes, in any order, repeated or never
-    read, the module stores the distinct columns its quads read in order of
-    first occurrence, so equal actions give equal (and equally hashed) modules."""
+def test_construction_merges_equal_columns():
+    """Columns that a builder passes twice, or once per quad, are merged, so
+    equal actions give equal (and equally hashed) modules."""
     reg = regular_module(fixtures.bundled_structure("B2"))
-    rows = action_rows(reg)
-    k, unread = len(reg.columns), (0,) * reg.size
-    shuffled = dataclasses.replace(
-        reg, columns=[unread, *reversed(reg.columns), *reg.columns],
-        column_of=[k - i for i in reg.column_of])
-    for M in (shuffled, with_rows(reg, rows)):
+    rows, k = action_rows(reg), len(reg.columns)
+    twice = dataclasses.replace(reg, columns=[*reg.columns, *reg.columns],
+                                column_of=[k + i for i in reg.column_of])
+    for M in (twice, with_rows(reg, rows)):
         _assert_canonical(M, rows)
         assert (M.columns, M.column_of) == (reg.columns, reg.column_of)
         assert M == reg and hash(M) == hash(reg)
