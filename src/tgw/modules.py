@@ -184,7 +184,7 @@ def is_submodule(M: GammaModule, members: frozenset[int]) -> bool:
         return False
     if any(M.madd[i][j] not in members for i in members for j in members):
         return False
-    return all(members.issuperset(col[m] for m in members) for col in M.columns)
+    return all(col[m] in members for col in M.columns for m in members)
 
 
 def enumerate_submodules(M: GammaModule) -> list[frozenset[int]]:
