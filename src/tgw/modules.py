@@ -835,8 +835,8 @@ def direct_sum(M1: GammaModule, M2: GammaModule, name: str | None = None) -> Gam
             for i, j in both)
     profile = M1.m2_profile if M1.m2_profile == M2.m2_profile else "none"
     return GammaModule(name=name or f"{M1.name}(+){M2.name}", base=S,
-                       carrier=labels, zero=idx[(M1.zero, M2.zero)], madd=madd,
-                       columns=cols, column_of=map(both.get, zip(M1.column_of, M2.column_of)),
+                       carrier=labels, zero=idx[(M1.zero, M2.zero)], madd=madd, columns=cols,
+                       column_of=map(both.__getitem__, zip(M1.column_of, M2.column_of)),
                        m2_profile=profile)
 
 
