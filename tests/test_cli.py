@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import (act_patched_at_every_pair, brute_force_check_axioms,
                       brute_force_check_module_axioms, chain, collapsed_b2_cubed,
                       integers_mod, swapping_module, tri_patched_at_every_pair, truncated_naturals,
-                      zsum)
+                      zero_action_chain, zsum)
 from tgw import cli, core, fixtures, geometry, modules
 from tgw.cli import main
 from tgw.core import (BUDGETS, PreconditionError, Violations, _dump, _write, check_axioms,
@@ -904,6 +904,22 @@ def test_ext_pinned(capsys, tmp_path, name):
 @pytest.mark.parametrize("name", sorted(HOMOLOGY_SHA256["adjunction"]))
 def test_adjunction_pinned(capsys, tmp_path, name):
     assert_homology_pinned(capsys, tmp_path, "adjunction", name)
+
+
+# Exit code and stdout sha256 of `tor B2 --module chain7.json --module
+# chain7.json --format json`, chain7 the zero-action 7-chain
+# (`conftest.zero_action_chain`): the widest idempotent pair pinned, 6 kept
+# columns and 8^6 = 262,144 reduced states; 924 classes.  Recorded when pairs
+# past 200,000 reduced states took the Horn closure.
+WIDE_TOR_SHA256 = (1, "77b1016b8d6e27039247ddcd15060825449247e2cfac49c05e2d816e23800741")
+
+
+def test_tor_of_the_zero_action_seven_chain_pinned(capsys, tmp_path):
+    path = tmp_path / "chain7.json"
+    path.write_text(serialize_module(zero_action_chain(fixtures.bundled_structure("B2"), 7)))
+    code, out = run(capsys, "tor", "B2", "--module", str(path), "--module", str(path),
+                    "--format", "json")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == WIDE_TOR_SHA256
 
 
 # Exit code and stdout sha256 of `localize --format json` and `gelfand
