@@ -45,7 +45,7 @@ class BudgetError(WorkbenchError):
 # (|M|), hom and isomorphism search nodes, congruence lattices (|M|),
 # free-module carriers and group quotients, and tensor state spaces.
 # `cli.main` sets "enum" and "hom" from TGW_BUDGET for one command.
-BUDGETS = {"enum": 12, "hom": 50000, "partition": 8, "carrier": 4096, "state": 200000}
+BUDGETS = {"enum": 12, "hom": 50000, "partition": 8, "carrier": 4096, "state": 2 ** 23}
 
 
 def _charge(knob: str, size: int, what: str) -> None:

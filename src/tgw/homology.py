@@ -4,7 +4,7 @@ sets.
 
 Tensor products are finite monoid presentations: the free additive semigroup
 on generator pairs m⊗n modulo bilinearity in both slots and the balance law
-act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three engines realize the quotient:
+act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Two engines realize the quotient:
 
 * group - both carrier additions are abelian groups; relation differences
   span an integer lattice and the quotient comes from a diagonalized relation
@@ -16,11 +16,6 @@ act(a,x,m,y,b)⊗n ~ m⊗act(a,x,n,y,b).  Three engines realize the quotient:
   congruence on functions from a few columns.  Idempotent pairs number its
   classes by their closed sets of generators, all others by their least
   full functions.
-* Horn closure (`horn`, loaded only for these) - idempotent pairs whose
-  reduced states exceed the state limit: the classes are the sets of
-  generators closed under the relations read as Horn rules, closed many
-  sets at a time as rows of one boolean matrix, and numbered as the
-  reduced states number them.
 
 Each reads one relation array, each row once, where it first occurs, and
 computes only the quotient: the class of each generator, the class addition
@@ -31,8 +26,7 @@ every relation row and checks the module laws.
 
 Every presentation records the relation schemas that were imposed, so results
 are auditable.  Each search charges a limit of `core.BUDGETS`: free-module
-carriers and group quotients "carrier", reduced state spaces "state" (which
-idempotent pairs never exceed: past it they take the Horn closure), and the
+carriers and group quotients "carrier", reduced state spaces "state", and the
 search nodes of hom sets and presentation isomorphisms "hom".
 """
 
@@ -45,7 +39,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import (BUDGETS, FiniteTernaryGammaSemiring, PreconditionError, _charge,
+from .core import (FiniteTernaryGammaSemiring, PreconditionError, _charge,
                    bourne_classes, row_order)
 from .modules import (GammaModule, ModuleHom, _column_pairs, _homs, _pointwise_sums,
                       check_module_axioms, generating_set, hom_set, hom_violation,
@@ -542,8 +536,8 @@ def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool
     {g : c + class(g) = c}, by size, then by bitmask Σ 2^g, and represented
     by its members; otherwise by `_least_full_states`.  The closed sets read
     the quotient alone, so an idempotent pair that keeps several columns
-    takes whichever orientation has fewer reduced states, and past the state
-    limit `horn.tensor_idempotent`."""
+    takes whichever orientation has fewer reduced states.  The reduced states
+    are charged to the "state" limit before any state array is built."""
     flip = (N.size + 1) ** M.size < (M.size + 1) ** N.size
     options = [(flip, *_reduction(*((N, M) if flip else (M, N))))]
     if idempotent and len(options[0][3]) > 1:
@@ -551,9 +545,6 @@ def _tensor_reduced(M: GammaModule, N: GammaModule, name, rels, idempotent: bool
     flip, plus, red, kept = min(options, key=lambda o: len(o[1]) ** len(o[3]))
     E = len(plus) - 1
     total = (E + 1) ** len(kept)
-    if idempotent and total > BUDGETS["state"]:
-        from .horn import tensor_idempotent
-        return tensor_idempotent(M, N, name, rels)
     _charge("state", total, f"{name}: tensor states")
     # State k has the column values digits[k], and digits[k] · place == k;
     # the all-E state is the last one.
@@ -681,9 +672,7 @@ def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
     one engine over reduced states (`_tensor_reduced`), which takes every
     pair and charges its state count to the "state" limit of `core.BUDGETS`;
     `idempotent` numbers the classes by their closed sets of generators and
-    `saturation` by their least full states.  An idempotent pair past that
-    limit takes the Horn closure instead (`horn.tensor_idempotent`), with the
-    same numbering.  Each backend computes only the
+    `saturation` by their least full states.  Each backend computes only the
     quotient (`_tensor_quotient`, all that Tor reads); the induced action
     act(a, x, m⊗n, y, b) = act(a, x, m, y, b)⊗n is built here for all three,
     from each class's representative, and is well defined exactly when, at

@@ -190,7 +190,8 @@ def is_submodule(M: GammaModule, members: frozenset[int]) -> bool:
 def enumerate_submodules(M: GammaModule) -> list[frozenset[int]]:
     _charge("enum", M.size, "enumerate_submodules: |M|")
     found: set[frozenset[int]] = set()
-    queue = [submodule_closure(M, ())]
+    table = _table(M)
+    queue = [_closure(table, ())]
     while queue:
         sub = queue.pop()
         if sub in found:
@@ -198,7 +199,7 @@ def enumerate_submodules(M: GammaModule) -> list[frozenset[int]]:
         found.add(sub)
         for x in range(M.size):
             if x not in sub:
-                queue.append(submodule_closure(M, sub | {x}))
+                queue.append(_closure(table, sub | {x}))
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 

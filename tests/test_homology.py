@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from tgw import fixtures, homology, horn
+from tgw import fixtures, homology
 from tgw.cli import main
 from tgw.core import (BUDGETS, BudgetError, PreconditionError, patch_add,
                       product_structure, serialize_structure)
@@ -30,8 +30,8 @@ from conftest import (action_rows, all_bundled_modules, brute_force_presentation
                       full_state_tensor_saturation, integers_mod, loop_tensor_relations,
                       pairwise_homological_semisimplicity, perturbed_t2, staged_ext1,
                       staged_free_resolution, staged_tor1, swapping_module,
-                      truncated_naturals, union_loop_tensor_saturation, with_rows,
-                      zero_action_chain, zero_action_flat)
+                      tensor_idempotent, truncated_naturals, union_loop_tensor_saturation,
+                      with_rows, zero_action_chain, zero_action_flat)
 
 
 def test_free_module_rank1_is_regular(b2, b2_reg):
@@ -421,53 +421,60 @@ def _engine_pairs():
 
 ENGINE_PAIRS = _engine_pairs()
 
+# The full-state oracle runs where the smaller full state space, (|A|+1)^|B|,
+# is at most this many states: the same cases as under the state limit of
+# 200,000 that its tests were written for, so their time stays put.
+FULL_STATE_ORACLE_LIMIT = 200_000
+
+
+def assert_quotient_matches(q, M, N, oracle):
+    """The tensor quotient `q` of M and N equals the oracle's on the same
+    relation rows, field by field."""
+    add_rows, zero, gen_class, rep_gens, labels, notes = oracle(
+        M, N, q.presentation.name, q.relations)
+    assert q.presentation.add == tuple(map(tuple, add_rows))
+    assert q.presentation.zero == zero
+    assert q.gen_class.tolist() == list(gen_class)
+    assert q.rep_gens == rep_gens
+    assert list(q.presentation.reps) == labels
+    assert q.notes == tuple(notes)
+
 
 @pytest.mark.parametrize("M,N", ENGINE_PAIRS.values(), ids=ENGINE_PAIRS)
 def test_reduced_engine_matches_full_state_oracles(M, N):
     """The quotient over reduced states, under each numbering that takes the
-    pair, against the Horn closure on idempotent pairs (which takes them past
-    the state limit), and against the closure of every full state, which the
-    least-state numbering replaced, where the state limit admits the full
-    state space."""
+    pair, against the Horn closure on idempotent pairs, and against the
+    closure of every full state, which the least-state numbering replaced,
+    where `FULL_STATE_ORACLE_LIMIT` admits the full state space."""
     numberings = {"saturation": full_state_tensor_saturation}
     if homology._is_idempotent(M) and homology._is_idempotent(N):
-        numberings["idempotent"] = horn.tensor_idempotent
-    if min((M.size + 1) ** N.size, (N.size + 1) ** M.size) > BUDGETS["state"]:
+        numberings["idempotent"] = tensor_idempotent
+    if min((M.size + 1) ** N.size, (N.size + 1) ** M.size) > FULL_STATE_ORACLE_LIMIT:
         del numberings["saturation"]
     assert numberings
     for backend, oracle in numberings.items():
-        q = _tensor_quotient(M, N, backend, lenient=True)
-        add_rows, zero, gen_class, rep_gens, labels, notes = oracle(
-            M, N, q.presentation.name, q.relations)
-        assert q.presentation.add == tuple(map(tuple, add_rows))
-        assert q.presentation.zero == zero
-        assert q.gen_class.tolist() == list(gen_class)
-        assert q.rep_gens == rep_gens
-        assert list(q.presentation.reps) == labels
-        assert q.notes == tuple(notes)
+        assert_quotient_matches(_tensor_quotient(M, N, backend, lenient=True), M, N, oracle)
 
 
-def test_wide_idempotent_pair_takes_the_horn_closure_past_the_state_limit(b2, monkeypatch):
+def test_wide_idempotent_pair_runs_the_reduced_engine_under_the_state_limit(b2, monkeypatch):
     """The zero-action 7-chain has 6 generators, none a sum of others, so its
     tensor square keeps 6 columns in either orientation: 8^6 = 262,144
-    reduced states, past the state limit.  The idempotent numbering then
-    takes the Horn closure, which charges no limit, and agrees with the
-    reduced engine under a raised limit: C(12, 6) = 924 classes, one per
-    down-set of the 6 × 6 grid of nonzero pairs."""
-    def fields(q):
-        return q.presentation.to_dict(), q.gen_class.tolist(), q.rep_gens, q.notes
-
+    reduced states, within the default state limit.  The reduced engine
+    takes it and agrees with the Horn closure: C(12, 6) = 924 classes, one
+    per down-set of the 6 × 6 grid of nonzero pairs.  Below 8^6 states the
+    same call raises a BudgetError naming the state limit."""
     M = zero_action_chain(b2, 7)
     assert not check_module_axioms(M).violations
-    assert 8 ** 6 > BUDGETS["state"]
     calls = []
-    closure = horn.tensor_idempotent
-    monkeypatch.setattr(horn, "tensor_idempotent",
-                        lambda *args: calls.append(args) or closure(*args))
-    past = _tensor_quotient(M, M)
-    assert len(calls) == 1 and past.presentation.size == 924
-    monkeypatch.setitem(BUDGETS, "state", 8 ** 6)
-    assert fields(_tensor_quotient(M, M)) == fields(past) and len(calls) == 1
+    engine = homology._tensor_reduced
+    monkeypatch.setattr(homology, "_tensor_reduced",
+                        lambda *args, **kw: calls.append(args) or engine(*args, **kw))
+    q = _tensor_quotient(M, M)
+    assert len(calls) == 1 and q.presentation.size == 924
+    assert_quotient_matches(q, M, M, tensor_idempotent)
+    monkeypatch.setitem(BUDGETS, "state", 8 ** 6 - 1)
+    with pytest.raises(BudgetError, match="states = 262144 exceeds the state limit 262143$"):
+        _tensor_quotient(M, M)
 
 
 def _relabelled_presentation(P, rng):
