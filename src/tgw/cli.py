@@ -132,7 +132,7 @@ def cmd_spec(S, args, out, payload):
 
 
 def cmd_modules(S, args, out, payload):
-    mods = fixtures.modules_for(S.name) if S.name in fixtures.STRUCTURE_NAMES else []
+    mods = [M for M in fixtures.modules_for(S.name) if M.base == S]
     for spec_arg in args.module or []:
         mods.append(fixtures.resolve_module(spec_arg, S))
     found = False
@@ -533,10 +533,13 @@ def main(argv=None) -> int:
         raw = os.environ.get("TGW_BUDGET")
         if raw is not None:
             try:
-                BUDGETS["enum"] = BUDGETS["hom"] = int(raw)
+                limit = int(raw)
             except ValueError:
-                raise WorkbenchError(f"TGW_BUDGET must be an integer, "
-                                     f"got {raw!r}") from None
+                limit = -1
+            if limit < 0:
+                raise WorkbenchError(f"TGW_BUDGET must be a non-negative integer, "
+                                     f"got {raw!r}")
+            BUDGETS["enum"] = BUDGETS["hom"] = limit
         code, payload = _COMMANDS[args.command](args, out)
     except (WorkbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

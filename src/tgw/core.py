@@ -7,8 +7,7 @@ table-driven: loading resolves labels to integer indices once.  Each law is
 declared once, in `STRUCTURE_LAWS`, as both of its sides written as index
 expressions over the tables; the axiom checker evaluates them on NumPy index
 grids covering every instance and returns witnesses for each violation
-instead of raising, and `reevaluate_violation` evaluates the same
-expressions on one witness.
+instead of raising.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -277,11 +276,10 @@ class Law:
     range (x, y, z, w a parameter, u a carrier element, others an element).
     The checker evaluates them on broadcast index grids, one grid axis per
     distinct name, in chunks of as many values of the first as fit in one
-    value of the widest law checked with it; the re-evaluator evaluates them
-    on the ints of one witness.  `when` says if a law applies.  No expression
-    reads a parameter but as an index along axis 1 or 3 of a five-axis table,
-    so a law has the same instances at parameters whose slices along those
-    axes are equal in every such table."""
+    value of the widest law checked with it.  `when` says if a law applies.
+    No expression reads a parameter but as an index along axis 1 or 3 of a
+    five-axis table, so a law has the same instances at parameters whose
+    slices along those axes are equal in every such table."""
 
     name: str
     witness: str
@@ -418,21 +416,6 @@ def _check_laws(stages, tables: dict) -> Violations:
     return Violations(out)
 
 
-def _reevaluate(stages, tables: dict, v: Violation) -> tuple[int, int]:
-    for law in (law for stage in stages for law in stage if law.name == v.law):
-        names = law.witness.split()
-        if len(names) != len(v.witness):
-            continue
-        for name, k in zip(names, v.witness):
-            if not 0 <= k < tables[_RANGE.get(name[0], "n")]:
-                raise IndexError(f"witness entry {name} = {k} of {v.law} is out of range")
-        ns = dict(tables)
-        # A law that names one axis twice fits only witnesses that repeat it.
-        if all(ns.setdefault(name, k) == k for name, k in zip(names, v.witness)):
-            return int(eval(_code(law.left), ns)), int(eval(_code(law.right), ns))
-    raise ValueError(f"no law {v.law!r} fits witness {v.witness}")
-
-
 @lru_cache(maxsize=None)
 def table_arrays(S: FiniteTernaryGammaSemiring) -> tuple:
     """`add` and `tri` as read-only arrays in `_Table`'s dtype, built once per structure."""
@@ -485,11 +468,6 @@ def check_axioms(S: FiniteTernaryGammaSemiring) -> AxiomReport:
     if len(S.add) != S.n or any(len(row) != S.n for row in S.add):
         raise PreconditionError(f"add table of {S.name} has wrong shape")
     return AxiomReport(_check_laws(STRUCTURE_LAWS, _structure_tables(S)))
-
-
-def reevaluate_violation(S: FiniteTernaryGammaSemiring, v: Violation) -> tuple[int, int]:
-    """Recompute both sides of a reported violation from its witness."""
-    return _reevaluate(STRUCTURE_LAWS, _structure_tables(S), v)
 
 
 def require_axioms(S: FiniteTernaryGammaSemiring, lenient: bool, op: str) -> AxiomReport:
@@ -818,10 +796,3 @@ def product_structure(S1: FiniteTernaryGammaSemiring, S2: FiniteTernaryGammaSemi
         name=name, elements=labels, zero=idx[(S1.zero, S2.zero)], unit=unit,
         gamma=S1.gamma, add=add, tri=tri,
         commutative=S1.commutative and S2.commutative)
-
-
-def patch_add(S: FiniteTernaryGammaSemiring, i: int, j: int, value: int) -> FiniteTernaryGammaSemiring:
-    """Copy of S with one add-table entry replaced (test/diagnostic helper)."""
-    rows = [list(r) for r in S.add]
-    rows[i][j] = value
-    return replace(S, add=tuple(tuple(r) for r in rows))

@@ -626,28 +626,20 @@ def _least_full_states(table, gen_class):
     return least
 
 
-def _tensor_quotient(M: GammaModule, N: GammaModule, backend: str = "auto",
-                     lenient: bool = False) -> TensorQuotient:
-    """The presentation of M⊗N from the backend that `tensor` picks."""
+def _tensor_quotient(M: GammaModule, N: GammaModule, lenient: bool = False) -> TensorQuotient:
+    """The presentation of M⊗N from the engine that the pair's additions pick
+    (see `tensor`)."""
     if M.base != N.base:
         raise PreconditionError("tensor: modules live over different bases")
     require_module_axioms(M, lenient, "tensor")
     require_module_axioms(N, lenient, "tensor")
     name = f"{M.name}(x){N.name}"
-    idem = _is_idempotent(M) and _is_idempotent(N)
-    group = _is_group(M) and _is_group(N)
-    if backend == "auto":
-        backend = "idempotent" if idem else ("group" if group else "saturation")
-    if backend == "idempotent" and not idem:
-        raise PreconditionError("tensor: idempotent backend needs idempotent "
-                                "additions on both carriers")
-    if backend == "group" and not group:
-        raise PreconditionError("tensor: group backend needs group additions "
-                                "on both carriers")
-    quotient = {"idempotent": partial(_tensor_reduced, idempotent=True), "group": _tensor_group,
-                "saturation": partial(_tensor_reduced, idempotent=False)}.get(backend)
-    if quotient is None:
-        raise PreconditionError(f"tensor: unknown backend {backend!r}")
+    if _is_idempotent(M) and _is_idempotent(N):
+        backend, quotient = "idempotent", partial(_tensor_reduced, idempotent=True)
+    elif _is_group(M) and _is_group(N):
+        backend, quotient = "group", _tensor_group
+    else:
+        backend, quotient = "saturation", partial(_tensor_reduced, idempotent=False)
     # Many quads act alike, so relation rows repeat.  Each is kept once, where
     # it first occurs, as the group backend follows the relation order.
     rels, descriptions = _tensor_relations(M, N)
@@ -658,29 +650,28 @@ def _tensor_quotient(M: GammaModule, N: GammaModule, backend: str = "auto",
     add_rows, zero, gen_class, rep_gens, labels, notes = quotient(M, N, name, rels)
     pres = make_presentation(name, [f"c{k}" for k in range(len(add_rows))], labels,
                              add_rows, zero, relations=descriptions)
-    return TensorQuotient(presentation=pres, backend=backend, gen_class=gen_class,
-                          notes=tuple(notes), relations=rels, rep_gens=rep_gens)
+    return TensorQuotient(pres, backend, gen_class, tuple(notes), rels, rep_gens)
 
 
-def tensor(M: GammaModule, N: GammaModule, backend: str = "auto",
-           lenient: bool = False) -> TensorResult:
+def tensor(M: GammaModule, N: GammaModule, lenient: bool = False) -> TensorResult:
     """Tensor product presentation over the common base, and its induced
     module.
 
-    `auto` picks `idempotent` when both additions are idempotent, `group`
-    when both are groups, and otherwise `saturation`.  All but `group` run
-    one engine over reduced states (`_tensor_reduced`), which takes every
-    pair and charges its state count to the "state" limit of `core.BUDGETS`;
-    `idempotent` numbers the classes by their closed sets of generators and
-    `saturation` by their least full states.  Each backend computes only the
-    quotient (`_tensor_quotient`, all that Tor reads); the induced action
-    act(a, x, m⊗n, y, b) = act(a, x, m, y, b)⊗n is built here for all three,
-    from each class's representative, and is well defined exactly when, at
-    each of M's action columns, every relation row lands on one class.  (The action is
-    additive on the free monoid, so the pairs it respects form a congruence,
-    which holds the generated one as soon as it holds the relations.)  The
-    induced module is then checked against the module laws."""
-    q = _tensor_quotient(M, N, backend, lenient)
+    The pair's additions pick the engine, recorded in `backend`: `idempotent`
+    when both are idempotent, else `group` when both are groups, else
+    `saturation`.  All but `group` run one engine over reduced states
+    (`_tensor_reduced`), which takes every pair and charges its state count
+    to the "state" limit of `core.BUDGETS`; `idempotent` numbers the classes
+    by their closed sets of generators and `saturation` by their least full
+    states.  Each engine computes only the quotient (`_tensor_quotient`, all
+    that Tor reads); the induced action act(a, x, m⊗n, y, b) =
+    act(a, x, m, y, b)⊗n is built here for all three, from each class's
+    representative, and is well defined exactly when, at each of M's action
+    columns, every relation row lands on one class.  (The action is additive
+    on the free monoid, so the pairs it respects form a congruence, which
+    holds the generated one as soon as it holds the relations.)  The induced
+    module is then checked against the module laws."""
+    q = _tensor_quotient(M, N, lenient)
     pres, gen_class, notes = q.presentation, q.gen_class, list(q.notes)
     table = np.array(pres.add)
     # acted[g, i] is the class of act(m)⊗n in M's column i, for g = m·|N| + n.

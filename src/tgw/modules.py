@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 from .core import (AxiomReport, FiniteTernaryGammaSemiring, FixtureError,
-                   IdealSet, Law, PreconditionError, Violation, _Table,
-                   UnionFind, _charge, _check_laws, _dump, _reevaluate,
+                   IdealSet, Law, PreconditionError, _Table,
+                   UnionFind, _charge, _check_laws, _dump,
                    _structure_tables, bourne_classes, check_axioms, label_array,
                    read_labels, table_arrays)
 
@@ -119,11 +119,6 @@ def check_module_axioms(M: GammaModule) -> AxiomReport:
         raise PreconditionError(f"unknown m2_profile {M.m2_profile!r}")
     return AxiomReport(_check_laws(MODULE_LAWS, _module_tables(M)),
                        warnings=check_axioms(M.base).violations)
-
-
-def reevaluate_module_violation(M: GammaModule, v: Violation) -> tuple[int, int]:
-    """Recompute both sides of a reported module-law violation."""
-    return _reevaluate(MODULE_LAWS, _module_tables(M), v)
 
 
 def require_module_axioms(M: GammaModule, lenient: bool, op: str) -> None:

@@ -5,6 +5,11 @@ and submodules come from filtering every subset, hom sets from filtering
 every total map, presentation isomorphisms from trying every permutation,
 axiom reports from nested loops over every law instance.
 Differential tests compare the fast paths against these.
+
+It also holds the helpers that only tests need, so that the package keeps
+none: `patch_add`, the witness re-evaluators (`reevaluate_violation`,
+`reevaluate_module_violation`), and `forced`, the one way to run a tensor
+engine other than the one the pair's additions pick.
 """
 
 from __future__ import annotations
@@ -17,18 +22,19 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tgw import fixtures
-from tgw.core import (BUDGETS, AxiomReport, BudgetError, FiniteTernaryGammaSemiring,
-                      IdealSet, PreconditionError, UnionFind, Violation, _charge,
-                      bourne_classes, distinct_rows, product_structure,
-                      require_axioms, structure_from_dict)
+from tgw import fixtures, homology
+from tgw.core import (BUDGETS, STRUCTURE_LAWS, AxiomReport, BudgetError,
+                      FiniteTernaryGammaSemiring, IdealSet, PreconditionError, UnionFind,
+                      Violation, _RANGE, _charge, _code, _structure_tables, bourne_classes,
+                      distinct_rows, product_structure, require_axioms,
+                      structure_from_dict)
 from tgw.homology import (HomSemisimplicityReport, MonoidPresentation, TorResult,
                           _gen_label, _rep_labels, ext1, find_presentation_isomorphism,
                           free_carrier_tuples, free_module, make_presentation, tensor,
                           tensor_induced_map)
 from tgw.ideals import LocalizedSemiring, _span, is_ideal_subset, is_prime
-from tgw.modules import (GammaModule, ModuleCongruence, ModuleHom, _classes,
-                         _partition_to_congruence, check_module_axioms,
+from tgw.modules import (MODULE_LAWS, GammaModule, ModuleCongruence, ModuleHom, _classes,
+                         _module_tables, _partition_to_congruence, check_module_axioms,
                          cyclic_module_catalog, generating_set, hom_set, hom_violation,
                          is_submodule, jacobson_radical, nested_action,
                          require_module_axioms, sub_module)
@@ -235,6 +241,13 @@ def nested_tuples(rows):
     return tuple(map(nested_tuples, rows)) if isinstance(rows, list) else rows
 
 
+def patch_add(S: FiniteTernaryGammaSemiring, i: int, j: int, value: int) -> FiniteTernaryGammaSemiring:
+    """Copy of S with one add-table entry replaced (test/diagnostic helper)."""
+    rows = [list(r) for r in S.add]
+    rows[i][j] = value
+    return dataclasses.replace(S, add=tuple(tuple(r) for r in rows))
+
+
 def tri_patched_at_every_pair(S, a: int, b: int, c: int, value: int):
     """S with tri(a, x, b, y, c) set to `value` at every parameter pair
     (x, y): parameters that every table read alike stay alike."""
@@ -259,6 +272,34 @@ def collapsed_b2_cubed():
     b2 = fixtures.bundled_structure("B2")
     S = product_structure(product_structure(b2, b2, "B2^2"), b2, "B2^3")
     return tri_patched_at_every_pair(S, 3, 5, 6, 7)
+
+
+# Witness re-evaluation: both sides of a reported violation, recomputed from
+# the law table on the ints of its witness alone.
+
+def _reevaluate(stages, tables: dict, v: Violation) -> tuple[int, int]:
+    for law in (law for stage in stages for law in stage if law.name == v.law):
+        names = law.witness.split()
+        if len(names) != len(v.witness):
+            continue
+        for name, k in zip(names, v.witness):
+            if not 0 <= k < tables[_RANGE.get(name[0], "n")]:
+                raise IndexError(f"witness entry {name} = {k} of {v.law} is out of range")
+        ns = dict(tables)
+        # A law that names one axis twice fits only witnesses that repeat it.
+        if all(ns.setdefault(name, k) == k for name, k in zip(names, v.witness)):
+            return int(eval(_code(law.left), ns)), int(eval(_code(law.right), ns))
+    raise ValueError(f"no law {v.law!r} fits witness {v.witness}")
+
+
+def reevaluate_violation(S: FiniteTernaryGammaSemiring, v: Violation) -> tuple[int, int]:
+    """Recompute both sides of a reported violation from its witness."""
+    return _reevaluate(STRUCTURE_LAWS, _structure_tables(S), v)
+
+
+def reevaluate_module_violation(M: GammaModule, v: Violation) -> tuple[int, int]:
+    """Recompute both sides of a reported module-law violation."""
+    return _reevaluate(MODULE_LAWS, _module_tables(M), v)
 
 
 # Non-identity permutations of the three element slots, in a fixed order.
@@ -576,6 +617,20 @@ def all_bundled_modules():
 
 # The relation builder that `homology._tensor_relations` replaced, kept
 # verbatim (renamed) as the oracle's source of relations.
+
+def forced(call, backend, *args, **kw):
+    """`call(*args, **kw)` with each tensor quotient taking `backend` where the
+    pair admits it: the additions read as idempotent only for "idempotent"
+    and as groups only for "group", so "saturation" runs the least-state
+    numbering on any pair.  `tensor` picks its engine from the pair alone;
+    this is how tests compare the engines on one pair."""
+    is_idempotent, is_group = homology._is_idempotent, homology._is_group
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_is_idempotent",
+                   lambda M: backend == "idempotent" and is_idempotent(M))
+        mp.setattr(homology, "_is_group", lambda M: backend == "group" and is_group(M))
+        return call(*args, **kw)
+
 
 def loop_tensor_relations(M: GammaModule, N: GammaModule):
     """Relation pairs as generator-multiset dicts, plus schema descriptions."""

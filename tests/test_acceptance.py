@@ -11,9 +11,9 @@ import sys
 import time
 
 from conftest import (all_bundled_modules, brute_force_homs, brute_force_ideals,
-                      brute_force_submodules)
+                      brute_force_submodules, forced, reevaluate_violation)
 from tgw import fixtures
-from tgw.core import check_axioms, reevaluate_violation
+from tgw.core import check_axioms
 from tgw.geometry import embed
 from tgw.homology import (adjunction_check, ext1, free_resolution, tensor,
                           find_presentation_isomorphism, tor1)
@@ -143,8 +143,8 @@ def test_criterion_7_invariant_suites(b2, z3, b2xb2):
             assert cong.compatible
     # Tensor backend agreement where two backends apply.
     b2reg = fixtures.bundled_module("B2-regular")
-    a = tensor(b2reg, b2reg, backend="idempotent").presentation
-    b = tensor(b2reg, b2reg, backend="saturation").presentation
+    a = tensor(b2reg, b2reg).presentation
+    b = forced(tensor, "saturation", b2reg, b2reg).presentation
     assert b.to_dict()["approximate"] is False
     assert find_presentation_isomorphism(a, b) is not None
     _ok(7, "witness re-evaluation, exactness, Schur census, closed-set "

@@ -26,12 +26,12 @@ from conftest import (action_rows, all_bundled_modules, brute_force_submodules, 
                       loop_congruence_compatible, loop_density_witnesses,
                       loop_enumerate_module_congruences, loop_hom_violation,
                       loop_is_congruence_simple, loop_is_submodule,
-                      loop_submodule_closure, perturbed_t2,
+                      loop_submodule_closure, patch_add, perturbed_t2,
                       principal_enumerate_module_congruences,
                       principal_is_congruence_simple, swapping_module, truncated_naturals,
                       with_rows, zero_action_flat, zsum)
 from tgw import fixtures, modules
-from tgw.core import BUDGETS, BudgetError, patch_add, product_structure
+from tgw.core import BUDGETS, BudgetError, product_structure
 from tgw.homology import free_module, hom_module, tensor
 from tgw.modules import (_congruence_compatible,
                          annihilator_of_element, bourne_quotient,
@@ -63,7 +63,7 @@ def built_modules(S):
         "direct_sum": twice,
         "zero": zero_module(S),
         "hom": hom_module(reg, reg)[0],
-        "tensor": tensor(reg, reg, backend="idempotent").module,
+        "tensor": tensor(reg, reg).module,
     }
 
 
@@ -141,7 +141,7 @@ def test_built_modules_pinned(structure):
 def test_nesting_then_flattening_gives_images():
     S = chain(4)
     n2 = regular_module(truncated_naturals(2))
-    exact = tensor(n2, n2, backend="saturation").module
+    exact = tensor(n2, n2).module
     for M in [*all_bundled_modules(), *built_modules(S).values(), exact]:
         assert M.base.quads == tuple(itertools.product(
             range(M.base.n), range(M.base.g), range(M.base.g), range(M.base.n)))
@@ -202,7 +202,7 @@ def _per_quad_builds(S):
     hom, homs = hom_module(reg, reg)
     maps = [f.map for f in homs]
     out.append((hom, [[maps.index(tuple(tri[v][k] for v in f)) for k in quads] for f in maps]))
-    t = tensor(reg, reg, backend="idempotent")
+    t = tensor(reg, reg)
     add = t.presentation.add
     out.append((t.module, [[functools.reduce(lambda c, d: add[c][d], (
         t.gen_class[tri[g // S.n][k] * S.n + g % S.n] for g in rep)) for k in quads]

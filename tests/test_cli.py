@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -129,6 +131,20 @@ def test_modules_command(capsys):
     assert code == 0
     assert "B2-regular over B2: passes" in out
     assert "B2-T2 over B2: passes" in out
+
+
+def test_modules_lists_bundled_modules_only_over_their_own_base(capsys, tmp_path):
+    """A structure file that takes a bundled structure's name, but not its
+    tables, gets none of that structure's bundled modules: Z3's tables named
+    B2 list their own regular module alone, which fails the module laws."""
+    path = tmp_path / "z3-named-b2.json"
+    z3_named_b2 = dataclasses.replace(fixtures.bundled_structure("Z3"), name="B2")
+    path.write_text(serialize_structure(z3_named_b2), encoding="utf-8")
+    code, out = run(capsys, "modules", str(path), "--lenient", "--format", "json")
+    payload = json.loads(out)["result"]
+    assert code == 0 and len(payload) == 1
+    assert payload[0]["module"] == "B2-regular" and payload[0]["violations"]
+    assert run(capsys, "modules", str(path))[0] == 1
 
 
 def test_ignored_options_are_noted(capsys):
@@ -1246,8 +1262,13 @@ def test_malformed_embed_files_exit_cleanly(option, data):
 def test_exit_2_on_budget(capsys, monkeypatch):
     monkeypatch.setenv("TGW_BUDGET", "1")
     assert main(["ideals", "B2xB2"]) == 2
-    monkeypatch.setenv("TGW_BUDGET", "notanint")
-    assert main(["ideals", "B2"]) == 2
+    capsys.readouterr()
+    for raw in ("notanint", "-3"):
+        monkeypatch.setenv("TGW_BUDGET", raw)
+        assert main(["ideals", "B2"]) == 2
+        assert main(["check", "B2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: TGW_BUDGET must be a non-negative integer, got {raw!r}\n" * 2
 
 
 def test_tor_on_c10_runs_at_default_limits(capsys, tmp_path, monkeypatch):
@@ -1284,6 +1305,29 @@ def test_json_mode_all_commands(capsys):
         out = capsys.readouterr().out
         payload = json.loads(out)
         assert payload["exit_code"] == code == 0, argv
+
+
+def test_every_package_definition_is_reached_outside_the_tests():
+    """Each top-level function and class of `src/tgw` is named somewhere in
+    the package, its scripts or perfbench (a name, an attribute or an
+    import, so the exports of `tgw/__init__.py` count): code that only the
+    tests reach belongs in `tests/conftest.py`."""
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "tgw").glob("*.py"))
+    referenced = set()
+    for path in [*package, *(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.update({node.name, node.asname} - {None})
+    unreached = [f"{path.stem}.{node.name}" for path in package
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name not in referenced]
+    assert unreached == []
 
 
 def test_run_battery_script(capsys, tmp_path):

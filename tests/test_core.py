@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_check_axioms, chain, zsum
+from conftest import brute_force_check_axioms, chain, patch_add, reevaluate_violation, zsum
 from tgw import core, fixtures
 from tgw.core import (AxiomReport, FixtureError, Violations, _dump, _write, check_axioms,
-                      distinct_rows, load_structure, patch_add, reevaluate_violation,
-                      row_order, serialize_structure, structure_from_dict, tri_eval)
+                      distinct_rows, load_structure, row_order, serialize_structure,
+                      structure_from_dict, tri_eval)
 from tgw.modules import check_module_axioms
 
 B2_DICT = {

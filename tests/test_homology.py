@@ -11,8 +11,8 @@ import pytest
 
 from tgw import fixtures, homology
 from tgw.cli import main
-from tgw.core import (BUDGETS, BudgetError, PreconditionError, patch_add,
-                      product_structure, serialize_structure)
+from tgw.core import (BUDGETS, BudgetError, PreconditionError, product_structure,
+                      serialize_structure)
 from tgw.homology import (HomActionError, HomModuleError, _smith_diagonal, _tensor_group,
                           _tensor_quotient, _tensor_relations, adjunction_check, ext1,
                           find_presentation_isomorphism, free_module,
@@ -26,10 +26,10 @@ from tgw.modules import (GammaModule, annihilator, check_module_axioms,
                          hom_violation, nested_action, regular_module, sub_module)
 
 from conftest import (action_rows, all_bundled_modules, brute_force_presentation_isomorphism,
-                      brute_force_tensor_idempotent, chain,
+                      brute_force_tensor_idempotent, chain, forced,
                       full_state_tensor_saturation, integers_mod, loop_tensor_relations,
-                      pairwise_homological_semisimplicity, perturbed_t2, staged_ext1,
-                      staged_free_resolution, staged_tor1, swapping_module,
+                      pairwise_homological_semisimplicity, patch_add, perturbed_t2,
+                      staged_ext1, staged_free_resolution, staged_tor1, swapping_module,
                       tensor_idempotent, truncated_naturals, union_loop_tensor_saturation,
                       with_rows, zero_action_chain, zero_action_flat)
 
@@ -74,7 +74,7 @@ def test_each_budget_names_its_limit(knob, b2, b2_reg, monkeypatch):
               "hom": lambda: hom_set(b2_reg, b2_reg),
               "partition": lambda: enumerate_module_congruences(b2_reg),
               "carrier": lambda: free_module(b2, 2),
-              "state": lambda: tensor(b2_reg, b2_reg, backend="saturation")}[knob]
+              "state": lambda: forced(tensor, "saturation", b2_reg, b2_reg)}[knob]
     with monkeypatch.context() as mp:
         mp.setitem(BUDGETS, knob, 1)
         with pytest.raises(BudgetError, match=f"exceeds the {knob} limit 1$"):
@@ -162,25 +162,28 @@ def test_tensor_with_zero_module(b2_reg, b2_zero):
 
 
 def test_tensor_backend_agreement_boolean(b2_reg):
-    a = tensor(b2_reg, b2_reg, backend="idempotent")
-    b = tensor(b2_reg, b2_reg, backend="saturation")
+    a = tensor(b2_reg, b2_reg)
+    b = forced(tensor, "saturation", b2_reg, b2_reg)
+    assert (a.backend, b.backend) == ("idempotent", "saturation")
     assert b.presentation.to_dict()["approximate"] is False
     assert find_presentation_isomorphism(a.presentation, b.presentation) is not None
 
 
 def test_tensor_backend_agreement_one_element(one_element):
     reg = regular_module(one_element)
-    results = [tensor(reg, reg, backend=be).presentation
-               for be in ("idempotent", "group", "saturation")]
-    assert all(p.size == 1 and p.to_dict()["approximate"] is False for p in results)
+    results = [forced(tensor, be, reg, reg) for be in ("idempotent", "group", "saturation")]
+    assert [t.backend for t in results] == ["idempotent", "group", "saturation"]
+    assert all(t.size == 1 and t.presentation.to_dict()["approximate"] is False
+               for t in results)
 
 
 def test_tensor_backend_agreement_two_element_field(f2):
     # Hand-derived: over the two-element field the regular self-tensor is the
     # order-2 cyclic group generated by 1⊗1.
     reg = regular_module(f2)
-    g = tensor(reg, reg, backend="group")
-    s = tensor(reg, reg, backend="saturation")
+    g = tensor(reg, reg)
+    s = forced(tensor, "saturation", reg, reg)
+    assert (g.backend, s.backend) == ("group", "saturation")
     assert g.presentation.size == 2
     assert g.presentation.structure_tag == "cyclic-2"
     assert s.presentation.to_dict()["approximate"] is False
@@ -195,11 +198,28 @@ def test_tensor_group_z3(z3_reg):
     assert t.presentation.is_trivial
 
 
-def test_tensor_backend_gates(b2_reg, z3_reg):
-    with pytest.raises(PreconditionError):
-        tensor(b2_reg, b2_reg, backend="group")  # OR is not a group addition
-    with pytest.raises(PreconditionError):
-        tensor(z3_reg, z3_reg, backend="idempotent", lenient=True)
+def _dispatch_cases():
+    b2_reg, b2_zero, z3_reg = map(fixtures.bundled_module, ("B2-regular", "B2-zero", "Z3-regular"))
+    n3_reg = regular_module(truncated_naturals(3))
+    z3_chain = zero_action_chain(z3_reg.base, 3)
+    return {"B2-regular-squared": (b2_reg, b2_reg, "idempotent", 2),
+            "B2-zero-B2-regular": (b2_zero, b2_reg, "idempotent", 1),
+            "Z3-regular-squared": (z3_reg, z3_reg, "group", 1),
+            "N3-regular-squared": (n3_reg, n3_reg, "saturation", 4),
+            # An idempotent addition against a group one.
+            "Z3-chain3-Z3-regular": (z3_chain, z3_reg, "saturation", 1),
+            "Z3-regular-Z3-chain3": (z3_reg, z3_chain, "saturation", 1)}
+
+
+DISPATCH_CASES = _dispatch_cases()
+
+
+@pytest.mark.parametrize("M,N,backend,size", DISPATCH_CASES.values(), ids=DISPATCH_CASES)
+def test_tensor_engine_follows_the_additions(M, N, backend, size):
+    """The pair's additions alone pick the engine: idempotent when both are
+    idempotent, else group when both are groups, else saturation."""
+    t = tensor(M, N, lenient=True)
+    assert (t.backend, t.size, t.module_action_ok) == (backend, size, True)
 
 
 def _zero_not_identity_t2(b2_t2):
@@ -237,8 +257,9 @@ def _idempotent_case(case, b2_reg, b2_t2):
 @pytest.mark.parametrize("case", IDEMPOTENT_CASES)
 def test_idempotent_tensor_matches_oracle(case, b2_reg, b2_t2):
     M, N, lenient = _idempotent_case(case, b2_reg, b2_t2)
-    new = tensor(M, N, backend="idempotent", lenient=lenient)
+    new = tensor(M, N, lenient=lenient)
     old = brute_force_tensor_idempotent(M, N)
+    assert new.backend == "idempotent"
     assert new.presentation.to_dict() == old.presentation.to_dict()
     assert new.gen_class.tolist() == old.gen_class
     assert (new.module.columns, new.module.column_of) == (old.module.columns,
@@ -283,7 +304,7 @@ def test_exact_tensor_matches_other_backends(M, N):
     """The least-state numbering against the idempotent numbering or the group
     backend: the identity
     on generators induces a bijective monoid map between the two quotients."""
-    exact = tensor(M, N, backend="saturation", lenient=True)
+    exact = forced(tensor, "saturation", M, N, lenient=True)
     other = tensor(M, N, lenient=True)
     assert other.backend in ("idempotent", "group")
     assert exact.module_action_ok and exact.notes == ()
@@ -300,18 +321,17 @@ def test_exact_tensor_matches_other_backends(M, N):
 @pytest.mark.parametrize("M,N", AGREEMENT_PAIRS,
                          ids=[f"{M.name}-{N.name}" for M, N in AGREEMENT_PAIRS])
 def test_tensor_quotient_matches_tensor(M, N):
-    """On each backend that takes the pair, the quotient that Tor reads is the
+    """On each engine that takes the pair, the quotient that Tor reads is the
     one `tensor` builds its induced module on, and `tensor`'s notes begin
     with the quotient's.  Its relations are the rows of `_tensor_relations`,
     each once, in the order of their first occurrence."""
-    for backend in ("idempotent", "group", "saturation"):
-        try:
-            full = tensor(M, N, backend=backend, lenient=True)
-        except PreconditionError as exc:
-            with pytest.raises(PreconditionError, match=f"^{exc}$"):
-                _tensor_quotient(M, N, backend, lenient=True)
+    takes = {"idempotent": homology._is_idempotent, "group": homology._is_group,
+             "saturation": lambda X: True}
+    for backend, admits in takes.items():
+        if not (admits(M) and admits(N)):
             continue
-        quotient = _tensor_quotient(M, N, backend, lenient=True)
+        full = forced(tensor, backend, M, N, lenient=True)
+        quotient = forced(_tensor_quotient, backend, M, N, lenient=True)
         assert quotient.presentation.to_dict() == full.presentation.to_dict()
         assert quotient.gen_class.tolist() == full.gen_class.tolist()
         assert quotient.rep_gens == full.rep_gens
@@ -356,7 +376,8 @@ def test_group_tensor_on_first_occurrences_matches_all_rows():
     lawful, perturbed = _group_modules()
     assert len(perturbed) >= 150
     for M in lawful + perturbed:
-        q = _tensor_quotient(M, M, "group", lenient=True)
+        q = _tensor_quotient(M, M, lenient=True)
+        assert q.backend == "group"
         add_rows, zero, gen_class, rep_gens, labels, notes = _tensor_group(
             M, M, q.presentation.name, _tensor_relations(M, M)[0])
         assert q.presentation.add == tuple(map(tuple, add_rows))
@@ -395,11 +416,11 @@ def test_exact_tensor_matches_union_loop(M, N, monkeypatch):
         return (t.presentation.to_dict(), t.gen_class.tolist(), t.rep_gens, t.notes,
                 t.module.columns, t.module.column_of, t.module_action_ok)
 
-    new = fields(tensor(M, N, backend="saturation", lenient=True))
+    new = fields(forced(tensor, "saturation", M, N, lenient=True))
     # The oracle reads only its last argument, the distinct rows, in any order.
     monkeypatch.setattr(homology, "_tensor_reduced", lambda M, N, name, rels, idempotent:
                         union_loop_tensor_saturation(M, N, name, rels, rels))
-    assert new == fields(tensor(M, N, backend="saturation", lenient=True))
+    assert new == fields(forced(tensor, "saturation", M, N, lenient=True))
 
 
 def _engine_pairs():
@@ -453,7 +474,8 @@ def test_reduced_engine_matches_full_state_oracles(M, N):
         del numberings["saturation"]
     assert numberings
     for backend, oracle in numberings.items():
-        assert_quotient_matches(_tensor_quotient(M, N, backend, lenient=True), M, N, oracle)
+        assert_quotient_matches(forced(_tensor_quotient, backend, M, N, lenient=True),
+                                M, N, oracle)
 
 
 def test_wide_idempotent_pair_runs_the_reduced_engine_under_the_state_limit(b2, monkeypatch):
@@ -494,8 +516,8 @@ def _presentation_pool():
     rng = random.Random("presentations")
     pool = {}
     for M, N in BACKEND_PAIRS:
-        for backend in ("saturation", "auto"):
-            P = tensor(M, N, backend=backend, lenient=True).presentation
+        for t in (forced(tensor, "saturation", M, N, lenient=True), tensor(M, N, lenient=True)):
+            P = t.presentation
             for Q in (P, _relabelled_presentation(P, rng)):
                 pool.setdefault((Q.add, Q.zero), Q)
     return list(pool.values())
@@ -574,8 +596,9 @@ def test_exact_tensor_flags_an_ill_defined_action(b2, backend):
     # 1⊗3 to the off-diagonal 2⊗3.
     M = swapping_module(b2)
     assert check_module_axioms(M).passed
-    t = tensor(M, M, backend=backend)
-    exact = tensor(M, M, backend="saturation")
+    t = forced(tensor, backend, M, M)
+    exact = forced(tensor, "saturation", M, M)
+    assert t.backend == backend
     assert not t.module_action_ok
     assert "induced action is not well-defined on a relation pair" in t.notes
     assert t.notes == exact.notes

@@ -22,13 +22,13 @@ from hypothesis import strategies as st
 
 from conftest import (act_patched_at_every_pair, action_rows, brute_force_check_axioms,
                       brute_force_check_module_axioms, chain, collapsed_b2_cubed,
-                      nested_tuples, swapping_module, tri_patched_at_every_pair, with_rows,
-                      zsum)
+                      nested_tuples, patch_add, reevaluate_module_violation,
+                      reevaluate_violation, swapping_module, tri_patched_at_every_pair,
+                      with_rows, zsum)
 from tgw import core, fixtures
-from tgw.core import (STRUCTURE_LAWS, Violation, _axes, _Table, check_axioms, patch_add,
-                      product_structure, reevaluate_violation)
-from tgw.modules import (GammaModule, check_module_axioms, reevaluate_module_violation,
-                         regular_module)
+from tgw.core import (STRUCTURE_LAWS, Violation, _axes, _Table, check_axioms,
+                      product_structure)
+from tgw.modules import GammaModule, check_module_axioms, regular_module
 
 
 def _set(table, index, value):

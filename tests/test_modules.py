@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (action_rows, all_bundled_modules, brute_force_homs,
-                      brute_force_submodules, chain, integers_mod, truncated_naturals)
+                      brute_force_submodules, chain, integers_mod, reevaluate_module_violation,
+                      truncated_naturals)
 from tgw import fixtures
 from tgw.core import PreconditionError, product_structure
 from tgw.modules import (GammaModule, ModuleHom, _iso_invariant,
@@ -20,7 +21,7 @@ from tgw.modules import (GammaModule, ModuleHom, _iso_invariant,
                          enumerate_submodules, find_isomorphism, hom_set, hom_violation,
                          is_faithful, is_simple, iso_theorem_suite,
                          jacobson_radical, load_module, nested_action, quotient_by_congruence,
-                         regular_module, reevaluate_module_violation, serialize_module)
+                         regular_module, serialize_module)
 
 
 def test_lawful_modules_pass(b2_reg, b2_t2, b2_zero, b2xb2_reg, b2xb2_zero,
